@@ -1,0 +1,43 @@
+"""Golden machine outputs: `run --config DOC --format machine`, byte for byte.
+
+Every shipped `configs/*.json` is covered, plus the documents under
+`tests/golden/cases/` for branches the shipped configs do not reach
+(odd-rank all-nonzero `verify-bf`, a numeric `verify-js` with an interior
+zero, a mixed symbolic/rational `verify-littlewood`).  The expected output
+of `DIR/NAME.json` is `tests/golden/NAME.out`.
+
+Regenerate, from the repository root, only after a change that is meant
+to alter machine output:
+
+    for f in configs/*.json tests/golden/cases/*.json; do
+        env -u EXTSQ_TRUNCATION PYTHONPATH=src python -m extsq.cli run \\
+            --config "$f" --format machine > "tests/golden/$(basename "$f" .json).out"
+    done
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from extsq import tasks
+from extsq.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+DOCUMENTS = sorted((ROOT / "configs").glob("*.json")) + sorted((GOLDEN / "cases").glob("*.json"))
+
+
+def test_every_document_has_a_distinct_golden_name():
+    names = [doc.stem for doc in DOCUMENTS]
+    assert len(names) == len(set(names)) == 8
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
+def test_machine_output_matches_golden(document, monkeypatch, capsys):
+    monkeypatch.delenv(tasks.TRUNCATION_ENV_VAR, raising=False)
+    code = main(["run", "--config", str(document), "--format", "machine"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"{document.stem}.out").read_bytes()
