@@ -9,7 +9,6 @@ from .polynomials import MultiPoly, UniPoly, divexact_binomial, unipoly_divides
 from .series import (
     TruncSeries1,
     TruncSeries2,
-    product_of_inverse_linear_factors,
     series2_first_difference,
     series_first_difference,
 )
@@ -25,11 +24,11 @@ from .symmetric import (
     schur_eval_padded,
 )
 from .lfactors import (
-    ExpansionOutcome,
+    DoubledShapeSum,
     LFactor,
     SatakeParams,
+    doubled_shape_sum,
     ext_sq_expansion,
-    formal_L_via_full_expansion,
     formal_ext_sq_L,
     reciprocal_quotient,
     standard_L,
@@ -40,8 +39,7 @@ from .torus_sums import (
     bf_odd_correction_probe,
     bf_series,
     delta_half_exponent,
-    js_even_series,
-    js_odd_series,
+    js_series,
     whittaker_value,
 )
 from .weil_deligne import (
@@ -71,7 +69,6 @@ __all__ = [
     "unipoly_divides",
     "TruncSeries1",
     "TruncSeries2",
-    "product_of_inverse_linear_factors",
     "series_first_difference",
     "series2_first_difference",
     "alternating_sum",
@@ -83,11 +80,11 @@ __all__ = [
     "schur",
     "schur_bialternant",
     "schur_eval_padded",
-    "ExpansionOutcome",
+    "DoubledShapeSum",
     "LFactor",
     "SatakeParams",
+    "doubled_shape_sum",
     "ext_sq_expansion",
-    "formal_L_via_full_expansion",
     "formal_ext_sq_L",
     "reciprocal_quotient",
     "standard_L",
@@ -96,8 +93,7 @@ __all__ = [
     "bf_odd_correction_probe",
     "bf_series",
     "delta_half_exponent",
-    "js_even_series",
-    "js_odd_series",
+    "js_series",
     "whittaker_value",
     "DivisibilityVerdict",
     "ExtSquareData",

@@ -9,9 +9,10 @@ since a rational entry is just a degree-zero polynomial.
 An `LFactor` is stored through its reciprocal: an exact polynomial P(t) with
 P(0) = 1, standing for 1/P(q^{-s}) with t = q^{-s}.  The exterior-square
 factor pairs the entries; its truncated series admits an expansion into
-Schur polynomials over doubled shapes, which `ext_sq_expansion` and
-`formal_L_via_full_expansion` realize so the identity can be verified
-coefficient by coefficient.
+Schur polynomials over doubled shapes.  `doubled_shape_sum` is the one
+routine that sums Schur values over doubled shapes, for `ext_sq_expansion`
+here and for the torus sum `torus_sums.js_series`, so the identity can be
+verified coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import MultiPoly, Scalar, UniPoly
-from .series import TruncSeries1, product_of_inverse_linear_factors
-from .symmetric import (
-    check_partition,
-    doubled_shape,
-    partitions_bounded,
-    schur_eval_padded,
-)
+from .series import TruncSeries1
+from .symmetric import doubled_shape, partitions_bounded, schur_eval_padded
 
 
 class SatakeParams:
@@ -213,74 +209,50 @@ def formal_ext_sq_L(params: SatakeParams) -> LFactor:
     return LFactor.from_linear_roots(roots, params.nvars)
 
 
-def _doubled_shape_series(
+@dataclass(frozen=True)
+class DoubledShapeSum:
+    """A truncated doubled-shape Schur sum and the terms it was summed from.
+
+    `terms` holds one (power, shape, value) triple per doubled shape in
+    enumeration order: the weight |f|, the shape (f1,f1,...,fh,fh,0,...),
+    and its Schur value at the parameter entries.
+    """
+
+    series: TruncSeries1
+    terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...]
+
+
+def doubled_shape_sum(
     params: SatakeParams, pairs: int, extra_zeros: int, order: int
-) -> TruncSeries1:
-    """sum_l t^l sum_{|f|=l, <=pairs parts} s_(doubled f)(params), truncated."""
+) -> DoubledShapeSum:
+    """sum_l t^l sum_{|f|=l, <=pairs parts} s_(doubled f)(params), truncated.
+
+    Padded evaluation at all n entries: a shape longer than the nonzero
+    entries contributes zero, any other shape is evaluated at the nonzero
+    entries alone, wherever the zeros sit.
+    """
     coeffs = []
+    terms = []
     for l in range(order + 1):
         acc = MultiPoly.zero(params.nvars)
         for f in partitions_bounded(l, pairs):
             shape = doubled_shape(f, pairs, extra_zeros)
-            acc = acc + schur_eval_padded(shape, params.entries)
+            value = schur_eval_padded(shape, params.entries)
+            terms.append((l, shape, value))
+            acc = acc + value
         coeffs.append(acc)
-    return TruncSeries1(params.nvars, coeffs)
+    return DoubledShapeSum(TruncSeries1(params.nvars, coeffs), tuple(terms))
 
 
-def ext_sq_expansion(params: SatakeParams, order: int) -> TruncSeries1:
+def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:
     """Schur expansion of the exterior-square series over the nonzero entries.
 
     With k nonzero entries the series equals sum over partitions f with at
     most floor(k/2) parts of s_(f1,f1,...,fh,fh)(nonzero entries) t^{|f|}
-    (one trailing zero part when k is odd).  Zeros are normalized to the
-    tail internally; symmetry of Schur polynomials makes that sound.
+    (one trailing zero part when k is odd).
     """
-    normalized = params.zeros_trailing()
-    nonzero = list(normalized.nonzero_entries)
-    k = len(nonzero)
-    h = k // 2
-    coeffs = []
-    for l in range(order + 1):
-        acc = MultiPoly.zero(params.nvars)
-        for f in partitions_bounded(l, h):
-            shape = doubled_shape(f, h, k % 2)
-            acc = acc + schur_eval_padded(shape, nonzero)
-        coeffs.append(acc)
-    return TruncSeries1(params.nvars, coeffs)
-
-
-@dataclass(frozen=True)
-class ExpansionOutcome:
-    """Expansion result plus the even-case hypothesis flag.
-
-    For even n the full-length expansion is only an identity when at least
-    one entry vanishes; `even_hypothesis_ok` is False when that hypothesis
-    failed (the series is still returned, unasserted).
-    """
-
-    series: TruncSeries1
-    even_hypothesis_ok: bool
-
-
-def formal_L_via_full_expansion(params: SatakeParams, order: int) -> ExpansionOutcome:
-    """Doubled-shape expansion carried over all n entries via padded evaluation.
-
-    n = 2m sums shapes (f1,f1,...,f_{m-1},f_{m-1},0,0); n = 2m+1 sums
-    (f1,f1,...,f_m,f_m,0).  Padded evaluation kills every shape that sticks
-    out past the nonzero entries, which is what makes the even case an
-    identity precisely when some entry is zero.
-    """
-    n = params.n
-    if n < 2:
-        raise ValueError("need at least two entries")
-    if n % 2 == 0:
-        pairs, extra = n // 2 - 1, 2
-        ok = params.has_zero
-    else:
-        pairs, extra = (n - 1) // 2, 1
-        ok = True
-    series = _doubled_shape_series(params, pairs, extra, order)
-    return ExpansionOutcome(series, ok)
+    k = len(params.nonzero_entries)
+    return doubled_shape_sum(params, k // 2, k % 2, order)
 
 
 def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:

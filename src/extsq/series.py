@@ -119,27 +119,6 @@ def series_first_difference(
     return None
 
 
-def product_of_inverse_linear_factors(
-    ms: Sequence[MultiPoly], nvars: int, order: int
-) -> TruncSeries1:
-    """Truncation of prod_k (1 - m_k t)^(-1), by iterated geometric series.
-
-    A zero m_k contributes the factor 1.  This is the production route for
-    every Euler-product style series in the package.
-    """
-    result = TruncSeries1.unit(nvars, order)
-    for m in ms:
-        if m.nvars != nvars:
-            raise ValueError("factor variable count does not match series")
-        if m.is_zero:
-            continue
-        powers = [MultiPoly.one(nvars)]
-        for _ in range(order):
-            powers.append(powers[-1] * m)
-        result = result * TruncSeries1(nvars, powers)
-    return result
-
-
 class TruncSeries2:
     """Series in (t1, t2) over the window 0..L1 by 0..L2."""
 

@@ -1,9 +1,11 @@
 """Verification tasks: config parsing, execution, and report emission.
 
 A config document is JSON with a `format_version` field and either one task
-object or a `tasks` list.  Every task is internally pure (no shared mutable
-state), so independent tasks in a batch may run concurrently; reports are
-assembled in input order regardless.
+object or a `tasks` list.  Tasks run one after another and reports come back
+in input order.  Tasks are not independent of each other: they share the
+module-level memo tables of `symmetric` (`_H_CACHE`, `_SCHUR_CACHE`), which
+grow without bound for the life of the process, so a later task reuses the
+Schur polynomials of an earlier one.  Outputs do not depend on that reuse.
 
 Reports come in two formats.  `machine` is canonical JSON with sorted keys
 and no volatile fields, so identical configs (and seeds) yield byte-identical
@@ -23,6 +25,7 @@ from functools import reduce
 from typing import Any, Sequence
 
 from .lfactors import (
+    DoubledShapeSum,
     LFactor,
     SatakeParams,
     ext_sq_expansion,
@@ -36,13 +39,7 @@ from .series import (
     series2_first_difference,
     series_first_difference,
 )
-from .symmetric import doubled_shape, partitions_bounded, schur_eval_padded
-from .torus_sums import (
-    bf_odd_correction_probe,
-    bf_series,
-    js_even_series,
-    js_odd_series,
-)
+from .torus_sums import bf_odd_correction_probe, bf_series, js_series
 from .weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
@@ -224,11 +221,8 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
                 raise ConfigError(
                     f"n={n} does not match {params.n} satake entries", f"{location}.n"
                 )
-        if task == "verify-js":
-            if params.n < 2:
-                raise ConfigError("verify-js needs n >= 2", f"{location}.satake")
-            if params.n % 2 and params.n < 3:
-                raise ConfigError("verify-js needs n >= 2", f"{location}.satake")
+        if task == "verify-js" and params.n < 2:
+            raise ConfigError("verify-js needs n >= 2", f"{location}.satake")
         if task in ("verify-bf",) and params.n < 2:
             raise ConfigError("verify-bf needs n >= 2", f"{location}.satake")
         if task == "bf-odd-probe" and (params.n < 3 or params.n % 2 == 0):
@@ -317,23 +311,12 @@ def _fmt_tpoly(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> str:
     return LFactor(list(coeffs)).format(names) if coeffs else "0"
 
 
-def _contributions(
-    params: SatakeParams, pairs: int, extra_zeros: int, order: int, names: Sequence[str]
-) -> list[dict[str, Any]]:
+def _contributions(expansion: DoubledShapeSum, names: Sequence[str]) -> list[dict[str, Any]]:
     """Partition-indexed Schur coefficients behind a doubled-shape series."""
-    rows = []
-    for l in range(order + 1):
-        for f in partitions_bounded(l, pairs):
-            shape = doubled_shape(f, pairs, extra_zeros)
-            coeff = schur_eval_padded(shape, params.entries)
-            rows.append(
-                {
-                    "power": l,
-                    "shape": list(shape),
-                    "coefficient": coeff.format(names),
-                }
-            )
-    return rows
+    return [
+        {"power": l, "shape": list(shape), "coefficient": value.format(names)}
+        for l, shape, value in expansion.terms
+    ]
 
 
 def _product_series2(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
@@ -367,24 +350,18 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     params = cfg.params
     order = cfg.truncation
     names = _names(params.nvars)
-    lhs = ext_sq_expansion(params, order)
+    expansion = ext_sq_expansion(params, order)
+    lhs = expansion.series
     rhs = formal_ext_sq_L(params).series(order)
     diff = series_first_difference(lhs, rhs)
-    k = len(params.nonzero_entries)
     data = {
-        "k": k,
+        "k": len(params.nonzero_entries),
         "expansion": _fmt_series1(lhs, names),
         "product": _fmt_series1(rhs, names),
         "first_difference": None
         if diff is None
         else {"power": diff[0], "expansion": diff[1].format(names), "product": diff[2].format(names)},
-        "contributions": _contributions(
-            SatakeParams(params.nonzero_entries, nvars=params.nvars),
-            k // 2,
-            k % 2,
-            order,
-            names,
-        ),
+        "contributions": _contributions(expansion, names),
     }
     if diff is None:
         return Report(
@@ -405,12 +382,11 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
     params = cfg.params
     order = cfg.truncation
     names = _names(params.nvars)
-    n = params.n
-    even = n % 2 == 0
-    lhs = js_even_series(params, order) if even else js_odd_series(params, order)
+    even = params.n % 2 == 0
+    torus_sum = js_series(params, order)
+    lhs = torus_sum.series
     rhs = formal_ext_sq_L(params).series(order)
     diff = series_first_difference(lhs, rhs)
-    m = n // 2 if even else (n - 1) // 2
     data = {
         "parity": "even" if even else "odd",
         "positive_conductor": params.has_zero,
@@ -419,9 +395,7 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
         "first_difference": None
         if diff is None
         else {"power": diff[0], "torus_sum": diff[1].format(names), "product": diff[2].format(names)},
-        "contributions": _contributions(
-            params, m - 1 if even else m, 2 if even else 1, order, names
-        ),
+        "contributions": _contributions(torus_sum, names),
     }
     if even and not params.has_zero:
         note = (
@@ -448,55 +422,13 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
     params = cfg.params
     l1, l2 = cfg.truncation
     names = _names(params.nvars)
-    n = params.n
+    m, odd = divmod(params.n, 2)
     lhs = bf_series(params, l1, l2)
-    if n % 2 == 0:
-        m = n // 2
-        omega = reduce(lambda a, b: a * b, params.entries)
-        product = _product_series2(params, l1, l2)
-        correction_grid = [
-            [MultiPoly.zero(params.nvars) for _ in range(l2 + 1)] for _ in range(l1 + 1)
-        ]
-        correction_grid[0][0] = MultiPoly.one(params.nvars)
-        if m <= l2:
-            correction_grid[0][m] = -omega
-        expected = TruncSeries2(params.nvars, correction_grid) * product
-        diff = series2_first_difference(lhs, expected)
-        data = {
-            "parity": "even",
-            "central_product": omega.format(names),
-            "torus_sum": _fmt_series2(lhs, names),
-            "expected": _fmt_series2(expected, names),
-            "first_difference": None
-            if diff is None
-            else {
-                "t1_power": diff[0][0],
-                "t2_power": diff[0][1],
-                "torus_sum": diff[1].format(names),
-                "expected": diff[2].format(names),
-            },
-        }
-        if diff is None:
-            return Report(
-                cfg.echo,
-                "pass",
-                f"two-variable torus sum matches (1 - ω t2^{m}) times the product "
-                f"of factors through ({l1}, {l2})",
-                data,
-            )
-        return Report(
-            cfg.echo,
-            "fail",
-            f"two-variable torus sum differs from its product form at t1^{diff[0][0]} t2^{diff[0][1]}",
-            data,
-        )
-    # odd rank
-    if not params.has_zero:
-        data = {
-            "parity": "odd",
-            "positive_conductor": False,
-            "torus_sum": _fmt_series2(lhs, names),
-        }
+    data: dict[str, Any] = {"parity": "odd" if odd else "even"}
+    if odd:
+        data["positive_conductor"] = params.has_zero
+    data["torus_sum"] = _fmt_series2(lhs, names)
+    if odd and not params.has_zero:
         return Report(
             cfg.echo,
             "info",
@@ -505,27 +437,29 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
             data,
         )
     expected = _product_series2(params, l1, l2)
+    form = "the product of factors"
+    if not odd:
+        omega = reduce(lambda a, b: a * b, params.entries)
+        one, zero = MultiPoly.one(params.nvars), MultiPoly.zero(params.nvars)
+        central = TruncSeries1.from_tpoly([one] + [zero] * (m - 1) + [-omega], params.nvars, l2)
+        expected = TruncSeries2.from_t2(central, l1) * expected
+        data["central_product"] = omega.format(names)
+        form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
-    data = {
-        "parity": "odd",
-        "positive_conductor": True,
-        "torus_sum": _fmt_series2(lhs, names),
-        "expected": _fmt_series2(expected, names),
-        "first_difference": None
+    data["expected"] = _fmt_series2(expected, names)
+    data["first_difference"] = (
+        None
         if diff is None
         else {
             "t1_power": diff[0][0],
             "t2_power": diff[0][1],
             "torus_sum": diff[1].format(names),
             "expected": diff[2].format(names),
-        },
-    }
+        }
+    )
     if diff is None:
         return Report(
-            cfg.echo,
-            "pass",
-            f"two-variable torus sum matches the product of factors through ({l1}, {l2})",
-            data,
+            cfg.echo, "pass", f"two-variable torus sum matches {form} through ({l1}, {l2})", data
         )
     return Report(
         cfg.echo,

@@ -4,8 +4,7 @@ On the diagonal torus a spherical Whittaker function is supported on
 dominant exponent vectors, where it equals a half-density factor times a
 Schur polynomial in the parameter entries.  Unipotent integration is
 already folded in, so each zeta integral collapses to a sum over the torus
-lattice; the half-density exponents cancel against the measure exactly,
-and the functions here assert that cancellation term by term.
+lattice, where the half-density exponents cancel against the measure.
 
 Exponents of the residue-field size q are carried as integer half-powers
 (q^{e/2} is stored as e), never as radicals.
@@ -17,16 +16,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .polynomials import MultiPoly
-from .lfactors import SatakeParams, formal_ext_sq_L, standard_L
-from .series import TruncSeries1, TruncSeries2
-from .symmetric import (
-    alternating_sum,
-    doubled_shape,
-    dominant_vectors,
-    even_index_sum,
-    partitions_bounded,
-    schur_eval_padded,
+from .lfactors import (
+    DoubledShapeSum,
+    SatakeParams,
+    doubled_shape_sum,
+    formal_ext_sq_L,
+    standard_L,
 )
+from .series import TruncSeries2
+from .symmetric import alternating_sum, dominant_vectors, even_index_sum, schur_eval_padded
 
 
 def delta_half_exponent(g: Sequence[int], n: int) -> int:
@@ -70,57 +68,22 @@ def whittaker_value(g: Sequence[int], params: SatakeParams) -> WhittakerValue:
     )
 
 
-def _whittaker_torus_coefficient(g: Sequence[int], params: SatakeParams) -> MultiPoly:
-    """Whittaker value times the half-density of the measure, which cancels."""
-    value = whittaker_value(g, params)
-    if value.is_zero:
-        return value.coefficient
-    remaining = value.q_half_exponent - delta_half_exponent(g, params.n)
-    if remaining != 0:
-        raise ArithmeticError("half-density exponents failed to cancel")
-    return value.coefficient
+def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
+    """Torus sum for the rank-n exterior-square integral, truncated.
 
-
-def js_even_series(params: SatakeParams, order: int) -> TruncSeries1:
-    """Torus sum for the even-rank exterior-square integral, truncated.
-
-    n = 2m: sum over partitions f with at most m-1 parts of the Whittaker
-    value at (f1,f1,...,f_{m-1},f_{m-1},0,0), graded by |f|.  All-nonzero
-    parameter vectors are allowed here; whether the identity with the
-    exterior-square factor is asserted is the caller's concern.
+    Sums the Whittaker values at the doubled dominant vectors, graded by
+    |f|: for n = 2m the vectors (f1,f1,...,f_{m-1},f_{m-1},0,0), for
+    n = 2m+1 the vectors (f1,f1,...,f_m,f_m,0).  On them the half-density
+    exponent cancels the measure, so each term is the Schur value alone.
+    For even n the identity with the exterior-square factor holds exactly
+    when some entry vanishes; whether it is asserted is the caller's concern.
     """
     n = params.n
-    if n < 2 or n % 2:
-        raise ValueError("even-rank sum needs even n >= 2")
-    m = n // 2
-    coeffs = []
-    for l in range(order + 1):
-        acc = MultiPoly.zero(params.nvars)
-        for f in partitions_bounded(l, m - 1):
-            g = doubled_shape(f, m - 1, 2)
-            acc = acc + _whittaker_torus_coefficient(g, params)
-        coeffs.append(acc)
-    return TruncSeries1(params.nvars, coeffs)
-
-
-def js_odd_series(params: SatakeParams, order: int) -> TruncSeries1:
-    """Torus sum for the odd-rank exterior-square integral, truncated.
-
-    n = 2m+1: shapes (f1,f1,...,f_m,f_m,0) over partitions with at most m
-    parts, graded by |f|.
-    """
-    n = params.n
-    if n < 3 or n % 2 == 0:
-        raise ValueError("odd-rank sum needs odd n >= 3")
-    m = (n - 1) // 2
-    coeffs = []
-    for l in range(order + 1):
-        acc = MultiPoly.zero(params.nvars)
-        for f in partitions_bounded(l, m):
-            g = doubled_shape(f, m, 1)
-            acc = acc + _whittaker_torus_coefficient(g, params)
-        coeffs.append(acc)
-    return TruncSeries1(params.nvars, coeffs)
+    if n < 2:
+        raise ValueError("torus sum needs n >= 2")
+    if n % 2 == 0:
+        return doubled_shape_sum(params, n // 2 - 1, 2, order)
+    return doubled_shape_sum(params, (n - 1) // 2, 1, order)
 
 
 def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
@@ -135,7 +98,7 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     zero = MultiPoly.zero(params.nvars)
     grid = [[zero for _ in range(l2 + 1)] for _ in range(l1 + 1)]
     for f in dominant_vectors(n - 1, l1, l2):
-        coeff = _whittaker_torus_coefficient(f + (0,), params)
+        coeff = whittaker_value(f + (0,), params).coefficient
         if coeff.is_zero:
             continue
         a = alternating_sum(f)

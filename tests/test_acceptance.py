@@ -40,8 +40,7 @@ from extsq.torus_sums import (
     bf_odd_correction_probe,
     bf_series,
     delta_half_exponent,
-    js_even_series,
-    js_odd_series,
+    js_series,
 )
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
@@ -94,7 +93,7 @@ def test_criterion_02_littlewood_expansion(capsys):
     for k in (2, 3, 4, 5):
         order = 6 if k == 5 else 8
         p = SatakeParams.symbolic(k)
-        diff = series_first_difference(ext_sq_expansion(p, order), formal_ext_sq_L(p).series(order))
+        diff = series_first_difference(ext_sq_expansion(p, order).series, formal_ext_sq_L(p).series(order))
         if diff is not None:
             failures.append((k, diff[0]))
     finish(capsys, "criterion 02: Littlewood expansion k=2..5", 60.0, t0, not failures, f"first differences: {failures}")
@@ -106,7 +105,7 @@ def test_criterion_03_torus_sum_odd(capsys):
     failures = []
     for n in (3, 5):
         p = SatakeParams.symbolic(n)
-        diff = series_first_difference(js_odd_series(p, 6), formal_ext_sq_L(p).series(6))
+        diff = series_first_difference(js_series(p, 6).series, formal_ext_sq_L(p).series(6))
         if diff is not None:
             failures.append((n, diff[0]))
     finish(capsys, "criterion 03: odd-rank torus sum n=3,5", 60.0, t0, not failures, f"{failures}")
@@ -118,11 +117,11 @@ def test_criterion_04_torus_sum_even(capsys):
     problems = []
     for n in (4, 6):
         p = SatakeParams.parse(["sym"] * (n - 1) + ["0"])
-        diff = series_first_difference(js_even_series(p, 6), formal_ext_sq_L(p).series(6))
+        diff = series_first_difference(js_series(p, 6).series, formal_ext_sq_L(p).series(6))
         if diff is not None:
             problems.append(f"n={n} differs at t^{diff[0]}")
     p4 = SatakeParams.symbolic(4)
-    neg = series_first_difference(js_even_series(p4, 4), formal_ext_sq_L(p4).series(4))
+    neg = series_first_difference(js_series(p4, 4).series, formal_ext_sq_L(p4).series(4))
     if neg is None:
         problems.append("all-nonzero n=4 unexpectedly agrees through t^4")
     elif neg[0] > 4:
@@ -145,8 +144,7 @@ def test_criterion_05_degenerate_parameters(capsys):
         if formal_ext_sq_L(p) != LFactor.one(p.nvars):
             problems.append(f"case {i}: factor not 1 for {toks}")
             continue
-        sum_fn = js_even_series if n % 2 == 0 else js_odd_series
-        s = sum_fn(p, 5)
+        s = js_series(p, 5).series
         if any(not s.coeff(l).is_zero for l in range(1, 6)) or s.coeff(0) != 1:
             problems.append(f"case {i}: torus sum not 1 for {toks}")
     finish(capsys, "criterion 05: 100 degenerate parameter vectors", 5.0, t0, not problems, "; ".join(problems[:3]))

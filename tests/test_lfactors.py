@@ -9,13 +9,14 @@ from extsq.lfactors import (
     LFactor,
     SatakeParams,
     ext_sq_expansion,
-    formal_L_via_full_expansion,
     formal_ext_sq_L,
     reciprocal_quotient,
     standard_L,
 )
 from extsq.polynomials import MultiPoly, UniPoly
 from extsq.series import series_first_difference
+from extsq.tasks import parse_task, run_task
+from extsq.torus_sums import js_series
 
 
 class TestSatakeParams:
@@ -142,20 +143,28 @@ class TestExtSqExpansion:
     @pytest.mark.parametrize("k,order", [(2, 6), (3, 5), (4, 4)])
     def test_symbolic_identity(self, k, order):
         p = SatakeParams.symbolic(k)
-        lhs = ext_sq_expansion(p, order)
+        lhs = ext_sq_expansion(p, order).series
         rhs = formal_ext_sq_L(p).series(order)
         assert series_first_difference(lhs, rhs) is None
 
     def test_zeros_anywhere(self):
         p = SatakeParams.parse(["0", "sym", "2/3", "0", "sym"])
-        lhs = ext_sq_expansion(p, 5)
+        lhs = ext_sq_expansion(p, 5).series
         rhs = formal_ext_sq_L(p).series(5)
         assert series_first_difference(lhs, rhs) is None
+
+    def test_terms_sum_to_series(self):
+        p = SatakeParams.parse(["sym", "0", "2/3", "sym", "-3"])
+        out = ext_sq_expansion(p, 4)
+        assert [shape for power, shape, _ in out.terms if power == 2] == [(2, 2, 0, 0), (1, 1, 1, 1)]
+        for l in range(5):
+            total = sum((value for power, _, value in out.terms if power == l), MultiPoly.zero(p.nvars))
+            assert total == out.series.coeff(l)
 
     def test_k_zero_and_one(self):
         for toks in (["0", "0"], ["sym", "0"]):
             p = SatakeParams.parse(toks)
-            s = ext_sq_expansion(p, 4)
+            s = ext_sq_expansion(p, 4).series
             assert series_first_difference(s, formal_ext_sq_L(p).series(4)) is None
             assert all(s.coeff(l).is_zero for l in range(1, 5))
 
@@ -169,34 +178,39 @@ class TestExtSqExpansion:
     )
     def test_random_rational_entries(self, values):
         p = SatakeParams([MultiPoly.constant(0, v) for v in values], nvars=0)
-        lhs = ext_sq_expansion(p, 5)
+        lhs = ext_sq_expansion(p, 5).series
         rhs = formal_ext_sq_L(p).series(5)
         assert series_first_difference(lhs, rhs) is None
 
 
 class TestFullExpansion:
+    """The doubled-shape sum carried over all n entries, which is `js_series`.
+
+    For even n it is an identity only when some entry vanishes; verify-js
+    flags the other case through its report.
+    """
+
     def test_odd_always_asserted(self):
         p = SatakeParams.symbolic(3)
-        out = formal_L_via_full_expansion(p, 5)
-        assert out.even_hypothesis_ok
+        out = js_series(p, 5)
         assert series_first_difference(out.series, formal_ext_sq_L(p).series(5)) is None
 
     def test_even_with_zero(self):
         p = SatakeParams.parse(["sym", "sym", "sym", "0"])
-        out = formal_L_via_full_expansion(p, 5)
-        assert out.even_hypothesis_ok
+        out = js_series(p, 5)
         assert series_first_difference(out.series, formal_ext_sq_L(p).series(5)) is None
 
     def test_even_all_nonzero_flags_and_differs(self):
         p = SatakeParams.symbolic(4)
-        out = formal_L_via_full_expansion(p, 4)
-        assert not out.even_hypothesis_ok
+        out = js_series(p, 4)
         diff = series_first_difference(out.series, formal_ext_sq_L(p).series(4))
         assert diff is not None
+        report = run_task(parse_task({"task": "verify-js", "satake": ["sym"] * 4, "truncation": 4}))
+        assert report.verdict == "info" and not report.data["positive_conductor"]
 
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
-            formal_L_via_full_expansion(SatakeParams.parse(["sym"]), 3)
+            js_series(SatakeParams.parse(["sym"]), 3)
 
 
 class TestReciprocalQuotient:

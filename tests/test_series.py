@@ -8,7 +8,6 @@ from extsq.polynomials import MultiPoly
 from extsq.series import (
     TruncSeries1,
     TruncSeries2,
-    product_of_inverse_linear_factors,
     series2_first_difference,
     series_first_difference,
 )
@@ -92,40 +91,6 @@ class TestFirstDifference:
         l, ca, cb = series_first_difference(a, b)
         assert l == 2
         assert ca == 3 and cb == 5
-
-
-class TestProductOfInverseLinearFactors:
-    def test_single_factor(self):
-        x = MultiPoly.variable(1, 0)
-        s = product_of_inverse_linear_factors([x], 1, 3)
-        assert [s.coeff(l) for l in range(4)] == [1, x, x * x, x * x * x]
-
-    def test_zero_factor_contributes_one(self):
-        z = MultiPoly.zero(1)
-        x = MultiPoly.variable(1, 0)
-        with_zero = product_of_inverse_linear_factors([x, z], 1, 3)
-        without = product_of_inverse_linear_factors([x], 1, 3)
-        assert with_zero == without
-
-    def test_two_factors_match_inverse_of_poly(self):
-        """prod 1/(1 - m_i t) equals the series inverse of prod (1 - m_i t)."""
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
-        lhs = product_of_inverse_linear_factors([x, y], 2, 5)
-        one = MultiPoly.one(2)
-        poly_coeffs = [one, -(x + y), x * y]
-        rhs = TruncSeries1.from_tpoly(poly_coeffs, 2, 5).inverse()
-        assert lhs == rhs
-
-    def test_matches_successive_inverse_multiplications(self):
-        x = MultiPoly.variable(1, 0)
-        ms = [x, MultiPoly.constant(1, Fraction(2, 3)), MultiPoly.constant(1, -2)]
-        lhs = product_of_inverse_linear_factors(ms, 1, 4)
-        acc = TruncSeries1.unit(1, 4)
-        for m in ms:
-            factor = TruncSeries1.from_tpoly([MultiPoly.one(1), -m], 1, 4)
-            acc = acc * factor.inverse()
-        assert lhs == acc
 
 
 class TestTruncSeries2:

@@ -104,6 +104,11 @@ class TestParseTask:
         with pytest.raises(ConfigError, match="odd"):
             parse_task({"task": "bf-odd-probe", "satake": ["sym", "sym"]})
 
+    @pytest.mark.parametrize("task", ["verify-js", "verify-bf"])
+    def test_rank_one_refused(self, task):
+        with pytest.raises(ConfigError, match="n >= 2"):
+            parse_task({"task": task, "satake": ["sym"]})
+
     def test_galois_explicit_blocks(self):
         cfg = parse_task(
             {

@@ -18,8 +18,7 @@ from extsq.torus_sums import (
     bf_odd_correction_probe,
     bf_series,
     delta_half_exponent,
-    js_even_series,
-    js_odd_series,
+    js_series,
     whittaker_value,
 )
 
@@ -87,14 +86,14 @@ class TestJsSeries:
     @pytest.mark.parametrize("n,order", [(3, 6), (5, 5)])
     def test_odd_symbolic(self, n, order):
         p = SatakeParams.symbolic(n)
-        lhs = js_odd_series(p, order)
+        lhs = js_series(p, order).series
         rhs = formal_ext_sq_L(p).series(order)
         assert series_first_difference(lhs, rhs) is None
 
     @pytest.mark.parametrize("tokens", [["sym", "sym", "sym", "0"], ["sym", "0"], ["sym", "sym", "0", "0"]])
     def test_even_with_zero(self, tokens):
         p = SatakeParams.parse(tokens)
-        lhs = js_even_series(p, 6)
+        lhs = js_series(p, 6).series
         rhs = formal_ext_sq_L(p).series(6)
         assert series_first_difference(lhs, rhs) is None
 
@@ -106,7 +105,7 @@ class TestJsSeries:
         built to exclude).
         """
         p = SatakeParams.symbolic(4)
-        lhs = js_even_series(p, 4)
+        lhs = js_series(p, 4).series
         rhs = formal_ext_sq_L(p).series(4)
         diff = series_first_difference(lhs, rhs)
         assert diff is not None
@@ -116,16 +115,17 @@ class TestJsSeries:
         assert cb - ca == omega
 
     def test_parity_validation(self):
-        p3 = SatakeParams.symbolic(3)
-        p4 = SatakeParams.symbolic(4)
+        """The parity of n picks the shapes: (f,f,0) for n=3, (f,f,0,0) for n=4."""
+        odd = js_series(SatakeParams.symbolic(3), 3).terms
+        even = js_series(SatakeParams.symbolic(4), 3).terms
+        assert [shape for _, shape, _ in odd] == [(l, l, 0) for l in range(4)]
+        assert [shape for _, shape, _ in even] == [(l, l, 0, 0) for l in range(4)]
         with pytest.raises(ValueError):
-            js_even_series(p3, 3)
-        with pytest.raises(ValueError):
-            js_odd_series(p4, 3)
+            js_series(SatakeParams.symbolic(1), 3)
 
     def test_rational_entries(self):
         p = SatakeParams.parse(["1/2", "-3", "2/5"])
-        lhs = js_odd_series(p, 8)
+        lhs = js_series(p, 8).series
         rhs = formal_ext_sq_L(p).series(8)
         assert series_first_difference(lhs, rhs) is None
 
@@ -138,8 +138,7 @@ class TestJsSeries:
                 toks[rng.randrange(n)] = str(Fraction(rng.randrange(-8, 9) or 1, rng.randrange(1, 7)))
             p = SatakeParams.parse(toks)
             assert formal_ext_sq_L(p) == LFactor.one(p.nvars)
-            sum_fn = js_even_series if n % 2 == 0 else js_odd_series
-            s = sum_fn(p, 5)
+            s = js_series(p, 5).series
             assert s.coeff(0) == 1
             assert all(s.coeff(l).is_zero for l in range(1, 6))
 
