@@ -90,12 +90,6 @@ class SatakeParams:
     def has_zero(self) -> bool:
         return any(e.is_zero for e in self.entries)
 
-    def zeros_trailing(self) -> "SatakeParams":
-        """Same entries with zeros moved last (order otherwise preserved)."""
-        nz = [e for e in self.entries if not e.is_zero]
-        z = [e for e in self.entries if e.is_zero]
-        return SatakeParams(nz + z, nvars=self.nvars)
-
     def __repr__(self) -> str:
         return f"SatakeParams([{', '.join(e.format() for e in self.entries)}])"
 

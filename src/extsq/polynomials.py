@@ -6,9 +6,12 @@ Polynomials are immutable: every operation returns a new object, so values
 can be shared freely (including across concurrent workers).
 
 Exponent vectors are packed into a single int, 16 bits per variable, which
-makes a monomial product one integer addition.  Individual exponents are
-therefore capped at 65535 -- orders of magnitude above anything the torus
-sums or determinants in this package produce.
+makes a monomial product one integer addition.  The top bit of each field is
+a guard: exponents are capped at 32767, and a product or power whose result
+would need a larger exponent raises ValueError instead of carrying into the
+neighbouring variable.  Exponents given to constructors are capped lower, at
+4095.  Both caps are orders of magnitude above anything the torus sums or
+determinants in this package produce.
 
 Term order for display and reporting is graded lexicographic: lower total
 degree first, then lexicographically by exponent vector with earlier
@@ -19,14 +22,15 @@ when terms are listed or formatted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Scalar = int | Fraction
 
 _EXP_BITS = 16
 _EXP_MASK = (1 << _EXP_BITS) - 1
-# User-supplied exponents are checked against a lower cap so that repeated
-# products cannot overflow a 16-bit field.
+_EXP_MAX = (1 << (_EXP_BITS - 1)) - 1
+_OVERFLOW = f"exponent exceeds {_EXP_MAX}"
+# Exponents given to constructors are checked against a lower cap still.
 _EXP_INPUT_CAP = 1 << 12
 
 
@@ -50,6 +54,11 @@ def _pack(exps: Sequence[int]) -> int:
             raise ValueError(f"exponent {e} exceeds supported range")
         key = (key << _EXP_BITS) | e
     return key
+
+
+def _guard_mask(nvars: int) -> int:
+    """The top bit of each of the nvars exponent fields."""
+    return ((1 << (_EXP_BITS * nvars)) - 1) // _EXP_MASK << (_EXP_BITS - 1)
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
@@ -241,8 +250,13 @@ class MultiPoly:
                     out[k] = val
                 else:
                     out.pop(k, None)
+        # fields of both factors are <= _EXP_MAX, so a sum never carries past
+        # its field; a result above _EXP_MAX sets that field's guard bit
+        guard = _guard_mask(self.nvars)
         # normalize any integral Fractions produced by mixed arithmetic
         for k, c in out.items():
+            if k & guard:
+                raise ValueError(_OVERFLOW)
             if isinstance(c, Fraction) and c.denominator == 1:
                 out[k] = c.numerator
         return MultiPoly._raw(self.nvars, out)
@@ -256,6 +270,8 @@ class MultiPoly:
             return MultiPoly.one(self.nvars)
         if len(self._terms) == 1:
             ((k, c),) = self._terms.items()
+            if max(_unpack(k, self.nvars), default=0) * e > _EXP_MAX:
+                raise ValueError(_OVERFLOW)
             return MultiPoly._raw(self.nvars, {k * e: _norm_scalar(c**e)})
         result = self
         for _ in range(e - 1):
@@ -268,7 +284,10 @@ class MultiPoly:
         """Evaluate at values[i] for variable i.
 
         All values must share one variable count, which becomes the result's;
-        pass `nvars` explicitly when `values` is empty.
+        pass `nvars` explicitly when `values` is empty.  This is the oracle
+        route of the test suite (`schur_bialternant(f, n).substitute(values)`
+        against `symmetric.schur_eval_padded`); production code does not call
+        it.
         """
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")

@@ -1,23 +1,35 @@
 """Schur polynomials and partition enumeration, exactly.
 
-Two independent routes to a Schur polynomial are kept side by side:
+Production code reaches Schur values through one Jacobi-Trudi determinant,
+det[h_{f_i - i + j}], expanded sparsely with memoized minors (`_det_sparse`):
 
-* `schur` -- the production path, a Jacobi-Trudi determinant of complete
-  homogeneous polynomials, expanded sparsely with memoized minors;
-* `schur_bialternant` -- the alternant determinant divided exactly by the
-  Vandermonde determinant, used as a cross-check oracle in the test suite.
+* `schur` -- the Schur polynomial in n variables, the determinant over the
+  complete homogeneous polynomials `complete_homogeneous(j, n)`; cached;
+* `schur_eval_padded` -- s_f at a value vector that may contain zeros.
+  Zeros are dropped (Schur polynomials are symmetric, and the value is zero
+  unless the shape fits inside the nonzero entries).  When the nonzero
+  entries are exactly the variables x1..xk of a k-variable ring, in order,
+  the value is the cached `schur(f, k)`.  Every other vector (numeric or
+  mixed) is evaluated directly in its own ring: the entries are scaled by
+  the common denominator D of their coefficients, h_0..h_N of the scaled
+  entries are read off as the coefficients of prod_i 1/(1 - D a_i t)
+  (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3), the
+  determinant is taken with integer coefficients, and the result is divided
+  once by D^|f|, since s_f(D a) = D^|f| s_f(a).  No symbolic Schur
+  polynomial is built for such vectors, and the caches stay untouched.
 
-`schur_eval_padded` evaluates a Schur polynomial at a value vector that may
-contain zeros: zeros are moved to the end (Schur polynomials are symmetric,
-so this is harmless), and the value is zero unless the shape fits inside the
-nonzero prefix, in which case the shape is evaluated at the nonzero values
-alone.  All enumeration orders are deterministic.
+The independent oracle is `schur_bialternant` (alternant divided exactly by
+the Vandermonde determinant); the test suite evaluates it at a vector with
+`MultiPoly.substitute` and compares.  All enumeration orders are
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+import math
+from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from .polynomials import MultiPoly, divexact_binomial
 
@@ -103,6 +115,15 @@ def _det_sparse(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
     return det if sign > 0 else -det
 
 
+def _jacobi_trudi(
+    shape: tuple[int, ...], h: Callable[[int], MultiPoly], nvars: int
+) -> MultiPoly:
+    """det[h(shape_i - i + j)] for a stripped shape; h(j) must be 0 for j < 0."""
+    r = len(shape)
+    rows = [[h(shape[i] - i + j) for j in range(r)] for i in range(r)]
+    return _det_sparse(rows, nvars)
+
+
 def schur(f: Sequence[int], n: int) -> MultiPoly:
     """Schur polynomial s_f in n variables via the Jacobi-Trudi determinant."""
     shape = check_partition(f)
@@ -112,12 +133,7 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
     cached = _SCHUR_CACHE.get(key)
     if cached is not None:
         return cached
-    r = len(shape)
-    rows = [
-        [complete_homogeneous(shape[i] - i + j, n) for j in range(r)]
-        for i in range(r)
-    ]
-    p = _det_sparse(rows, n)
+    p = _jacobi_trudi(shape, lambda j: complete_homogeneous(j, n), n)
     _SCHUR_CACHE[key] = p
     return p
 
@@ -176,9 +192,22 @@ def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPol
     k = len(nonzero)
     if len(shape) > k:
         return MultiPoly.zero(ambient)
-    if k == 0:
+    if not shape:
         return MultiPoly.one(ambient)
-    return schur(shape, k).substitute(nonzero, nvars=ambient)
+    if ambient == k and all(v == MultiPoly.variable(k, i) for i, v in enumerate(nonzero)):
+        return schur(shape, k)
+    # s_f(D a) = D^|f| s_f(a): work on the integral entries D a_i and divide once
+    scale = math.lcm(*(c.denominator for v in nonzero for _, c in v.terms()))
+    top = shape[0] + len(shape) - 1
+    zero = MultiPoly.zero(ambient)
+    # h_0..h_top: coefficients of prod_i 1/(1 - b_i t), one factor at a time
+    hs = [MultiPoly.one(ambient)] + [zero] * top
+    for v in nonzero:
+        b = v * scale
+        for j in range(1, top + 1):
+            hs[j] = hs[j] + b * hs[j - 1]
+    value = _jacobi_trudi(shape, lambda j: hs[j] if j >= 0 else zero, ambient)
+    return value if scale == 1 else value * Fraction(1, scale ** sum(shape))
 
 
 def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:

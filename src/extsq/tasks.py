@@ -5,7 +5,9 @@ object or a `tasks` list.  Tasks run one after another and reports come back
 in input order.  Tasks are not independent of each other: they share the
 module-level memo tables of `symmetric` (`_H_CACHE`, `_SCHUR_CACHE`), which
 grow without bound for the life of the process, so a later task reuses the
-Schur polynomials of an earlier one.  Outputs do not depend on that reuse.
+Schur polynomials of an earlier one.  Only all-symbolic parameter vectors
+(zeros allowed) fill those tables; numeric and mixed vectors are evaluated
+without them.  Outputs do not depend on that reuse.
 
 Reports come in two formats.  `machine` is canonical JSON with sorted keys
 and no volatile fields, so identical configs (and seeds) yield byte-identical

@@ -7,7 +7,6 @@ cleared before every criterion so the timings are cold, not flattering.
 """
 
 import io
-import json
 import random
 import subprocess
 import sys

@@ -44,12 +44,6 @@ class TestSatakeParams:
         assert p.n == 3 and p.nvars == 3
         assert not p.has_zero
 
-    def test_zeros_trailing_preserves_order(self):
-        p = SatakeParams.parse(["sym", "0", "sym", "0", "7"])
-        moved = p.zeros_trailing()
-        assert moved.entries[:3] == p.nonzero_entries
-        assert all(e.is_zero for e in moved.entries[3:])
-
     def test_mixed_spaces_rejected(self):
         with pytest.raises(ValueError):
             SatakeParams([MultiPoly.one(1), MultiPoly.one(2)])

@@ -85,6 +85,28 @@ class TestMultiPolyArithmetic:
         with pytest.raises(ValueError):
             (x + y) ** -1
 
+    def test_power_exponent_overflow_raises(self):
+        y = MultiPoly.variable(2, 1)
+        # without the guard, y**65536 carries into x1's field and reads x1
+        with pytest.raises(ValueError):
+            y**65536
+        with pytest.raises(ValueError):
+            y**32768
+        assert (y**32767).terms() == [((0, 32767), 1)]
+
+    def test_product_exponent_overflow_raises(self):
+        x = MultiPoly.variable(2, 0)
+        y = MultiPoly.variable(2, 1)
+        # without the guard, x2^40000 * x2^40000 reads x1*x2^14464
+        with pytest.raises(ValueError):
+            (y**40000) * (y**40000)
+        p = y**20000
+        with pytest.raises(ValueError):
+            p * p
+        with pytest.raises(ValueError):
+            (p + x) * (p + 1)
+        assert (p * y**12767).terms() == [((0, 32767), 1)]
+
     def test_mixed_var_counts_rejected(self):
         with pytest.raises(ValueError):
             MultiPoly.one(2) + MultiPoly.one(3)

@@ -2,9 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from extsq import symmetric
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import (
     alternating_sum,
@@ -31,6 +32,25 @@ def partitions(draw, max_part=4, max_len=4):
         (draw(st.integers(0, max_part)) for _ in range(length)), reverse=True
     )
     return tuple(parts)
+
+
+@st.composite
+def ambient_vectors(draw):
+    """Value vectors in a ring of 1-3 variables: symbols, fractions with
+    denominators up to 9, zeros, and a few general polynomials."""
+    m = draw(st.integers(1, 3))
+    xs = variables(m)
+    u, v = xs[0], xs[-1]
+    general = [u + v * Fraction(1, 3), u * v * Fraction(-2, 7) + 1, u * u - Fraction(5, 9)]
+    entry = st.one_of(
+        st.sampled_from(xs),
+        st.fractions(min_value=-4, max_value=4, max_denominator=9).map(
+            lambda c: MultiPoly.constant(m, c)
+        ),
+        st.just(MultiPoly.zero(m)),
+        st.sampled_from(general),
+    )
+    return draw(st.lists(entry, min_size=1, max_size=4))
 
 
 class TestCheckPartition:
@@ -176,6 +196,30 @@ class TestSchurEvalPadded:
         vals = [MultiPoly.constant(0, v) for v in values]
         direct = schur(f, n).substitute(vals)
         assert schur_eval_padded(f, vals) == direct
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions(max_part=3, max_len=3), ambient_vectors())
+    def test_matches_bialternant_oracle_in_polynomial_rings(self, f, vals):
+        assume(len(f) <= len(vals))
+        oracle = schur_bialternant(f, len(vals)).substitute(vals)
+        assert schur_eval_padded(f, vals) == oracle
+
+    def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
+        monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
+        monkeypatch.setattr(symmetric, "_H_CACHE", {})
+        x, y = variables(2)
+        zero = MultiPoly.zero(2)
+        numeric = [MultiPoly.constant(0, c) for c in (Fraction(2, 3), 0, -3)]
+        mixed = [x, MultiPoly.constant(2, Fraction(1, 2)), zero, y]
+        schur_eval_padded((2, 1), numeric)
+        schur_eval_padded((2, 1), mixed)
+        schur_eval_padded((2, 1), [y, x])  # the variables, out of order
+        assert not symmetric._SCHUR_CACHE and not symmetric._H_CACHE
+        schur_eval_padded((2, 1), [x, zero, y])
+        schur_eval_padded((1, 1), variables(3))
+        assert set(symmetric._SCHUR_CACHE) == {((2, 1), 2), ((1, 1), 3)}
+        assert symmetric._H_CACHE
 
 
 class TestPartitionsBounded:

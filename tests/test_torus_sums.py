@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from extsq.lfactors import LFactor, SatakeParams, formal_ext_sq_L, standard_L
