@@ -197,7 +197,6 @@ class TestSchurEvalPadded:
         direct = schur(f, n).substitute(vals)
         assert schur_eval_padded(f, vals) == direct
 
-
     @settings(max_examples=60, deadline=None)
     @given(partitions(max_part=3, max_len=3), ambient_vectors())
     def test_matches_bialternant_oracle_in_polynomial_rings(self, f, vals):
