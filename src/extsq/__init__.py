@@ -5,7 +5,7 @@ no floating point anywhere, so every verification is an exact identity check
 rather than a numerical comparison.
 """
 
-from .polynomials import MultiPoly, UniPoly, divexact_binomial, unipoly_divides
+from .polynomials import MultiPoly, divexact_binomial
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -64,9 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly",
-    "UniPoly",
     "divexact_binomial",
-    "unipoly_divides",
     "TruncSeries1",
     "TruncSeries2",
     "series_first_difference",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import MultiPoly, Scalar, UniPoly
+from .polynomials import MultiPoly
 from .series import TruncSeries1
 from .symmetric import doubled_shape, partitions_bounded, schur_eval_padded
 
@@ -154,15 +154,6 @@ class LFactor:
         """Truncated expansion of 1/P(t) to the given order."""
         return TruncSeries1.from_tpoly(self.reciprocal, self.nvars, order).inverse()
 
-    def as_unipoly(self) -> UniPoly:
-        """The reciprocal as a rational-coefficient polynomial; symbolic input raises."""
-        out: list[Scalar] = []
-        for c in self.reciprocal:
-            if not c.is_constant:
-                raise ValueError("reciprocal has symbolic coefficients")
-            out.append(c.constant_value())
-        return UniPoly(out)
-
     def format(self, names: Sequence[str] | None = None) -> str:
         pieces = []
         for d, c in enumerate(self.reciprocal):
@@ -252,32 +243,28 @@ def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:
 def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:
     """Quotient of reciprocals num/den when den divides num exactly, else None.
 
-    Both reciprocals have constant coefficient 1, so the candidate quotient
-    is read off a truncated series inverse and then verified by one exact
-    polynomial multiplication (sound and complete).
+    Low-end exact division, the same over Q and over polynomial rings.  Write
+    N = num.reciprocal of degree dn and D = den.reciprocal of degree dd, with
+    D_0 = 1.  For k = 0..dn let r_k = N_k - sum_{i=1..min(k,dd)} D_i r_{k-i}.
+    These are the coefficients of N/D mod t^(dn+1), so r_k for k <= dn - dd
+    is the only candidate quotient Q of degree <= dn - dd.  If D divides N,
+    then N/D = Q is a polynomial and r_k = 0 for dn - dd < k <= dn.
+    Conversely, if those r_k vanish, then D*Q and N both have degree <= dn
+    and agree mod t^(dn+1), so D*Q = N.  The check is therefore sound and
+    complete, with no series inverse, verifying product or division.
     """
     if num.nvars != den.nvars:
         raise ValueError("factors in different symbol spaces")
-    if den.degree > num.degree:
+    dn, dd = num.degree, den.degree
+    if dd > dn:
         return None
-    order = num.degree
-    q_series = (
-        TruncSeries1.from_tpoly(num.reciprocal, num.nvars, order)
-        * TruncSeries1.from_tpoly(den.reciprocal, den.nvars, order).inverse()
-    )
-    q = list(q_series.coeffs)
-    while len(q) > 1 and q[-1].is_zero:
-        q.pop()
-    # exact verification: den * q == num as polynomials in t
-    prod = [MultiPoly.zero(num.nvars) for _ in range(len(den.reciprocal) + len(q) - 1)]
-    for i, a in enumerate(den.reciprocal):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q):
-            if not b.is_zero:
-                prod[i + j] = prod[i + j] + a * b
-    while len(prod) > 1 and prod[-1].is_zero:
-        prod.pop()
-    if tuple(prod) == num.reciprocal:
-        return tuple(q)
-    return None
+    d = den.reciprocal
+    r: list[MultiPoly] = []
+    for k, acc in enumerate(num.reciprocal):
+        for i in range(1, min(k, dd) + 1):
+            if d[i] and r[k - i]:
+                acc = acc - d[i] * r[k - i]
+        if k > dn - dd and acc:
+            return None
+        r.append(acc)
+    return tuple(r[: dn - dd + 1])

@@ -152,12 +152,6 @@ class MultiPoly:
             return self._terms[0]
         raise ValueError("polynomial is not constant")
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(_unpack(k, self.nvars)) for k in self._terms)
-
     def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in graded lexicographic order (deterministic)."""
         unpacked = [(_unpack(k, self.nvars), c) for k, c in self._terms.items()]
@@ -396,105 +390,3 @@ def divexact_binomial(p: MultiPoly, i: int, j: int) -> MultiPoly:
     if remainder:
         raise ArithmeticError("inexact division by binomial")
     return MultiPoly._raw(p.nvars, out)
-
-
-class UniPoly:
-    """Dense exact univariate polynomial over the rationals.
-
-    Coefficients ascend by degree; trailing zeros are stripped, so the zero
-    polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Scalar]):
-        cs = [_norm_scalar(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dn = len(rem) - 1, other.degree
-        lead = Fraction(other.coeffs[-1])
-        q = [0] * max(dd - dn + 1, 0)
-        while len(rem) - 1 >= dn and rem:
-            factor = _norm_scalar(Fraction(rem[-1]) / lead)
-            pos = len(rem) - 1 - dn
-            q[pos] = factor
-            for k, c in enumerate(other.coeffs):
-                rem[pos + k] = _norm_scalar(rem[pos + k] - factor * c)
-            while rem and not rem[-1]:
-                rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def format(self, name: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            else:
-                var = name if d == 1 else f"{name}^{d}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.format()!r})"
-
-
-def unipoly_divides(p: UniPoly, d: UniPoly) -> UniPoly | None:
-    """Return p/d when d divides p exactly, else None; d = 0 raises."""
-    if d.is_zero:
-        raise ZeroDivisionError("divisibility by the zero polynomial is undefined")
-    q, r = divmod(p, d)
-    return q if r.is_zero else None

@@ -41,7 +41,7 @@ from .series import (
     series2_first_difference,
     series_first_difference,
 )
-from .torus_sums import bf_odd_correction_probe, bf_series, js_series
+from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
 from .weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
@@ -223,10 +223,8 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
                 raise ConfigError(
                     f"n={n} does not match {params.n} satake entries", f"{location}.n"
                 )
-        if task == "verify-js" and params.n < 2:
-            raise ConfigError("verify-js needs n >= 2", f"{location}.satake")
-        if task in ("verify-bf",) and params.n < 2:
-            raise ConfigError("verify-bf needs n >= 2", f"{location}.satake")
+        if task in ("verify-js", "verify-bf") and params.n < 2:
+            raise ConfigError(f"{task} needs n >= 2", f"{location}.satake")
         if task == "bf-odd-probe" and (params.n < 3 or params.n % 2 == 0):
             raise ConfigError("bf-odd-probe needs odd n >= 3", f"{location}.satake")
         cfg.params = params
@@ -319,13 +317,6 @@ def _contributions(expansion: DoubledShapeSum, names: Sequence[str]) -> list[dic
         {"power": l, "shape": list(shape), "coefficient": value.format(names)}
         for l, shape, value in expansion.terms
     ]
-
-
-def _product_series2(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
-    """standard factor in t1 times exterior-square factor in t2."""
-    return TruncSeries2.from_t1(standard_L(params).series(l1), l2) * TruncSeries2.from_t2(
-        formal_ext_sq_L(params).series(l2), l1
-    )
 
 
 def _run_lfactor(cfg: TaskConfig) -> Report:
@@ -438,7 +429,7 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
             "closed product form here; run bf-odd-probe for the empirical correction",
             data,
         )
-    expected = _product_series2(params, l1, l2)
+    expected = bf_product_series(params, l1, l2)
     form = "the product of factors"
     if not odd:
         omega = reduce(lambda a, b: a * b, params.entries)

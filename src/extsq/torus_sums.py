@@ -107,6 +107,13 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     return TruncSeries2(params.nvars, grid)
 
 
+def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
+    """Standard factor in t1 times exterior-square factor in t2, truncated."""
+    return TruncSeries2.from_t1(standard_L(params).series(l1), l2) * TruncSeries2.from_t2(
+        formal_ext_sq_L(params).series(l2), l1
+    )
+
+
 @dataclass(frozen=True)
 class BFProbeResult:
     """Outcome of dividing the odd-rank two-variable sum by its product form.
@@ -128,10 +135,7 @@ def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeRe
     if n < 3 or n % 2 == 0:
         raise ValueError("probe applies to odd n >= 3")
     lhs = bf_series(params, l1, l2)
-    product = TruncSeries2.from_t1(standard_L(params).series(l1), l2) * TruncSeries2.from_t2(
-        formal_ext_sq_L(params).series(l2), l1
-    )
-    correction = lhs * product.inverse()
+    correction = lhs * bf_product_series(params, l1, l2).inverse()
     matches = correction == TruncSeries2.unit(params.nvars, (l1, l2))
     if params.has_zero and not matches:
         raise ArithmeticError(

@@ -13,7 +13,7 @@ from extsq.lfactors import (
     reciprocal_quotient,
     standard_L,
 )
-from extsq.polynomials import MultiPoly, UniPoly
+from extsq.polynomials import MultiPoly
 from extsq.series import series_first_difference
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
@@ -71,16 +71,6 @@ class TestLFactor:
         f = LFactor.from_linear_roots([x], 1)
         s = f.series(4)
         assert [s.coeff(l) for l in range(5)] == [MultiPoly.one(1), x, x**2, x**3, x**4]
-
-    def test_as_unipoly(self):
-        p = SatakeParams.parse(["1/2", "-3"])
-        u = standard_L(p).as_unipoly()
-        # (1 - t/2)(1 + 3t) = 1 + 5/2 t - 3/2 t^2
-        assert u == UniPoly([1, Fraction(5, 2), Fraction(-3, 2)])
-
-    def test_as_unipoly_rejects_symbols(self):
-        with pytest.raises(ValueError):
-            standard_L(SatakeParams.symbolic(2)).as_unipoly()
 
     def test_format_signs(self):
         p = SatakeParams.parse(["1/2"])
@@ -240,3 +230,45 @@ class TestReciprocalQuotient:
         den = LFactor([MultiPoly.one(0), MultiPoly.constant(0, Fraction(-1, 2))])
         q = reciprocal_quotient(num, den)
         assert q == (MultiPoly.one(0), MultiPoly.constant(0, Fraction(-1, 3)))
+
+    def test_rational_non_divisor(self):
+        # 1 - 5/6 t + 1/5 t^2 is not (1 - t/2)(1 - t/3); only the top
+        # coefficient differs, so only the remainder check can tell
+        num = LFactor([MultiPoly.one(0), MultiPoly.constant(0, Fraction(-5, 6)), MultiPoly.constant(0, Fraction(1, 5))])
+        den = LFactor([MultiPoly.one(0), MultiPoly.constant(0, Fraction(-1, 2))])
+        assert reciprocal_quotient(num, den) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_multiplication_oracle(self, data):
+        nvars = data.draw(st.integers(0, 2), label="nvars")
+
+        def coefficient():
+            terms = {}
+            for _ in range(data.draw(st.integers(0, 2))):
+                exps = tuple(data.draw(st.integers(0, 2)) for _ in range(nvars))
+                terms[exps] = Fraction(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 9)))
+            return MultiPoly(nvars, terms)
+
+        def nonzero_coefficient():
+            c = coefficient()
+            return c if c else MultiPoly.one(nvars)
+
+        def reciprocal(degree):
+            # a nonzero top coefficient keeps the drawn degree
+            coeffs = [MultiPoly.one(nvars)] + [coefficient() for _ in range(degree)]
+            if degree and not coeffs[-1]:
+                coeffs[-1] = MultiPoly.one(nvars)
+            return coeffs
+
+        den = LFactor(reciprocal(data.draw(st.integers(1, 3))))
+        q = LFactor(reciprocal(data.draw(st.integers(0, 3))))
+        num = [MultiPoly.zero(nvars)] * (den.degree + q.degree + 1)
+        for i, a in enumerate(den.reciprocal):
+            for j, b in enumerate(q.reciprocal):
+                num[i + j] = num[i + j] + a * b
+        assert reciprocal_quotient(LFactor(num), den) == q.reciprocal
+        # a nonzero term above the quotient's degree leaves a remainder
+        k = data.draw(st.integers(q.degree + 1, den.degree + q.degree), label="k")
+        num[k] = num[k] + nonzero_coefficient()
+        assert reciprocal_quotient(LFactor(num), den) is None

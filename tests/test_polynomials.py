@@ -4,12 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.polynomials import (
-    MultiPoly,
-    UniPoly,
-    divexact_binomial,
-    unipoly_divides,
-)
+from extsq.polynomials import MultiPoly, divexact_binomial
 
 
 def poly(nvars, mapping):
@@ -128,11 +123,6 @@ class TestMultiPolyArithmetic:
     def test_additive_inverse(self, a):
         assert (a - a).is_zero
 
-    def test_total_degree(self):
-        assert MultiPoly.zero(2).total_degree() == -1
-        assert MultiPoly.one(2).total_degree() == 0
-        assert poly(2, {(2, 3): 1, (4, 0): 1}).total_degree() == 5
-
 
 class TestSubstitute:
     def test_numeric_evaluation(self):
@@ -205,54 +195,3 @@ class TestDivexactBinomial:
         x = MultiPoly.variable(3, 0)
         y = MultiPoly.variable(3, 1)
         assert divexact_binomial((x - y) * q, 0, 1) == q
-
-
-class TestUniPoly:
-    def test_normalization(self):
-        assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
-        assert UniPoly([0]).degree == -1
-        assert UniPoly([0]).is_zero
-
-    def test_arithmetic(self):
-        p = UniPoly([1, 1])  # 1 + t
-        q = UniPoly([1, -1])  # 1 - t
-        assert p * q == UniPoly([1, 0, -1])
-        assert p + q == UniPoly([2])
-        assert p - p == UniPoly([])
-
-    def test_divmod_known(self):
-        num = UniPoly([-1, 0, 0, 1])  # t^3 - 1
-        den = UniPoly([-1, 1])  # t - 1
-        q, r = divmod(num, den)
-        assert r.is_zero
-        assert q == UniPoly([1, 1, 1])
-
-    def test_divmod_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(UniPoly([1]), UniPoly([]))
-
-    @settings(max_examples=50)
-    @given(
-        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=5),
-        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=4),
-    )
-    def test_divmod_euclidean(self, num_coeffs, den_coeffs):
-        """num == q*den + r with deg r < deg den, exactly."""
-        num = UniPoly(num_coeffs)
-        den = UniPoly(den_coeffs)
-        if den.is_zero:
-            return
-        q, r = divmod(num, den)
-        assert q * den + r == num
-        assert r.degree < den.degree
-
-    def test_unipoly_divides(self):
-        num = UniPoly([1, 0, -1])
-        den = UniPoly([1, 1])
-        assert unipoly_divides(num, den) == UniPoly([1, -1])
-        assert unipoly_divides(UniPoly([1, 1, 1]), den) is None
-        with pytest.raises(ZeroDivisionError):
-            unipoly_divides(num, UniPoly([]))
-
-    def test_hashable(self):
-        assert len({UniPoly([1, 2]), UniPoly([1, 2]), UniPoly([2, 1])}) == 2

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from extsq.lfactors import LFactor, formal_ext_sq_L, reciprocal_quotient
-from extsq.polynomials import MultiPoly, UniPoly
+from extsq.lfactors import LFactor, formal_ext_sq_L
+from extsq.polynomials import MultiPoly
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
@@ -44,13 +44,7 @@ class TestFiniteAbelianGroup:
     def test_add_neg(self):
         g = FiniteAbelianGroup((4,))
         assert g.add((3,), (2,)) == (1,)
-        assert g.neg((1,)) == (3,)
-        assert g.is_zero(g.add((1,), g.neg((1,))))
-
-    def test_elements(self):
-        g = FiniteAbelianGroup((2, 3))
-        els = list(g.elements())
-        assert len(els) == 6 and len(set(els)) == 6
+        assert g.is_zero(g.add((1,), (3,)))
 
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
@@ -189,11 +183,12 @@ class TestExtSquareLFactor:
         rng = random.Random(44)
         for _ in range(25):
             rep = random_k1_rep(rng, require_hypothesis=False)
-            expected = UniPoly([1])
-            for b1, b2 in itertools.combinations(rep.blocks, 2):
-                if rep.group.is_zero(rep.group.add(b1.grade, b2.grade)):
-                    expected = expected * UniPoly([1, -b1.scalar * b2.scalar])
-            assert ext_sq_lfactor(rep).as_unipoly() == expected
+            roots = [
+                b1.scalar * b2.scalar
+                for b1, b2 in itertools.combinations(rep.blocks, 2)
+                if rep.group.is_zero(rep.group.add(b1.grade, b2.grade))
+            ]
+            assert ext_sq_lfactor(rep) == recip_of_roots(0, *roots)
 
     def test_formal_factor_is_wedge_of_kernel_lines(self):
         # the formal exterior-square factor of the extracted parameters must
@@ -206,11 +201,9 @@ class TestExtSquareLFactor:
                 for b in rep.blocks
                 if rep.group.is_zero(b.grade)
             ]
-            expected = UniPoly([1])
-            for s1, s2 in itertools.combinations(evals, 2):
-                expected = expected * UniPoly([1, -s1 * s2])
+            roots = [s1 * s2 for s1, s2 in itertools.combinations(evals, 2)]
             formal = formal_ext_sq_L(standard_satake(rep))
-            assert formal.as_unipoly() == expected
+            assert formal == recip_of_roots(0, *roots)
 
 
 class TestStandardSatake:
@@ -249,9 +242,6 @@ class TestDivisibility:
             rep = random_wdrep(rng)
             v = divisibility_check(rep)
             assert v.divides, rep.blocks
-            q = LFactor(list(v.quotient))
-            got = reciprocal_quotient(v.ext_sq_factor, v.formal_factor)
-            assert got == v.quotient, rep.blocks
             # quotient times denominator reproduces the numerator
             prod = [MultiPoly.zero(rep.nvars)] * (
                 len(v.quotient) + v.formal_factor.degree
