@@ -9,9 +9,10 @@ Exponent vectors are packed into a single int, 16 bits per variable, which
 makes a monomial product one integer addition.  The top bit of each field is
 a guard: exponents are capped at 32767, and a product or power whose result
 would need a larger exponent raises ValueError instead of carrying into the
-neighbouring variable.  Exponents given to constructors are capped lower, at
-4095.  Both caps are orders of magnitude above anything the torus sums or
-determinants in this package produce.
+neighbouring variable.  Exponents given to constructors, and those
+`append_variable` attaches, are capped lower, at 4095.  Both caps are orders
+of magnitude above anything the torus sums or determinants in this package
+produce.
 
 Term order for display and reporting is graded lexicographic: lower total
 degree first, then lexicographically by exponent vector with earlier
@@ -342,6 +343,35 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.format()!r})"
+
+
+def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> MultiPoly:
+    """Sum of p * y^e over (p, e) in `parts`, with y a new last variable.
+
+    Each p lives in `nvars` variables and keeps its exponents; the result
+    lives in nvars + 1.  y takes the lowest packed field, so each term's key
+    becomes (key << 16) + e: no polynomial products.  Every e is checked
+    against the constructor cap, so a result built only from constructor
+    inputs and this function stays within it too.
+    """
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for p, e in parts:
+        if p.nvars != nvars:
+            raise ValueError(f"dimension mismatch: {p.nvars} vs {nvars} variables")
+        if not 0 <= e < _EXP_INPUT_CAP:
+            raise ValueError(f"exponent {e} outside the supported range 0..{_EXP_INPUT_CAP - 1}")
+        for k, c in p._terms.items():
+            key = (k << _EXP_BITS) + e
+            val = get(key, 0) + c
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    for k, c in out.items():
+        if isinstance(c, Fraction) and c.denominator == 1:
+            out[k] = c.numerator
+    return MultiPoly._raw(nvars + 1, out)
 
 
 def divexact_binomial(p: MultiPoly, i: int, j: int) -> MultiPoly:

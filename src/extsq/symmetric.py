@@ -1,10 +1,14 @@
 """Schur polynomials and partition enumeration, exactly.
 
-Production code reaches Schur values through one Jacobi-Trudi determinant,
-det[h_{f_i - i + j}], expanded sparsely with memoized minors (`_det_sparse`):
+Production code has one route for each kind of value vector:
 
-* `schur` -- the Schur polynomial in n variables, the determinant over the
-  complete homogeneous polynomials `complete_homogeneous(j, n)`; cached;
+* `schur` -- the Schur polynomial in n variables, used for all-symbolic
+  vectors.  It is built by the branching rule s_f(x1..xn) =
+  sum_mu x_n^{|f/mu|} s_mu(x1..x_{n-1}) over horizontal strips f/mu
+  (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5.11), which
+  moves packed exponent keys and multiplies no polynomials.  It is cached
+  in `_SCHUR_CACHE`, together with the smaller-rank polynomials of the
+  sub-shapes it recurses through;
 * `schur_eval_padded` -- s_f at a value vector that may contain zeros.
   Zeros are dropped (Schur polynomials are symmetric, and the value is zero
   unless the shape fits inside the nonzero entries).  When the nonzero
@@ -13,15 +17,16 @@ det[h_{f_i - i + j}], expanded sparsely with memoized minors (`_det_sparse`):
   mixed) is evaluated directly in its own ring: the entries are scaled by
   the common denominator D of their coefficients, h_0..h_N of the scaled
   entries are read off as the coefficients of prod_i 1/(1 - D a_i t)
-  (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3), the
-  determinant is taken with integer coefficients, and the result is divided
-  once by D^|f|, since s_f(D a) = D^|f| s_f(a).  No symbolic Schur
-  polynomial is built for such vectors, and the caches stay untouched.
+  (Macdonald, I.3), the Jacobi-Trudi determinant det[h_{f_i - i + j}] is
+  expanded sparsely with memoized minors (`_det_sparse`) over integer
+  coefficients, and the result is divided once by D^|f|, since
+  s_f(D a) = D^|f| s_f(a).  No symbolic Schur polynomial is built for such
+  vectors, and the cache stays untouched.
 
-The independent oracle is `schur_bialternant` (alternant divided exactly by
-the Vandermonde determinant); the test suite evaluates it at a vector with
-`MultiPoly.substitute` and compares.  All enumeration orders are
-deterministic.
+The independent oracle of both routes is `schur_bialternant` (alternant
+divided exactly by the Vandermonde determinant); the test suite evaluates
+it at a vector with `MultiPoly.substitute` and compares.  All enumeration
+orders are deterministic.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .polynomials import MultiPoly, divexact_binomial
+from .polynomials import MultiPoly, append_variable, divexact_binomial
 
-_H_CACHE: dict[tuple[int, int], MultiPoly] = {}
 _SCHUR_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
 
 
@@ -54,21 +58,13 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
     """Sum of all degree-k monomials in n variables (h_k); zero for k < 0."""
     if k < 0:
         return MultiPoly.zero(n)
-    cached = _H_CACHE.get((k, n))
-    if cached is not None:
-        return cached
     terms: dict[tuple[int, ...], int] = {}
     for combo in itertools.combinations_with_replacement(range(n), k):
         exps = [0] * n
         for i in combo:
             exps[i] += 1
         terms[tuple(exps)] = 1
-    if k > 0 and n == 0:
-        p = MultiPoly.zero(0)
-    else:
-        p = MultiPoly(n, terms) if terms else MultiPoly.zero(n)
-    _H_CACHE[(k, n)] = p
-    return p
+    return MultiPoly(n, terms)
 
 
 def _det_sparse(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
@@ -125,7 +121,17 @@ def _jacobi_trudi(
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
-    """Schur polynomial s_f in n variables via the Jacobi-Trudi determinant."""
+    """Schur polynomial s_f in n variables by the branching rule; cached.
+
+    s_f(x1..xn) is the sum, over the mu with f1 >= mu1 >= f2 >= ... >=
+    mu_{n-1} >= f_n (f/mu a horizontal strip), of x_n^{|f|-|mu|} times
+    s_mu(x1..x_{n-1}) (Macdonald, *Symmetric Functions and Hall Polynomials*,
+    I.5.11).  Each summand only moves packed keys (`append_variable`), so no
+    polynomial is multiplied; the coefficients are Kostka numbers, positive
+    ints.  Sub-shapes go through this function and share `_SCHUR_CACHE`.
+    No exponent exceeds f1, and `append_variable` checks each one against
+    the constructor cap, so a part of 4096 or more raises ValueError.
+    """
     shape = check_partition(f)
     if len(shape) > n:
         raise ValueError(f"shape {tuple(f)} has more than {n} parts")
@@ -133,7 +139,16 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
     cached = _SCHUR_CACHE.get(key)
     if cached is not None:
         return cached
-    p = _jacobi_trudi(shape, lambda j: complete_homogeneous(j, n), n)
+    if n == 0:
+        p = MultiPoly.one(0)
+    else:
+        padded = shape + (0,) * (n - len(shape))
+        weight = sum(shape)
+        ranges = [range(padded[i], padded[i + 1] - 1, -1) for i in range(n - 1)]
+        p = append_variable(
+            n - 1,
+            [(schur(mu, n - 1), weight - sum(mu)) for mu in itertools.product(*ranges)],
+        )
     _SCHUR_CACHE[key] = p
     return p
 

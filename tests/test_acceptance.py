@@ -58,7 +58,6 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    symmetric._H_CACHE.clear()
     symmetric._SCHUR_CACHE.clear()
     yield
 
@@ -74,7 +73,7 @@ def finish(capsys, label, budget, t0, ok, detail=""):
 
 
 def test_criterion_01_schur_oracle(capsys):
-    """Determinant and alternant constructions agree, |shape| <= 6, n <= 4."""
+    """Branching-rule and alternant constructions agree, |shape| <= 6, n <= 4."""
     t0 = time.perf_counter()
     bad = []
     for n in range(1, 5):
@@ -82,7 +81,7 @@ def test_criterion_01_schur_oracle(capsys):
             for f in partitions_bounded(weight, n):
                 if schur(f, n) != schur_bialternant(f, n):
                     bad.append((f, n))
-    finish(capsys, "criterion 01: Schur determinant == alternant quotient", 10.0, t0, not bad, f"mismatches: {bad}")
+    finish(capsys, "criterion 01: Schur branching rule == alternant quotient", 10.0, t0, not bad, f"mismatches: {bad}")
 
 
 def test_criterion_02_littlewood_expansion(capsys):

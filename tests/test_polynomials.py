@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.polynomials import MultiPoly, divexact_binomial
+from extsq.polynomials import MultiPoly, append_variable, divexact_binomial
 
 
 def poly(nvars, mapping):
@@ -175,6 +175,36 @@ class TestFormat:
         a = poly(2, {(2, 0): 1, (0, 2): 1, (1, 1): 1})
         b = poly(2, {(1, 1): 1, (0, 2): 1, (2, 0): 1})
         assert a.format() == b.format() == "x1^2 + x1*x2 + x2^2"
+
+
+class TestAppendVariable:
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(multipolys(nvars=2), st.integers(0, 4)), max_size=4))
+    def test_matches_products_with_the_new_variable(self, parts):
+        """Sums that cancel or turn integral come out normalized."""
+        x1, x2, y = (MultiPoly.variable(3, i) for i in range(3))
+        expected = MultiPoly.zero(3)
+        for p, e in parts:
+            expected = expected + p.substitute([x1, x2]) * y**e
+        got = append_variable(2, parts)
+        assert got == expected
+        assert all(
+            isinstance(c, int) or c.denominator != 1 for _, c in got.terms()
+        )
+
+    def test_cancelling_and_integral_sums(self):
+        x = MultiPoly.variable(1, 0)
+        half = x * Fraction(1, 2)
+        assert append_variable(1, [(x, 2), (-x, 2)]).is_zero
+        got = append_variable(1, [(half, 1), (half, 1)])
+        assert got.terms() == [((1, 1), 1)] and type(got.coefficient((1, 1))) is int
+
+    def test_rejects_bad_exponent_and_dimension(self):
+        x = MultiPoly.variable(1, 0)
+        with pytest.raises(ValueError):
+            append_variable(1, [(x, 4096)])
+        with pytest.raises(ValueError):
+            append_variable(2, [(x, 1)])
 
 
 class TestDivexactBinomial:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extsq import symmetric
+from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import (
     alternating_sum,
@@ -19,6 +20,7 @@ from extsq.symmetric import (
     schur_bialternant,
     schur_eval_padded,
 )
+from extsq.torus_sums import js_series
 
 
 def variables(n):
@@ -112,6 +114,12 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur((1, 1, 1), 2)
 
+    def test_part_past_exponent_cap_raises(self):
+        with pytest.raises(ValueError):
+            schur((5000,), 2)
+        with pytest.raises(ValueError):
+            schur_eval_padded((5000,), variables(2))
+
     def test_trailing_zeros_ignored(self):
         assert schur((2, 1, 0), 3) == schur((2, 1), 3)
 
@@ -145,7 +153,30 @@ class TestSchur:
 
 
 class TestSchurOracle:
-    """The determinant construction against the alternant quotient."""
+    """The branching-rule construction against the alternant quotient."""
+
+    def test_empty_shape_is_one(self):
+        for n in range(4):
+            assert schur((), n) == MultiPoly.one(n) == schur_bialternant((), n)
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_one_variable(self, k):
+        assert schur((k,), 1) == MultiPoly.monomial(1, (k,)) == schur_bialternant((k,), 1)
+
+    @pytest.mark.parametrize("f", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2)])
+    def test_exactly_n_parts(self, f):
+        assert schur(f, 3) == schur_bialternant(f, 3), f
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_doubled_shapes_of_the_torus_sums(self, n):
+        params = SatakeParams.symbolic(n)
+        shapes = {
+            shape
+            for expansion in (ext_sq_expansion(params, 4), js_series(params, 4))
+            for _, shape, _ in expansion.terms
+        }
+        for shape in sorted(shapes):
+            assert schur(shape, n) == schur_bialternant(shape, n), shape
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_small(self, n):
@@ -206,7 +237,6 @@ class TestSchurEvalPadded:
 
     def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
         monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
-        monkeypatch.setattr(symmetric, "_H_CACHE", {})
         x, y = variables(2)
         zero = MultiPoly.zero(2)
         numeric = [MultiPoly.constant(0, c) for c in (Fraction(2, 3), 0, -3)]
@@ -214,11 +244,17 @@ class TestSchurEvalPadded:
         schur_eval_padded((2, 1), numeric)
         schur_eval_padded((2, 1), mixed)
         schur_eval_padded((2, 1), [y, x])  # the variables, out of order
-        assert not symmetric._SCHUR_CACHE and not symmetric._H_CACHE
+        assert not symmetric._SCHUR_CACHE
         schur_eval_padded((2, 1), [x, zero, y])
         schur_eval_padded((1, 1), variables(3))
-        assert set(symmetric._SCHUR_CACHE) == {((2, 1), 2), ((1, 1), 3)}
-        assert symmetric._H_CACHE
+        requested = {((2, 1), 2), ((1, 1), 3)}
+        assert requested <= set(symmetric._SCHUR_CACHE)
+        # the rest are sub-shapes in fewer variables, reached by branching
+        for mu, m in symmetric._SCHUR_CACHE:
+            assert any(
+                m <= n and len(mu) <= len(f) and all(a <= b for a, b in zip(mu, f))
+                for f, n in requested
+            ), (mu, m)
 
 
 class TestPartitionsBounded:
