@@ -44,20 +44,17 @@ from .torus_sums import (
 )
 from .weil_deligne import (
     DivisibilityVerdict,
-    ExtSquareData,
     FiniteAbelianGroup,
     PropHResult,
     WDBlock,
     WDRep,
     divisibility_check,
-    ext_sq,
     ext_sq_lfactor,
     hypothesis_H,
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
     standard_satake,
-    wd_lfactor,
 )
 
 __version__ = "0.1.0"
@@ -94,19 +91,16 @@ __all__ = [
     "js_series",
     "whittaker_value",
     "DivisibilityVerdict",
-    "ExtSquareData",
     "FiniteAbelianGroup",
     "PropHResult",
     "WDBlock",
     "WDRep",
     "divisibility_check",
-    "ext_sq",
     "ext_sq_lfactor",
     "hypothesis_H",
     "prop_H_equality",
     "random_k1_rep",
     "random_wdrep",
     "standard_satake",
-    "wd_lfactor",
     "__version__",
 ]

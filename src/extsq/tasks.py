@@ -59,6 +59,7 @@ from .weil_deligne import (
 FORMAT_VERSION = 1
 DEFAULT_TRUNCATION = 6
 DEFAULT_Q = 5
+MAX_RANDOM_COUNT = 100_000
 TRUNCATION_ENV_VAR = "EXTSQ_TRUNCATION"
 
 TASK_NAMES = (
@@ -114,11 +115,19 @@ def _require(obj: dict, key: str, location: str) -> Any:
     return obj[key]
 
 
-def _parse_int(value: Any, what: str, location: str, minimum: int | None = None) -> int:
+def _parse_int(
+    value: Any,
+    what: str,
+    location: str,
+    minimum: int | None = None,
+    maximum: int | None = None,
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{what} must be an integer", location)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}", location)
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{what} must be <= {maximum}", location)
     return value
 
 
@@ -255,7 +264,13 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
             rnd = obj["random"]
             if not isinstance(rnd, dict):
                 raise ConfigError("random must be an object", f"{location}.random")
-            count = _parse_int(_require(rnd, "count", f"{location}.random"), "count", f"{location}.random.count", 1)
+            count = _parse_int(
+                _require(rnd, "count", f"{location}.random"),
+                "count",
+                f"{location}.random.count",
+                1,
+                MAX_RANDOM_COUNT,
+            )
             cfg.random_count = count
             echo["random"] = {"count": count}
         else:

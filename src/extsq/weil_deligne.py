@@ -8,11 +8,15 @@ N is the Jordan shift killing the last basis vector.  This forces the
 commutation rule Phi N = q^(-1) N Phi.
 
 L-factors restrict Frobenius to the monodromy kernel inside the grade-0
-(inertia-invariant) part; the kernel is computed by exact Gaussian
-elimination over the rationals.  Frobenius scalars may be symbolic, but
-only when every block has k = 1, so that q never mixes into a symbol;
-mixed symbolic/Steinberg input is rejected.  q itself is an exact integer
->= 2, never a symbol.
+(inertia-invariant) part.  The exterior-square factor is read off the
+blocks in closed form, by Clebsch-Gordan for sl2 on each summand of
+wedge^2 of the direct sum; no matrix is built.  Exact Gauss-Jordan
+elimination on the wedge square (`ext_sq_lfactor_by_elimination`) and on
+the rep itself (`wd_lfactor`) is kept as the test suite's oracle of
+`ext_sq_lfactor` and `standard_satake`.  Frobenius scalars may be
+symbolic, but only when every block has k = 1, so that q never mixes into
+a symbol; mixed symbolic/Steinberg input is rejected.  q itself is an
+exact integer >= 2, never a symbol.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ class FiniteAbelianGroup:
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(self.reduce(a), self.reduce(b), self.orders))
 
+    def neg(self, a: Sequence[int]) -> tuple[int, ...]:
+        return self.reduce([-x for x in a])
+
     def is_zero(self, a: Sequence[int]) -> bool:
         return all(x % m == 0 for x, m in zip(a, self.orders))
 
@@ -81,8 +88,6 @@ class WDRep:
         "nvars",
         "dim",
         "phi_diag",
-        "n_target",
-        "grades",
         "block_spans",
     )
 
@@ -120,8 +125,6 @@ class WDRep:
         self.nvars = len(symbols)
 
         phi: list[MultiPoly] = []
-        target: list[int | None] = []
-        grades: list[tuple[int, ...]] = []
         spans: list[tuple[int, int]] = []
         for b in self.blocks:
             if isinstance(b.scalar, str):
@@ -131,24 +134,136 @@ class WDRep:
             start = len(phi)
             for l in range(b.length):
                 phi.append(alpha * Fraction(1, q**l))
-                target.append(len(phi) if l < b.length - 1 else None)
-                grades.append(b.grade)
             spans.append((start, len(phi)))
         self.dim = len(phi)
         self.phi_diag = tuple(phi)
-        self.n_target = tuple(target)
-        self.grades = tuple(grades)
         self.block_spans = tuple(spans)
-
-    def n_matrix(self) -> list[list[int]]:
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        for src, dst in enumerate(self.n_target):
-            if dst is not None:
-                mat[dst][src] = 1
-        return mat
 
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
+
+
+def ext_sq_lfactor(rep: WDRep) -> LFactor:
+    """Exterior-square L-factor of the rep, in closed form over the blocks.
+
+    wedge^2 of a direct sum is the sum of wedge^2(b) over blocks b and of
+    b (x) b' over pairs of blocks, in grades 2g and g + g'; only summands of
+    grade zero count.  Clebsch-Gordan for sl2 splits Sp(k1) (x) Sp(k2) into
+    Jordan chains of lengths k1 + k2 - 1 - 2t for t < min(k1, k2); the chain
+    of index t has its kernel vector of N at Frobenius eigenvalue
+    a b q^(t - (k1 + k2 - 2)).  wedge^2 Sp(k) keeps the odd-indexed chains
+    t = 2j + 1 of Sp(k) (x) Sp(k) (the even ones make up Sym^2), which gives
+    a^2 q^(2j - (2k - 3)) for j < floor(k / 2).
+    """
+    group, q, blocks = rep.group, rep.q, rep.blocks
+    alphas = [rep.phi_diag[start] for start, _ in rep.block_spans]
+    roots: list[MultiPoly] = []
+    for i, (bi, ai) in enumerate(zip(blocks, alphas)):
+        k1, neg = bi.length, group.neg(bi.grade)
+        if k1 >= 2 and bi.grade == neg:
+            square = ai * ai
+            roots += [square * Fraction(1, q ** (2 * k1 - 3 - 2 * j)) for j in range(k1 // 2)]
+        for bj, aj in zip(blocks[i + 1 :], alphas[i + 1 :]):
+            if bj.grade == neg:
+                k2 = bj.length
+                cross = ai * aj
+                roots += [cross * Fraction(1, q ** (k1 + k2 - 2 - t)) for t in range(min(k1, k2))]
+    return LFactor.from_linear_roots(roots, rep.nvars)
+
+
+def standard_satake(rep: WDRep) -> SatakeParams:
+    """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
+    entries: list[MultiPoly] = []
+    for b, (start, stop) in zip(rep.blocks, rep.block_spans):
+        if rep.group.is_zero(b.grade):
+            entries.append(rep.phi_diag[stop - 1])
+    entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
+    return SatakeParams(entries, nvars=rep.nvars)
+
+
+@dataclass(frozen=True)
+class DivisibilityVerdict:
+    divides: bool
+    strict: bool
+    quotient: tuple[MultiPoly, ...] | None
+    formal_factor: LFactor
+    ext_sq_factor: LFactor
+
+
+def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
+    """Does the pair-product factor divide the exterior-square factor?
+
+    Both are reciprocals of polynomials with constant term 1, so the formal
+    factor divides the exterior-square factor as L-functions exactly when
+    its reciprocal divides the other reciprocal; the quotient polynomial is
+    returned, with positive degree meaning strict divisibility.
+    """
+    formal = formal_ext_sq_L(standard_satake(rep))
+    full = ext_sq_lfactor(rep)
+    quotient = reciprocal_quotient(full, formal)
+    divides = quotient is not None
+    strict = divides and len(quotient) > 1
+    return DivisibilityVerdict(divides, strict, quotient, formal, full)
+
+
+def hypothesis_H_violation(
+    group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
+    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None."""
+    reduced = [group.reduce(g) for g in grades]
+    zero = group.zero()
+    for i, g in enumerate(reduced):
+        if g == zero:
+            continue
+        # -g is ramified too, so a match is a pair of ramified grades
+        neg = group.neg(g)
+        for j in range(i + 1, len(reduced)):
+            if reduced[j] == neg:
+                return i, j
+    return None
+
+
+def hypothesis_H(group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]) -> bool:
+    """No two ramified grades sum to zero."""
+    return hypothesis_H_violation(group, grades) is None
+
+
+@dataclass(frozen=True)
+class PropHResult:
+    equal: bool
+    formal_factor: LFactor
+    ext_sq_factor: LFactor
+
+
+def prop_H_equality(rep: WDRep) -> PropHResult:
+    """For k=1-only reps satisfying the pairing hypothesis, the two exterior
+    square factors must agree exactly; violations are precondition errors."""
+    if any(b.length != 1 for b in rep.blocks):
+        raise ValueError("equality statement applies to length-1 blocks only")
+    grades = [b.grade for b in rep.blocks]
+    bad = hypothesis_H_violation(rep.group, grades)
+    if bad is not None:
+        i, j = bad
+        raise ValueError(
+            f"pairing hypothesis violated: ramified grades {grades[i]} (block {i}) "
+            f"and {grades[j]} (block {j}) sum to zero"
+        )
+    formal = formal_ext_sq_L(standard_satake(rep))
+    full = ext_sq_lfactor(rep)
+    return PropHResult(formal == full, formal, full)
+
+
+# -- elimination oracle -----------------------------------------------------
+
+
+def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]]]:
+    """Per coordinate: where N sends it (None at a ladder's end), its grade."""
+    target: list[int | None] = []
+    grades: list[tuple[int, ...]] = []
+    for b, (start, stop) in zip(rep.blocks, rep.block_spans):
+        target += [*range(start + 1, stop), None]
+        grades += [b.grade] * b.length
+    return target, grades
 
 
 def _kernel_basis(
@@ -224,12 +339,18 @@ def _restricted_kernel_lfactor(
 
 
 def wd_lfactor(rep: WDRep) -> LFactor:
-    """Standard L-factor: Frobenius on (ker N) meet grade 0.
+    """Standard L-factor: Frobenius on (ker N) meet grade 0, by elimination.
 
-    Equals prod over grade-0 blocks of (1 - scalar q^(1-k) t)^-1.
+    The oracle of `standard_satake`: it equals prod over grade-0 blocks of
+    (1 - scalar q^(1-k) t)^-1.
     """
-    idx0 = [i for i in range(rep.dim) if rep.group.is_zero(rep.grades[i])]
-    return _restricted_kernel_lfactor(rep.phi_diag, rep.n_matrix(), idx0, rep.nvars)
+    target, grades = _ladders(rep)
+    nmat = [[0] * rep.dim for _ in range(rep.dim)]
+    for src, dst in enumerate(target):
+        if dst is not None:
+            nmat[dst][src] = 1
+    idx0 = [i for i in range(rep.dim) if rep.group.is_zero(grades[i])]
+    return _restricted_kernel_lfactor(rep.phi_diag, nmat, idx0, rep.nvars)
 
 
 @dataclass(frozen=True)
@@ -245,12 +366,13 @@ class ExtSquareData:
 
 def ext_sq(rep: WDRep) -> ExtSquareData:
     """Induced data on the exterior square: Phi tensor Phi and N x 1 + 1 x N."""
+    target, rep_grades = _ladders(rep)
     pairs = [(i, j) for i in range(rep.dim) for j in range(i + 1, rep.dim)]
     index = {p: w for w, p in enumerate(pairs)}
     dim2 = len(pairs)
     nmat = [[0] * dim2 for _ in range(dim2)]
     for w, (i, j) in enumerate(pairs):
-        for a, b in ((rep.n_target[i], j), (i, rep.n_target[j])):
+        for a, b in ((target[i], j), (i, target[j])):
             if a is None or b is None or a == b:
                 continue
             if a < b:
@@ -258,7 +380,7 @@ def ext_sq(rep: WDRep) -> ExtSquareData:
             else:
                 nmat[index[(b, a)]][w] -= 1
     phi = tuple(rep.phi_diag[i] * rep.phi_diag[j] for i, j in pairs)
-    grades = tuple(rep.group.add(rep.grades[i], rep.grades[j]) for i, j in pairs)
+    grades = tuple(rep.group.add(rep_grades[i], rep_grades[j]) for i, j in pairs)
     return ExtSquareData(
         tuple(pairs),
         phi,
@@ -268,92 +390,15 @@ def ext_sq(rep: WDRep) -> ExtSquareData:
     )
 
 
-def ext_sq_lfactor(rep: WDRep) -> LFactor:
-    """Exterior-square L-factor of the rep, by exact elimination."""
+def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
+    """Exterior-square L-factor by exact elimination on the wedge square.
+
+    The oracle of `ext_sq_lfactor`: it builds the wedge basis and the
+    induced monodromy matrix, and uses no Clebsch-Gordan formula.
+    """
     data = ext_sq(rep)
     idx0 = [w for w in range(len(data.pairs)) if rep.group.is_zero(data.grades[w])]
     return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)
-
-
-def standard_satake(rep: WDRep) -> SatakeParams:
-    """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
-    entries: list[MultiPoly] = []
-    for b, (start, stop) in zip(rep.blocks, rep.block_spans):
-        if rep.group.is_zero(b.grade):
-            entries.append(rep.phi_diag[stop - 1])
-    entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
-    return SatakeParams(entries, nvars=rep.nvars)
-
-
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    divides: bool
-    strict: bool
-    quotient: tuple[MultiPoly, ...] | None
-    formal_factor: LFactor
-    ext_sq_factor: LFactor
-
-
-def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
-    """Does the pair-product factor divide the exterior-square factor?
-
-    Both are reciprocals of polynomials with constant term 1, so the formal
-    factor divides the exterior-square factor as L-functions exactly when
-    its reciprocal divides the other reciprocal; the quotient polynomial is
-    returned, with positive degree meaning strict divisibility.
-    """
-    formal = formal_ext_sq_L(standard_satake(rep))
-    full = ext_sq_lfactor(rep)
-    quotient = reciprocal_quotient(full, formal)
-    divides = quotient is not None
-    strict = divides and len(quotient) > 1
-    return DivisibilityVerdict(divides, strict, quotient, formal, full)
-
-
-def hypothesis_H_violation(
-    group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]
-) -> tuple[int, int] | None:
-    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None."""
-    reduced = [group.reduce(g) for g in grades]
-    for i in range(len(reduced)):
-        if group.is_zero(reduced[i]):
-            continue
-        for j in range(i + 1, len(reduced)):
-            if not group.is_zero(reduced[j]) and group.is_zero(
-                group.add(reduced[i], reduced[j])
-            ):
-                return i, j
-    return None
-
-
-def hypothesis_H(group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]) -> bool:
-    """No two ramified grades sum to zero."""
-    return hypothesis_H_violation(group, grades) is None
-
-
-@dataclass(frozen=True)
-class PropHResult:
-    equal: bool
-    formal_factor: LFactor
-    ext_sq_factor: LFactor
-
-
-def prop_H_equality(rep: WDRep) -> PropHResult:
-    """For k=1-only reps satisfying the pairing hypothesis, the two exterior
-    square factors must agree exactly; violations are precondition errors."""
-    if any(b.length != 1 for b in rep.blocks):
-        raise ValueError("equality statement applies to length-1 blocks only")
-    grades = [b.grade for b in rep.blocks]
-    bad = hypothesis_H_violation(rep.group, grades)
-    if bad is not None:
-        i, j = bad
-        raise ValueError(
-            f"pairing hypothesis violated: ramified grades {grades[i]} (block {i}) "
-            f"and {grades[j]} (block {j}) sum to zero"
-        )
-    formal = formal_ext_sq_L(standard_satake(rep))
-    full = ext_sq_lfactor(rep)
-    return PropHResult(formal == full, formal, full)
 
 
 # -- randomized inputs for verification suites ------------------------------

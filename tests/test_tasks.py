@@ -169,6 +169,17 @@ class TestParseTask:
         )
         assert cfg.random_count == 5 and cfg.seed == 3
 
+    def test_random_count_at_cap(self):
+        cap = tasks.MAX_RANDOM_COUNT
+        cfg = parse_task({"task": "galois-H", "random": {"count": cap}})
+        assert cfg.random_count == cap
+
+    def test_random_count_above_cap(self):
+        body = {"task": "galois-divisibility", "random": {"count": tasks.MAX_RANDOM_COUNT + 1}}
+        with pytest.raises(ConfigError, match=r"count must be <= 100000") as err:
+            parse_task(body)
+        assert err.value.location == "task.random.count"
+
     def test_grade_wrong_rank(self):
         with pytest.raises(ConfigError):
             parse_task(
@@ -402,6 +413,10 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["reports"][0]["data"]["count"] == 3
+
+    def test_random_count_above_cap_exit_2(self):
+        code, _ = self.run_cli("galois-H", "--random-count", "100001")
+        assert code == 2
 
     def test_failing_verdict_exit_1(self, tmp_path):
         # craft a fail: verify-bf asserted identity is wrong if we lie about

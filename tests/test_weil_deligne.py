@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from extsq.lfactors import LFactor, formal_ext_sq_L
+from extsq.lfactors import LFactor, formal_ext_sq_L, standard_L
 from extsq.polynomials import MultiPoly
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
@@ -13,6 +13,7 @@ from extsq.weil_deligne import (
     divisibility_check,
     ext_sq,
     ext_sq_lfactor,
+    ext_sq_lfactor_by_elimination,
     hypothesis_H,
     hypothesis_H_violation,
     prop_H_equality,
@@ -33,6 +34,24 @@ def rep_of(q, group, *blocks):
 
 def recip_of_roots(nvars, *roots):
     return LFactor.from_linear_roots([MultiPoly.constant(nvars, r) for r in roots], nvars)
+
+
+def random_symbolic_k1_rep(rng, max_dim=7):
+    """Length-1 blocks whose scalars mix repeated symbols and rationals.
+
+    Grades are drawn with no pairing hypothesis, so opposite ramified pairs
+    and self-paired order-2 grades both occur.
+    """
+    group = FiniteAbelianGroup(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 2))))
+    blocks = []
+    for _ in range(rng.randint(1, max_dim)):
+        grade = tuple(rng.randrange(m) for m in group.orders)
+        if rng.random() < 0.6:
+            scalar = rng.choice("abcd")
+        else:
+            scalar = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        blocks.append(WDBlock(grade, 1, scalar))
+    return WDRep(rng.choice((2, 3, 5)), group, blocks)
 
 
 class TestFiniteAbelianGroup:
@@ -206,6 +225,74 @@ class TestExtSquareLFactor:
             assert formal == recip_of_roots(0, *roots)
 
 
+class TestExtSquareClosedForm:
+    """`ext_sq_lfactor` (Clebsch-Gordan over blocks) against elimination."""
+
+    def test_single_steinberg_four(self):
+        # wedge^2 Sp(4) keeps the chains of index 1 and 3: a^2/q^5, a^2/q^3
+        a, q = Fraction(-2, 3), 3
+        r = rep_of(q, TRIVIAL, ((0,), 4, a))
+        expected = recip_of_roots(0, a * a / q**5, a * a / q**3)
+        assert ext_sq_lfactor(r) == expected
+        assert ext_sq_lfactor_by_elimination(r) == expected
+
+    def test_steinberg_three_times_two(self):
+        # Sp(3) (x) Sp(2) = Sp(4) + Sp(2): ab/q^3 and ab/q^2; each block's
+        # own wedge adds a^2/q^3 and b^2/q
+        a, b, q = Fraction(5), Fraction(1, 2), 2
+        r = rep_of(q, Z2, ((1,), 3, a), ((1,), 2, b))
+        expected = recip_of_roots(
+            0, a * b / q**3, a * b / q**2, a * a / q**3, b * b / q
+        )
+        assert ext_sq_lfactor(r) == expected
+        assert ext_sq_lfactor_by_elimination(r) == expected
+
+    def test_cross_pair_alone(self):
+        # grades 1 and 2 in Z/3: only Sp(3) (x) Sp(2) lands in grade zero
+        a, b, q = Fraction(5), Fraction(1, 2), 2
+        r = rep_of(q, Z3, ((1,), 3, a), ((2,), 2, b))
+        expected = recip_of_roots(0, a * b / q**3, a * b / q**2)
+        assert ext_sq_lfactor(r) == expected
+        assert ext_sq_lfactor_by_elimination(r) == expected
+
+    def test_order_two_grade_wedges_to_zero(self):
+        a, q = Fraction(3), 5
+        r = rep_of(q, Z2, ((1,), 3, a))
+        assert ext_sq_lfactor(r) == recip_of_roots(0, a * a / q**3)
+        assert ext_sq_lfactor_by_elimination(r) == recip_of_roots(0, a * a / q**3)
+
+    def test_order_three_grade_wedges_away(self):
+        r = rep_of(5, Z3, ((1,), 3, Fraction(3)), ((1,), 4, Fraction(2)))
+        assert ext_sq_lfactor(r) == LFactor.one(0)
+        assert ext_sq_lfactor_by_elimination(r) == LFactor.one(0)
+
+    def test_random_rational_reps(self):
+        rng = random.Random(71)
+        for _ in range(120):
+            rep = random_wdrep(
+                rng, max_dim=rng.randint(6, 10), max_blocks=5, max_length=5
+            )
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+
+    def test_random_symbolic_k1_reps(self):
+        rng = random.Random(72)
+        broken = 0
+        for _ in range(60):
+            rep = random_symbolic_k1_rep(rng)
+            broken += not hypothesis_H(rep.group, [b.grade for b in rep.blocks])
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+        assert broken >= 10
+
+    def test_random_k1_reps_breaking_the_hypothesis(self):
+        rng = random.Random(73)
+        broken = 0
+        for _ in range(60):
+            rep = random_k1_rep(rng, max_dim=8, require_hypothesis=False)
+            broken += not hypothesis_H(rep.group, [b.grade for b in rep.blocks])
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+        assert broken >= 10
+
+
 class TestStandardSatake:
     def test_padding_and_order(self):
         r = rep_of(5, Z2, ((0,), 2, Fraction(2)), ((1,), 1, Fraction(3)), ((0,), 1, Fraction(7)))
@@ -214,6 +301,13 @@ class TestStandardSatake:
         assert p.entries[0] == Fraction(2, 5)
         assert p.entries[1] == Fraction(7)
         assert p.entries[2] == 0 and p.entries[3] == 0
+
+    def test_standard_factor_matches_elimination(self):
+        rng = random.Random(74)
+        reps = [random_wdrep(rng, max_dim=8, max_length=4) for _ in range(30)]
+        reps += [random_symbolic_k1_rep(rng) for _ in range(30)]
+        for rep in reps:
+            assert standard_L(standard_satake(rep)) == wd_lfactor(rep), rep.blocks
 
 
 class TestDivisibility:
@@ -271,6 +365,27 @@ class TestHypothesisH:
     def test_self_paired_grade(self):
         # order-2 grade pairs with itself across two blocks
         assert hypothesis_H_violation(Z2, [(1,), (1,)]) == (0, 1)
+
+    def test_first_violation_matches_pairwise_search(self):
+        # unreduced grades, compared with the first pair in (i, j) order
+        rng = random.Random(8)
+        for _ in range(200):
+            group = FiniteAbelianGroup(tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 2))))
+            grades = [
+                tuple(rng.randint(-7, 7) for _ in group.orders)
+                for _ in range(rng.randint(0, 6))
+            ]
+            expected = next(
+                (
+                    (i, j)
+                    for i, j in itertools.combinations(range(len(grades)), 2)
+                    if not group.is_zero(grades[i])
+                    and not group.is_zero(grades[j])
+                    and group.is_zero(group.add(grades[i], grades[j]))
+                ),
+                None,
+            )
+            assert hypothesis_H_violation(group, grades) == expected
 
 
 class TestPropHEquality:
