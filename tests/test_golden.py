@@ -3,8 +3,10 @@
 Every shipped `configs/*.json` is covered, plus the documents under
 `tests/golden/cases/` for branches the shipped configs do not reach
 (odd-rank all-nonzero `verify-bf`, a numeric `verify-js` with an interior
-zero, a mixed symbolic/rational `verify-littlewood`, and an even-rank
-`verify-bf` whose entries include a non-integral fraction).  The expected output
+zero, a mixed symbolic/rational `verify-littlewood`, an even-rank
+`verify-bf` whose entries include a non-integral fraction, an `lfactor` on a
+mixed symbolic/rational vector, and a `bf-odd-probe` on an all-nonzero mixed
+vector with a non-integral fraction).  The expected output
 of `DIR/NAME.json` is `tests/golden/NAME.out`.
 
 Regenerate, from the repository root, only after a change that is meant
@@ -32,7 +34,7 @@ DOCUMENTS = sorted((ROOT / "configs").glob("*.json")) + sorted((GOLDEN / "cases"
 
 def test_every_document_has_a_distinct_golden_name():
     names = [doc.stem for doc in DOCUMENTS]
-    assert len(names) == len(set(names)) == 9
+    assert len(names) == len(set(names)) == 11
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
