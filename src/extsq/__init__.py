@@ -29,7 +29,9 @@ from .lfactors import (
     SatakeParams,
     doubled_shape_sum,
     ext_sq_expansion,
+    ext_sq_roots,
     formal_ext_sq_L,
+    product_series,
     reciprocal_quotient,
     standard_L,
 )
@@ -80,7 +82,9 @@ __all__ = [
     "SatakeParams",
     "doubled_shape_sum",
     "ext_sq_expansion",
+    "ext_sq_roots",
     "formal_ext_sq_L",
+    "product_series",
     "reciprocal_quotient",
     "standard_L",
     "BFProbeResult",

@@ -7,7 +7,12 @@ recording directions lost to ramification.  One mechanism covers both uses,
 since a rational entry is just a degree-zero polynomial.
 
 An `LFactor` is stored through its reciprocal: an exact polynomial P(t) with
-P(0) = 1, standing for 1/P(q^{-s}) with t = q^{-s}.  The exterior-square
+P(0) = 1, standing for 1/P(q^{-s}) with t = q^{-s}.  Both the reciprocal
+(`LFactor.from_linear_roots`) and the truncated series of 1/P
+(`product_series`) are built root by root from one list of linear roots,
+with `polynomials.times_linear_factors`; no series is inverted.
+`LFactor.series`, which inverts the reciprocal as a series, is kept only as
+the oracle of `product_series`.  The exterior-square
 factor pairs the entries; its truncated series admits an expansion into
 Schur polynomials over doubled shapes.  `doubled_shape_sum` is the one
 routine that sums Schur values over doubled shapes, for `ext_sq_expansion`
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, times_linear_factors
 from .series import TruncSeries1
 from .symmetric import doubled_shape, partitions_bounded, schur_eval_padded
 
@@ -128,18 +133,7 @@ class LFactor:
     @classmethod
     def from_linear_roots(cls, ms: Sequence[MultiPoly], nvars: int) -> "LFactor":
         """prod_k (1 - m_k t) as an LFactor; zero factors contribute 1."""
-        coeffs = [MultiPoly.one(nvars)]
-        for m in ms:
-            if m.nvars != nvars:
-                raise ValueError("root in wrong symbol space")
-            if m.is_zero:
-                continue
-            nxt = [MultiPoly.zero(nvars) for _ in range(len(coeffs) + 1)]
-            for d, c in enumerate(coeffs):
-                nxt[d] = nxt[d] + c
-                nxt[d + 1] = nxt[d + 1] - c * m
-            coeffs = nxt
-        return cls(coeffs, nvars=nvars)
+        return cls(times_linear_factors([MultiPoly.one(nvars)], ms, len(ms), 1), nvars=nvars)
 
     @property
     def degree(self) -> int:
@@ -151,7 +145,11 @@ class LFactor:
         return NotImplemented
 
     def series(self, order: int) -> TruncSeries1:
-        """Truncated expansion of 1/P(t) to the given order."""
+        """Truncated expansion of 1/P(t) to the given order.
+
+        Builds the reciprocal and inverts it as a series: the tests' oracle
+        for `product_series`, which production uses instead.
+        """
         return TruncSeries1.from_tpoly(self.reciprocal, self.nvars, order).inverse()
 
     def format(self, names: Sequence[str] | None = None) -> str:
@@ -183,15 +181,30 @@ def standard_L(params: SatakeParams) -> LFactor:
     return LFactor.from_linear_roots(params.entries, params.nvars)
 
 
-def formal_ext_sq_L(params: SatakeParams) -> LFactor:
-    """Exterior-square factor: reciprocal prod_{i<j} (1 - a_i a_j t)."""
+def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
+    """The roots a_i a_j, i < j, of the exterior-square factor."""
     n = params.n
-    roots = [
+    return [
         params.entries[i] * params.entries[j]
         for i in range(n)
         for j in range(i + 1, n)
     ]
-    return LFactor.from_linear_roots(roots, params.nvars)
+
+
+def formal_ext_sq_L(params: SatakeParams) -> LFactor:
+    """Exterior-square factor: reciprocal prod_{i<j} (1 - a_i a_j t)."""
+    return LFactor.from_linear_roots(ext_sq_roots(params), params.nvars)
+
+
+def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncSeries1:
+    """prod_r 1/(1 - r t) through t^order, built root by root.
+
+    Coefficient k is h_k of the roots.  Pass `params.entries` for the
+    standard factor's series and `ext_sq_roots(params)` for the
+    exterior-square one: the same roots `standard_L` and `formal_ext_sq_L`
+    multiply out.  `LFactor.series` is the oracle of this route.
+    """
+    return TruncSeries1(nvars, times_linear_factors([MultiPoly.one(nvars)], roots, order, -1))
 
 
 @dataclass(frozen=True)

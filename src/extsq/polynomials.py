@@ -37,6 +37,13 @@ _EXP_INPUT_CAP = 1 << 12
 
 def _norm_scalar(c: Scalar) -> Scalar:
     """Collapse integral Fractions to int so hot loops stay on int arithmetic."""
+    # exact type tests first: isinstance(c, Fraction) on an int goes through
+    # the numbers ABCs, and this runs once per coefficient built
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return c.numerator
@@ -252,7 +259,7 @@ class MultiPoly:
         for k, c in out.items():
             if k & guard:
                 raise ValueError(_OVERFLOW)
-            if isinstance(c, Fraction) and c.denominator == 1:
+            if type(c) is Fraction and c.denominator == 1:
                 out[k] = c.numerator
         return MultiPoly._raw(self.nvars, out)
 
@@ -369,9 +376,69 @@ def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> Multi
             else:
                 out.pop(key, None)
     for k, c in out.items():
-        if isinstance(c, Fraction) and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             out[k] = c.numerator
     return MultiPoly._raw(nvars + 1, out)
+
+
+def times_linear_factors(
+    coeffs: Sequence[MultiPoly], roots: Sequence[MultiPoly], order: int, power: int
+) -> list[MultiPoly]:
+    """t-coefficients 0..order of coeffs(t) * prod_r (1 - r t)^power, power = +-1.
+
+    `coeffs` lists a polynomial (or truncated series) in t by ascending
+    power, zero-padded or truncated to `order`.  Each root updates the list
+    in place on packed-key dicts: power 1 sets c_k -= r c_{k-1} for k
+    descending, so c_{k-1} is still the old value; power -1 divides by
+    (1 - r t) with c_k += r c_{k-1} for k ascending, so c_{k-1} is already
+    divided.  A root of zero contributes 1.  Each result coefficient is
+    wrapped as a MultiPoly once, at the end.  Raises ValueError past the
+    exponent cap, as products do.
+    """
+    if power not in (1, -1):
+        raise ValueError(f"power must be 1 or -1, got {power!r}")
+    if not coeffs or order < 0:
+        raise ValueError("need at least the t^0 coefficient and order >= 0")
+    nvars = coeffs[0].nvars
+    acc = []
+    for c in coeffs[: order + 1]:
+        if c.nvars != nvars:
+            raise ValueError("coefficients in different symbol spaces")
+        acc.append(dict(c._terms))
+    acc += [{} for _ in range(order + 1 - len(acc))]
+    steps = range(order, 0, -1) if power == 1 else range(1, order + 1)
+    guard = _guard_mask(nvars)
+    for r in roots:
+        if r.nvars != nvars:
+            raise ValueError("root in wrong symbol space")
+        root = {k: -c for k, c in r._terms.items()} if power == 1 else r._terms
+        if not root:
+            continue
+        for k in steps:
+            src = acc[k - 1]
+            if not src:
+                continue
+            dst = acc[k]
+            get = dst.get
+            for kr, cr in root.items():
+                for ks, cs in src.items():
+                    key = ks + kr
+                    # fields of both are <= _EXP_MAX, so a sum sets the
+                    # guard bit rather than carrying into the next field
+                    if key & guard:
+                        raise ValueError(_OVERFLOW)
+                    val = get(key, 0) + cr * cs
+                    if val:
+                        dst[key] = val
+                    else:
+                        del dst[key]
+    out = []
+    for terms in acc:
+        for k, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+        out.append(MultiPoly._raw(nvars, terms))
+    return out
 
 
 def divexact_binomial(p: MultiPoly, i: int, j: int) -> MultiPoly:

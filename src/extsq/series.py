@@ -5,6 +5,12 @@ order L: exactly L+1 coefficients, each a MultiPoly in a shared number of
 variables.  TruncSeries2 is the two-variable analogue over a rectangular
 truncation window.  Binary operations require identical truncation orders
 and variable counts; there is no silent re-truncation.
+
+No production route inverts a series.  The product side of every identity
+is a product of linear factors (1 - r t)^{-1}, built root by root in
+`lfactors.product_series`; `TruncSeries1.inverse` is kept for its oracle
+`LFactor.series`.  The odd two-variable probe multiplies its sum by the
+linear factors instead of dividing by their inverses.
 """
 
 from __future__ import annotations
@@ -230,30 +236,6 @@ class TruncSeries2:
                         if not b.is_zero:
                             out[i1 + i2][j1 + j2] = out[i1 + i2][j1 + j2] + a * b
         return TruncSeries2(self.nvars, out)
-
-    def inverse(self) -> "TruncSeries2":
-        if self.coeffs[0][0] != 1:
-            raise ValueError("series is not invertible: constant coefficient must be 1")
-        l1, l2 = self.orders
-        zero = MultiPoly.zero(self.nvars)
-        inv = [[zero] * (l2 + 1) for _ in range(l1 + 1)]
-        inv[0][0] = MultiPoly.one(self.nvars)
-        for i in range(l1 + 1):
-            for j in range(l2 + 1):
-                if (i, j) == (0, 0):
-                    continue
-                acc = zero
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        if (a, b) == (0, 0):
-                            continue
-                        c = self.coeffs[a][b]
-                        if not c.is_zero:
-                            prev = inv[i - a][j - b]
-                            if not prev.is_zero:
-                                acc = acc + c * prev
-                inv[i][j] = -acc
-        return TruncSeries2(self.nvars, inv)
 
     def __repr__(self) -> str:
         l1, l2 = self.orders

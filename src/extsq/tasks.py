@@ -35,7 +35,9 @@ from .lfactors import (
     LFactor,
     SatakeParams,
     ext_sq_expansion,
+    ext_sq_roots,
     formal_ext_sq_L,
+    product_series,
     standard_L,
 )
 from .polynomials import MultiPoly
@@ -347,8 +349,8 @@ def _run_lfactor(cfg: TaskConfig) -> Report:
     data = {
         "standard_reciprocal": _fmt_tpoly(std.reciprocal, names),
         "ext_sq_reciprocal": _fmt_tpoly(ext.reciprocal, names),
-        "standard_series": _fmt_series1(std.series(order), names),
-        "ext_sq_series": _fmt_series1(ext.series(order), names),
+        "standard_series": _fmt_series1(product_series(params.entries, params.nvars, order), names),
+        "ext_sq_series": _fmt_series1(product_series(ext_sq_roots(params), params.nvars, order), names),
     }
     return Report(
         task=cfg.echo,
@@ -364,7 +366,7 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     names = _names(params.nvars)
     expansion = ext_sq_expansion(params, order)
     lhs = expansion.series
-    rhs = formal_ext_sq_L(params).series(order)
+    rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
     data = {
         "k": len(params.nonzero_entries),
@@ -397,7 +399,7 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
     even = params.n % 2 == 0
     torus_sum = js_series(params, order)
     lhs = torus_sum.series
-    rhs = formal_ext_sq_L(params).series(order)
+    rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
     data = {
         "parity": "even" if even else "odd",

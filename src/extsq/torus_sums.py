@@ -8,6 +8,12 @@ lattice, where the half-density exponents cancel against the measure.
 
 Exponents of the residue-field size q are carried as integer half-powers
 (q^{e/2} is stored as e), never as radicals.
+
+The product sides these sums are compared with are built from their linear
+roots: `bf_product_series` takes both factors' series from
+`lfactors.product_series` (whose oracle is `LFactor.series`), and
+`bf_odd_correction_probe` multiplies the sum by each factor (1 - r t1) and
+(1 - r t2) rather than dividing by the product series.
 """
 
 from __future__ import annotations
@@ -15,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, times_linear_factors
 from .lfactors import (
     DoubledShapeSum,
     SatakeParams,
     doubled_shape_sum,
-    formal_ext_sq_L,
-    standard_L,
+    ext_sq_roots,
+    product_series,
 )
 from .series import TruncSeries2
 from .symmetric import alternating_sum, dominant_vectors, even_index_sum, schur_eval_padded
@@ -109,8 +115,9 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     """Standard factor in t1 times exterior-square factor in t2, truncated."""
-    return TruncSeries2.from_t1(standard_L(params).series(l1), l2) * TruncSeries2.from_t2(
-        formal_ext_sq_L(params).series(l2), l1
+    nvars = params.nvars
+    return TruncSeries2.from_t1(product_series(params.entries, nvars, l1), l2) * TruncSeries2.from_t2(
+        product_series(ext_sq_roots(params), nvars, l2), l1
     )
 
 
@@ -135,7 +142,17 @@ def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeRe
     if n < 3 or n % 2 == 0:
         raise ValueError("probe applies to odd n >= 3")
     lhs = bf_series(params, l1, l2)
-    correction = lhs * bf_product_series(params, l1, l2).inverse()
+    # the inverse of the product form is prod (1 - a_i t1) prod (1 - a_i a_j t2):
+    # multiply it into lhs, column by column in t1, then row by row in t2
+    columns = [
+        times_linear_factors([row[j] for row in lhs.coeffs], params.entries, l1, 1)
+        for j in range(l2 + 1)
+    ]
+    roots = ext_sq_roots(params)
+    correction = TruncSeries2(
+        params.nvars,
+        [times_linear_factors([col[i] for col in columns], roots, l2, 1) for i in range(l1 + 1)],
+    )
     matches = correction == TruncSeries2.unit(params.nvars, (l1, l2))
     if params.has_zero and not matches:
         raise ArithmeticError(

@@ -9,12 +9,14 @@ from extsq.lfactors import (
     LFactor,
     SatakeParams,
     ext_sq_expansion,
+    ext_sq_roots,
     formal_ext_sq_L,
+    product_series,
     reciprocal_quotient,
     standard_L,
 )
 from extsq.polynomials import MultiPoly
-from extsq.series import series_first_difference
+from extsq.series import TruncSeries1, series_first_difference
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
 
@@ -121,6 +123,54 @@ class TestStandardAndExtSq:
             q = SatakeParams(perm)
             assert standard_L(q) == standard_L(p)
             assert formal_ext_sq_L(q) == formal_ext_sq_L(p)
+
+
+@st.composite
+def monomial_roots(draw):
+    """(nvars, roots): monomials in 0-3 symbols, denominators <= 9, zeros included."""
+    nvars = draw(st.integers(0, 3))
+    roots = [
+        MultiPoly.monomial(
+            nvars,
+            [draw(st.integers(0, 3)) for _ in range(nvars)],
+            Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return nvars, roots
+
+
+def linear_factor_product(roots, nvars):
+    """t-coefficients of prod (1 - r t) by repeated MultiPoly multiplication."""
+    zero = MultiPoly.zero(nvars)
+    coeffs = [MultiPoly.one(nvars)]
+    for r in roots:
+        coeffs = [a - b * r for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+    return coeffs
+
+
+class TestRootwiseProductSide:
+    """The (1 - r t)^{+-1} kernel against products and series inversion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_roots(), st.integers(0, 7))
+    def test_series_matches_inverted_reciprocal(self, nvars_roots, order):
+        nvars, roots = nvars_roots
+        oracle = TruncSeries1.from_tpoly(linear_factor_product(roots, nvars), nvars, order)
+        assert product_series(roots, nvars, order) == oracle.inverse()
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_roots())
+    def test_reciprocal_matches_repeated_products(self, nvars_roots):
+        nvars, roots = nvars_roots
+        expected = LFactor(linear_factor_product(roots, nvars), nvars)
+        assert LFactor.from_linear_roots(roots, nvars) == expected
+
+    @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
+    def test_series_reads_the_factor_roots(self, tokens):
+        p = SatakeParams.parse(tokens)
+        assert product_series(p.entries, p.nvars, 6) == standard_L(p).series(6)
+        assert product_series(ext_sq_roots(p), p.nvars, 6) == formal_ext_sq_L(p).series(6)
 
 
 class TestExtSqExpansion:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.polynomials import MultiPoly, append_variable, divexact_binomial
+from extsq.polynomials import MultiPoly, append_variable, divexact_binomial, times_linear_factors
 
 
 def poly(nvars, mapping):
@@ -34,6 +34,14 @@ class TestMultiPolyBasics:
         c = MultiPoly.constant(1, Fraction(4, 2))
         assert c.constant_value() == 2
         assert isinstance(c.constant_value(), int)
+
+    def test_scalar_types(self):
+        # int subclasses pass as ints; anything not int or Fraction is refused
+        assert MultiPoly.constant(0, True) == 1
+        with pytest.raises(TypeError):
+            MultiPoly.constant(0, 1.0)
+        with pytest.raises(TypeError):
+            MultiPoly(1, {(0,): 0.5})
 
     def test_variable_out_of_range(self):
         with pytest.raises(ValueError):
@@ -122,6 +130,39 @@ class TestMultiPolyArithmetic:
     @given(multipolys())
     def test_additive_inverse(self, a):
         assert (a - a).is_zero
+
+
+class TestTimesLinearFactors:
+    def test_known_product_and_series(self):
+        x = MultiPoly.variable(1, 0)
+        one = MultiPoly.one(1)
+        # (1 - x t)(1 + 2 t) = 1 + (2 - x) t - 2x t^2
+        assert times_linear_factors([one], [x, MultiPoly.constant(1, -2)], 2, 1) == [
+            one, 2 - x, -2 * x,
+        ]
+        # (1 + t) / (1 - x t) = 1 + (x + 1) t + (x^2 + x) t^2
+        assert times_linear_factors([one, one], [x], 2, -1) == [one, x + 1, x**2 + x]
+
+    def test_exponent_overflow_raises_both_directions(self):
+        x = MultiPoly.variable(2, 0)
+        p = MultiPoly.variable(2, 1) ** 20000
+        one = MultiPoly.one(2)
+        with pytest.raises(ValueError):
+            times_linear_factors([one], [p, p], 2, 1)
+        with pytest.raises(ValueError):
+            times_linear_factors([one], [p + x], 2, -1)
+        # at the cap itself nothing raises
+        q = MultiPoly.variable(2, 1) ** 12767
+        assert times_linear_factors([one], [p, q], 2, 1)[2] == p * q
+
+    def test_rejects_bad_arguments(self):
+        one = MultiPoly.one(1)
+        with pytest.raises(ValueError):
+            times_linear_factors([one], [], 2, 2)
+        with pytest.raises(ValueError):
+            times_linear_factors([one], [MultiPoly.one(2)], 2, -1)
+        with pytest.raises(ValueError):
+            times_linear_factors([], [], 2, 1)
 
 
 class TestSubstitute:

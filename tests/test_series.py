@@ -123,24 +123,6 @@ class TestTruncSeries2:
         with pytest.raises(ValueError):
             TruncSeries2.unit(0, (1, 2)) + TruncSeries2.unit(0, (2, 1))
 
-    def test_inverse_requires_unit_constant(self):
-        grid = [[const(2), const(0)], [const(0), const(0)]]
-        with pytest.raises(ValueError):
-            TruncSeries2(0, grid).inverse()
-
-    def test_inverse_roundtrip(self):
-        s = TruncSeries2.build(
-            0, (3, 3), lambda i, j: const(1 if (i, j) == (0, 0) else Fraction(i - j, i + j + 1))
-        )
-        assert s * s.inverse() == TruncSeries2.unit(0, (3, 3))
-
-    def test_inverse_of_separable_product(self):
-        a = series_from_scalars([1, 2, 4, 8])
-        b = series_from_scalars([1, -1, 1, -1])
-        prod = TruncSeries2.from_t1(a, 3) * TruncSeries2.from_t2(b, 3)
-        expected = TruncSeries2.from_t1(a.inverse(), 3) * TruncSeries2.from_t2(b.inverse(), 3)
-        assert prod.inverse() == expected
-
 
 class TestSeries2FirstDifference:
     def test_equal(self):

@@ -16,6 +16,7 @@ from extsq.series import (
 from extsq.symmetric import schur_eval_padded
 from extsq.torus_sums import (
     bf_odd_correction_probe,
+    bf_product_series,
     bf_series,
     delta_half_exponent,
     js_series,
@@ -191,6 +192,21 @@ class TestBfOddProbe:
         assert not probe.conductor_hypothesis
         assert not probe.matches_product
         assert probe.correction.coeff(0, 0) == 1
+
+    @pytest.mark.parametrize(
+        "tokens,window",
+        [
+            (["sym", "sym", "sym"], (4, 4)),
+            (["sym", "2/3", "-3"], (4, 3)),
+            (["1/2", "-3", "5/7"], (4, 4)),
+            (["sym", "-1/3", "sym", "2", "sym"], (3, 3)),
+        ],
+    )
+    def test_correction_times_product_is_the_sum(self, tokens, window):
+        p = SatakeParams.parse(tokens)
+        probe = bf_odd_correction_probe(p, *window)
+        assert not probe.conductor_hypothesis
+        assert probe.correction * bf_product_series(p, *window) == bf_series(p, *window)
 
     def test_rational_zero_entry(self):
         p = SatakeParams.parse(["3/4", "-2", "0", "1/6", "5"])
