@@ -115,10 +115,9 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     """Standard factor in t1 times exterior-square factor in t2, truncated."""
-    nvars = params.nvars
-    return TruncSeries2.from_t1(product_series(params.entries, nvars, l1), l2) * TruncSeries2.from_t2(
-        product_series(ext_sq_roots(params), nvars, l2), l1
-    )
+    std = product_series(params.entries, params.nvars, l1)
+    ext = product_series(ext_sq_roots(params), params.nvars, l2)
+    return TruncSeries2.from_t1(std, l2) * TruncSeries2.from_t2(ext, l1)
 
 
 @dataclass(frozen=True)
