@@ -135,8 +135,10 @@ def _default_truncation() -> int:
         raise T.ConfigError(
             f"{T.TRUNCATION_ENV_VAR} must be an integer, got {raw!r}", "environment"
         )
-    if value < 0:
-        raise T.ConfigError(f"{T.TRUNCATION_ENV_VAR} must be >= 0", "environment")
+    if not 0 <= value <= T.MAX_TRUNCATION:
+        raise T.ConfigError(
+            f"{T.TRUNCATION_ENV_VAR} must be between 0 and {T.MAX_TRUNCATION}", "environment"
+        )
     return value
 
 

@@ -16,14 +16,23 @@ produce.
 
 Term order for display and reporting is graded lexicographic: lower total
 degree first, then lexicographically by exponent vector with earlier
-variables dominating.  Internal dicts are unordered; ordering is applied
-when terms are listed or formatted.
+variables dominating.  Internal dicts are unordered; `terms()` and `format`
+both take their order from `_graded_lex_keys`, which sorts the packed keys
+themselves.  x1 holds the most significant field, so within one degree a
+larger key comes first.  Since 2^16 is 1 modulo 0xFFFF, key % 0xFFFF is the
+sum of the fields, the total degree, as long as that sum is below 0xFFFF.
+The guard admits degrees up to nvars * 32767, which from three variables on
+can reach it (x1^21845*x2^21845*x3^21845 would read as degree 0), so the
+helper first bounds every degree by the field sum of the OR of all keys and
+sums unpacked fields instead when that bound reaches 0xFFFF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -75,6 +84,21 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
         out[i] = key & _EXP_MASK
         key >>= _EXP_BITS
     return tuple(out)
+
+
+def _graded_lex_keys(terms: Mapping[int, Scalar], nvars: int) -> list[int]:
+    """The packed keys of `terms` in graded lexicographic order.
+
+    Keys sort descending, then stably by degree.  The degree is key % 0xFFFF
+    when the OR of all keys, whose fields bound every key's fields, has a
+    field sum below 0xFFFF; otherwise it is summed from the unpacked fields.
+    """
+    keys = sorted(terms, reverse=True)
+    if sum(_unpack(reduce(or_, keys, 0), nvars)) < _EXP_MASK:
+        keys.sort(key=_EXP_MASK.__rmod__)
+    else:
+        keys.sort(key=lambda k: sum(_unpack(k, nvars)))
+    return keys
 
 
 class MultiPoly:
@@ -162,9 +186,12 @@ class MultiPoly:
 
     def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in graded lexicographic order (deterministic)."""
-        unpacked = [(_unpack(k, self.nvars), c) for k, c in self._terms.items()]
-        unpacked.sort(key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
-        return unpacked
+        terms = self._terms
+        return [(_unpack(k, self.nvars), terms[k]) for k in _graded_lex_keys(terms, self.nvars)]
+
+    def coefficients(self) -> Iterable[Scalar]:
+        """The nonzero coefficients, in no particular order."""
+        return self._terms.values()
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -330,13 +357,17 @@ class MultiPoly:
             raise ValueError("need one name per variable")
         if not self._terms:
             return "0"
+        terms = self._terms
+        # each exponent is read straight from its field of the key
+        fields = [(names[i], _EXP_BITS * (self.nvars - 1 - i)) for i in range(self.nvars)]
         pieces: list[str] = []
-        for exps, c in self.terms():
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
+        for key in _graded_lex_keys(terms, self.nvars):
+            c = terms[key]
+            factors = []
+            for name, shift in fields:
+                e = key >> shift & _EXP_MASK
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(c)
             if factors:
                 body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)

@@ -15,7 +15,7 @@ linear factors instead of dividing by their inverses.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .polynomials import MultiPoly
 
@@ -158,13 +158,6 @@ class TruncSeries2:
             for i in range(l1 + 1)
         ]
         return cls(nvars, grid)
-
-    @classmethod
-    def build(
-        cls, nvars: int, orders: tuple[int, int], entry: Callable[[int, int], MultiPoly]
-    ) -> "TruncSeries2":
-        l1, l2 = orders
-        return cls(nvars, [[entry(i, j) for j in range(l2 + 1)] for i in range(l1 + 1)])
 
     @classmethod
     def from_t1(cls, s: TruncSeries1, l2: int) -> "TruncSeries2":

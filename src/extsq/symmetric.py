@@ -212,7 +212,7 @@ def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPol
     if ambient == k and all(v == MultiPoly.variable(k, i) for i, v in enumerate(nonzero)):
         return schur(shape, k)
     # s_f(D a) = D^|f| s_f(a): work on the integral entries D a_i and divide once
-    scale = math.lcm(*(c.denominator for v in nonzero for _, c in v.terms()))
+    scale = math.lcm(*(c.denominator for v in nonzero for c in v.coefficients()))
     top = shape[0] + len(shape) - 1
     zero = MultiPoly.zero(ambient)
     # h_0..h_top: coefficients of prod_i 1/(1 - b_i t), one factor at a time

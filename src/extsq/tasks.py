@@ -17,7 +17,10 @@ Reports come in two formats.  `machine` is canonical JSON with sorted keys
 and no volatile fields, so identical configs (and seeds) yield byte-identical
 output.  `table` is a human-readable rendering of the same data plus timing.
 Symbolic entries are always named α1, α2, ... in output, whatever the input
-called them.
+called them.  Each coefficient the two sides of an identity share is
+formatted once: where the product side (or the expected two-variable series)
+equals the torus sum or expansion at a power, that side's string is reused,
+so the output is the same as formatting both.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ FORMAT_VERSION = 1
 DEFAULT_TRUNCATION = 6
 DEFAULT_Q = 5
 MAX_RANDOM_COUNT = 100_000
+# Work grows steeply with both; the benchmark's largest tasks use order 8 and
+# rank 6.  A value above a cap is a config error.
+MAX_TRUNCATION = 32
+MAX_RANK = 16
 TRUNCATION_ENV_VAR = "EXTSQ_TRUNCATION"
 
 TASK_NAMES = (
@@ -136,6 +143,8 @@ def _parse_int(
 def _parse_satake(raw: Any, location: str) -> tuple[SatakeParams, list[str]]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("satake must be a nonempty list of entries", location)
+    if len(raw) > MAX_RANK:
+        raise ConfigError(f"satake must have at most {MAX_RANK} entries", location)
     tokens: list[str] = []
     for i, tok in enumerate(raw):
         if isinstance(tok, str):
@@ -156,19 +165,16 @@ def _parse_satake(raw: Any, location: str) -> tuple[SatakeParams, list[str]]:
 def _parse_truncation(raw: Any, location: str, want_window: bool) -> int | tuple[int, int]:
     if want_window:
         if isinstance(raw, int) and not isinstance(raw, bool):
-            if raw < 0:
-                raise ConfigError("truncation must be >= 0", location)
-            return raw, raw
+            raw = [raw, raw]
         if (
             isinstance(raw, list)
             and len(raw) == 2
             and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
         ):
-            if min(raw) < 0:
-                raise ConfigError("truncation orders must be >= 0", location)
-            return raw[0], raw[1]
+            l1, l2 = (_parse_int(x, "truncation", location, 0, MAX_TRUNCATION) for x in raw)
+            return l1, l2
         raise ConfigError("truncation must be an int or a pair of ints", location)
-    return _parse_int(raw, "truncation", location, minimum=0)
+    return _parse_int(raw, "truncation", location, 0, MAX_TRUNCATION)
 
 
 def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WDBlock]:
@@ -233,7 +239,7 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
     if task in _SATAKE_TASKS:
         params, tokens = _parse_satake(_require(obj, "satake", location), f"{location}.satake")
         if "n" in obj:
-            n = _parse_int(obj["n"], "n", f"{location}.n", 1)
+            n = _parse_int(obj["n"], "n", f"{location}.n", 1, MAX_RANK)
             if n != params.n:
                 raise ConfigError(
                     f"n={n} does not match {params.n} satake entries", f"{location}.n"
@@ -320,12 +326,32 @@ def _names(nvars: int) -> list[str]:
     return [f"α{i + 1}" for i in range(nvars)]
 
 
-def _fmt_series1(s: TruncSeries1, names: Sequence[str]) -> list[str]:
-    return [c.format(names) for c in s.coeffs]
+def _fmt_coeffs(
+    coeffs: Sequence[MultiPoly],
+    names: Sequence[str],
+    ref: Sequence[MultiPoly] = (),
+    ref_text: Sequence[str] = (),
+) -> list[str]:
+    """Strings of `coeffs`; where `ref` holds an equal coefficient at the same
+    place, its string from `ref_text` is reused instead of formatted."""
+    if not ref:
+        return [c.format(names) for c in coeffs]
+    return [t if c == r else c.format(names) for c, r, t in zip(coeffs, ref, ref_text)]
 
 
-def _fmt_series2(s: TruncSeries2, names: Sequence[str]) -> list[list[str]]:
-    return [[c.format(names) for c in row] for row in s.coeffs]
+def _fmt_series2(
+    s: TruncSeries2,
+    names: Sequence[str],
+    ref: TruncSeries2 | None = None,
+    ref_text: Sequence[Sequence[str]] = (),
+) -> list[list[str]]:
+    """`_fmt_coeffs` row by row over a two-variable window."""
+    if ref is None:
+        return [_fmt_coeffs(row, names) for row in s.coeffs]
+    return [
+        _fmt_coeffs(row, names, ref_row, text_row)
+        for row, ref_row, text_row in zip(s.coeffs, ref.coeffs, ref_text)
+    ]
 
 
 def _fmt_tpoly(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> str:
@@ -349,8 +375,8 @@ def _run_lfactor(cfg: TaskConfig) -> Report:
     data = {
         "standard_reciprocal": _fmt_tpoly(std.reciprocal, names),
         "ext_sq_reciprocal": _fmt_tpoly(ext.reciprocal, names),
-        "standard_series": _fmt_series1(product_series(params.entries, params.nvars, order), names),
-        "ext_sq_series": _fmt_series1(product_series(ext_sq_roots(params), params.nvars, order), names),
+        "standard_series": _fmt_coeffs(product_series(params.entries, params.nvars, order).coeffs, names),
+        "ext_sq_series": _fmt_coeffs(product_series(ext_sq_roots(params), params.nvars, order).coeffs, names),
     }
     return Report(
         task=cfg.echo,
@@ -368,13 +394,15 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     lhs = expansion.series
     rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
+    lhs_text = _fmt_coeffs(lhs.coeffs, names)
+    rhs_text = _fmt_coeffs(rhs.coeffs, names, lhs.coeffs, lhs_text)
     data = {
         "k": len(params.nonzero_entries),
-        "expansion": _fmt_series1(lhs, names),
-        "product": _fmt_series1(rhs, names),
+        "expansion": lhs_text,
+        "product": rhs_text,
         "first_difference": None
         if diff is None
-        else {"power": diff[0], "expansion": diff[1].format(names), "product": diff[2].format(names)},
+        else {"power": diff[0], "expansion": lhs_text[diff[0]], "product": rhs_text[diff[0]]},
         "contributions": _contributions(expansion, names),
     }
     if diff is None:
@@ -401,14 +429,16 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
     lhs = torus_sum.series
     rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
+    lhs_text = _fmt_coeffs(lhs.coeffs, names)
+    rhs_text = _fmt_coeffs(rhs.coeffs, names, lhs.coeffs, lhs_text)
     data = {
         "parity": "even" if even else "odd",
         "positive_conductor": params.has_zero,
-        "torus_sum": _fmt_series1(lhs, names),
-        "product": _fmt_series1(rhs, names),
+        "torus_sum": lhs_text,
+        "product": rhs_text,
         "first_difference": None
         if diff is None
-        else {"power": diff[0], "torus_sum": diff[1].format(names), "product": diff[2].format(names)},
+        else {"power": diff[0], "torus_sum": lhs_text[diff[0]], "product": rhs_text[diff[0]]},
         "contributions": _contributions(torus_sum, names),
     }
     if even and not params.has_zero:
@@ -441,7 +471,7 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
     data: dict[str, Any] = {"parity": "odd" if odd else "even"}
     if odd:
         data["positive_conductor"] = params.has_zero
-    data["torus_sum"] = _fmt_series2(lhs, names)
+    lhs_text = data["torus_sum"] = _fmt_series2(lhs, names)
     if odd and not params.has_zero:
         return Report(
             cfg.echo,
@@ -460,15 +490,15 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
         data["central_product"] = omega.format(names)
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
-    data["expected"] = _fmt_series2(expected, names)
+    expected_text = data["expected"] = _fmt_series2(expected, names, lhs, lhs_text)
     data["first_difference"] = (
         None
         if diff is None
         else {
             "t1_power": diff[0][0],
             "t2_power": diff[0][1],
-            "torus_sum": diff[1].format(names),
-            "expected": diff[2].format(names),
+            "torus_sum": lhs_text[diff[0][0]][diff[0][1]],
+            "expected": expected_text[diff[0][0]][diff[0][1]],
         }
     )
     if diff is None:

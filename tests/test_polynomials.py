@@ -217,6 +217,56 @@ class TestFormat:
         b = poly(2, {(1, 1): 1, (0, 2): 1, (2, 0): 1})
         assert a.format() == b.format() == "x1^2 + x1*x2 + x2^2"
 
+    def test_degree_past_the_packed_modulus(self):
+        """Degree 3 * 21845 = 0xFFFF is 0 modulo 0xFFFF, yet the term sorts last."""
+        x1, x2, x3 = (MultiPoly.variable(3, i) for i in range(3))
+        p = x1**21845 * x2**21845 * x3**21845 + x1**5
+        assert p.terms() == [((5, 0, 0), 1), ((21845, 21845, 21845), 1)]
+        assert p.format() == "x1^5 + x1^21845*x2^21845*x3^21845"
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    # small fields collide and cancel; fields near the guard
+                    # give degrees on both sides of 0xFFFF from 3 variables on
+                    st.tuples(*[st.integers(0, 2) | st.integers(16384, 32767)] * n),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                ),
+                max_size=8,
+            ).map(lambda terms: (n, terms))
+        )
+    )
+    def test_graded_lex_order_up_to_the_guard(self, drawn):
+        """terms() and format order terms by (sum(e), tuple(-x for x in e))."""
+        nvars, raw = drawn
+        xs = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+
+        def term(exps, c):
+            t = MultiPoly.constant(nvars, c)
+            for x, e in zip(xs, exps):
+                t = t * x**e
+            return t
+
+        p = MultiPoly.zero(nvars)
+        expected: dict[tuple[int, ...], Fraction] = {}
+        for exps, c in raw:
+            p = p + term(exps, c)
+            expected[exps] = expected.get(exps, 0) + c
+        order = sorted(
+            (e for e, c in expected.items() if c), key=lambda e: (sum(e), tuple(-x for x in e))
+        )
+        assert p.terms() == [(e, expected[e]) for e in order]
+        text = ""
+        for e in order:
+            piece = term(e, expected[e]).format()
+            if not text:
+                text = piece
+            else:
+                text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        assert p.format() == (text or "0")
+
 
 class TestAppendVariable:
     @settings(max_examples=30)

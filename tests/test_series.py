@@ -101,7 +101,7 @@ class TestTruncSeries2:
         assert u.coeff(1, 2).is_zero
 
     def test_build_and_coeff(self):
-        s = TruncSeries2.build(0, (1, 1), lambda i, j: const(10 * i + j))
+        s = TruncSeries2(0, [[const(10 * i + j) for j in range(2)] for i in range(2)])
         assert s.coeff(1, 1) == 11
 
     def test_from_t1_from_t2(self):

@@ -6,6 +6,8 @@ import pytest
 
 from extsq import tasks
 from extsq.cli import main
+from extsq.polynomials import MultiPoly
+from extsq.series import TruncSeries1, TruncSeries2
 from extsq.tasks import (
     ConfigError,
     emit_machine,
@@ -180,6 +182,42 @@ class TestParseTask:
             parse_task(body)
         assert err.value.location == "task.random.count"
 
+    def test_truncation_at_cap(self):
+        cap = tasks.MAX_TRUNCATION
+        assert parse_task({"task": "lfactor", "satake": ["sym"], "truncation": cap}).truncation == cap
+        window = {"task": "verify-bf", "satake": ["sym", "sym"]}
+        assert parse_task({**window, "truncation": cap}).truncation == (cap, cap)
+        assert parse_task({**window, "truncation": [cap, 0]}).truncation == (cap, 0)
+
+    @pytest.mark.parametrize(
+        "task, truncation",
+        [
+            ("lfactor", tasks.MAX_TRUNCATION + 1),
+            ("verify-bf", tasks.MAX_TRUNCATION + 1),
+            ("verify-bf", [2, tasks.MAX_TRUNCATION + 1]),
+            ("bf-odd-probe", [tasks.MAX_TRUNCATION + 1, 2]),
+        ],
+    )
+    def test_truncation_above_cap(self, task, truncation):
+        body = {"task": task, "satake": ["sym", "sym", "sym"], "truncation": truncation}
+        with pytest.raises(ConfigError, match=r"truncation must be <= 32") as err:
+            parse_task(body)
+        assert err.value.location == "task.truncation"
+
+    def test_rank_at_cap(self):
+        cap = tasks.MAX_RANK
+        cfg = parse_task({"task": "lfactor", "satake": ["0"] * cap, "n": cap, "truncation": 2})
+        assert cfg.params.n == cap
+
+    def test_rank_above_cap(self):
+        over = tasks.MAX_RANK + 1
+        with pytest.raises(ConfigError, match=r"at most 16 entries") as err:
+            parse_task({"task": "verify-js", "satake": ["0"] * over})
+        assert err.value.location == "task.satake"
+        with pytest.raises(ConfigError, match=r"n must be <= 16") as err:
+            parse_task({"task": "verify-js", "satake": ["0", "0"], "n": over})
+        assert err.value.location == "task.n"
+
     def test_grade_wrong_rank(self):
         with pytest.raises(ConfigError):
             parse_task(
@@ -261,6 +299,28 @@ class TestRunTask:
     def test_timing_recorded(self):
         r = run_one({"task": "lfactor", "satake": ["2"]})
         assert r.timing_ms >= 0.0
+
+
+class TestSeriesText:
+    """A side equal to the other, cell by cell, reuses its strings; others are formatted."""
+
+    def test_one_variable(self):
+        x = MultiPoly.variable(1, 0)
+        a = TruncSeries1(1, [MultiPoly.one(1), x, x * x])
+        b = TruncSeries1(1, [MultiPoly.one(1), -x, x * x])
+        a_text = tasks._fmt_coeffs(a.coeffs, ["α1"])
+        b_text = tasks._fmt_coeffs(b.coeffs, ["α1"], a.coeffs, a_text)
+        assert b_text == ["1", "-α1", "α1^2"]
+        assert b_text[2] is a_text[2]
+
+    def test_two_variables(self):
+        x = MultiPoly.variable(1, 0)
+        a = TruncSeries2(1, [[MultiPoly.one(1), x], [x, x * x]])
+        b = TruncSeries2(1, [[MultiPoly.one(1), x], [2 * x, x * x]])
+        a_text = tasks._fmt_series2(a, ["α1"])
+        b_text = tasks._fmt_series2(b, ["α1"], a, a_text)
+        assert b_text == [["1", "α1"], ["2*α1", "α1^2"]]
+        assert b_text[1][1] is a_text[1][1]
 
 
 class TestEmission:
@@ -368,6 +428,29 @@ class TestCli:
         monkeypatch.setenv(tasks.TRUNCATION_ENV_VAR, "six")
         code, _ = self.run_cli("lfactor", "--satake", "sym")
         assert code == 2
+
+    def test_truncation_cap_on_the_command_line(self):
+        cap = str(tasks.MAX_TRUNCATION)
+        code, out = self.run_cli("lfactor", "--satake", "1/2,0", "--truncation", cap, "--format", "machine")
+        assert code == 0 and json.loads(out)["reports"][0]["task"]["truncation"] == tasks.MAX_TRUNCATION
+        code, _ = self.run_cli("lfactor", "--satake", "1/2,0", "--truncation", str(tasks.MAX_TRUNCATION + 1))
+        assert code == 2
+        code, _ = self.run_cli("verify-bf", "--satake", "sym,0", "--truncation", f"2,{tasks.MAX_TRUNCATION + 1}")
+        assert code == 2
+
+    def test_truncation_cap_in_the_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv(tasks.TRUNCATION_ENV_VAR, str(tasks.MAX_TRUNCATION))
+        code, out = self.run_cli("lfactor", "--satake", "1/2,0", "--format", "machine")
+        assert code == 0 and json.loads(out)["reports"][0]["task"]["truncation"] == tasks.MAX_TRUNCATION
+        monkeypatch.setenv(tasks.TRUNCATION_ENV_VAR, str(tasks.MAX_TRUNCATION + 1))
+        code, _ = self.run_cli("lfactor", "--satake", "1/2,0")
+        assert code == 2
+        assert "environment: EXTSQ_TRUNCATION must be between 0 and 32" in capsys.readouterr().err
+
+    def test_rank_above_cap_exit_2(self, capsys):
+        code, _ = self.run_cli("lfactor", "--satake", ",".join(["0"] * (tasks.MAX_RANK + 1)))
+        assert code == 2
+        assert "at most 16 entries" in capsys.readouterr().err
 
     def test_bad_config_is_exit_2(self, tmp_path):
         cfg = tmp_path / "c.json"
