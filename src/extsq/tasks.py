@@ -326,32 +326,19 @@ def _names(nvars: int) -> list[str]:
     return [f"α{i + 1}" for i in range(nvars)]
 
 
-def _fmt_coeffs(
-    coeffs: Sequence[MultiPoly],
-    names: Sequence[str],
-    ref: Sequence[MultiPoly] = (),
-    ref_text: Sequence[str] = (),
+def _fmt_series1(s: TruncSeries1, names: Sequence[str]) -> list[str]:
+    return [c.format(names) for c in s.coeffs]
+
+
+def _fmt_series2(s: TruncSeries2, names: Sequence[str]) -> list[list[str]]:
+    return [[c.format(names) for c in row] for row in s.coeffs]
+
+
+def _fmt_against(
+    coeffs: Sequence[MultiPoly], ref: Sequence[MultiPoly], ref_text: Sequence[str], names: Sequence[str]
 ) -> list[str]:
-    """Strings of `coeffs`; where `ref` holds an equal coefficient at the same
-    place, its string from `ref_text` is reused instead of formatted."""
-    if not ref:
-        return [c.format(names) for c in coeffs]
+    """Strings of `coeffs`, reusing ref_text[i] wherever coeffs[i] == ref[i]."""
     return [t if c == r else c.format(names) for c, r, t in zip(coeffs, ref, ref_text)]
-
-
-def _fmt_series2(
-    s: TruncSeries2,
-    names: Sequence[str],
-    ref: TruncSeries2 | None = None,
-    ref_text: Sequence[Sequence[str]] = (),
-) -> list[list[str]]:
-    """`_fmt_coeffs` row by row over a two-variable window."""
-    if ref is None:
-        return [_fmt_coeffs(row, names) for row in s.coeffs]
-    return [
-        _fmt_coeffs(row, names, ref_row, text_row)
-        for row, ref_row, text_row in zip(s.coeffs, ref.coeffs, ref_text)
-    ]
 
 
 def _fmt_tpoly(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> str:
@@ -375,8 +362,8 @@ def _run_lfactor(cfg: TaskConfig) -> Report:
     data = {
         "standard_reciprocal": _fmt_tpoly(std.reciprocal, names),
         "ext_sq_reciprocal": _fmt_tpoly(ext.reciprocal, names),
-        "standard_series": _fmt_coeffs(product_series(params.entries, params.nvars, order).coeffs, names),
-        "ext_sq_series": _fmt_coeffs(product_series(ext_sq_roots(params), params.nvars, order).coeffs, names),
+        "standard_series": _fmt_series1(product_series(params.entries, params.nvars, order), names),
+        "ext_sq_series": _fmt_series1(product_series(ext_sq_roots(params), params.nvars, order), names),
     }
     return Report(
         task=cfg.echo,
@@ -394,8 +381,8 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     lhs = expansion.series
     rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
-    lhs_text = _fmt_coeffs(lhs.coeffs, names)
-    rhs_text = _fmt_coeffs(rhs.coeffs, names, lhs.coeffs, lhs_text)
+    lhs_text = _fmt_series1(lhs, names)
+    rhs_text = _fmt_against(rhs.coeffs, lhs.coeffs, lhs_text, names)
     data = {
         "k": len(params.nonzero_entries),
         "expansion": lhs_text,
@@ -429,8 +416,8 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
     lhs = torus_sum.series
     rhs = product_series(ext_sq_roots(params), params.nvars, order)
     diff = series_first_difference(lhs, rhs)
-    lhs_text = _fmt_coeffs(lhs.coeffs, names)
-    rhs_text = _fmt_coeffs(rhs.coeffs, names, lhs.coeffs, lhs_text)
+    lhs_text = _fmt_series1(lhs, names)
+    rhs_text = _fmt_against(rhs.coeffs, lhs.coeffs, lhs_text, names)
     data = {
         "parity": "even" if even else "odd",
         "positive_conductor": params.has_zero,
@@ -490,7 +477,10 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
         data["central_product"] = omega.format(names)
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
-    expected_text = data["expected"] = _fmt_series2(expected, names, lhs, lhs_text)
+    expected_text = data["expected"] = [
+        _fmt_against(row, lhs_row, text_row, names)
+        for row, lhs_row, text_row in zip(expected.coeffs, lhs.coeffs, lhs_text)
+    ]
     data["first_difference"] = (
         None
         if diff is None

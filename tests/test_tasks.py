@@ -7,7 +7,6 @@ import pytest
 from extsq import tasks
 from extsq.cli import main
 from extsq.polynomials import MultiPoly
-from extsq.series import TruncSeries1, TruncSeries2
 from extsq.tasks import (
     ConfigError,
     emit_machine,
@@ -301,26 +300,14 @@ class TestRunTask:
         assert r.timing_ms >= 0.0
 
 
-class TestSeriesText:
-    """A side equal to the other, cell by cell, reuses its strings; others are formatted."""
-
-    def test_one_variable(self):
+class TestFmtAgainst:
+    def test_reuses_equal_coefficients_only(self):
         x = MultiPoly.variable(1, 0)
-        a = TruncSeries1(1, [MultiPoly.one(1), x, x * x])
-        b = TruncSeries1(1, [MultiPoly.one(1), -x, x * x])
-        a_text = tasks._fmt_coeffs(a.coeffs, ["α1"])
-        b_text = tasks._fmt_coeffs(b.coeffs, ["α1"], a.coeffs, a_text)
-        assert b_text == ["1", "-α1", "α1^2"]
-        assert b_text[2] is a_text[2]
-
-    def test_two_variables(self):
-        x = MultiPoly.variable(1, 0)
-        a = TruncSeries2(1, [[MultiPoly.one(1), x], [x, x * x]])
-        b = TruncSeries2(1, [[MultiPoly.one(1), x], [2 * x, x * x]])
-        a_text = tasks._fmt_series2(a, ["α1"])
-        b_text = tasks._fmt_series2(b, ["α1"], a, a_text)
-        assert b_text == [["1", "α1"], ["2*α1", "α1^2"]]
-        assert b_text[1][1] is a_text[1][1]
+        a = [MultiPoly.one(1), x, x * x]
+        a_text = ["1", "α1", "α1^2"]
+        got = tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text, ["α1"])
+        assert got == ["1", "-α1", "α1^2"]
+        assert got[2] is a_text[2]
 
 
 class TestEmission:
