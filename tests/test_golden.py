@@ -5,8 +5,10 @@ Every shipped `configs/*.json` is covered, plus the documents under
 (odd-rank all-nonzero `verify-bf`, a numeric `verify-js` with an interior
 zero, a mixed symbolic/rational `verify-littlewood`, an even-rank
 `verify-bf` whose entries include a non-integral fraction, an `lfactor` on a
-mixed symbolic/rational vector, and a `bf-odd-probe` on an all-nonzero mixed
-vector with a non-integral fraction).  The expected output
+mixed symbolic/rational vector, a `bf-odd-probe` on an all-nonzero mixed
+vector with a non-integral fraction, and an even-rank all-nonzero mixed
+`verify-bf` on the non-square window (3, 5), where a factor truncated at the
+other order would show).  The expected output
 of `DIR/NAME.json` is `tests/golden/NAME.out`.
 
 Regenerate, from the repository root, only after a change that is meant
@@ -34,7 +36,7 @@ DOCUMENTS = sorted((ROOT / "configs").glob("*.json")) + sorted((GOLDEN / "cases"
 
 def test_every_document_has_a_distinct_golden_name():
     names = [doc.stem for doc in DOCUMENTS]
-    assert len(names) == len(set(names)) == 11
+    assert len(names) == len(set(names)) == 12
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
