@@ -6,11 +6,18 @@ variables.  TruncSeries2 is the two-variable analogue over a rectangular
 truncation window.  Binary operations require identical truncation orders
 and variable counts; there is no silent re-truncation.
 
-No production route inverts a series.  The product side of every identity
-is a product of linear factors (1 - r t)^{-1}, built root by root in
-`lfactors.product_series`; `TruncSeries1.inverse` is kept for its oracle
-`LFactor.series`.  The odd two-variable probe multiplies its sum by the
-linear factors instead of dividing by their inverses.
+No production route multiplies, inverts or embeds a series: production
+builds series coefficient lists (the product side root by root in
+`polynomials.times_linear_factors`, via `lfactors.product_series`), wraps
+them, and compares them with the first-difference functions.  The product
+side of every identity is a product of linear factors (1 - r t)^{-1}.  The
+arithmetic here is kept only for the oracles:
+
+* `TruncSeries1.from_tpoly` and `inverse` make `LFactor.series`, the oracle
+  of `product_series`; `TruncSeries1.__mul__` checks `inverse` in tests;
+* `TruncSeries2.from_t1`, `from_t2` and `__mul__` build the test suite's
+  oracle of `torus_sums.bf_product_series`, whose production route is the
+  outer product of two one-variable series.
 """
 
 from __future__ import annotations
@@ -70,18 +77,6 @@ class TruncSeries1:
                 and self.coeffs == other.coeffs
             )
         return NotImplemented
-
-    def __add__(self, other: "TruncSeries1") -> "TruncSeries1":
-        self._check(other)
-        return TruncSeries1(
-            self.nvars, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncSeries1") -> "TruncSeries1":
-        self._check(other)
-        return TruncSeries1(
-            self.nvars, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
 
     def __mul__(self, other: "TruncSeries1") -> "TruncSeries1":
         self._check(other)
@@ -192,26 +187,6 @@ class TruncSeries2:
                 and self.coeffs == other.coeffs
             )
         return NotImplemented
-
-    def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
-        self._check(other)
-        return TruncSeries2(
-            self.nvars,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ],
-        )
-
-    def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
-        self._check(other)
-        return TruncSeries2(
-            self.nvars,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coeffs, other.coeffs)
-            ],
-        )
 
     def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
         self._check(other)

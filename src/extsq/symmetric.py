@@ -16,12 +16,13 @@ Production code has one route for each kind of value vector:
   the value is the cached `schur(f, k)`.  Every other vector (numeric or
   mixed) is evaluated directly in its own ring: the entries are scaled by
   the common denominator D of their coefficients, h_0..h_N of the scaled
-  entries are read off as the coefficients of prod_i 1/(1 - D a_i t)
-  (Macdonald, I.3), the Jacobi-Trudi determinant det[h_{f_i - i + j}] is
-  expanded sparsely with memoized minors (`_det_sparse`) over integer
-  coefficients, and the result is divided once by D^|f|, since
-  s_f(D a) = D^|f| s_f(a).  No symbolic Schur polynomial is built for such
-  vectors, and the cache stays untouched.
+  entries are the coefficients of prod_i 1/(1 - D a_i t) (Macdonald, I.2),
+  built by the product-side kernel `polynomials.times_linear_factors`, the
+  Jacobi-Trudi determinant det[h_{f_i - i + j}] (I.3) is expanded sparsely
+  with memoized minors (`_det_sparse`) over integer coefficients, and the
+  result is divided once by D^|f|, since s_f(D a) = D^|f| s_f(a).  No
+  symbolic Schur polynomial is built for such vectors, and the cache stays
+  untouched.
 
 The independent oracle of both routes is `schur_bialternant` (alternant
 divided exactly by the Vandermonde determinant); the test suite evaluates
@@ -34,9 +35,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .polynomials import MultiPoly, append_variable, divexact_binomial
+from .polynomials import MultiPoly, append_variable, divexact_binomial, times_linear_factors
 
 _SCHUR_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
 
@@ -109,15 +110,6 @@ def _det_sparse(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
 
     det = minor(0, full_mask)
     return det if sign > 0 else -det
-
-
-def _jacobi_trudi(
-    shape: tuple[int, ...], h: Callable[[int], MultiPoly], nvars: int
-) -> MultiPoly:
-    """det[h(shape_i - i + j)] for a stripped shape; h(j) must be 0 for j < 0."""
-    r = len(shape)
-    rows = [[h(shape[i] - i + j) for j in range(r)] for i in range(r)]
-    return _det_sparse(rows, nvars)
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
@@ -214,14 +206,15 @@ def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPol
     # s_f(D a) = D^|f| s_f(a): work on the integral entries D a_i and divide once
     scale = math.lcm(*(c.denominator for v in nonzero for c in v.coefficients()))
     top = shape[0] + len(shape) - 1
+    # h_0..h_top of the scaled entries: coefficients of prod_i 1/(1 - D a_i t)
+    hs = times_linear_factors([MultiPoly.one(ambient)], [v * scale for v in nonzero], top, -1)
     zero = MultiPoly.zero(ambient)
-    # h_0..h_top: coefficients of prod_i 1/(1 - b_i t), one factor at a time
-    hs = [MultiPoly.one(ambient)] + [zero] * top
-    for v in nonzero:
-        b = v * scale
-        for j in range(1, top + 1):
-            hs[j] = hs[j] + b * hs[j - 1]
-    value = _jacobi_trudi(shape, lambda j: hs[j] if j >= 0 else zero, ambient)
+    # Jacobi-Trudi: det[h_{f_i - i + j}], with h_j = 0 for j < 0
+    rows = [
+        [hs[f - i + j] if f - i + j >= 0 else zero for j in range(len(shape))]
+        for i, f in enumerate(shape)
+    ]
+    value = _det_sparse(rows, ambient)
     return value if scale == 1 else value * Fraction(1, scale ** sum(shape))
 
 

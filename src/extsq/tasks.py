@@ -44,12 +44,7 @@ from .lfactors import (
     standard_L,
 )
 from .polynomials import MultiPoly
-from .series import (
-    TruncSeries1,
-    TruncSeries2,
-    series2_first_difference,
-    series_first_difference,
-)
+from .series import TruncSeries2, series2_first_difference, series_first_difference
 from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
 from .weil_deligne import (
     FiniteAbelianGroup,
@@ -287,14 +282,7 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
                 cfg.rep = WDRep(q, group, blocks)
             except ValueError as exc:
                 raise ConfigError(str(exc), f"{location}.blocks") from exc
-            echo["blocks"] = [
-                {
-                    "grade": list(b.grade),
-                    "length": b.length,
-                    "scalar": str(b.scalar),
-                }
-                for b in cfg.rep.blocks
-            ]
+            echo.update(_describe_rep(cfg.rep))
     return cfg
 
 
@@ -326,8 +314,8 @@ def _names(nvars: int) -> list[str]:
     return [f"α{i + 1}" for i in range(nvars)]
 
 
-def _fmt_series1(s: TruncSeries1, names: Sequence[str]) -> list[str]:
-    return [c.format(names) for c in s.coeffs]
+def _fmt_series1(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
+    return [c.format(names) for c in coeffs]
 
 
 def _fmt_series2(s: TruncSeries2, names: Sequence[str]) -> list[list[str]]:
@@ -359,11 +347,13 @@ def _run_lfactor(cfg: TaskConfig) -> Report:
     names = _names(params.nvars)
     std = standard_L(params)
     ext = formal_ext_sq_L(params)
+    std_series = product_series(params.entries, params.nvars, order)
+    ext_series = product_series(ext_sq_roots(params), params.nvars, order)
     data = {
         "standard_reciprocal": _fmt_tpoly(std.reciprocal, names),
         "ext_sq_reciprocal": _fmt_tpoly(ext.reciprocal, names),
-        "standard_series": _fmt_series1(product_series(params.entries, params.nvars, order), names),
-        "ext_sq_series": _fmt_series1(product_series(ext_sq_roots(params), params.nvars, order), names),
+        "standard_series": _fmt_series1(std_series.coeffs, names),
+        "ext_sq_series": _fmt_series1(ext_series.coeffs, names),
     }
     return Report(
         task=cfg.echo,
@@ -373,25 +363,35 @@ def _run_lfactor(cfg: TaskConfig) -> Report:
     )
 
 
+def _compare_with_ext_sq(
+    cfg: TaskConfig, data: dict[str, Any], key: str, lhs: DoubledShapeSum
+) -> int | None:
+    """Compare a one-variable sum with the exterior-square factor, into `data`.
+
+    Adds the sum under `key`, then `product`, `first_difference` and
+    `contributions`, in that order (the table prints keys as inserted), and
+    returns the lowest power where the two sides differ, or None.
+    """
+    params = cfg.params
+    names = _names(params.nvars)
+    rhs = product_series(ext_sq_roots(params), params.nvars, cfg.truncation)
+    diff = series_first_difference(lhs.series, rhs)
+    lhs_text = data[key] = _fmt_series1(lhs.series.coeffs, names)
+    rhs_text = data["product"] = _fmt_against(rhs.coeffs, lhs.series.coeffs, lhs_text, names)
+    data["first_difference"] = (
+        None
+        if diff is None
+        else {"power": diff[0], key: lhs_text[diff[0]], "product": rhs_text[diff[0]]}
+    )
+    data["contributions"] = _contributions(lhs, names)
+    return None if diff is None else diff[0]
+
+
 def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     params = cfg.params
     order = cfg.truncation
-    names = _names(params.nvars)
-    expansion = ext_sq_expansion(params, order)
-    lhs = expansion.series
-    rhs = product_series(ext_sq_roots(params), params.nvars, order)
-    diff = series_first_difference(lhs, rhs)
-    lhs_text = _fmt_series1(lhs, names)
-    rhs_text = _fmt_against(rhs.coeffs, lhs.coeffs, lhs_text, names)
-    data = {
-        "k": len(params.nonzero_entries),
-        "expansion": lhs_text,
-        "product": rhs_text,
-        "first_difference": None
-        if diff is None
-        else {"power": diff[0], "expansion": lhs_text[diff[0]], "product": rhs_text[diff[0]]},
-        "contributions": _contributions(expansion, names),
-    }
+    data: dict[str, Any] = {"k": len(params.nonzero_entries)}
+    diff = _compare_with_ext_sq(cfg, data, "expansion", ext_sq_expansion(params, order))
     if diff is None:
         return Report(
             cfg.echo,
@@ -402,7 +402,7 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
     return Report(
         cfg.echo,
         "fail",
-        f"expansion differs from the exterior-square factor at t^{diff[0]}",
+        f"expansion differs from the exterior-square factor at t^{diff}",
         data,
     )
 
@@ -410,24 +410,12 @@ def _run_verify_littlewood(cfg: TaskConfig) -> Report:
 def _run_verify_js(cfg: TaskConfig) -> Report:
     params = cfg.params
     order = cfg.truncation
-    names = _names(params.nvars)
     even = params.n % 2 == 0
-    torus_sum = js_series(params, order)
-    lhs = torus_sum.series
-    rhs = product_series(ext_sq_roots(params), params.nvars, order)
-    diff = series_first_difference(lhs, rhs)
-    lhs_text = _fmt_series1(lhs, names)
-    rhs_text = _fmt_against(rhs.coeffs, lhs.coeffs, lhs_text, names)
-    data = {
+    data: dict[str, Any] = {
         "parity": "even" if even else "odd",
         "positive_conductor": params.has_zero,
-        "torus_sum": lhs_text,
-        "product": rhs_text,
-        "first_difference": None
-        if diff is None
-        else {"power": diff[0], "torus_sum": lhs_text[diff[0]], "product": rhs_text[diff[0]]},
-        "contributions": _contributions(torus_sum, names),
     }
+    diff = _compare_with_ext_sq(cfg, data, "torus_sum", js_series(params, order))
     if even and not params.has_zero:
         note = (
             "identity not asserted: even rank with every entry nonzero "
@@ -444,7 +432,7 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
     return Report(
         cfg.echo,
         "fail",
-        f"torus sum differs from the exterior-square factor at t^{diff[0]}",
+        f"torus sum differs from the exterior-square factor at t^{diff}",
         data,
     )
 
@@ -471,9 +459,14 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
     form = "the product of factors"
     if not odd:
         omega = reduce(lambda a, b: a * b, params.entries)
-        one, zero = MultiPoly.one(params.nvars), MultiPoly.zero(params.nvars)
-        central = TruncSeries1.from_tpoly([one] + [zero] * (m - 1) + [-omega], params.nvars, l2)
-        expected = TruncSeries2.from_t2(central, l1) * expected
+        # (1 - ω t2^m) times each row: c_j - ω c_{j-m}, reading the old row
+        expected = TruncSeries2(
+            params.nvars,
+            [
+                [c - omega * row[j - m] if j >= m else c for j, c in enumerate(row)]
+                for row in expected.coeffs
+            ],
+        )
         data["central_product"] = omega.format(names)
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)

@@ -10,10 +10,11 @@ Exponents of the residue-field size q are carried as integer half-powers
 (q^{e/2} is stored as e), never as radicals.
 
 The product sides these sums are compared with are built from their linear
-roots: `bf_product_series` takes both factors' series from
-`lfactors.product_series` (whose oracle is `LFactor.series`), and
+roots: `bf_product_series` is the outer product of the two factors' series
+from `lfactors.product_series` (whose oracle is `LFactor.series`), and
 `bf_odd_correction_probe` multiplies the sum by each factor (1 - r t1) and
-(1 - r t2) rather than dividing by the product series.
+(1 - r t2) rather than dividing by the product series.  Neither multiplies
+two-variable series.
 """
 
 from __future__ import annotations
@@ -114,10 +115,13 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
 
 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
-    """Standard factor in t1 times exterior-square factor in t2, truncated."""
-    std = product_series(params.entries, params.nvars, l1)
-    ext = product_series(ext_sq_roots(params), params.nvars, l2)
-    return TruncSeries2.from_t1(std, l2) * TruncSeries2.from_t2(ext, l1)
+    """Standard factor in t1 times exterior-square factor in t2, truncated.
+
+    The factors are in different variables: the t1^i t2^j term is std_i * ext_j.
+    """
+    std = product_series(params.entries, params.nvars, l1).coeffs
+    ext = product_series(ext_sq_roots(params), params.nvars, l2).coeffs
+    return TruncSeries2(params.nvars, [[a * b for b in ext] for a in std])
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ class WDRep:
         "symbols",
         "nvars",
         "dim",
-        "phi_diag",
-        "block_spans",
+        "alphas",
     )
 
     def __init__(self, q: int, group: FiniteAbelianGroup, blocks: Sequence[WDBlock]):
@@ -124,20 +123,15 @@ class WDRep:
         self.symbols = tuple(symbols)
         self.nvars = len(symbols)
 
-        phi: list[MultiPoly] = []
-        spans: list[tuple[int, int]] = []
-        for b in self.blocks:
-            if isinstance(b.scalar, str):
-                alpha = MultiPoly.variable(self.nvars, symbols.index(b.scalar))
-            else:
-                alpha = MultiPoly.constant(self.nvars, b.scalar)
-            start = len(phi)
-            for l in range(b.length):
-                phi.append(alpha * Fraction(1, q**l))
-            spans.append((start, len(phi)))
-        self.dim = len(phi)
-        self.phi_diag = tuple(phi)
-        self.block_spans = tuple(spans)
+        # one Frobenius scalar a per block; only the elimination oracle
+        # builds the per-coordinate diagonal a, a/q, ... (`_ladders`)
+        self.alphas = tuple(
+            MultiPoly.variable(self.nvars, symbols.index(b.scalar))
+            if isinstance(b.scalar, str)
+            else MultiPoly.constant(self.nvars, b.scalar)
+            for b in self.blocks
+        )
+        self.dim = sum(b.length for b in self.blocks)
 
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
@@ -155,8 +149,7 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
     t = 2j + 1 of Sp(k) (x) Sp(k) (the even ones make up Sym^2), which gives
     a^2 q^(2j - (2k - 3)) for j < floor(k / 2).
     """
-    group, q, blocks = rep.group, rep.q, rep.blocks
-    alphas = [rep.phi_diag[start] for start, _ in rep.block_spans]
+    group, q, blocks, alphas = rep.group, rep.q, rep.blocks, rep.alphas
     roots: list[MultiPoly] = []
     for i, (bi, ai) in enumerate(zip(blocks, alphas)):
         k1, neg = bi.length, group.neg(bi.grade)
@@ -174,9 +167,10 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
 def standard_satake(rep: WDRep) -> SatakeParams:
     """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
     entries: list[MultiPoly] = []
-    for b, (start, stop) in zip(rep.blocks, rep.block_spans):
+    for b, alpha in zip(rep.blocks, rep.alphas):
         if rep.group.is_zero(b.grade):
-            entries.append(rep.phi_diag[stop - 1])
+            # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
+            entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
     entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
     return SatakeParams(entries, nvars=rep.nvars)
 
@@ -256,14 +250,18 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
 # -- elimination oracle -----------------------------------------------------
 
 
-def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]]]:
-    """Per coordinate: where N sends it (None at a ladder's end), its grade."""
+def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[MultiPoly]]:
+    """Per coordinate: where N sends it (None at a ladder's end), its grade,
+    and its Frobenius eigenvalue a / q^l on rung l of a block with scalar a."""
     target: list[int | None] = []
     grades: list[tuple[int, ...]] = []
-    for b, (start, stop) in zip(rep.blocks, rep.block_spans):
-        target += [*range(start + 1, stop), None]
+    phi: list[MultiPoly] = []
+    for b, alpha in zip(rep.blocks, rep.alphas):
+        start = len(target)
+        target += [*range(start + 1, start + b.length), None]
         grades += [b.grade] * b.length
-    return target, grades
+        phi += [alpha * Fraction(1, rep.q**l) for l in range(b.length)]
+    return target, grades, phi
 
 
 def _kernel_basis(
@@ -344,13 +342,13 @@ def wd_lfactor(rep: WDRep) -> LFactor:
     The oracle of `standard_satake`: it equals prod over grade-0 blocks of
     (1 - scalar q^(1-k) t)^-1.
     """
-    target, grades = _ladders(rep)
+    target, grades, phi = _ladders(rep)
     nmat = [[0] * rep.dim for _ in range(rep.dim)]
     for src, dst in enumerate(target):
         if dst is not None:
             nmat[dst][src] = 1
     idx0 = [i for i in range(rep.dim) if rep.group.is_zero(grades[i])]
-    return _restricted_kernel_lfactor(rep.phi_diag, nmat, idx0, rep.nvars)
+    return _restricted_kernel_lfactor(phi, nmat, idx0, rep.nvars)
 
 
 @dataclass(frozen=True)
@@ -366,7 +364,7 @@ class ExtSquareData:
 
 def ext_sq(rep: WDRep) -> ExtSquareData:
     """Induced data on the exterior square: Phi tensor Phi and N x 1 + 1 x N."""
-    target, rep_grades = _ladders(rep)
+    target, rep_grades, rep_phi = _ladders(rep)
     pairs = [(i, j) for i in range(rep.dim) for j in range(i + 1, rep.dim)]
     index = {p: w for w, p in enumerate(pairs)}
     dim2 = len(pairs)
@@ -379,7 +377,7 @@ def ext_sq(rep: WDRep) -> ExtSquareData:
                 nmat[index[(a, b)]][w] += 1
             else:
                 nmat[index[(b, a)]][w] -= 1
-    phi = tuple(rep.phi_diag[i] * rep.phi_diag[j] for i, j in pairs)
+    phi = tuple(rep_phi[i] * rep_phi[j] for i, j in pairs)
     grades = tuple(rep.group.add(rep_grades[i], rep_grades[j]) for i, j in pairs)
     return ExtSquareData(
         tuple(pairs),

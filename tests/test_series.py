@@ -56,7 +56,9 @@ class TestTruncSeries1:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            series_from_scalars([1, 1]) + series_from_scalars([1, 1, 1])
+            series_from_scalars([1, 1]) * series_from_scalars([1, 1, 1])
+        with pytest.raises(ValueError):
+            series_first_difference(series_from_scalars([1, 1]), series_from_scalars([1, 1, 1]))
 
     def test_nvars_mismatch(self):
         a = TruncSeries1.unit(1, 2)
@@ -121,7 +123,9 @@ class TestTruncSeries2:
 
     def test_orders_mismatch(self):
         with pytest.raises(ValueError):
-            TruncSeries2.unit(0, (1, 2)) + TruncSeries2.unit(0, (2, 1))
+            TruncSeries2.unit(0, (1, 2)) * TruncSeries2.unit(0, (2, 1))
+        with pytest.raises(ValueError):
+            series2_first_difference(TruncSeries2.unit(0, (1, 2)), TruncSeries2.unit(0, (2, 1)))
 
 
 class TestSeries2FirstDifference:

@@ -248,6 +248,39 @@ class TestRunTask:
         r = run_one({"task": "verify-js", "satake": ["sym", "sym", "sym", "0"], "truncation": 4})
         assert r.verdict == "pass"
 
+    @pytest.mark.parametrize(
+        "body,lead,key,summary",
+        [
+            (
+                {"task": "verify-littlewood", "satake": ["sym", "1/2", "sym"], "truncation": 3},
+                ["k"],
+                "expansion",
+                "expansion differs from the exterior-square factor at t^1",
+            ),
+            (
+                {"task": "verify-js", "satake": ["sym", "-3", "0", "sym"], "truncation": 3},
+                ["parity", "positive_conductor"],
+                "torus_sum",
+                "torus sum differs from the exterior-square factor at t^1",
+            ),
+        ],
+    )
+    def test_one_variable_fail_reports_the_first_difference(
+        self, monkeypatch, body, lead, key, summary
+    ):
+        """An extra root 1 on the product side makes the sides differ at t^1."""
+        real = tasks.ext_sq_roots
+        monkeypatch.setattr(tasks, "ext_sq_roots", lambda p: real(p) + [MultiPoly.one(p.nvars)])
+        r = run_one(body)
+        assert (r.verdict, r.summary) == ("fail", summary)
+        assert list(r.data) == lead + [key, "product", "first_difference", "contributions"]
+        assert r.data["first_difference"] == {
+            "power": 1,
+            key: r.data[key][1],
+            "product": r.data["product"][1],
+        }
+        assert r.data[key][1] != r.data["product"][1]
+
     def test_bf_even_pass(self):
         r = run_one({"task": "verify-bf", "satake": ["sym", "sym"], "truncation": [3, 3]})
         assert r.verdict == "pass"

@@ -178,6 +178,25 @@ class TestBfSeries:
             bf_series(SatakeParams.parse(["sym"]), 2, 2)
 
 
+class TestBfProductSeries:
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ["sym", "sym", "sym"],
+            ["sym", "sym", "0"],
+            ["sym", "2/3", "-3", "1/2"],
+            ["-3/4", "sym", "0", "2"],
+            ["1/2", "-3", "5/7", "2"],
+            ["0", "3/4", "-2", "1/6"],
+        ],
+    )
+    @pytest.mark.parametrize("window", [(3, 5), (5, 2), (0, 3), (2, 0)])
+    def test_matches_the_series_product_oracle(self, tokens, window):
+        """The outer product equals the embedded one-variable series multiplied."""
+        p = SatakeParams.parse(tokens)
+        assert bf_product_series(p, *window) == product_series2(p, *window)
+
+
 class TestBfOddProbe:
     def test_zero_entry_correction_is_one(self):
         p = SatakeParams.parse(["sym", "sym", "0"])

@@ -10,6 +10,7 @@ from extsq.weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
     WDRep,
+    _ladders,
     divisibility_check,
     ext_sq,
     ext_sq_lfactor,
@@ -101,12 +102,15 @@ class TestWDRepValidation:
     def test_repeated_symbol_shares_variable(self):
         r = rep_of(5, TRIVIAL, ((0,), 1, "a"), ((0,), 1, "a"), ((0,), 1, "b"))
         assert r.symbols == ("a", "b")
-        assert r.phi_diag[0] == r.phi_diag[1]
+        assert r.alphas[0] == r.alphas[1] != r.alphas[2]
 
     def test_dim_and_phi_ladder(self):
         r = rep_of(5, TRIVIAL, ((0,), 3, Fraction(2)))
         assert r.dim == 3
-        assert [str(p.constant_value()) for p in r.phi_diag] == ["2", "2/5", "2/25"]
+        assert r.alphas == (MultiPoly.constant(0, 2),)
+        target, grades, phi = _ladders(r)
+        assert target == [1, 2, None] and grades == [(0,)] * 3
+        assert [str(p.constant_value()) for p in phi] == ["2", "2/5", "2/25"]
 
 
 class TestStandardLFactor:
