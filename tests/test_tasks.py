@@ -6,7 +6,10 @@ import pytest
 
 from extsq import tasks
 from extsq.cli import main
+from extsq import weil_deligne
+from extsq.lfactors import LFactor
 from extsq.polynomials import MultiPoly
+from extsq.series import TruncSeries2
 from extsq.tasks import (
     ConfigError,
     emit_machine,
@@ -331,6 +334,159 @@ class TestRunTask:
     def test_timing_recorded(self):
         r = run_one({"task": "lfactor", "satake": ["2"]})
         assert r.timing_ms >= 0.0
+
+
+class TestFailBranches:
+    """Each fail branch, forced by patching the side of the identity it checks.
+
+    Verdict, summary, exit code, data key order (the table prints keys as
+    inserted) and the entries that locate the failure are pinned.
+    """
+
+    GALOIS_REP = {
+        "q": 5,
+        "group": [2],
+        "blocks": [
+            {"grade": [0], "length": 1, "scalar": "c1"},
+            {"grade": [0], "length": 1, "scalar": "c2"},
+            {"grade": [1], "length": 1, "scalar": "c3"},
+        ],
+    }
+
+    @pytest.fixture
+    def trivial_ext_sq(self, monkeypatch):
+        """An exterior-square factor of 1: the pair-product side no longer fits."""
+        monkeypatch.setattr(weil_deligne, "ext_sq_lfactor", lambda rep: LFactor.one(rep.nvars))
+
+    def check(self, body, summary, keys):
+        r = run_one(body)
+        assert (r.verdict, r.summary, r.exit_code) == ("fail", summary, 1)
+        assert list(r.data) == keys
+        return r
+
+    def test_divisibility_explicit_does_not_divide(self, trivial_ext_sq):
+        r = self.check(
+            {"task": "galois-divisibility", **self.GALOIS_REP},
+            "pair-product factor does not divide the exterior-square factor",
+            ["formal_reciprocal", "ext_sq_reciprocal", "divides", "strict", "quotient"],
+        )
+        assert r.data == {
+            "formal_reciprocal": "1 - α1*α2*t",
+            "ext_sq_reciprocal": "1",
+            "divides": False,
+            "strict": False,
+            "quotient": None,
+        }
+
+    def test_h_explicit_differs(self, trivial_ext_sq):
+        r = self.check(
+            {"task": "galois-H", **self.GALOIS_REP},
+            "factors differ despite the pairing hypothesis",
+            ["formal_reciprocal", "ext_sq_reciprocal", "equal"],
+        )
+        assert r.data == {
+            "formal_reciprocal": "1 - α1*α2*t",
+            "ext_sq_reciprocal": "1",
+            "equal": False,
+        }
+
+    def test_divisibility_random_fails(self, trivial_ext_sq):
+        r = self.check(
+            {"task": "galois-divisibility", "random": {"count": 5}, "seed": 0},
+            "divisibility failed on 1 of 5 random representations",
+            ["count", "all_divide", "strict_count", "failures"],
+        )
+        assert (r.data["count"], r.data["all_divide"], r.data["strict_count"]) == (5, False, 0)
+        assert r.data["failures"] == [
+            {
+                "index": 3,
+                "rep": {
+                    "q": 3,
+                    "group": [1, 1],
+                    "blocks": [
+                        {"grade": [0, 0], "length": 1, "scalar": "-2/3"},
+                        {"grade": [0, 0], "length": 2, "scalar": "3"},
+                        {"grade": [0, 0], "length": 3, "scalar": "-2/5"},
+                    ],
+                },
+            }
+        ]
+
+    def test_h_random_fails(self, trivial_ext_sq):
+        r = self.check(
+            {"task": "galois-H", "random": {"count": 5}, "seed": 0},
+            "equality failed on 4 of 5 representations",
+            ["count", "all_equal", "failures"],
+        )
+        assert (r.data["count"], r.data["all_equal"]) == (5, False)
+        failures = r.data["failures"]
+        assert [f["index"] for f in failures] == [0, 1, 3, 4]
+        assert failures[2] == {
+            "index": 3,
+            "rep": {
+                "q": 5,
+                "group": [1],
+                "blocks": [
+                    {"grade": [0], "length": 1, "scalar": "-1/2"},
+                    {"grade": [0], "length": 1, "scalar": "6/7"},
+                ],
+            },
+        }
+
+    @pytest.mark.parametrize(
+        "satake,keys,torus_sum,expected",
+        [
+            (
+                ["sym", "2", "0"],
+                ["parity", "positive_conductor", "torus_sum", "expected", "first_difference"],
+                "8*α1^2 + 4*α1^3",
+                "1 + 8*α1^2 + 4*α1^3",
+            ),
+            (
+                ["sym", "2", "-1", "1/2"],
+                ["parity", "torus_sum", "central_product", "expected", "first_difference"],
+                "45/8 + 15/8*α1 + 35/8*α1^2 + 15/4*α1^3",
+                "53/8 + 15/8*α1 + 35/8*α1^2 + 15/4*α1^3",
+            ),
+        ],
+    )
+    def test_bf_differs_from_its_product_form(self, monkeypatch, satake, keys, torus_sum, expected):
+        """1 added to the product side at t1 t2^2."""
+        real = tasks.bf_product_series
+
+        def bumped(params, l1, l2):
+            s = real(params, l1, l2)
+            coeffs = [list(row) for row in s.coeffs]
+            coeffs[1][2] = coeffs[1][2] + MultiPoly.one(s.nvars)
+            return TruncSeries2(s.nvars, coeffs)
+
+        monkeypatch.setattr(tasks, "bf_product_series", bumped)
+        r = self.check(
+            {"task": "verify-bf", "satake": satake, "truncation": [2, 3]},
+            "two-variable torus sum differs from its product form at t1^1 t2^2",
+            keys,
+        )
+        assert list(r.data["first_difference"]) == ["t1_power", "t2_power", "torus_sum", "expected"]
+        assert r.data["first_difference"] == {
+            "t1_power": 1,
+            "t2_power": 2,
+            "torus_sum": torus_sum,
+            "expected": expected,
+        }
+        assert r.data["torus_sum"][1][2] == torus_sum
+        assert r.data["expected"][1][2] == expected
+
+    def test_probe_arithmetic_error_fails(self, monkeypatch):
+        def refuse(params, l1, l2):
+            raise ArithmeticError("correction has no constant term")
+
+        monkeypatch.setattr(tasks, "bf_odd_correction_probe", refuse)
+        r = self.check(
+            {"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "truncation": 2},
+            "correction has no constant term",
+            ["conductor_hypothesis"],
+        )
+        assert r.data == {"conductor_hypothesis": True}
 
 
 class TestFmtAgainst:
