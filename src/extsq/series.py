@@ -47,13 +47,6 @@ class TruncSeries1:
         return len(self.coeffs) - 1
 
     @classmethod
-    def unit(cls, nvars: int, order: int) -> "TruncSeries1":
-        return cls(
-            nvars,
-            [MultiPoly.one(nvars)] + [MultiPoly.zero(nvars)] * order,
-        )
-
-    @classmethod
     def from_tpoly(cls, coeffs: Sequence[MultiPoly], nvars: int, order: int) -> "TruncSeries1":
         """Truncate (or zero-pad) a polynomial in t to the given order."""
         padded = list(coeffs[: order + 1])

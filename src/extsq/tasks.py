@@ -13,6 +13,10 @@ Only all-symbolic parameter vectors (zeros allowed) fill the table; numeric
 and mixed vectors are evaluated without it.  Outputs do not depend on that
 reuse.
 
+Each task's runner returns `(verdict, summary, data)`; `run_task` alone
+builds reports, adding the task echo and timing, and turns a precondition
+`ValueError` into an `error` report.
+
 Reports come in two formats.  `machine` is canonical JSON with sorted keys
 and no volatile fields, so identical configs (and seeds) yield byte-identical
 output.  `table` is a human-readable rendering of the same data plus timing.
@@ -28,10 +32,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Any, Sequence
+from functools import partial, reduce
+from typing import Any, Callable, Iterator, Sequence
 
 from .lfactors import (
     DoubledShapeSum,
@@ -47,7 +51,9 @@ from .polynomials import MultiPoly
 from .series import TruncSeries2, series2_first_difference, series_first_difference
 from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
 from .weil_deligne import (
+    DivisibilityVerdict,
     FiniteAbelianGroup,
+    PropHResult,
     WDBlock,
     WDRep,
     divisibility_check,
@@ -77,8 +83,16 @@ TASK_NAMES = (
 )
 
 _SATAKE_TASKS = {"lfactor", "verify-js", "verify-bf", "verify-littlewood", "bf-odd-probe"}
-_GALOIS_TASKS = {"galois-divisibility", "galois-H"}
 _WINDOW_TASKS = {"verify-bf", "bf-odd-probe"}
+
+# The fields each kind of task reads; any other field is a config error.  Every
+# task accepts `seed` and `truncation`, because the CLI's --seed and
+# --truncation write both into every task of a document.
+_SHARED_FIELDS = {"task", "seed", "truncation"}
+_SATAKE_FIELDS = {"satake", "n"}
+_EXPLICIT_FIELDS = {"q", "group", "blocks"}
+_RANDOM_FIELDS = {"random"}
+_KNOWN_FIELDS = _SHARED_FIELDS | _SATAKE_FIELDS | _EXPLICIT_FIELDS | _RANDOM_FIELDS
 
 
 class ConfigError(ValueError):
@@ -105,12 +119,21 @@ class Report:
     task: dict[str, Any]
     verdict: str  # pass | fail | info | error
     summary: str
-    data: dict[str, Any] = field(default_factory=dict)
-    timing_ms: float = 0.0
+    data: dict[str, Any]
+    timing_ms: float
 
     @property
     def exit_code(self) -> int:
         return {"pass": 0, "info": 0, "fail": 1}.get(self.verdict, 2)
+
+
+# What a runner returns: (verdict, summary, data); run_task makes it a Report.
+Outcome = tuple[str, str, dict[str, Any]]
+
+
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(obj: dict, key: str, location: str) -> Any:
@@ -126,7 +149,7 @@ def _parse_int(
     minimum: int | None = None,
     maximum: int | None = None,
 ) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"{what} must be an integer", location)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}", location)
@@ -144,7 +167,7 @@ def _parse_satake(raw: Any, location: str) -> tuple[SatakeParams, list[str]]:
     for i, tok in enumerate(raw):
         if isinstance(tok, str):
             tokens.append(tok.strip())
-        elif isinstance(tok, int) and not isinstance(tok, bool):
+        elif _is_int(tok):
             tokens.append(str(tok))
         else:
             raise ConfigError(
@@ -159,13 +182,9 @@ def _parse_satake(raw: Any, location: str) -> tuple[SatakeParams, list[str]]:
 
 def _parse_truncation(raw: Any, location: str, want_window: bool) -> int | tuple[int, int]:
     if want_window:
-        if isinstance(raw, int) and not isinstance(raw, bool):
+        if _is_int(raw):
             raw = [raw, raw]
-        if (
-            isinstance(raw, list)
-            and len(raw) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
-        ):
+        if isinstance(raw, list) and len(raw) == 2 and all(_is_int(x) for x in raw):
             l1, l2 = (_parse_int(x, "truncation", location, 0, MAX_TRUNCATION) for x in raw)
             return l1, l2
         raise ConfigError("truncation must be an int or a pair of ints", location)
@@ -181,14 +200,12 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
         if not isinstance(b, dict):
             raise ConfigError("each block must be an object", loc)
         grade = _require(b, "grade", loc)
-        if not isinstance(grade, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in grade
-        ):
+        if not isinstance(grade, list) or not all(_is_int(x) for x in grade):
             raise ConfigError("grade must be a list of integers", f"{loc}.grade")
         length = _parse_int(_require(b, "length", loc), "length", f"{loc}.length", 1)
         scalar_raw = _require(b, "scalar", loc)
         scalar: int | Fraction | str
-        if isinstance(scalar_raw, int) and not isinstance(scalar_raw, bool):
+        if _is_int(scalar_raw):
             scalar = scalar_raw
         elif isinstance(scalar_raw, str):
             try:
@@ -220,10 +237,17 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
             f"unknown task {task!r}; expected one of {', '.join(TASK_NAMES)}",
             f"{location}.task",
         )
-    known = {"task", "satake", "n", "truncation", "seed", "q", "group", "blocks", "random"}
+    if task in _SATAKE_TASKS:
+        kind, reads = task, _SATAKE_FIELDS
+    elif "random" in obj:
+        kind, reads = f"a random {task} suite", _RANDOM_FIELDS
+    else:
+        kind, reads = f"{task} with explicit blocks", _EXPLICIT_FIELDS
     for key in obj:
-        if key not in known:
-            raise ConfigError(f"unknown field {key!r}", f"{location}.{key}")
+        if key not in _SHARED_FIELDS and key not in reads:
+            known = key in _KNOWN_FIELDS
+            message = f"{kind} does not read field {key!r}" if known else f"unknown field {key!r}"
+            raise ConfigError(message, f"{location}.{key}")
     seed = 0
     if "seed" in obj:
         seed = _parse_int(obj["seed"], "seed", f"{location}.seed")
@@ -252,37 +276,33 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
         echo["truncation"] = (
             list(cfg.truncation) if isinstance(cfg.truncation, tuple) else cfg.truncation
         )
+    elif "random" in obj:
+        rnd = obj["random"]
+        if not isinstance(rnd, dict):
+            raise ConfigError("random must be an object", f"{location}.random")
+        count = _parse_int(
+            _require(rnd, "count", f"{location}.random"),
+            "count",
+            f"{location}.random.count",
+            1,
+            MAX_RANDOM_COUNT,
+        )
+        cfg.random_count = count
+        # Each drawn representation has its own q and group; the echo keeps
+        # the defaults that random suites have always reported.
+        echo.update(q=DEFAULT_Q, group=[1], random={"count": count})
     else:
-        q = obj.get("q", DEFAULT_Q)
-        q = _parse_int(q, "q", f"{location}.q", 2)
+        q = _parse_int(obj.get("q", DEFAULT_Q), "q", f"{location}.q", 2)
         group_raw = obj.get("group", [1])
-        if not isinstance(group_raw, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in group_raw
-        ):
+        if not isinstance(group_raw, list) or not all(_is_int(x) and x >= 1 for x in group_raw):
             raise ConfigError("group must be a list of positive cyclic orders", f"{location}.group")
         group = FiniteAbelianGroup(tuple(group_raw))
-        echo["q"] = q
-        echo["group"] = list(group.orders)
-        if "random" in obj:
-            rnd = obj["random"]
-            if not isinstance(rnd, dict):
-                raise ConfigError("random must be an object", f"{location}.random")
-            count = _parse_int(
-                _require(rnd, "count", f"{location}.random"),
-                "count",
-                f"{location}.random.count",
-                1,
-                MAX_RANDOM_COUNT,
-            )
-            cfg.random_count = count
-            echo["random"] = {"count": count}
-        else:
-            blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
-            try:
-                cfg.rep = WDRep(q, group, blocks)
-            except ValueError as exc:
-                raise ConfigError(str(exc), f"{location}.blocks") from exc
-            echo.update(_describe_rep(cfg.rep))
+        blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
+        try:
+            cfg.rep = WDRep(q, group, blocks)
+        except ValueError as exc:
+            raise ConfigError(str(exc), f"{location}.blocks") from exc
+        echo.update(_describe_rep(cfg.rep))
     return cfg
 
 
@@ -329,38 +349,19 @@ def _fmt_against(
     return [t if c == r else c.format(names) for c, r, t in zip(coeffs, ref, ref_text)]
 
 
-def _fmt_tpoly(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> str:
-    return LFactor(list(coeffs)).format(names) if coeffs else "0"
-
-
-def _contributions(expansion: DoubledShapeSum, names: Sequence[str]) -> list[dict[str, Any]]:
-    """Partition-indexed Schur coefficients behind a doubled-shape series."""
-    return [
-        {"power": l, "shape": list(shape), "coefficient": value.format(names)}
-        for l, shape, value in expansion.terms
-    ]
-
-
-def _run_lfactor(cfg: TaskConfig) -> Report:
+def _run_lfactor(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
     names = _names(params.nvars)
-    std = standard_L(params)
-    ext = formal_ext_sq_L(params)
     std_series = product_series(params.entries, params.nvars, order)
     ext_series = product_series(ext_sq_roots(params), params.nvars, order)
     data = {
-        "standard_reciprocal": _fmt_tpoly(std.reciprocal, names),
-        "ext_sq_reciprocal": _fmt_tpoly(ext.reciprocal, names),
+        "standard_reciprocal": standard_L(params).format(names),
+        "ext_sq_reciprocal": formal_ext_sq_L(params).format(names),
         "standard_series": _fmt_series1(std_series.coeffs, names),
         "ext_sq_series": _fmt_series1(ext_series.coeffs, names),
     }
-    return Report(
-        task=cfg.echo,
-        verdict="info",
-        summary=f"standard and exterior-square factors expanded through t^{order}",
-        data=data,
-    )
+    return "info", f"standard and exterior-square factors expanded through t^{order}", data
 
 
 def _compare_with_ext_sq(
@@ -369,8 +370,9 @@ def _compare_with_ext_sq(
     """Compare a one-variable sum with the exterior-square factor, into `data`.
 
     Adds the sum under `key`, then `product`, `first_difference` and
-    `contributions`, in that order (the table prints keys as inserted), and
-    returns the lowest power where the two sides differ, or None.
+    `contributions` (the partition-indexed Schur coefficients behind the
+    sum), in that order, since the table prints keys as inserted.  Returns
+    the lowest power where the two sides differ, or None.
     """
     params = cfg.params
     names = _names(params.nvars)
@@ -383,31 +385,25 @@ def _compare_with_ext_sq(
         if diff is None
         else {"power": diff[0], key: lhs_text[diff[0]], "product": rhs_text[diff[0]]}
     )
-    data["contributions"] = _contributions(lhs, names)
+    data["contributions"] = [
+        {"power": l, "shape": list(shape), "coefficient": value.format(names)}
+        for l, shape, value in lhs.terms
+    ]
     return None if diff is None else diff[0]
 
 
-def _run_verify_littlewood(cfg: TaskConfig) -> Report:
+def _run_verify_littlewood(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
     data: dict[str, Any] = {"k": len(params.nonzero_entries)}
     diff = _compare_with_ext_sq(cfg, data, "expansion", ext_sq_expansion(params, order))
-    if diff is None:
-        return Report(
-            cfg.echo,
-            "pass",
-            f"doubled-shape expansion matches the exterior-square factor through t^{order}",
-            data,
-        )
-    return Report(
-        cfg.echo,
-        "fail",
-        f"expansion differs from the exterior-square factor at t^{diff}",
-        data,
-    )
+    if diff is not None:
+        return "fail", f"expansion differs from the exterior-square factor at t^{diff}", data
+    summary = f"doubled-shape expansion matches the exterior-square factor through t^{order}"
+    return "pass", summary, data
 
 
-def _run_verify_js(cfg: TaskConfig) -> Report:
+def _run_verify_js(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
     even = params.n % 2 == 0
@@ -421,23 +417,13 @@ def _run_verify_js(cfg: TaskConfig) -> Report:
             "identity not asserted: even rank with every entry nonzero "
             "(conductor hypothesis fails); series reported for inspection"
         )
-        return Report(cfg.echo, "info", note, data)
-    if diff is None:
-        return Report(
-            cfg.echo,
-            "pass",
-            f"torus sum equals the exterior-square factor through t^{order}",
-            data,
-        )
-    return Report(
-        cfg.echo,
-        "fail",
-        f"torus sum differs from the exterior-square factor at t^{diff}",
-        data,
-    )
+        return "info", note, data
+    if diff is not None:
+        return "fail", f"torus sum differs from the exterior-square factor at t^{diff}", data
+    return "pass", f"torus sum equals the exterior-square factor through t^{order}", data
 
 
-def _run_verify_bf(cfg: TaskConfig) -> Report:
+def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     l1, l2 = cfg.truncation
     names = _names(params.nvars)
@@ -448,13 +434,11 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
         data["positive_conductor"] = params.has_zero
     lhs_text = data["torus_sum"] = _fmt_series2(lhs, names)
     if odd and not params.has_zero:
-        return Report(
-            cfg.echo,
-            "info",
+        note = (
             "identity not asserted: odd rank with every entry nonzero has no "
-            "closed product form here; run bf-odd-probe for the empirical correction",
-            data,
+            "closed product form here; run bf-odd-probe for the empirical correction"
         )
+        return "info", note, data
     expected = bf_product_series(params, l1, l2)
     form = "the product of factors"
     if not odd:
@@ -474,54 +458,36 @@ def _run_verify_bf(cfg: TaskConfig) -> Report:
         _fmt_against(row, lhs_row, text_row, names)
         for row, lhs_row, text_row in zip(expected.coeffs, lhs.coeffs, lhs_text)
     ]
-    data["first_difference"] = (
-        None
-        if diff is None
-        else {
-            "t1_power": diff[0][0],
-            "t2_power": diff[0][1],
-            "torus_sum": lhs_text[diff[0][0]][diff[0][1]],
-            "expected": expected_text[diff[0][0]][diff[0][1]],
-        }
-    )
     if diff is None:
-        return Report(
-            cfg.echo, "pass", f"two-variable torus sum matches {form} through ({l1}, {l2})", data
-        )
-    return Report(
-        cfg.echo,
-        "fail",
-        f"two-variable torus sum differs from its product form at t1^{diff[0][0]} t2^{diff[0][1]}",
-        data,
-    )
+        data["first_difference"] = None
+        return "pass", f"two-variable torus sum matches {form} through ({l1}, {l2})", data
+    (i, j), _, _ = diff
+    data["first_difference"] = {
+        "t1_power": i,
+        "t2_power": j,
+        "torus_sum": lhs_text[i][j],
+        "expected": expected_text[i][j],
+    }
+    summary = f"two-variable torus sum differs from its product form at t1^{i} t2^{j}"
+    return "fail", summary, data
 
 
-def _run_bf_odd_probe(cfg: TaskConfig) -> Report:
+def _run_bf_odd_probe(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     l1, l2 = cfg.truncation
-    names = _names(params.nvars)
     try:
         probe = bf_odd_correction_probe(params, l1, l2)
     except ArithmeticError as exc:
-        return Report(cfg.echo, "fail", str(exc), {"conductor_hypothesis": True})
+        return "fail", str(exc), {"conductor_hypothesis": True}
     data = {
         "conductor_hypothesis": probe.conductor_hypothesis,
         "matches_product": probe.matches_product,
-        "correction": _fmt_series2(probe.correction, names),
+        "correction": _fmt_series2(probe.correction, _names(params.nvars)),
     }
     if probe.conductor_hypothesis:
-        return Report(
-            cfg.echo,
-            "pass",
-            f"correction factor is exactly 1 through ({l1}, {l2})",
-            data,
-        )
-    return Report(
-        cfg.echo,
-        "info",
-        "no identity asserted for all-nonzero odd rank; empirical correction reported",
-        data,
-    )
+        return "pass", f"correction factor is exactly 1 through ({l1}, {l2})", data
+    note = "no identity asserted for all-nonzero odd rank; empirical correction reported"
+    return "info", note, data
 
 
 def _describe_rep(rep: WDRep) -> dict[str, Any]:
@@ -535,100 +501,74 @@ def _describe_rep(rep: WDRep) -> dict[str, Any]:
     }
 
 
-def _run_galois_divisibility(cfg: TaskConfig) -> Report:
-    if cfg.random_count is None:
-        rep = cfg.rep
-        names = _names(rep.nvars)
-        verdict = divisibility_check(rep)
-        data = {
-            "formal_reciprocal": _fmt_tpoly(verdict.formal_factor.reciprocal, names),
-            "ext_sq_reciprocal": _fmt_tpoly(verdict.ext_sq_factor.reciprocal, names),
-            "divides": verdict.divides,
-            "strict": verdict.strict,
-            "quotient": None
-            if verdict.quotient is None
-            else _fmt_tpoly(verdict.quotient, names),
-        }
-        if verdict.divides:
-            kind = "strictly" if verdict.strict else "with quotient 1"
-            return Report(
-                cfg.echo, "pass", f"pair-product factor divides the exterior-square factor {kind}", data
-            )
-        return Report(
-            cfg.echo, "fail", "pair-product factor does not divide the exterior-square factor", data
-        )
+def _reciprocals(result: DivisibilityVerdict | PropHResult, names: Sequence[str]) -> dict[str, Any]:
+    """The two factors an explicit Galois check compares, the first keys of its data."""
+    return {
+        "formal_reciprocal": result.formal_factor.format(names),
+        "ext_sq_reciprocal": result.ext_sq_factor.format(names),
+    }
+
+
+def _random_reps(cfg: TaskConfig, draw: Callable[[random.Random], WDRep]) -> Iterator[WDRep]:
+    """The cfg.random_count representations of a random suite, drawn from cfg.seed."""
     rng = random.Random(cfg.seed)
+    return (draw(rng) for _ in range(cfg.random_count))
+
+
+def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
+    if cfg.random_count is None:
+        names = _names(cfg.rep.nvars)
+        verdict = divisibility_check(cfg.rep)
+        data = _reciprocals(verdict, names)
+        data["divides"] = verdict.divides
+        data["strict"] = verdict.strict
+        quotient = verdict.quotient
+        data["quotient"] = None if quotient is None else LFactor(quotient).format(names)
+        if not verdict.divides:
+            return "fail", "pair-product factor does not divide the exterior-square factor", data
+        kind = "strictly" if verdict.strict else "with quotient 1"
+        return "pass", f"pair-product factor divides the exterior-square factor {kind}", data
+    count = cfg.random_count
     failures: list[dict[str, Any]] = []
     strict_count = 0
-    for i in range(cfg.random_count):
-        rep = random_wdrep(rng)
+    for i, rep in enumerate(_random_reps(cfg, random_wdrep)):
         verdict = divisibility_check(rep)
         if not verdict.divides:
             failures.append({"index": i, "rep": _describe_rep(rep)})
         elif verdict.strict:
             strict_count += 1
     data = {
-        "count": cfg.random_count,
+        "count": count,
         "all_divide": not failures,
         "strict_count": strict_count,
         "failures": failures,
     }
-    if not failures:
-        return Report(
-            cfg.echo,
-            "pass",
-            f"divisibility holds on all {cfg.random_count} random representations "
-            f"({strict_count} strict)",
-            data,
-        )
-    return Report(
-        cfg.echo,
-        "fail",
-        f"divisibility failed on {len(failures)} of {cfg.random_count} random representations",
-        data,
-    )
+    if failures:
+        summary = f"divisibility failed on {len(failures)} of {count} random representations"
+        return "fail", summary, data
+    summary = f"divisibility holds on all {count} random representations ({strict_count} strict)"
+    return "pass", summary, data
 
 
-def _run_galois_h(cfg: TaskConfig) -> Report:
+def _run_galois_h(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
-        rep = cfg.rep
-        names = _names(rep.nvars)
-        result = prop_H_equality(rep)
-        data = {
-            "formal_reciprocal": _fmt_tpoly(result.formal_factor.reciprocal, names),
-            "ext_sq_reciprocal": _fmt_tpoly(result.ext_sq_factor.reciprocal, names),
-            "equal": result.equal,
-        }
-        if result.equal:
-            return Report(
-                cfg.echo, "pass", "factors agree exactly under the pairing hypothesis", data
-            )
-        return Report(cfg.echo, "fail", "factors differ despite the pairing hypothesis", data)
-    rng = random.Random(cfg.seed)
-    failures = []
-    for i in range(cfg.random_count):
-        rep = random_k1_rep(rng, require_hypothesis=True)
-        result = prop_H_equality(rep)
+        result = prop_H_equality(cfg.rep)
+        data = _reciprocals(result, _names(cfg.rep.nvars))
+        data["equal"] = result.equal
         if not result.equal:
-            failures.append({"index": i, "rep": _describe_rep(rep)})
-    data = {
-        "count": cfg.random_count,
-        "all_equal": not failures,
-        "failures": failures,
-    }
-    if not failures:
-        return Report(
-            cfg.echo,
-            "pass",
-            f"equality holds on all {cfg.random_count} random semisimple representations",
-            data,
-        )
-    return Report(
-        cfg.echo,
-        "fail",
-        f"equality failed on {len(failures)} of {cfg.random_count} representations",
-        data,
-    )
+            return "fail", "factors differ despite the pairing hypothesis", data
+        return "pass", "factors agree exactly under the pairing hypothesis", data
+    count = cfg.random_count
+    draw = partial(random_k1_rep, require_hypothesis=True)
+    failures = [
+        {"index": i, "rep": _describe_rep(rep)}
+        for i, rep in enumerate(_random_reps(cfg, draw))
+        if not prop_H_equality(rep).equal
+    ]
+    data = {"count": count, "all_equal": not failures, "failures": failures}
+    if failures:
+        return "fail", f"equality failed on {len(failures)} of {count} representations", data
+    return "pass", f"equality holds on all {count} random semisimple representations", data
 
 
 _RUNNERS = {
@@ -646,11 +586,10 @@ def run_task(cfg: TaskConfig) -> Report:
     """Execute one task; module precondition violations become error reports."""
     start = time.perf_counter()
     try:
-        report = _RUNNERS[cfg.task](cfg)
+        verdict, summary, data = _RUNNERS[cfg.task](cfg)
     except ValueError as exc:
-        report = Report(cfg.echo, "error", f"precondition violated: {exc}")
-    report.timing_ms = (time.perf_counter() - start) * 1000.0
-    return report
+        verdict, summary, data = "error", f"precondition violated: {exc}", {}
+    return Report(cfg.echo, verdict, summary, data, (time.perf_counter() - start) * 1000.0)
 
 
 def run_all(configs: Sequence[TaskConfig]) -> list[Report]:

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,73 @@ class TestParseTask:
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
             parse_task({"task": "lfactor", "satake": ["sym"], "extra": 1})
+
+    @pytest.mark.parametrize(
+        "body, key, message",
+        [
+            (
+                {"task": "galois-divisibility", "random": {"count": 2}, "q": 7},
+                "q",
+                "a random galois-divisibility suite does not read field 'q'",
+            ),
+            (
+                {"task": "galois-H", "random": {"count": 2}, "group": [3]},
+                "group",
+                "a random galois-H suite does not read field 'group'",
+            ),
+            (
+                {"task": "galois-H", "random": {"count": 2}, "blocks": [1]},
+                "blocks",
+                "a random galois-H suite does not read field 'blocks'",
+            ),
+            (
+                {"task": "lfactor", "satake": ["sym"], "q": 5},
+                "q",
+                "lfactor does not read field 'q'",
+            ),
+            (
+                {"task": "verify-js", "satake": ["sym", "sym"], "blocks": [1]},
+                "blocks",
+                "verify-js does not read field 'blocks'",
+            ),
+            (
+                {"task": "verify-bf", "satake": ["sym", "sym"], "random": {"count": 1}},
+                "random",
+                "verify-bf does not read field 'random'",
+            ),
+            (
+                {"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "group": [2]},
+                "group",
+                "bf-odd-probe does not read field 'group'",
+            ),
+            (
+                {"task": "galois-H", "blocks": [], "satake": ["sym"]},
+                "satake",
+                "galois-H with explicit blocks does not read field 'satake'",
+            ),
+            (
+                {"task": "galois-divisibility", "random": {"count": 2}, "n": 2},
+                "n",
+                "a random galois-divisibility suite does not read field 'n'",
+            ),
+        ],
+    )
+    def test_field_the_task_does_not_read(self, body, key, message):
+        with pytest.raises(ConfigError) as err:
+            parse_task(body)
+        assert err.value.location == f"task.{key}"
+        assert str(err.value) == f"task.{key}: {message}"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"task": "lfactor", "satake": ["sym"]},
+            {"task": "galois-H", "blocks": [{"grade": [0], "length": 1, "scalar": "a"}]},
+            {"task": "galois-divisibility", "random": {"count": 2}},
+        ],
+    )
+    def test_every_task_accepts_seed_and_truncation(self, body):
+        assert parse_task({**body, "seed": 2, "truncation": 3}).seed == 2
 
     def test_satake_required(self):
         with pytest.raises(ConfigError, match="satake"):
@@ -672,6 +740,23 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["reports"][0]["data"]["count"] == 3
+
+    def test_random_suite_refuses_explicit_fields_exit_2(self, capsys):
+        code, _ = self.run_cli(
+            "galois-divisibility",
+            "--q", "7",
+            "--group", "3",
+            "--block", "0:1:2",
+            "--random-count", "2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "task.q: a random galois-divisibility suite does not read field 'q'" in err
+
+    def test_overrides_reach_every_task_of_a_document(self):
+        config = Path(__file__).resolve().parents[1] / "configs" / "galois.json"
+        code, _ = self.run_cli("run", "--config", str(config), "--truncation", "3", "--seed", "2")
+        assert code == 0
 
     def test_random_count_above_cap_exit_2(self):
         code, _ = self.run_cli("galois-H", "--random-count", "100001")
