@@ -133,6 +133,52 @@ class TestParseTask:
         assert str(err.value) == f"task.{key}: {message}"
 
     @pytest.mark.parametrize(
+        "body, location, message",
+        [
+            (
+                {"task": "lfactor", "satake": ["sym"], "seed": True},
+                "task.seed",
+                "seed must be an integer",
+            ),
+            (
+                {"task": "lfactor", "satake": ["sym"], "truncation": False},
+                "task.truncation",
+                "truncation must be an integer",
+            ),
+            (
+                {"task": "verify-bf", "satake": ["sym", "sym"], "truncation": [True, 2]},
+                "task.truncation",
+                "truncation must be an int or a pair of ints",
+            ),
+            (
+                {"task": "lfactor", "satake": ["sym", True]},
+                "task.satake[1]",
+                "satake entries must be 'sym' or exact rationals",
+            ),
+            (
+                {"task": "galois-H", "group": [True], "blocks": []},
+                "task.group",
+                "group must be a list of positive cyclic orders",
+            ),
+            (
+                {"task": "galois-H", "blocks": [{"grade": [False], "length": 1, "scalar": "a"}]},
+                "task.blocks[0].grade",
+                "grade must be a list of integers",
+            ),
+            (
+                {"task": "galois-H", "blocks": [{"grade": [0], "length": 1, "scalar": True}]},
+                "task.blocks[0].scalar",
+                "scalar must be an int, rational string, or symbol name",
+            ),
+        ],
+    )
+    def test_bool_is_not_an_integer(self, body, location, message):
+        with pytest.raises(ConfigError) as err:
+            parse_task(body)
+        assert err.value.location == location
+        assert str(err.value) == f"{location}: {message}"
+
+    @pytest.mark.parametrize(
         "body",
         [
             {"task": "lfactor", "satake": ["sym"]},
