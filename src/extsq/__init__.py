@@ -15,7 +15,6 @@ from .series import (
 from .symmetric import (
     alternating_sum,
     complete_homogeneous,
-    dominant_vectors,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
@@ -37,12 +36,10 @@ from .lfactors import (
 )
 from .torus_sums import (
     BFProbeResult,
-    WhittakerValue,
     bf_odd_correction_probe,
     bf_series,
     delta_half_exponent,
     js_series,
-    whittaker_value,
 )
 from .weil_deligne import (
     DivisibilityVerdict,
@@ -70,7 +67,6 @@ __all__ = [
     "series2_first_difference",
     "alternating_sum",
     "complete_homogeneous",
-    "dominant_vectors",
     "doubled_shape",
     "even_index_sum",
     "partitions_bounded",
@@ -88,12 +84,10 @@ __all__ = [
     "reciprocal_quotient",
     "standard_L",
     "BFProbeResult",
-    "WhittakerValue",
     "bf_odd_correction_probe",
     "bf_series",
     "delta_half_exponent",
     "js_series",
-    "whittaker_value",
     "DivisibilityVerdict",
     "FiniteAbelianGroup",
     "PropHResult",

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .polynomials import MultiPoly, append_variable, divexact_binomial, times_linear_factors
 
@@ -251,36 +251,6 @@ def alternating_sum(f: Sequence[int]) -> int:
 def even_index_sum(f: Sequence[int]) -> int:
     """f2 + f4 + ... (the t2-exponent of a torus vector)."""
     return sum(f[1::2])
-
-
-def dominant_vectors(length: int, l1: int, l2: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing nonnegative vectors with bounded torus exponents.
-
-    Yields each f in Z^length with f1 >= ... >= f_length >= 0 whose
-    alternating sum is <= l1 and whose even-index sum is <= l2, exactly once,
-    in ascending lexicographic order.  Both exponents are nonnegative on
-    weakly decreasing vectors, so the window (l1, l2) leaves finitely many
-    vectors: f1 <= l1 + l2.
-    """
-    if l1 < 0 or l2 < 0:
-        raise ValueError("window bounds must be nonnegative")
-
-    def rec(prefix: list[int], pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            if alternating_sum(prefix) <= l1 and even_index_sum(prefix) <= l2:
-                yield tuple(prefix)
-            return
-        # completed pairs only ever add nonnegative amounts to both sums
-        pairs_done = prefix[: 2 * (pos // 2)]
-        if alternating_sum(pairs_done) > l1 or even_index_sum(prefix) > l2:
-            return
-        hi = prefix[-1] if prefix else l1 + l2
-        for value in range(hi + 1):
-            prefix.append(value)
-            yield from rec(prefix, pos + 1)
-            prefix.pop()
-
-    yield from rec([], 0)
 
 
 def doubled_shape(f: Sequence[int], pairs: int, extra_zeros: int) -> tuple[int, ...]:

@@ -66,10 +66,10 @@ FORMAT_VERSION = 1
 DEFAULT_TRUNCATION = 6
 DEFAULT_Q = 5
 MAX_RANDOM_COUNT = 100_000
-# Work grows steeply with both; the benchmark's largest tasks use order 8 and
-# rank 6.  A value above a cap is a config error.
+# Work grows steeply with all three; the benchmark's largest tasks use order
+# 8, rank 6 and Galois dimension 10.  A value above a cap is a config error.
 MAX_TRUNCATION = 32
-MAX_RANK = 16
+MAX_RANK = 16  # the Satake rank and the dimension of a Galois representation
 TRUNCATION_ENV_VAR = "EXTSQ_TRUNCATION"
 
 TASK_NAMES = (
@@ -288,9 +288,7 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
             MAX_RANDOM_COUNT,
         )
         cfg.random_count = count
-        # Each drawn representation has its own q and group; the echo keeps
-        # the defaults that random suites have always reported.
-        echo.update(q=DEFAULT_Q, group=[1], random={"count": count})
+        echo["random"] = {"count": count}
     else:
         q = _parse_int(obj.get("q", DEFAULT_Q), "q", f"{location}.q", 2)
         group_raw = obj.get("group", [1])
@@ -298,6 +296,12 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
             raise ConfigError("group must be a list of positive cyclic orders", f"{location}.group")
         group = FiniteAbelianGroup(tuple(group_raw))
         blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
+        dim = sum(b.length for b in blocks)
+        if dim > MAX_RANK:
+            raise ConfigError(
+                f"blocks must have lengths summing to at most {MAX_RANK}, got {dim}",
+                f"{location}.blocks",
+            )
         try:
             cfg.rep = WDRep(q, group, blocks)
         except ValueError as exc:

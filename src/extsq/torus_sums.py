@@ -1,13 +1,19 @@
 """Torus sums realizing the local zeta integrals on their support.
 
 On the diagonal torus a spherical Whittaker function is supported on
-dominant exponent vectors, where it equals a half-density factor times a
-Schur polynomial in the parameter entries.  Unipotent integration is
-already folded in, so each zeta integral collapses to a sum over the torus
-lattice, where the half-density exponents cancel against the measure.
+dominant exponent vectors, where it equals a half-density factor
+q^(e/2) (`delta_half_exponent`, e stored as an integer, never a radical)
+times a Schur polynomial in the parameter entries.  Unipotent integration
+is already folded in, so each zeta integral collapses to a sum over the
+torus lattice, and on every summed vector the half-density exponent cancels
+against the measure: each term is a Schur value alone.
 
-Exponents of the residue-field size q are carried as integer half-powers
-(q^{e/2} is stored as e), never as radicals.
+Every sum here walks `symmetric.partitions_bounded` and evaluates with
+`schur_eval_padded`.  `js_series` sums the doubled shapes
+(`lfactors.doubled_shape_sum`).  `bf_series` is Littlewood's sum graded by
+odd columns (Macdonald, *Symmetric Functions*, I.5 Ex. 5): its t1^a t2^b
+coefficient sums s_lam over the partitions lam with at most n-1 rows,
+a = c_odd(lam) odd columns and |lam| = a + 2b.
 
 The product sides these sums are compared with are built from their linear
 roots: `bf_product_series` is the outer product of the two factors' series
@@ -31,7 +37,7 @@ from .lfactors import (
     product_series,
 )
 from .series import TruncSeries2
-from .symmetric import alternating_sum, dominant_vectors, even_index_sum, schur_eval_padded
+from .symmetric import alternating_sum, even_index_sum, partitions_bounded, schur_eval_padded
 
 
 def delta_half_exponent(g: Sequence[int], n: int) -> int:
@@ -39,40 +45,6 @@ def delta_half_exponent(g: Sequence[int], n: int) -> int:
     if len(g) != n:
         raise ValueError(f"vector of length {len(g)} does not fit GL_{n}")
     return -sum((n - 2 * (i + 1) + 1) * gi for i, gi in enumerate(g))
-
-
-@dataclass(frozen=True)
-class WhittakerValue:
-    """A Whittaker function value q^(q_half_exponent/2) * coefficient."""
-
-    q_half_exponent: int
-    coefficient: MultiPoly
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero
-
-
-def whittaker_value(g: Sequence[int], params: SatakeParams) -> WhittakerValue:
-    """Normalized spherical Whittaker value at the torus exponent vector g.
-
-    Zero off the dominant cone; on it, the half-density exponent together
-    with the Schur polynomial of the shape g at the parameter entries.
-    The last exponent must be nonnegative (central reduction); g_n < 0 is a
-    usage error, not a zero.
-    """
-    g = tuple(g)
-    n = params.n
-    if len(g) != n:
-        raise ValueError(f"exponent vector of length {len(g)} does not match n={n}")
-    if g and g[-1] < 0:
-        raise ValueError("last torus exponent must be nonnegative")
-    if any(a < b for a, b in zip(g, g[1:])):
-        return WhittakerValue(0, MultiPoly.zero(params.nvars))
-    return WhittakerValue(
-        delta_half_exponent(g, n),
-        schur_eval_padded(g, params.entries),
-    )
 
 
 def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
@@ -96,21 +68,22 @@ def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
 def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     """Two-variable torus sum pairing the standard and exterior-square factors.
 
-    Sums s_(f,0)(params) t1^(f1-f2+f3-...) t2^(f2+f4+...) over weakly
-    decreasing nonnegative f in Z^(n-1) inside the truncation window.
+    Littlewood's sum graded by odd columns: s_lam(params) t1^a t2^b over the
+    partitions lam with at most n-1 rows, a = lam1-lam2+lam3-... (the number
+    of odd columns) and b = lam2+lam4+..., so |lam| = a + 2b.  The window
+    (l1, l2) bounds the weight by l1 + 2*l2.
     """
     n = params.n
     if n < 2:
         raise ValueError("need n >= 2")
     zero = MultiPoly.zero(params.nvars)
     grid = [[zero for _ in range(l2 + 1)] for _ in range(l1 + 1)]
-    for f in dominant_vectors(n - 1, l1, l2):
-        coeff = whittaker_value(f + (0,), params).coefficient
-        if coeff.is_zero:
-            continue
-        a = alternating_sum(f)
-        b = even_index_sum(f)
-        grid[a][b] = grid[a][b] + coeff
+    for weight in range(l1 + 2 * l2 + 1):
+        for shape in partitions_bounded(weight, n - 1):
+            a = alternating_sum(shape)
+            b = even_index_sum(shape)
+            if a <= l1 and b <= l2:
+                grid[a][b] = grid[a][b] + schur_eval_padded(shape, params.entries)
     return TruncSeries2(params.nvars, grid)
 
 

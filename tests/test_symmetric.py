@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from extsq.symmetric import (
     alternating_sum,
     check_partition,
     complete_homogeneous,
-    dominant_vectors,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
@@ -293,29 +291,6 @@ class TestTorusExponents:
     def test_even_index_sum(self):
         assert even_index_sum((5, 2, 1)) == 2
         assert even_index_sum((5, 2, 1, 7)) == 9
-
-
-class TestDominantVectors:
-    def brute(self, length, l1, l2):
-        cap = l1 + l2
-        out = []
-        for f in itertools.product(range(cap + 1), repeat=length):
-            if all(f[i] >= f[i + 1] for i in range(length - 1)):
-                if alternating_sum(f) <= l1 and even_index_sum(f) <= l2:
-                    out.append(f)
-        return sorted(out)
-
-    @pytest.mark.parametrize("length,l1,l2", [(1, 3, 0), (2, 2, 2), (3, 2, 2), (4, 1, 2), (3, 0, 0)])
-    def test_against_brute_force(self, length, l1, l2):
-        got = list(dominant_vectors(length, l1, l2))
-        assert got == self.brute(length, l1, l2)
-
-    def test_window_zero(self):
-        assert list(dominant_vectors(3, 0, 0)) == [(0, 0, 0)]
-
-    def test_negative_window(self):
-        with pytest.raises(ValueError):
-            list(dominant_vectors(2, -1, 0))
 
 
 class TestDoubledShape:

@@ -189,6 +189,11 @@ class TestParseTask:
     def test_every_task_accepts_seed_and_truncation(self, body):
         assert parse_task({**body, "seed": 2, "truncation": 3}).seed == 2
 
+    def test_random_suite_echoes_no_q_or_group(self):
+        """Each drawn representation has its own q and group."""
+        cfg = parse_task({"task": "galois-H", "random": {"count": 3}, "seed": 4})
+        assert cfg.echo == {"task": "galois-H", "seed": 4, "random": {"count": 3}}
+
     def test_satake_required(self):
         with pytest.raises(ConfigError, match="satake"):
             parse_task({"task": "verify-js"})
@@ -217,6 +222,13 @@ class TestParseTask:
         assert parse_task({**body, "truncation": [3, 5]}).truncation == (3, 5)
         with pytest.raises(ConfigError):
             parse_task({**body, "truncation": [1, 2, 3]})
+
+    def test_negative_window_refused(self):
+        body = {"task": "verify-bf", "satake": ["sym", "sym"]}
+        for window in ([-1, 0], [0, -1]):
+            with pytest.raises(ConfigError) as err:
+                parse_task({**body, "truncation": window})
+            assert str(err.value) == "task.truncation: truncation must be >= 0"
 
     def test_bf_odd_probe_parity(self):
         with pytest.raises(ConfigError, match="odd"):
@@ -808,15 +820,41 @@ class TestCli:
         code, _ = self.run_cli("galois-H", "--random-count", "100001")
         assert code == 2
 
-    def test_failing_verdict_exit_1(self, tmp_path):
-        # craft a fail: verify-bf asserted identity is wrong if we lie about
-        # the expected product -- instead use a genuinely failing check:
-        # even-rank js with all nonzero is info, so force failure through a
-        # task that compares unequal series: none ship by construction, so
-        # simulate via galois-divisibility on a rep where divisibility holds
-        # (cannot fail honestly) -- fall back to exit_code unit: covered in
-        # TestEmission.  Here just confirm info stays 0.
-        code, _ = self.run_cli(
-            "verify-js", "--satake", "sym,sym,sym,sym", "--truncation", "2"
+    def test_failing_verdict_exit_1(self, monkeypatch):
+        """A fail forced on the product side (as in TestFailBranches) exits 1."""
+        real = tasks.bf_product_series
+
+        def bumped(params, l1, l2):
+            s = real(params, l1, l2)
+            coeffs = [list(row) for row in s.coeffs]
+            coeffs[1][2] = coeffs[1][2] + MultiPoly.one(s.nvars)
+            return TruncSeries2(s.nvars, coeffs)
+
+        monkeypatch.setattr(tasks, "bf_product_series", bumped)
+        code, out = self.run_cli(
+            "verify-bf", "--satake", "sym,2,0", "--truncation", "2,3", "--format", "machine"
+        )
+        assert code == 1
+        assert json.loads(out)["reports"][0]["verdict"] == "fail"
+
+    def test_info_verdict_exits_0(self):
+        code, out = self.run_cli(
+            "verify-js", "--satake", "sym,sym,sym,sym", "--truncation", "2", "--format", "machine"
         )
         assert code == 0
+        assert json.loads(out)["reports"][0]["verdict"] == "info"
+
+    @pytest.mark.parametrize(
+        "blocks", [["--block", "0:17:2"], ["--block", "0:1:2"] * 17], ids=["one_block", "17_blocks"]
+    )
+    def test_galois_dimension_above_cap_exit_2(self, capsys, blocks):
+        code, _ = self.run_cli("galois-divisibility", *blocks)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "task.blocks: blocks must have lengths summing to at most 16, got 17" in err
+
+    def test_galois_dimension_at_cap_exit_0(self):
+        blocks = ["--block", "0:1:2"] * 16
+        code, out = self.run_cli("galois-divisibility", *blocks, "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["verdict"] == "pass"

@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given
@@ -13,14 +14,13 @@ from extsq.series import (
     series2_first_difference,
     series_first_difference,
 )
-from extsq.symmetric import schur_eval_padded
+from extsq.symmetric import alternating_sum, even_index_sum, schur_bialternant
 from extsq.torus_sums import (
     bf_odd_correction_probe,
     bf_product_series,
     bf_series,
     delta_half_exponent,
     js_series,
-    whittaker_value,
 )
 
 
@@ -54,33 +54,6 @@ class TestDeltaHalfExponent:
         n = len(g)
         rep = [x for x in g for _ in range(2)]
         assert delta_half_exponent(rep, 2 * n) == 4 * delta_half_exponent(g, n)
-
-
-class TestWhittakerValue:
-    def test_non_dominant_is_zero(self):
-        p = SatakeParams.symbolic(3)
-        assert whittaker_value((1, 2, 0), p).is_zero
-
-    def test_negative_last_exponent_rejected(self):
-        p = SatakeParams.symbolic(2)
-        with pytest.raises(ValueError):
-            whittaker_value((0, -1), p)
-
-    def test_length_mismatch(self):
-        p = SatakeParams.symbolic(2)
-        with pytest.raises(ValueError):
-            whittaker_value((1, 0, 0), p)
-
-    def test_dominant_value(self):
-        p = SatakeParams.symbolic(3)
-        v = whittaker_value((2, 1, 0), p)
-        assert v.q_half_exponent == delta_half_exponent((2, 1, 0), 3)
-        assert v.coefficient == schur_eval_padded((2, 1, 0), p.entries)
-
-    def test_zero_entry_can_kill_value(self):
-        p = SatakeParams.parse(["sym", "0"])
-        assert whittaker_value((1, 1), p).is_zero
-        assert not whittaker_value((1, 0), p).is_zero
 
 
 class TestJsSeries:
@@ -176,6 +149,52 @@ class TestBfSeries:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             bf_series(SatakeParams.parse(["sym"]), 2, 2)
+
+
+@lru_cache(maxsize=None)
+def _bialternant(shape, k):
+    return schur_bialternant(shape, k)
+
+
+# per rank n: symbolic, mixed and rational vectors, each without and with a
+# zero, and one nonzero entry, which leaves only the one-row shapes
+_BF_ORACLE_VECTORS = {
+    "sym": lambda n: ["sym"] * n,
+    "sym_zero": lambda n: ["sym", "0"] + ["sym"] * (n - 2),
+    "mixed": lambda n: ["sym", "2/3", "-3", "sym", "1/2"][:n],
+    "mixed_zero": lambda n: ["sym", "0", "-3/4", "2", "sym"][:n],
+    "rational": lambda n: ["1/2", "-3", "5/7", "2", "-1"][:n],
+    "rational_zero": lambda n: ["0", "3/4", "-2", "1/6", "5"][:n],
+    "one_nonzero": lambda n: ["0", "sym"] + ["0"] * (n - 2),
+}
+
+
+class TestBfSeriesOracle:
+    """bf_series against a brute-force sum over every vector in a box."""
+
+    @staticmethod
+    def brute(params, l1, l2):
+        n = params.n
+        nonzero = list(params.nonzero_entries)
+        k = len(nonzero)
+        grid = [[MultiPoly.zero(params.nvars) for _ in range(l2 + 1)] for _ in range(l1 + 1)]
+        for f in itertools.product(range(l1 + l2 + 1), repeat=n - 1):
+            if any(x < y for x, y in zip(f, f[1:])):
+                continue
+            a, b = alternating_sum(f), even_index_sum(f)
+            shape = tuple(x for x in f if x)
+            if a > l1 or b > l2 or len(shape) > k:
+                continue
+            value = _bialternant(shape, k).substitute(nonzero, nvars=params.nvars)
+            grid[a][b] = grid[a][b] + value
+        return TruncSeries2(params.nvars, grid)
+
+    @pytest.mark.parametrize("l1,l2", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("kind", list(_BF_ORACLE_VECTORS))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_against_brute_force(self, n, kind, l1, l2):
+        p = SatakeParams.parse(_BF_ORACLE_VECTORS[kind](n))
+        assert bf_series(p, l1, l2) == self.brute(p, l1, l2)
 
 
 class TestBfProductSeries:
