@@ -265,6 +265,8 @@ def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | N
     Conversely, if those r_k vanish, then D*Q and N both have degree <= dn
     and agree mod t^(dn+1), so D*Q = N.  The check is therefore sound and
     complete, with no series inverse, verifying product or division.
+    It is the tests' oracle of `weil_deligne.divisibility_check`, which
+    compares root multisets instead.
     """
     if num.nvars != den.nvars:
         raise ValueError("factors in different symbol spaces")

@@ -506,10 +506,15 @@ def _describe_rep(rep: WDRep) -> dict[str, Any]:
 
 
 def _reciprocals(result: DivisibilityVerdict | PropHResult, names: Sequence[str]) -> dict[str, Any]:
-    """The two factors an explicit Galois check compares, the first keys of its data."""
+    """The two factors an explicit Galois check compares, the first keys of its data.
+
+    Equal root multisets give one factor object, formatted once.
+    """
+    formal = result.formal_factor.format(names)
+    same = result.ext_sq_factor is result.formal_factor
     return {
-        "formal_reciprocal": result.formal_factor.format(names),
-        "ext_sq_reciprocal": result.ext_sq_factor.format(names),
+        "formal_reciprocal": formal,
+        "ext_sq_reciprocal": formal if same else result.ext_sq_factor.format(names),
     }
 
 
@@ -527,7 +532,12 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
         data["divides"] = verdict.divides
         data["strict"] = verdict.strict
         quotient = verdict.quotient
-        data["quotient"] = None if quotient is None else LFactor(quotient).format(names)
+        if quotient is None:
+            data["quotient"] = None
+        elif verdict.formal_factor.degree == 0:  # the quotient is the exterior-square factor
+            data["quotient"] = data["ext_sq_reciprocal"]
+        else:
+            data["quotient"] = LFactor(quotient).format(names)
         if not verdict.divides:
             return "fail", "pair-product factor does not divide the exterior-square factor", data
         kind = "strictly" if verdict.strict else "with quotient 1"

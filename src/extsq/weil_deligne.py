@@ -13,25 +13,34 @@ blocks in closed form, by Clebsch-Gordan for sl2 on each summand of
 wedge^2 of the direct sum; no matrix is built.  Exact Gauss-Jordan
 elimination on the wedge square (`ext_sq_lfactor_by_elimination`) and on
 the rep itself (`wd_lfactor`) is kept as the test suite's oracle of
-`ext_sq_lfactor` and `standard_satake`.  Frobenius scalars may be
-symbolic, but only when every block has k = 1, so that q never mixes into
-a symbol; mixed symbolic/Steinberg input is rejected.  q itself is an
-exact integer >= 2, never a symbol.
+`ext_sq_lfactor` and `standard_satake`.
+
+The reciprocals on both sides of the Galois checks are products
+prod (1 - r t) over nonzero roots r in Q[x], x the symbols.  Each factor
+has degree 1 in t and constant term 1, so it is irreducible in the UFD
+Q[x][t] (Gauss's lemma), and two such factors are associates only when
+they are equal.  Divisibility is therefore containment of root
+multisets, the quotient is the product over the leftover roots, and
+equality is equality of the multisets.  `divisibility_check` and
+`prop_H_equality` compare multisets of canonical root keys and build
+reciprocals only when a report reads them; `reciprocal_quotient` and
+`LFactor` equality are the oracles of this route.
+
+Frobenius scalars may be symbolic, but only when every block has k = 1,
+so that q never mixes into a symbol; mixed symbolic/Steinberg input is
+rejected.  q itself is an exact integer >= 2, never a symbol.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .lfactors import (
-    LFactor,
-    SatakeParams,
-    formal_ext_sq_L,
-    reciprocal_quotient,
-)
-from .polynomials import MultiPoly
+from .lfactors import LFactor, SatakeParams, ext_sq_roots
+from .polynomials import MultiPoly, times_linear_factors
 
 
 @dataclass(frozen=True)
@@ -137,8 +146,8 @@ class WDRep:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
 
 
-def ext_sq_lfactor(rep: WDRep) -> LFactor:
-    """Exterior-square L-factor of the rep, in closed form over the blocks.
+def ext_sq_block_roots(rep: WDRep) -> list[MultiPoly]:
+    """Roots r of the exterior-square factor prod (1 - r t)^-1, read off the blocks.
 
     wedge^2 of a direct sum is the sum of wedge^2(b) over blocks b and of
     b (x) b' over pairs of blocks, in grades 2g and g + g'; only summands of
@@ -147,7 +156,8 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
     of index t has its kernel vector of N at Frobenius eigenvalue
     a b q^(t - (k1 + k2 - 2)).  wedge^2 Sp(k) keeps the odd-indexed chains
     t = 2j + 1 of Sp(k) (x) Sp(k) (the even ones make up Sym^2), which gives
-    a^2 q^(2j - (2k - 3)) for j < floor(k / 2).
+    a^2 q^(2j - (2k - 3)) for j < floor(k / 2).  Every root is a product of
+    nonzero scalars, so none is zero.
     """
     group, q, blocks, alphas = rep.group, rep.q, rep.blocks, rep.alphas
     roots: list[MultiPoly] = []
@@ -161,7 +171,12 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
                 k2 = bj.length
                 cross = ai * aj
                 roots += [cross * Fraction(1, q ** (k1 + k2 - 2 - t)) for t in range(min(k1, k2))]
-    return LFactor.from_linear_roots(roots, rep.nvars)
+    return roots
+
+
+def ext_sq_lfactor(rep: WDRep) -> LFactor:
+    """Exterior-square L-factor of the rep: the product over `ext_sq_block_roots`."""
+    return LFactor.from_linear_roots(ext_sq_block_roots(rep), rep.nvars)
 
 
 def standard_satake(rep: WDRep) -> SatakeParams:
@@ -175,29 +190,91 @@ def standard_satake(rep: WDRep) -> SatakeParams:
     return SatakeParams(entries, nvars=rep.nvars)
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    divides: bool
-    strict: bool
-    quotient: tuple[MultiPoly, ...] | None
-    formal_factor: LFactor
-    ext_sq_factor: LFactor
+def _root_key(r: MultiPoly) -> frozenset:
+    """A canonical key of a root: equal polynomials have equal keys."""
+    return frozenset(r._terms.items())
+
+
+class _RootComparison:
+    """The formal and the exterior-square roots of one rep, as multisets of keys.
+
+    The formal roots are a_i a_j (i < j) over the nonzero `standard_satake`
+    entries; the others come from `ext_sq_block_roots`.  No root is zero.
+    The factors are built only when read, and random suites read none.
+    When the formal roots are contained in the others, `ext_sq_factor` is
+    the formal factor times the leftover roots; it is the same object as
+    `formal_factor` when nothing is left over.
+    """
+
+    def __init__(self, rep: WDRep):
+        self.nvars = rep.nvars
+        nonzero = SatakeParams(standard_satake(rep).nonzero_entries, rep.nvars)
+        self._formal_roots = ext_sq_roots(nonzero)
+        self._full_roots = ext_sq_block_roots(rep)
+        formal = Counter(map(_root_key, self._formal_roots))
+        full = Counter(map(_root_key, self._full_roots))
+        self._missing = formal - full  # formal roots the other side lacks
+        self._leftover = full - formal
+
+    @cached_property
+    def formal_factor(self) -> LFactor:
+        return LFactor.from_linear_roots(self._formal_roots, self.nvars)
+
+    @cached_property
+    def ext_sq_factor(self) -> LFactor:
+        if self._missing:
+            return LFactor.from_linear_roots(self._full_roots, self.nvars)
+        if not self._leftover:
+            return self.formal_factor
+        formal = self.formal_factor.reciprocal
+        leftover = self._leftover_roots()
+        return LFactor(times_linear_factors(formal, leftover, len(self._full_roots), 1))
+
+    def _leftover_roots(self) -> list[MultiPoly]:
+        """The exterior-square roots that no formal root matches."""
+        by_key = {_root_key(r): r for r in self._full_roots}
+        return [by_key[key] for key in self._leftover.elements()]
+
+
+class DivisibilityVerdict(_RootComparison):
+    """Whether the pair-product factor divides the exterior-square factor.
+
+    `divides` and `strict` are read off the root multisets; `quotient`, the
+    reciprocal of the quotient factor (None when it does not divide), is
+    built when read.
+    """
+
+    @property
+    def divides(self) -> bool:
+        return not self._missing
+
+    @property
+    def strict(self) -> bool:
+        return not self._missing and bool(self._leftover)
+
+    @cached_property
+    def quotient(self) -> tuple[MultiPoly, ...] | None:
+        if not self.divides:
+            return None
+        if not self._formal_roots:
+            # a formal factor of 1 leaves the whole exterior-square factor
+            return self.ext_sq_factor.reciprocal
+        return LFactor.from_linear_roots(self._leftover_roots(), self.nvars).reciprocal
 
 
 def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
     """Does the pair-product factor divide the exterior-square factor?
 
-    Both are reciprocals of polynomials with constant term 1, so the formal
-    factor divides the exterior-square factor as L-functions exactly when
-    its reciprocal divides the other reciprocal; the quotient polynomial is
-    returned, with positive degree meaning strict divisibility.
+    Both are reciprocals of products prod (1 - r t) with nonzero roots r.
+    Each such factor has degree 1 in t and constant term 1, so it is
+    irreducible in the UFD Q[x][t] (Gauss's lemma), and two of them are
+    associates only when they are equal.  So one product divides the other
+    exactly when its multiset of roots is contained in the other's; the
+    quotient is the product over the roots left over, and a nonempty
+    leftover means strict divisibility.  `reciprocal_quotient` is the
+    oracle of this route.
     """
-    formal = formal_ext_sq_L(standard_satake(rep))
-    full = ext_sq_lfactor(rep)
-    quotient = reciprocal_quotient(full, formal)
-    divides = quotient is not None
-    strict = divides and len(quotient) > 1
-    return DivisibilityVerdict(divides, strict, quotient, formal, full)
+    return DivisibilityVerdict(rep)
 
 
 def hypothesis_H_violation(
@@ -222,11 +299,12 @@ def hypothesis_H(group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]) -> 
     return hypothesis_H_violation(group, grades) is None
 
 
-@dataclass(frozen=True)
-class PropHResult:
-    equal: bool
-    formal_factor: LFactor
-    ext_sq_factor: LFactor
+class PropHResult(_RootComparison):
+    """Whether the two exterior-square factors agree: equal root multisets."""
+
+    @property
+    def equal(self) -> bool:
+        return not self._missing and not self._leftover
 
 
 def prop_H_equality(rep: WDRep) -> PropHResult:
@@ -242,9 +320,7 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
             f"pairing hypothesis violated: ramified grades {grades[i]} (block {i}) "
             f"and {grades[j]} (block {j}) sum to zero"
         )
-    formal = formal_ext_sq_L(standard_satake(rep))
-    full = ext_sq_lfactor(rep)
-    return PropHResult(formal == full, formal, full)
+    return PropHResult(rep)
 
 
 # -- elimination oracle -----------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from extsq import tasks
 from extsq.cli import main
 from extsq import weil_deligne
-from extsq.lfactors import LFactor
 from extsq.polynomials import MultiPoly
 from extsq.series import TruncSeries2
 from extsq.tasks import (
@@ -482,7 +481,7 @@ class TestFailBranches:
     @pytest.fixture
     def trivial_ext_sq(self, monkeypatch):
         """An exterior-square factor of 1: the pair-product side no longer fits."""
-        monkeypatch.setattr(weil_deligne, "ext_sq_lfactor", lambda rep: LFactor.one(rep.nvars))
+        monkeypatch.setattr(weil_deligne, "ext_sq_block_roots", lambda rep: [])
 
     def check(self, body, summary, keys):
         r = run_one(body)

@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from extsq.lfactors import LFactor, formal_ext_sq_L, standard_L
+from extsq import weil_deligne
+from extsq.lfactors import LFactor, formal_ext_sq_L, reciprocal_quotient, standard_L
 from extsq.polynomials import MultiPoly
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
+    PropHResult,
     WDBlock,
     WDRep,
     _ladders,
     divisibility_check,
     ext_sq,
+    ext_sq_block_roots,
     ext_sq_lfactor,
     ext_sq_lfactor_by_elimination,
     hypothesis_H,
@@ -350,6 +353,107 @@ class TestDivisibility:
             assert prod == list(v.ext_sq_factor.reciprocal) + [
                 MultiPoly.zero(rep.nvars)
             ] * (len(prod) - len(v.ext_sq_factor.reciprocal))
+
+
+class TestRootMultisets:
+    """The multiset verdicts against `reciprocal_quotient`, `LFactor ==` and elimination."""
+
+    def check(self, rep, full):
+        """Compare both verdicts on `rep` with the oracles, given its true factor."""
+        formal = formal_ext_sq_L(standard_satake(rep))
+        quotient = reciprocal_quotient(full, formal)
+        v = divisibility_check(rep)
+        assert v.divides == (quotient is not None), rep.blocks
+        assert v.strict == (quotient is not None and len(quotient) > 1), rep.blocks
+        assert v.quotient == quotient, rep.blocks
+        assert (v.formal_factor, v.ext_sq_factor) == (formal, full), rep.blocks
+        # PropHResult without the pairing precondition: equality is decided too
+        h = PropHResult(rep)
+        assert h.equal == (formal == full), rep.blocks
+        assert (h.formal_factor, h.ext_sq_factor) == (formal, full), rep.blocks
+        return v
+
+    def check_all(self, reps):
+        verdicts = [self.check(rep, ext_sq_lfactor_by_elimination(rep)) for rep in reps]
+        return sum(v.strict for v in verdicts), sum(not v.strict for v in verdicts)
+
+    def test_random_rational_reps(self):
+        rng = random.Random(81)
+        reps = [random_wdrep(rng, max_dim=rng.randint(4, 8), max_length=4) for _ in range(120)]
+        strict, equal = self.check_all(reps)
+        assert strict >= 20 and equal >= 20
+
+    def test_random_k1_reps(self):
+        rng = random.Random(82)
+        reps = [random_k1_rep(rng, require_hypothesis=rng.random() < 0.5) for _ in range(120)]
+        strict, equal = self.check_all(reps)
+        assert strict >= 20 and equal >= 20
+
+    def test_random_symbolic_k1_reps(self):
+        rng = random.Random(83)
+        strict, equal = self.check_all([random_symbolic_k1_rep(rng) for _ in range(80)])
+        assert strict >= 10 and equal >= 10
+
+    def test_witnesses(self):
+        steinberg = rep_of(5, TRIVIAL, ((0,), 2, Fraction(3, 2)))
+        ramified = rep_of(5, Z2, ((1,), 1, "b1"), ((1,), 1, "b2"))
+        opposite = rep_of(5, Z3, ((1,), 1, "a"), ((2,), 1, "b"), ((0,), 1, "c"))
+        unramified = rep_of(5, TRIVIAL, ((0,), 1, Fraction(2)), ((0,), 1, Fraction(3)))
+        for rep in (steinberg, ramified, opposite):
+            v = self.check(rep, ext_sq_lfactor_by_elimination(rep))
+            assert v.divides and v.strict and not PropHResult(rep).equal
+        v = self.check(unramified, ext_sq_lfactor_by_elimination(unramified))
+        assert v.divides and not v.strict and v.quotient == (MultiPoly.one(0),)
+        assert v.ext_sq_factor is v.formal_factor
+
+    def test_repeated_roots(self):
+        # three grade-0 lines with one scalar: the root 4 three times on each side
+        a = Fraction(2)
+        same = rep_of(3, TRIVIAL, ((0,), 1, a), ((0,), 1, a), ((0,), 1, a))
+        v = self.check(same, ext_sq_lfactor_by_elimination(same))
+        assert v.divides and not v.strict and PropHResult(same).equal
+        # an opposite ramified pair adds a^2 once more: only a multiset sees it
+        more = rep_of(3, Z3, ((0,), 1, a), ((0,), 1, a), ((1,), 1, a), ((2,), 1, a))
+        v = self.check(more, ext_sq_lfactor_by_elimination(more))
+        assert v.divides and v.strict and not PropHResult(more).equal
+        assert v.quotient == recip_of_roots(0, a * a).reciprocal
+        x = rep_of(3, Z3, ((0,), 1, "x"), ((0,), 1, "x"), ((1,), 1, "x"), ((2,), 1, "x"))
+        v = self.check(x, ext_sq_lfactor_by_elimination(x))
+        assert v.strict and len(v.quotient) == 2
+
+    def test_dropped_root_breaks_divisibility(self, monkeypatch):
+        """With one exterior-square root left out, the formal side may no longer fit."""
+        rng = random.Random(84)
+        reps = [random_wdrep(rng, max_dim=6) for _ in range(60)]
+        reps += [random_symbolic_k1_rep(rng) for _ in range(40)]
+
+        def dropped(rep):
+            return ext_sq_block_roots(rep)[1:]
+
+        monkeypatch.setattr(weil_deligne, "ext_sq_block_roots", dropped)
+        failing = 0
+        for rep in reps:
+            full = LFactor.from_linear_roots(dropped(rep), rep.nvars)
+            v = self.check(rep, full)
+            failing += not v.divides
+        assert failing >= 10
+
+    def test_verdicts_build_no_factor(self, monkeypatch):
+        """A random suite reads only the verdict, so no reciprocal is built."""
+
+        class NoFactor:
+            def __getattr__(self, name):
+                raise AssertionError(f"LFactor.{name} used for a verdict")
+
+        monkeypatch.setattr(weil_deligne, "LFactor", NoFactor())
+        rng = random.Random(85)
+        strict = 0
+        for _ in range(40):
+            v = divisibility_check(random_wdrep(rng))
+            assert v.divides
+            strict += v.strict
+            assert prop_H_equality(random_k1_rep(rng)).equal
+        assert strict >= 5
 
 
 class TestHypothesisH:
