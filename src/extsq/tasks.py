@@ -534,7 +534,7 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
         quotient = verdict.quotient
         if quotient is None:
             data["quotient"] = None
-        elif verdict.formal_factor.degree == 0:  # the quotient is the exterior-square factor
+        elif quotient is verdict.ext_sq_factor.reciprocal:
             data["quotient"] = data["ext_sq_reciprocal"]
         else:
             data["quotient"] = LFactor(quotient).format(names)

@@ -22,7 +22,7 @@ Q[x][t] (Gauss's lemma), and two such factors are associates only when
 they are equal.  Divisibility is therefore containment of root
 multisets, the quotient is the product over the leftover roots, and
 equality is equality of the multisets.  `divisibility_check` and
-`prop_H_equality` compare multisets of canonical root keys and build
+`prop_H_equality` compare multisets of root keys (`MultiPoly.key`) and build
 reciprocals only when a report reads them; `reciprocal_quotient` and
 `LFactor` equality are the oracles of this route.
 
@@ -190,11 +190,6 @@ def standard_satake(rep: WDRep) -> SatakeParams:
     return SatakeParams(entries, nvars=rep.nvars)
 
 
-def _root_key(r: MultiPoly) -> frozenset:
-    """A canonical key of a root: equal polynomials have equal keys."""
-    return frozenset(r._terms.items())
-
-
 class _RootComparison:
     """The formal and the exterior-square roots of one rep, as multisets of keys.
 
@@ -211,8 +206,8 @@ class _RootComparison:
         nonzero = SatakeParams(standard_satake(rep).nonzero_entries, rep.nvars)
         self._formal_roots = ext_sq_roots(nonzero)
         self._full_roots = ext_sq_block_roots(rep)
-        formal = Counter(map(_root_key, self._formal_roots))
-        full = Counter(map(_root_key, self._full_roots))
+        formal = Counter(map(MultiPoly.key, self._formal_roots))
+        full = Counter(map(MultiPoly.key, self._full_roots))
         self._missing = formal - full  # formal roots the other side lacks
         self._leftover = full - formal
 
@@ -232,7 +227,7 @@ class _RootComparison:
 
     def _leftover_roots(self) -> list[MultiPoly]:
         """The exterior-square roots that no formal root matches."""
-        by_key = {_root_key(r): r for r in self._full_roots}
+        by_key = {r.key(): r for r in self._full_roots}
         return [by_key[key] for key in self._leftover.elements()]
 
 
@@ -241,7 +236,8 @@ class DivisibilityVerdict(_RootComparison):
 
     `divides` and `strict` are read off the root multisets; `quotient`, the
     reciprocal of the quotient factor (None when it does not divide), is
-    built when read.
+    built when read.  When the formal factor is 1, `quotient` is the very
+    reciprocal of `ext_sq_factor`, so a report can print it once.
     """
 
     @property

@@ -402,6 +402,8 @@ class TestRootMultisets:
         for rep in (steinberg, ramified, opposite):
             v = self.check(rep, ext_sq_lfactor_by_elimination(rep))
             assert v.divides and v.strict and not PropHResult(rep).equal
+            # a formal factor of 1: the quotient is the exterior-square reciprocal itself
+            assert v.formal_factor.degree == 0 and v.quotient is v.ext_sq_factor.reciprocal
         v = self.check(unramified, ext_sq_lfactor_by_elimination(unramified))
         assert v.divides and not v.strict and v.quotient == (MultiPoly.one(0),)
         assert v.ext_sq_factor is v.formal_factor
