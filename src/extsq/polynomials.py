@@ -201,11 +201,6 @@ class MultiPoly:
             raise ValueError("exponent vector has wrong dimension")
         return self._terms.get(_pack(exps), 0)
 
-    def key(self) -> frozenset:
-        """A hashable canonical key: polynomials in the same variables are
-        equal exactly when their keys are."""
-        return frozenset(self._terms.items())
-
     # -- ring operations ----------------------------------------------------
 
     def _check_dim(self, other: "MultiPoly") -> None:

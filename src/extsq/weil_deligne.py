@@ -10,10 +10,10 @@ commutation rule Phi N = q^(-1) N Phi.
 L-factors restrict Frobenius to the monodromy kernel inside the grade-0
 (inertia-invariant) part.  The exterior-square factor is read off the
 blocks in closed form, by Clebsch-Gordan for sl2 on each summand of
-wedge^2 of the direct sum; no matrix is built.  Exact Gauss-Jordan
-elimination on the wedge square (`ext_sq_lfactor_by_elimination`) and on
-the rep itself (`wd_lfactor`) is kept as the test suite's oracle of
-`ext_sq_lfactor` and `standard_satake`.
+wedge^2 of the direct sum (`ext_sq_root_indices`); no matrix is built.
+Exact Gauss-Jordan elimination on the wedge square
+(`ext_sq_lfactor_by_elimination`) and on the rep itself (`wd_lfactor`) is
+kept as the test suite's oracle of `ext_sq_lfactor` and `standard_satake`.
 
 The reciprocals on both sides of the Galois checks are products
 prod (1 - r t) over nonzero roots r in Q[x], x the symbols.  Each factor
@@ -21,10 +21,19 @@ has degree 1 in t and constant term 1, so it is irreducible in the UFD
 Q[x][t] (Gauss's lemma), and two such factors are associates only when
 they are equal.  Divisibility is therefore containment of root
 multisets, the quotient is the product over the leftover roots, and
-equality is equality of the multisets.  `divisibility_check` and
-`prop_H_equality` compare multisets of root keys (`MultiPoly.key`) and build
-reciprocals only when a report reads them; `reciprocal_quotient` and
-`LFactor` equality are the oracles of this route.
+equality is equality of the multisets.
+
+Every root on either side is a monomial c x^m with c a product of two
+block scalars over a power q^e of q, e <= E = 2 max(k) - 2.  Times one
+common scale L^2 q^E, L the lcm of the rational scalars' denominators,
+every such c is an integer, and multiplying every root on both sides by
+the same nonzero constant is a bijection that keeps containment and
+equality of the multisets.  `divisibility_check` and `prop_H_equality`
+therefore compare multisets of keys (m, integer) and build reciprocals
+only when a report reads them; `reciprocal_quotient` and `LFactor`
+equality are the oracles of this route.  The scaling is by integer
+multiplication only: with int coefficients, c / q**e would be a float,
+and a float key compares unequal to the Fraction it approximates.
 
 Frobenius scalars may be symbolic, but only when every block has k = 1,
 so that q never mixes into a symbol; mixed symbolic/Steinberg input is
@@ -37,9 +46,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import combinations
+from math import lcm
+from typing import Iterable, Sequence
 
-from .lfactors import LFactor, SatakeParams, ext_sq_roots
+from .lfactors import LFactor, SatakeParams
 from .polynomials import MultiPoly, times_linear_factors
 
 
@@ -54,21 +65,22 @@ class FiniteAbelianGroup:
             if not isinstance(m, int) or m < 1:
                 raise ValueError("cyclic orders must be positive ints")
 
+    def _rank_error(self, a: Sequence[int]) -> ValueError:
+        return ValueError(f"element {tuple(a)} does not fit group of rank {len(self.orders)}")
+
     def reduce(self, a: Sequence[int]) -> tuple[int, ...]:
         if len(a) != len(self.orders):
-            raise ValueError(
-                f"element {tuple(a)} does not fit group of rank {len(self.orders)}"
-            )
+            raise self._rank_error(a)
         return tuple(x % m for x, m in zip(a, self.orders))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % m for x, y, m in zip(self.reduce(a), self.reduce(b), self.orders))
-
     def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        return self.reduce([-x for x in a])
+        """-a, reduced, in one pass."""
+        if len(a) != len(self.orders):
+            raise self._rank_error(a)
+        return tuple(-x % m for x, m in zip(a, self.orders))
 
     def is_zero(self, a: Sequence[int]) -> bool:
         return all(x % m == 0 for x, m in zip(a, self.orders))
@@ -89,15 +101,7 @@ class WDBlock:
 class WDRep:
     """A graded block representation over residue size q (exact int >= 2)."""
 
-    __slots__ = (
-        "q",
-        "group",
-        "blocks",
-        "symbols",
-        "nvars",
-        "dim",
-        "alphas",
-    )
+    __slots__ = ("q", "group", "blocks", "symbols", "nvars", "dim")
 
     def __init__(self, q: int, group: FiniteAbelianGroup, blocks: Sequence[WDBlock]):
         if not isinstance(q, int) or q < 2:
@@ -111,10 +115,10 @@ class WDRep:
         any_steinberg = any(b.length >= 2 for b in blocks)
         normalized: list[WDBlock] = []
         for b in blocks:
-            if not isinstance(b.length, int) or b.length < 1:
+            length, scalar = b.length, b.scalar
+            if not isinstance(length, int) or length < 1:
                 raise ValueError("Steinberg length must be an int >= 1")
             grade = group.reduce(b.grade)
-            scalar = b.scalar
             if isinstance(scalar, str):
                 if any_steinberg:
                     raise ValueError(
@@ -124,59 +128,67 @@ class WDRep:
                 if scalar not in symbols:
                     symbols.append(scalar)
             else:
-                scalar = Fraction(scalar)
+                if type(scalar) is not Fraction:
+                    scalar = Fraction(scalar)
                 if scalar == 0:
                     raise ValueError("Frobenius scalar must be nonzero")
-            normalized.append(WDBlock(grade, b.length, scalar))
+            # a drawn block already has a reduced grade and a Fraction scalar
+            if grade != b.grade or scalar is not b.scalar:
+                b = WDBlock(grade, length, scalar)
+            normalized.append(b)
         self.blocks = tuple(normalized)
         self.symbols = tuple(symbols)
         self.nvars = len(symbols)
+        self.dim = sum(b.length for b in self.blocks)
 
-        # one Frobenius scalar a per block; only the elimination oracle
-        # builds the per-coordinate diagonal a, a/q, ... (`_ladders`)
-        self.alphas = tuple(
-            MultiPoly.variable(self.nvars, symbols.index(b.scalar))
+    @property
+    def alphas(self) -> tuple[MultiPoly, ...]:
+        """One Frobenius scalar per block, as a polynomial in the symbols;
+        built on each read, for `standard_satake` and the elimination oracle."""
+        return tuple(
+            MultiPoly.variable(self.nvars, self.symbols.index(b.scalar))
             if isinstance(b.scalar, str)
             else MultiPoly.constant(self.nvars, b.scalar)
             for b in self.blocks
         )
-        self.dim = sum(b.length for b in self.blocks)
 
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
 
 
-def ext_sq_block_roots(rep: WDRep) -> list[MultiPoly]:
-    """Roots r of the exterior-square factor prod (1 - r t)^-1, read off the blocks.
+def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
+    """Roots of the exterior-square factor prod (1 - r t)^-1, read off the blocks.
 
-    wedge^2 of a direct sum is the sum of wedge^2(b) over blocks b and of
-    b (x) b' over pairs of blocks, in grades 2g and g + g'; only summands of
-    grade zero count.  Clebsch-Gordan for sl2 splits Sp(k1) (x) Sp(k2) into
-    Jordan chains of lengths k1 + k2 - 1 - 2t for t < min(k1, k2); the chain
-    of index t has its kernel vector of N at Frobenius eigenvalue
-    a b q^(t - (k1 + k2 - 2)).  wedge^2 Sp(k) keeps the odd-indexed chains
-    t = 2j + 1 of Sp(k) (x) Sp(k) (the even ones make up Sym^2), which gives
-    a^2 q^(2j - (2k - 3)) for j < floor(k / 2).  Every root is a product of
-    nonzero scalars, so none is zero.
+    Each root is a_i a_j q^-e for the scalars a_i, a_j of blocks i <= j and
+    is listed as the triple (i, j, e).  wedge^2 of a direct sum is the sum
+    of wedge^2(b) over blocks b and of b (x) b' over pairs of blocks, in
+    grades 2g and g + g'; only summands of grade zero count.  Clebsch-Gordan
+    for sl2 splits Sp(k1) (x) Sp(k2) into Jordan chains of lengths
+    k1 + k2 - 1 - 2t for t < min(k1, k2); the chain of index t has its
+    kernel vector of N at Frobenius eigenvalue a b q^(t - (k1 + k2 - 2)).
+    wedge^2 Sp(k) keeps the odd-indexed chains t = 2j + 1 of Sp(k) (x) Sp(k)
+    (the even ones make up Sym^2), which gives a^2 q^(2j - (2k - 3)) for
+    j < floor(k / 2).  Every e lies in 0..2 max(k) - 2, and every root is a
+    product of nonzero scalars, so none is zero.
     """
-    group, q, blocks, alphas = rep.group, rep.q, rep.blocks, rep.alphas
-    roots: list[MultiPoly] = []
-    for i, (bi, ai) in enumerate(zip(blocks, alphas)):
+    group, blocks = rep.group, rep.blocks
+    roots: list[tuple[int, int, int]] = []
+    for i, bi in enumerate(blocks):
         k1, neg = bi.length, group.neg(bi.grade)
         if k1 >= 2 and bi.grade == neg:
-            square = ai * ai
-            roots += [square * Fraction(1, q ** (2 * k1 - 3 - 2 * j)) for j in range(k1 // 2)]
-        for bj, aj in zip(blocks[i + 1 :], alphas[i + 1 :]):
+            roots += [(i, i, 2 * k1 - 3 - 2 * j) for j in range(k1 // 2)]
+        for j in range(i + 1, len(blocks)):
+            bj = blocks[j]
             if bj.grade == neg:
                 k2 = bj.length
-                cross = ai * aj
-                roots += [cross * Fraction(1, q ** (k1 + k2 - 2 - t)) for t in range(min(k1, k2))]
+                roots += [(i, j, k1 + k2 - 2 - t) for t in range(min(k1, k2))]
     return roots
 
 
 def ext_sq_lfactor(rep: WDRep) -> LFactor:
-    """Exterior-square L-factor of the rep: the product over `ext_sq_block_roots`."""
-    return LFactor.from_linear_roots(ext_sq_block_roots(rep), rep.nvars)
+    """Exterior-square L-factor of the rep: the product over `ext_sq_root_indices`."""
+    roots = _RootComparison(rep)
+    return LFactor.from_linear_roots(roots._roots(roots._full), rep.nvars)
 
 
 def standard_satake(rep: WDRep) -> SatakeParams:
@@ -193,42 +205,69 @@ def standard_satake(rep: WDRep) -> SatakeParams:
 class _RootComparison:
     """The formal and the exterior-square roots of one rep, as multisets of keys.
 
-    The formal roots are a_i a_j (i < j) over the nonzero `standard_satake`
-    entries; the others come from `ext_sq_block_roots`.  No root is zero.
-    The factors are built only when read, and random suites read none.
-    When the formal roots are contained in the others, `ext_sq_factor` is
-    the formal factor times the leftover roots; it is the same object as
-    `formal_factor` when nothing is left over.
+    A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
+    (see the module docstring); its key is (m, c), the exponent vector m
+    packed two bits per symbol.  The formal roots pair up the grade-0
+    blocks' kernel eigenvalues a / q^(k-1), the nonzero `standard_satake`
+    entries; the others come from `ext_sq_root_indices`.  The factors are
+    built only when read, from the keys as monomials c / scale x^m, and
+    random suites read none.  When the formal roots are contained in the
+    others, `ext_sq_factor` is the formal factor times the leftover roots;
+    it is the same object as `formal_factor` when nothing is left over.
     """
 
     def __init__(self, rep: WDRep):
-        self.nvars = rep.nvars
-        nonzero = SatakeParams(standard_satake(rep).nonzero_entries, rep.nvars)
-        self._formal_roots = ext_sq_roots(nonzero)
-        self._full_roots = ext_sq_block_roots(rep)
-        formal = Counter(map(MultiPoly.key, self._formal_roots))
-        full = Counter(map(MultiPoly.key, self._full_roots))
+        blocks, q = rep.blocks, rep.q
+        top = 2 * max(b.length for b in blocks) - 2
+        den = lcm(*(b.scalar.denominator for b in blocks if not isinstance(b.scalar, str)))
+        # per block: its symbol as a 2-bit field (x^2 is the highest power a
+        # root reaches), and its coefficient times L
+        sym = [0] * len(blocks)
+        num = [den] * len(blocks)
+        for i, b in enumerate(blocks):
+            if isinstance(b.scalar, str):
+                sym[i] = 1 << (2 * rep.symbols.index(b.scalar))
+            else:
+                num[i] = b.scalar.numerator * (den // b.scalar.denominator)
+        lift = [q ** (top - e) for e in range(top + 1)]  # q^-e scaled by q^E
+        zero = rep.group.zero()  # grades are reduced
+        unramified = [i for i, b in enumerate(blocks) if b.grade == zero]
+        self._formal = [
+            (sym[i] + sym[j], num[i] * num[j] * lift[blocks[i].length + blocks[j].length - 2])
+            for i, j in combinations(unramified, 2)
+        ]
+        self._full = [
+            (sym[i] + sym[j], num[i] * num[j] * lift[e]) for i, j, e in ext_sq_root_indices(rep)
+        ]
+        formal, full = Counter(self._formal), Counter(self._full)
         self._missing = formal - full  # formal roots the other side lacks
         self._leftover = full - formal
+        self.nvars = rep.nvars
+        self.scale = den * den * lift[0]
+
+    def _roots(self, keys: Iterable[tuple[int, int]]) -> list[MultiPoly]:
+        """The roots with these keys, as monomials c / scale x^m."""
+        nvars = self.nvars
+        return [
+            MultiPoly.monomial(
+                nvars, [m >> (2 * s) & 3 for s in range(nvars)], Fraction(c, self.scale)
+            )
+            for m, c in keys
+        ]
 
     @cached_property
     def formal_factor(self) -> LFactor:
-        return LFactor.from_linear_roots(self._formal_roots, self.nvars)
+        return LFactor.from_linear_roots(self._roots(self._formal), self.nvars)
 
     @cached_property
     def ext_sq_factor(self) -> LFactor:
         if self._missing:
-            return LFactor.from_linear_roots(self._full_roots, self.nvars)
+            return LFactor.from_linear_roots(self._roots(self._full), self.nvars)
         if not self._leftover:
             return self.formal_factor
         formal = self.formal_factor.reciprocal
-        leftover = self._leftover_roots()
-        return LFactor(times_linear_factors(formal, leftover, len(self._full_roots), 1))
-
-    def _leftover_roots(self) -> list[MultiPoly]:
-        """The exterior-square roots that no formal root matches."""
-        by_key = {r.key(): r for r in self._full_roots}
-        return [by_key[key] for key in self._leftover.elements()]
+        leftover = self._roots(self._leftover.elements())
+        return LFactor(times_linear_factors(formal, leftover, len(self._full), 1))
 
 
 class DivisibilityVerdict(_RootComparison):
@@ -252,10 +291,11 @@ class DivisibilityVerdict(_RootComparison):
     def quotient(self) -> tuple[MultiPoly, ...] | None:
         if not self.divides:
             return None
-        if not self._formal_roots:
+        if not self._formal:
             # a formal factor of 1 leaves the whole exterior-square factor
             return self.ext_sq_factor.reciprocal
-        return LFactor.from_linear_roots(self._leftover_roots(), self.nvars).reciprocal
+        leftover = self._roots(self._leftover.elements())
+        return LFactor.from_linear_roots(leftover, self.nvars).reciprocal
 
 
 def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
@@ -267,17 +307,21 @@ def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
     associates only when they are equal.  So one product divides the other
     exactly when its multiset of roots is contained in the other's; the
     quotient is the product over the roots left over, and a nonempty
-    leftover means strict divisibility.  `reciprocal_quotient` is the
-    oracle of this route.
+    leftover means strict divisibility.
+
+    Every root on both sides is multiplied by one common scale L^2 q^E, a
+    bijection that keeps containment, and compared as an exact integer key.
+    The scaling never divides: int / int is a float, and a float key would
+    compare unequal to the Fraction it approximates.  `reciprocal_quotient`
+    is the oracle of this route.
     """
     return DivisibilityVerdict(rep)
 
 
-def hypothesis_H_violation(
-    group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]
+def _first_opposite_pair(
+    group: FiniteAbelianGroup, reduced: Sequence[tuple[int, ...]]
 ) -> tuple[int, int] | None:
-    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None."""
-    reduced = [group.reduce(g) for g in grades]
+    """`hypothesis_H_violation` on grades that are already reduced."""
     zero = group.zero()
     for i, g in enumerate(reduced):
         if g == zero:
@@ -288,6 +332,13 @@ def hypothesis_H_violation(
             if reduced[j] == neg:
                 return i, j
     return None
+
+
+def hypothesis_H_violation(
+    group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
+    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None."""
+    return _first_opposite_pair(group, [group.reduce(g) for g in grades])
 
 
 def hypothesis_H(group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]) -> bool:
@@ -309,7 +360,7 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
     if any(b.length != 1 for b in rep.blocks):
         raise ValueError("equality statement applies to length-1 blocks only")
     grades = [b.grade for b in rep.blocks]
-    bad = hypothesis_H_violation(rep.group, grades)
+    bad = _first_opposite_pair(rep.group, grades)
     if bad is not None:
         i, j = bad
         raise ValueError(
@@ -450,7 +501,9 @@ def ext_sq(rep: WDRep) -> ExtSquareData:
             else:
                 nmat[index[(b, a)]][w] -= 1
     phi = tuple(rep_phi[i] * rep_phi[j] for i, j in pairs)
-    grades = tuple(rep.group.add(rep_grades[i], rep_grades[j]) for i, j in pairs)
+    grades = tuple(
+        rep.group.reduce([x + y for x, y in zip(rep_grades[i], rep_grades[j])]) for i, j in pairs
+    )
     return ExtSquareData(
         tuple(pairs),
         phi,
@@ -479,8 +532,11 @@ def random_group(rng, max_rank: int = 2, max_order: int = 6) -> FiniteAbelianGro
     return FiniteAbelianGroup(tuple(rng.randint(1, max_order) for _ in range(rank)))
 
 
+_NUMERATORS = [x for x in range(-9, 10) if x]
+
+
 def _random_scalar(rng) -> Fraction:
-    num = rng.choice([x for x in range(-9, 10) if x])
+    num = rng.choice(_NUMERATORS)
     den = rng.randint(1, 9)
     return Fraction(num, den)
 
@@ -528,7 +584,8 @@ def random_k1_rep(
     n = rng.randint(1, max_dim)
     for attempt in range(200):
         grades = [tuple(rng.randrange(m) for m in group.orders) for _ in range(n)]
-        if not require_hypothesis or hypothesis_H(group, grades):
+        # drawn grades are already reduced
+        if not require_hypothesis or _first_opposite_pair(group, grades) is None:
             break
     else:
         grades = [group.zero()] * (n - 1) + [

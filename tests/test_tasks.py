@@ -481,7 +481,7 @@ class TestFailBranches:
     @pytest.fixture
     def trivial_ext_sq(self, monkeypatch):
         """An exterior-square factor of 1: the pair-product side no longer fits."""
-        monkeypatch.setattr(weil_deligne, "ext_sq_block_roots", lambda rep: [])
+        monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", lambda rep: [])
 
     def check(self, body, summary, keys):
         r = run_one(body)
