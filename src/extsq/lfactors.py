@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .polynomials import MultiPoly, times_linear_factors
 from .series import TruncSeries1
-from .symmetric import doubled_shape, partitions_bounded, schur_eval_padded
+from .symmetric import SchurValues, doubled_shape, partitions_bounded
 
 
 class SatakeParams:
@@ -229,13 +229,14 @@ def doubled_shape_sum(
     entries contributes zero, any other shape is evaluated at the nonzero
     entries alone, wherever the zeros sit.
     """
+    values = SchurValues(params.entries, 2 * order)
     coeffs = []
     terms = []
     for l in range(order + 1):
         acc = MultiPoly.zero(params.nvars)
         for f in partitions_bounded(l, pairs):
             shape = doubled_shape(f, pairs, extra_zeros)
-            value = schur_eval_padded(shape, params.entries)
+            value = values.value(shape)
             terms.append((l, shape, value))
             acc = acc + value
         coeffs.append(acc)

@@ -1,28 +1,39 @@
 """Schur polynomials and partition enumeration, exactly.
 
-Production code has one route for each kind of value vector:
+Production code has one route for Schur polynomials and one for Schur values:
 
-* `schur` -- the Schur polynomial in n variables, used for all-symbolic
-  vectors.  It is built by the branching rule s_f(x1..xn) =
-  sum_mu x_n^{|f/mu|} s_mu(x1..x_{n-1}) over horizontal strips f/mu
-  (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5.11), which
-  moves packed exponent keys and multiplies no polynomials.  It is cached
-  in `_SCHUR_CACHE`, together with the smaller-rank polynomials of the
-  sub-shapes it recurses through;
-* `schur_eval_padded` -- s_f at a value vector that may contain zeros.
-  Zeros are dropped (Schur polynomials are symmetric, and the value is zero
-  unless the shape fits inside the nonzero entries).  When the nonzero
-  entries are exactly the variables x1..xk of a k-variable ring, in order,
-  the value is the cached `schur(f, k)`.  Every other vector (numeric or
-  mixed) is evaluated directly in its own ring: the entries are scaled by
-  the common denominator D of their coefficients, h_0..h_N of the scaled
-  entries are the coefficients of prod_i 1/(1 - D a_i t) (Macdonald, I.2),
-  built by the product-side kernel `polynomials.times_linear_factors`, the
-  Jacobi-Trudi determinant det[h_{f_i - i + j}] (I.3) is expanded sparsely
-  with memoized minors (`_det_sparse`) over integer coefficients, and the
-  result is divided once by D^|f|, since s_f(D a) = D^|f| s_f(a).  No
-  symbolic Schur polynomial is built for such vectors, and the cache stays
-  untouched.
+* `schur` -- the Schur polynomial in n variables.  It is built by the
+  branching rule s_f(x1..xn) = sum_mu x_n^{|f/mu|} s_mu(x1..x_{n-1}) over
+  horizontal strips f/mu (Macdonald, *Symmetric Functions and Hall
+  Polynomials*, I.5.11), which moves packed exponent keys and multiplies no
+  polynomials.  It is cached in `_SCHUR_CACHE`, together with the
+  smaller-rank polynomials of the sub-shapes it recurses through;
+* `SchurValues` -- s_f at one value vector, for every shape f up to a
+  weight bound.  The torus sums build one per vector and call `value` for
+  each shape; `schur_eval_padded(f, values)` is the one-shape form.
+
+Zeros are dropped: the value is zero unless the shape fits inside the
+nonzero entries.  These split into the core x, every variable of the
+m-variable ring once, in any order, and the r peeled entries c, the others;
+if the variable entries are not the ring's variables once each, the core is
+empty (m = 0).  By the coproduct s_f(x, c) = sum_mu s_mu(x) s_{f/mu}(c)
+(I.5.9), where s_mu(x) = 0 unless mu has at most m rows and s_{f/mu}(c) = 0
+unless f_{i+r} <= mu_i <= f_i, and the skew Jacobi-Trudi formula s_{f/mu} =
+det[h_{f_i - mu_j - i + j}] (I.5.4),
+
+    s_f(x, c) = D^-|f| sum_mu det[h_{f_i - mu_j - i + j}(D c)] D^|mu| schur(mu, m),
+
+with D the lcm of the peeled entries' coefficient denominators.  h_0..h_N of
+the D c_i, the coefficients of prod_i 1/(1 - D c_i t) (I.2), are built once
+per vector by `polynomials.times_linear_factors`, as plain ints when every
+c_i is a constant.  Only the peeled entries are scaled, and s_{f/mu} has
+degree |f| - |mu| in them: hence D^|mu| beside the one division by D^|f|.
+All-symbolic vectors (r = 0) are the one term mu = f, the cached
+`schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
+(), an integer Jacobi-Trudi determinant.  Mixed ones multiply cached Schur
+polynomials by integers only, and fill `_SCHUR_CACHE` as all-symbolic ones
+do.  `_det` expands along rows with memoized minors, over ints or
+`MultiPoly` alike.
 
 The independent oracle of both routes is `schur_bialternant` (alternant
 divided exactly by the Vandermonde determinant); the test suite evaluates
@@ -66,50 +77,6 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
-
-
-def _det_sparse(rows: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    """Determinant by minor expansion, sparsest rows first, minors memoized."""
-    n = len(rows)
-    if n == 0:
-        return MultiPoly.one(nvars)
-    order = sorted(range(n), key=lambda i: (sum(1 for e in rows[i] if e), i))
-    # parity of the row permutation
-    sign = 1
-    seen = list(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seen[i] > seen[j]:
-                sign = -sign
-    rows = [rows[i] for i in order]
-    full_mask = (1 << n) - 1
-    memo: dict[int, MultiPoly] = {}
-
-    def minor(i: int, mask: int) -> MultiPoly:
-        if mask == 0:
-            return MultiPoly.one(nvars)
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        acc = MultiPoly.zero(nvars)
-        sgn = 1
-        m = mask
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            entry = rows[i][j]
-            if entry:
-                sub = minor(i + 1, mask ^ low)
-                if not sub.is_zero:
-                    contrib = sub if entry == 1 else entry * sub
-                    acc = acc + (contrib if sgn > 0 else -contrib)
-            sgn = -sgn
-            m ^= low
-        memo[mask] = acc
-        return acc
-
-    det = minor(0, full_mask)
-    return det if sign > 0 else -det
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
@@ -177,45 +144,105 @@ def schur_bialternant(f: Sequence[int], n: int) -> MultiPoly:
     return p
 
 
-def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPoly:
-    """Evaluate s_f at a value vector that may contain zeros.
+def _det(rows: list[list], one):
+    """Determinant over ints or MultiPoly (`one` is the ring's 1), memoized.
 
-    Requires len(f) <= len(values).  Returns a polynomial in the common
-    variable count of `values`.  Values beyond the shape length count as
-    extra variables set to the given entries (zeros kill the value whenever
-    the shape sticks out past the nonzero entries).
+    The minor of a column mask is on the top popcount(mask) rows; expanding
+    along its last row, the sign is + at the highest column and alternates.
     """
-    shape = check_partition(f)
-    values = list(values)
-    if len(shape) > len(values):
-        raise ValueError("shape longer than value vector")
-    if not values:
-        return MultiPoly.one(0)
-    ambient = values[0].nvars
-    for v in values:
-        if v.nvars != ambient:
+    memo = {0: one}
+    zero = one * 0
+
+    def minor(mask: int):
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        row = rows[mask.bit_count() - 1]
+        acc = zero
+        sign = 1
+        rest = mask
+        while rest:
+            bit = 1 << (rest.bit_length() - 1)
+            rest ^= bit
+            entry = row[bit.bit_length() - 1]
+            if entry:
+                sub = minor(mask ^ bit)
+                if sub:
+                    acc = acc + entry * sub if sign > 0 else acc - entry * sub
+            sign = -sign
+        memo[mask] = acc
+        return acc
+
+    return minor((1 << len(rows)) - 1)
+
+
+class SchurValues:
+    """The Schur values s_f(values) of one value vector, for |f| <= max_weight.
+
+    The split into the core and the peeled entries, the scale D and
+    h_0..h_max_weight of the scaled peeled entries are built once, here;
+    `value` evaluates one shape (see the module docstring).
+    """
+
+    __slots__ = ("length", "nvars", "max_weight", "m", "r", "scale", "hs")
+
+    def __init__(self, values: Sequence[MultiPoly], max_weight: int):
+        values = list(values)
+        nvars = values[0].nvars if values else 0
+        if any(v.nvars != nvars for v in values):
             raise ValueError("values live in different variable counts")
-    nonzero = [v for v in values if not v.is_zero]
-    k = len(nonzero)
-    if len(shape) > k:
-        return MultiPoly.zero(ambient)
-    if not shape:
-        return MultiPoly.one(ambient)
-    if ambient == k and all(v == MultiPoly.variable(k, i) for i, v in enumerate(nonzero)):
-        return schur(shape, k)
-    # s_f(D a) = D^|f| s_f(a): work on the integral entries D a_i and divide once
-    scale = math.lcm(*(c.denominator for v in nonzero for c in v.coefficients()))
-    top = shape[0] + len(shape) - 1
-    # h_0..h_top of the scaled entries: coefficients of prod_i 1/(1 - D a_i t)
-    hs = times_linear_factors([MultiPoly.one(ambient)], [v * scale for v in nonzero], top, -1)
-    zero = MultiPoly.zero(ambient)
-    # Jacobi-Trudi: det[h_{f_i - i + j}], with h_j = 0 for j < 0
-    rows = [
-        [hs[f - i + j] if f - i + j >= 0 else zero for j in range(len(shape))]
-        for i, f in enumerate(shape)
-    ]
-    value = _det_sparse(rows, ambient)
-    return value if scale == 1 else value * Fraction(1, scale ** sum(shape))
+        nonzero = [v for v in values if not v.is_zero]
+        ring = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+        peeled = [v for v in nonzero if v not in ring]
+        if len(nonzero) - len(peeled) != nvars or any(x not in nonzero for x in ring):
+            peeled = nonzero  # the variable entries are not the ring's, once each
+        self.length, self.nvars, self.max_weight = len(values), nvars, max_weight
+        self.m, self.r = len(nonzero) - len(peeled), len(peeled)
+        self.scale = math.lcm(*(c.denominator for v in peeled for c in v.coefficients()))
+        # h_0..h_max_weight of the D c_i: coefficients of prod_i 1/(1 - D c_i t)
+        roots = [v * self.scale for v in peeled]
+        self.hs = times_linear_factors([MultiPoly.one(nvars)], roots, max_weight, -1)
+        if all(v.is_constant for v in peeled):
+            self.hs = [h.constant_value() for h in self.hs]  # plain ints
+
+    def value(self, f: Sequence[int]) -> MultiPoly:
+        """s_f at the value vector, in its ring; requires len(f) <= len(values)."""
+        shape = check_partition(f)
+        if len(shape) > self.length:
+            raise ValueError("shape longer than value vector")
+        weight = sum(shape)
+        if weight > self.max_weight:
+            raise ValueError(f"shape {shape} weighs more than {self.max_weight}")
+        m, r, hs = self.m, self.r, self.hs
+        if len(shape) > m + r:
+            return MultiPoly.zero(self.nvars)
+        if not shape:
+            return MultiPoly.one(self.nvars)
+        if not r:
+            return schur(shape, m)
+        # mu runs over the partitions with f_{i+r} <= mu_i <= f_i, i < m
+        padded = shape + (0,) * (m + r - len(shape))
+        ranges = [range(padded[i], padded[i + r] - 1, -1) for i in range(m)]
+        acc = MultiPoly.zero(self.nvars)
+        for mu in itertools.product(*ranges):
+            if any(a < b for a, b in zip(mu, mu[1:])):
+                continue
+            cols = (mu + (0,) * len(shape))[: len(shape)]
+            # skew Jacobi-Trudi: det[h_{f_i - mu_j - i + j}], with h_k = 0 for k < 0
+            rows = [
+                [hs[k] if (k := a - b - i + j) >= 0 else 0 for j, b in enumerate(cols)]
+                for i, a in enumerate(shape)
+            ]
+            det = _det(rows, hs[0])
+            if det:
+                base = schur(mu, m) if m else MultiPoly.one(self.nvars)
+                acc = acc + base * (det * self.scale ** sum(mu))
+        return acc if self.scale == 1 else acc * Fraction(1, self.scale**weight)
+
+
+def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPoly:
+    """s_f at a value vector that may contain zeros: `SchurValues` for one shape."""
+    return SchurValues(values, sum(check_partition(f))).value(f)
 
 
 def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:

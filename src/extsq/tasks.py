@@ -9,9 +9,10 @@ an earlier one.  Besides the polynomials a task asks for, the table holds
 the smaller-rank ones of their sub-shapes, which the branching rule builds
 them from; on the benchmark's `symbolic` seed-1 document that is 419 entries
 and 42k terms, of which the requested shapes are 212 entries and 35k terms.
-Only all-symbolic parameter vectors (zeros allowed) fill the table; numeric
-and mixed vectors are evaluated without it.  Outputs do not depend on that
-reuse.
+All-symbolic and mixed parameter vectors (zeros allowed) fill the table,
+mixed ones with the sub-shapes their coproduct sums over (`mixed` seed 1:
+100 entries, 875 terms); numeric vectors are evaluated without it.  Outputs
+do not depend on that reuse.
 
 Each task's runner returns `(verdict, summary, data)`; `run_task` alone
 builds reports, adding the task echo and timing, and turns a precondition

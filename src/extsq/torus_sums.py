@@ -9,7 +9,7 @@ torus lattice, and on every summed vector the half-density exponent cancels
 against the measure: each term is a Schur value alone.
 
 Every sum here walks `symmetric.partitions_bounded` and evaluates with
-`schur_eval_padded`.  `js_series` sums the doubled shapes
+one `symmetric.SchurValues` per vector.  `js_series` sums the doubled shapes
 (`lfactors.doubled_shape_sum`).  `bf_series` is Littlewood's sum graded by
 odd columns (Macdonald, *Symmetric Functions*, I.5 Ex. 5): its t1^a t2^b
 coefficient sums s_lam over the partitions lam with at most n-1 rows,
@@ -37,7 +37,7 @@ from .lfactors import (
     product_series,
 )
 from .series import TruncSeries2
-from .symmetric import alternating_sum, even_index_sum, partitions_bounded, schur_eval_padded
+from .symmetric import SchurValues, alternating_sum, even_index_sum, partitions_bounded
 
 
 def delta_half_exponent(g: Sequence[int], n: int) -> int:
@@ -76,6 +76,7 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     n = params.n
     if n < 2:
         raise ValueError("need n >= 2")
+    values = SchurValues(params.entries, l1 + 2 * l2)
     zero = MultiPoly.zero(params.nvars)
     grid = [[zero for _ in range(l2 + 1)] for _ in range(l1 + 1)]
     for weight in range(l1 + 2 * l2 + 1):
@@ -83,7 +84,7 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
             a = alternating_sum(shape)
             b = even_index_sum(shape)
             if a <= l1 and b <= l2:
-                grid[a][b] = grid[a][b] + schur_eval_padded(shape, params.entries)
+                grid[a][b] = grid[a][b] + values.value(shape)
     return TruncSeries2(params.nvars, grid)
 
 

@@ -8,6 +8,7 @@ from extsq import symmetric
 from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import (
+    SchurValues,
     alternating_sum,
     check_partition,
     complete_homogeneous,
@@ -234,16 +235,22 @@ class TestSchurEvalPadded:
         assert schur_eval_padded(f, vals) == oracle
 
     def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
+        """Only vectors holding every ring variable once reach `_SCHUR_CACHE`."""
         monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
         x, y = variables(2)
         zero = MultiPoly.zero(2)
+        half = MultiPoly.constant(2, Fraction(1, 2))
         numeric = [MultiPoly.constant(0, c) for c in (Fraction(2, 3), 0, -3)]
-        mixed = [x, MultiPoly.constant(2, Fraction(1, 2)), zero, y]
         schur_eval_padded((2, 1), numeric)
-        schur_eval_padded((2, 1), mixed)
-        schur_eval_padded((2, 1), [y, x])  # the variables, out of order
+        schur_eval_padded((2, 1), [x, MultiPoly.constant(2, 3), half])  # y missing
+        schur_eval_padded((2, 1), [x, y, x])  # x twice
+        schur_eval_padded((2, 1), [x, x + y * Fraction(1, 3), half])  # y inside a polynomial
         assert not symmetric._SCHUR_CACHE
-        schur_eval_padded((2, 1), [x, zero, y])
+        schur_eval_padded((2, 1), [y, x])  # the variables, out of order
+        assert not {((2,), 2), ((1, 1), 2)} & set(symmetric._SCHUR_CACHE)
+        schur_eval_padded((2, 1), [x, half, zero, y])  # mixed
+        # the mixed vector's coproduct reaches sub-shapes at the ring's rank
+        assert {((2,), 2), ((1, 1), 2)} <= set(symmetric._SCHUR_CACHE)
         schur_eval_padded((1, 1), variables(3))
         requested = {((2, 1), 2), ((1, 1), 3)}
         assert requested <= set(symmetric._SCHUR_CACHE)
@@ -253,6 +260,61 @@ class TestSchurEvalPadded:
                 m <= n and len(mu) <= len(f) and all(a <= b for a, b in zip(mu, f))
                 for f, n in requested
             ), (mu, m)
+
+
+class TestSchurValues:
+    """Each split of a vector into the core (the ring's variables, once each)
+    and the peeled entries, against the bialternant oracle."""
+
+    @pytest.mark.parametrize(
+        "case,core,peeled",
+        [
+            ("out_of_order_among_fractions", 2, 2),
+            ("repeated_variable", 0, 3),
+            ("missing_variable", 0, 2),
+            ("polynomial_beside_full_core", 2, 1),
+            ("constants_in_a_ring", 0, 3),
+            ("all_symbolic_with_zero", 3, 0),
+        ],
+    )
+    def test_every_shape_up_to_weight_6(self, case, core, peeled):
+        x, y, z = variables(3)
+
+        def c(n, v):
+            return MultiPoly.constant(n, Fraction(v))
+
+        x2, y2 = variables(2)
+        (x1,) = variables(1)
+        values = {
+            "out_of_order_among_fractions": [y2, c(2, "2/3"), x2, c(2, "-5/4")],
+            "repeated_variable": [x1, x1, c(1, "1/2")],
+            "missing_variable": [x2, c(2, 0), c(2, 3)],
+            "polynomial_beside_full_core": [x2, y2, x2 + y2 * Fraction(1, 3)],
+            "constants_in_a_ring": [c(2, "3/2"), c(2, 0), c(2, -2), c(2, "1/3")],
+            "all_symbolic_with_zero": [z, c(3, 0), x, y],
+        }[case]
+        evaluator = SchurValues(values, 6)
+        assert (evaluator.m, evaluator.r) == (core, peeled)
+        n = len(values)
+        for weight in range(7):
+            for f in partitions_bounded(weight, n):
+                oracle = schur_bialternant(f, n).substitute(values)
+                assert evaluator.value(f) == oracle, (case, f)
+
+    def test_all_symbolic_returns_the_cached_polynomial(self):
+        x, y = variables(2)
+        values = SchurValues([y, MultiPoly.zero(2), x], 4)
+        assert values.value((2, 1)) is schur((2, 1), 2)
+
+    def test_rejects_shapes_above_the_weight_bound(self):
+        values = SchurValues([MultiPoly.constant(0, 2), MultiPoly.constant(0, 3)], 3)
+        assert values.value((2, 1)) == schur_bialternant((2, 1), 2).substitute(
+            [MultiPoly.constant(0, 2), MultiPoly.constant(0, 3)]
+        )
+        with pytest.raises(ValueError):
+            values.value((2, 2))
+        with pytest.raises(ValueError):
+            SchurValues([MultiPoly.one(0)], -1)
 
 
 class TestPartitionsBounded:
