@@ -5,7 +5,7 @@ no floating point anywhere, so every verification is an exact identity check
 rather than a numerical comparison.
 """
 
-from .polynomials import MultiPoly, divexact_binomial
+from .polynomials import MultiPoly
 from .series import (
     TruncSeries1,
     TruncSeries2,
@@ -14,12 +14,10 @@ from .series import (
 )
 from .symmetric import (
     alternating_sum,
-    complete_homogeneous,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
     schur,
-    schur_bialternant,
     schur_eval_padded,
 )
 from .lfactors import (
@@ -31,7 +29,6 @@ from .lfactors import (
     ext_sq_roots,
     formal_ext_sq_L,
     product_series,
-    reciprocal_quotient,
     standard_L,
 )
 from .torus_sums import (
@@ -49,29 +46,24 @@ from .weil_deligne import (
     WDRep,
     divisibility_check,
     ext_sq_lfactor,
-    hypothesis_H,
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
-    standard_satake,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly",
-    "divexact_binomial",
     "TruncSeries1",
     "TruncSeries2",
     "series_first_difference",
     "series2_first_difference",
     "alternating_sum",
-    "complete_homogeneous",
     "doubled_shape",
     "even_index_sum",
     "partitions_bounded",
     "schur",
-    "schur_bialternant",
     "schur_eval_padded",
     "DoubledShapeSum",
     "LFactor",
@@ -81,7 +73,6 @@ __all__ = [
     "ext_sq_roots",
     "formal_ext_sq_L",
     "product_series",
-    "reciprocal_quotient",
     "standard_L",
     "BFProbeResult",
     "bf_odd_correction_probe",
@@ -95,10 +86,8 @@ __all__ = [
     "WDRep",
     "divisibility_check",
     "ext_sq_lfactor",
-    "hypothesis_H",
     "prop_H_equality",
     "random_k1_rep",
     "random_wdrep",
-    "standard_satake",
     "__version__",
 ]

@@ -163,7 +163,7 @@ def _load_config(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise T.ConfigError(f"cannot read config: {exc}", path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, over-long ints
         raise T.ConfigError(f"invalid JSON: {exc}", path)
 
 

@@ -11,13 +11,17 @@ P(0) = 1, standing for 1/P(q^{-s}) with t = q^{-s}.  Both the reciprocal
 (`LFactor.from_linear_roots`) and the truncated series of 1/P
 (`product_series`) are built root by root from one list of linear roots,
 with `polynomials.times_linear_factors`; no series is inverted.
-`LFactor.series`, which inverts the reciprocal as a series, is kept only as
-the oracle of `product_series`.  The exterior-square
-factor pairs the entries; its truncated series admits an expansion into
-Schur polynomials over doubled shapes.  `doubled_shape_sum` is the one
-routine that sums Schur values over doubled shapes, for `ext_sq_expansion`
-here and for the torus sum `torus_sums.js_series`, so the identity can be
-verified coefficient by coefficient.
+`LFactor.series`, which inverts the reciprocal as a series, is the oracle of
+`product_series`, and `LFactor ==` that of the Galois root multisets; they
+stay methods because tests call them on factors.  The free-function oracles,
+division of reciprocals among them, live in `tests/oracles.py`.
+
+The exterior-square factor pairs the entries; its truncated series admits
+an expansion into Schur polynomials over doubled shapes.
+`doubled_shape_sum` is the one routine that sums Schur values over doubled
+shapes, for `ext_sq_expansion` here and for the torus sum
+`torus_sums.js_series`, so the identity can be verified coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -29,6 +33,21 @@ from typing import Sequence
 from .polynomials import MultiPoly, times_linear_factors
 from .series import TruncSeries1
 from .symmetric import SchurValues, doubled_shape, partitions_bounded
+
+
+def parse_rational(token: str) -> Fraction:
+    """An exact rational from "3", "-2/5" or "0.25"; ValueError otherwise.
+
+    Exponent notation is refused: Fraction("1e10000000") builds a
+    ten-million-digit integer, at a cost that grows faster than the exponent.
+    """
+    text = token.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"malformed rational {token!r}: exponent notation is not accepted")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {token!r}") from exc
 
 
 class SatakeParams:
@@ -61,7 +80,8 @@ class SatakeParams:
     def parse(cls, tokens: Sequence[str | int | Fraction]) -> "SatakeParams":
         """Build from tokens: "sym" for a fresh symbol, otherwise a rational.
 
-        Symbols are numbered left to right; rationals accept "3", "-2/5", etc.
+        Symbols are numbered left to right; rationals are read by
+        `parse_rational`.
         """
         nsyms = sum(1 for tok in tokens if isinstance(tok, str) and tok.strip() == "sym")
         entries: list[MultiPoly] = []
@@ -71,10 +91,7 @@ class SatakeParams:
                 entries.append(MultiPoly.variable(nsyms, next_sym))
                 next_sym += 1
             else:
-                try:
-                    value = Fraction(tok.strip() if isinstance(tok, str) else tok)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ValueError(f"malformed rational entry {tok!r}") from exc
+                value = parse_rational(tok) if isinstance(tok, str) else Fraction(tok)
                 entries.append(MultiPoly.constant(nsyms, value))
         return cls(entries, nvars=nsyms)
 
@@ -252,35 +269,3 @@ def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:
     """
     k = len(params.nonzero_entries)
     return doubled_shape_sum(params, k // 2, k % 2, order)
-
-
-def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:
-    """Quotient of reciprocals num/den when den divides num exactly, else None.
-
-    Low-end exact division, the same over Q and over polynomial rings.  Write
-    N = num.reciprocal of degree dn and D = den.reciprocal of degree dd, with
-    D_0 = 1.  For k = 0..dn let r_k = N_k - sum_{i=1..min(k,dd)} D_i r_{k-i}.
-    These are the coefficients of N/D mod t^(dn+1), so r_k for k <= dn - dd
-    is the only candidate quotient Q of degree <= dn - dd.  If D divides N,
-    then N/D = Q is a polynomial and r_k = 0 for dn - dd < k <= dn.
-    Conversely, if those r_k vanish, then D*Q and N both have degree <= dn
-    and agree mod t^(dn+1), so D*Q = N.  The check is therefore sound and
-    complete, with no series inverse, verifying product or division.
-    It is the tests' oracle of `weil_deligne.divisibility_check`, which
-    compares root multisets instead.
-    """
-    if num.nvars != den.nvars:
-        raise ValueError("factors in different symbol spaces")
-    dn, dd = num.degree, den.degree
-    if dd > dn:
-        return None
-    d = den.reciprocal
-    r: list[MultiPoly] = []
-    for k, acc in enumerate(num.reciprocal):
-        for i in range(1, min(k, dd) + 1):
-            if d[i] and r[k - i]:
-                acc = acc - d[i] * r[k - i]
-        if k > dn - dd and acc:
-            return None
-        r.append(acc)
-    return tuple(r[: dn - dd + 1])

@@ -313,10 +313,10 @@ class MultiPoly:
         """Evaluate at values[i] for variable i.
 
         All values must share one variable count, which becomes the result's;
-        pass `nvars` explicitly when `values` is empty.  This is the oracle
-        route of the test suite (`schur_bialternant(f, n).substitute(values)`
-        against `symmetric.schur_eval_padded`); production code does not call
-        it.
+        pass `nvars` explicitly when `values` is empty.  Production code
+        does not call it: it evaluates the bialternant oracle of
+        `tests/oracles.py` at a vector, against `symmetric.SchurValues`, and
+        stays a method because tests call it on polynomials.
         """
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
@@ -470,51 +470,3 @@ def times_linear_factors(
                 terms[k] = c.numerator
         out.append(MultiPoly._raw(nvars, terms))
     return out
-
-
-def divexact_binomial(p: MultiPoly, i: int, j: int) -> MultiPoly:
-    """Divide p exactly by (x_i - x_j); raise ArithmeticError if inexact.
-
-    Synthetic division in x_i with coefficients that are polynomials in the
-    remaining variables: q_{d-1} = c_d + x_j * q_d, remainder c_0 + x_j * q_0.
-    """
-    if i == j or not (0 <= i < p.nvars and 0 <= j < p.nvars):
-        raise ValueError("need two distinct variable indices")
-    if p.is_zero:
-        return p
-    shift_i = _EXP_BITS * (p.nvars - 1 - i)
-    shift_j = _EXP_BITS * (p.nvars - 1 - j)
-    # split into slices by the exponent of x_i (keys with that field cleared)
-    slices: dict[int, dict[int, Scalar]] = {}
-    for key, c in p._terms.items():
-        d = (key >> shift_i) & _EXP_MASK
-        slices.setdefault(d, {})[key - (d << shift_i)] = c
-    top = max(slices)
-    if top == 0:
-        raise ArithmeticError("inexact division: dividend free of x_i")
-    out: dict[int, Scalar] = {}
-    carry: dict[int, Scalar] = {}  # q_d while descending
-    for d in range(top, 0, -1):
-        q_d: dict[int, Scalar] = dict(slices.get(d, {}))
-        for k, c in carry.items():
-            k2 = k + (1 << shift_j)
-            val = q_d.get(k2, 0) + c
-            if val:
-                q_d[k2] = _norm_scalar(val)
-            else:
-                q_d.pop(k2, None)
-        dm1 = (d - 1) << shift_i
-        for k, c in q_d.items():
-            out[k + dm1] = c
-        carry = q_d
-    remainder = dict(slices.get(0, {}))
-    for k, c in carry.items():
-        k2 = k + (1 << shift_j)
-        val = remainder.get(k2, 0) + c
-        if val:
-            remainder[k2] = _norm_scalar(val)
-        else:
-            remainder.pop(k2, None)
-    if remainder:
-        raise ArithmeticError("inexact division by binomial")
-    return MultiPoly._raw(p.nvars, out)

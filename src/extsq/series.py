@@ -11,7 +11,8 @@ builds series coefficient lists (the product side root by root in
 `polynomials.times_linear_factors`, via `lfactors.product_series`), wraps
 them, and compares them with the first-difference functions.  The product
 side of every identity is a product of linear factors (1 - r t)^{-1}.  The
-arithmetic here is kept only for the oracles:
+arithmetic here is kept only for the oracles; it stays in methods, not in
+`tests/oracles.py`, because tests call it on series:
 
 * `TruncSeries1.from_tpoly` and `inverse` make `LFactor.series`, the oracle
   of `product_series`; `TruncSeries1.__mul__` checks `inverse` in tests;

@@ -35,10 +35,10 @@ polynomials by integers only, and fill `_SCHUR_CACHE` as all-symbolic ones
 do.  `_det` expands along rows with memoized minors, over ints or
 `MultiPoly` alike.
 
-The independent oracle of both routes is `schur_bialternant` (alternant
-divided exactly by the Vandermonde determinant); the test suite evaluates
-it at a vector with `MultiPoly.substitute` and compares.  All enumeration
-orders are deterministic.
+The independent oracle of both routes, the alternant divided exactly by the
+Vandermonde determinant, lives in `tests/oracles.py` with the other oracles;
+the test suite evaluates it at a vector with `MultiPoly.substitute` and
+compares.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import MultiPoly, append_variable, divexact_binomial, times_linear_factors
+from .polynomials import MultiPoly, append_variable, times_linear_factors
 
 _SCHUR_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
 
@@ -64,19 +64,6 @@ def check_partition(f: Sequence[int]) -> tuple[int, ...]:
     while f and f[-1] == 0:
         f = f[:-1]
     return f
-
-
-def complete_homogeneous(k: int, n: int) -> MultiPoly:
-    """Sum of all degree-k monomials in n variables (h_k); zero for k < 0."""
-    if k < 0:
-        return MultiPoly.zero(n)
-    terms: dict[tuple[int, ...], int] = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        terms[tuple(exps)] = 1
-    return MultiPoly(n, terms)
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
@@ -109,38 +96,6 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
             [(schur(mu, n - 1), weight - sum(mu)) for mu in itertools.product(*ranges)],
         )
     _SCHUR_CACHE[key] = p
-    return p
-
-
-def schur_bialternant(f: Sequence[int], n: int) -> MultiPoly:
-    """Schur polynomial as alternant / Vandermonde, with exact division.
-
-    Independent of `schur`: the numerator determinant is a signed sum of
-    monomials over permutations, and the Vandermonde division proceeds one
-    binomial (x_i - x_j) at a time by synthetic division.
-    """
-    shape = check_partition(f)
-    if len(shape) > n:
-        raise ValueError(f"shape {tuple(f)} has more than {n} parts")
-    if n == 0:
-        return MultiPoly.one(0)
-    padded = list(shape) + [0] * (n - len(shape))
-    exps = [padded[i] + n - 1 - i for i in range(n)]  # strictly decreasing
-    terms: dict[tuple[int, ...], int] = {}
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        vec = [0] * n
-        for i, pos in enumerate(perm):
-            vec[pos] = exps[i]
-        terms[tuple(vec)] = sign
-    p = MultiPoly(n, terms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = divexact_binomial(p, i, j)
     return p
 
 

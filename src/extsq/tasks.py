@@ -45,6 +45,7 @@ from .lfactors import (
     ext_sq_expansion,
     ext_sq_roots,
     formal_ext_sq_L,
+    parse_rational,
     product_series,
     standard_L,
 )
@@ -209,16 +210,16 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
         if _is_int(scalar_raw):
             scalar = scalar_raw
         elif isinstance(scalar_raw, str):
-            try:
-                scalar = Fraction(scalar_raw.strip())
-            except (ValueError, ZeroDivisionError):
-                name = scalar_raw.strip()
-                if not name or not name[0].isalpha():
+            scalar = scalar_raw.strip()
+            # a symbol name starts with a letter, a rational never does
+            if not scalar[:1].isalpha():
+                try:
+                    scalar = parse_rational(scalar)
+                except ValueError as exc:
                     raise ConfigError(
-                        f"scalar {scalar_raw!r} is neither a rational nor a symbol name",
+                        f"scalar is neither a rational nor a symbol name: {exc}",
                         f"{loc}.scalar",
-                    )
-                scalar = name
+                    ) from exc
         else:
             raise ConfigError("scalar must be an int, rational string, or symbol name", f"{loc}.scalar")
         try:

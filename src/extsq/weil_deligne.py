@@ -11,9 +11,11 @@ L-factors restrict Frobenius to the monodromy kernel inside the grade-0
 (inertia-invariant) part.  The exterior-square factor is read off the
 blocks in closed form, by Clebsch-Gordan for sl2 on each summand of
 wedge^2 of the direct sum (`ext_sq_root_indices`); no matrix is built.
-Exact Gauss-Jordan elimination on the wedge square
-(`ext_sq_lfactor_by_elimination`) and on the rep itself (`wd_lfactor`) is
-kept as the test suite's oracle of `ext_sq_lfactor` and `standard_satake`.
+The oracles live in `tests/oracles.py`: exact Gauss-Jordan elimination on
+the wedge square and on the rep itself, the kernel eigenvalues of the
+grade-0 blocks as a parameter vector, and low-end division of reciprocals.
+`ext_sq_lfactor` stays here, since tests compare it with elimination and it
+runs the production root walk.
 
 The reciprocals on both sides of the Galois checks are products
 prod (1 - r t) over nonzero roots r in Q[x], x the symbols.  Each factor
@@ -30,8 +32,8 @@ every such c is an integer, and multiplying every root on both sides by
 the same nonzero constant is a bijection that keeps containment and
 equality of the multisets.  `divisibility_check` and `prop_H_equality`
 therefore compare multisets of keys (m, integer) and build reciprocals
-only when a report reads them; `reciprocal_quotient` and `LFactor`
-equality are the oracles of this route.  The scaling is by integer
+only when a report reads them; division of reciprocals and `LFactor`
+equality are the tests' oracles of this route.  The scaling is by integer
 multiplication only: with int coefficients, c / q**e would be a float,
 and a float key compares unequal to the Fraction it approximates.
 
@@ -50,7 +52,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .lfactors import LFactor, SatakeParams
+from .lfactors import LFactor
 from .polynomials import MultiPoly, times_linear_factors
 
 
@@ -141,17 +143,6 @@ class WDRep:
         self.nvars = len(symbols)
         self.dim = sum(b.length for b in self.blocks)
 
-    @property
-    def alphas(self) -> tuple[MultiPoly, ...]:
-        """One Frobenius scalar per block, as a polynomial in the symbols;
-        built on each read, for `standard_satake` and the elimination oracle."""
-        return tuple(
-            MultiPoly.variable(self.nvars, self.symbols.index(b.scalar))
-            if isinstance(b.scalar, str)
-            else MultiPoly.constant(self.nvars, b.scalar)
-            for b in self.blocks
-        )
-
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
 
@@ -191,27 +182,15 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
     return LFactor.from_linear_roots(roots._roots(roots._full), rep.nvars)
 
 
-def standard_satake(rep: WDRep) -> SatakeParams:
-    """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
-    entries: list[MultiPoly] = []
-    for b, alpha in zip(rep.blocks, rep.alphas):
-        if rep.group.is_zero(b.grade):
-            # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
-            entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
-    entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
-    return SatakeParams(entries, nvars=rep.nvars)
-
-
 class _RootComparison:
     """The formal and the exterior-square roots of one rep, as multisets of keys.
 
     A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
     (see the module docstring); its key is (m, c), the exponent vector m
     packed two bits per symbol.  The formal roots pair up the grade-0
-    blocks' kernel eigenvalues a / q^(k-1), the nonzero `standard_satake`
-    entries; the others come from `ext_sq_root_indices`.  The factors are
-    built only when read, from the keys as monomials c / scale x^m, and
-    random suites read none.  When the formal roots are contained in the
+    blocks' kernel eigenvalues a / q^(k-1); the others come from
+    `ext_sq_root_indices`.  The factors are built only when read, from the
+    keys as monomials c / scale x^m, and random suites read none.  When the formal roots are contained in the
     others, `ext_sq_factor` is the formal factor times the leftover roots;
     it is the same object as `formal_factor` when nothing is left over.
     """
@@ -312,8 +291,7 @@ def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
     Every root on both sides is multiplied by one common scale L^2 q^E, a
     bijection that keeps containment, and compared as an exact integer key.
     The scaling never divides: int / int is a float, and a float key would
-    compare unequal to the Fraction it approximates.  `reciprocal_quotient`
-    is the oracle of this route.
+    compare unequal to the Fraction it approximates.
     """
     return DivisibilityVerdict(rep)
 
@@ -321,7 +299,10 @@ def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
 def _first_opposite_pair(
     group: FiniteAbelianGroup, reduced: Sequence[tuple[int, ...]]
 ) -> tuple[int, int] | None:
-    """`hypothesis_H_violation` on grades that are already reduced."""
+    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None.
+
+    The grades must be reduced; `WDRep` reduces every block's grade.
+    """
     zero = group.zero()
     for i, g in enumerate(reduced):
         if g == zero:
@@ -332,18 +313,6 @@ def _first_opposite_pair(
             if reduced[j] == neg:
                 return i, j
     return None
-
-
-def hypothesis_H_violation(
-    group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]
-) -> tuple[int, int] | None:
-    """First pair (i, j) of ramified grades with g_i + g_j = 0, or None."""
-    return _first_opposite_pair(group, [group.reduce(g) for g in grades])
-
-
-def hypothesis_H(group: FiniteAbelianGroup, grades: Sequence[Sequence[int]]) -> bool:
-    """No two ramified grades sum to zero."""
-    return hypothesis_H_violation(group, grades) is None
 
 
 class PropHResult(_RootComparison):
@@ -368,160 +337,6 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
             f"and {grades[j]} (block {j}) sum to zero"
         )
     return PropHResult(rep)
-
-
-# -- elimination oracle -----------------------------------------------------
-
-
-def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[MultiPoly]]:
-    """Per coordinate: where N sends it (None at a ladder's end), its grade,
-    and its Frobenius eigenvalue a / q^l on rung l of a block with scalar a."""
-    target: list[int | None] = []
-    grades: list[tuple[int, ...]] = []
-    phi: list[MultiPoly] = []
-    for b, alpha in zip(rep.blocks, rep.alphas):
-        start = len(target)
-        target += [*range(start + 1, start + b.length), None]
-        grades += [b.grade] * b.length
-        phi += [alpha * Fraction(1, rep.q**l) for l in range(b.length)]
-    return target, grades, phi
-
-
-def _kernel_basis(
-    mat: list[list[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Kernel basis of an exact matrix via Gauss-Jordan elimination.
-
-    Returns (vectors, free_columns); vector i has 1 at free_columns[i] and 0
-    at every other free column, so coordinates in this basis can be read off
-    directly.  Deterministic: columns are processed left to right.
-    """
-    rows = [list(r) for r in mat]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = Fraction(1, 1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis: list[list[Fraction]] = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -rows[r][fc]
-        basis.append(v)
-    return basis, free_cols
-
-
-def _restricted_kernel_lfactor(
-    phi_diag: Sequence[MultiPoly],
-    nmat: Sequence[Sequence[int]],
-    indices: Sequence[int],
-    nvars: int,
-) -> LFactor:
-    """det(1 - t Phi | ker N within the given coordinate subspace)^-1.
-
-    Frobenius is diagonal here, so once the kernel basis is in reduced form
-    each basis vector must be an eigenvector (its eigenvalue sits at the
-    vector's free column); that is verified exactly, and the determinant is
-    the product of the verified eigenvalues.
-    """
-    indices = list(indices)
-    index_set = set(indices)
-    for c in indices:
-        for r in range(len(nmat)):
-            if nmat[r][c] and r not in index_set:
-                raise ArithmeticError("monodromy does not preserve the graded piece")
-    sub = [[Fraction(nmat[r][c]) for c in indices] for r in indices]
-    basis, free_cols = _kernel_basis(sub, len(indices))
-    roots: list[MultiPoly] = []
-    for v, fc in zip(basis, free_cols):
-        lam = phi_diag[indices[fc]]
-        for coord, entry in enumerate(v):
-            if entry and phi_diag[indices[coord]] != lam:
-                raise ArithmeticError("kernel basis vector is not Frobenius-stable")
-        roots.append(lam)
-    return LFactor.from_linear_roots(roots, nvars)
-
-
-def wd_lfactor(rep: WDRep) -> LFactor:
-    """Standard L-factor: Frobenius on (ker N) meet grade 0, by elimination.
-
-    The oracle of `standard_satake`: it equals prod over grade-0 blocks of
-    (1 - scalar q^(1-k) t)^-1.
-    """
-    target, grades, phi = _ladders(rep)
-    nmat = [[0] * rep.dim for _ in range(rep.dim)]
-    for src, dst in enumerate(target):
-        if dst is not None:
-            nmat[dst][src] = 1
-    idx0 = [i for i in range(rep.dim) if rep.group.is_zero(grades[i])]
-    return _restricted_kernel_lfactor(phi, nmat, idx0, rep.nvars)
-
-
-@dataclass(frozen=True)
-class ExtSquareData:
-    """Exterior square of a rep in the wedge basis e_i ^ e_j (i < j)."""
-
-    pairs: tuple[tuple[int, int], ...]
-    phi_diag: tuple[MultiPoly, ...]
-    nmatrix: tuple[tuple[int, ...], ...]
-    grades: tuple[tuple[int, ...], ...]
-    nvars: int
-
-
-def ext_sq(rep: WDRep) -> ExtSquareData:
-    """Induced data on the exterior square: Phi tensor Phi and N x 1 + 1 x N."""
-    target, rep_grades, rep_phi = _ladders(rep)
-    pairs = [(i, j) for i in range(rep.dim) for j in range(i + 1, rep.dim)]
-    index = {p: w for w, p in enumerate(pairs)}
-    dim2 = len(pairs)
-    nmat = [[0] * dim2 for _ in range(dim2)]
-    for w, (i, j) in enumerate(pairs):
-        for a, b in ((target[i], j), (i, target[j])):
-            if a is None or b is None or a == b:
-                continue
-            if a < b:
-                nmat[index[(a, b)]][w] += 1
-            else:
-                nmat[index[(b, a)]][w] -= 1
-    phi = tuple(rep_phi[i] * rep_phi[j] for i, j in pairs)
-    grades = tuple(
-        rep.group.reduce([x + y for x, y in zip(rep_grades[i], rep_grades[j])]) for i, j in pairs
-    )
-    return ExtSquareData(
-        tuple(pairs),
-        phi,
-        tuple(tuple(row) for row in nmat),
-        grades,
-        rep.nvars,
-    )
-
-
-def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
-    """Exterior-square L-factor by exact elimination on the wedge square.
-
-    The oracle of `ext_sq_lfactor`: it builds the wedge basis and the
-    induced monodromy matrix, and uses no Clebsch-Gordan formula.
-    """
-    data = ext_sq(rep)
-    idx0 = [w for w in range(len(data.pairs)) if rep.group.is_zero(data.grades[w])]
-    return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)
 
 
 # -- randomized inputs for verification suites ------------------------------

@@ -1,0 +1,329 @@
+"""Independent routes that the test suite checks the package against.
+
+Nothing in `extsq` calls these.  Each builds an object that production
+builds another way, and shares no code with that way:
+
+* `schur_bialternant` -- s_f as alternant over Vandermonde, divided one
+  binomial at a time by `divexact_binomial`.  It is the oracle of
+  `symmetric.schur` (the branching rule) and, evaluated with
+  `MultiPoly.substitute`, of `symmetric.SchurValues` (the coproduct);
+* `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
+* `reciprocal_quotient` -- exact low-end division of two reciprocals, the
+  oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
+* `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
+  pair products are the formal roots of the Galois checks;
+* `wd_lfactor` and `ext_sq_lfactor_by_elimination` -- Gauss-Jordan
+  elimination on the rep and on its wedge square, the oracles of
+  `standard_satake` and of `weil_deligne.ext_sq_lfactor` (Clebsch-Gordan
+  over blocks).
+
+Only public names of `extsq` are used here, so no oracle reads the packed
+exponent keys of the code it checks.  The oracle methods that tests call by
+attribute stay on their classes in the package: `LFactor.series`,
+`LFactor.__eq__`, `LFactor.one`, `TruncSeries1.from_tpoly` and `inverse`,
+`TruncSeries2.from_t1`, `from_t2` and `__mul__`, and `MultiPoly.substitute`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from extsq.lfactors import LFactor, SatakeParams
+from extsq.polynomials import MultiPoly
+from extsq.symmetric import check_partition
+from extsq.weil_deligne import WDRep
+
+# -- Schur polynomials --------------------------------------------------------
+
+
+def divexact_binomial(p: MultiPoly, i: int, j: int) -> MultiPoly:
+    """Divide p exactly by (x_i - x_j); raise ArithmeticError if inexact.
+
+    Synthetic division in x_i with coefficients that are polynomials in the
+    remaining variables: q_{d-1} = c_d + x_j q_d, remainder c_0 + x_j q_0.
+    Works on the exponent vectors of `terms()`.
+    """
+    n = p.nvars
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise ValueError("need two distinct variable indices")
+    # c_d by the exponent d of x_i, as {exponents with x_i cleared: coefficient}
+    slices: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+    for exps, c in p.terms():
+        slices.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1 :]] = c
+    if not slices:
+        return p
+    top = max(slices)
+    if top == 0:
+        raise ArithmeticError("inexact division: dividend free of x_i")
+    quotient: dict[tuple[int, ...], int | Fraction] = {}
+    carry: dict[tuple[int, ...], int | Fraction] = {}  # q_d while descending
+    for d in range(top, -1, -1):
+        acc = dict(slices.get(d, {}))
+        for exps, c in carry.items():
+            shifted = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+            acc[shifted] = acc.get(shifted, 0) + c
+        acc = {exps: c for exps, c in acc.items() if c}
+        if d == 0:
+            if acc:
+                raise ArithmeticError("inexact division by binomial")
+            break
+        for exps, c in acc.items():
+            quotient[exps[:i] + (d - 1,) + exps[i + 1 :]] = c
+        carry = acc
+    return MultiPoly(n, quotient)
+
+
+def schur_bialternant(f: Sequence[int], n: int) -> MultiPoly:
+    """Schur polynomial as alternant / Vandermonde, with exact division.
+
+    The numerator determinant is a signed sum of monomials over
+    permutations, and the Vandermonde division proceeds one binomial
+    (x_i - x_j) at a time by synthetic division.
+    """
+    shape = check_partition(f)
+    if len(shape) > n:
+        raise ValueError(f"shape {tuple(f)} has more than {n} parts")
+    if n == 0:
+        return MultiPoly.one(0)
+    padded = list(shape) + [0] * (n - len(shape))
+    exps = [padded[i] + n - 1 - i for i in range(n)]  # strictly decreasing
+    terms: dict[tuple[int, ...], int] = {}
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for a in range(n):
+            for b in range(a + 1, n):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        vec = [0] * n
+        for i, pos in enumerate(perm):
+            vec[pos] = exps[i]
+        terms[tuple(vec)] = sign
+    p = MultiPoly(n, terms)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = divexact_binomial(p, i, j)
+    return p
+
+
+def complete_homogeneous(k: int, n: int) -> MultiPoly:
+    """Sum of all degree-k monomials in n variables (h_k); zero for k < 0."""
+    if k < 0:
+        return MultiPoly.zero(n)
+    terms: dict[tuple[int, ...], int] = {}
+    for combo in itertools.combinations_with_replacement(range(n), k):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        terms[tuple(exps)] = 1
+    return MultiPoly(n, terms)
+
+
+# -- L-factors ------------------------------------------------------------------
+
+
+def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:
+    """Quotient of reciprocals num/den when den divides num exactly, else None.
+
+    Low-end exact division, the same over Q and over polynomial rings.  Write
+    N = num.reciprocal of degree dn and D = den.reciprocal of degree dd, with
+    D_0 = 1.  For k = 0..dn let r_k = N_k - sum_{i=1..min(k,dd)} D_i r_{k-i}.
+    These are the coefficients of N/D mod t^(dn+1), so r_k for k <= dn - dd
+    is the only candidate quotient Q of degree <= dn - dd.  If D divides N,
+    then N/D = Q is a polynomial and r_k = 0 for dn - dd < k <= dn.
+    Conversely, if those r_k vanish, then D*Q and N both have degree <= dn
+    and agree mod t^(dn+1), so D*Q = N.  The check is therefore sound and
+    complete, with no series inverse, verifying product or division.
+    """
+    if num.nvars != den.nvars:
+        raise ValueError("factors in different symbol spaces")
+    dn, dd = num.degree, den.degree
+    if dd > dn:
+        return None
+    d = den.reciprocal
+    r: list[MultiPoly] = []
+    for k, acc in enumerate(num.reciprocal):
+        for i in range(1, min(k, dd) + 1):
+            if d[i] and r[k - i]:
+                acc = acc - d[i] * r[k - i]
+        if k > dn - dd and acc:
+            return None
+        r.append(acc)
+    return tuple(r[: dn - dd + 1])
+
+
+# -- Weil-Deligne representations -------------------------------------------------
+
+
+def alphas(rep: WDRep) -> tuple[MultiPoly, ...]:
+    """One Frobenius scalar per block, as a polynomial in the rep's symbols."""
+    return tuple(
+        MultiPoly.variable(rep.nvars, rep.symbols.index(b.scalar))
+        if isinstance(b.scalar, str)
+        else MultiPoly.constant(rep.nvars, b.scalar)
+        for b in rep.blocks
+    )
+
+
+def standard_satake(rep: WDRep) -> SatakeParams:
+    """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
+    entries: list[MultiPoly] = []
+    for b, alpha in zip(rep.blocks, alphas(rep)):
+        if rep.group.is_zero(b.grade):
+            # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
+            entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
+    entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
+    return SatakeParams(entries, nvars=rep.nvars)
+
+
+def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[MultiPoly]]:
+    """Per coordinate: where N sends it (None at a ladder's end), its grade,
+    and its Frobenius eigenvalue a / q^l on rung l of a block with scalar a."""
+    target: list[int | None] = []
+    grades: list[tuple[int, ...]] = []
+    phi: list[MultiPoly] = []
+    for b, alpha in zip(rep.blocks, alphas(rep)):
+        start = len(target)
+        target += [*range(start + 1, start + b.length), None]
+        grades += [b.grade] * b.length
+        phi += [alpha * Fraction(1, rep.q**l) for l in range(b.length)]
+    return target, grades, phi
+
+
+def _kernel_basis(
+    mat: list[list[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Kernel basis of an exact matrix via Gauss-Jordan elimination.
+
+    Returns (vectors, free_columns); vector i has 1 at free_columns[i] and 0
+    at every other free column, so coordinates in this basis can be read off
+    directly.  Deterministic: columns are processed left to right.
+    """
+    rows = [list(r) for r in mat]
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = Fraction(1, 1) / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis: list[list[Fraction]] = []
+    for fc in free_cols:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, c in pivots:
+            v[c] = -rows[r][fc]
+        basis.append(v)
+    return basis, free_cols
+
+
+def _restricted_kernel_lfactor(
+    phi_diag: Sequence[MultiPoly],
+    nmat: Sequence[Sequence[int]],
+    indices: Sequence[int],
+    nvars: int,
+) -> LFactor:
+    """det(1 - t Phi | ker N within the given coordinate subspace)^-1.
+
+    Frobenius is diagonal here, so once the kernel basis is in reduced form
+    each basis vector must be an eigenvector (its eigenvalue sits at the
+    vector's free column); that is verified exactly, and the determinant is
+    the product of the verified eigenvalues.
+    """
+    indices = list(indices)
+    index_set = set(indices)
+    for c in indices:
+        for r in range(len(nmat)):
+            if nmat[r][c] and r not in index_set:
+                raise ArithmeticError("monodromy does not preserve the graded piece")
+    sub = [[Fraction(nmat[r][c]) for c in indices] for r in indices]
+    basis, free_cols = _kernel_basis(sub, len(indices))
+    roots: list[MultiPoly] = []
+    for v, fc in zip(basis, free_cols):
+        lam = phi_diag[indices[fc]]
+        for coord, entry in enumerate(v):
+            if entry and phi_diag[indices[coord]] != lam:
+                raise ArithmeticError("kernel basis vector is not Frobenius-stable")
+        roots.append(lam)
+    return LFactor.from_linear_roots(roots, nvars)
+
+
+def wd_lfactor(rep: WDRep) -> LFactor:
+    """Standard L-factor: Frobenius on (ker N) meet grade 0, by elimination.
+
+    The oracle of `standard_satake`: it equals prod over grade-0 blocks of
+    (1 - scalar q^(1-k) t)^-1.
+    """
+    target, grades, phi = _ladders(rep)
+    nmat = [[0] * rep.dim for _ in range(rep.dim)]
+    for src, dst in enumerate(target):
+        if dst is not None:
+            nmat[dst][src] = 1
+    idx0 = [i for i in range(rep.dim) if rep.group.is_zero(grades[i])]
+    return _restricted_kernel_lfactor(phi, nmat, idx0, rep.nvars)
+
+
+@dataclass(frozen=True)
+class ExtSquareData:
+    """Exterior square of a rep in the wedge basis e_i ^ e_j (i < j)."""
+
+    pairs: tuple[tuple[int, int], ...]
+    phi_diag: tuple[MultiPoly, ...]
+    nmatrix: tuple[tuple[int, ...], ...]
+    grades: tuple[tuple[int, ...], ...]
+    nvars: int
+
+
+def ext_sq(rep: WDRep) -> ExtSquareData:
+    """Induced data on the exterior square: Phi tensor Phi and N x 1 + 1 x N."""
+    target, rep_grades, rep_phi = _ladders(rep)
+    pairs = [(i, j) for i in range(rep.dim) for j in range(i + 1, rep.dim)]
+    index = {p: w for w, p in enumerate(pairs)}
+    dim2 = len(pairs)
+    nmat = [[0] * dim2 for _ in range(dim2)]
+    for w, (i, j) in enumerate(pairs):
+        for a, b in ((target[i], j), (i, target[j])):
+            if a is None or b is None or a == b:
+                continue
+            if a < b:
+                nmat[index[(a, b)]][w] += 1
+            else:
+                nmat[index[(b, a)]][w] -= 1
+    phi = tuple(rep_phi[i] * rep_phi[j] for i, j in pairs)
+    grades = tuple(
+        rep.group.reduce([x + y for x, y in zip(rep_grades[i], rep_grades[j])]) for i, j in pairs
+    )
+    return ExtSquareData(
+        tuple(pairs),
+        phi,
+        tuple(tuple(row) for row in nmat),
+        grades,
+        rep.nvars,
+    )
+
+
+def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
+    """Exterior-square L-factor by exact elimination on the wedge square.
+
+    The oracle of `ext_sq_lfactor`: it builds the wedge basis and the
+    induced monodromy matrix, and uses no Clebsch-Gordan formula.
+    """
+    data = ext_sq(rep)
+    idx0 = [w for w in range(len(data.pairs)) if rep.group.is_zero(data.grades[w])]
+    return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)

@@ -33,7 +33,7 @@ from extsq.series import (
     series2_first_difference,
     series_first_difference,
 )
-from extsq.symmetric import partitions_bounded, schur, schur_bialternant, schur_eval_padded
+from extsq.symmetric import partitions_bounded, schur, schur_eval_padded
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import (
     bf_odd_correction_probe,
@@ -50,8 +50,8 @@ from extsq.weil_deligne import (
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
-    standard_satake,
 )
+from oracles import schur_bialternant, standard_satake
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

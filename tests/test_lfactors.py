@@ -12,13 +12,13 @@ from extsq.lfactors import (
     ext_sq_roots,
     formal_ext_sq_L,
     product_series,
-    reciprocal_quotient,
     standard_L,
 )
 from extsq.polynomials import MultiPoly
 from extsq.series import TruncSeries1, series_first_difference
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
+from oracles import reciprocal_quotient
 
 
 class TestSatakeParams:
@@ -36,10 +36,13 @@ class TestSatakeParams:
         assert p.entries[1] == 0
         assert p.entries[2] == 3
 
-    @pytest.mark.parametrize("bad", ["2/0", "x", "1.5.2", ""])
+    @pytest.mark.parametrize("bad", ["2/0", "x", "1.5.2", "", "1e5", "2.5E-3"])
     def test_parse_malformed(self, bad):
         with pytest.raises(ValueError):
             SatakeParams.parse([bad])
+
+    def test_parse_decimal(self):
+        assert SatakeParams.parse([" 0.25 "]).entries[0] == Fraction(1, 4)
 
     def test_symbolic(self):
         p = SatakeParams.symbolic(3)

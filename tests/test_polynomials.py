@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.polynomials import MultiPoly, append_variable, divexact_binomial, times_linear_factors
+from extsq.polynomials import MultiPoly, append_variable, times_linear_factors
+from oracles import divexact_binomial
 
 
 def poly(nvars, mapping):

@@ -11,15 +11,14 @@ from extsq.symmetric import (
     SchurValues,
     alternating_sum,
     check_partition,
-    complete_homogeneous,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
     schur,
-    schur_bialternant,
     schur_eval_padded,
 )
 from extsq.torus_sums import js_series
+from oracles import complete_homogeneous, schur_bialternant
 
 
 def variables(n):

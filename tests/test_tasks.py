@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -267,6 +268,18 @@ class TestParseTask:
                     "task": "galois-H",
                     "group": [1],
                     "blocks": [{"grade": [0], "length": 1, "scalar": "#"}],
+                }
+            )
+
+    @pytest.mark.parametrize("scalar", ["1e5", " 2E-3", "-1e10000000"])
+    def test_galois_scalar_in_exponent_notation_rejected(self, scalar):
+        """Refused as a rational, and not read as a symbol name."""
+        with pytest.raises(ConfigError, match=r"blocks\[0\]\.scalar: .*exponent notation"):
+            parse_task(
+                {
+                    "task": "galois-H",
+                    "group": [1],
+                    "blocks": [{"grade": [0], "length": 1, "scalar": scalar}],
                 }
             )
 
@@ -758,6 +771,30 @@ class TestCli:
         cfg.write_text("{not json")
         code, _ = self.run_cli("run", "--config", str(cfg))
         assert code == 2
+
+    def test_over_long_integer_in_config_exit_2(self, tmp_path, capsys):
+        """json.load refuses an int of more than 4300 digits with a plain ValueError."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"format_version": 1, "task": "lfactor", "satake": [%s]}' % ("9" * 5000))
+        code, _ = self.run_cli("run", "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfactor", "--satake", "1e10000000,2"],
+            ["galois-divisibility", "--block", "0:1:1e10000000"],
+        ],
+        ids=["satake", "block_scalar"],
+    )
+    def test_exponent_notation_exit_2_at_once(self, capsys, argv):
+        """Fraction("1e10000000") alone takes seconds; the entry is refused unread."""
+        start = time.perf_counter()
+        code, _ = self.run_cli(*argv)
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exponent notation is not accepted" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code, _ = self.run_cli("run", "--config", str(tmp_path / "absent.json"))

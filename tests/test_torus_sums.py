@@ -14,7 +14,7 @@ from extsq.series import (
     series2_first_difference,
     series_first_difference,
 )
-from extsq.symmetric import alternating_sum, even_index_sum, schur_bialternant
+from extsq.symmetric import alternating_sum, even_index_sum
 from extsq.torus_sums import (
     bf_odd_correction_probe,
     bf_product_series,
@@ -22,6 +22,7 @@ from extsq.torus_sums import (
     delta_half_exponent,
     js_series,
 )
+from oracles import schur_bialternant
 
 
 def product_series2(params, l1, l2):
