@@ -40,7 +40,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 from .lfactors import (
     DoubledShapeSum,
-    LFactor,
     SatakeParams,
     ext_sq_expansion,
     ext_sq_roots,
@@ -53,9 +52,7 @@ from .polynomials import MultiPoly
 from .series import TruncSeries2, series2_first_difference, series_first_difference
 from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
 from .weil_deligne import (
-    DivisibilityVerdict,
     FiniteAbelianGroup,
-    PropHResult,
     WDBlock,
     WDRep,
     divisibility_check,
@@ -166,20 +163,22 @@ def _parse_satake(raw: Any, location: str) -> tuple[SatakeParams, list[str]]:
     if len(raw) > MAX_RANK:
         raise ConfigError(f"satake must have at most {MAX_RANK} entries", location)
     tokens: list[str] = []
+    values: list[str | Fraction] = []
     for i, tok in enumerate(raw):
         if isinstance(tok, str):
-            tokens.append(tok.strip())
+            tok = tok.strip()
         elif _is_int(tok):
-            tokens.append(str(tok))
+            tok = str(tok)
         else:
             raise ConfigError(
                 "satake entries must be 'sym' or exact rationals", f"{location}[{i}]"
             )
-    try:
-        params = SatakeParams.parse(tokens)
-    except ValueError as exc:
-        raise ConfigError(str(exc), location) from exc
-    return params, tokens
+        tokens.append(tok)
+        try:
+            values.append(tok if tok == "sym" else parse_rational(tok))
+        except ValueError as exc:
+            raise ConfigError(str(exc), f"{location}[{i}]") from exc
+    return SatakeParams.parse(values), tokens
 
 
 def _parse_truncation(raw: Any, location: str, want_window: bool) -> int | tuple[int, int]:
@@ -507,17 +506,12 @@ def _describe_rep(rep: WDRep) -> dict[str, Any]:
     }
 
 
-def _reciprocals(result: DivisibilityVerdict | PropHResult, names: Sequence[str]) -> dict[str, Any]:
-    """The two factors an explicit Galois check compares, the first keys of its data.
+def _root_strings(roots: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
+    """A factor prod (1 - r t) as its roots' strings, sorted, each root as often as it occurs.
 
-    Equal root multisets give one factor object, formatted once.
+    The empty list is the factor 1.
     """
-    formal = result.formal_factor.format(names)
-    same = result.ext_sq_factor is result.formal_factor
-    return {
-        "formal_reciprocal": formal,
-        "ext_sq_reciprocal": formal if same else result.ext_sq_factor.format(names),
-    }
+    return sorted(r.format(names) for r in roots)
 
 
 def _random_reps(cfg: TaskConfig, draw: Callable[[random.Random], WDRep]) -> Iterator[WDRep]:
@@ -530,16 +524,14 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
         names = _names(cfg.rep.nvars)
         verdict = divisibility_check(cfg.rep)
-        data = _reciprocals(verdict, names)
-        data["divides"] = verdict.divides
-        data["strict"] = verdict.strict
-        quotient = verdict.quotient
-        if quotient is None:
-            data["quotient"] = None
-        elif quotient is verdict.ext_sq_factor.reciprocal:
-            data["quotient"] = data["ext_sq_reciprocal"]
-        else:
-            data["quotient"] = LFactor(quotient).format(names)
+        quotient = verdict.quotient_roots
+        data = {
+            "formal_roots": _root_strings(verdict.formal_roots, names),
+            "ext_sq_roots": _root_strings(verdict.ext_sq_roots, names),
+            "divides": verdict.divides,
+            "strict": verdict.strict,
+            "quotient_roots": None if quotient is None else _root_strings(quotient, names),
+        }
         if not verdict.divides:
             return "fail", "pair-product factor does not divide the exterior-square factor", data
         kind = "strictly" if verdict.strict else "with quotient 1"
@@ -568,9 +560,13 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
 
 def _run_galois_h(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
+        names = _names(cfg.rep.nvars)
         result = prop_H_equality(cfg.rep)
-        data = _reciprocals(result, _names(cfg.rep.nvars))
-        data["equal"] = result.equal
+        data = {
+            "formal_roots": _root_strings(result.formal_roots, names),
+            "ext_sq_roots": _root_strings(result.ext_sq_roots, names),
+            "equal": result.equal,
+        }
         if not result.equal:
             return "fail", "factors differ despite the pairing hypothesis", data
         return "pass", "factors agree exactly under the pairing hypothesis", data
@@ -637,7 +633,9 @@ def _table_rows(data: Any, indent: str = "  ") -> list[str]:
     if isinstance(data, dict):
         for key in data:
             value = data[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, list) and not value:
+                rows.append(f"{indent}{key}: []")
+            elif isinstance(value, (dict, list)):
                 rows.append(f"{indent}{key}:")
                 rows.extend(_table_rows(value, indent + "  "))
             else:

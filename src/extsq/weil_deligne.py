@@ -31,11 +31,15 @@ common scale L^2 q^E, L the lcm of the rational scalars' denominators,
 every such c is an integer, and multiplying every root on both sides by
 the same nonzero constant is a bijection that keeps containment and
 equality of the multisets.  `divisibility_check` and `prop_H_equality`
-therefore compare multisets of keys (m, integer) and build reciprocals
-only when a report reads them; division of reciprocals and `LFactor`
-equality are the tests' oracles of this route.  The scaling is by integer
-multiplication only: with int coefficients, c / q**e would be a float,
-and a float key compares unequal to the Fraction it approximates.
+therefore compare multisets of keys (m, integer).  An explicit report
+prints each side's roots, decoded from the keys: by the same
+irreducibility the root multiset determines the factor, and it has
+O(dim^2) entries, where the expanded reciprocal has exponentially many
+terms in the number of symbols.  No reciprocal is built for a verdict or a report; division of
+reciprocals and `LFactor` equality are the tests' oracles of this route.
+The scaling is by integer multiplication only: with int coefficients,
+c / q**e would be a float, and a float key compares unequal to the
+Fraction it approximates.
 
 Frobenius scalars may be symbolic, but only when every block has k = 1,
 so that q never mixes into a symbol; mixed symbolic/Steinberg input is
@@ -47,13 +51,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
 from .lfactors import LFactor
-from .polynomials import MultiPoly, times_linear_factors
+from .polynomials import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,7 @@ def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
 
 def ext_sq_lfactor(rep: WDRep) -> LFactor:
     """Exterior-square L-factor of the rep: the product over `ext_sq_root_indices`."""
-    roots = _RootComparison(rep)
-    return LFactor.from_linear_roots(roots._roots(roots._full), rep.nvars)
+    return LFactor.from_linear_roots(_RootComparison(rep).ext_sq_roots, rep.nvars)
 
 
 class _RootComparison:
@@ -189,10 +191,10 @@ class _RootComparison:
     (see the module docstring); its key is (m, c), the exponent vector m
     packed two bits per symbol.  The formal roots pair up the grade-0
     blocks' kernel eigenvalues a / q^(k-1); the others come from
-    `ext_sq_root_indices`.  The factors are built only when read, from the
-    keys as monomials c / scale x^m, and random suites read none.  When the formal roots are contained in the
-    others, `ext_sq_factor` is the formal factor times the leftover roots;
-    it is the same object as `formal_factor` when nothing is left over.
+    `ext_sq_root_indices`.  The roots themselves, monomials c / scale x^m
+    listed with multiplicity, are decoded only when read: an explicit
+    report prints them, and random suites read none.  No reciprocal is
+    built for a verdict or a report.
     """
 
     def __init__(self, rep: WDRep):
@@ -234,28 +236,26 @@ class _RootComparison:
             for m, c in keys
         ]
 
-    @cached_property
-    def formal_factor(self) -> LFactor:
-        return LFactor.from_linear_roots(self._roots(self._formal), self.nvars)
+    @property
+    def formal_roots(self) -> list[MultiPoly]:
+        return self._roots(self._formal)
 
-    @cached_property
-    def ext_sq_factor(self) -> LFactor:
-        if self._missing:
-            return LFactor.from_linear_roots(self._roots(self._full), self.nvars)
-        if not self._leftover:
-            return self.formal_factor
-        formal = self.formal_factor.reciprocal
-        leftover = self._roots(self._leftover.elements())
-        return LFactor(times_linear_factors(formal, leftover, len(self._full), 1))
+    @property
+    def ext_sq_roots(self) -> list[MultiPoly]:
+        return self._roots(self._full)
+
+    @property
+    def quotient_roots(self) -> list[MultiPoly] | None:
+        """The exterior-square roots the formal ones leave over, or None if they do not fit."""
+        return None if self._missing else self._roots(self._leftover.elements())
 
 
 class DivisibilityVerdict(_RootComparison):
     """Whether the pair-product factor divides the exterior-square factor.
 
-    `divides` and `strict` are read off the root multisets; `quotient`, the
-    reciprocal of the quotient factor (None when it does not divide), is
-    built when read.  When the formal factor is 1, `quotient` is the very
-    reciprocal of `ext_sq_factor`, so a report can print it once.
+    `divides` and `strict` are read off the root multisets.  The quotient
+    factor is the product over `quotient_roots`; a report prints those
+    roots, and no reciprocal is built.
     """
 
     @property
@@ -265,16 +265,6 @@ class DivisibilityVerdict(_RootComparison):
     @property
     def strict(self) -> bool:
         return not self._missing and bool(self._leftover)
-
-    @cached_property
-    def quotient(self) -> tuple[MultiPoly, ...] | None:
-        if not self.divides:
-            return None
-        if not self._formal:
-            # a formal factor of 1 leaves the whole exterior-square factor
-            return self.ext_sq_factor.reciprocal
-        leftover = self._roots(self._leftover.elements())
-        return LFactor.from_linear_roots(leftover, self.nvars).reciprocal
 
 
 def divisibility_check(rep: WDRep) -> DivisibilityVerdict:

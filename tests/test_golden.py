@@ -8,9 +8,10 @@ zero, a mixed symbolic/rational `verify-littlewood`, an even-rank
 mixed symbolic/rational vector, a `bf-odd-probe` on an all-nonzero mixed
 vector with a non-integral fraction, and an even-rank all-nonzero mixed
 `verify-bf` on the non-square window (3, 5), where a factor truncated at the
-other order would show, and an explicit `galois-divisibility` whose
+other order would show, an explicit `galois-divisibility` whose
 pair-product factor equals the exterior-square factor, so the quotient is
-1).  The expected output
+1, and one whose exterior-square side holds a repeated root, printed twice,
+and leaves one root over).  The expected output
 of `DIR/NAME.json` is `tests/golden/NAME.out`.
 
 Regenerate, from the repository root, only after a change that is meant
@@ -38,7 +39,7 @@ DOCUMENTS = sorted((ROOT / "configs").glob("*.json")) + sorted((GOLDEN / "cases"
 
 def test_every_document_has_a_distinct_golden_name():
     names = [doc.stem for doc in DOCUMENTS]
-    assert len(names) == len(set(names)) == 13
+    assert len(names) == len(set(names)) == 14
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)

@@ -206,6 +206,14 @@ class TestParseTask:
         with pytest.raises(ConfigError):
             parse_task({"task": "lfactor", "satake": ["2//3"]})
 
+    @pytest.mark.parametrize(
+        "entries, index", [(["2//3"], 0), (["2", "1e5", "3"], 1), (["sym", 4, "x"], 2)]
+    )
+    def test_malformed_string_entry_has_its_index(self, entries, index):
+        with pytest.raises(ConfigError, match=r"malformed rational") as err:
+            parse_task({"task": "lfactor", "satake": entries})
+        assert err.value.location == f"task.satake[{index}]"
+
     def test_n_mismatch(self):
         with pytest.raises(ConfigError, match="n=3"):
             parse_task({"task": "lfactor", "satake": ["sym", "sym"], "n": 3})
@@ -448,7 +456,8 @@ class TestRunTask:
         )
         assert r.verdict == "pass"
         assert r.data["strict"] is True
-        assert r.data["quotient"] == "1 - 9/20*t"
+        assert r.data["formal_roots"] == []
+        assert r.data["ext_sq_roots"] == r.data["quotient_roots"] == ["9/20"]
 
     def test_galois_random_pass(self):
         r = run_one({"task": "galois-divisibility", "random": {"count": 5}, "seed": 1})
@@ -506,25 +515,25 @@ class TestFailBranches:
         r = self.check(
             {"task": "galois-divisibility", **self.GALOIS_REP},
             "pair-product factor does not divide the exterior-square factor",
-            ["formal_reciprocal", "ext_sq_reciprocal", "divides", "strict", "quotient"],
+            ["formal_roots", "ext_sq_roots", "divides", "strict", "quotient_roots"],
         )
         assert r.data == {
-            "formal_reciprocal": "1 - α1*α2*t",
-            "ext_sq_reciprocal": "1",
+            "formal_roots": ["α1*α2"],
+            "ext_sq_roots": [],
             "divides": False,
             "strict": False,
-            "quotient": None,
+            "quotient_roots": None,
         }
 
     def test_h_explicit_differs(self, trivial_ext_sq):
         r = self.check(
             {"task": "galois-H", **self.GALOIS_REP},
             "factors differ despite the pairing hypothesis",
-            ["formal_reciprocal", "ext_sq_reciprocal", "equal"],
+            ["formal_roots", "ext_sq_roots", "equal"],
         )
         assert r.data == {
-            "formal_reciprocal": "1 - α1*α2*t",
-            "ext_sq_reciprocal": "1",
+            "formal_roots": ["α1*α2"],
+            "ext_sq_roots": [],
             "equal": False,
         }
 
@@ -667,6 +676,23 @@ class TestEmission:
         assert "verdict: info" in out and "verdict: pass" in out
         assert "timing:" in out
 
+    def test_table_prints_an_empty_list(self):
+        reports = run_all(
+            parse_document(
+                doc(
+                    {
+                        "task": "galois-divisibility",
+                        "blocks": [{"grade": [0], "length": 2, "scalar": 2}],
+                    },
+                    {"task": "galois-H", "random": {"count": 2}},
+                )
+            )
+        )
+        lines = emit_table(reports).splitlines()
+        assert "  formal_roots: []" in lines
+        assert "  ext_sq_roots:" in lines and "    [0] 4/5" in lines
+        assert "  failures: []" in lines
+
     def test_exit_codes(self):
         reports = self.make_reports()
         assert exit_code(reports) == 0
@@ -795,6 +821,25 @@ class TestCli:
         assert code == 2
         assert time.perf_counter() - start < 1.0
         assert "exponent notation is not accepted" in capsys.readouterr().err
+
+    def test_malformed_satake_entry_names_its_index(self, capsys):
+        code, _ = self.run_cli("lfactor", "--satake", "2,1e5,3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: task.satake[1]: malformed rational '1e5'")
+
+    def test_eight_symbolic_blocks_print_a_bounded_report(self):
+        """The factors print as root lists, so 8 symbols stay small and fast."""
+        blocks = [arg for i in range(8) for arg in ("--block", f"0:1:s{i}")]
+        start = time.perf_counter()
+        code, out = self.run_cli("galois-divisibility", *blocks, "--format", "machine")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        data = json.loads(out)["reports"][0]["data"]
+        assert len(data["formal_roots"]) == len(data["ext_sq_roots"]) == 28
+        assert data["quotient_roots"] == []
+        assert len(out.encode()) < 20_000
+        assert elapsed < 2.0
 
     def test_missing_config_file(self, tmp_path):
         code, _ = self.run_cli("run", "--config", str(tmp_path / "absent.json"))

@@ -2,15 +2,16 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from extsq import weil_deligne
+from extsq import lfactors, weil_deligne
 from extsq.lfactors import LFactor, formal_ext_sq_L, standard_L
 from extsq.polynomials import MultiPoly
-from extsq.tasks import _describe_rep
+from extsq.tasks import _describe_rep, parse_task, run_task
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
     PropHResult,
@@ -51,6 +52,11 @@ def roots_of(rep, indices):
 
 def recip_of_roots(nvars, *roots):
     return LFactor.from_linear_roots([MultiPoly.constant(nvars, r) for r in roots], nvars)
+
+
+def factor(roots, nvars):
+    """prod (1 - r t) over a root list, multiplied out; None stays None."""
+    return None if roots is None else LFactor.from_linear_roots(roots, nvars)
 
 
 def random_symbolic_k1_rep(rng, max_dim=7):
@@ -339,21 +345,21 @@ class TestDivisibility:
     def test_steinberg_two_strict(self):
         v = divisibility_check(rep_of(5, TRIVIAL, ((0,), 2, Fraction(3, 2))))
         assert v.divides and v.strict
-        assert v.formal_factor == LFactor.one(0)
-        assert LFactor(list(v.quotient)) == v.ext_sq_factor
+        assert factor(v.formal_roots, 0) == LFactor.one(0)
+        assert factor(v.quotient_roots, 0) == factor(v.ext_sq_roots, 0)
 
     def test_ramified_pair_strict(self):
         v = divisibility_check(rep_of(5, Z2, ((1,), 1, "b1"), ((1,), 1, "b2")))
         assert v.divides and v.strict
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        assert v.ext_sq_factor == LFactor.from_linear_roots([x * y], 2)
+        assert factor(v.ext_sq_roots, 2) == LFactor.from_linear_roots([x * y], 2)
 
     def test_unramified_semisimple_equality(self):
         v = divisibility_check(
             rep_of(5, TRIVIAL, ((0,), 1, Fraction(2)), ((0,), 1, Fraction(3)))
         )
         assert v.divides and not v.strict
-        assert v.quotient == (MultiPoly.one(0),)
+        assert factor(v.quotient_roots, 0) == LFactor.one(0)
 
     def test_quotient_verifies(self):
         rng = random.Random(40)
@@ -361,34 +367,35 @@ class TestDivisibility:
             rep = random_wdrep(rng)
             v = divisibility_check(rep)
             assert v.divides, rep.blocks
+            quotient = factor(v.quotient_roots, rep.nvars).reciprocal
+            formal = factor(v.formal_roots, rep.nvars).reciprocal
+            full = factor(v.ext_sq_roots, rep.nvars).reciprocal
             # quotient times denominator reproduces the numerator
-            prod = [MultiPoly.zero(rep.nvars)] * (
-                len(v.quotient) + v.formal_factor.degree
-            )
-            for i, qc in enumerate(v.quotient):
-                for j, dc in enumerate(v.formal_factor.reciprocal):
+            prod = [MultiPoly.zero(rep.nvars)] * (len(quotient) + len(formal) - 1)
+            for i, qc in enumerate(quotient):
+                for j, dc in enumerate(formal):
                     prod[i + j] = prod[i + j] + qc * dc
-            assert prod == list(v.ext_sq_factor.reciprocal) + [
-                MultiPoly.zero(rep.nvars)
-            ] * (len(prod) - len(v.ext_sq_factor.reciprocal))
+            assert prod == list(full) + [MultiPoly.zero(rep.nvars)] * (len(prod) - len(full))
 
 
 class TestRootMultisets:
-    """The multiset verdicts against `reciprocal_quotient`, `LFactor ==` and elimination."""
+    """Verdicts and root lists against `reciprocal_quotient`, `LFactor ==` and elimination."""
 
     def check(self, rep, full):
         """Compare both verdicts on `rep` with the oracles, given its true factor."""
+        n = rep.nvars
         formal = formal_ext_sq_L(standard_satake(rep))
         quotient = reciprocal_quotient(full, formal)
         v = divisibility_check(rep)
         assert v.divides == (quotient is not None), rep.blocks
         assert v.strict == (quotient is not None and len(quotient) > 1), rep.blocks
-        assert v.quotient == quotient, rep.blocks
-        assert (v.formal_factor, v.ext_sq_factor) == (formal, full), rep.blocks
+        got = factor(v.quotient_roots, n)
+        assert (None if got is None else got.reciprocal) == quotient, rep.blocks
+        assert (factor(v.formal_roots, n), factor(v.ext_sq_roots, n)) == (formal, full), rep.blocks
         # PropHResult without the pairing precondition: equality is decided too
         h = PropHResult(rep)
         assert h.equal == (formal == full), rep.blocks
-        assert (h.formal_factor, h.ext_sq_factor) == (formal, full), rep.blocks
+        assert (factor(h.formal_roots, n), factor(h.ext_sq_roots, n)) == (formal, full), rep.blocks
         return v
 
     def check_all(self, reps):
@@ -420,11 +427,11 @@ class TestRootMultisets:
         for rep in (steinberg, ramified, opposite):
             v = self.check(rep, ext_sq_lfactor_by_elimination(rep))
             assert v.divides and v.strict and not PropHResult(rep).equal
-            # a formal factor of 1: the quotient is the exterior-square reciprocal itself
-            assert v.formal_factor.degree == 0 and v.quotient is v.ext_sq_factor.reciprocal
+            # a formal factor of 1: the quotient is the exterior-square factor
+            assert v.formal_roots == []
+            assert factor(v.quotient_roots, rep.nvars) == factor(v.ext_sq_roots, rep.nvars)
         v = self.check(unramified, ext_sq_lfactor_by_elimination(unramified))
-        assert v.divides and not v.strict and v.quotient == (MultiPoly.one(0),)
-        assert v.ext_sq_factor is v.formal_factor
+        assert v.divides and not v.strict and v.quotient_roots == []
 
     def test_repeated_roots(self):
         # three grade-0 lines with one scalar: the root 4 three times on each side
@@ -436,10 +443,10 @@ class TestRootMultisets:
         more = rep_of(3, Z3, ((0,), 1, a), ((0,), 1, a), ((1,), 1, a), ((2,), 1, a))
         v = self.check(more, ext_sq_lfactor_by_elimination(more))
         assert v.divides and v.strict and not PropHResult(more).equal
-        assert v.quotient == recip_of_roots(0, a * a).reciprocal
+        assert factor(v.quotient_roots, 0) == recip_of_roots(0, a * a)
         x = rep_of(3, Z3, ((0,), 1, "x"), ((0,), 1, "x"), ((1,), 1, "x"), ((2,), 1, "x"))
         v = self.check(x, ext_sq_lfactor_by_elimination(x))
-        assert v.strict and len(v.quotient) == 2
+        assert v.strict and factor(v.quotient_roots, x.nvars).degree == 1
 
     def test_integer_keys_at_one_scale(self):
         """Every key coefficient is an exact int, and the verdicts match the oracles.
@@ -487,21 +494,93 @@ class TestRootMultisets:
         assert failing >= 10
 
     def test_verdicts_build_no_factor(self, monkeypatch):
-        """A random suite reads only the verdict, so no reciprocal is built."""
+        """Neither a verdict nor an explicit report builds a reciprocal.
+
+        A random suite reads only the verdict; an explicit report prints
+        root lists.  Building an `LFactor` anywhere, from `weil_deligne`,
+        `tasks` or a module they call, fails the test.
+        """
 
         class NoFactor:
             def __getattr__(self, name):
                 raise AssertionError(f"LFactor.{name} used for a verdict")
 
+        def no_init(self, *args, **kwargs):
+            raise AssertionError("LFactor built for a verdict or a report")
+
         monkeypatch.setattr(weil_deligne, "LFactor", NoFactor())
+        monkeypatch.setattr(LFactor, "__init__", no_init)
         rng = random.Random(85)
+        symbolic = random.Random(88)
         strict = 0
         for _ in range(40):
-            v = divisibility_check(random_wdrep(rng))
+            rep = random_wdrep(rng)
+            v = divisibility_check(rep)
             assert v.divides
             strict += v.strict
-            assert prop_H_equality(random_k1_rep(rng)).equal
+            k1 = random_k1_rep(rng)
+            assert prop_H_equality(k1).equal
+            explicit = [("galois-divisibility", rep), ("galois-H", k1)]
+            explicit.append(("galois-divisibility", random_symbolic_k1_rep(symbolic)))
+            for task, r in explicit:
+                report = run_task(parse_task({"task": task, **_describe_rep(r)}))
+                assert report.verdict == "pass", report.summary
         assert strict >= 5
+
+
+class TestPrintedRoots:
+    """The root lists explicit reports print, rebuilt by an independent route.
+
+    The expected strings come from `alphas` and Fraction arithmetic
+    (`roots_of`, `standard_satake`), never from the integer keys and the
+    common scale that the reports decode.
+    """
+
+    def test_reports_print_the_oracle_roots(self, monkeypatch):
+        rng = random.Random(87)
+        reps = [random_wdrep(rng) for _ in range(30)]
+        reps += [random_symbolic_k1_rep(rng) for _ in range(30)]
+        real = ext_sq_root_indices
+
+        def dropped(rep):
+            return real(rep)[1:]
+
+        seen = Counter()
+        for indices in (real, dropped):
+            # a dropped root makes some formal sides no longer fit
+            monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", indices)
+            for rep in reps:
+                names = [f"α{i + 1}" for i in range(rep.nvars)]
+                pairs = lfactors.ext_sq_roots(standard_satake(rep))
+                formal = sorted(r.format(names) for r in pairs if not r.is_zero)
+                roots = roots_of(rep, indices(rep))
+                if indices is real:
+                    full = LFactor.from_linear_roots(roots, rep.nvars)
+                    assert full == ext_sq_lfactor_by_elimination(rep), rep.blocks
+                ext = sorted(r.format(names) for r in roots)
+                fits = not Counter(formal) - Counter(ext)
+                quotient = sorted((Counter(ext) - Counter(formal)).elements()) if fits else None
+                body = _describe_rep(rep)
+                data = run_task(parse_task({"task": "galois-divisibility", **body})).data
+                assert data == {
+                    "formal_roots": formal,
+                    "ext_sq_roots": ext,
+                    "divides": fits,
+                    "strict": bool(quotient),
+                    "quotient_roots": quotient,
+                }, rep.blocks
+                seen["strict" if quotient else "equal" if fits else "no fit"] += 1
+                seen["repeated"] += len(set(ext)) < len(ext)
+                k1 = all(b.length == 1 for b in rep.blocks)
+                if k1 and _first_opposite_pair(rep.group, [b.grade for b in rep.blocks]) is None:
+                    data = run_task(parse_task({"task": "galois-H", **body})).data
+                    assert data == {
+                        "formal_roots": formal,
+                        "ext_sq_roots": ext,
+                        "equal": formal == ext,
+                    }, rep.blocks
+                    seen["galois-H"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestHypothesisH:
@@ -546,7 +625,7 @@ class TestPropHEquality:
     def test_semisimple_unramified(self):
         res = prop_H_equality(rep_of(5, TRIVIAL, ((0,), 1, "a"), ((0,), 1, "b")))
         assert res.equal
-        assert res.formal_factor == res.ext_sq_factor
+        assert factor(res.formal_roots, 2) == factor(res.ext_sq_roots, 2)
 
     def test_mixed_grades_under_h(self):
         res = prop_H_equality(
