@@ -26,7 +26,6 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -224,7 +223,6 @@ def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncS
     return TruncSeries1(nvars, times_linear_factors([MultiPoly.one(nvars)], roots, order, -1))
 
 
-@dataclass(frozen=True)
 class DoubledShapeSum:
     """A truncated doubled-shape Schur sum and the terms it was summed from.
 
@@ -233,8 +231,13 @@ class DoubledShapeSum:
     and its Schur value at the parameter entries.
     """
 
-    series: TruncSeries1
-    terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...]
+    __slots__ = ("series", "terms")
+
+    def __init__(
+        self, series: TruncSeries1, terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...]
+    ):
+        self.series = series
+        self.terms = terms
 
 
 def doubled_shape_sum(

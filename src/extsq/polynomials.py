@@ -25,6 +25,16 @@ The guard admits degrees up to nvars * 32767, which from three variables on
 can reach it (x1^21845*x2^21845*x3^21845 would read as degree 0), so the
 helper first bounds every degree by the field sum of the OR of all keys and
 sums unpacked fields instead when that bound reaches 0xFFFF.
+
+`format` builds each monomial string once per name list.  `_MONOMIALS`
+keeps one record per `tuple(names)`; it splits a packed key into its high
+half, the fields of the first nvars - nvars // 2 names, and its low half,
+the last nvars // 2, and maps each half-key to its string.  Once a record's
+two maps hold `_MONOMIAL_CAP` (4096) strings between them it starts over,
+and once `_NAME_LISTS` (64) name lists have records a new list starts the
+whole memo over.  A string is built the same way on a hit or a miss, so the
+output never depends on the memo; concurrent callers can at worst build a
+string twice or pass a cap by one string each.
 """
 
 from __future__ import annotations
@@ -84,6 +94,56 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
         out[i] = key & _EXP_MASK
         key >>= _EXP_BITS
     return tuple(out)
+
+
+# Memoised monomial strings; see the module docstring.
+_MONOMIAL_CAP = 4096
+_NAME_LISTS = 64
+
+
+def _monomial(names: Sequence[str], key: int) -> str:
+    """The product of names[i]^e_i over the fields of `key`; "" for 1."""
+    factors = []
+    shift = _EXP_BITS * len(names)
+    for name in names:
+        shift -= _EXP_BITS
+        e = key >> shift & _EXP_MASK
+        if e:
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors)
+
+
+class _MonomialStrings:
+    """The monomial strings of one name list, keyed by packed-key half."""
+
+    __slots__ = ("high_names", "low_names", "shift", "mask", "high", "low")
+
+    def __init__(self, names: tuple[str, ...]):
+        split = len(names) - len(names) // 2
+        self.high_names, self.low_names = names[:split], names[split:]
+        self.shift = _EXP_BITS * (len(names) // 2)
+        self.mask = (1 << self.shift) - 1
+        self.high: dict[int, str] = {}  # key >> shift -> string over high_names
+        self.low: dict[int, str] = {}  # key & mask -> string over low_names
+
+    def build(self, table: dict[int, str], half: int) -> str:
+        """Build, record and return the string of `half`, a key of `table`."""
+        if len(self.high) + len(self.low) >= _MONOMIAL_CAP:
+            self.high.clear()
+            self.low.clear()
+        names = self.high_names if table is self.high else self.low_names
+        table[half] = text = _monomial(names, half)
+        return text
+
+
+_MONOMIALS: dict[tuple[str, ...], _MonomialStrings] = {}
+
+
+def _monomial_strings(names: tuple[str, ...]) -> _MonomialStrings:
+    if len(_MONOMIALS) >= _NAME_LISTS:
+        _MONOMIALS.clear()
+    record = _MONOMIALS[names] = _MonomialStrings(names)
+    return record
 
 
 def _graded_lex_keys(terms: Mapping[int, Scalar], nvars: int) -> list[int]:
@@ -350,27 +410,35 @@ class MultiPoly:
     # -- formatting ----------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
-        """Canonical text form, graded-lex term order, exact coefficients."""
+        """Canonical text form, graded-lex term order, exact coefficients.
+
+        Monomial strings come from the memo `_MONOMIALS` (module docstring).
+        """
+        nvars = self.nvars
         if names is None:
-            names = [f"x{i + 1}" for i in range(self.nvars)]
-        if len(names) != self.nvars:
+            names = [f"x{i + 1}" for i in range(nvars)]
+        if len(names) != nvars:
             raise ValueError("need one name per variable")
-        if not self._terms:
-            return "0"
         terms = self._terms
-        # each exponent is read straight from its field of the key
-        fields = [(names[i], _EXP_BITS * (self.nvars - 1 - i)) for i in range(self.nvars)]
+        if not terms:
+            return "0"
+        names = tuple(names)
+        strings = _MONOMIALS.get(names) or _monomial_strings(names)
+        shift, mask, high, low = strings.shift, strings.mask, strings.high, strings.low
         pieces: list[str] = []
-        for key in _graded_lex_keys(terms, self.nvars):
+        # one term needs no sort
+        for key in terms if len(terms) == 1 else _graded_lex_keys(terms, nvars):
+            hs = high.get(key >> shift)
+            if hs is None:
+                hs = strings.build(high, key >> shift)
+            ls = low.get(key & mask)
+            if ls is None:
+                ls = strings.build(low, key & mask)
+            mono = f"{hs}*{ls}" if hs and ls else hs or ls
             c = terms[key]
-            factors = []
-            for name, shift in fields:
-                e = key >> shift & _EXP_MASK
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(c)
-            if factors:
-                body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
+            if mono:
+                body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)
             if not pieces:

@@ -11,8 +11,11 @@ them from; on the benchmark's `symbolic` seed-1 document that is 419 entries
 and 42k terms, of which the requested shapes are 212 entries and 35k terms.
 All-symbolic and mixed parameter vectors (zeros allowed) fill the table,
 mixed ones with the sub-shapes their coproduct sums over (`mixed` seed 1:
-100 entries, 875 terms); numeric vectors are evaluated without it.  Outputs
-do not depend on that reuse.
+100 entries, 875 terms); numeric vectors are evaluated without it.  They
+also share `polynomials._MONOMIALS`, the memo of monomial strings that
+`MultiPoly.format` keeps per name list, keyed by the list and by each half
+of a packed exponent key and capped at 4096 strings per list and 64 lists.
+Outputs do not depend on either reuse.
 
 Each task's runner returns `(verdict, summary, data)`; `run_task` alone
 builds reports, adding the task echo and timing, and turns a precondition
@@ -33,7 +36,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Any, Callable, Iterator, Sequence
@@ -102,24 +104,30 @@ class ConfigError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-@dataclass
 class TaskConfig:
-    task: str
-    echo: dict[str, Any]
-    params: SatakeParams | None = None
-    truncation: int | tuple[int, int] = DEFAULT_TRUNCATION
-    rep: WDRep | None = None
-    random_count: int | None = None
-    seed: int = 0
+    __slots__ = ("task", "echo", "params", "truncation", "rep", "random_count", "seed")
+
+    def __init__(self, task: str, echo: dict[str, Any], seed: int = 0):
+        self.task = task
+        self.echo = echo
+        self.seed = seed
+        self.params: SatakeParams | None = None
+        self.truncation: int | tuple[int, int] = DEFAULT_TRUNCATION
+        self.rep: WDRep | None = None
+        self.random_count: int | None = None
 
 
-@dataclass
 class Report:
-    task: dict[str, Any]
-    verdict: str  # pass | fail | info | error
-    summary: str
-    data: dict[str, Any]
-    timing_ms: float
+    __slots__ = ("task", "verdict", "summary", "data", "timing_ms")
+
+    def __init__(
+        self, task: dict[str, Any], verdict: str, summary: str, data: dict[str, Any], timing_ms: float
+    ):
+        self.task = task
+        self.verdict = verdict  # pass | fail | info | error
+        self.summary = summary
+        self.data = data
+        self.timing_ms = timing_ms
 
     @property
     def exit_code(self) -> int:

@@ -25,7 +25,6 @@ two-variable series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .polynomials import MultiPoly, times_linear_factors
@@ -98,7 +97,6 @@ def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     return TruncSeries2(params.nvars, [[a * b for b in ext] for a in std])
 
 
-@dataclass(frozen=True)
 class BFProbeResult:
     """Outcome of dividing the odd-rank two-variable sum by its product form.
 
@@ -108,9 +106,14 @@ class BFProbeResult:
     nonzero no identity is asserted and the correction is purely empirical.
     """
 
-    correction: TruncSeries2
-    conductor_hypothesis: bool
-    matches_product: bool
+    __slots__ = ("correction", "conductor_hypothesis", "matches_product")
+
+    def __init__(
+        self, correction: TruncSeries2, conductor_hypothesis: bool, matches_product: bool
+    ):
+        self.correction = correction
+        self.conductor_hypothesis = conductor_hypothesis
+        self.matches_product = matches_product
 
 
 def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeResult:

@@ -49,7 +49,6 @@ rejected.  q itself is an exact integer >= 2, never a symbol.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -59,16 +58,16 @@ from .lfactors import LFactor
 from .polynomials import MultiPoly
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Product of cyclic groups Z/m1 x ... x Z/mr; elements are int tuples."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        for m in self.orders:
+    def __init__(self, orders: tuple[int, ...]):
+        for m in orders:
             if not isinstance(m, int) or m < 1:
                 raise ValueError("cyclic orders must be positive ints")
+        self.orders = orders
 
     def _rank_error(self, a: Sequence[int]) -> ValueError:
         return ValueError(f"element {tuple(a)} does not fit group of rank {len(self.orders)}")
@@ -91,16 +90,33 @@ class FiniteAbelianGroup:
         return all(x % m == 0 for x, m in zip(a, self.orders))
 
 
-@dataclass(frozen=True)
 class WDBlock:
     """One indecomposable summand: grade, Steinberg length, Frobenius scalar.
 
     The scalar is a nonzero rational, or a string naming a formal symbol.
+    Blocks compare and hash by their three fields.
     """
 
-    grade: tuple[int, ...]
-    length: int
-    scalar: int | Fraction | str
+    __slots__ = ("grade", "length", "scalar")
+
+    def __init__(self, grade: tuple[int, ...], length: int, scalar: int | Fraction | str):
+        self.grade = grade
+        self.length = length
+        self.scalar = scalar
+
+    def _fields(self) -> tuple:
+        return self.grade, self.length, self.scalar
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WDBlock):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"WDBlock(grade={self.grade!r}, length={self.length!r}, scalar={self.scalar!r})"
 
 
 class WDRep:

@@ -8,6 +8,8 @@ builds another way, and shares no code with that way:
   `symmetric.schur` (the branching rule) and, evaluated with
   `MultiPoly.substitute`, of `symmetric.SchurValues` (the coproduct);
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
+* `format_terms` -- a polynomial's text from its `terms()`, each monomial
+  string built afresh: the oracle of `MultiPoly.format` and its memo;
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
@@ -119,6 +121,20 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
+
+
+def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
+    """The text `MultiPoly.format` prints, built term by term from `terms()`."""
+    pieces = []
+    for exps, c in p.terms():
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if pieces:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 # -- L-factors ------------------------------------------------------------------

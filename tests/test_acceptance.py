@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from extsq import symmetric
+from extsq import polynomials, symmetric
 from extsq.cli import main as cli_main
 from extsq.lfactors import (
     LFactor,
@@ -59,6 +59,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(autouse=True)
 def cold_caches():
     symmetric._SCHUR_CACHE.clear()
+    polynomials._MONOMIALS.clear()
     yield
 
 

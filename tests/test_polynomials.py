@@ -4,8 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsq import polynomials
 from extsq.polynomials import MultiPoly, append_variable, times_linear_factors
-from oracles import divexact_binomial
+from oracles import divexact_binomial, format_terms
 
 
 def poly(nvars, mapping):
@@ -267,6 +268,55 @@ class TestFormat:
             else:
                 text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
         assert p.format() == (text or "0")
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(
+            st.integers(0, 8).flatmap(
+                lambda n: st.tuples(
+                    st.just(n),
+                    st.lists(
+                        st.tuples(
+                            # small fields repeat half-keys across calls; the
+                            # all-zero vector is the constant term
+                            st.tuples(*[st.integers(0, 2) | st.integers(4096, 32767)] * n),
+                            st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                        ),
+                        max_size=6,
+                    ),
+                    st.booleans(),
+                )
+            ),
+            max_size=6,
+        )
+    )
+    def test_memo_matches_the_oracle(self, calls):
+        """Interleaved name lists, two of each length, print as the oracle does."""
+        for nvars, raw, y_first in calls:
+            xs = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+            p = MultiPoly.zero(nvars)
+            for exps, c in raw:
+                t = MultiPoly.constant(nvars, c)
+                for x, e in zip(xs, exps):
+                    t = t * x**e
+                p = p + t
+            lists = [[f"x{i + 1}" for i in range(nvars)], [f"y{i + 1}" for i in range(nvars)]]
+            for names in lists[::-1] if y_first else lists:
+                assert p.format(names) == format_terms(p, names)
+
+    def test_memo_past_its_caps(self):
+        names = ("u", "v")
+        polynomials._MONOMIALS.pop(names, None)
+        # 2 * 3000 half-keys: the record starts over once, mid-format
+        p = MultiPoly(2, {(i, i): i - 1500 for i in range(3000)})
+        assert p.format(names) == format_terms(p, names)
+        record = polynomials._MONOMIALS[names]
+        assert 0 < len(record.high) + len(record.low) <= polynomials._MONOMIAL_CAP
+        # a name list past the cap on lists starts the whole memo over
+        q = MultiPoly(1, {(3,): -2})
+        for i in range(polynomials._NAME_LISTS + 5):
+            assert q.format([f"z{i}"]) == f"-2*z{i}^3"
+        assert len(polynomials._MONOMIALS) <= polynomials._NAME_LISTS
 
 
 class TestAppendVariable:
