@@ -22,14 +22,11 @@ from .symmetric import (
 )
 from .lfactors import (
     DoubledShapeSum,
-    LFactor,
     SatakeParams,
     doubled_shape_sum,
     ext_sq_expansion,
     ext_sq_roots,
-    formal_ext_sq_L,
     product_series,
-    standard_L,
 )
 from .torus_sums import (
     BFProbeResult,
@@ -45,7 +42,6 @@ from .weil_deligne import (
     WDBlock,
     WDRep,
     divisibility_check,
-    ext_sq_lfactor,
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
@@ -66,14 +62,11 @@ __all__ = [
     "schur",
     "schur_eval_padded",
     "DoubledShapeSum",
-    "LFactor",
     "SatakeParams",
     "doubled_shape_sum",
     "ext_sq_expansion",
     "ext_sq_roots",
-    "formal_ext_sq_L",
     "product_series",
-    "standard_L",
     "BFProbeResult",
     "bf_odd_correction_probe",
     "bf_series",
@@ -85,7 +78,6 @@ __all__ = [
     "WDBlock",
     "WDRep",
     "divisibility_check",
-    "ext_sq_lfactor",
     "prop_H_equality",
     "random_k1_rep",
     "random_wdrep",

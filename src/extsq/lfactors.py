@@ -6,15 +6,15 @@ rational number or a distinguished indeterminate ("symbolic"), with zeros
 recording directions lost to ramification.  One mechanism covers both uses,
 since a rational entry is just a degree-zero polynomial.
 
-An `LFactor` is stored through its reciprocal: an exact polynomial P(t) with
-P(0) = 1, standing for 1/P(q^{-s}) with t = q^{-s}.  Both the reciprocal
-(`LFactor.from_linear_roots`) and the truncated series of 1/P
-(`product_series`) are built root by root from one list of linear roots,
-with `polynomials.times_linear_factors`; no series is inverted.
-`LFactor.series`, which inverts the reciprocal as a series, is the oracle of
-`product_series`, and `LFactor ==` that of the Galois root multisets; they
-stay methods because tests call them on factors.  The free-function oracles,
-division of reciprocals among them, live in `tests/oracles.py`.
+A local factor prod_r (1 - r t)^{-1}, t = q^{-s}, is determined by its
+roots r, and production never multiplies the linear factors out.  The
+`lfactor` report prints the sorted nonzero roots; the truncated series of a
+factor is built root by root from the same list (`product_series`, with
+`polynomials.times_linear_factors`), so no series is inverted.  The
+standard factor's roots are the entries, the exterior-square factor's the
+pair products `ext_sq_roots`; zero roots are factors 1.  The expanded
+reciprocals and their series inverse are the tests' oracles of this route,
+in `tests/oracles.py`.
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes.
@@ -115,88 +115,6 @@ class SatakeParams:
         return f"SatakeParams([{', '.join(e.format() for e in self.entries)}])"
 
 
-class LFactor:
-    """An inverse-polynomial local factor 1/P(t), held via P.
-
-    The reciprocal is a polynomial in t with MultiPoly coefficients and
-    constant coefficient exactly 1.
-    """
-
-    __slots__ = ("nvars", "reciprocal")
-    __hash__ = None
-
-    def __init__(self, reciprocal: Sequence[MultiPoly], nvars: int | None = None):
-        coeffs = list(reciprocal)
-        if not coeffs:
-            raise ValueError("reciprocal polynomial cannot be empty")
-        nv = coeffs[0].nvars
-        for c in coeffs:
-            if c.nvars != nv:
-                raise ValueError("reciprocal coefficients in different symbol spaces")
-        if nvars is not None and nvars != nv:
-            raise ValueError("nvars does not match coefficients")
-        if coeffs[0] != 1:
-            raise ValueError("reciprocal polynomial must have constant coefficient 1")
-        while len(coeffs) > 1 and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.nvars = nv
-        self.reciprocal = tuple(coeffs)
-
-    @classmethod
-    def one(cls, nvars: int) -> "LFactor":
-        return cls([MultiPoly.one(nvars)])
-
-    @classmethod
-    def from_linear_roots(cls, ms: Sequence[MultiPoly], nvars: int) -> "LFactor":
-        """prod_k (1 - m_k t) as an LFactor; zero factors contribute 1."""
-        return cls(times_linear_factors([MultiPoly.one(nvars)], ms, len(ms), 1), nvars=nvars)
-
-    @property
-    def degree(self) -> int:
-        return len(self.reciprocal) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LFactor):
-            return self.nvars == other.nvars and self.reciprocal == other.reciprocal
-        return NotImplemented
-
-    def series(self, order: int) -> TruncSeries1:
-        """Truncated expansion of 1/P(t) to the given order.
-
-        Builds the reciprocal and inverts it as a series: the tests' oracle
-        for `product_series`, which production uses instead.
-        """
-        return TruncSeries1.from_tpoly(self.reciprocal, self.nvars, order).inverse()
-
-    def format(self, names: Sequence[str] | None = None) -> str:
-        pieces = []
-        for d, c in enumerate(self.reciprocal):
-            if c.is_zero:
-                continue
-            body = c.format(names) if names is not None else c.format()
-            if len(c) > 1 and d:
-                body = f"({body})"
-            tpow = "" if d == 0 else ("*t" if d == 1 else f"*t^{d}")
-            pieces.append(f"{body}{tpow}")
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"LFactor(1/({self.format()}))"
-
-
-def standard_L(params: SatakeParams) -> LFactor:
-    """Standard local factor: reciprocal prod_i (1 - a_i t), zeros skipped."""
-    return LFactor.from_linear_roots(params.entries, params.nvars)
-
-
 def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
     """The roots a_i a_j, i < j, of the exterior-square factor."""
     n = params.n
@@ -207,18 +125,13 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
     ]
 
 
-def formal_ext_sq_L(params: SatakeParams) -> LFactor:
-    """Exterior-square factor: reciprocal prod_{i<j} (1 - a_i a_j t)."""
-    return LFactor.from_linear_roots(ext_sq_roots(params), params.nvars)
-
-
 def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncSeries1:
     """prod_r 1/(1 - r t) through t^order, built root by root.
 
     Coefficient k is h_k of the roots.  Pass `params.entries` for the
     standard factor's series and `ext_sq_roots(params)` for the
-    exterior-square one: the same roots `standard_L` and `formal_ext_sq_L`
-    multiply out.  `LFactor.series` is the oracle of this route.
+    exterior-square one.  The tests' oracle multiplies the reciprocal out
+    and inverts it as a series.
     """
     return TruncSeries1(nvars, times_linear_factors([MultiPoly.one(nvars)], roots, order, -1))
 

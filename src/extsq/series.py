@@ -14,8 +14,9 @@ side of every identity is a product of linear factors (1 - r t)^{-1}.  The
 arithmetic here is kept only for the oracles; it stays in methods, not in
 `tests/oracles.py`, because tests call it on series:
 
-* `TruncSeries1.from_tpoly` and `inverse` make `LFactor.series`, the oracle
-  of `product_series`; `TruncSeries1.__mul__` checks `inverse` in tests;
+* `TruncSeries1.from_tpoly` and `inverse` expand a multiplied-out
+  reciprocal in `tests/oracles.py`, the oracle of `product_series`;
+  `TruncSeries1.__mul__` checks `inverse` in tests;
 * `TruncSeries2.from_t1`, `from_t2` and `__mul__` build the test suite's
   oracle of `torus_sums.bf_product_series`, whose production route is the
   outer product of two one-variable series.

@@ -45,10 +45,8 @@ from .lfactors import (
     SatakeParams,
     ext_sq_expansion,
     ext_sq_roots,
-    formal_ext_sq_L,
     parse_rational,
     product_series,
-    standard_L,
 )
 from .polynomials import MultiPoly
 from .series import TruncSeries2, series2_first_difference, series_first_difference
@@ -229,6 +227,8 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
                     ) from exc
         else:
             raise ConfigError("scalar must be an int, rational string, or symbol name", f"{loc}.scalar")
+        if not isinstance(scalar, str) and scalar == 0:
+            raise ConfigError("Frobenius scalar must be nonzero", f"{loc}.scalar")
         try:
             blocks.append(WDBlock(group.reduce(grade), length, scalar))
         except ValueError as exc:
@@ -366,11 +366,12 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
     names = _names(params.nvars)
+    ext_roots = ext_sq_roots(params)
     std_series = product_series(params.entries, params.nvars, order)
-    ext_series = product_series(ext_sq_roots(params), params.nvars, order)
+    ext_series = product_series(ext_roots, params.nvars, order)
     data = {
-        "standard_reciprocal": standard_L(params).format(names),
-        "ext_sq_reciprocal": formal_ext_sq_L(params).format(names),
+        "standard_roots": _root_strings(params.nonzero_entries, names),
+        "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),
         "standard_series": _fmt_series1(std_series.coeffs, names),
         "ext_sq_series": _fmt_series1(ext_series.coeffs, names),
     }

@@ -17,10 +17,10 @@ a = c_odd(lam) odd columns and |lam| = a + 2b.
 
 The product sides these sums are compared with are built from their linear
 roots: `bf_product_series` is the outer product of the two factors' series
-from `lfactors.product_series` (whose oracle is `LFactor.series`), and
-`bf_odd_correction_probe` multiplies the sum by each factor (1 - r t1) and
-(1 - r t2) rather than dividing by the product series.  Neither multiplies
-two-variable series.
+from `lfactors.product_series` (whose oracle inverts the multiplied-out
+reciprocal), and `bf_odd_correction_probe` multiplies the sum by each
+factor (1 - r t1) and (1 - r t2) rather than dividing by the product
+series.  Neither multiplies two-variable series.
 """
 
 from __future__ import annotations

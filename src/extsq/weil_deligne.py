@@ -13,9 +13,9 @@ blocks in closed form, by Clebsch-Gordan for sl2 on each summand of
 wedge^2 of the direct sum (`ext_sq_root_indices`); no matrix is built.
 The oracles live in `tests/oracles.py`: exact Gauss-Jordan elimination on
 the wedge square and on the rep itself, the kernel eigenvalues of the
-grade-0 blocks as a parameter vector, and low-end division of reciprocals.
-`ext_sq_lfactor` stays here, since tests compare it with elimination and it
-runs the production root walk.
+grade-0 blocks as a parameter vector, low-end division of reciprocals, and
+the product over `divisibility_check(rep).ext_sq_roots` that tests compare
+with elimination.
 
 The reciprocals on both sides of the Galois checks are products
 prod (1 - r t) over nonzero roots r in Q[x], x the symbols.  Each factor
@@ -35,8 +35,9 @@ therefore compare multisets of keys (m, integer).  An explicit report
 prints each side's roots, decoded from the keys: by the same
 irreducibility the root multiset determines the factor, and it has
 O(dim^2) entries, where the expanded reciprocal has exponentially many
-terms in the number of symbols.  No reciprocal is built for a verdict or a report; division of
-reciprocals and `LFactor` equality are the tests' oracles of this route.
+terms in the number of symbols.  No reciprocal is built for a verdict or a
+report; division and equality of reciprocals are the tests' oracles of this
+route.
 The scaling is by integer multiplication only: with int coefficients,
 c / q**e would be a float, and a float key compares unequal to the
 Fraction it approximates.
@@ -54,7 +55,6 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .lfactors import LFactor
 from .polynomials import MultiPoly
 
 
@@ -85,9 +85,6 @@ class FiniteAbelianGroup:
         if len(a) != len(self.orders):
             raise self._rank_error(a)
         return tuple(-x % m for x, m in zip(a, self.orders))
-
-    def is_zero(self, a: Sequence[int]) -> bool:
-        return all(x % m == 0 for x, m in zip(a, self.orders))
 
 
 class WDBlock:
@@ -193,11 +190,6 @@ def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
                 k2 = bj.length
                 roots += [(i, j, k1 + k2 - 2 - t) for t in range(min(k1, k2))]
     return roots
-
-
-def ext_sq_lfactor(rep: WDRep) -> LFactor:
-    """Exterior-square L-factor of the rep: the product over `ext_sq_root_indices`."""
-    return LFactor.from_linear_roots(_RootComparison(rep).ext_sq_roots, rep.nvars)
 
 
 class _RootComparison:

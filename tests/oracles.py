@@ -10,20 +10,28 @@ builds another way, and shares no code with that way:
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
 * `format_terms` -- a polynomial's text from its `terms()`, each monomial
   string built afresh: the oracle of `MultiPoly.format` and its memo;
+* `LFactor` -- a factor 1/P(t) held through its expanded reciprocal P, which
+  production never builds.  `LFactor.from_linear_roots` multiplies the
+  factors (1 - r t) out with plain `MultiPoly` arithmetic, and
+  `LFactor.series` inverts P as a series: the oracle of
+  `lfactors.product_series`, which divides by one root at a time.
+  `standard_L` and `formal_ext_sq_L` multiply out a vector's entries and
+  their pair products `lfactors.ext_sq_roots`;
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
   pair products are the formal roots of the Galois checks;
 * `wd_lfactor` and `ext_sq_lfactor_by_elimination` -- Gauss-Jordan
   elimination on the rep and on its wedge square, the oracles of
-  `standard_satake` and of `weil_deligne.ext_sq_lfactor` (Clebsch-Gordan
-  over blocks).
+  `standard_satake` and of the closed-form root walk
+  `weil_deligne.ext_sq_root_indices` (Clebsch-Gordan over blocks), which
+  `ext_sq_lfactor` multiplies out from `divisibility_check(rep).ext_sq_roots`.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
 exponent keys of the code it checks.  The oracle methods that tests call by
-attribute stay on their classes in the package: `LFactor.series`,
-`LFactor.__eq__`, `LFactor.one`, `TruncSeries1.from_tpoly` and `inverse`,
-`TruncSeries2.from_t1`, `from_t2` and `__mul__`, and `MultiPoly.substitute`.
+attribute stay on their classes in the package: `TruncSeries1.from_tpoly`
+and `inverse`, `TruncSeries2.from_t1`, `from_t2` and `__mul__`, and
+`MultiPoly.substitute`.
 """
 
 from __future__ import annotations
@@ -33,10 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from extsq.lfactors import LFactor, SatakeParams
+from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly
+from extsq.series import TruncSeries1
 from extsq.symmetric import check_partition
-from extsq.weil_deligne import WDRep
+from extsq.weil_deligne import WDRep, divisibility_check
 
 # -- Schur polynomials --------------------------------------------------------
 
@@ -140,6 +149,70 @@ def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
 # -- L-factors ------------------------------------------------------------------
 
 
+class LFactor:
+    """An inverse-polynomial local factor 1/P(t), held via P.
+
+    The reciprocal is a polynomial in t with MultiPoly coefficients and
+    constant coefficient exactly 1; trailing zero coefficients are dropped.
+    """
+
+    __slots__ = ("nvars", "reciprocal")
+    __hash__ = None
+
+    def __init__(self, reciprocal: Sequence[MultiPoly], nvars: int | None = None):
+        coeffs = list(reciprocal)
+        if not coeffs:
+            raise ValueError("reciprocal polynomial cannot be empty")
+        nv = coeffs[0].nvars
+        for c in coeffs:
+            if c.nvars != nv:
+                raise ValueError("reciprocal coefficients in different symbol spaces")
+        if nvars is not None and nvars != nv:
+            raise ValueError("nvars does not match coefficients")
+        if coeffs[0] != 1:
+            raise ValueError("reciprocal polynomial must have constant coefficient 1")
+        while len(coeffs) > 1 and coeffs[-1].is_zero:
+            coeffs.pop()
+        self.nvars = nv
+        self.reciprocal = tuple(coeffs)
+
+    @classmethod
+    def one(cls, nvars: int) -> "LFactor":
+        return cls([MultiPoly.one(nvars)])
+
+    @classmethod
+    def from_linear_roots(cls, roots: Sequence[MultiPoly], nvars: int) -> "LFactor":
+        """prod_r (1 - r t) by repeated MultiPoly products; a zero root gives 1."""
+        zero = MultiPoly.zero(nvars)
+        coeffs = [MultiPoly.one(nvars)]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip(coeffs + [zero], [zero] + coeffs)]
+        return cls(coeffs, nvars)
+
+    @property
+    def degree(self) -> int:
+        return len(self.reciprocal) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LFactor):
+            return self.nvars == other.nvars and self.reciprocal == other.reciprocal
+        return NotImplemented
+
+    def series(self, order: int) -> TruncSeries1:
+        """Truncated expansion of 1/P(t) to the given order, by series inversion."""
+        return TruncSeries1.from_tpoly(self.reciprocal, self.nvars, order).inverse()
+
+
+def standard_L(params: SatakeParams) -> LFactor:
+    """Standard local factor: reciprocal prod_i (1 - a_i t), zeros skipped."""
+    return LFactor.from_linear_roots(params.entries, params.nvars)
+
+
+def formal_ext_sq_L(params: SatakeParams) -> LFactor:
+    """Exterior-square factor: reciprocal prod_{i<j} (1 - a_i a_j t)."""
+    return LFactor.from_linear_roots(ext_sq_roots(params), params.nvars)
+
+
 def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:
     """Quotient of reciprocals num/den when den divides num exactly, else None.
 
@@ -173,6 +246,11 @@ def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | N
 # -- Weil-Deligne representations -------------------------------------------------
 
 
+def _unramified(rep: WDRep, grade: Sequence[int]) -> bool:
+    """Whether a grade, reduced or not, is the group's zero."""
+    return all(x % m == 0 for x, m in zip(grade, rep.group.orders))
+
+
 def alphas(rep: WDRep) -> tuple[MultiPoly, ...]:
     """One Frobenius scalar per block, as a polynomial in the rep's symbols."""
     return tuple(
@@ -187,7 +265,7 @@ def standard_satake(rep: WDRep) -> SatakeParams:
     """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
     entries: list[MultiPoly] = []
     for b, alpha in zip(rep.blocks, alphas(rep)):
-        if rep.group.is_zero(b.grade):
+        if _unramified(rep, b.grade):
             # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
             entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
     entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
@@ -291,7 +369,7 @@ def wd_lfactor(rep: WDRep) -> LFactor:
     for src, dst in enumerate(target):
         if dst is not None:
             nmat[dst][src] = 1
-    idx0 = [i for i in range(rep.dim) if rep.group.is_zero(grades[i])]
+    idx0 = [i for i in range(rep.dim) if _unramified(rep, grades[i])]
     return _restricted_kernel_lfactor(phi, nmat, idx0, rep.nvars)
 
 
@@ -341,5 +419,15 @@ def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
     induced monodromy matrix, and uses no Clebsch-Gordan formula.
     """
     data = ext_sq(rep)
-    idx0 = [w for w in range(len(data.pairs)) if rep.group.is_zero(data.grades[w])]
+    idx0 = [w for w in range(len(data.pairs)) if _unramified(rep, data.grades[w])]
     return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)
+
+
+def ext_sq_lfactor(rep: WDRep) -> LFactor:
+    """Exterior-square factor of the rep, multiplied out from its closed-form roots.
+
+    The roots are `divisibility_check(rep).ext_sq_roots`, which the
+    production walk `ext_sq_root_indices` yields; tests compare the product
+    with `ext_sq_lfactor_by_elimination`.
+    """
+    return LFactor.from_linear_roots(divisibility_check(rep).ext_sq_roots, rep.nvars)

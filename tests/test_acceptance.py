@@ -20,13 +20,7 @@ import pytest
 
 from extsq import polynomials, symmetric
 from extsq.cli import main as cli_main
-from extsq.lfactors import (
-    LFactor,
-    SatakeParams,
-    ext_sq_expansion,
-    formal_ext_sq_L,
-    standard_L,
-)
+from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.series import (
     TruncSeries2,
@@ -46,12 +40,18 @@ from extsq.weil_deligne import (
     WDBlock,
     WDRep,
     divisibility_check,
-    ext_sq_lfactor,
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
 )
-from oracles import schur_bialternant, standard_satake
+from oracles import (
+    LFactor,
+    ext_sq_lfactor,
+    formal_ext_sq_L,
+    schur_bialternant,
+    standard_L,
+    standard_satake,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -26,7 +26,9 @@ MODULES = [extsq] + [
 
 
 def test_oracles_are_found():
-    assert {"alphas", "schur_bialternant", "standard_satake", "wd_lfactor"} <= set(ORACLE_NAMES)
+    required = {"alphas", "schur_bialternant", "standard_satake", "wd_lfactor"}
+    required |= {"LFactor", "formal_ext_sq_L", "ext_sq_lfactor"}
+    assert required <= set(ORACLE_NAMES)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

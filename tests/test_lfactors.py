@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq.lfactors import (
-    LFactor,
-    SatakeParams,
-    ext_sq_expansion,
-    ext_sq_roots,
-    formal_ext_sq_L,
-    product_series,
-    standard_L,
-)
-from extsq.polynomials import MultiPoly
-from extsq.series import TruncSeries1, series_first_difference
+from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
+from extsq.polynomials import MultiPoly, times_linear_factors
+from extsq.series import series_first_difference
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
-from oracles import reciprocal_quotient
+from oracles import LFactor, format_terms, formal_ext_sq_L, reciprocal_quotient, standard_L
 
 
 class TestSatakeParams:
@@ -76,10 +68,6 @@ class TestLFactor:
         f = LFactor.from_linear_roots([x], 1)
         s = f.series(4)
         assert [s.coeff(l) for l in range(5)] == [MultiPoly.one(1), x, x**2, x**3, x**4]
-
-    def test_format_signs(self):
-        p = SatakeParams.parse(["1/2"])
-        assert standard_L(p).format() == "1 - 1/2*t"
 
 
 class TestStandardAndExtSq:
@@ -143,15 +131,6 @@ def monomial_roots(draw):
     return nvars, roots
 
 
-def linear_factor_product(roots, nvars):
-    """t-coefficients of prod (1 - r t) by repeated MultiPoly multiplication."""
-    zero = MultiPoly.zero(nvars)
-    coeffs = [MultiPoly.one(nvars)]
-    for r in roots:
-        coeffs = [a - b * r for a, b in zip(coeffs + [zero], [zero] + coeffs)]
-    return coeffs
-
-
 class TestRootwiseProductSide:
     """The (1 - r t)^{+-1} kernel against products and series inversion."""
 
@@ -159,21 +138,50 @@ class TestRootwiseProductSide:
     @given(monomial_roots(), st.integers(0, 7))
     def test_series_matches_inverted_reciprocal(self, nvars_roots, order):
         nvars, roots = nvars_roots
-        oracle = TruncSeries1.from_tpoly(linear_factor_product(roots, nvars), nvars, order)
-        assert product_series(roots, nvars, order) == oracle.inverse()
+        assert product_series(roots, nvars, order) == LFactor.from_linear_roots(roots, nvars).series(order)
 
     @settings(max_examples=60, deadline=None)
     @given(monomial_roots())
     def test_reciprocal_matches_repeated_products(self, nvars_roots):
         nvars, roots = nvars_roots
-        expected = LFactor(linear_factor_product(roots, nvars), nvars)
-        assert LFactor.from_linear_roots(roots, nvars) == expected
+        product = times_linear_factors([MultiPoly.one(nvars)], roots, len(roots), 1)
+        assert LFactor(product, nvars) == LFactor.from_linear_roots(roots, nvars)
 
     @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
     def test_series_reads_the_factor_roots(self, tokens):
         p = SatakeParams.parse(tokens)
         assert product_series(p.entries, p.nvars, 6) == standard_L(p).series(6)
         assert product_series(ext_sq_roots(p), p.nvars, 6) == formal_ext_sq_L(p).series(6)
+
+
+class TestLfactorReport:
+    """The `lfactor` report's root lists, rebuilt from the entries alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just("sym"),
+                st.just(Fraction(0)),
+                st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_root_lists(self, entries):
+        nsyms = entries.count("sym")
+        names = [f"α{i + 1}" for i in range(nsyms)]
+        symbols = iter(range(nsyms))
+        values = [
+            MultiPoly.variable(nsyms, next(symbols)) if e == "sym" else MultiPoly.constant(nsyms, e)
+            for e in entries
+        ]
+        pairs = [a * b for a, b in itertools.combinations(values, 2)]
+        body = {"task": "lfactor", "satake": [str(e) for e in entries], "truncation": 1}
+        data = run_task(parse_task(body)).data
+        assert data["standard_roots"] == sorted(format_terms(v, names) for v in values if v)
+        assert data["ext_sq_roots"] == sorted(format_terms(r, names) for r in pairs if r)
 
 
 class TestExtSqExpansion:

@@ -292,14 +292,11 @@ class TestParseTask:
             )
 
     def test_galois_zero_scalar_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_task(
-                {
-                    "task": "galois-divisibility",
-                    "group": [1],
-                    "blocks": [{"grade": [0], "length": 1, "scalar": "0"}],
-                }
-            )
+        for scalar in ("0", 0, " -0/7"):
+            blocks = [{"grade": [0], "length": 1, "scalar": s} for s in (1, "a", scalar)]
+            with pytest.raises(ConfigError) as err:
+                parse_task({"task": "galois-divisibility", "group": [1], "blocks": blocks})
+            assert str(err.value) == "task.blocks[2].scalar: Frobenius scalar must be nonzero"
 
     def test_galois_mixed_symbolic_steinberg_rejected(self):
         with pytest.raises(ConfigError, match="mixed symbolic/Steinberg"):
@@ -381,7 +378,8 @@ class TestRunTask:
     def test_lfactor_info(self):
         r = run_one({"task": "lfactor", "satake": ["sym", "sym"], "truncation": 3})
         assert r.verdict == "info"
-        assert r.data["ext_sq_reciprocal"] == "1 - α1*α2*t"
+        assert r.data["standard_roots"] == ["α1", "α2"]
+        assert r.data["ext_sq_roots"] == ["α1*α2"]
 
     def test_littlewood_pass(self):
         r = run_one({"task": "verify-littlewood", "satake": ["sym", "sym", "sym"], "truncation": 4})
@@ -713,7 +711,7 @@ class TestCli:
     def test_inline_lfactor(self):
         code, out = self.run_cli("lfactor", "--satake", "sym,sym", "--truncation", "2")
         assert code == 0
-        assert "ext_sq_reciprocal" in out
+        assert "ext_sq_roots" in out
 
     def test_machine_format(self):
         code, out = self.run_cli(
@@ -728,7 +726,7 @@ class TestCli:
         cfg.write_text(json.dumps(doc({"task": "lfactor", "satake": ["2", "3"]})))
         code, out = self.run_cli("run", "--config", str(cfg))
         assert code == 0
-        assert "standard_reciprocal" in out
+        assert "standard_roots" in out
 
     def test_run_batch_order(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -840,6 +838,24 @@ class TestCli:
         assert data["quotient_roots"] == []
         assert len(out.encode()) < 20_000
         assert elapsed < 2.0
+
+    def test_eight_symbols_print_a_bounded_lfactor_report(self):
+        """The factors print as root lists, so 8 symbols stay small and fast."""
+        start = time.perf_counter()
+        satake = ",".join(["sym"] * 8)
+        code, out = self.run_cli("lfactor", "--satake", satake, "--truncation", "0", "--format", "machine")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        data = json.loads(out)["reports"][0]["data"]
+        assert len(data["standard_roots"]) == 8 and len(data["ext_sq_roots"]) == 28
+        assert len(out.encode()) <= 4096
+        assert elapsed < 2.0
+
+    def test_zero_block_scalar_names_its_block(self, capsys):
+        blocks = [arg for s in ("1", "2", "0") for arg in ("--block", f"0:1:{s}")]
+        code, _ = self.run_cli("galois-divisibility", *blocks)
+        assert code == 2
+        assert capsys.readouterr().err == "error: task.blocks[2].scalar: Frobenius scalar must be nonzero\n"
 
     def test_missing_config_file(self, tmp_path):
         code, _ = self.run_cli("run", "--config", str(tmp_path / "absent.json"))

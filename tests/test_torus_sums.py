@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extsq.lfactors import LFactor, SatakeParams, formal_ext_sq_L, standard_L
+from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly
 from extsq.series import (
     TruncSeries2,
@@ -22,7 +22,7 @@ from extsq.torus_sums import (
     delta_half_exponent,
     js_series,
 )
-from oracles import schur_bialternant
+from oracles import LFactor, formal_ext_sq_L, schur_bialternant, standard_L
 
 
 def product_series2(params, l1, l2):

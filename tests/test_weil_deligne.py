@@ -8,8 +8,7 @@ from functools import partial
 
 import pytest
 
-from extsq import lfactors, weil_deligne
-from extsq.lfactors import LFactor, formal_ext_sq_L, standard_L
+from extsq import lfactors, polynomials, symmetric, torus_sums, weil_deligne
 from extsq.polynomials import MultiPoly
 from extsq.tasks import _describe_rep, parse_task, run_task
 from extsq.weil_deligne import (
@@ -19,18 +18,21 @@ from extsq.weil_deligne import (
     WDRep,
     _first_opposite_pair,
     divisibility_check,
-    ext_sq_lfactor,
     ext_sq_root_indices,
     prop_H_equality,
     random_k1_rep,
     random_wdrep,
 )
 from oracles import (
+    LFactor,
     _ladders,
     alphas,
     ext_sq,
+    ext_sq_lfactor,
     ext_sq_lfactor_by_elimination,
+    formal_ext_sq_L,
     reciprocal_quotient,
+    standard_L,
     standard_satake,
     wd_lfactor,
 )
@@ -38,6 +40,11 @@ from oracles import (
 TRIVIAL = FiniteAbelianGroup((1,))
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
+
+
+def is_zero(group, grade):
+    """Whether a grade, reduced or not, is the group's zero."""
+    return all(x % m == 0 for x, m in zip(grade, group.orders))
 
 
 def rep_of(q, group, *blocks):
@@ -88,7 +95,7 @@ class TestFiniteAbelianGroup:
         for a in [(3, 2), (1, -7), (0, 0), (-9, 13)]:
             neg = g.neg(a)
             assert neg == g.reduce(neg)
-            assert g.is_zero([x + y for x, y in zip(a, neg)])
+            assert is_zero(g, [x + y for x, y in zip(a, neg)])
         with pytest.raises(ValueError):
             g.neg((1,))
 
@@ -236,7 +243,7 @@ class TestExtSquareLFactor:
             roots = [
                 b1.scalar * b2.scalar
                 for b1, b2 in itertools.combinations(rep.blocks, 2)
-                if rep.group.is_zero([x + y for x, y in zip(b1.grade, b2.grade)])
+                if is_zero(rep.group, [x + y for x, y in zip(b1.grade, b2.grade)])
             ]
             assert ext_sq_lfactor(rep) == recip_of_roots(0, *roots)
 
@@ -249,7 +256,7 @@ class TestExtSquareLFactor:
             evals = [
                 b.scalar / rep.q ** (b.length - 1)
                 for b in rep.blocks
-                if rep.group.is_zero(b.grade)
+                if is_zero(rep.group, b.grade)
             ]
             roots = [s1 * s2 for s1, s2 in itertools.combinations(evals, 2)]
             formal = formal_ext_sq_L(standard_satake(rep))
@@ -494,22 +501,22 @@ class TestRootMultisets:
         assert failing >= 10
 
     def test_verdicts_build_no_factor(self, monkeypatch):
-        """Neither a verdict nor an explicit report builds a reciprocal.
+        """Neither a verdict nor an explicit report multiplies roots out.
 
         A random suite reads only the verdict; an explicit report prints
-        root lists.  Building an `LFactor` anywhere, from `weil_deligne`,
-        `tasks` or a module they call, fails the test.
+        root lists.  `LFactor` lives in the test oracles, out of the
+        package's reach, and no verdict or report needs a product of
+        polynomials: `MultiPoly.__mul__`, and `times_linear_factors` in
+        every module that binds it, fail the test.
         """
 
-        class NoFactor:
-            def __getattr__(self, name):
-                raise AssertionError(f"LFactor.{name} used for a verdict")
+        def no_product(*args, **kwargs):
+            raise AssertionError("polynomials multiplied for a verdict or a report")
 
-        def no_init(self, *args, **kwargs):
-            raise AssertionError("LFactor built for a verdict or a report")
-
-        monkeypatch.setattr(weil_deligne, "LFactor", NoFactor())
-        monkeypatch.setattr(LFactor, "__init__", no_init)
+        monkeypatch.setattr(MultiPoly, "__mul__", no_product)
+        monkeypatch.setattr(MultiPoly, "__rmul__", no_product)
+        for module in (polynomials, lfactors, symmetric, torus_sums):
+            monkeypatch.setattr(module, "times_linear_factors", no_product)
         rng = random.Random(85)
         symbolic = random.Random(88)
         strict = 0
@@ -612,9 +619,9 @@ class TestHypothesisH:
                 (
                     (i, j)
                     for i, j in itertools.combinations(range(len(grades)), 2)
-                    if not group.is_zero(grades[i])
-                    and not group.is_zero(grades[j])
-                    and group.is_zero([x + y for x, y in zip(grades[i], grades[j])])
+                    if not is_zero(group, grades[i])
+                    and not is_zero(group, grades[j])
+                    and is_zero(group, [x + y for x, y in zip(grades[i], grades[j])])
                 ),
                 None,
             )
