@@ -45,29 +45,50 @@ Fraction it approximates.
 Frobenius scalars may be symbolic, but only when every block has k = 1,
 so that q never mixes into a symbol; mixed symbolic/Steinberg input is
 rejected.  q itself is an exact integer >= 2, never a symbol.
+
+Random suites draw every bounded int with `_below`: getrandbits(k), k the
+bit length of the bound, redrawn while it is out of range.  That is how
+`randrange`, `randint` and `choice` draw today, so the stream is theirs,
+but it now depends only on the documented `getrandbits`, not on the
+internals of `randrange`.  A scalar n/d is read from an 18 x 9 table of
+reduced Fractions, built on first use.  `random_group` shares one group per
+order tuple (an LRU cache of 64), and a group of at most 64 elements keeps
+its negation table, so the cached groups hold at most 64 x 64 entries.  A
+comparison counts the exterior-square keys once and strikes each formal
+key from that count: a key it cannot strike is missing, and what is left
+is the quotient.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from functools import cache, lru_cache
+from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .polynomials import MultiPoly
 
 
 class FiniteAbelianGroup:
-    """Product of cyclic groups Z/m1 x ... x Z/mr; elements are int tuples."""
+    """Product of cyclic groups Z/m1 x ... x Z/mr; elements are int tuples.
 
-    __slots__ = ("orders",)
+    A group of at most 64 elements keeps a table of their negatives, so
+    `neg` of a reduced element is one lookup.
+    """
+
+    __slots__ = ("orders", "_negs")
 
     def __init__(self, orders: tuple[int, ...]):
         for m in orders:
             if not isinstance(m, int) or m < 1:
                 raise ValueError("cyclic orders must be positive ints")
         self.orders = orders
+        self._negs: dict[tuple[int, ...], tuple[int, ...]] = {}
+        if prod(orders) <= 64:
+            for a in product(*[range(m) for m in orders]):
+                self._negs[a] = tuple([-x % m for x, m in zip(a, orders)])
 
     def _rank_error(self, a: Sequence[int]) -> ValueError:
         return ValueError(f"element {tuple(a)} does not fit group of rank {len(self.orders)}")
@@ -81,7 +102,11 @@ class FiniteAbelianGroup:
         return (0,) * len(self.orders)
 
     def neg(self, a: Sequence[int]) -> tuple[int, ...]:
-        """-a, reduced, in one pass."""
+        """-a, reduced."""
+        try:
+            return self._negs[a]
+        except (KeyError, TypeError):  # not a reduced element in the table, or a list
+            pass
         if len(a) != len(self.orders):
             raise self._rank_error(a)
         return tuple(-x % m for x, m in zip(a, self.orders))
@@ -202,7 +227,9 @@ class _RootComparison:
     `ext_sq_root_indices`.  The roots themselves, monomials c / scale x^m
     listed with multiplicity, are decoded only when read: an explicit
     report prints them, and random suites read none.  No reciprocal is
-    built for a verdict or a report.
+    built for a verdict or a report.  `_missing` lists the formal keys the
+    exterior-square side lacks, and `_leftover` counts its keys the formal
+    side leaves over.
     """
 
     def __init__(self, rep: WDRep):
@@ -228,9 +255,17 @@ class _RootComparison:
         self._full = [
             (sym[i] + sym[j], num[i] * num[j] * lift[e]) for i, j, e in ext_sq_root_indices(rep)
         ]
-        formal, full = Counter(self._formal), Counter(self._full)
-        self._missing = formal - full  # formal roots the other side lacks
-        self._leftover = full - formal
+        # one pass: strike each formal key from the count of the others
+        self._missing: list[tuple[int, int]] = []  # formal roots the other side lacks
+        self._leftover = leftover = Counter(self._full)
+        for key in self._formal:
+            n = leftover.get(key, 0)
+            if n > 1:
+                leftover[key] = n - 1
+            elif n > 0:
+                del leftover[key]
+            else:
+                self._missing.append(key)
         self.nvars = rep.nvars
         self.scale = den * den * lift[0]
 
@@ -340,18 +375,35 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
 # -- randomized inputs for verification suites ------------------------------
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in range(n), n >= 1: redraw getrandbits(n.bit_length()) while it is >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+# the groups `random_group` draws, shared, each with its negation table
+_group = lru_cache(maxsize=64)(FiniteAbelianGroup)
+
+
 def random_group(rng, max_rank: int = 2, max_order: int = 6) -> FiniteAbelianGroup:
-    rank = rng.randint(1, max_rank)
-    return FiniteAbelianGroup(tuple(rng.randint(1, max_order) for _ in range(rank)))
+    if max_rank < 1 or max_order < 1:
+        raise ValueError("max_rank and max_order must be >= 1")
+    getrandbits = rng.getrandbits
+    rank = 1 + _below(getrandbits, max_rank)
+    return _group(tuple([1 + _below(getrandbits, max_order) for _ in range(rank)]))
 
 
-_NUMERATORS = [x for x in range(-9, 10) if x]
+@cache
+def _scalar_table() -> tuple[tuple[Fraction, ...], ...]:
+    """n/d for the nonzero n in [-9, 9] and d in 1..9, in lowest terms."""
+    return tuple(tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10) if n)
 
 
-def _random_scalar(rng) -> Fraction:
-    num = rng.choice(_NUMERATORS)
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
+def _random_scalar(getrandbits) -> Fraction:
+    return _scalar_table()[_below(getrandbits, 18)][_below(getrandbits, 9)]
 
 
 def random_wdrep(
@@ -362,21 +414,21 @@ def random_wdrep(
     max_length: int = 3,
 ) -> WDRep:
     """A random block rep with rational scalars, for divisibility suites."""
+    if max_dim < 1 or max_blocks < 1 or max_length < 1 or not q_choices:
+        raise ValueError("max_dim, max_blocks and max_length must be >= 1 and q_choices nonempty")
+    getrandbits = rng.getrandbits
     group = random_group(rng)
-    q = rng.choice(list(q_choices))
+    q = q_choices[_below(getrandbits, len(q_choices))]
     blocks: list[WDBlock] = []
     dim = 0
-    nblocks = rng.randint(1, max_blocks)
-    for _ in range(nblocks):
+    for _ in range(1 + _below(getrandbits, max_blocks)):
         room = max_dim - dim
         if room < 1:
             break
-        k = rng.randint(1, min(max_length, room))
-        grade = tuple(rng.randrange(m) for m in group.orders)
-        blocks.append(WDBlock(grade, k, _random_scalar(rng)))
+        k = 1 + _below(getrandbits, min(max_length, room))
+        grade = tuple([_below(getrandbits, m) for m in group.orders])
+        blocks.append(WDBlock(grade, k, _random_scalar(getrandbits)))
         dim += k
-    if not blocks:
-        blocks.append(WDBlock(group.zero(), 1, _random_scalar(rng)))
     return WDRep(q, group, blocks)
 
 
@@ -392,17 +444,19 @@ def random_k1_rep(
     grades sum to zero (guaranteed to terminate: after bounded attempts all
     but one grade collapse to zero).
     """
+    if max_dim < 1 or not q_choices:
+        raise ValueError("max_dim must be >= 1 and q_choices nonempty")
+    getrandbits = rng.getrandbits
     group = random_group(rng)
-    q = rng.choice(list(q_choices))
-    n = rng.randint(1, max_dim)
+    orders = group.orders
+    q = q_choices[_below(getrandbits, len(q_choices))]
+    n = 1 + _below(getrandbits, max_dim)
     for attempt in range(200):
-        grades = [tuple(rng.randrange(m) for m in group.orders) for _ in range(n)]
+        grades = [tuple([_below(getrandbits, m) for m in orders]) for _ in range(n)]
         # drawn grades are already reduced
         if not require_hypothesis or _first_opposite_pair(group, grades) is None:
             break
     else:
-        grades = [group.zero()] * (n - 1) + [
-            tuple(rng.randrange(m) for m in group.orders)
-        ]
-    blocks = [WDBlock(g, 1, _random_scalar(rng)) for g in grades]
+        grades = [group.zero()] * (n - 1) + [tuple([_below(getrandbits, m) for m in orders])]
+    blocks = [WDBlock(g, 1, _random_scalar(getrandbits)) for g in grades]
     return WDRep(q, group, blocks)

@@ -25,7 +25,12 @@ builds another way, and shares no code with that way:
   elimination on the rep and on its wedge square, the oracles of
   `standard_satake` and of the closed-form root walk
   `weil_deligne.ext_sq_root_indices` (Clebsch-Gordan over blocks), which
-  `ext_sq_lfactor` multiplies out from `divisibility_check(rep).ext_sq_roots`.
+  `ext_sq_lfactor` multiplies out from `divisibility_check(rep).ext_sq_roots`;
+* `root_multiset_differences` -- the two `Counter` differences of two root
+  lists, the oracle of the one-pass comparison behind the Galois verdicts;
+* `randrange_wdrep` and `randrange_k1_rep` -- the random drawers written
+  with `randint`, `randrange` and `choice`, the oracles of the stream that
+  `weil_deligne.random_wdrep` and `random_k1_rep` draw on `getrandbits`.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
 exponent keys of the code it checks.  The oracle methods that tests call by
@@ -37,6 +42,7 @@ and `inverse`, `TruncSeries2.from_t1`, `from_t2` and `__mul__`, and
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -45,7 +51,7 @@ from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly
 from extsq.series import TruncSeries1
 from extsq.symmetric import check_partition
-from extsq.weil_deligne import WDRep, divisibility_check
+from extsq.weil_deligne import FiniteAbelianGroup, WDBlock, WDRep, divisibility_check
 
 # -- Schur polynomials --------------------------------------------------------
 
@@ -431,3 +437,85 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
     with `ext_sq_lfactor_by_elimination`.
     """
     return LFactor.from_linear_roots(divisibility_check(rep).ext_sq_roots, rep.nvars)
+
+
+def root_multiset_differences(
+    formal: Sequence[MultiPoly], full: Sequence[MultiPoly]
+) -> tuple[Counter, Counter]:
+    """(formal - full, full - formal) as multisets, each root keyed by its terms."""
+    a = Counter(tuple(r.terms()) for r in formal)
+    b = Counter(tuple(r.terms()) for r in full)
+    return a - b, b - a
+
+
+# -- the random drawers' stream ---------------------------------------------------
+# The drawers as written on `randint`, `randrange` and `choice`; the package
+# draws the same values with its own bounded draw on `getrandbits`.
+
+
+def _randrange_group(rng, max_rank: int = 2, max_order: int = 6) -> FiniteAbelianGroup:
+    rank = rng.randint(1, max_rank)
+    return FiniteAbelianGroup(tuple(rng.randint(1, max_order) for _ in range(rank)))
+
+
+_NUMERATORS = [x for x in range(-9, 10) if x]
+
+
+def _randrange_scalar(rng) -> Fraction:
+    num = rng.choice(_NUMERATORS)
+    den = rng.randint(1, 9)
+    return Fraction(num, den)
+
+
+def randrange_wdrep(
+    rng,
+    q_choices: Sequence[int] = (2, 3, 5),
+    max_dim: int = 6,
+    max_blocks: int = 4,
+    max_length: int = 3,
+) -> WDRep:
+    group = _randrange_group(rng)
+    q = rng.choice(list(q_choices))
+    blocks: list[WDBlock] = []
+    dim = 0
+    nblocks = rng.randint(1, max_blocks)
+    for _ in range(nblocks):
+        room = max_dim - dim
+        if room < 1:
+            break
+        k = rng.randint(1, min(max_length, room))
+        grade = tuple(rng.randrange(m) for m in group.orders)
+        blocks.append(WDBlock(grade, k, _randrange_scalar(rng)))
+        dim += k
+    if not blocks:
+        blocks.append(WDBlock(group.zero(), 1, _randrange_scalar(rng)))
+    return WDRep(q, group, blocks)
+
+
+def _opposite_ramified(group: FiniteAbelianGroup, grades: Sequence[tuple[int, ...]]) -> bool:
+    """Whether two of the reduced grades are nonzero and sum to zero."""
+    count = Counter(g for g in grades if any(g))
+    for g in count:
+        neg = tuple(-x % m for x, m in zip(g, group.orders))
+        if count[neg] > (neg == g):
+            return True
+    return False
+
+
+def randrange_k1_rep(
+    rng,
+    q_choices: Sequence[int] = (2, 3, 5),
+    max_dim: int = 6,
+    require_hypothesis: bool = True,
+) -> WDRep:
+    group = _randrange_group(rng)
+    q = rng.choice(list(q_choices))
+    n = rng.randint(1, max_dim)
+    for attempt in range(200):
+        grades = [tuple(rng.randrange(m) for m in group.orders) for _ in range(n)]
+        if not require_hypothesis or not _opposite_ramified(group, grades):
+            break
+    else:
+        grades = [group.zero()] * (n - 1) + [tuple(rng.randrange(m) for m in group.orders)]
+    blocks = [WDBlock(g, 1, _randrange_scalar(rng)) for g in grades]
+    return WDRep(q, group, blocks)

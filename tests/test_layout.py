@@ -28,6 +28,7 @@ MODULES = [extsq] + [
 def test_oracles_are_found():
     required = {"alphas", "schur_bialternant", "standard_satake", "wd_lfactor"}
     required |= {"LFactor", "formal_ext_sq_L", "ext_sq_lfactor"}
+    required |= {"randrange_wdrep", "randrange_k1_rep", "root_multiset_differences"}
     assert required <= set(ORACLE_NAMES)
 
 

@@ -1,37 +1,48 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extsq import lfactors, polynomials, symmetric, torus_sums, weil_deligne
 from extsq.polynomials import MultiPoly
 from extsq.tasks import _describe_rep, parse_task, run_task
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
+    DivisibilityVerdict,
     PropHResult,
     WDBlock,
     WDRep,
+    _below,
     _first_opposite_pair,
     divisibility_check,
     ext_sq_root_indices,
     prop_H_equality,
+    random_group,
     random_k1_rep,
     random_wdrep,
 )
 from oracles import (
     LFactor,
     _ladders,
+    _randrange_group,
     alphas,
     ext_sq,
     ext_sq_lfactor,
     ext_sq_lfactor_by_elimination,
     formal_ext_sq_L,
+    randrange_k1_rep,
+    randrange_wdrep,
     reciprocal_quotient,
+    root_multiset_differences,
     standard_L,
     standard_satake,
     wd_lfactor,
@@ -98,6 +109,18 @@ class TestFiniteAbelianGroup:
             assert is_zero(g, [x + y for x, y in zip(a, neg)])
         with pytest.raises(ValueError):
             g.neg((1,))
+
+    @pytest.mark.parametrize("orders", [(1,), (6, 6), (64,), (65,), (5, 13), (8, 9)])
+    def test_neg_with_and_without_a_table(self, orders):
+        """Tabled (at most 64 elements) or not, neg reduces any int sequence of the right rank."""
+        g = FiniteAbelianGroup(orders)
+        assert len(g._negs) == (math.prod(orders) if math.prod(orders) <= 64 else 0)
+        for a in itertools.product(*[range(-m, 2 * m) for m in orders]):
+            expected = tuple(-x % m for x, m in zip(a, orders))
+            assert g.neg(a) == g.neg(list(a)) == expected
+        for bad in [(), (0,) * (len(orders) + 1), [0] * (len(orders) + 1)]:
+            with pytest.raises(ValueError):
+                g.neg(bad)
 
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
@@ -535,6 +558,42 @@ class TestRootMultisets:
         assert strict >= 5
 
 
+class TestRootComparison:
+    """The one-pass comparison against the `Counter` differences of `root_multiset_differences`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["rational", "k1", "symbolic"]),
+        st.integers(0, 2**32),
+        st.none() | st.integers(0, 99),
+    )
+    def test_verdicts_match_counter_differences(self, kind, seed, drop):
+        rng = random.Random(seed)
+        if kind == "rational":
+            rep = random_wdrep(rng, max_dim=8, max_length=4)
+        elif kind == "k1":
+            rep = random_k1_rep(rng, require_hypothesis=rng.random() < 0.5)
+        else:
+            rep = random_symbolic_k1_rep(rng)
+        indices = ext_sq_root_indices(rep)
+        if drop is not None and indices:
+            del indices[drop % len(indices)]
+        # the formal roots from the grade-0 kernel eigenvalues, the others from
+        # alphas and Fraction arithmetic; neither from the integer keys
+        formal = [r for r in lfactors.ext_sq_roots(standard_satake(rep)) if not r.is_zero]
+        missing, leftover = root_multiset_differences(formal, roots_of(rep, indices))
+        with patch.object(weil_deligne, "ext_sq_root_indices", lambda rep: list(indices)):
+            v, h = DivisibilityVerdict(rep), PropHResult(rep)
+        assert v.divides == (not missing), rep.blocks
+        assert v.strict == (not missing and bool(leftover)), rep.blocks
+        assert h.equal == (not missing and not leftover), rep.blocks
+        quotient = v.quotient_roots
+        if missing:
+            assert quotient is None, rep.blocks
+        else:
+            assert root_multiset_differences(quotient, [])[0] == leftover, rep.blocks
+
+
 class TestPrintedRoots:
     """The root lists explicit reports print, rebuilt by an independent route.
 
@@ -699,6 +758,78 @@ class TestRandomGenerators:
         assert digest(partial(random_k1_rep, require_hypothesis=True), 2025) == (
             "b6b0dff4bf30eaa073fbba97ea8a75c2f1504600cf5eaa8cd82be13a756cb6de"
         )
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_below_is_randrange(self, n):
+        ours, theirs = random.Random(n), random.Random(n)
+        draws = 100_000
+        assert [_below(ours.getrandbits, n) for _ in range(draws)] == [
+            theirs.randrange(n) for _ in range(draws)
+        ]
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "draw, oracle, seed, params",
+        [
+            (random_wdrep, randrange_wdrep, 1, {}),
+            (random_wdrep, randrange_wdrep, 2, {"max_dim": 8, "max_length": 4, "q_choices": (7, 11)}),
+            (random_wdrep, randrange_wdrep, 3, {"max_dim": 10, "max_blocks": 6, "max_length": 5}),
+            (random_k1_rep, randrange_k1_rep, 1, {}),
+            (random_k1_rep, randrange_k1_rep, 2, {"require_hypothesis": False, "max_dim": 10}),
+            (random_k1_rep, randrange_k1_rep, 3, {"max_dim": 8, "q_choices": [4, 9, 25, 49]}),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_drawers_draw_the_randrange_stream(self, draw, oracle, seed, params):
+        """20k reps equal those of the drawers written on randint, randrange and choice."""
+        ours, theirs = random.Random(seed), random.Random(seed)
+
+        def fields(rep):
+            return rep.q, rep.group.orders, [(b.grade, b.length, b.scalar) for b in rep.blocks]
+
+        for i in range(20_000):
+            assert fields(draw(ours, **params)) == fields(oracle(theirs, **params)), i
+        assert ours.getstate() == theirs.getstate()
+
+    def test_random_group_draws_the_randrange_stream(self):
+        ours, theirs = random.Random(7), random.Random(7)
+        for params in [{}, {"max_rank": 3, "max_order": 70}, {"max_rank": 1, "max_order": 1}]:
+            for _ in range(2000):
+                assert random_group(ours, **params).orders == _randrange_group(theirs, **params).orders
+        assert ours.getstate() == theirs.getstate()
+
+    def test_drawn_groups_are_shared(self):
+        rng = random.Random(8)
+        groups = {}
+        for _ in range(500):
+            g = random_group(rng)
+            assert groups.setdefault(g.orders, g) is g
+        assert len(groups) == 42  # every order tuple of rank 1 or 2 with orders up to 6
+        assert weil_deligne._group.cache_info().maxsize == 64
+
+    @pytest.mark.parametrize(
+        "draw, params",
+        [
+            (random_group, {"max_rank": 0}),
+            (random_group, {"max_order": 0}),
+            (random_group, {"max_order": -3}),
+            (random_wdrep, {"max_dim": 0}),
+            (random_wdrep, {"max_blocks": 0}),
+            (random_wdrep, {"max_length": 0}),
+            (random_wdrep, {"max_length": -1}),
+            (random_wdrep, {"q_choices": ()}),
+            (random_k1_rep, {"max_dim": 0}),
+            (random_k1_rep, {"q_choices": []}),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_bounds_that_would_spin_are_refused(self, draw, params):
+        """A bound below 1 would ask for getrandbits(0), which never exceeds it."""
+        rng = random.Random(9)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            draw(rng, **params)
+        assert rng.getstate() == state
 
     def test_determinism(self):
         a = random_wdrep(random.Random(99))
