@@ -16,6 +16,12 @@ pair products `ext_sq_roots`; zero roots are factors 1.  The expanded
 reciprocals and their series inverse are the tests' oracles of this route,
 in `tests/oracles.py`.
 
+The series runs over the integers.  Its t^k coefficient h_k is homogeneous
+of degree k, so h_k(r) = h_k(D r) / D^k, with D the lcm of the roots'
+coefficient denominators: the roots are scaled by D once, the products
+multiply ints only, and each coefficient is divided once, by D^k
+(`MultiPoly.div_int`).
+
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes.
 `doubled_shape_sum` is the one routine that sums Schur values over doubled
@@ -29,9 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import MultiPoly, times_linear_factors
+from .polynomials import MultiPoly
 from .series import TruncSeries1
-from .symmetric import SchurValues, doubled_shape, partitions_bounded
+from .symmetric import SchurValues, _scaled_h, doubled_shape, partitions_bounded
 
 
 def parse_rational(token: str) -> Fraction:
@@ -126,14 +132,16 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
 
 
 def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncSeries1:
-    """prod_r 1/(1 - r t) through t^order, built root by root.
+    """prod_r 1/(1 - r t) through t^order, built root by root over the integers.
 
-    Coefficient k is h_k of the roots.  Pass `params.entries` for the
+    Coefficient k is h_k of the roots: h_k of the roots scaled by D, divided
+    once by D^k (see the module docstring).  Pass `params.entries` for the
     standard factor's series and `ext_sq_roots(params)` for the
     exterior-square one.  The tests' oracle multiplies the reciprocal out
     and inverts it as a series.
     """
-    return TruncSeries1(nvars, times_linear_factors([MultiPoly.one(nvars)], roots, order, -1))
+    scale, hs = _scaled_h(roots, nvars, order)
+    return TruncSeries1(nvars, [h.div_int(scale**k) for k, h in enumerate(hs)])
 
 
 class DoubledShapeSum:

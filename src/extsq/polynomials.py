@@ -352,6 +352,21 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def div_int(self, d: int) -> "MultiPoly":
+        """self / d for a nonzero int d (self when d is 1), ints where integral.
+
+        One Fraction(c, d) per term, where self * Fraction(1, d) builds two.
+        """
+        if d == 1:
+            return self
+        if not d:
+            raise ZeroDivisionError("polynomial divided by zero")
+        out: dict[int, Scalar] = {}
+        for k, c in self._terms.items():
+            q = Fraction(c, d)
+            out[k] = q.numerator if q.denominator == 1 else q
+        return MultiPoly._raw(self.nvars, out)
+
     def __pow__(self, e: int) -> "MultiPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative int")

@@ -25,9 +25,11 @@ det[h_{f_i - mu_j - i + j}] (I.5.4),
 
 with D the lcm of the peeled entries' coefficient denominators.  h_0..h_N of
 the D c_i, the coefficients of prod_i 1/(1 - D c_i t) (I.2), are built once
-per vector by `polynomials.times_linear_factors`, as plain ints when every
-c_i is a constant.  Only the peeled entries are scaled, and s_{f/mu} has
-degree |f| - |mu| in them: hence D^|mu| beside the one division by D^|f|.
+per vector by `_scaled_h` (the kernel `polynomials.times_linear_factors`,
+shared with the product sides of `lfactors` and `torus_sums`), as plain
+ints when every c_i is a constant.  Only the peeled entries are scaled, and
+s_{f/mu} has degree |f| - |mu| in them: hence D^|mu| beside the one
+division by D^|f|, one Fraction per term (`MultiPoly.div_int`).
 All-symbolic vectors (r = 0) are the one term mu = f, the cached
 `schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
 (), an integer Jacobi-Trudi determinant.  Mixed ones multiply cached Schur
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import MultiPoly, append_variable, times_linear_factors
@@ -131,6 +132,17 @@ def _det(rows: list[list], one):
     return minor((1 << len(rows)) - 1)
 
 
+def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int, list]:
+    """(D, [h_0..h_order of the D v]), D the lcm of the values' coefficient denominators.
+
+    h_k is the t^k coefficient of prod_v 1/(1 - D v t), and h_k(D v) = D^k h_k(v)
+    has int coefficients.
+    """
+    scale = math.lcm(*(c.denominator for v in values for c in v.coefficients()))
+    scaled = [v * scale for v in values]
+    return scale, times_linear_factors([MultiPoly.one(nvars)], scaled, order, -1)
+
+
 class SchurValues:
     """The Schur values s_f(values) of one value vector, for |f| <= max_weight.
 
@@ -153,10 +165,7 @@ class SchurValues:
             peeled = nonzero  # the variable entries are not the ring's, once each
         self.length, self.nvars, self.max_weight = len(values), nvars, max_weight
         self.m, self.r = len(nonzero) - len(peeled), len(peeled)
-        self.scale = math.lcm(*(c.denominator for v in peeled for c in v.coefficients()))
-        # h_0..h_max_weight of the D c_i: coefficients of prod_i 1/(1 - D c_i t)
-        roots = [v * self.scale for v in peeled]
-        self.hs = times_linear_factors([MultiPoly.one(nvars)], roots, max_weight, -1)
+        self.scale, self.hs = _scaled_h(peeled, nvars, max_weight)
         if all(v.is_constant for v in peeled):
             self.hs = [h.constant_value() for h in self.hs]  # plain ints
 
@@ -192,7 +201,7 @@ class SchurValues:
             if det:
                 base = schur(mu, m) if m else MultiPoly.one(self.nvars)
                 acc = acc + base * (det * self.scale ** sum(mu))
-        return acc if self.scale == 1 else acc * Fraction(1, self.scale**weight)
+        return acc.div_int(self.scale**weight)
 
 
 def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPoly:

@@ -16,11 +16,12 @@ coefficient sums s_lam over the partitions lam with at most n-1 rows,
 a = c_odd(lam) odd columns and |lam| = a + 2b.
 
 The product sides these sums are compared with are built from their linear
-roots: `bf_product_series` is the outer product of the two factors' series
-from `lfactors.product_series` (whose oracle inverts the multiplied-out
-reciprocal), and `bf_odd_correction_probe` multiplies the sum by each
-factor (1 - r t1) and (1 - r t2) rather than dividing by the product
-series.  Neither multiplies two-variable series.
+roots: `bf_product_series` is the outer product of the two factors' integer
+series, built as in `lfactors.product_series` (whose oracle inverts the
+multiplied-out reciprocal) with each cell divided once by its scale, and
+`bf_odd_correction_probe` multiplies the sum by each factor (1 - r t1) and
+(1 - r t2) rather than dividing by the product series.  Neither multiplies
+two-variable series.
 """
 
 from __future__ import annotations
@@ -28,15 +29,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .polynomials import MultiPoly, times_linear_factors
-from .lfactors import (
-    DoubledShapeSum,
-    SatakeParams,
-    doubled_shape_sum,
-    ext_sq_roots,
-    product_series,
-)
+from .lfactors import DoubledShapeSum, SatakeParams, doubled_shape_sum, ext_sq_roots
 from .series import TruncSeries2
-from .symmetric import SchurValues, alternating_sum, even_index_sum, partitions_bounded
+from .symmetric import SchurValues, _scaled_h, alternating_sum, even_index_sum, partitions_bounded
 
 
 def delta_half_exponent(g: Sequence[int], n: int) -> int:
@@ -91,10 +86,16 @@ def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     """Standard factor in t1 times exterior-square factor in t2, truncated.
 
     The factors are in different variables: the t1^i t2^j term is std_i * ext_j.
+    Both series are integer, from the entries scaled by D1 and the pair
+    products by D2, so each cell divides std_i * ext_j once, by D1^i D2^j.
     """
-    std = product_series(params.entries, params.nvars, l1).coeffs
-    ext = product_series(ext_sq_roots(params), params.nvars, l2).coeffs
-    return TruncSeries2(params.nvars, [[a * b for b in ext] for a in std])
+    nvars = params.nvars
+    d1, std = _scaled_h(params.entries, nvars, l1)
+    d2, ext = _scaled_h(ext_sq_roots(params), nvars, l2)
+    return TruncSeries2(
+        nvars,
+        [[(a * b).div_int(d1**i * d2**j) for j, b in enumerate(ext)] for i, a in enumerate(std)],
+    )
 
 
 class BFProbeResult:

@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extsq import symmetric
 from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series_first_difference
@@ -117,14 +119,21 @@ class TestStandardAndExtSq:
 
 
 @st.composite
-def monomial_roots(draw):
-    """(nvars, roots): monomials in 0-3 symbols, denominators <= 9, zeros included."""
+def sparse_roots(draw):
+    """(nvars, roots): up to two terms in 0-3 symbols, denominators <= 12, zeros included.
+
+    The roots' scale D is then the lcm of several different denominators.
+    """
     nvars = draw(st.integers(0, 3))
     roots = [
-        MultiPoly.monomial(
+        MultiPoly(
             nvars,
-            [draw(st.integers(0, 3)) for _ in range(nvars)],
-            Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))),
+            {
+                tuple(draw(st.integers(0, 3)) for _ in range(nvars)): Fraction(
+                    draw(st.integers(-9, 9)), draw(st.integers(1, 12))
+                )
+                for _ in range(draw(st.integers(1, 2)))
+            },
         )
         for _ in range(draw(st.integers(0, 6)))
     ]
@@ -135,13 +144,28 @@ class TestRootwiseProductSide:
     """The (1 - r t)^{+-1} kernel against products and series inversion."""
 
     @settings(max_examples=60, deadline=None)
-    @given(monomial_roots(), st.integers(0, 7))
+    @given(sparse_roots(), st.integers(0, 7))
     def test_series_matches_inverted_reciprocal(self, nvars_roots, order):
         nvars, roots = nvars_roots
         assert product_series(roots, nvars, order) == LFactor.from_linear_roots(roots, nvars).series(order)
 
     @settings(max_examples=60, deadline=None)
-    @given(monomial_roots())
+    @given(sparse_roots(), st.integers(0, 7))
+    def test_kernel_gets_int_roots(self, nvars_roots, order):
+        """product_series scales the roots by D before the kernel sees them."""
+        nvars, roots = nvars_roots
+        seen = []
+
+        def spy(coeffs, roots, order, power):
+            seen.append([c for r in roots for c in r.coefficients()])
+            return times_linear_factors(coeffs, roots, order, power)
+
+        with patch.object(symmetric, "times_linear_factors", spy):
+            product_series(roots, nvars, order)
+        assert len(seen) == 1 and all(type(c) is int for c in seen[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_roots())
     def test_reciprocal_matches_repeated_products(self, nvars_roots):
         nvars, roots = nvars_roots
         product = times_linear_factors([MultiPoly.one(nvars)], roots, len(roots), 1)

@@ -134,6 +134,39 @@ class TestMultiPolyArithmetic:
         assert (a - a).is_zero
 
 
+nonzero_divisors = st.integers(-2520, 2520).filter(bool)
+
+
+class TestDivInt:
+    """`div_int`, the one division of the product sides and the Schur values."""
+
+    @given(multipolys(), st.booleans(), nonzero_divisors)
+    def test_matches_multiplying_by_the_reciprocal(self, p, integral, d):
+        if integral:
+            p = p * 12  # clears every denominator `multipolys` draws
+            assert all(type(c) is int for c in p.coefficients())
+        assert p.div_int(d) == p * Fraction(1, d)
+
+    @given(multipolys(), st.booleans(), nonzero_divisors)
+    def test_integral_coefficients_are_ints(self, p, integral, d):
+        if integral:
+            p = p * d  # every quotient coefficient is then p's own
+        q = p.div_int(d)
+        assert q.nvars == p.nvars and len(q) == len(p)
+        assert all(type(c) is int for c in q.coefficients() if c.denominator == 1)
+        assert all(type(c) is Fraction for c in q.coefficients() if c.denominator != 1)
+
+    @given(multipolys())
+    def test_one_returns_the_polynomial(self, p):
+        assert p.div_int(1) == p
+        assert p.div_int(1) is p
+
+    @given(multipolys())
+    def test_zero_raises(self, p):
+        with pytest.raises(ZeroDivisionError):
+            p.div_int(0)
+
+
 class TestTimesLinearFactors:
     def test_known_product_and_series(self):
         x = MultiPoly.variable(1, 0)

@@ -2,13 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extsq import symmetric
 from extsq.lfactors import SatakeParams
-from extsq.polynomials import MultiPoly
+from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import (
     TruncSeries2,
     series2_first_difference,
@@ -208,6 +210,9 @@ class TestBfProductSeries:
             ["-3/4", "sym", "0", "2"],
             ["1/2", "-3", "5/7", "2"],
             ["0", "3/4", "-2", "1/6"],
+            # the entries' scale D1 differs from the pair products' D2
+            ["sym", "5/6", "-7/4", "2/9"],
+            ["3/8", "0", "-5/12", "7/10"],
         ],
     )
     @pytest.mark.parametrize("window", [(3, 5), (5, 2), (0, 3), (2, 0)])
@@ -215,6 +220,19 @@ class TestBfProductSeries:
         """The outer product equals the embedded one-variable series multiplied."""
         p = SatakeParams.parse(tokens)
         assert bf_product_series(p, *window) == product_series2(p, *window)
+
+    @pytest.mark.parametrize("tokens", [["sym", "5/6", "-7/4", "2/9"], ["3/8", "0", "-5/12", "7/10"]])
+    def test_both_series_are_built_from_int_roots(self, tokens):
+        p = SatakeParams.parse(tokens)
+        seen = []
+
+        def spy(coeffs, roots, order, power):
+            seen.append([c for r in roots for c in r.coefficients()])
+            return times_linear_factors(coeffs, roots, order, power)
+
+        with patch.object(symmetric, "times_linear_factors", spy):
+            bf_product_series(p, 3, 3)
+        assert len(seen) == 2 and all(type(c) is int for cs in seen for c in cs)
 
 
 class TestBfOddProbe:

@@ -538,7 +538,7 @@ class TestRootMultisets:
 
         monkeypatch.setattr(MultiPoly, "__mul__", no_product)
         monkeypatch.setattr(MultiPoly, "__rmul__", no_product)
-        for module in (polynomials, lfactors, symmetric, torus_sums):
+        for module in (polynomials, symmetric, torus_sums):
             monkeypatch.setattr(module, "times_linear_factors", no_product)
         rng = random.Random(85)
         symbolic = random.Random(88)
@@ -723,6 +723,19 @@ class TestPropHEquality:
             assert prop_H_equality(rep).equal, rep.blocks
 
 
+class _BoundedRandom(random.Random):
+    """A Random whose getrandbits raises AssertionError after `limit` calls."""
+
+    def __init__(self, seed: int, limit: int):
+        super().__init__(seed)
+        self.calls_left = limit
+
+    def getrandbits(self, k: int) -> int:
+        self.calls_left -= 1
+        assert self.calls_left >= 0, "the drawer kept drawing"
+        return super().getrandbits(k)
+
+
 class TestRandomGenerators:
     def test_wdrep_respects_bounds(self):
         rng = random.Random(5)
@@ -824,8 +837,12 @@ class TestRandomGenerators:
         ids=lambda x: getattr(x, "__name__", str(x)),
     )
     def test_bounds_that_would_spin_are_refused(self, draw, params):
-        """A bound below 1 would ask for getrandbits(0), which never exceeds it."""
-        rng = random.Random(9)
+        """A bound below 1 would ask for getrandbits(0), which never exceeds it.
+
+        Without its check a drawer spins, so the generator fails the test
+        after 10 000 draws rather than letting it hang.
+        """
+        rng = _BoundedRandom(9, 10_000)
         state = rng.getstate()
         with pytest.raises(ValueError):
             draw(rng, **params)
