@@ -6,19 +6,13 @@ rather than a numerical comparison.
 """
 
 from .polynomials import MultiPoly
-from .series import (
-    TruncSeries1,
-    TruncSeries2,
-    series2_first_difference,
-    series_first_difference,
-)
+from .series import series2_first_difference, series_first_difference
 from .symmetric import (
     alternating_sum,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
     schur,
-    schur_eval_padded,
 )
 from .lfactors import (
     DoubledShapeSum,
@@ -32,7 +26,6 @@ from .torus_sums import (
     BFProbeResult,
     bf_odd_correction_probe,
     bf_series,
-    delta_half_exponent,
     js_series,
 )
 from .weil_deligne import (
@@ -51,8 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly",
-    "TruncSeries1",
-    "TruncSeries2",
     "series_first_difference",
     "series2_first_difference",
     "alternating_sum",
@@ -60,7 +51,6 @@ __all__ = [
     "even_index_sum",
     "partitions_bounded",
     "schur",
-    "schur_eval_padded",
     "DoubledShapeSum",
     "SatakeParams",
     "doubled_shape_sum",
@@ -70,7 +60,6 @@ __all__ = [
     "BFProbeResult",
     "bf_odd_correction_probe",
     "bf_series",
-    "delta_half_exponent",
     "js_series",
     "DivisibilityVerdict",
     "FiniteAbelianGroup",

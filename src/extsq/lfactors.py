@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import MultiPoly
-from .series import TruncSeries1
 from .symmetric import SchurValues, _scaled_h, doubled_shape, partitions_bounded
 
 
@@ -131,7 +130,7 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
     ]
 
 
-def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncSeries1:
+def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
     """prod_r 1/(1 - r t) through t^order, built root by root over the integers.
 
     Coefficient k is h_k of the roots: h_k of the roots scaled by D, divided
@@ -141,21 +140,24 @@ def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> TruncS
     and inverts it as a series.
     """
     scale, hs = _scaled_h(roots, nvars, order)
-    return TruncSeries1(nvars, [h.div_int(scale**k) for k, h in enumerate(hs)])
+    return tuple(h.div_int(scale**k) for k, h in enumerate(hs))
 
 
 class DoubledShapeSum:
     """A truncated doubled-shape Schur sum and the terms it was summed from.
 
-    `terms` holds one (power, shape, value) triple per doubled shape in
-    enumeration order: the weight |f|, the shape (f1,f1,...,fh,fh,0,...),
-    and its Schur value at the parameter entries.
+    `series` holds the coefficients of t^0..t^order.  `terms` holds one
+    (power, shape, value) triple per doubled shape in enumeration order:
+    the weight |f|, the shape (f1,f1,...,fh,fh,0,...), and its Schur value
+    at the parameter entries.
     """
 
     __slots__ = ("series", "terms")
 
     def __init__(
-        self, series: TruncSeries1, terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...]
+        self,
+        series: tuple[MultiPoly, ...],
+        terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...],
     ):
         self.series = series
         self.terms = terms
@@ -181,7 +183,7 @@ def doubled_shape_sum(
             terms.append((l, shape, value))
             acc = acc + value
         coeffs.append(acc)
-    return DoubledShapeSum(TruncSeries1(params.nvars, coeffs), tuple(terms))
+    return DoubledShapeSum(tuple(coeffs), tuple(terms))
 
 
 def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:

@@ -7,8 +7,8 @@ can be shared freely (including across concurrent workers).
 
 Exponent vectors are packed into a single int, 16 bits per variable, which
 makes a monomial product one integer addition.  The top bit of each field is
-a guard: exponents are capped at 32767, and a product or power whose result
-would need a larger exponent raises ValueError instead of carrying into the
+a guard: exponents are capped at 32767, and a product whose result would
+need a larger exponent raises ValueError instead of carrying into the
 neighbouring variable.  Exponents given to constructors, and those
 `append_variable` attaches, are capped lower, at 4095.  Both caps are orders
 of magnitude above anything the torus sums or determinants in this package
@@ -366,61 +366,6 @@ class MultiPoly:
             q = Fraction(c, d)
             out[k] = q.numerator if q.denominator == 1 else q
         return MultiPoly._raw(self.nvars, out)
-
-    def __pow__(self, e: int) -> "MultiPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        if e == 0:
-            return MultiPoly.one(self.nvars)
-        if len(self._terms) == 1:
-            ((k, c),) = self._terms.items()
-            if max(_unpack(k, self.nvars), default=0) * e > _EXP_MAX:
-                raise ValueError(_OVERFLOW)
-            return MultiPoly._raw(self.nvars, {k * e: _norm_scalar(c**e)})
-        result = self
-        for _ in range(e - 1):
-            result = result * self
-        return result
-
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, values: Sequence["MultiPoly"], *, nvars: int | None = None) -> "MultiPoly":
-        """Evaluate at values[i] for variable i.
-
-        All values must share one variable count, which becomes the result's;
-        pass `nvars` explicitly when `values` is empty.  Production code
-        does not call it: it evaluates the bialternant oracle of
-        `tests/oracles.py` at a vector, against `symmetric.SchurValues`, and
-        stays a method because tests call it on polynomials.
-        """
-        if len(values) != self.nvars:
-            raise ValueError("need one value per variable")
-        if values:
-            m = values[0].nvars
-            for v in values:
-                if v.nvars != m:
-                    raise ValueError("substitution values live in different variable counts")
-        elif nvars is None:
-            raise ValueError("nvars required when substituting into a 0-variable polynomial")
-        else:
-            m = nvars
-        # fast path: identity substitution
-        if m == self.nvars and all(
-            len(v._terms) == 1 and v._terms.get(1 << (_EXP_BITS * (m - 1 - i))) == 1
-            for i, v in enumerate(values)
-        ):
-            return self
-        acc = MultiPoly.zero(m)
-        for key, c in self._terms.items():
-            exps = _unpack(key, self.nvars)
-            term = MultiPoly.constant(m, c)
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * (v**e)
-                    if term.is_zero:
-                        break
-            acc = acc + term
-        return acc
 
     # -- formatting ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ Production code has one route for Schur polynomials and one for Schur values:
   smaller-rank polynomials of the sub-shapes it recurses through;
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
   weight bound.  The torus sums build one per vector and call `value` for
-  each shape; `schur_eval_padded(f, values)` is the one-shape form.
+  each shape; one shape f is `SchurValues(values, |f|).value(f)`.
 
 Zeros are dropped: the value is zero unless the shape fits inside the
 nonzero entries.  These split into the core x, every variable of the
@@ -38,9 +38,9 @@ do.  `_det` expands along rows with memoized minors, over ints or
 `MultiPoly` alike.
 
 The independent oracle of both routes, the alternant divided exactly by the
-Vandermonde determinant, lives in `tests/oracles.py` with the other oracles;
-the test suite evaluates it at a vector with `MultiPoly.substitute` and
-compares.  All enumeration orders are deterministic.
+Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,
+and so does `substitute`, with which the test suite evaluates it at a
+vector and compares.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -202,11 +202,6 @@ class SchurValues:
                 base = schur(mu, m) if m else MultiPoly.one(self.nvars)
                 acc = acc + base * (det * self.scale ** sum(mu))
         return acc.div_int(self.scale**weight)
-
-
-def schur_eval_padded(f: Sequence[int], values: Sequence[MultiPoly]) -> MultiPoly:
-    """s_f at a value vector that may contain zeros: `SchurValues` for one shape."""
-    return SchurValues(values, sum(check_partition(f))).value(f)
 
 
 def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:

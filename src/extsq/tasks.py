@@ -49,7 +49,7 @@ from .lfactors import (
     product_series,
 )
 from .polynomials import MultiPoly
-from .series import TruncSeries2, series2_first_difference, series_first_difference
+from .series import series2_first_difference, series_first_difference
 from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
 from .weil_deligne import (
     FiniteAbelianGroup,
@@ -351,8 +351,8 @@ def _fmt_series1(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> list[str]
     return [c.format(names) for c in coeffs]
 
 
-def _fmt_series2(s: TruncSeries2, names: Sequence[str]) -> list[list[str]]:
-    return [[c.format(names) for c in row] for row in s.coeffs]
+def _fmt_series2(grid: Sequence[Sequence[MultiPoly]], names: Sequence[str]) -> list[list[str]]:
+    return [[c.format(names) for c in row] for row in grid]
 
 
 def _fmt_against(
@@ -372,8 +372,8 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     data = {
         "standard_roots": _root_strings(params.nonzero_entries, names),
         "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),
-        "standard_series": _fmt_series1(std_series.coeffs, names),
-        "ext_sq_series": _fmt_series1(ext_series.coeffs, names),
+        "standard_series": _fmt_series1(std_series, names),
+        "ext_sq_series": _fmt_series1(ext_series, names),
     }
     return "info", f"standard and exterior-square factors expanded through t^{order}", data
 
@@ -392,8 +392,8 @@ def _compare_with_ext_sq(
     names = _names(params.nvars)
     rhs = product_series(ext_sq_roots(params), params.nvars, cfg.truncation)
     diff = series_first_difference(lhs.series, rhs)
-    lhs_text = data[key] = _fmt_series1(lhs.series.coeffs, names)
-    rhs_text = data["product"] = _fmt_against(rhs.coeffs, lhs.series.coeffs, lhs_text, names)
+    lhs_text = data[key] = _fmt_series1(lhs.series, names)
+    rhs_text = data["product"] = _fmt_against(rhs, lhs.series, lhs_text, names)
     data["first_difference"] = (
         None
         if diff is None
@@ -458,19 +458,16 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     if not odd:
         omega = reduce(lambda a, b: a * b, params.entries)
         # (1 - ω t2^m) times each row: c_j - ω c_{j-m}, reading the old row
-        expected = TruncSeries2(
-            params.nvars,
-            [
-                [c - omega * row[j - m] if j >= m else c for j, c in enumerate(row)]
-                for row in expected.coeffs
-            ],
-        )
+        expected = [
+            [c - omega * row[j - m] if j >= m else c for j, c in enumerate(row)]
+            for row in expected
+        ]
         data["central_product"] = omega.format(names)
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
     expected_text = data["expected"] = [
         _fmt_against(row, lhs_row, text_row, names)
-        for row, lhs_row, text_row in zip(expected.coeffs, lhs.coeffs, lhs_text)
+        for row, lhs_row, text_row in zip(expected, lhs, lhs_text)
     ]
     if diff is None:
         data["first_difference"] = None

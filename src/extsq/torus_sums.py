@@ -1,12 +1,12 @@
 """Torus sums realizing the local zeta integrals on their support.
 
 On the diagonal torus a spherical Whittaker function is supported on
-dominant exponent vectors, where it equals a half-density factor
-q^(e/2) (`delta_half_exponent`, e stored as an integer, never a radical)
-times a Schur polynomial in the parameter entries.  Unipotent integration
-is already folded in, so each zeta integral collapses to a sum over the
-torus lattice, and on every summed vector the half-density exponent cancels
-against the measure: each term is a Schur value alone.
+dominant exponent vectors, where it equals a half-density factor q^(e/2),
+e an integer linear in the vector, times a Schur polynomial in the
+parameter entries.  Unipotent integration is already folded in, so each
+zeta integral collapses to a sum over the torus lattice, and on every
+summed vector the half-density exponent cancels against the measure: each
+term is a Schur value alone.
 
 Every sum here walks `symmetric.partitions_bounded` and evaluates with
 one `symmetric.SchurValues` per vector.  `js_series` sums the doubled shapes
@@ -26,19 +26,9 @@ two-variable series.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .polynomials import MultiPoly, times_linear_factors
 from .lfactors import DoubledShapeSum, SatakeParams, doubled_shape_sum, ext_sq_roots
-from .series import TruncSeries2
 from .symmetric import SchurValues, _scaled_h, alternating_sum, even_index_sum, partitions_bounded
-
-
-def delta_half_exponent(g: Sequence[int], n: int) -> int:
-    """Exponent e with delta_B^(1/2)(diag(pi^g)) = q^(e/2): e = -sum (n-2i+1) g_i."""
-    if len(g) != n:
-        raise ValueError(f"vector of length {len(g)} does not fit GL_{n}")
-    return -sum((n - 2 * (i + 1) + 1) * gi for i, gi in enumerate(g))
 
 
 def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
@@ -59,13 +49,14 @@ def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
     return doubled_shape_sum(params, (n - 1) // 2, 1, order)
 
 
-def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
+def bf_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """Two-variable torus sum pairing the standard and exterior-square factors.
 
     Littlewood's sum graded by odd columns: s_lam(params) t1^a t2^b over the
     partitions lam with at most n-1 rows, a = lam1-lam2+lam3-... (the number
     of odd columns) and b = lam2+lam4+..., so |lam| = a + 2b.  The window
-    (l1, l2) bounds the weight by l1 + 2*l2.
+    (l1, l2) bounds the weight by l1 + 2*l2.  Row i of the grid holds the
+    t1^i coefficients.
     """
     n = params.n
     if n < 2:
@@ -79,10 +70,10 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
             b = even_index_sum(shape)
             if a <= l1 and b <= l2:
                 grid[a][b] = grid[a][b] + values.value(shape)
-    return TruncSeries2(params.nvars, grid)
+    return tuple(map(tuple, grid))
 
 
-def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
+def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """Standard factor in t1 times exterior-square factor in t2, truncated.
 
     The factors are in different variables: the t1^i t2^j term is std_i * ext_j.
@@ -92,9 +83,8 @@ def bf_product_series(params: SatakeParams, l1: int, l2: int) -> TruncSeries2:
     nvars = params.nvars
     d1, std = _scaled_h(params.entries, nvars, l1)
     d2, ext = _scaled_h(ext_sq_roots(params), nvars, l2)
-    return TruncSeries2(
-        nvars,
-        [[(a * b).div_int(d1**i * d2**j) for j, b in enumerate(ext)] for i, a in enumerate(std)],
+    return tuple(
+        tuple((a * b).div_int(d1**i * d2**j) for j, b in enumerate(ext)) for i, a in enumerate(std)
     )
 
 
@@ -102,15 +92,18 @@ class BFProbeResult:
     """Outcome of dividing the odd-rank two-variable sum by its product form.
 
     `correction` is sum / (standard factor in t1 * exterior-square factor in
-    t2) as a truncated series.  When some entry vanishes the correction is
-    asserted to be exactly 1 (`matches_product` True); with all entries
+    t2), a grid like `bf_series`.  When some entry vanishes the correction
+    is asserted to be exactly 1 (`matches_product` True); with all entries
     nonzero no identity is asserted and the correction is purely empirical.
     """
 
     __slots__ = ("correction", "conductor_hypothesis", "matches_product")
 
     def __init__(
-        self, correction: TruncSeries2, conductor_hypothesis: bool, matches_product: bool
+        self,
+        correction: tuple[tuple[MultiPoly, ...], ...],
+        conductor_hypothesis: bool,
+        matches_product: bool,
     ):
         self.correction = correction
         self.conductor_hypothesis = conductor_hypothesis
@@ -126,15 +119,16 @@ def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeRe
     # the inverse of the product form is prod (1 - a_i t1) prod (1 - a_i a_j t2):
     # multiply it into lhs, column by column in t1, then row by row in t2
     columns = [
-        times_linear_factors([row[j] for row in lhs.coeffs], params.entries, l1, 1)
+        times_linear_factors([row[j] for row in lhs], params.entries, l1, 1)
         for j in range(l2 + 1)
     ]
     roots = ext_sq_roots(params)
-    correction = TruncSeries2(
-        params.nvars,
-        [times_linear_factors([col[i] for col in columns], roots, l2, 1) for i in range(l1 + 1)],
+    correction = tuple(
+        tuple(times_linear_factors([col[i] for col in columns], roots, l2, 1)) for i in range(l1 + 1)
     )
-    matches = correction == TruncSeries2.unit(params.nvars, (l1, l2))
+    matches = correction[0][0] == 1 and all(
+        c.is_zero for i, row in enumerate(correction) for j, c in enumerate(row) if i or j
+    )
     if params.has_zero and not matches:
         raise ArithmeticError(
             "vanishing-entry hypothesis holds but the product identity failed"

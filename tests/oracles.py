@@ -1,22 +1,34 @@
 """Independent routes that the test suite checks the package against.
 
-Nothing in `extsq` calls these.  Each builds an object that production
-builds another way, and shares no code with that way:
+Nothing in `extsq` calls these.  Most build an object that production
+builds another way, and share no code with that way; the rest is
+arithmetic that only the tests need:
 
 * `schur_bialternant` -- s_f as alternant over Vandermonde, divided one
   binomial at a time by `divexact_binomial`.  It is the oracle of
-  `symmetric.schur` (the branching rule) and, evaluated with
-  `MultiPoly.substitute`, of `symmetric.SchurValues` (the coproduct);
+  `symmetric.schur` (the branching rule) and, evaluated with `substitute`,
+  of `symmetric.SchurValues` (the coproduct);
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
 * `format_terms` -- a polynomial's text from its `terms()`, each monomial
   string built afresh: the oracle of `MultiPoly.format` and its memo;
+* `power` and `substitute` -- a power by repeated squaring, each product
+  through the overflow guard of `MultiPoly.__mul__`, and a polynomial
+  evaluated at a vector term by term;
+* `series_pad`, `series_product`, `series_inverse`, `embed_t1`, `embed_t2`
+  and `series2_product` -- arithmetic on truncated series, held as the
+  coefficient tuples of `extsq.series`, which no production route
+  multiplies, inverts or embeds;
+* `delta_half_exponent` -- the half-density exponent of a torus vector,
+  whose doubling law acceptance criterion 09 checks;
 * `LFactor` -- a factor 1/P(t) held through its expanded reciprocal P, which
   production never builds.  `LFactor.from_linear_roots` multiplies the
   factors (1 - r t) out with plain `MultiPoly` arithmetic, and
   `LFactor.series` inverts P as a series: the oracle of
   `lfactors.product_series`, which divides by one root at a time.
   `standard_L` and `formal_ext_sq_L` multiply out a vector's entries and
-  their pair products `lfactors.ext_sq_roots`;
+  their pair products `lfactors.ext_sq_roots`; their series, embedded in
+  t1 and in t2 and multiplied, are the oracle of
+  `torus_sums.bf_product_series`;
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
@@ -33,10 +45,8 @@ builds another way, and shares no code with that way:
   `weil_deligne.random_wdrep` and `random_k1_rep` draw on `getrandbits`.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
-exponent keys of the code it checks.  The oracle methods that tests call by
-attribute stay on their classes in the package: `TruncSeries1.from_tpoly`
-and `inverse`, `TruncSeries2.from_t1`, `from_t2` and `__mul__`, and
-`MultiPoly.substitute`.
+exponent keys of the code it checks.  Every oracle is a free function or a
+class of this module; none is a method of a package class.
 """
 
 from __future__ import annotations
@@ -49,7 +59,6 @@ from typing import Sequence
 
 from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly
-from extsq.series import TruncSeries1
 from extsq.symmetric import check_partition
 from extsq.weil_deligne import FiniteAbelianGroup, WDBlock, WDRep, divisibility_check
 
@@ -152,6 +161,111 @@ def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
     return " ".join(pieces) or "0"
 
 
+# -- polynomials and truncated series ----------------------------------------------
+
+
+def power(p: MultiPoly, e: int) -> MultiPoly:
+    """p^e by repeated squaring, each product through the guard of `MultiPoly.__mul__`.
+
+    Every factor is a power p^k with k <= e, so no factor overflows unless
+    p^e does.
+    """
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a nonnegative int")
+    out, square = MultiPoly.one(p.nvars), p
+    while e:
+        if e & 1:
+            out = out * square
+        e >>= 1
+        if e:
+            square = square * square
+    return out
+
+
+def substitute(p: MultiPoly, values: Sequence[MultiPoly], nvars: int | None = None) -> MultiPoly:
+    """p at values[i] for variable i, summed term by term from `terms()`.
+
+    The values share one variable count, the result's; pass `nvars` when
+    `values` is empty.
+    """
+    if len(values) != p.nvars:
+        raise ValueError("need one value per variable")
+    if values:
+        nvars = values[0].nvars
+        if any(v.nvars != nvars for v in values):
+            raise ValueError("substitution values live in different variable counts")
+    elif nvars is None:
+        raise ValueError("nvars required when substituting into a 0-variable polynomial")
+    acc = MultiPoly.zero(nvars)
+    for exps, c in p.terms():
+        term = MultiPoly.constant(nvars, c)
+        for v, e in zip(values, exps):
+            term = term * power(v, e)
+        acc = acc + term
+    return acc
+
+
+def series_pad(coeffs: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
+    """A polynomial in t, truncated or zero-padded to t^order."""
+    kept = tuple(coeffs[: order + 1])
+    return kept + (MultiPoly.zero(nvars),) * (order + 1 - len(kept))
+
+
+def series_product(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """The Cauchy product of two series of one order, truncated there."""
+    if len(a) != len(b):
+        raise ValueError(f"order mismatch: {len(a) - 1} vs {len(b) - 1}")
+    zero = MultiPoly.zero(a[0].nvars)
+    return tuple(sum((a[i] * b[l - i] for i in range(l + 1)), zero) for l in range(len(a)))
+
+
+def series_inverse(a: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """1/a through the order of a, whose constant coefficient must be exactly 1."""
+    if a[0] != 1:
+        raise ValueError("series is not invertible: constant coefficient must be 1")
+    zero = MultiPoly.zero(a[0].nvars)
+    inv = [MultiPoly.one(a[0].nvars)]
+    for l in range(1, len(a)):
+        inv.append(-sum((a[i] * inv[l - i] for i in range(1, l + 1)), zero))
+    return tuple(inv)
+
+
+def embed_t1(s: Sequence[MultiPoly], l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """A series in t as a (t1, t2)-grid constant in t2, over the window (order, l2)."""
+    zero = MultiPoly.zero(s[0].nvars)
+    return tuple((c,) + (zero,) * l2 for c in s)
+
+
+def embed_t2(s: Sequence[MultiPoly], l1: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """A series in t as a (t1, t2)-grid constant in t1, over the window (l1, order)."""
+    zero = MultiPoly.zero(s[0].nvars)
+    return (tuple(s),) + ((zero,) * len(s),) * l1
+
+
+def series2_product(
+    a: Sequence[Sequence[MultiPoly]], b: Sequence[Sequence[MultiPoly]]
+) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The product of two (t1, t2)-grids of one window, truncated to it."""
+    l1, l2 = len(a) - 1, len(a[0]) - 1
+    if (len(b) - 1, len(b[0]) - 1) != (l1, l2):
+        raise ValueError(f"order mismatch: {(l1, l2)} vs {(len(b) - 1, len(b[0]) - 1)}")
+    zero = MultiPoly.zero(a[0][0].nvars)
+    return tuple(
+        tuple(
+            sum((a[p][q] * b[i - p][j - q] for p in range(i + 1) for q in range(j + 1)), zero)
+            for j in range(l2 + 1)
+        )
+        for i in range(l1 + 1)
+    )
+
+
+def delta_half_exponent(g: Sequence[int], n: int) -> int:
+    """Exponent e with delta_B^(1/2)(diag(pi^g)) = q^(e/2): e = -sum (n-2i+1) g_i."""
+    if len(g) != n:
+        raise ValueError(f"vector of length {len(g)} does not fit GL_{n}")
+    return -sum((n - 2 * (i + 1) + 1) * gi for i, gi in enumerate(g))
+
+
 # -- L-factors ------------------------------------------------------------------
 
 
@@ -204,9 +318,9 @@ class LFactor:
             return self.nvars == other.nvars and self.reciprocal == other.reciprocal
         return NotImplemented
 
-    def series(self, order: int) -> TruncSeries1:
+    def series(self, order: int) -> tuple[MultiPoly, ...]:
         """Truncated expansion of 1/P(t) to the given order, by series inversion."""
-        return TruncSeries1.from_tpoly(self.reciprocal, self.nvars, order).inverse()
+        return series_inverse(series_pad(self.reciprocal, self.nvars, order))
 
 
 def standard_L(params: SatakeParams) -> LFactor:

@@ -29,6 +29,9 @@ def test_oracles_are_found():
     required = {"alphas", "schur_bialternant", "standard_satake", "wd_lfactor"}
     required |= {"LFactor", "formal_ext_sq_L", "ext_sq_lfactor"}
     required |= {"randrange_wdrep", "randrange_k1_rep", "root_multiset_differences"}
+    required |= {"substitute", "power", "delta_half_exponent"}
+    required |= {"series_pad", "series_product", "series_inverse"}
+    required |= {"embed_t1", "embed_t2", "series2_product"}
     assert required <= set(ORACLE_NAMES)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from extsq import polynomials
 from extsq.polynomials import MultiPoly, append_variable, times_linear_factors
-from oracles import divexact_binomial, format_terms
+from oracles import divexact_binomial, format_terms, power, substitute
 
 
 def poly(nvars, mapping):
@@ -84,33 +84,33 @@ class TestMultiPolyArithmetic:
     def test_power(self):
         x = MultiPoly.variable(2, 0)
         y = MultiPoly.variable(2, 1)
-        cube = (x + y) ** 3
+        cube = power(x + y, 3)
         assert cube.coefficient((2, 1)) == 3
         assert cube.coefficient((3, 0)) == 1
         with pytest.raises(ValueError):
-            (x + y) ** -1
+            power(x + y, -1)
 
     def test_power_exponent_overflow_raises(self):
         y = MultiPoly.variable(2, 1)
-        # without the guard, y**65536 carries into x1's field and reads x1
+        # without the guard, y^65536 carries into x1's field and reads x1
         with pytest.raises(ValueError):
-            y**65536
+            power(y, 65536)
         with pytest.raises(ValueError):
-            y**32768
-        assert (y**32767).terms() == [((0, 32767), 1)]
+            power(y, 32768)
+        assert power(y, 32767).terms() == [((0, 32767), 1)]
 
     def test_product_exponent_overflow_raises(self):
         x = MultiPoly.variable(2, 0)
         y = MultiPoly.variable(2, 1)
         # without the guard, x2^40000 * x2^40000 reads x1*x2^14464
         with pytest.raises(ValueError):
-            (y**40000) * (y**40000)
-        p = y**20000
+            power(y, 40000) * power(y, 40000)
+        p = power(y, 20000)
         with pytest.raises(ValueError):
             p * p
         with pytest.raises(ValueError):
             (p + x) * (p + 1)
-        assert (p * y**12767).terms() == [((0, 32767), 1)]
+        assert (p * power(y, 12767)).terms() == [((0, 32767), 1)]
 
     def test_mixed_var_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -176,18 +176,18 @@ class TestTimesLinearFactors:
             one, 2 - x, -2 * x,
         ]
         # (1 + t) / (1 - x t) = 1 + (x + 1) t + (x^2 + x) t^2
-        assert times_linear_factors([one, one], [x], 2, -1) == [one, x + 1, x**2 + x]
+        assert times_linear_factors([one, one], [x], 2, -1) == [one, x + 1, x * x + x]
 
     def test_exponent_overflow_raises_both_directions(self):
         x = MultiPoly.variable(2, 0)
-        p = MultiPoly.variable(2, 1) ** 20000
+        p = power(MultiPoly.variable(2, 1), 20000)
         one = MultiPoly.one(2)
         with pytest.raises(ValueError):
             times_linear_factors([one], [p, p], 2, 1)
         with pytest.raises(ValueError):
             times_linear_factors([one], [p + x], 2, -1)
         # at the cap itself nothing raises
-        q = MultiPoly.variable(2, 1) ** 12767
+        q = power(MultiPoly.variable(2, 1), 12767)
         assert times_linear_factors([one], [p, q], 2, 1)[2] == p * q
 
     def test_rejects_bad_arguments(self):
@@ -207,23 +207,23 @@ class TestSubstitute:
         p = x * x + 2 * y
         two = MultiPoly.constant(0, 2)
         half = MultiPoly.constant(0, Fraction(1, 2))
-        assert p.substitute([two, half]) == 5
+        assert substitute(p, [two, half]) == 5
 
     def test_polynomial_substitution(self):
         x = MultiPoly.variable(1, 0)
         p = x * x
         u = MultiPoly.variable(2, 0)
         v = MultiPoly.variable(2, 1)
-        assert p.substitute([u + v]) == (u + v) * (u + v)
+        assert substitute(p, [u + v]) == (u + v) * (u + v)
 
     def test_identity_substitution(self):
         p = poly(2, {(1, 2): Fraction(3, 7)})
         idty = [MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)]
-        assert p.substitute(idty) == p
+        assert substitute(p, idty) == p
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
-            MultiPoly.one(2).substitute([MultiPoly.one(1)])
+            substitute(MultiPoly.one(2), [MultiPoly.one(1)])
 
 
 class TestFormat:
@@ -255,7 +255,7 @@ class TestFormat:
     def test_degree_past_the_packed_modulus(self):
         """Degree 3 * 21845 = 0xFFFF is 0 modulo 0xFFFF, yet the term sorts last."""
         x1, x2, x3 = (MultiPoly.variable(3, i) for i in range(3))
-        p = x1**21845 * x2**21845 * x3**21845 + x1**5
+        p = power(x1 * x2 * x3, 21845) + power(x1, 5)
         assert p.terms() == [((5, 0, 0), 1), ((21845, 21845, 21845), 1)]
         assert p.format() == "x1^5 + x1^21845*x2^21845*x3^21845"
 
@@ -281,7 +281,7 @@ class TestFormat:
         def term(exps, c):
             t = MultiPoly.constant(nvars, c)
             for x, e in zip(xs, exps):
-                t = t * x**e
+                t = t * power(x, e)
             return t
 
         p = MultiPoly.zero(nvars)
@@ -331,7 +331,7 @@ class TestFormat:
             for exps, c in raw:
                 t = MultiPoly.constant(nvars, c)
                 for x, e in zip(xs, exps):
-                    t = t * x**e
+                    t = t * power(x, e)
                 p = p + t
             lists = [[f"x{i + 1}" for i in range(nvars)], [f"y{i + 1}" for i in range(nvars)]]
             for names in lists[::-1] if y_first else lists:
@@ -360,7 +360,7 @@ class TestAppendVariable:
         x1, x2, y = (MultiPoly.variable(3, i) for i in range(3))
         expected = MultiPoly.zero(3)
         for p, e in parts:
-            expected = expected + p.substitute([x1, x2]) * y**e
+            expected = expected + substitute(p, [x1, x2]) * power(y, e)
         got = append_variable(2, parts)
         assert got == expected
         assert all(
