@@ -7,17 +7,10 @@ rather than a numerical comparison.
 
 from .polynomials import MultiPoly
 from .series import series2_first_difference, series_first_difference
-from .symmetric import (
-    alternating_sum,
-    doubled_shape,
-    even_index_sum,
-    partitions_bounded,
-    schur,
-)
+from .symmetric import littlewood_sum, schur, window_partitions
 from .lfactors import (
     DoubledShapeSum,
     SatakeParams,
-    doubled_shape_sum,
     ext_sq_expansion,
     ext_sq_roots,
     product_series,
@@ -46,14 +39,11 @@ __all__ = [
     "MultiPoly",
     "series_first_difference",
     "series2_first_difference",
-    "alternating_sum",
-    "doubled_shape",
-    "even_index_sum",
-    "partitions_bounded",
+    "littlewood_sum",
     "schur",
+    "window_partitions",
     "DoubledShapeSum",
     "SatakeParams",
-    "doubled_shape_sum",
     "ext_sq_expansion",
     "ext_sq_roots",
     "product_series",

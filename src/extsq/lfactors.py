@@ -23,11 +23,12 @@ multiply ints only, and each coefficient is divided once, by D^k
 (`MultiPoly.div_int`).
 
 The exterior-square factor pairs the entries; its truncated series admits
-an expansion into Schur polynomials over doubled shapes.
-`doubled_shape_sum` is the one routine that sums Schur values over doubled
-shapes, for `ext_sq_expansion` here and for the torus sum
-`torus_sums.js_series`, so the identity can be verified coefficient by
-coefficient.
+an expansion into Schur polynomials over doubled shapes, the shapes whose
+columns all have even length.  They are the t1^0 row of Littlewood's sum
+graded by odd columns, `symmetric.littlewood_sum`, the one Schur sum behind
+`ext_sq_expansion` here (rows bounded by k, the number of nonzero entries)
+and the torus sums of `torus_sums` (rows bounded by n - 1), so each
+identity can be verified coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polynomials import MultiPoly
-from .symmetric import SchurValues, _scaled_h, doubled_shape, partitions_bounded
+from .symmetric import _scaled_h, littlewood_sum
 
 
 def parse_rational(token: str) -> Fraction:
@@ -59,6 +60,7 @@ class SatakeParams:
 
     Entries are MultiPoly values in a shared symbol space: symbolic entries
     are single variables, numeric entries are constants (possibly zero).
+    Any other entry raises ValueError.
     """
 
     __slots__ = ("n", "nvars", "entries")
@@ -66,16 +68,14 @@ class SatakeParams:
 
     def __init__(self, entries: Sequence[MultiPoly], nvars: int | None = None):
         entries = tuple(entries)
-        if entries:
-            nv = entries[0].nvars
-            for e in entries:
-                if e.nvars != nv:
-                    raise ValueError("entries live in different symbol spaces")
-            if nvars is not None and nvars != nv:
-                raise ValueError("nvars does not match entries")
-            nvars = nv
-        elif nvars is None:
-            nvars = 0
+        if nvars is None:
+            nvars = entries[0].nvars if entries else 0
+        ring = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+        for e in entries:
+            if e.nvars != nvars:
+                raise ValueError(f"entry {e.format()} lives outside the {nvars}-symbol space")
+            if not (e.is_constant or e in ring):
+                raise ValueError(f"entry {e.format()} is neither a constant nor a single variable")
         self.n = len(entries)
         self.nvars = nvars
         self.entries = entries
@@ -163,35 +163,19 @@ class DoubledShapeSum:
         self.terms = terms
 
 
-def doubled_shape_sum(
-    params: SatakeParams, pairs: int, extra_zeros: int, order: int
-) -> DoubledShapeSum:
-    """sum_l t^l sum_{|f|=l, <=pairs parts} s_(doubled f)(params), truncated.
-
-    Padded evaluation at all n entries: a shape longer than the nonzero
-    entries contributes zero, any other shape is evaluated at the nonzero
-    entries alone, wherever the zeros sit.
-    """
-    values = SchurValues(params.entries, 2 * order)
-    coeffs = []
-    terms = []
-    for l in range(order + 1):
-        acc = MultiPoly.zero(params.nvars)
-        for f in partitions_bounded(l, pairs):
-            shape = doubled_shape(f, pairs, extra_zeros)
-            value = values.value(shape)
-            terms.append((l, shape, value))
-            acc = acc + value
-        coeffs.append(acc)
-    return DoubledShapeSum(tuple(coeffs), tuple(terms))
+def _doubled_shape_sum(params: SatakeParams, rows: int, length: int, order: int) -> DoubledShapeSum:
+    """The t1^0 row of `littlewood_sum` over at most `rows` rows, each shape padded to `length`."""
+    grid, terms = littlewood_sum(params.entries, rows, 0, order)
+    padded = tuple((b, shape + (0,) * (length - len(shape)), value) for _, b, shape, value in terms)
+    return DoubledShapeSum(grid[0], padded)
 
 
 def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:
     """Schur expansion of the exterior-square series over the nonzero entries.
 
-    With k nonzero entries the series equals sum over partitions f with at
-    most floor(k/2) parts of s_(f1,f1,...,fh,fh)(nonzero entries) t^{|f|}
-    (one trailing zero part when k is odd).
+    With k nonzero entries the series equals the sum over the doubled shapes
+    (f1,f1,...,fh,fh) with at most k rows of s_(f1,f1,...,fh,fh)(nonzero
+    entries) t^{|f|}; each shape is padded with zeros to length k.
     """
     k = len(params.nonzero_entries)
-    return doubled_shape_sum(params, k // 2, k % 2, order)
+    return _doubled_shape_sum(params, k, k, order)

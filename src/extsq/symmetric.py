@@ -1,6 +1,7 @@
 """Schur polynomials and partition enumeration, exactly.
 
-Production code has one route for Schur polynomials and one for Schur values:
+Production code has one route each for Schur polynomials, Schur values and
+Schur sums:
 
 * `schur` -- the Schur polynomial in n variables.  It is built by the
   branching rule s_f(x1..xn) = sum_mu x_n^{|f/mu|} s_mu(x1..x_{n-1}) over
@@ -9,8 +10,14 @@ Production code has one route for Schur polynomials and one for Schur values:
   polynomials.  It is cached in `_SCHUR_CACHE`, together with the
   smaller-rank polynomials of the sub-shapes it recurses through;
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
-  weight bound.  The torus sums build one per vector and call `value` for
-  each shape; one shape f is `SchurValues(values, |f|).value(f)`.
+  weight bound.  `littlewood_sum` builds one per vector and calls `value`
+  for each shape; one shape f is `SchurValues(values, |f|).value(f)`;
+* `littlewood_sum` -- Littlewood's Schur sum graded by odd columns
+  (Macdonald, I.5 Ex. 5) over the shapes of one window, which
+  `window_partitions` builds column by column.  Its t1^0 row holds the
+  doubled shapes.  Every sum of the package reads it, and they differ only
+  in the row bound: n - 1 for both torus sums, k (the nonzero entries) for
+  the exterior-square expansion.
 
 Zeros are dropped: the value is zero unless the shape fits inside the
 nonzero entries.  These split into the core x, every variable of the
@@ -204,48 +211,47 @@ class SchurValues:
         return acc.div_int(self.scale**weight)
 
 
-def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:
-    """All partitions of `weight` into at most `max_parts` parts.
+def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:
+    """The partitions with at most `rows` rows, a <= l1 and b <= l2; by weight, then descending.
 
-    Tuples carry no trailing zeros; the order is deterministic (first part
-    descending, then recursively the same).  weight 0 yields the empty shape.
+    a = lam1 - lam2 + lam3 - ... counts the odd columns and b = lam2 + lam4 +
+    ... sums the halved column lengths, so each shape weighs a + 2b.  Shapes
+    grow one column at a time, longest first, from what is left of a and b,
+    so none outside the window is built.
     """
-    if weight < 0 or max_parts < 0:
-        raise ValueError("weight and max_parts must be nonnegative")
+    if min(rows, l1, l2) < 0:
+        raise ValueError("rows and window must be nonnegative")
     out: list[tuple[int, ...]] = []
-    # iterative DFS; each stack entry is (prefix, remaining, cap on next part)
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), weight, weight)]
+    # each stack entry is (shape, cap on the next column, a left, b left)
+    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), rows, l1, l2)]
     while stack:
-        prefix, rem, cap = stack.pop()
-        if rem == 0:
-            out.append(prefix)
-            continue
-        if len(prefix) == max_parts:
-            continue
-        # push ascending so larger next-parts pop first
-        for part in range(1, min(rem, cap) + 1):
-            stack.append((prefix + (part,), rem - part, part))
+        shape, cap, a, b = stack.pop()
+        out.append(shape)
+        for c in range(1, cap + 1):
+            if c % 2 <= a and c // 2 <= b:
+                grown = tuple(x + 1 for x in shape[:c]) + shape[c:] if shape else (1,) * c
+                stack.append((grown, c, a - c % 2, b - c // 2))
     out.sort(reverse=True)
+    out.sort(key=sum)
     return out
 
 
-def alternating_sum(f: Sequence[int]) -> int:
-    """f1 - f2 + f3 - ... (the t1-exponent of a torus vector)."""
-    return sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
+def littlewood_sum(
+    values: Sequence[MultiPoly], rows: int, l1: int, l2: int
+) -> tuple[tuple[tuple[MultiPoly, ...], ...], list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
+    """Littlewood's sum graded by odd columns, in the window (l1, l2).
 
-
-def even_index_sum(f: Sequence[int]) -> int:
-    """f2 + f4 + ... (the t2-exponent of a torus vector)."""
-    return sum(f[1::2])
-
-
-def doubled_shape(f: Sequence[int], pairs: int, extra_zeros: int) -> tuple[int, ...]:
-    """(f1, f1, f2, f2, ..., f_pairs, f_pairs) followed by extra zeros."""
-    padded = list(f) + [0] * (pairs - len(f))
-    if len(padded) != pairs:
-        raise ValueError("shape has more parts than requested pairs")
-    out: list[int] = []
-    for part in padded:
-        out.extend((part, part))
-    out.extend([0] * extra_zeros)
-    return tuple(out)
+    Returns the grid whose [a][b] cell sums s_lam(values) over the
+    `window_partitions(rows, l1, l2)` with a odd columns and b = lam2 + lam4
+    + ..., and one (a, b, lam, s_lam(values)) term per shape, in their order.
+    """
+    evaluator = SchurValues(values, l1 + 2 * l2)
+    grid = [[MultiPoly.zero(evaluator.nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    terms = []
+    for shape in window_partitions(rows, l1, l2):
+        b = sum(shape[1::2])
+        a = sum(shape) - 2 * b
+        value = evaluator.value(shape)
+        grid[a][b] = grid[a][b] + value
+        terms.append((a, b, shape, value))
+    return tuple(map(tuple, grid)), terms

@@ -8,12 +8,12 @@ zeta integral collapses to a sum over the torus lattice, and on every
 summed vector the half-density exponent cancels against the measure: each
 term is a Schur value alone.
 
-Every sum here walks `symmetric.partitions_bounded` and evaluates with
-one `symmetric.SchurValues` per vector.  `js_series` sums the doubled shapes
-(`lfactors.doubled_shape_sum`).  `bf_series` is Littlewood's sum graded by
-odd columns (Macdonald, *Symmetric Functions*, I.5 Ex. 5): its t1^a t2^b
-coefficient sums s_lam over the partitions lam with at most n-1 rows,
-a = c_odd(lam) odd columns and |lam| = a + 2b.
+Both sums read one Schur sum, `symmetric.littlewood_sum`: Littlewood's sum
+graded by odd columns (Macdonald, *Symmetric Functions*, I.5 Ex. 5), whose
+t1^a t2^b coefficient sums s_lam over the partitions lam with at most n-1
+rows, a = c_odd(lam) odd columns and |lam| = a + 2b.  `bf_series` is its
+whole window and `js_series` its t1^0 row, the doubled shapes, for either
+parity of n; `lfactors.ext_sq_expansion` reads the same row with k rows.
 
 The product sides these sums are compared with are built from their linear
 roots: `bf_product_series` is the outer product of the two factors' integer
@@ -27,50 +27,35 @@ two-variable series.
 from __future__ import annotations
 
 from .polynomials import MultiPoly, times_linear_factors
-from .lfactors import DoubledShapeSum, SatakeParams, doubled_shape_sum, ext_sq_roots
-from .symmetric import SchurValues, _scaled_h, alternating_sum, even_index_sum, partitions_bounded
+from .lfactors import DoubledShapeSum, SatakeParams, _doubled_shape_sum, ext_sq_roots
+from .symmetric import _scaled_h, littlewood_sum
 
 
 def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
     """Torus sum for the rank-n exterior-square integral, truncated.
 
-    Sums the Whittaker values at the doubled dominant vectors, graded by
-    |f|: for n = 2m the vectors (f1,f1,...,f_{m-1},f_{m-1},0,0), for
-    n = 2m+1 the vectors (f1,f1,...,f_m,f_m,0).  On them the half-density
-    exponent cancels the measure, so each term is the Schur value alone.
-    For even n the identity with the exterior-square factor holds exactly
-    when some entry vanishes; whether it is asserted is the caller's concern.
+    The t1^0 row of `littlewood_sum` over at most n-1 rows, graded by |f|:
+    the doubled dominant vectors (f1,f1,...,f_{m-1},f_{m-1},0,0) for n = 2m
+    and (f1,f1,...,f_m,f_m,0) for n = 2m+1, on which the half-density
+    exponent cancels the measure.  For even n the identity with the
+    exterior-square factor holds exactly when some entry vanishes; whether
+    it is asserted is the caller's concern.
     """
-    n = params.n
-    if n < 2:
+    if params.n < 2:
         raise ValueError("torus sum needs n >= 2")
-    if n % 2 == 0:
-        return doubled_shape_sum(params, n // 2 - 1, 2, order)
-    return doubled_shape_sum(params, (n - 1) // 2, 1, order)
+    return _doubled_shape_sum(params, params.n - 1, params.n, order)
 
 
 def bf_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """Two-variable torus sum pairing the standard and exterior-square factors.
 
-    Littlewood's sum graded by odd columns: s_lam(params) t1^a t2^b over the
-    partitions lam with at most n-1 rows, a = lam1-lam2+lam3-... (the number
-    of odd columns) and b = lam2+lam4+..., so |lam| = a + 2b.  The window
-    (l1, l2) bounds the weight by l1 + 2*l2.  Row i of the grid holds the
-    t1^i coefficients.
+    The whole window (l1, l2) of `littlewood_sum` over at most n-1 rows:
+    s_lam(params) t1^a t2^b, a odd columns and b = lam2+lam4+...  Row i of
+    the grid holds the t1^i coefficients.
     """
-    n = params.n
-    if n < 2:
+    if params.n < 2:
         raise ValueError("need n >= 2")
-    values = SchurValues(params.entries, l1 + 2 * l2)
-    zero = MultiPoly.zero(params.nvars)
-    grid = [[zero for _ in range(l2 + 1)] for _ in range(l1 + 1)]
-    for weight in range(l1 + 2 * l2 + 1):
-        for shape in partitions_bounded(weight, n - 1):
-            a = alternating_sum(shape)
-            b = even_index_sum(shape)
-            if a <= l1 and b <= l2:
-                grid[a][b] = grid[a][b] + values.value(shape)
-    return tuple(map(tuple, grid))
+    return littlewood_sum(params.entries, params.n - 1, l1, l2)[0]
 
 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:

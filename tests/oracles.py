@@ -9,6 +9,9 @@ arithmetic that only the tests need:
   `symmetric.schur` (the branching rule) and, evaluated with `substitute`,
   of `symmetric.SchurValues` (the coproduct);
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
+* `partitions_bounded`, `alternating_sum`, `even_index_sum` and
+  `doubled_shape` -- all partitions of a weight, filtered on a and b or
+  doubled: the oracles of `symmetric.window_partitions` and its readers;
 * `format_terms` -- a polynomial's text from its `terms()`, each monomial
   string built afresh: the oracle of `MultiPoly.format` and its memo;
 * `power` and `substitute` -- a power by repeated squaring, each product
@@ -145,6 +148,38 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
+
+
+def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:
+    """All partitions of `weight` into at most `max_parts` parts, descending, no trailing zeros."""
+    if weight < 0 or max_parts < 0:
+        raise ValueError("weight and max_parts must be nonnegative")
+    if weight == 0 or max_parts == 0:
+        return [()] if weight == 0 else []
+    return [
+        (part,) + rest
+        for part in range(weight, 0, -1)
+        for rest in partitions_bounded(weight - part, max_parts - 1)
+        if not rest or rest[0] <= part
+    ]
+
+
+def alternating_sum(f: Sequence[int]) -> int:
+    """f1 - f2 + f3 - ... (the t1-exponent of a torus vector)."""
+    return sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
+
+
+def even_index_sum(f: Sequence[int]) -> int:
+    """f2 + f4 + ... (the t2-exponent of a torus vector)."""
+    return sum(f[1::2])
+
+
+def doubled_shape(f: Sequence[int], pairs: int, extra_zeros: int) -> tuple[int, ...]:
+    """(f1, f1, f2, f2, ..., f_pairs, f_pairs) followed by extra zeros."""
+    if len(f) > pairs:
+        raise ValueError("shape has more parts than requested pairs")
+    padded = tuple(f) + (0,) * (pairs - len(f))
+    return tuple(x for part in padded for x in (part, part)) + (0,) * extra_zeros
 
 
 def format_terms(p: MultiPoly, names: Sequence[str]) -> str:

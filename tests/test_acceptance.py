@@ -23,7 +23,7 @@ from extsq.cli import main as cli_main
 from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.series import series2_first_difference, series_first_difference
-from extsq.symmetric import SchurValues, partitions_bounded, schur
+from extsq.symmetric import SchurValues, schur
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import bf_odd_correction_probe, bf_series, js_series
 from extsq.weil_deligne import (
@@ -42,6 +42,7 @@ from oracles import (
     embed_t2,
     ext_sq_lfactor,
     formal_ext_sq_L,
+    partitions_bounded,
     schur_bialternant,
     series2_product,
     standard_L,

@@ -32,6 +32,7 @@ def test_oracles_are_found():
     required |= {"substitute", "power", "delta_half_exponent"}
     required |= {"series_pad", "series_product", "series_inverse"}
     required |= {"embed_t1", "embed_t2", "series2_product"}
+    required |= {"partitions_bounded", "alternating_sum", "even_index_sum", "doubled_shape"}
     assert required <= set(ORACLE_NAMES)
 
 

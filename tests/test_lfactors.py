@@ -47,6 +47,16 @@ class TestSatakeParams:
         with pytest.raises(ValueError):
             SatakeParams([MultiPoly.one(1), MultiPoly.one(2)])
 
+    def test_entries_are_single_variables_or_constants(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = SatakeParams([y, x, x, MultiPoly.constant(2, Fraction(-3, 4)), MultiPoly.zero(2)])
+        assert p.n == 5 and p.nvars == 2
+        for bad in (x * Fraction(1, 3), x + y, x * y, x + 1, x * x):
+            with pytest.raises(ValueError):
+                SatakeParams([y, bad])
+        with pytest.raises(ValueError):
+            SatakeParams([x], nvars=3)
+
 
 class TestLFactor:
     def test_constant_term_must_be_one(self):

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from extsq import symmetric
 from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
-from extsq.symmetric import (
-    SchurValues,
+from extsq.symmetric import SchurValues, check_partition, schur, window_partitions
+from extsq.torus_sums import js_series
+from oracles import (
     alternating_sum,
-    check_partition,
+    complete_homogeneous,
     doubled_shape,
     even_index_sum,
     partitions_bounded,
-    schur,
+    power,
+    schur_bialternant,
+    substitute,
 )
-from extsq.torus_sums import js_series
-from oracles import complete_homogeneous, power, schur_bialternant, substitute
 
 
 def variables(n):
@@ -343,6 +344,39 @@ class TestPartitionsBounded:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             partitions_bounded(-1, 2)
+
+
+class TestWindowPartitions:
+    """`window_partitions` against enumerate-then-filter, order included."""
+
+    @staticmethod
+    def filtered(rows, l1, l2):
+        return [
+            f
+            for w in range(l1 + 2 * l2 + 1)
+            for f in partitions_bounded(w, rows)
+            if alternating_sum(f) <= l1 and even_index_sum(f) <= l2
+        ]
+
+    @pytest.mark.parametrize("rows", range(8))
+    def test_matches_the_filter(self, rows):
+        for l1 in range(7):
+            for l2 in range(7):
+                assert window_partitions(rows, l1, l2) == self.filtered(rows, l1, l2), (rows, l1, l2)
+
+    def test_edges_of_the_window(self):
+        assert window_partitions(3, 0, 0) == [()]
+        assert window_partitions(0, 4, 4) == [()]
+        assert window_partitions(1, 3, 0) == [(), (1,), (2,), (3,)]
+        assert window_partitions(2, 0, 2) == [(), (1, 1), (2, 2)]
+        assert window_partitions(3, 2, 1) == [
+            (), (1,), (2,), (1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 1, 1)
+        ]
+
+    @pytest.mark.parametrize("args", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
+    def test_rejects_negative(self, args):
+        with pytest.raises(ValueError):
+            window_partitions(*args)
 
 
 class TestTorusExponents:

@@ -12,7 +12,6 @@ from extsq import symmetric
 from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series2_first_difference, series_first_difference
-from extsq.symmetric import alternating_sum, even_index_sum
 from extsq.torus_sums import (
     bf_odd_correction_probe,
     bf_product_series,
@@ -21,9 +20,11 @@ from extsq.torus_sums import (
 )
 from oracles import (
     LFactor,
+    alternating_sum,
     delta_half_exponent,
     embed_t1,
     embed_t2,
+    even_index_sum,
     formal_ext_sq_L,
     schur_bialternant,
     series2_product,
@@ -156,6 +157,21 @@ class TestBfSeries:
     def test_needs_two_entries(self):
         with pytest.raises(ValueError):
             bf_series(SatakeParams.parse(["sym"]), 2, 2)
+
+    def test_evaluates_only_the_window(self):
+        # n = 4 at (5, 5): 91 shapes with at most 3 rows lie in the window,
+        # of the 174 with at most 3 rows and weight up to 15
+        shapes = []
+        value = symmetric.SchurValues.value
+
+        def counted(self, f):
+            shapes.append(f)
+            return value(self, f)
+
+        with patch.object(symmetric.SchurValues, "value", counted):
+            bf_series(SatakeParams.parse(["1/2", "sym", "0", "-3"]), 5, 5)
+        assert len(shapes) == len(set(shapes)) == 91
+        assert all(alternating_sum(f) <= 5 and even_index_sum(f) <= 5 for f in shapes)
 
 
 @lru_cache(maxsize=None)
