@@ -396,15 +396,20 @@ class MultiPoly:
                 ls = strings.build(low, key & mask)
             mono = f"{hs}*{ls}" if hs and ls else hs or ls
             c = terms[key]
-            mag = abs(c)
+            # a stored Fraction is never integral, so its text is n/d, never 1
+            if type(c) is Fraction:
+                n, d = c.as_integer_ratio()
+                neg, mag = n < 0, f"{abs(n)}/{d}"
+            else:
+                neg, mag = c < 0, abs(c)
             if mono:
                 body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)
             if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+                pieces.append(f"-{body}" if neg else body)
             else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+                pieces.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:

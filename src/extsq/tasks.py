@@ -23,7 +23,11 @@ builds reports, adding the task echo and timing, and turns a precondition
 
 Reports come in two formats.  `machine` is canonical JSON with sorted keys
 and no volatile fields, so identical configs (and seeds) yield byte-identical
-output.  `table` is a human-readable rendering of the same data plus timing.
+output.  `_emit_json` writes it with the bytes of json.dumps(doc,
+sort_keys=True, ensure_ascii=True, separators=(",", ": "), indent=1).  It
+holds only str, int, bool, None, lists and str-keyed dicts, never a float;
+any other value raises TypeError.  `table` is a human-readable rendering of
+the same data plus timing.
 Symbolic entries are always named α1, α2, ... in output, whatever the input
 called them.  Each coefficient the two sides of an identity share is
 formatted once: where the product side (or the expected two-variable series)
@@ -617,6 +621,54 @@ def run_all(configs: Sequence[TaskConfig]) -> list[Report]:
 # -- emission -----------------------------------------------------------------
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+# The text of each scalar type machine output may hold, by exact type.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _emit_json(value: Any, pad: str, out: list[str]) -> None:
+    """Append `value` to `out` as canonical JSON, `pad` a newline and its indent.
+
+    A tuple is written as a list.  `_ESCAPE` refuses a dict key that is not
+    a str with TypeError.
+    """
+    t = type(value)
+    text = _SCALAR_TEXT.get(t)
+    if text is not None:
+        out.append(text(value))
+        return
+    if not value and (t is dict or t is list or t is tuple):
+        out.append("{}" if t is dict else "[]")
+        return
+    inner = pad + " "
+    if t is dict:
+        close, items = "}", [(f"{_ESCAPE(k)}: ", value[k]) for k in sorted(value)]
+    elif t is list or t is tuple:
+        kinds = {type(v) for v in value}
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is not None:
+            out += ("[" + inner, ("," + inner).join(map(text, value)), pad + "]")
+            return
+        close, items = "]", [("", v) for v in value]
+    else:
+        raise TypeError(f"machine output cannot hold a {t.__name__}")
+    sep = ("{" if t is dict else "[") + inner
+    for head, v in items:
+        text = _SCALAR_TEXT.get(type(v))
+        if text is None:
+            out.append(sep + head)
+            _emit_json(v, inner, out)
+        else:
+            out.append(sep + head + text(v))
+        sep = "," + inner
+    out.append(pad + close)
+
+
 def emit_machine(reports: Sequence[Report]) -> str:
     """Canonical JSON for a report list; no volatile fields, sorted keys."""
     doc = {
@@ -631,7 +683,10 @@ def emit_machine(reports: Sequence[Report]) -> str:
             for r in reports
         ],
     }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=True, separators=(",", ": "), indent=1) + "\n"
+    out: list[str] = []
+    _emit_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _table_rows(data: Any, indent: str = "  ") -> list[str]:

@@ -51,7 +51,12 @@ bit length of the bound, redrawn while it is out of range.  That is how
 `randrange`, `randint` and `choice` draw today, so the stream is theirs,
 but it now depends only on the documented `getrandbits`, not on the
 internals of `randrange`.  A scalar n/d is read from an 18 x 9 table of
-reduced Fractions, built on first use.  `random_group` shares one group per
+reduced Fractions, built on first use.  Each drawer checks its arguments
+once, before its first draw (every bound >= 1, every q choice an exact int
+>= 2), and builds its blocks valid: reduced grades, lengths >= 1 and
+nonzero Fraction scalars.  So it makes its rep with `_drawn_rep`, which
+skips `WDRep`'s checks; the public constructor, which explicit configs go
+through, keeps every one of them.  `random_group` shares one group per
 order tuple (an LRU cache of 64), and a group of at most 64 elements keeps
 its negation table, so the cached groups hold at most 64 x 64 entries.  A
 comparison counts the exterior-square keys once and strikes each formal
@@ -175,10 +180,7 @@ class WDRep:
                     scalar = Fraction(scalar)
                 if scalar == 0:
                     raise ValueError("Frobenius scalar must be nonzero")
-            # a drawn block already has a reduced grade and a Fraction scalar
-            if grade != b.grade or scalar is not b.scalar:
-                b = WDBlock(grade, length, scalar)
-            normalized.append(b)
+            normalized.append(WDBlock(grade, length, scalar))
         self.blocks = tuple(normalized)
         self.symbols = tuple(symbols)
         self.nvars = len(symbols)
@@ -186,6 +188,14 @@ class WDRep:
 
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
+
+
+def _drawn_rep(q: int, group: FiniteAbelianGroup, blocks: list[WDBlock]) -> WDRep:
+    """A rep of blocks a drawer built valid (module docstring), without `WDRep`'s checks."""
+    rep = WDRep.__new__(WDRep)
+    rep.q, rep.group, rep.blocks, rep.symbols, rep.nvars = q, group, tuple(blocks), (), 0
+    rep.dim = sum([b.length for b in blocks])
+    return rep
 
 
 def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
@@ -234,17 +244,16 @@ class _RootComparison:
 
     def __init__(self, rep: WDRep):
         blocks, q = rep.blocks, rep.q
-        top = 2 * max(b.length for b in blocks) - 2
-        den = lcm(*(b.scalar.denominator for b in blocks if not isinstance(b.scalar, str)))
+        top = 2 * max([b.length for b in blocks]) - 2
+        scalars = [b.scalar for b in blocks]
         # per block: its symbol as a 2-bit field (x^2 is the highest power a
-        # root reaches), and its coefficient times L
-        sym = [0] * len(blocks)
-        num = [den] * len(blocks)
-        for i, b in enumerate(blocks):
-            if isinstance(b.scalar, str):
-                sym[i] = 1 << (2 * rep.symbols.index(b.scalar))
-            else:
-                num[i] = b.scalar.numerator * (den // b.scalar.denominator)
+        # root reaches), and its coefficient times L; `WDRep` stores every
+        # rational scalar as a Fraction
+        bits = {s: 1 << 2 * i for i, s in enumerate(rep.symbols)}
+        sym = [0 if type(a) is Fraction else bits[a] for a in scalars]
+        ratios = [a.as_integer_ratio() if type(a) is Fraction else (1, 1) for a in scalars]
+        den = lcm(*[d for _, d in ratios])
+        num = [n * (den // d) for n, d in ratios]
         lift = [q ** (top - e) for e in range(top + 1)]  # q^-e scaled by q^E
         zero = rep.group.zero()  # grades are reduced
         unramified = [i for i, b in enumerate(blocks) if b.grade == zero]
@@ -338,13 +347,11 @@ def _first_opposite_pair(
     """
     zero = group.zero()
     for i, g in enumerate(reduced):
-        if g == zero:
-            continue
-        # -g is ramified too, so a match is a pair of ramified grades
-        neg = group.neg(g)
-        for j in range(i + 1, len(reduced)):
-            if reduced[j] == neg:
-                return i, j
+        if g != zero:
+            # -g is ramified too, so a match is a pair of ramified grades
+            neg = group.neg(g)
+            if neg in reduced[i + 1 :]:
+                return i, reduced.index(neg, i + 1)
     return None
 
 
@@ -406,6 +413,11 @@ def _random_scalar(getrandbits) -> Fraction:
     return _scalar_table()[_below(getrandbits, 18)][_below(getrandbits, 9)]
 
 
+def _check_q_choices(q_choices: Sequence[int]) -> None:
+    if not q_choices or not all([isinstance(q, int) and q >= 2 for q in q_choices]):
+        raise ValueError("q_choices must be a nonempty sequence of exact ints >= 2")
+
+
 def random_wdrep(
     rng,
     q_choices: Sequence[int] = (2, 3, 5),
@@ -414,8 +426,9 @@ def random_wdrep(
     max_length: int = 3,
 ) -> WDRep:
     """A random block rep with rational scalars, for divisibility suites."""
-    if max_dim < 1 or max_blocks < 1 or max_length < 1 or not q_choices:
-        raise ValueError("max_dim, max_blocks and max_length must be >= 1 and q_choices nonempty")
+    if max_dim < 1 or max_blocks < 1 or max_length < 1:
+        raise ValueError("max_dim, max_blocks and max_length must be >= 1")
+    _check_q_choices(q_choices)
     getrandbits = rng.getrandbits
     group = random_group(rng)
     q = q_choices[_below(getrandbits, len(q_choices))]
@@ -429,7 +442,7 @@ def random_wdrep(
         grade = tuple([_below(getrandbits, m) for m in group.orders])
         blocks.append(WDBlock(grade, k, _random_scalar(getrandbits)))
         dim += k
-    return WDRep(q, group, blocks)
+    return _drawn_rep(q, group, blocks)
 
 
 def random_k1_rep(
@@ -444,8 +457,9 @@ def random_k1_rep(
     grades sum to zero (guaranteed to terminate: after bounded attempts all
     but one grade collapse to zero).
     """
-    if max_dim < 1 or not q_choices:
-        raise ValueError("max_dim must be >= 1 and q_choices nonempty")
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1")
+    _check_q_choices(q_choices)
     getrandbits = rng.getrandbits
     group = random_group(rng)
     orders = group.orders
@@ -459,4 +473,4 @@ def random_k1_rep(
     else:
         grades = [group.zero()] * (n - 1) + [tuple([_below(getrandbits, m) for m in orders])]
     blocks = [WDBlock(g, 1, _random_scalar(getrandbits)) for g in grades]
-    return WDRep(q, group, blocks)
+    return _drawn_rep(q, group, blocks)

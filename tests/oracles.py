@@ -46,6 +46,9 @@ arithmetic that only the tests need:
 * `randrange_wdrep` and `randrange_k1_rep` -- the random drawers written
   with `randint`, `randrange` and `choice`, the oracles of the stream that
   `weil_deligne.random_wdrep` and `random_k1_rep` draw on `getrandbits`.
+* `machine_json` -- a report list as `json.dumps` writes it with sorted
+  keys, ASCII escapes and indent 1: the reference bytes of
+  `tasks.emit_machine`, which writes them with its own emitter.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
 exponent keys of the code it checks.  Every oracle is a free function or a
@@ -55,6 +58,7 @@ class of this module; none is a method of a package class.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +67,7 @@ from typing import Sequence
 from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import check_partition
+from extsq.tasks import FORMAT_VERSION, Report
 from extsq.weil_deligne import FiniteAbelianGroup, WDBlock, WDRep, divisibility_check
 
 # -- Schur polynomials --------------------------------------------------------
@@ -668,3 +673,18 @@ def randrange_k1_rep(
         grades = [group.zero()] * (n - 1) + [tuple(rng.randrange(m) for m in group.orders)]
     blocks = [WDBlock(g, 1, _randrange_scalar(rng)) for g in grades]
     return WDRep(q, group, blocks)
+
+
+# -- machine output -----------------------------------------------------------
+
+
+def machine_json(reports: Sequence[Report]) -> str:
+    """The canonical document of `reports`, written by the standard library's encoder."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "reports": [
+            {"task": r.task, "verdict": r.verdict, "summary": r.summary, "data": r.data}
+            for r in reports
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, ensure_ascii=True, separators=(",", ": "), indent=1) + "\n"

@@ -25,12 +25,14 @@ to alter machine output:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from extsq import tasks
 from extsq.cli import main
+from oracles import machine_json
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -49,3 +51,13 @@ def test_machine_output_matches_golden(document, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{document.stem}.out").read_bytes()
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
+def test_golden_reports_re_emit_as_the_oracle_writes_them(document):
+    golden = (GOLDEN / f"{document.stem}.out").read_text(encoding="utf-8")
+    reports = [
+        tasks.Report(r["task"], r["verdict"], r["summary"], r["data"], 0.0)
+        for r in json.loads(golden)["reports"]
+    ]
+    assert tasks.emit_machine(reports) == machine_json(reports) == golden

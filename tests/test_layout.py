@@ -33,6 +33,7 @@ def test_oracles_are_found():
     required |= {"series_pad", "series_product", "series_inverse"}
     required |= {"embed_t1", "embed_t2", "series2_product"}
     required |= {"partitions_bounded", "alternating_sum", "even_index_sum", "doubled_shape"}
+    required |= {"machine_json"}
     assert required <= set(ORACLE_NAMES)
 
 

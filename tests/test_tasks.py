@@ -2,9 +2,12 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extsq import tasks
 from extsq.cli import main
@@ -20,6 +23,7 @@ from extsq.tasks import (
     run_all,
     run_task,
 )
+from oracles import machine_json
 
 
 def doc(*task_bodies):
@@ -632,6 +636,43 @@ class TestFailBranches:
         assert r.data == {"conductor_hypothesis": True}
 
 
+_TEXT = st.text(st.sampled_from('aα"\\/\n\t\x00\x1f\x7f é€😀') | st.characters(), max_size=8)
+_SCALARS = st.none() | st.booleans() | st.integers(-(10**40), 10**40) | _TEXT
+_VALUES = st.recursive(
+    _SCALARS | st.lists(_TEXT, max_size=4) | st.lists(st.integers(-(10**40), 10**40), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _report(task, summary, data):
+    return tasks.Report(task, "pass", summary, data, 0.0)
+
+
+class TestCanonicalJson:
+    """`emit_machine` writes the bytes of the `json.dumps` call in `oracles.machine_json`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(_TEXT, _VALUES, max_size=4), _TEXT, _VALUES)
+    @example({}, "", [])
+    @example({"k": []}, "α", {"a": {}, "b": [[], {}, ()], "c": [[[]]]})
+    @example({"x": ()}, '"\\\n', [True, False, None, 0, -(10**39) - 7, "α\x01"])
+    def test_matches_the_oracle(self, task, summary, value):
+        reports = [_report(task, summary, {"value": value}), _report({}, "", {})]
+        assert emit_machine(reports) == machine_json(reports)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, 0.0, [1, 2.0], Fraction(1, 2), {"a": {1, 2}}, set(), {1: "a"}, {"a": 1, 2: "b"}, {None: 1}],
+        ids=repr,
+    )
+    def test_refuses_what_json_would_not_keep_exact(self, value):
+        with pytest.raises(TypeError):
+            emit_machine([_report({}, "", {"value": value})])
+
+
 class TestFmtAgainst:
     def test_reuses_equal_coefficients_only(self):
         x = MultiPoly.variable(1, 0)
@@ -688,6 +729,10 @@ class TestEmission:
         assert "  formal_roots: []" in lines
         assert "  ext_sq_roots:" in lines and "    [0] 4/5" in lines
         assert "  failures: []" in lines
+
+    def test_machine_matches_the_oracle(self):
+        reports = self.make_reports()
+        assert emit_machine(reports) == machine_json(reports)
 
     def test_exit_codes(self):
         reports = self.make_reports()

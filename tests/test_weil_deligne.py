@@ -794,14 +794,23 @@ class TestRandomGenerators:
         ids=lambda x: getattr(x, "__name__", str(x)),
     )
     def test_drawers_draw_the_randrange_stream(self, draw, oracle, seed, params):
-        """20k reps equal those of the drawers written on randint, randrange and choice."""
+        """20k reps equal those of the drawers written on randint, randrange and choice.
+
+        Each drawn rep, built without the public constructor's checks, must
+        also pass them unchanged: `WDRep(q, group, blocks)` gives the same rep.
+        """
         ours, theirs = random.Random(seed), random.Random(seed)
 
         def fields(rep):
             return rep.q, rep.group.orders, [(b.grade, b.length, b.scalar) for b in rep.blocks]
 
+        def all_fields(rep):
+            return rep.q, rep.group, rep.blocks, rep.symbols, rep.nvars, rep.dim
+
         for i in range(20_000):
-            assert fields(draw(ours, **params)) == fields(oracle(theirs, **params)), i
+            rep = draw(ours, **params)
+            assert fields(rep) == fields(oracle(theirs, **params)), i
+            assert all_fields(WDRep(rep.q, rep.group, rep.blocks)) == all_fields(rep), i
         assert ours.getstate() == theirs.getstate()
 
     def test_random_group_draws_the_randrange_stream(self):
@@ -833,6 +842,11 @@ class TestRandomGenerators:
             (random_wdrep, {"q_choices": ()}),
             (random_k1_rep, {"max_dim": 0}),
             (random_k1_rep, {"q_choices": []}),
+        ]
+        + [
+            (draw, {"q_choices": (2, bad)})
+            for draw in (random_wdrep, random_k1_rep)
+            for bad in (1, 0, 2.0, "3")
         ],
         ids=lambda x: getattr(x, "__name__", str(x)),
     )
@@ -840,7 +854,9 @@ class TestRandomGenerators:
         """A bound below 1 would ask for getrandbits(0), which never exceeds it.
 
         Without its check a drawer spins, so the generator fails the test
-        after 10 000 draws rather than letting it hang.
+        after 10 000 draws rather than letting it hang.  A q choice that is
+        not an exact int >= 2 is refused before any draw too, since the
+        drawers build their reps without the public constructor's checks.
         """
         rng = _BoundedRandom(9, 10_000)
         state = rng.getstate()
