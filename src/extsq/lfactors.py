@@ -20,7 +20,11 @@ The series runs over the integers.  Its t^k coefficient h_k is homogeneous
 of degree k, so h_k(r) = h_k(D r) / D^k, with D the lcm of the roots'
 coefficient denominators: the roots are scaled by D once, the products
 multiply ints only, and each coefficient is divided once, by D^k
-(`MultiPoly.div_int`).
+(`MultiPoly.div_int`).  A vector's factors are symmetric in its symbols,
+since `SatakeParams` holds each symbol exactly once, so each coefficient is
+expanded in full and then held by its dominant terms (`MultiPoly.dominant`),
+before the division; the Schur sums are held the same way, so the two
+sides of an identity compare exactly.
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
@@ -58,9 +62,11 @@ def parse_rational(token: str) -> Fraction:
 class SatakeParams:
     """A vector of exact-or-symbolic parameter entries.
 
-    Entries are MultiPoly values in a shared symbol space: symbolic entries
-    are single variables, numeric entries are constants (possibly zero).
-    Any other entry raises ValueError.
+    Entries are MultiPoly values in a shared symbol space: the symbolic
+    entries are the space's variables, each exactly once, in any order, and
+    the numeric entries are constants (possibly zero).  Any other vector
+    raises ValueError: every sum and factor of the vector is then symmetric
+    in the variables, and held by its dominant terms.
     """
 
     __slots__ = ("n", "nvars", "entries")
@@ -76,6 +82,8 @@ class SatakeParams:
                 raise ValueError(f"entry {e.format()} lives outside the {nvars}-symbol space")
             if not (e.is_constant or e in ring):
                 raise ValueError(f"entry {e.format()} is neither a constant nor a single variable")
+        if sum(not e.is_constant for e in entries) != nvars or any(x not in entries for x in ring):
+            raise ValueError(f"the symbolic entries must be the {nvars} symbols, each exactly once")
         self.n = len(entries)
         self.nvars = nvars
         self.entries = entries
@@ -133,14 +141,15 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
 def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
     """prod_r 1/(1 - r t) through t^order, built root by root over the integers.
 
-    Coefficient k is h_k of the roots: h_k of the roots scaled by D, divided
-    once by D^k (see the module docstring).  Pass `params.entries` for the
-    standard factor's series and `ext_sq_roots(params)` for the
-    exterior-square one.  The tests' oracle multiplies the reciprocal out
-    and inverts it as a series.
+    Coefficient k is h_k of the roots: h_k of the roots scaled by D, its
+    dominant terms divided once by D^k (see the module docstring).  Pass
+    `params.entries` for the standard factor's series and
+    `ext_sq_roots(params)` for the exterior-square one; both factors are
+    symmetric in the symbols.  The tests' oracle multiplies the reciprocal
+    out and inverts it as a series.
     """
     scale, hs = _scaled_h(roots, nvars, order)
-    return tuple(h.div_int(scale**k) for k, h in enumerate(hs))
+    return tuple(h.dominant().div_int(scale**k) for k, h in enumerate(hs))
 
 
 class DoubledShapeSum:

@@ -35,12 +35,25 @@ and once `_NAME_LISTS` (64) name lists have records a new list starts the
 whole memo over.  A string is built the same way on a hit or a miss, so the
 output never depends on the memo; concurrent callers can at worst build a
 string twice or pass a cap by one string each.
+
+A symmetric polynomial sum_nu c_nu m_nu, m_nu the monomial symmetric
+polynomial (Macdonald, *Symmetric Functions*, I.2), is held by its dominant
+terms c_nu x^nu, those with weakly decreasing exponents x1 >= x2 >= ...:
+every other term is a rearrangement of one of them with the same
+coefficient.  Sums, integer multiples, equality and multiplication by the
+product x1*...*xn (which adds 1 to every field) of such polynomials are
+those of the symmetric polynomials they stand for; other products are not.
+`dominant` projects a full symmetric polynomial onto this form,
+`orbit_sum` expands it back, `append_variable` builds the Schur
+polynomials in it (`symmetric.schur`), and `format_symmetric` prints it in
+the m basis, each m(2,1,1) string memoised per key in `_M_TEXT`, which
+starts over at 4096 strings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -144,6 +157,39 @@ def _monomial_strings(names: tuple[str, ...]) -> _MonomialStrings:
         _MONOMIALS.clear()
     record = _MONOMIALS[names] = _MonomialStrings(names)
     return record
+
+
+_M_TEXT: dict[int, str] = {}
+
+
+def _m_text(key: int) -> str:
+    """Record and return "m(2,1,1)" for a nonzero dominant key, whose zero fields are its lowest."""
+    parts = []
+    rest = key
+    while rest:
+        if rest & _EXP_MASK:
+            parts.append(str(rest & _EXP_MASK))
+        rest >>= _EXP_BITS
+    if len(_M_TEXT) >= _MONOMIAL_CAP:
+        _M_TEXT.clear()
+    _M_TEXT[key] = text = f"m({','.join(reversed(parts))})"
+    return text
+
+
+@lru_cache(maxsize=4096)
+def _orbit_keys(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The packed keys of the distinct rearrangements of `parts`, a weakly decreasing tuple.
+
+    Each distinct value in turn takes the top field, over the rearrangements of the rest.
+    """
+    if not parts:
+        return (0,)
+    shift = _EXP_BITS * (len(parts) - 1)
+    out: list[int] = []
+    for i, e in enumerate(parts):
+        if not i or e != parts[i - 1]:
+            out += [e << shift | k for k in _orbit_keys(parts[:i] + parts[i + 1 :])]
+    return tuple(out)
 
 
 def _graded_lex_keys(terms: Mapping[int, Scalar], nvars: int) -> list[int]:
@@ -367,6 +413,66 @@ class MultiPoly:
             out[k] = q.numerator if q.denominator == 1 else q
         return MultiPoly._raw(self.nvars, out)
 
+    # -- symmetric polynomials by their dominant terms ------------------------
+
+    def dominant(self) -> "MultiPoly":
+        """The terms whose exponents are weakly decreasing (module docstring).
+
+        One subtraction compares every field with the next: ((key >> 16) | G)
+        - (key without its top field), G the guard bits of nvars - 1 fields,
+        keeps all of G exactly when no field is below the next; no field
+        borrows, since each is at most _EXP_MAX.
+        """
+        nvars = self.nvars
+        if nvars < 2:
+            return self
+        guard = _guard_mask(nvars - 1)
+        rest = (1 << _EXP_BITS * (nvars - 1)) - 1
+        terms = self._terms
+        return MultiPoly._raw(
+            nvars, {k: terms[k] for k in terms if ((k >> _EXP_BITS | guard) - (k & rest)) & guard == guard}
+        )
+
+    def orbit_sum(self) -> "MultiPoly":
+        """The symmetric polynomial whose dominant terms are self's: each c x^nu becomes c m_nu.
+
+        Distinct dominant nu have disjoint orbits, so each key is written once.
+        """
+        out: dict[int, Scalar] = {}
+        for key, c in self._terms.items():
+            out.update(dict.fromkeys(_orbit_keys(_unpack(key, self.nvars)), c))
+        return MultiPoly._raw(self.nvars, out)
+
+    def format_symmetric(self) -> str:
+        """Canonical text of the symmetric polynomial sum c_nu m_nu whose dominant terms these are.
+
+        m_nu prints as m(2,1,1), its partition without zero parts, in graded
+        lexicographic order of nu; the constant term prints as a bare
+        coefficient, as `format` prints it, and 0 as "0".
+        """
+        terms = self._terms
+        if not terms:
+            return "0"
+        pieces: list[str] = []
+        for key in terms if len(terms) == 1 else _graded_lex_keys(terms, self.nvars):
+            c = terms[key]
+            # as in `format`: a stored Fraction is never integral
+            if type(c) is Fraction:
+                n, d = c.as_integer_ratio()
+                neg, mag = n < 0, f"{abs(n)}/{d}"
+            else:
+                neg, mag = c < 0, abs(c)
+            if key:
+                mono = _M_TEXT.get(key) or _m_text(key)
+                body = mono if mag == 1 else f"{mag}*{mono}"
+            else:
+                body = str(mag)
+            if not pieces:
+                pieces.append(f"-{body}" if neg else body)
+            else:
+                pieces.append(f"- {body}" if neg else f"+ {body}")
+        return " ".join(pieces)
+
     # -- formatting ----------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
@@ -417,13 +523,15 @@ class MultiPoly:
 
 
 def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> MultiPoly:
-    """Sum of p * y^e over (p, e) in `parts`, with y a new last variable.
+    """Sum of p * y^e over (p, e) in `parts`, y a new last variable, by its dominant terms.
 
-    Each p lives in `nvars` variables and keeps its exponents; the result
-    lives in nvars + 1.  y takes the lowest packed field, so each term's key
-    becomes (key << 16) + e: no polynomial products.  Every e is checked
-    against the constructor cap, so a result built only from constructor
-    inputs and this function stays within it too.
+    Each p lives in `nvars` variables and holds dominant terms only (module
+    docstring); the result lives in nvars + 1.  y takes the lowest packed
+    field, so a term's key becomes (key << 16) + e, and it is dominant
+    exactly when e <= the old key's last field: only those terms are kept.
+    No polynomial is multiplied.  Every e is checked against the
+    constructor cap, so a result built only from constructor inputs and
+    this function stays within it too.
     """
     out: dict[int, Scalar] = {}
     get = out.get
@@ -433,6 +541,8 @@ def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> Multi
         if not 0 <= e < _EXP_INPUT_CAP:
             raise ValueError(f"exponent {e} outside the supported range 0..{_EXP_INPUT_CAP - 1}")
         for k, c in p._terms.items():
+            if nvars and k & _EXP_MASK < e:
+                continue
             key = (k << _EXP_BITS) + e
             val = get(key, 0) + c
             if val:

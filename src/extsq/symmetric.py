@@ -1,13 +1,16 @@
-"""Schur polynomials and partition enumeration, exactly.
+"""Schur polynomials and partition enumeration, exactly, by dominant terms.
 
+Every value here is a symmetric polynomial in the ring's variables, held by
+its dominant terms (see `polynomials`): the coefficient of x^nu, nu weakly
+decreasing, is its coefficient at the monomial symmetric polynomial m_nu.
 Production code has one route each for Schur polynomials, Schur values and
 Schur sums:
 
-* `schur` -- the Schur polynomial in n variables.  It is built by the
-  branching rule s_f(x1..xn) = sum_mu x_n^{|f/mu|} s_mu(x1..x_{n-1}) over
-  horizontal strips f/mu (Macdonald, *Symmetric Functions and Hall
-  Polynomials*, I.5.11), which moves packed exponent keys and multiplies no
-  polynomials.  It is cached in `_SCHUR_CACHE`, together with the
+* `schur` -- the Schur polynomial in n variables, sum_nu K_{f nu} m_nu with
+  the Kostka numbers K_{f nu} (Macdonald, *Symmetric Functions and Hall
+  Polynomials*, I (5.11) and I.6).  It is built by the branching rule
+  restricted to dominant exponents, which moves packed exponent keys and
+  multiplies no polynomials, and cached in `_SCHUR_CACHE` together with the
   smaller-rank polynomials of the sub-shapes it recurses through;
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
   weight bound.  `littlewood_sum` builds one per vector and calls `value`
@@ -19,35 +22,34 @@ Schur sums:
   in the row bound: n - 1 for both torus sums, k (the nonzero entries) for
   the exterior-square expansion.
 
-Zeros are dropped: the value is zero unless the shape fits inside the
-nonzero entries.  These split into the core x, every variable of the
-m-variable ring once, in any order, and the r peeled entries c, the others;
-if the variable entries are not the ring's variables once each, the core is
-empty (m = 0).  By the coproduct s_f(x, c) = sum_mu s_mu(x) s_{f/mu}(c)
-(I.5.9), where s_mu(x) = 0 unless mu has at most m rows and s_{f/mu}(c) = 0
-unless f_{i+r} <= mu_i <= f_i, and the skew Jacobi-Trudi formula s_{f/mu} =
-det[h_{f_i - mu_j - i + j}] (I.5.4),
+A value vector holds every variable of the m-variable ring exactly once, in
+any order, and constants; `SchurValues` refuses any other vector, so no
+value is held by dominant terms unless it is symmetric.  Zeros are dropped:
+the value is zero unless the shape fits inside the nonzero entries.  These
+split into the variables x and the r nonzero constants c.  By the coproduct
+s_f(x, c) = sum_mu s_mu(x) s_{f/mu}(c) (I.5.9), where s_mu(x) = 0 unless mu
+has at most m rows and s_{f/mu}(c) = 0 unless f_{i+r} <= mu_i <= f_i, and
+the skew Jacobi-Trudi formula s_{f/mu} = det[h_{f_i - mu_j - i + j}] (I.5.4),
 
     s_f(x, c) = D^-|f| sum_mu det[h_{f_i - mu_j - i + j}(D c)] D^|mu| schur(mu, m),
 
-with D the lcm of the peeled entries' coefficient denominators.  h_0..h_N of
-the D c_i, the coefficients of prod_i 1/(1 - D c_i t) (I.2), are built once
-per vector by `_scaled_h` (the kernel `polynomials.times_linear_factors`,
-shared with the product sides of `lfactors` and `torus_sums`), as plain
-ints when every c_i is a constant.  Only the peeled entries are scaled, and
-s_{f/mu} has degree |f| - |mu| in them: hence D^|mu| beside the one
-division by D^|f|, one Fraction per term (`MultiPoly.div_int`).
-All-symbolic vectors (r = 0) are the one term mu = f, the cached
+with D the lcm of the constants' denominators.  h_0..h_N of the D c_i, the
+coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per vector
+by `_scaled_h` (the kernel `polynomials.times_linear_factors`, shared with
+the product sides of `lfactors` and `torus_sums`).  s_{f/mu} has degree
+|f| - |mu| in the constants: hence D^|mu| beside the one division by D^|f|,
+one Fraction per term (`MultiPoly.div_int`).  Each value is linear in the
+s_mu(x), so the dominant terms of the cached Schur polynomials give the
+value's.  All-symbolic vectors (r = 0) are the one term mu = f, the cached
 `schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
-(), an integer Jacobi-Trudi determinant.  Mixed ones multiply cached Schur
-polynomials by integers only, and fill `_SCHUR_CACHE` as all-symbolic ones
-do.  `_det` expands along rows with memoized minors, over ints or
-`MultiPoly` alike.
+(), an integer Jacobi-Trudi determinant, which `_det` expands along rows
+with memoized minors.
 
 The independent oracle of both routes, the alternant divided exactly by the
 Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,
-and so does `substitute`, with which the test suite evaluates it at a
-vector and compares.  All enumeration orders are deterministic.
+and so do `substitute`, with which the test suite evaluates it at a vector,
+and `dominant_part`, with which it projects the result onto dominant terms
+to compare.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -75,16 +77,21 @@ def check_partition(f: Sequence[int]) -> tuple[int, ...]:
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
-    """Schur polynomial s_f in n variables by the branching rule; cached.
+    """The Schur polynomial s_f in n variables, by its dominant terms; cached.
 
-    s_f(x1..xn) is the sum, over the mu with f1 >= mu1 >= f2 >= ... >=
-    mu_{n-1} >= f_n (f/mu a horizontal strip), of x_n^{|f|-|mu|} times
-    s_mu(x1..x_{n-1}) (Macdonald, *Symmetric Functions and Hall Polynomials*,
-    I.5.11).  Each summand only moves packed keys (`append_variable`), so no
-    polynomial is multiplied; the coefficients are Kostka numbers, positive
-    ints.  Sub-shapes go through this function and share `_SCHUR_CACHE`.
-    No exponent exceeds f1, and `append_variable` checks each one against
-    the constructor cap, so a part of 4096 or more raises ValueError.
+    The branching rule s_f(x1..xn) = sum_mu x_n^{|f|-|mu|} s_mu(x1..x_{n-1}),
+    over the mu with f1 >= mu1 >= f2 >= ... >= mu_{n-1} >= f_n (f/mu a
+    horizontal strip; Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I (5.11)), restricted to dominant exponents: the prefix of
+    a dominant nu is dominant, so the x^nu term with nu_n = |f| - |mu| comes
+    from the x^(nu1..nu_{n-1}) term of s_mu, which `append_variable` keeps
+    when nu_n <= nu_{n-1}.  The coefficients are the Kostka numbers
+    K_{f nu}, positive ints, and no polynomial is multiplied.  A mu with
+    (n - 1) nu_n > |mu| has no such term, so it is skipped before its
+    Schur polynomial is built.  Sub-shapes go through this function and
+    share `_SCHUR_CACHE`.  No exponent exceeds f1, and `append_variable`
+    checks each one against the constructor cap, so a part of 4096 or more
+    raises ValueError.
     """
     shape = check_partition(f)
     if len(shape) > n:
@@ -99,29 +106,32 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
         padded = shape + (0,) * (n - len(shape))
         weight = sum(shape)
         ranges = [range(padded[i], padded[i + 1] - 1, -1) for i in range(n - 1)]
-        p = append_variable(
-            n - 1,
-            [(schur(mu, n - 1), weight - sum(mu)) for mu in itertools.product(*ranges)],
-        )
+        parts = []
+        for mu in itertools.product(*ranges):
+            rest = sum(mu)
+            if (weight - rest) * (n - 1) <= rest:
+                # mu is weakly decreasing, so its zeros trail
+                sub = _SCHUR_CACHE.get((mu[: len(mu) - mu.count(0)], n - 1)) or schur(mu, n - 1)
+                parts.append((sub, weight - rest))
+        p = append_variable(n - 1, parts)
     _SCHUR_CACHE[key] = p
     return p
 
 
-def _det(rows: list[list], one):
-    """Determinant over ints or MultiPoly (`one` is the ring's 1), memoized.
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of an int matrix, expanded along rows with memoized minors.
 
     The minor of a column mask is on the top popcount(mask) rows; expanding
     along its last row, the sign is + at the highest column and alternates.
     """
-    memo = {0: one}
-    zero = one * 0
+    memo = {0: 1}
 
-    def minor(mask: int):
+    def minor(mask: int) -> int:
         got = memo.get(mask)
         if got is not None:
             return got
         row = rows[mask.bit_count() - 1]
-        acc = zero
+        acc = 0
         sign = 1
         rest = mask
         while rest:
@@ -129,9 +139,7 @@ def _det(rows: list[list], one):
             rest ^= bit
             entry = row[bit.bit_length() - 1]
             if entry:
-                sub = minor(mask ^ bit)
-                if sub:
-                    acc = acc + entry * sub if sign > 0 else acc - entry * sub
+                acc += sign * entry * minor(mask ^ bit)
             sign = -sign
         memo[mask] = acc
         return acc
@@ -151,11 +159,14 @@ def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int,
 
 
 class SchurValues:
-    """The Schur values s_f(values) of one value vector, for |f| <= max_weight.
+    """The Schur values s_f(values) of one value vector, for |f| <= max_weight, by dominant terms.
 
-    The split into the core and the peeled entries, the scale D and
-    h_0..h_max_weight of the scaled peeled entries are built once, here;
-    `value` evaluates one shape (see the module docstring).
+    The vector must hold each variable of its ring exactly once, in any
+    order, and constants (zeros allowed); any other vector raises
+    ValueError, so every value is a symmetric polynomial.  The split into
+    the variables and the constants, the scale D and h_0..h_max_weight of
+    the scaled constants, as ints, are built once, here; `value` evaluates
+    one shape (see the module docstring).
     """
 
     __slots__ = ("length", "nvars", "max_weight", "m", "r", "scale", "hs")
@@ -165,19 +176,18 @@ class SchurValues:
         nvars = values[0].nvars if values else 0
         if any(v.nvars != nvars for v in values):
             raise ValueError("values live in different variable counts")
-        nonzero = [v for v in values if not v.is_zero]
+        peeled = [v for v in values if v.is_constant and not v.is_zero]
+        variables = [v for v in values if not v.is_constant]
         ring = [MultiPoly.variable(nvars, i) for i in range(nvars)]
-        peeled = [v for v in nonzero if v not in ring]
-        if len(nonzero) - len(peeled) != nvars or any(x not in nonzero for x in ring):
-            peeled = nonzero  # the variable entries are not the ring's, once each
+        if len(variables) != nvars or any(x not in variables for x in ring):
+            raise ValueError("the symbolic values must be the ring's variables, each exactly once")
         self.length, self.nvars, self.max_weight = len(values), nvars, max_weight
-        self.m, self.r = len(nonzero) - len(peeled), len(peeled)
-        self.scale, self.hs = _scaled_h(peeled, nvars, max_weight)
-        if all(v.is_constant for v in peeled):
-            self.hs = [h.constant_value() for h in self.hs]  # plain ints
+        self.m, self.r = nvars, len(peeled)
+        self.scale, hs = _scaled_h(peeled, nvars, max_weight)
+        self.hs = [h.constant_value() for h in hs]
 
     def value(self, f: Sequence[int]) -> MultiPoly:
-        """s_f at the value vector, in its ring; requires len(f) <= len(values)."""
+        """s_f at the value vector, by its dominant terms; requires len(f) <= len(values)."""
         shape = check_partition(f)
         if len(shape) > self.length:
             raise ValueError("shape longer than value vector")
@@ -204,7 +214,7 @@ class SchurValues:
                 [hs[k] if (k := a - b - i + j) >= 0 else 0 for j, b in enumerate(cols)]
                 for i, a in enumerate(shape)
             ]
-            det = _det(rows, hs[0])
+            det = _det(rows)
             if det:
                 base = schur(mu, m) if m else MultiPoly.one(self.nvars)
                 acc = acc + base * (det * self.scale ** sum(mu))

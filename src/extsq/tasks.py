@@ -5,17 +5,16 @@ object or a `tasks` list.  Tasks run one after another and reports come back
 in input order.  Tasks are not independent of each other: they share the
 module-level memo table `symmetric._SCHUR_CACHE`, which grows without bound
 for the life of the process, so a later task reuses the Schur polynomials of
-an earlier one.  Besides the polynomials a task asks for, the table holds
-the smaller-rank ones of their sub-shapes, which the branching rule builds
-them from; on the benchmark's `symbolic` seed-1 document that is 419 entries
-and 42k terms, of which the requested shapes are 212 entries and 35k terms.
-All-symbolic and mixed parameter vectors (zeros allowed) fill the table,
-mixed ones with the sub-shapes their coproduct sums over (`mixed` seed 1:
-100 entries, 875 terms); numeric vectors are evaluated without it.  They
-also share `polynomials._MONOMIALS`, the memo of monomial strings that
-`MultiPoly.format` keeps per name list, keyed by the list and by each half
-of a packed exponent key and capped at 4096 strings per list and 64 lists.
-Outputs do not depend on either reuse.
+an earlier one.  Each entry holds a Schur polynomial by its dominant terms,
+its Kostka numbers; besides the polynomials a task asks for, the table holds
+the smaller-rank ones of the sub-shapes the branching rule builds them from.
+On the benchmark's `symbolic` seed-1 document that is 403 entries and 2.7k
+terms, where the expanded polynomials held 42k (`mixed` seed 1: 100
+entries, 277 terms, from 875); numeric vectors are evaluated without it.
+They also share `polynomials._MONOMIALS` and `polynomials._M_TEXT`, the
+memos of the strings that `MultiPoly.format` and
+`MultiPoly.format_symmetric` print, each capped at 4096 strings (and
+`_MONOMIALS` at 64 name lists).  Outputs do not depend on either reuse.
 
 Each task's runner returns `(verdict, summary, data)`; `run_task` alone
 builds reports, adding the task echo and timing, and turns a precondition
@@ -28,11 +27,18 @@ sort_keys=True, ensure_ascii=True, separators=(",", ": "), indent=1).  It
 holds only str, int, bool, None, lists and str-keyed dicts, never a float;
 any other value raises TypeError.  `table` is a human-readable rendering of
 the same data plus timing.
-Symbolic entries are always named α1, α2, ... in output, whatever the input
-called them.  Each coefficient the two sides of an identity share is
-formatted once: where the product side (or the expected two-variable series)
-equals the torus sum or expansion at a power, that side's string is reused,
-so the output is the same as formatting both.
+Every series, grid, contribution, first difference, central product and
+probe correction of a Satake task is symmetric in the symbols and prints
+in the monomial symmetric basis, `3*m(2,1,1) - 1/2*m(1,1)`
+(`MultiPoly.format_symmetric`); a report with at least one symbol says so
+with `"basis": "monomial_symmetric"`.  A constant prints as a bare
+coefficient, so a report without symbols reads as it did before the basis
+was introduced.  Root lists (`standard_roots`, `ext_sq_roots` and the Galois
+reports') print α-monomials, the symbols always named α1, α2, ... whatever
+the input called them.  Each coefficient the two sides of an identity share
+is formatted once: where the product side (or the expected two-variable
+series) equals the torus sum or expansion at a power, that side's string is
+reused, so the output is the same as formatting both.
 """
 
 from __future__ import annotations
@@ -233,10 +239,11 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
             raise ConfigError("scalar must be an int, rational string, or symbol name", f"{loc}.scalar")
         if not isinstance(scalar, str) and scalar == 0:
             raise ConfigError("Frobenius scalar must be nonzero", f"{loc}.scalar")
-        try:
-            blocks.append(WDBlock(group.reduce(grade), length, scalar))
-        except ValueError as exc:
-            raise ConfigError(str(exc), loc) from exc
+        # `WDRep` reduces the grade; only its rank is checked here, for the location
+        if len(grade) != len(group.orders):
+            rank = len(group.orders)
+            raise ConfigError(f"element {tuple(grade)} does not fit group of rank {rank}", loc)
+        blocks.append(WDBlock(tuple(grade), length, scalar))
     return blocks
 
 
@@ -351,19 +358,17 @@ def _names(nvars: int) -> list[str]:
     return [f"α{i + 1}" for i in range(nvars)]
 
 
-def _fmt_series1(coeffs: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
-    return [c.format(names) for c in coeffs]
+def _fmt_series1(coeffs: Sequence[MultiPoly]) -> list[str]:
+    return [c.format_symmetric() for c in coeffs]
 
 
-def _fmt_series2(grid: Sequence[Sequence[MultiPoly]], names: Sequence[str]) -> list[list[str]]:
-    return [[c.format(names) for c in row] for row in grid]
+def _fmt_series2(grid: Sequence[Sequence[MultiPoly]]) -> list[list[str]]:
+    return [[c.format_symmetric() for c in row] for row in grid]
 
 
-def _fmt_against(
-    coeffs: Sequence[MultiPoly], ref: Sequence[MultiPoly], ref_text: Sequence[str], names: Sequence[str]
-) -> list[str]:
+def _fmt_against(coeffs: Sequence[MultiPoly], ref: Sequence[MultiPoly], ref_text: Sequence[str]) -> list[str]:
     """Strings of `coeffs`, reusing ref_text[i] wherever coeffs[i] == ref[i]."""
-    return [t if c == r else c.format(names) for c, r, t in zip(coeffs, ref, ref_text)]
+    return [t if c == r else c.format_symmetric() for c, r, t in zip(coeffs, ref, ref_text)]
 
 
 def _run_lfactor(cfg: TaskConfig) -> Outcome:
@@ -376,8 +381,8 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     data = {
         "standard_roots": _root_strings(params.nonzero_entries, names),
         "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),
-        "standard_series": _fmt_series1(std_series, names),
-        "ext_sq_series": _fmt_series1(ext_series, names),
+        "standard_series": _fmt_series1(std_series),
+        "ext_sq_series": _fmt_series1(ext_series),
     }
     return "info", f"standard and exterior-square factors expanded through t^{order}", data
 
@@ -393,18 +398,17 @@ def _compare_with_ext_sq(
     the lowest power where the two sides differ, or None.
     """
     params = cfg.params
-    names = _names(params.nvars)
     rhs = product_series(ext_sq_roots(params), params.nvars, cfg.truncation)
     diff = series_first_difference(lhs.series, rhs)
-    lhs_text = data[key] = _fmt_series1(lhs.series, names)
-    rhs_text = data["product"] = _fmt_against(rhs, lhs.series, lhs_text, names)
+    lhs_text = data[key] = _fmt_series1(lhs.series)
+    rhs_text = data["product"] = _fmt_against(rhs, lhs.series, lhs_text)
     data["first_difference"] = (
         None
         if diff is None
         else {"power": diff[0], key: lhs_text[diff[0]], "product": rhs_text[diff[0]]}
     )
     data["contributions"] = [
-        {"power": l, "shape": list(shape), "coefficient": value.format(names)}
+        {"power": l, "shape": list(shape), "coefficient": value.format_symmetric()}
         for l, shape, value in lhs.terms
     ]
     return None if diff is None else diff[0]
@@ -444,13 +448,12 @@ def _run_verify_js(cfg: TaskConfig) -> Outcome:
 def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     l1, l2 = cfg.truncation
-    names = _names(params.nvars)
     m, odd = divmod(params.n, 2)
     lhs = bf_series(params, l1, l2)
     data: dict[str, Any] = {"parity": "odd" if odd else "even"}
     if odd:
         data["positive_conductor"] = params.has_zero
-    lhs_text = data["torus_sum"] = _fmt_series2(lhs, names)
+    lhs_text = data["torus_sum"] = _fmt_series2(lhs)
     if odd and not params.has_zero:
         note = (
             "identity not asserted: odd rank with every entry nonzero has no "
@@ -460,17 +463,19 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     expected = bf_product_series(params, l1, l2)
     form = "the product of factors"
     if not odd:
+        # ω is c x1...xk, which adds 1 to every exponent of a dominant term,
+        # so ω times the dominant terms of a cell are those of ω times the cell
         omega = reduce(lambda a, b: a * b, params.entries)
         # (1 - ω t2^m) times each row: c_j - ω c_{j-m}, reading the old row
         expected = [
             [c - omega * row[j - m] if j >= m else c for j, c in enumerate(row)]
             for row in expected
         ]
-        data["central_product"] = omega.format(names)
+        data["central_product"] = omega.format_symmetric()
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
     expected_text = data["expected"] = [
-        _fmt_against(row, lhs_row, text_row, names)
+        _fmt_against(row, lhs_row, text_row)
         for row, lhs_row, text_row in zip(expected, lhs, lhs_text)
     ]
     if diff is None:
@@ -497,7 +502,7 @@ def _run_bf_odd_probe(cfg: TaskConfig) -> Outcome:
     data = {
         "conductor_hypothesis": probe.conductor_hypothesis,
         "matches_product": probe.matches_product,
-        "correction": _fmt_series2(probe.correction, _names(params.nvars)),
+        "correction": _fmt_series2(probe.correction),
     }
     if probe.conductor_hypothesis:
         return "pass", f"correction factor is exactly 1 through ({l1}, {l2})", data
@@ -611,6 +616,9 @@ def run_task(cfg: TaskConfig) -> Report:
         verdict, summary, data = _RUNNERS[cfg.task](cfg)
     except ValueError as exc:
         verdict, summary, data = "error", f"precondition violated: {exc}", {}
+    else:
+        if cfg.params is not None and cfg.params.nvars:
+            data["basis"] = "monomial_symmetric"
     return Report(cfg.echo, verdict, summary, data, (time.perf_counter() - start) * 1000.0)
 
 

@@ -15,12 +15,16 @@ rows, a = c_odd(lam) odd columns and |lam| = a + 2b.  `bf_series` is its
 whole window and `js_series` its t1^0 row, the doubled shapes, for either
 parity of n; `lfactors.ext_sq_expansion` reads the same row with k rows.
 
-The product sides these sums are compared with are built from their linear
-roots: `bf_product_series` is the outer product of the two factors' integer
-series, built as in `lfactors.product_series` (whose oracle inverts the
-multiplied-out reciprocal) with each cell divided once by its scale, and
-`bf_odd_correction_probe` multiplies the sum by each factor (1 - r t1) and
-(1 - r t2) rather than dividing by the product series.  Neither multiplies
+Every sum and product here is symmetric in the symbols and held by its
+dominant terms (`polynomials`).  The product sides these sums are compared
+with are built from their linear roots: `bf_product_series` is the outer
+product of the two factors' integer series, built as in
+`lfactors.product_series` (whose oracle inverts the multiplied-out
+reciprocal), each cell multiplied in full and then projected onto its
+dominant terms and divided once by its scale.  `bf_odd_correction_probe`
+expands the sum's cells by orbit sums (`MultiPoly.orbit_sum`), multiplies
+them by each factor (1 - r t1) and (1 - r t2) rather than dividing by the
+product series, and projects the correction.  Neither multiplies
 two-variable series.
 """
 
@@ -63,13 +67,15 @@ def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[Mul
 
     The factors are in different variables: the t1^i t2^j term is std_i * ext_j.
     Both series are integer, from the entries scaled by D1 and the pair
-    products by D2, so each cell divides std_i * ext_j once, by D1^i D2^j.
+    products by D2, so each cell multiplies std_i * ext_j in full and
+    divides its dominant terms once, by D1^i D2^j.
     """
     nvars = params.nvars
     d1, std = _scaled_h(params.entries, nvars, l1)
     d2, ext = _scaled_h(ext_sq_roots(params), nvars, l2)
     return tuple(
-        tuple((a * b).div_int(d1**i * d2**j) for j, b in enumerate(ext)) for i, a in enumerate(std)
+        tuple((a * b).dominant().div_int(d1**i * d2**j) for j, b in enumerate(ext))
+        for i, a in enumerate(std)
     )
 
 
@@ -100,7 +106,8 @@ def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeRe
     n = params.n
     if n < 3 or n % 2 == 0:
         raise ValueError("probe applies to odd n >= 3")
-    lhs = bf_series(params, l1, l2)
+    # the factors multiply full polynomials, not dominant terms: expand each cell
+    lhs = [[c.orbit_sum() for c in row] for row in bf_series(params, l1, l2)]
     # the inverse of the product form is prod (1 - a_i t1) prod (1 - a_i a_j t2):
     # multiply it into lhs, column by column in t1, then row by row in t2
     columns = [
@@ -109,7 +116,8 @@ def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeRe
     ]
     roots = ext_sq_roots(params)
     correction = tuple(
-        tuple(times_linear_factors([col[i] for col in columns], roots, l2, 1)) for i in range(l1 + 1)
+        tuple(c.dominant() for c in times_linear_factors([col[i] for col in columns], roots, l2, 1))
+        for i in range(l1 + 1)
     )
     matches = correction[0][0] == 1 and all(
         c.is_zero for i, row in enumerate(correction) for j, c in enumerate(row) if i or j

@@ -14,6 +14,14 @@ arithmetic that only the tests need:
   doubled: the oracles of `symmetric.window_partitions` and its readers;
 * `format_terms` -- a polynomial's text from its `terms()`, each monomial
   string built afresh: the oracle of `MultiPoly.format` and its memo;
+* `dominant_part` (and `dominant_series`, per coefficient or cell),
+  `expand_m_basis` and `format_m` -- a symmetric
+  polynomial's dominant terms, read from the unpacked exponent vectors of
+  `terms()`; the orbit sum of each dominant term over
+  `itertools.permutations`; and the m-basis text of the dominant terms.
+  They are the oracles of `MultiPoly.dominant`, `MultiPoly.orbit_sum` and
+  `MultiPoly.format_symmetric`, and they carry every full polynomial an
+  oracle builds to the dominant terms production holds;
 * `power` and `substitute` -- a power by repeated squaring, each product
   through the overflow guard of `MultiPoly.__mul__`, and a polynomial
   evaluated at a vector term by term;
@@ -35,7 +43,8 @@ arithmetic that only the tests need:
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
-  pair products are the formal roots of the Galois checks;
+  pair products are the formal roots of the Galois checks, as an
+  `EntryVector`, since they need not be a vector `SatakeParams` accepts;
 * `wd_lfactor` and `ext_sq_lfactor_by_elimination` -- Gauss-Jordan
   elimination on the rep and on its wedge square, the oracles of
   `standard_satake` and of the closed-form root walk
@@ -45,10 +54,13 @@ arithmetic that only the tests need:
   lists, the oracle of the one-pass comparison behind the Galois verdicts;
 * `randrange_wdrep` and `randrange_k1_rep` -- the random drawers written
   with `randint`, `randrange` and `choice`, the oracles of the stream that
-  `weil_deligne.random_wdrep` and `random_k1_rep` draw on `getrandbits`.
+  `weil_deligne.random_wdrep` and `random_k1_rep` draw on `getrandbits`;
 * `machine_json` -- a report list as `json.dumps` writes it with sorted
   keys, ASCII escapes and indent 1: the reference bytes of
-  `tasks.emit_machine`, which writes them with its own emitter.
+  `tasks.emit_machine`, which writes them with its own emitter;
+* `satake_report_data` -- the whole `data` of a Satake task's report,
+  rebuilt from its echo by the oracles above, every polynomial in full
+  and printed by `format_m`: the oracle of what `tasks` prints.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
 exponent keys of the code it checks.  Every oracle is a free function or a
@@ -62,6 +74,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from extsq.lfactors import SatakeParams, ext_sq_roots
@@ -185,6 +198,54 @@ def doubled_shape(f: Sequence[int], pairs: int, extra_zeros: int) -> tuple[int, 
         raise ValueError("shape has more parts than requested pairs")
     padded = tuple(f) + (0,) * (pairs - len(f))
     return tuple(x for part in padded for x in (part, part)) + (0,) * extra_zeros
+
+
+def _weakly_decreasing(exps: Sequence[int]) -> bool:
+    return all(a >= b for a, b in zip(exps, exps[1:]))
+
+
+def dominant_part(p: MultiPoly) -> MultiPoly:
+    """The terms of p whose exponent vectors, unpacked by `terms()`, are weakly decreasing."""
+    return MultiPoly(p.nvars, {exps: c for exps, c in p.terms() if _weakly_decreasing(exps)})
+
+
+def dominant_series(s: Sequence) -> tuple:
+    """`dominant_part` of every coefficient of a series, or of every cell of a grid."""
+    return tuple(dominant_part(c) if isinstance(c, MultiPoly) else dominant_series(c) for c in s)
+
+
+def expand_m_basis(p: MultiPoly) -> MultiPoly:
+    """sum c_nu m_nu for the dominant terms c_nu x^nu of p, each m_nu the sum of x^sigma
+    over the distinct permutations sigma of nu; ValueError on a term that is not dominant."""
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    for exps, c in p.terms():
+        if not _weakly_decreasing(exps):
+            raise ValueError(f"{exps} is not weakly decreasing")
+        for sigma in set(itertools.permutations(exps)):
+            terms[sigma] = c
+    return MultiPoly(p.nvars, terms)
+
+
+def format_m(p: MultiPoly) -> str:
+    """The m-basis text of the symmetric polynomial whose dominant terms p holds.
+
+    Reads the dominant terms of p from `terms()`, in their graded-lex order:
+    c m_nu prints as c*m(nu without zero parts), the constant term as a
+    bare coefficient, and p's other terms are skipped.
+    """
+    pieces = []
+    for exps, c in p.terms():
+        if not _weakly_decreasing(exps):
+            continue
+        parts = [str(e) for e in exps if e]
+        mono = f"m({','.join(parts)})" if parts else ""
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if pieces:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            pieces.append(body if c > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
 
 
 def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
@@ -421,7 +482,23 @@ def alphas(rep: WDRep) -> tuple[MultiPoly, ...]:
     )
 
 
-def standard_satake(rep: WDRep) -> SatakeParams:
+class EntryVector:
+    """n entries in an nvars-symbol ring, read like `SatakeParams` but unchecked.
+
+    A rep's kernel eigenvalues may miss a symbol of the rep (its block is
+    ramified) or repeat one (two blocks share a scalar name), vectors that
+    `SatakeParams` refuses; `ext_sq_roots`, `standard_L` and
+    `formal_ext_sq_L` read only `n`, `nvars` and `entries`.
+    """
+
+    __slots__ = ("n", "nvars", "entries")
+
+    def __init__(self, entries: Sequence[MultiPoly], nvars: int):
+        self.entries = tuple(entries)
+        self.n, self.nvars = len(self.entries), nvars
+
+
+def standard_satake(rep: WDRep) -> EntryVector:
     """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
     entries: list[MultiPoly] = []
     for b, alpha in zip(rep.blocks, alphas(rep)):
@@ -429,7 +506,7 @@ def standard_satake(rep: WDRep) -> SatakeParams:
             # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
             entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
     entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
-    return SatakeParams(entries, nvars=rep.nvars)
+    return EntryVector(entries, rep.nvars)
 
 
 def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[MultiPoly]]:
@@ -688,3 +765,157 @@ def machine_json(reports: Sequence[Report]) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=True, separators=(",", ": "), indent=1) + "\n"
+
+
+# -- Satake reports ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _bialternant(shape: tuple[int, ...], n: int) -> MultiPoly:
+    return schur_bialternant(shape, n)
+
+
+def _oracle_entries(satake: Sequence[str]) -> EntryVector:
+    """The entries a report's `satake` tokens name: the symbols in order, then rationals."""
+    nsyms = list(satake).count("sym")
+    symbols = iter(range(nsyms))
+    return EntryVector(
+        [
+            MultiPoly.variable(nsyms, next(symbols))
+            if tok == "sym"
+            else MultiPoly.constant(nsyms, Fraction(tok))
+            for tok in satake
+        ],
+        nsyms,
+    )
+
+
+def _schur_at(shape: Sequence[int], vec: EntryVector) -> MultiPoly:
+    """s_shape at all n entries, zeros included: the bialternant, substituted."""
+    if len(shape) > vec.n:
+        return MultiPoly.zero(vec.nvars)
+    return substitute(_bialternant(tuple(shape), vec.n), vec.entries, nvars=vec.nvars)
+
+
+def _grid_text(grid: Sequence[Sequence[MultiPoly]]) -> list[list[str]]:
+    return [[format_m(c) for c in row] for row in grid]
+
+
+def _one_variable_fields(task: str, vec: EntryVector, order: int) -> dict:
+    """verify-js and verify-littlewood: enumerate-then-double, the bialternant, the inverted factor."""
+    n, k = vec.n, sum(1 for e in vec.entries if e)
+    key = "torus_sum" if task == "verify-js" else "expansion"
+    # torus sums pad their shapes to n; the expansion to k, the nonzero entries
+    length = n if task == "verify-js" else k
+    pairs = (length - 1) // 2 if task == "verify-js" else length // 2
+    contributions = []
+    sums = [MultiPoly.zero(vec.nvars)] * (order + 1)
+    for power in range(order + 1):
+        for f in partitions_bounded(power, pairs):
+            shape = doubled_shape(f, pairs, length - 2 * pairs)
+            value = _schur_at(check_partition(shape), vec)
+            contributions.append({"power": power, "shape": list(shape), "coefficient": format_m(value)})
+            sums[power] = sums[power] + value
+    product = formal_ext_sq_L(vec).series(order)
+    sum_text, product_text = [format_m(c) for c in sums], [format_m(c) for c in product]
+    diff = next((l for l in range(order + 1) if sums[l] != product[l]), None)
+    fields = {key: sum_text, "product": product_text}
+    fields["first_difference"] = (
+        None if diff is None else {"power": diff, key: sum_text[diff], "product": product_text[diff]}
+    )
+    fields["contributions"] = contributions
+    return fields
+
+
+def _littlewood_grid(vec: EntryVector, l1: int, l2: int) -> list[list[MultiPoly]]:
+    """Every partition with at most n - 1 rows, filtered into the window by a and b."""
+    grid = [[MultiPoly.zero(vec.nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    for weight in range(l1 + 2 * l2 + 1):
+        for lam in partitions_bounded(weight, vec.n - 1):
+            a, b = alternating_sum(lam), even_index_sum(lam)
+            if a <= l1 and b <= l2:
+                grid[a][b] = grid[a][b] + _schur_at(lam, vec)
+    return grid
+
+
+def _bf_fields(task: str, vec: EntryVector, l1: int, l2: int) -> dict:
+    """verify-bf and bf-odd-probe: the brute-force grid against the multiplied series."""
+    m, odd = divmod(vec.n, 2)
+    has_zero = any(not e for e in vec.entries)
+    lhs = _littlewood_grid(vec, l1, l2)
+    nvars = vec.nvars
+    if task == "bf-odd-probe":
+        recip_std = embed_t1(series_pad(standard_L(vec).reciprocal, nvars, l1), l2)
+        recip_ext = embed_t2(series_pad(formal_ext_sq_L(vec).reciprocal, nvars, l2), l1)
+        correction = series2_product(series2_product(lhs, recip_std), recip_ext)
+        cells = [c for row in correction for c in row]
+        one = cells[0] == 1 and not any(cells[1:])
+        text = _grid_text(correction)
+        return {"conductor_hypothesis": has_zero, "matches_product": one, "correction": text}
+    fields: dict = {"parity": "odd" if odd else "even"}
+    if odd:
+        fields["positive_conductor"] = has_zero
+    fields["torus_sum"] = _grid_text(lhs)
+    if odd and not has_zero:
+        return fields
+    expected = series2_product(
+        embed_t1(standard_L(vec).series(l1), l2), embed_t2(formal_ext_sq_L(vec).series(l2), l1)
+    )
+    if not odd:
+        omega = MultiPoly.one(nvars)
+        for e in vec.entries:
+            omega = omega * e
+        central = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+        central[0][0] = MultiPoly.one(nvars)
+        if m <= l2:
+            central[0][m] = -omega
+        expected = series2_product(central, expected)
+        fields["central_product"] = format_m(omega)
+    fields["expected"] = _grid_text(expected)
+    cells = [(i, d - i) for d in range(l1 + l2 + 1) for i in range(l1 + 1) if 0 <= d - i <= l2]
+    diff = next(((i, j) for i, j in cells if lhs[i][j] != expected[i][j]), None)
+    fields["first_difference"] = (
+        None
+        if diff is None
+        else {
+            "t1_power": diff[0],
+            "t2_power": diff[1],
+            "torus_sum": fields["torus_sum"][diff[0]][diff[1]],
+            "expected": fields["expected"][diff[0]][diff[1]],
+        }
+    )
+    return fields
+
+
+def satake_report_data(task: dict) -> dict:
+    """The `data` of a Satake task's report, from its echo, by the oracles alone.
+
+    Every series, grid, contribution and central product is built here in
+    full, by enumerate-then-filter shapes, the bialternant at the entries,
+    inverted and multiplied-out factors and series products, and printed
+    by `format_m`; the root lists by `format_terms`.  A report holding a
+    symbol names its basis.
+    """
+    kind, vec = task["task"], _oracle_entries(task["satake"])
+    names = [f"α{i + 1}" for i in range(vec.nvars)]
+    if kind == "lfactor":
+        order = task["truncation"]
+        data = {
+            "standard_roots": sorted(format_terms(e, names) for e in vec.entries if e),
+            "ext_sq_roots": sorted(format_terms(r, names) for r in ext_sq_roots(vec) if r),
+            "standard_series": [format_m(c) for c in standard_L(vec).series(order)],
+            "ext_sq_series": [format_m(c) for c in formal_ext_sq_L(vec).series(order)],
+        }
+    elif kind in ("verify-js", "verify-littlewood"):
+        data = {}
+        if kind == "verify-littlewood":
+            data["k"] = sum(1 for e in vec.entries if e)
+        else:
+            data["parity"] = "odd" if vec.n % 2 else "even"
+            data["positive_conductor"] = any(not e for e in vec.entries)
+        data.update(_one_variable_fields(kind, vec, task["truncation"]))
+    else:
+        data = _bf_fields(kind, vec, *task["truncation"])
+    if vec.nvars:
+        data["basis"] = "monomial_symmetric"
+    return data

@@ -12,7 +12,10 @@ other order would show, an explicit `galois-divisibility` whose
 pair-product factor equals the exterior-square factor, so the quotient is
 1, and one whose exterior-square side holds a repeated root, printed twice,
 and leaves one root over).  The expected output
-of `DIR/NAME.json` is `tests/golden/NAME.out`.
+of `DIR/NAME.json` is `tests/golden/NAME.out`.  Every Satake report of a
+golden, its m-basis strings included, is also rebuilt from its task echo by
+the oracles (`oracles.satake_report_data`), so a regenerated `.out` is
+checked against an independent route and not only against itself.
 
 Regenerate, from the repository root, only after a change that is meant
 to alter machine output:
@@ -32,7 +35,7 @@ import pytest
 
 from extsq import tasks
 from extsq.cli import main
-from oracles import machine_json
+from oracles import machine_json, satake_report_data
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -61,3 +64,13 @@ def test_golden_reports_re_emit_as_the_oracle_writes_them(document):
         for r in json.loads(golden)["reports"]
     ]
     assert tasks.emit_machine(reports) == machine_json(reports) == golden
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda p: p.stem)
+def test_golden_satake_reports_print_the_oracle_data(document):
+    """Every Satake report's data, each m-basis string included, rebuilt by the oracles."""
+    reports = json.loads((GOLDEN / f"{document.stem}.out").read_text(encoding="utf-8"))["reports"]
+    satake = [r for r in reports if "satake" in r["task"]]
+    for report in satake:
+        assert report["data"] == satake_report_data(report["task"]), report["task"]
+

@@ -34,6 +34,8 @@ def test_oracles_are_found():
     required |= {"embed_t1", "embed_t2", "series2_product"}
     required |= {"partitions_bounded", "alternating_sum", "even_index_sum", "doubled_shape"}
     required |= {"machine_json"}
+    required |= {"dominant_part", "dominant_series", "expand_m_basis", "format_m"}
+    required |= {"EntryVector", "satake_report_data"}
     assert required <= set(ORACLE_NAMES)
 
 

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 
 from extsq import polynomials
 from extsq.polynomials import MultiPoly, append_variable, times_linear_factors
-from oracles import divexact_binomial, format_terms, power, substitute
+from oracles import (
+    divexact_binomial,
+    dominant_part,
+    expand_m_basis,
+    format_m,
+    format_terms,
+    power,
+    substitute,
+)
 
 
 def poly(nvars, mapping):
@@ -356,21 +364,28 @@ class TestAppendVariable:
     @settings(max_examples=30)
     @given(st.lists(st.tuples(multipolys(nvars=2), st.integers(0, 4)), max_size=4))
     def test_matches_products_with_the_new_variable(self, parts):
-        """Sums that cancel or turn integral come out normalized."""
+        """The dominant part of the products; sums that cancel or turn integral come out normalized."""
+        parts = [(dominant_part(p), e) for p, e in parts]
         x1, x2, y = (MultiPoly.variable(3, i) for i in range(3))
         expected = MultiPoly.zero(3)
         for p, e in parts:
             expected = expected + substitute(p, [x1, x2]) * power(y, e)
         got = append_variable(2, parts)
-        assert got == expected
+        assert got == dominant_part(expected)
         assert all(
             isinstance(c, int) or c.denominator != 1 for _, c in got.terms()
         )
 
+    def test_keeps_a_term_when_the_new_exponent_is_at_most_the_last(self):
+        xy = MultiPoly.monomial(2, (3, 2))
+        assert append_variable(2, [(xy, 2)]) == MultiPoly.monomial(3, (3, 2, 2))
+        assert append_variable(2, [(xy, 3)]).is_zero
+        assert append_variable(0, [(MultiPoly.one(0), 5)]) == MultiPoly.monomial(1, (5,))
+
     def test_cancelling_and_integral_sums(self):
         x = MultiPoly.variable(1, 0)
         half = x * Fraction(1, 2)
-        assert append_variable(1, [(x, 2), (-x, 2)]).is_zero
+        assert append_variable(1, [(x, 1), (-x, 1)]).is_zero
         got = append_variable(1, [(half, 1), (half, 1)])
         assert got.terms() == [((1, 1), 1)] and type(got.coefficient((1, 1))) is int
 
@@ -380,6 +395,45 @@ class TestAppendVariable:
             append_variable(1, [(x, 4096)])
         with pytest.raises(ValueError):
             append_variable(2, [(x, 1)])
+
+
+class TestDominantTerms:
+    """`dominant`, `orbit_sum` and `format_symmetric` against their oracles."""
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 4).flatmap(lambda n: multipolys(nvars=n, max_exp=5, max_terms=8)))
+    def test_projection_reads_every_field(self, p):
+        assert p.dominant() == dominant_part(p)
+
+    def test_projection_at_the_exponent_cap(self):
+        """Fields up to 32767, where a borrow between fields would show."""
+        keep = [(3, 3, 3), (5, 0, 0), (2, 2, 1), (0, 0, 0)]
+        drop = [(0, 1, 0), (2, 3, 3), (3, 2, 3), (0, 0, 1)]
+        p = MultiPoly(3, {e: 1 for e in keep + drop})
+        top = power(MultiPoly.monomial(3, (4095, 4095, 4095)), 8)  # 32760 in each field
+        step = [MultiPoly.monomial(3, e) for e in ((7, 0, 0), (0, 7, 0), (7, 7, 0), (0, 0, 7))]
+        big = [top] + [top * m for m in step]
+        assert [q.dominant() == q for q in big] == [True, True, False, True, False]
+        assert (p + sum(big, MultiPoly.zero(3))).dominant() == p.dominant() + big[0] + big[1] + big[3]
+        assert sorted(e for e, _ in p.dominant().terms()) == sorted(keep)
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 4).flatmap(lambda n: multipolys(nvars=n, max_exp=5, max_terms=8)))
+    def test_orbit_sum_and_printer(self, p):
+        d = p.dominant()
+        full = d.orbit_sum()
+        assert full == expand_m_basis(d)
+        assert full.dominant() == d
+        assert d.format_symmetric() == format_m(d) == format_m(full)
+
+    def test_printer_text(self):
+        x, y, z = (MultiPoly.variable(3, i) for i in range(3))
+        p = x * x * y * 3 - x * y * Fraction(1, 2) + 1 - x * y * z
+        assert p.format_symmetric() == "1 - 1/2*m(1,1) + 3*m(2,1) - m(1,1,1)"
+        assert (-p).format_symmetric() == "-1 + 1/2*m(1,1) - 3*m(2,1) + m(1,1,1)"
+        assert MultiPoly.zero(3).format_symmetric() == "0"
+        assert MultiPoly.constant(0, Fraction(-2, 5)).format_symmetric() == "-2/5"
+        assert (x * x).format_symmetric() == "m(2)"
 
 
 class TestDivexactBinomial:

@@ -12,4 +12,6 @@ def test_library_example_runs():
     namespace: dict = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["power"] == 1 and namespace["shape"] == (1, 1, 0)
-    assert namespace["value"].format() == "x1*x2 + x1*x3 + x2*x3"
+    assert namespace["text"] == namespace["value"].format_symmetric() == "m(1,1)"
+    assert namespace["value"].format() == "x1*x2"
+    assert namespace["full"] == "x1*x2 + x1*x3 + x2*x3"

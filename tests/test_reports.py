@@ -1,22 +1,30 @@
-"""What the one-variable reports print, rebuilt from the oracles alone.
+"""What the Satake reports print, rebuilt from the oracles alone.
 
-`verify-js` and `verify-littlewood` print their series and one
-`contributions` entry per doubled shape.  Here the shapes come from
-enumerate-then-double (`partitions_bounded`, `doubled_shape`), each value
-from the alternant quotient evaluated at the entries, and each string from
-`format_terms`; none of it runs the production enumerator, Schur evaluator
-or printer.
+`satake_report_data` builds a report's whole `data` from its task echo:
+shapes by enumerate-then-filter, each value from the alternant quotient
+evaluated at the entries, the product sides from multiplied-out and
+inverted factors, every polynomial in full, and each string from
+`format_m`.  None of it runs the production enumerator, Schur evaluator,
+projection or printer.  The same oracle rebuilds every Satake report of
+the goldens in `tests/test_golden.py`.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsq.polynomials import MultiPoly
 from extsq.tasks import parse_task, run_task
-from oracles import doubled_shape, format_terms, partitions_bounded, schur_bialternant, substitute
+from oracles import (
+    EntryVector,
+    dominant_part,
+    expand_m_basis,
+    format_m,
+    formal_ext_sq_L,
+    satake_report_data,
+    schur_bialternant,
+)
 
 ENTRIES = st.one_of(
     st.just("sym"),
@@ -25,40 +33,51 @@ ENTRIES = st.one_of(
 )
 
 
-@lru_cache(maxsize=None)
-def _bialternant(shape, n):
-    return schur_bialternant(shape, n)
+@st.composite
+def satake_tasks(draw):
+    task = draw(st.sampled_from(["lfactor", "verify-js", "verify-littlewood", "verify-bf", "bf-odd-probe"]))
+    if task == "bf-odd-probe":
+        entries = draw(st.lists(ENTRIES, min_size=3, max_size=5).filter(lambda e: len(e) % 2))
+    else:
+        shortest = 1 if task in ("lfactor", "verify-littlewood") else 2
+        entries = draw(st.lists(ENTRIES, min_size=shortest, max_size=5))
+    if task in ("verify-bf", "bf-odd-probe"):
+        truncation = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+    else:
+        truncation = draw(st.integers(0, 4))
+    return {"task": task, "satake": [str(e) for e in entries], "truncation": truncation}
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["verify-js", "verify-littlewood"]),
-    st.lists(ENTRIES, min_size=2, max_size=5),
-    st.integers(0, 4),
-)
-def test_contributions_and_series(task, entries, order):
-    nsyms = entries.count("sym")
-    names = [f"α{i + 1}" for i in range(nsyms)]
-    symbols = iter(range(nsyms))
-    values = [
-        MultiPoly.variable(nsyms, next(symbols)) if e == "sym" else MultiPoly.constant(nsyms, e)
-        for e in entries
-    ]
-    n = len(values)
-    body = {"task": task, "satake": [str(e) for e in entries], "truncation": order}
-    data = run_task(parse_task(body)).data
-    # torus sums pad their shapes to n; the expansion to k, the nonzero entries
-    length = n if task == "verify-js" else sum(1 for v in values if v)
-    pairs = (length - 1) // 2 if task == "verify-js" else length // 2
-    expected = []
-    sums = [MultiPoly.zero(nsyms)] * (order + 1)
-    for power in range(order + 1):
-        for f in partitions_bounded(power, pairs):
-            shape = doubled_shape(f, pairs, length - 2 * pairs)
-            value = substitute(_bialternant(shape, n), values, nvars=nsyms)
-            text = format_terms(value, names)
-            expected.append({"power": power, "shape": list(shape), "coefficient": text})
-            sums[power] = sums[power] + value
-    assert data["contributions"] == expected
-    printed = data["torus_sum" if task == "verify-js" else "expansion"]
-    assert printed == [format_terms(c, names) for c in sums]
+@given(satake_tasks())
+def test_contributions_and_series(body):
+    """Every series, grid, contribution and field of a drawn Satake report."""
+    report = run_task(parse_task(body))
+    assert report.verdict != "error"
+    assert report.data == satake_report_data(report.task)
+
+
+@st.composite
+def symmetric_products(draw):
+    """A product of two Schur polynomials and one pair-root series coefficient,
+    all by the oracles, in n <= 4 symbols."""
+    n = draw(st.integers(1, 4))
+
+    def shape():
+        parts = sorted((draw(st.integers(0, 3)) for _ in range(draw(st.integers(0, n)))), reverse=True)
+        return tuple(parts)
+
+    order = draw(st.integers(0, 3))
+    symbols = EntryVector([MultiPoly.variable(n, i) for i in range(n)], n)
+    pair_series = formal_ext_sq_L(symbols).series(order)[order]
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    return schur_bialternant(shape(), n) * schur_bialternant(shape(), n) * pair_series * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_products())
+def test_projection_and_printer_match_the_oracles(p):
+    held = p.dominant()
+    assert held == dominant_part(p)
+    assert held.format_symmetric() == format_m(p)
+    assert held.orbit_sum() == expand_m_basis(held) == p

@@ -12,8 +12,10 @@ from extsq.torus_sums import js_series
 from oracles import (
     alternating_sum,
     complete_homogeneous,
+    dominant_part,
     doubled_shape,
     even_index_sum,
+    expand_m_basis,
     partitions_bounded,
     power,
     schur_bialternant,
@@ -36,21 +38,39 @@ def partitions(draw, max_part=4, max_len=4):
 
 @st.composite
 def ambient_vectors(draw):
-    """Value vectors in a ring of 1-3 variables: symbols, fractions with
-    denominators up to 9, zeros, and a few general polynomials."""
+    """Value vectors in a ring of 0-3 variables: each variable once, in a drawn
+    order, among fractions with denominators up to 9 and zeros."""
+    m = draw(st.integers(0, 3))
+    constants = draw(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=9)),
+            min_size=0 if m else 1,
+            max_size=4 - m,
+        )
+    )
+    values = draw(st.permutations(variables(m) + [MultiPoly.constant(m, c) for c in constants]))
+    return list(values)
+
+
+@st.composite
+def other_vectors(draw):
+    """Value vectors in a ring of 1-3 variables that miss or repeat a variable,
+    or hold a general polynomial."""
     m = draw(st.integers(1, 3))
     xs = variables(m)
     u, v = xs[0], xs[-1]
-    general = [u + v * Fraction(1, 3), u * v * Fraction(-2, 7) + 1, u * u - Fraction(5, 9)]
+    general = [u + v * Fraction(1, 3), u * v * Fraction(-2, 7) + 1, u * u - Fraction(5, 9), u * 2]
     entry = st.one_of(
         st.sampled_from(xs),
         st.fractions(min_value=-4, max_value=4, max_denominator=9).map(
             lambda c: MultiPoly.constant(m, c)
         ),
-        st.just(MultiPoly.zero(m)),
         st.sampled_from(general),
     )
-    return draw(st.lists(entry, min_size=1, max_size=4))
+    values = draw(st.lists(entry, min_size=1, max_size=4))
+    variable_entries = [x for x in values if not x.is_constant]
+    assume(len(variable_entries) != m or any(x not in variable_entries for x in xs))
+    return values
 
 
 class TestCheckPartition:
@@ -89,11 +109,13 @@ class TestCompleteHomogeneous:
 class TestSchur:
     def test_single_row_is_h(self):
         for k in range(4):
-            assert schur((k,), 3) == complete_homogeneous(k, 3)
+            assert schur((k,), 3) == dominant_part(complete_homogeneous(k, 3))
+            assert expand_m_basis(schur((k,), 3)) == complete_homogeneous(k, 3)
 
     def test_single_column_is_elementary(self):
         x, y, z = variables(3)
-        assert schur((1, 1), 3) == x * y + x * z + y * z
+        assert expand_m_basis(schur((1, 1), 3)) == x * y + x * z + y * z
+        assert schur((1, 1), 3) == x * y
         assert schur((1, 1, 1), 3) == x * y * z
 
     def test_rectangular_2x2(self):
@@ -105,8 +127,8 @@ class TestSchur:
         e1 = x + y + z
         e2 = x * y + x * z + y * z
         e3 = x * y * z
-        # s_(2,1) = e1*e2 - e3
-        assert schur((2, 1), 3) == e1 * e2 - e3
+        # s_(2,1) = e1*e2 - e3, m_(2,1) + 2 m_(1,1,1)
+        assert schur((2, 1), 3) == dominant_part(e1 * e2 - e3) == x * x * y + 2 * e3
 
     def test_too_many_rows(self):
         with pytest.raises(ValueError):
@@ -122,7 +144,7 @@ class TestSchur:
         assert schur((2, 1, 0), 3) == schur((2, 1), 3)
 
     def test_symmetry_under_variable_swap(self):
-        p = schur((3, 1), 3)
+        p = expand_m_basis(schur((3, 1), 3))
         x, y, z = variables(3)
         assert substitute(p, [y, x, z]) == p
         assert substitute(p, [z, y, x]) == p
@@ -163,7 +185,7 @@ class TestSchurOracle:
 
     @pytest.mark.parametrize("f", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2)])
     def test_exactly_n_parts(self, f):
-        assert schur(f, 3) == schur_bialternant(f, 3), f
+        assert schur(f, 3) == dominant_part(schur_bialternant(f, 3)), f
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_doubled_shapes_of_the_torus_sums(self, n):
@@ -174,18 +196,19 @@ class TestSchurOracle:
             for _, shape, _ in expansion.terms
         }
         for shape in sorted(shapes):
-            assert schur(shape, n) == schur_bialternant(shape, n), shape
+            assert schur(shape, n) == dominant_part(schur_bialternant(shape, n)), shape
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exhaustive_small(self, n):
         for weight in range(6):
             for f in partitions_bounded(weight, n):
-                assert schur(f, n) == schur_bialternant(f, n), (f, n)
+                assert schur(f, n) == dominant_part(schur_bialternant(f, n)), (f, n)
 
     @settings(max_examples=25, deadline=None)
     @given(partitions(max_part=4, max_len=3), st.integers(3, 4))
     def test_random(self, f, n):
-        assert schur(f, n) == schur_bialternant(f, n)
+        assert schur(f, n) == dominant_part(schur_bialternant(f, n))
+        assert expand_m_basis(schur(f, n)) == schur_bialternant(f, n)
 
 
 class TestSchurEvalPadded:
@@ -225,27 +248,40 @@ class TestSchurEvalPadded:
             return
         n = len(values)
         vals = [MultiPoly.constant(0, v) for v in values]
-        direct = substitute(schur(f, n), vals)
+        direct = substitute(expand_m_basis(schur(f, n)), vals)
         assert SchurValues(vals, sum(f)).value(f) == direct
 
     @settings(max_examples=60, deadline=None)
     @given(partitions(max_part=3, max_len=3), ambient_vectors())
     def test_matches_bialternant_oracle_in_polynomial_rings(self, f, vals):
         assume(len(f) <= len(vals))
-        oracle = substitute(schur_bialternant(f, len(vals)), vals)
-        assert SchurValues(vals, sum(f)).value(f) == oracle
+        oracle = substitute(schur_bialternant(f, len(vals)), vals, nvars=vals[0].nvars)
+        assert SchurValues(vals, sum(f)).value(f) == dominant_part(oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(other_vectors())
+    def test_refuses_vectors_that_are_not_symmetric(self, vals):
+        """Values by dominant terms need every ring variable exactly once."""
+        with pytest.raises(ValueError, match="each exactly once"):
+            SchurValues(vals, 3)
 
     def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
-        """Only vectors holding every ring variable once reach `_SCHUR_CACHE`."""
+        """Only vectors holding every ring variable once reach `_SCHUR_CACHE`;
+        the others are refused before any value is built."""
         monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
         x, y = variables(2)
         zero = MultiPoly.zero(2)
         half = MultiPoly.constant(2, Fraction(1, 2))
         numeric = [MultiPoly.constant(0, c) for c in (Fraction(2, 3), 0, -3)]
         SchurValues(numeric, 3).value((2, 1))
-        SchurValues([x, MultiPoly.constant(2, 3), half], 3).value((2, 1))  # y missing
-        SchurValues([x, y, x], 3).value((2, 1))  # x twice
-        SchurValues([x, x + y * Fraction(1, 3), half], 3).value((2, 1))  # y inside a polynomial
+        refused = [
+            [x, MultiPoly.constant(2, 3), half],  # y missing
+            [x, y, x],  # x twice
+            [x, x + y * Fraction(1, 3), half],  # y inside a polynomial
+        ]
+        for vals in refused:
+            with pytest.raises(ValueError, match="each exactly once"):
+                SchurValues(vals, 3)
         assert not symmetric._SCHUR_CACHE
         SchurValues([y, x], 3).value((2, 1))  # the variables, out of order
         assert not {((2,), 2), ((1, 1), 2)} & set(symmetric._SCHUR_CACHE)
@@ -264,43 +300,63 @@ class TestSchurEvalPadded:
 
 
 class TestSchurValues:
-    """Each split of a vector into the core (the ring's variables, once each)
-    and the peeled entries, against the bialternant oracle."""
+    """Each split of a vector into the ring's variables, once each, and the
+    nonzero constants, against the bialternant oracle; other vectors are
+    refused."""
+
+    @staticmethod
+    def values(case):
+        x, y, z = variables(3)
+        x2, y2 = variables(2)
+        (x1,) = variables(1)
+
+        def c(n, v):
+            return MultiPoly.constant(n, Fraction(v))
+
+        return {
+            "out_of_order_among_fractions": [y2, c(2, "2/3"), x2, c(2, "-5/4")],
+            "all_symbolic_with_zero": [z, c(3, 0), x, y],
+            "numeric_with_zero": [c(0, "3/2"), c(0, 0), c(0, -2), c(0, "1/3")],
+            "repeated_variable": [x1, x1, c(1, "1/2")],
+            "missing_variable": [x2, c(2, 0), c(2, 3)],
+            "polynomial_beside_full_core": [x2, y2, x2 + y2 * Fraction(1, 3)],
+            "constants_in_a_ring": [c(2, "3/2"), c(2, 0), c(2, -2), c(2, "1/3")],
+            "scaled_variable": [x2 * 2, y2, c(2, 1)],
+        }[case]
 
     @pytest.mark.parametrize(
         "case,core,peeled",
         [
             ("out_of_order_among_fractions", 2, 2),
-            ("repeated_variable", 0, 3),
-            ("missing_variable", 0, 2),
-            ("polynomial_beside_full_core", 2, 1),
-            ("constants_in_a_ring", 0, 3),
             ("all_symbolic_with_zero", 3, 0),
+            ("numeric_with_zero", 0, 3),
         ],
     )
     def test_every_shape_up_to_weight_6(self, case, core, peeled):
-        x, y, z = variables(3)
-
-        def c(n, v):
-            return MultiPoly.constant(n, Fraction(v))
-
-        x2, y2 = variables(2)
-        (x1,) = variables(1)
-        values = {
-            "out_of_order_among_fractions": [y2, c(2, "2/3"), x2, c(2, "-5/4")],
-            "repeated_variable": [x1, x1, c(1, "1/2")],
-            "missing_variable": [x2, c(2, 0), c(2, 3)],
-            "polynomial_beside_full_core": [x2, y2, x2 + y2 * Fraction(1, 3)],
-            "constants_in_a_ring": [c(2, "3/2"), c(2, 0), c(2, -2), c(2, "1/3")],
-            "all_symbolic_with_zero": [z, c(3, 0), x, y],
-        }[case]
+        values = self.values(case)
         evaluator = SchurValues(values, 6)
         assert (evaluator.m, evaluator.r) == (core, peeled)
         n = len(values)
         for weight in range(7):
             for f in partitions_bounded(weight, n):
                 oracle = substitute(schur_bialternant(f, n), values)
-                assert evaluator.value(f) == oracle, (case, f)
+                assert evaluator.value(f) == dominant_part(oracle), (case, f)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "repeated_variable",
+            "missing_variable",
+            "polynomial_beside_full_core",
+            "constants_in_a_ring",
+            "scaled_variable",
+        ],
+    )
+    def test_refuses_a_vector_that_is_not_the_ring_variables_once_each(self, case):
+        """These vectors' Schur values are not symmetric in the ring's
+        variables, so they have no dominant-term form."""
+        with pytest.raises(ValueError, match="each exactly once"):
+            SchurValues(self.values(case), 6)
 
     def test_all_symbolic_returns_the_cached_polynomial(self):
         x, y = variables(2)

@@ -376,6 +376,40 @@ class TestParseTask:
                 }
             )
 
+    def test_grade_wrong_rank_names_its_block(self, capsys):
+        body = {
+            "task": "galois-divisibility",
+            "group": [2, 3],
+            "blocks": [
+                {"grade": [1, 2], "length": 1, "scalar": "a"},
+                {"grade": [1, 2, 0], "length": 1, "scalar": "b"},
+            ],
+        }
+        with pytest.raises(ConfigError, match=r"does not fit group of rank 2") as err:
+            parse_task(body)
+        assert err.value.location == "task.blocks[1]"
+        blocks = [arg for g in ("1.2", "1.2.0") for arg in ("--block", f"{g}:1:a")]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["galois-divisibility", "--group", "2,3", *blocks])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: task.blocks[1]: element (1, 2, 0)")
+
+    def test_each_explicit_grade_is_reduced_once(self, monkeypatch):
+        """The parser checks a grade's rank; `WDRep` alone reduces it."""
+        calls = []
+        real = weil_deligne.FiniteAbelianGroup.reduce
+
+        def counted(group, a):
+            calls.append(tuple(a))
+            return real(group, a)
+
+        monkeypatch.setattr(weil_deligne.FiniteAbelianGroup, "reduce", counted)
+        blocks = [{"grade": [g, 5], "length": 1, "scalar": "1/2"} for g in range(4)]
+        cfg = parse_task({"task": "galois-divisibility", "group": [2, 3], "blocks": blocks})
+        assert calls == [(g, 5) for g in range(4)]
+        assert [b.grade for b in cfg.rep.blocks] == [(g % 2, 2) for g in range(4)]
+
 
 class TestRunTask:
     def test_lfactor_info(self):
@@ -423,7 +457,7 @@ class TestRunTask:
         monkeypatch.setattr(tasks, "ext_sq_roots", lambda p: real(p) + [MultiPoly.one(p.nvars)])
         r = run_one(body)
         assert (r.verdict, r.summary) == ("fail", summary)
-        assert list(r.data) == lead + [key, "product", "first_difference", "contributions"]
+        assert list(r.data) == lead + [key, "product", "first_difference", "contributions", "basis"]
         assert r.data["first_difference"] == {
             "power": 1,
             key: r.data[key][1],
@@ -586,15 +620,15 @@ class TestFailBranches:
         [
             (
                 ["sym", "2", "0"],
-                ["parity", "positive_conductor", "torus_sum", "expected", "first_difference"],
-                "8*α1^2 + 4*α1^3",
-                "1 + 8*α1^2 + 4*α1^3",
+                ["parity", "positive_conductor", "torus_sum", "expected", "first_difference", "basis"],
+                "8*m(2) + 4*m(3)",
+                "1 + 8*m(2) + 4*m(3)",
             ),
             (
                 ["sym", "2", "-1", "1/2"],
-                ["parity", "torus_sum", "central_product", "expected", "first_difference"],
-                "45/8 + 15/8*α1 + 35/8*α1^2 + 15/4*α1^3",
-                "53/8 + 15/8*α1 + 35/8*α1^2 + 15/4*α1^3",
+                ["parity", "torus_sum", "central_product", "expected", "first_difference", "basis"],
+                "45/8 + 15/8*m(1) + 35/8*m(2) + 15/4*m(3)",
+                "53/8 + 15/8*m(1) + 35/8*m(2) + 15/4*m(3)",
             ),
         ],
     )
@@ -631,9 +665,9 @@ class TestFailBranches:
         r = self.check(
             {"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "truncation": 2},
             "correction has no constant term",
-            ["conductor_hypothesis"],
+            ["conductor_hypothesis", "basis"],
         )
-        assert r.data == {"conductor_hypothesis": True}
+        assert r.data == {"conductor_hypothesis": True, "basis": "monomial_symmetric"}
 
 
 _TEXT = st.text(st.sampled_from('aα"\\/\n\t\x00\x1f\x7f é€😀') | st.characters(), max_size=8)
@@ -677,9 +711,9 @@ class TestFmtAgainst:
     def test_reuses_equal_coefficients_only(self):
         x = MultiPoly.variable(1, 0)
         a = [MultiPoly.one(1), x, x * x]
-        a_text = ["1", "α1", "α1^2"]
-        got = tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text, ["α1"])
-        assert got == ["1", "-α1", "α1^2"]
+        a_text = ["1", "m(1)", "m(2)"]
+        got = tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text)
+        assert got == ["1", "-m(1)", "m(2)"]
         assert got[2] is a_text[2]
 
 

@@ -22,9 +22,11 @@ from oracles import (
     LFactor,
     alternating_sum,
     delta_half_exponent,
+    dominant_series,
     embed_t1,
     embed_t2,
     even_index_sum,
+    expand_m_basis,
     formal_ext_sq_L,
     schur_bialternant,
     series2_product,
@@ -34,8 +36,13 @@ from oracles import (
 
 
 def product_series2(params, l1, l2):
+    """The product of the factors' inverted series, by its dominant terms."""
     std = embed_t1(standard_L(params).series(l1), l2)
-    return series2_product(std, embed_t2(formal_ext_sq_L(params).series(l2), l1))
+    return dominant_series(series2_product(std, embed_t2(formal_ext_sq_L(params).series(l2), l1)))
+
+
+def full_grid(grid):
+    return tuple(tuple(map(expand_m_basis, row)) for row in grid)
 
 
 class TestDeltaHalfExponent:
@@ -69,14 +76,14 @@ class TestJsSeries:
     def test_odd_symbolic(self, n, order):
         p = SatakeParams.symbolic(n)
         lhs = js_series(p, order).series
-        rhs = formal_ext_sq_L(p).series(order)
+        rhs = dominant_series(formal_ext_sq_L(p).series(order))
         assert series_first_difference(lhs, rhs) is None
 
     @pytest.mark.parametrize("tokens", [["sym", "sym", "sym", "0"], ["sym", "0"], ["sym", "sym", "0", "0"]])
     def test_even_with_zero(self, tokens):
         p = SatakeParams.parse(tokens)
         lhs = js_series(p, 6).series
-        rhs = formal_ext_sq_L(p).series(6)
+        rhs = dominant_series(formal_ext_sq_L(p).series(6))
         assert series_first_difference(lhs, rhs) is None
 
     def test_even_all_nonzero_differs_by_central_product(self):
@@ -88,7 +95,7 @@ class TestJsSeries:
         """
         p = SatakeParams.symbolic(4)
         lhs = js_series(p, 4).series
-        rhs = formal_ext_sq_L(p).series(4)
+        rhs = dominant_series(formal_ext_sq_L(p).series(4))
         diff = series_first_difference(lhs, rhs)
         assert diff is not None
         l, ca, cb = diff
@@ -108,7 +115,7 @@ class TestJsSeries:
     def test_rational_entries(self):
         p = SatakeParams.parse(["1/2", "-3", "2/5"])
         lhs = js_series(p, 8).series
-        rhs = formal_ext_sq_L(p).series(8)
+        rhs = dominant_series(formal_ext_sq_L(p).series(8))
         assert series_first_difference(lhs, rhs) is None
 
     def test_at_most_one_nonzero_entry_gives_unit(self):
@@ -133,7 +140,7 @@ class TestBfSeries:
         grid = [[MultiPoly.zero(4) for _ in range(5)] for _ in range(5)]
         grid[0][0] = MultiPoly.one(4)
         grid[0][2] = -omega
-        expected = series2_product(grid, product_series2(p, 4, 4))
+        expected = dominant_series(series2_product(grid, full_grid(product_series2(p, 4, 4))))
         assert series2_first_difference(lhs, expected) is None
 
     def test_even_with_zero_is_plain_product(self):
@@ -151,7 +158,7 @@ class TestBfSeries:
         grid = [[MultiPoly.zero(2) for _ in range(4)] for _ in range(4)]
         grid[0][0] = MultiPoly.one(2)
         grid[0][1] = -omega
-        expected = series2_product(grid, product_series2(p, 3, 3))
+        expected = dominant_series(series2_product(grid, full_grid(product_series2(p, 3, 3))))
         assert series2_first_difference(lhs, expected) is None
 
     def test_needs_two_entries(self):
@@ -210,7 +217,7 @@ class TestBfSeriesOracle:
                 continue
             value = substitute(_bialternant(shape, k), nonzero, nvars=params.nvars)
             grid[a][b] = grid[a][b] + value
-        return tuple(map(tuple, grid))
+        return dominant_series(tuple(map(tuple, grid)))
 
     @pytest.mark.parametrize("l1,l2", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2)])
     @pytest.mark.parametrize("kind", list(_BF_ORACLE_VECTORS))
@@ -286,8 +293,9 @@ class TestBfOddProbe:
         p = SatakeParams.parse(tokens)
         probe = bf_odd_correction_probe(p, *window)
         assert not probe.conductor_hypothesis
-        product = bf_product_series(p, *window)
-        assert series2_product(probe.correction, product) == bf_series(p, *window)
+        product = full_grid(bf_product_series(p, *window))
+        full = series2_product(full_grid(probe.correction), product)
+        assert dominant_series(full) == bf_series(p, *window)
 
     def test_rational_zero_entry(self):
         p = SatakeParams.parse(["3/4", "-2", "0", "1/6", "5"])
