@@ -9,22 +9,34 @@ since a rational entry is just a degree-zero polynomial.
 A local factor prod_r (1 - r t)^{-1}, t = q^{-s}, is determined by its
 roots r, and production never multiplies the linear factors out.  The
 `lfactor` report prints the sorted nonzero roots; the truncated series of a
-factor is built root by root from the same list (`product_series`, with
-`polynomials.times_linear_factors`), so no series is inverted.  The
-standard factor's roots are the entries, the exterior-square factor's the
-pair products `ext_sq_roots`; zero roots are factors 1.  The expanded
-reciprocals and their series inverse are the tests' oracles of this route,
-in `tests/oracles.py`.
+factor is built from the same list (`product_series`), and no series is
+inverted.  The standard factor's roots are the entries, the
+exterior-square factor's the pair products `ext_sq_roots`; zero roots are
+factors 1.  The expanded reciprocals and their series inverse are the
+tests' oracles of this route, in `tests/oracles.py`.
 
-The series runs over the integers.  Its t^k coefficient h_k is homogeneous
-of degree k, so h_k(r) = h_k(D r) / D^k, with D the lcm of the roots'
-coefficient denominators: the roots are scaled by D once, the products
-multiply ints only, and each coefficient is divided once, by D^k
-(`MultiPoly.div_int`).  A vector's factors are symmetric in its symbols,
-since `SatakeParams` holds each symbol exactly once, so each coefficient is
-expanded in full and then held by its dominant terms (`MultiPoly.dominant`),
-before the division; the Schur sums are held the same way, so the two
-sides of an identity compare exactly.
+A vector's factors are symmetric in its symbols, since `SatakeParams` holds
+each symbol exactly once, and are held by their dominant terms, as the
+Schur sums are, so the two sides of an identity compare exactly.  On the m
+symbols the pair roots are counted, not multiplied: a monomial of
+prod_{p<q} (1 - x_p x_q t)^{-1} is a multiset of edges pq, so its
+coefficient at m_nu t^K is M(nu), the number of loopless multigraphs on
+labelled vertices with degrees nu, |nu| = 2K (symmetric RSK; Stanley, *EC2*
+7.13).  One more vertex, of degree i, carries the edges x_p t1 of the
+standard factor: the t1^i t2^j coefficient of prod_p (1 - x_p t1)^{-1}
+prod_{p<q} (1 - x_p x_q t2)^{-1} is sum_nu M(nu + (i,)) m_nu.  Against the
+Schur sums these are Littlewood's identities (Macdonald, *Symmetric
+Functions*, I.5 Ex. 5): the Kostka numbers K_{lam nu} summed over the lam
+with even columns give M(nu), over those with i odd columns and |lam| = i +
+2j M(nu + (i,)); the two sides share no code.  `_MULTIGRAPHS` memoises M on
+sorted degrees and starts over at 16384 entries; `_partitions` keeps 4096.
+The other roots (x_p c, c c' and the constants c in t1) are multiplied into
+the orbit sums of the counted cells by `polynomials.times_linear_factors`,
+over the integers: each cell is homogeneous, so each root set is scaled
+once by D, the lcm of its denominators, and each t1^i t2^j cell is
+projected (`MultiPoly.dominant`) and divided once, by D1^i D2^j
+(`MultiPoly.div_int`).  With no nonzero constant the counted cells are the
+answer; with no symbol the counted part is 1 and the kernel does the rest.
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
@@ -38,10 +50,13 @@ identity can be verified coefficient by coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb, lcm
 from typing import Sequence
 
-from .polynomials import MultiPoly
-from .symmetric import _scaled_h, littlewood_sum
+from .polynomials import MultiPoly, times_linear_factors
+from .symmetric import littlewood_sum
 
 
 def parse_rational(token: str) -> Fraction:
@@ -139,17 +154,124 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
 
 
 def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
-    """prod_r 1/(1 - r t) through t^order, built root by root over the integers.
+    """prod_r 1/(1 - r t) through t^order, by its dominant terms (`product_grid`).
 
-    Coefficient k is h_k of the roots: h_k of the roots scaled by D, its
-    dominant terms divided once by D^k (see the module docstring).  Pass
-    `params.entries` for the standard factor's series and
-    `ext_sq_roots(params)` for the exterior-square one; both factors are
-    symmetric in the symbols.  The tests' oracle multiplies the reciprocal
-    out and inverts it as a series.
+    Pass `params.entries` for the standard factor's series and
+    `ext_sq_roots(params)` for the exterior-square one.  The tests' oracle
+    multiplies the reciprocal out and inverts it as a series.
     """
-    scale, hs = _scaled_h(roots, nvars, order)
-    return tuple(h.dominant().div_int(scale**k) for k, h in enumerate(hs))
+    return product_grid((), roots, nvars, 0, order)[0]
+
+
+# M by sorted degrees; starts over at _MULTIGRAPH_CAP entries (module docstring)
+_MULTIGRAPH_CAP = 1 << 14
+_MULTIGRAPHS: dict[tuple[int, ...], int] = {}
+
+
+def _multigraphs(degrees: tuple[int, ...]) -> int:
+    """M(d), the loopless multigraphs on labelled vertices of degrees d (sorted, positive)."""
+    count = _MULTIGRAPHS.get(degrees)
+    if count is not None:
+        return count
+    total = sum(degrees)
+    if total % 2 or (degrees and 2 * degrees[0] > total):
+        count = 0
+    elif len(degrees) <= 3:
+        # one solution: (a + b - c) / 2 edges join the vertices of degrees a and b
+        count = 1
+    else:
+        # the s edges of the last vertex, of least degree, go to any multiset of the others
+        *rest, s = degrees
+        count = 0
+        for picks in combinations_with_replacement(range(len(rest)), s):
+            left = rest.copy()
+            for p in picks:
+                left[p] -= 1
+            left.sort(reverse=True)
+            count += _multigraphs(tuple(filter(None, left)))
+    if len(_MULTIGRAPHS) >= _MULTIGRAPH_CAP:
+        _MULTIGRAPHS.clear()
+    _MULTIGRAPHS[degrees] = count
+    return count
+
+
+@lru_cache(maxsize=4096)
+def _partitions(weight: int, parts: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of `weight` into at most `parts` parts, none above `top`."""
+    if not weight:
+        return ((),)
+    out: list[tuple[int, ...]] = []
+    for a in range(min(weight, top), 0, -1):
+        if a * parts < weight:
+            break
+        out += [(a,) + rest for rest in _partitions(weight - a, parts - 1, a)]
+    return tuple(out)
+
+
+def _uncounted(roots: Sequence[MultiPoly], degree: int, nvars: int) -> tuple[list[MultiPoly], bool]:
+    """(the roots left, whether the x_p (degree 1) or the x_p x_q, p < q (degree 2) were taken out).
+
+    Those monomials, one copy each, and the zero roots are taken out only
+    when there are symbols and every one of the monomials is among the roots.
+    """
+    if not nvars:
+        return list(roots), False
+    seen = set()
+    rest = []
+    for r in roots:
+        if len(r) == 1 and 1 in r.coefficients() and not r.is_constant:
+            ((exps, _),) = r.terms()
+            if sum(exps) == degree and max(exps) == 1 and exps not in seen:
+                seen.add(exps)
+                continue
+        if r:
+            rest.append(r)
+    return (rest, True) if len(seen) == comb(nvars, degree) else (list(roots), False)
+
+
+def product_grid(
+    linear: Sequence[MultiPoly], pairs: Sequence[MultiPoly], nvars: int, l1: int, l2: int
+) -> tuple[tuple[MultiPoly, ...], ...]:
+    """prod_r 1/(1 - r t1) over `linear` times prod_r 1/(1 - r t2) over `pairs`, by dominant terms.
+
+    Cell [i][j] is the t1^i t2^j coefficient.  The symbols among `linear`
+    and their pair products among `pairs` are counted, each set only when
+    whole; the other roots are multiplied in (module docstring).
+    """
+    rest1, counted1 = _uncounted(linear, 1, nvars)
+    rest2, counted2 = _uncounted(pairs, 2, nvars)
+    grid = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    grid[0][0] = MultiPoly.one(nvars)
+    top1, top2 = l1 if counted1 else 0, l2 if counted2 else 0
+    cells = [(i, j) for i in range(top1 + 1) for j in range(top2 + 1) if i or j]
+    for i, j in cells:
+        counts = {}
+        # a vertex of degree nu_p carries x_p^nu_p; none exceeds half the total
+        for nu in _partitions(i + 2 * j, nvars, i + j):
+            degrees = tuple(sorted(nu + (i,), reverse=True)) if i else nu
+            counts[nu + (0,) * (nvars - len(nu))] = _multigraphs(degrees)
+        grid[i][j] = MultiPoly(nvars, counts)
+    if not rest1 and not rest2:
+        return tuple(map(tuple, grid))
+    d1 = lcm(*(c.denominator for r in rest1 for c in r.coefficients()))
+    d2 = lcm(*(c.denominator for r in rest2 for c in r.coefficients()))
+    # orbit sums and projections are the identity in fewer than two variables
+    expand = nvars > 1 and not all(r.is_constant for r in rest1 + rest2)
+    for i, j in cells:
+        c = grid[i][j]
+        grid[i][j] = (c.orbit_sum() if expand else c) * (d1**i * d2**j)
+    # t2 first: without symbols only row 0 is nonzero before it
+    if rest2:
+        scaled = [r * d2 for r in rest2]
+        grid = [times_linear_factors(row, scaled, l2, -1) if any(row) else row for row in grid]
+    if rest1:
+        scaled = [r * d1 for r in rest1]
+        columns = [times_linear_factors(c, scaled, l1, -1) if any(c) else c for c in zip(*grid)]
+        grid = list(zip(*columns))
+    return tuple(
+        tuple((c.dominant() if expand else c).div_int(d1**i * d2**j) for j, c in enumerate(row))
+        for i, row in enumerate(grid)
+    )
 
 
 class DoubledShapeSum:

@@ -45,7 +45,8 @@ product x1*...*xn (which adds 1 to every field) of such polynomials are
 those of the symmetric polynomials they stand for; other products are not.
 `dominant` projects a full symmetric polynomial onto this form,
 `orbit_sum` expands it back, `append_variable` builds the Schur
-polynomials in it (`symmetric.schur`), and `format_symmetric` prints it in
+polynomials in it (`symmetric.schur`), `weighted_sum` sums int multiples
+of such polynomials in one dict, and `format_symmetric` prints it in
 the m basis, each m(2,1,1) string memoised per key in `_M_TEXT`, which
 starts over at 4096 strings.
 """
@@ -293,7 +294,9 @@ class MultiPoly:
     def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms in graded lexicographic order (deterministic)."""
         terms = self._terms
-        return [(_unpack(k, self.nvars), terms[k]) for k in _graded_lex_keys(terms, self.nvars)]
+        # one term needs no sort
+        keys = terms if len(terms) == 1 else _graded_lex_keys(terms, self.nvars)
+        return [(_unpack(k, self.nvars), terms[k]) for k in keys]
 
     def coefficients(self) -> Iterable[Scalar]:
         """The nonzero coefficients, in no particular order."""
@@ -553,6 +556,18 @@ def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> Multi
         if type(c) is Fraction and c.denominator == 1:
             out[k] = c.numerator
     return MultiPoly._raw(nvars + 1, out)
+
+
+def weighted_sum(nvars: int, parts: Iterable[tuple[MultiPoly, int]]) -> MultiPoly:
+    """Sum of w * p over (p, w) in `parts`, int weights, into one packed-key dict."""
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for p, w in parts:
+        if p.nvars != nvars:
+            raise ValueError(f"dimension mismatch: {p.nvars} vs {nvars} variables")
+        for k, c in p._terms.items():
+            out[k] = get(k, 0) + w * c
+    return MultiPoly._raw(nvars, {k: _norm_scalar(c) for k, c in out.items() if c})
 
 
 def times_linear_factors(

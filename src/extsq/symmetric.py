@@ -11,7 +11,8 @@ Schur sums:
   Polynomials*, I (5.11) and I.6).  It is built by the branching rule
   restricted to dominant exponents, which moves packed exponent keys and
   multiplies no polynomials, and cached in `_SCHUR_CACHE` together with the
-  smaller-rank polynomials of the sub-shapes it recurses through;
+  smaller-rank polynomials of the sub-shapes it recurses through.  The
+  cache starts over once it holds `_SCHUR_CAP` (4096) entries;
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
   weight bound.  `littlewood_sum` builds one per vector and calls `value`
   for each shape; one shape f is `SchurValues(values, |f|).value(f)`;
@@ -35,11 +36,12 @@ the skew Jacobi-Trudi formula s_{f/mu} = det[h_{f_i - mu_j - i + j}] (I.5.4),
 
 with D the lcm of the constants' denominators.  h_0..h_N of the D c_i, the
 coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per vector
-by `_scaled_h` (the kernel `polynomials.times_linear_factors`, shared with
-the product sides of `lfactors` and `torus_sums`).  s_{f/mu} has degree
-|f| - |mu| in the constants: hence D^|mu| beside the one division by D^|f|,
-one Fraction per term (`MultiPoly.div_int`).  Each value is linear in the
-s_mu(x), so the dominant terms of the cached Schur polynomials give the
+by `_scaled_h` (the kernel `polynomials.times_linear_factors`, which also
+multiplies the uncounted roots into the product sides of `lfactors`).
+s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu| beside the
+one division by D^|f|, one Fraction per term (`MultiPoly.div_int`).  Each
+value is linear in the s_mu(x), so the dominant terms of the cached Schur
+polynomials, summed into one dict (`polynomials.weighted_sum`), give the
 value's.  All-symbolic vectors (r = 0) are the one term mu = f, the cached
 `schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
 (), an integer Jacobi-Trudi determinant, which `_det` expands along rows
@@ -58,8 +60,10 @@ import itertools
 import math
 from typing import Sequence
 
-from .polynomials import MultiPoly, append_variable, times_linear_factors
+from .polynomials import MultiPoly, append_variable, times_linear_factors, weighted_sum
 
+# Schur polynomials by (shape, rank); starts over at _SCHUR_CAP entries.
+_SCHUR_CAP = 4096
 _SCHUR_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
 
 
@@ -114,6 +118,8 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
                 sub = _SCHUR_CACHE.get((mu[: len(mu) - mu.count(0)], n - 1)) or schur(mu, n - 1)
                 parts.append((sub, weight - rest))
         p = append_variable(n - 1, parts)
+    if len(_SCHUR_CACHE) >= _SCHUR_CAP:
+        _SCHUR_CACHE.clear()
     _SCHUR_CACHE[key] = p
     return p
 
@@ -204,7 +210,7 @@ class SchurValues:
         # mu runs over the partitions with f_{i+r} <= mu_i <= f_i, i < m
         padded = shape + (0,) * (m + r - len(shape))
         ranges = [range(padded[i], padded[i + r] - 1, -1) for i in range(m)]
-        acc = MultiPoly.zero(self.nvars)
+        parts = []
         for mu in itertools.product(*ranges):
             if any(a < b for a, b in zip(mu, mu[1:])):
                 continue
@@ -216,9 +222,8 @@ class SchurValues:
             ]
             det = _det(rows)
             if det:
-                base = schur(mu, m) if m else MultiPoly.one(self.nvars)
-                acc = acc + base * (det * self.scale ** sum(mu))
-        return acc.div_int(self.scale**weight)
+                parts.append((schur(mu, m) if m else MultiPoly.one(0), det * self.scale ** sum(mu)))
+        return weighted_sum(self.nvars, parts).div_int(self.scale**weight)
 
 
 def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:

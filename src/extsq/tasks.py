@@ -3,18 +3,19 @@
 A config document is JSON with a `format_version` field and either one task
 object or a `tasks` list.  Tasks run one after another and reports come back
 in input order.  Tasks are not independent of each other: they share the
-module-level memo table `symmetric._SCHUR_CACHE`, which grows without bound
-for the life of the process, so a later task reuses the Schur polynomials of
-an earlier one.  Each entry holds a Schur polynomial by its dominant terms,
+module-level memo table `symmetric._SCHUR_CACHE`, which starts over once it
+holds 4096 entries, so a later task reuses the Schur polynomials of an
+earlier one.  Each entry holds a Schur polynomial by its dominant terms,
 its Kostka numbers; besides the polynomials a task asks for, the table holds
 the smaller-rank ones of the sub-shapes the branching rule builds them from.
 On the benchmark's `symbolic` seed-1 document that is 403 entries and 2.7k
 terms, where the expanded polynomials held 42k (`mixed` seed 1: 100
 entries, 277 terms, from 875); numeric vectors are evaluated without it.
-They also share `polynomials._MONOMIALS` and `polynomials._M_TEXT`, the
-memos of the strings that `MultiPoly.format` and
+They also share `lfactors._MULTIGRAPHS`, the multigraph counts of the
+product sides (capped at 16384), and `polynomials._MONOMIALS` and
+`polynomials._M_TEXT`, the memos of the strings that `MultiPoly.format` and
 `MultiPoly.format_symmetric` print, each capped at 4096 strings (and
-`_MONOMIALS` at 64 name lists).  Outputs do not depend on either reuse.
+`_MONOMIALS` at 64 name lists).  Outputs do not depend on any reuse.
 
 Each task's runner returns `(verdict, summary, data)`; `run_task` alone
 builds reports, adding the task echo and timing, and turns a precondition

@@ -16,12 +16,17 @@ whole window and `js_series` its t1^0 row, the doubled shapes, for either
 parity of n; `lfactors.ext_sq_expansion` reads the same row with k rows.
 
 Every sum and product here is symmetric in the symbols and held by its
-dominant terms (`polynomials`).  The product sides these sums are compared
-with are built from their linear roots: `bf_product_series` is the outer
-product of the two factors' integer series, built as in
-`lfactors.product_series` (whose oracle inverts the multiplied-out
-reciprocal), each cell multiplied in full and then projected onto its
-dominant terms and divided once by its scale.  `bf_odd_correction_probe`
+dominant terms (`polynomials`).  The product side the two-variable sum is
+compared with is counted, not multiplied (`lfactors.product_grid`): on the
+m symbols, the t1^i t2^j coefficient of prod_p (1 - x_p t1)^{-1}
+prod_{p<q} (1 - x_p x_q t2)^{-1} is sum_nu M(nu + (i,)) m_nu, |nu| = i +
+2j, M(d) the number of loopless multigraphs with degrees d: the edges
+x_p x_q join symbols and one extra vertex of degree i carries the edges
+x_p t1 (Stanley, *Enumerative Combinatorics 2*, 7.13).  By the same
+Littlewood identity it equals the sum of K_{lam nu} over the lam of that
+window, so the grid and `bf_series` meet without sharing code.  The
+constants' roots are multiplied in over the integers, and the oracle
+multiplies the inverted factor series.  `bf_odd_correction_probe`
 expands the sum's cells by orbit sums (`MultiPoly.orbit_sum`), multiplies
 them by each factor (1 - r t1) and (1 - r t2) rather than dividing by the
 product series, and projects the correction.  Neither multiplies
@@ -31,8 +36,8 @@ two-variable series.
 from __future__ import annotations
 
 from .polynomials import MultiPoly, times_linear_factors
-from .lfactors import DoubledShapeSum, SatakeParams, _doubled_shape_sum, ext_sq_roots
-from .symmetric import _scaled_h, littlewood_sum
+from .lfactors import DoubledShapeSum, SatakeParams, _doubled_shape_sum, ext_sq_roots, product_grid
+from .symmetric import littlewood_sum
 
 
 def js_series(params: SatakeParams, order: int) -> DoubledShapeSum:
@@ -63,20 +68,12 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, 
 
 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
-    """Standard factor in t1 times exterior-square factor in t2, truncated.
+    """Standard factor in t1 times exterior-square factor in t2, truncated, by dominant terms.
 
-    The factors are in different variables: the t1^i t2^j term is std_i * ext_j.
-    Both series are integer, from the entries scaled by D1 and the pair
-    products by D2, so each cell multiplies std_i * ext_j in full and
-    divides its dominant terms once, by D1^i D2^j.
+    The t1^i t2^j cell counts M(nu + (i,)) at m_nu on the symbols, and the
+    constants' roots are multiplied in (`lfactors.product_grid`).
     """
-    nvars = params.nvars
-    d1, std = _scaled_h(params.entries, nvars, l1)
-    d2, ext = _scaled_h(ext_sq_roots(params), nvars, l2)
-    return tuple(
-        tuple((a * b).dominant().div_int(d1**i * d2**j) for j, b in enumerate(ext))
-        for i, a in enumerate(std)
-    )
+    return product_grid(params.entries, ext_sq_roots(params), params.nvars, l1, l2)
 
 
 class BFProbeResult:

@@ -9,6 +9,11 @@ arithmetic that only the tests need:
   `symmetric.schur` (the branching rule) and, evaluated with `substitute`,
   of `symmetric.SchurValues` (the coproduct);
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
+* `multigraph_count` -- the loopless multigraphs with a degree sequence,
+  one edge multiplicity per pair of vertices at a time: the oracle of the
+  memoised count `lfactors._multigraphs` behind the counted product sides,
+  and, with `schur_bialternant`, of Littlewood's identities that equate
+  those counts with Kostka sums;
 * `partitions_bounded`, `alternating_sum`, `even_index_sum` and
   `doubled_shape` -- all partitions of a weight, filtered on a and b or
   doubled: the oracles of `symmetric.window_partitions` and its readers;
@@ -166,6 +171,34 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
+
+
+def multigraph_count(degrees: Sequence[int]) -> int:
+    """The loopless multigraphs on labelled vertices with these degrees, by brute force.
+
+    Each pair of vertices in turn takes every multiplicity both ends can
+    still carry; the last pair of a vertex must use up what it lacks.
+    """
+    n = len(degrees)
+    pairs = list(itertools.combinations(range(n), 2))
+    left = list(degrees)
+
+    def count(k: int) -> int:
+        if k == len(pairs):
+            return int(not any(left))
+        i, j = pairs[k]
+        total = 0
+        for e in range(min(left[i], left[j]) + 1):
+            if j == n - 1 and e != left[i]:
+                continue
+            left[i] -= e
+            left[j] -= e
+            total += count(k + 1)
+            left[i] += e
+            left[j] += e
+        return total
+
+    return count(0)
 
 
 def partitions_bounded(weight: int, max_parts: int) -> list[tuple[int, ...]]:

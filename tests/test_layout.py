@@ -35,7 +35,7 @@ def test_oracles_are_found():
     required |= {"partitions_bounded", "alternating_sum", "even_index_sum", "doubled_shape"}
     required |= {"machine_json"}
     required |= {"dominant_part", "dominant_series", "expand_m_basis", "format_m"}
-    required |= {"EntryVector", "satake_report_data"}
+    required |= {"EntryVector", "satake_report_data", "multigraph_count"}
     assert required <= set(ORACLE_NAMES)
 
 

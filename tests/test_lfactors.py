@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq import symmetric
+from extsq import lfactors
 from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series_first_difference
@@ -14,11 +14,15 @@ from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
 from oracles import (
     LFactor,
+    alternating_sum,
     dominant_series,
     format_terms,
     formal_ext_sq_L,
+    multigraph_count,
+    partitions_bounded,
     power,
     reciprocal_quotient,
+    schur_bialternant,
     standard_L,
 )
 
@@ -187,7 +191,11 @@ class TestRootwiseProductSide:
     @settings(max_examples=60, deadline=None)
     @given(sparse_roots(), st.integers(0, 7))
     def test_kernel_gets_int_roots(self, nvars_roots, order):
-        """product_series scales the roots by D before the kernel sees them."""
+        """product_series scales the roots by D before the kernel sees them.
+
+        The uncounted roots reach the kernel in at most one call; a root of
+        two terms is never counted, so with one there is a call.
+        """
         nvars, roots = nvars_roots
         seen = []
 
@@ -195,9 +203,11 @@ class TestRootwiseProductSide:
             seen.append([c for r in roots for c in r.coefficients()])
             return times_linear_factors(coeffs, roots, order, power)
 
-        with patch.object(symmetric, "times_linear_factors", spy):
+        with patch.object(lfactors, "times_linear_factors", spy):
             product_series(roots, nvars, order)
-        assert len(seen) == 1 and all(type(c) is int for c in seen[0])
+        assert len(seen) <= 1 and all(type(c) is int for cs in seen for c in cs)
+        if any(len(r) > 1 for r in roots):
+            assert len(seen) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_roots())
@@ -212,6 +222,60 @@ class TestRootwiseProductSide:
         assert product_series(p.entries, p.nvars, 6) == dominant_series(standard_L(p).series(6))
         ext = formal_ext_sq_L(p).series(6)
         assert product_series(ext_sq_roots(p), p.nvars, 6) == dominant_series(ext)
+
+
+def kostka_sum(nu, odd_columns, n):
+    """The sum of K_{lam nu}, the coefficients at x^nu of the bialternant s_lam in n
+    variables, over the lam with at most n rows, |lam| = |nu| and that many odd columns."""
+    padded = nu + (0,) * (n - len(nu))
+    return sum(
+        schur_bialternant(lam, n).coefficient(padded)
+        for lam in partitions_bounded(sum(nu), n)
+        if alternating_sum(lam) == odd_columns
+    )
+
+
+class TestMultigraphCounts:
+    """M(d) behind the counted product sides, against brute force and Littlewood's identities."""
+
+    def test_every_degree_sequence_up_to_weight_12(self):
+        checked = 0
+        for weight in range(13):
+            for d in partitions_bounded(weight, 5):
+                assert lfactors._multigraphs(d) == multigraph_count(d), d
+                checked += 1
+        assert checked == 197
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_even_columns_count_the_pair_graphs(self, n):
+        """sum_{lam with even columns} K_{lam nu} = M(nu), the m_nu coefficient of
+        prod_{p<q} 1/(1 - x_p x_q)."""
+        for weight in range(0, 9, 2):
+            for nu in partitions_bounded(weight, n):
+                assert kostka_sum(nu, 0, n) == multigraph_count(nu), nu
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_odd_columns_add_a_vertex(self, n):
+        """sum_{lam with i odd columns} K_{lam nu} = M(nu + (i,)), the m_nu t1^i
+        coefficient of prod_p 1/(1 - x_p t1) prod_{p<q} 1/(1 - x_p x_q)."""
+        for i in range(1, 4):
+            for j in range(3):
+                for nu in partitions_bounded(i + 2 * j, n):
+                    degrees = tuple(sorted(nu + (i,), reverse=True))
+                    assert kostka_sum(nu, i, n) == multigraph_count(degrees), (nu, i)
+
+    def test_memo_starts_over_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(lfactors, "_MULTIGRAPHS", {})
+        monkeypatch.setattr(lfactors, "_MULTIGRAPH_CAP", 8)
+        for d in partitions_bounded(10, 5):
+            assert lfactors._multigraphs(d) == multigraph_count(d), d
+            assert len(lfactors._MULTIGRAPHS) <= 8
+
+    def test_memo_stays_under_its_cap_on_16_symbols(self, monkeypatch):
+        monkeypatch.setattr(lfactors, "_MULTIGRAPHS", {})
+        body = {"task": "lfactor", "satake": ["sym"] * 16, "truncation": 4}
+        assert run_task(parse_task(body)).verdict == "info"
+        assert 0 < len(lfactors._MULTIGRAPHS) < lfactors._MULTIGRAPH_CAP
 
 
 class TestLfactorReport:

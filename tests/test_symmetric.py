@@ -134,6 +134,13 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur((1, 1, 1), 2)
 
+    def test_cache_starts_over_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
+        monkeypatch.setattr(symmetric, "_SCHUR_CAP", 5)
+        for f in [(3, 2, 1), (4, 2), (2, 2, 1, 1), (3, 3, 2), (3, 2, 1)]:
+            assert schur(f, 4) == dominant_part(schur_bialternant(f, 4))
+            assert len(symmetric._SCHUR_CACHE) <= 5
+
     def test_part_past_exponent_cap_raises(self):
         with pytest.raises(ValueError):
             schur((5000,), 2)

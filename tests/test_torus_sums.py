@@ -5,11 +5,11 @@ from functools import lru_cache, reduce
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq import symmetric
-from extsq.lfactors import SatakeParams
+from extsq import lfactors, symmetric
+from extsq.lfactors import SatakeParams, ext_sq_roots, product_series
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series2_first_difference, series_first_difference
 from extsq.torus_sums import (
@@ -248,6 +248,51 @@ class TestBfProductSeries:
         p = SatakeParams.parse(tokens)
         assert bf_product_series(p, *window) == product_series2(p, *window)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just("sym"),
+                st.just("0"),
+                st.fractions(min_value=-3, max_value=3, max_denominator=5).map(str),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    def test_counted_sides_match_the_expanded_ones(self, tokens, order, l1, l2):
+        """Drawn vectors of symbols, rationals and zeros: the counted exterior-square
+        series against its inverted reciprocal, and the grid against the cell products."""
+        p = SatakeParams.parse(tokens)
+        ext = product_series(ext_sq_roots(p), p.nvars, order)
+        assert ext == dominant_series(formal_ext_sq_L(p).series(order))
+        assert bf_product_series(p, l1, l2) == product_series2(p, l1, l2)
+
+    @pytest.mark.parametrize(
+        "tokens", [["sym"] * 2, ["sym"] * 3, ["sym"] * 6, ["sym", "0", "sym", "sym"], ["0", "sym"] * 3]
+    )
+    def test_no_pair_root_reaches_the_kernel(self, monkeypatch, tokens):
+        """All-symbolic sides are counted: the kernel never sees a root x_p x_q."""
+        p = SatakeParams.parse(tokens)
+        x = [MultiPoly.variable(p.nvars, i) for i in range(p.nvars)]
+        pairs = [a * b for a, b in itertools.combinations(x, 2)]
+        seen = []
+
+        def spy(coeffs, roots, order, power):
+            seen.extend(roots)
+            return times_linear_factors(coeffs, roots, order, power)
+
+        for module in (lfactors, symmetric):
+            monkeypatch.setattr(module, "times_linear_factors", spy)
+        ext = product_series(ext_sq_roots(p), p.nvars, 5)
+        grid = bf_product_series(p, 3, 3)
+        assert not [r for r in seen if r in pairs]
+        assert ext == dominant_series(formal_ext_sq_L(p).series(5))
+        assert grid == product_series2(p, 3, 3)
+
     @pytest.mark.parametrize("tokens", [["sym", "5/6", "-7/4", "2/9"], ["3/8", "0", "-5/12", "7/10"]])
     def test_both_series_are_built_from_int_roots(self, tokens):
         p = SatakeParams.parse(tokens)
@@ -257,9 +302,9 @@ class TestBfProductSeries:
             seen.append([c for r in roots for c in r.coefficients()])
             return times_linear_factors(coeffs, roots, order, power)
 
-        with patch.object(symmetric, "times_linear_factors", spy):
+        with patch.object(lfactors, "times_linear_factors", spy):
             bf_product_series(p, 3, 3)
-        assert len(seen) == 2 and all(type(c) is int for cs in seen for c in cs)
+        assert seen and all(type(c) is int for cs in seen for c in cs)
 
 
 class TestBfOddProbe:
