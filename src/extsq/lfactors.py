@@ -30,13 +30,15 @@ Functions*, I.5 Ex. 5): the Kostka numbers K_{lam nu} summed over the lam
 with even columns give M(nu), over those with i odd columns and |lam| = i +
 2j M(nu + (i,)); the two sides share no code.  `_MULTIGRAPHS` memoises M on
 sorted degrees and starts over at 16384 entries; `_partitions` keeps 4096.
-The other roots (x_p c, c c' and the constants c in t1) are multiplied into
-the orbit sums of the counted cells by `polynomials.times_linear_factors`,
-over the integers: each cell is homogeneous, so each root set is scaled
-once by D, the lcm of its denominators, and each t1^i t2^j cell is
-projected (`MultiPoly.dominant`) and divided once, by D1^i D2^j
-(`MultiPoly.div_int`).  With no nonzero constant the counted cells are the
-answer; with no symbol the counted part is 1 and the kernel does the rest.
+Both root lists are counted or neither is: a list counts when its nonzero
+roots are exactly the x_p (t1) or the x_p x_q (t2), each once, or it has
+none.  Any other pair of lists (for a vector's factors: a nonzero
+constant among its entries) is multiplied out whole by the kernel
+`polynomials.times_linear_factors`, over the integers: each cell is
+homogeneous, so each list is scaled once by D, the lcm of its
+denominators, the pairs go in one row pass and the nonzero linear roots in
+one pass per column, and each t1^i t2^j cell is projected
+(`MultiPoly.dominant`) and divided once, by D1^i D2^j (`MultiPoly.div_int`).
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
@@ -122,10 +124,6 @@ class SatakeParams:
                 entries.append(MultiPoly.constant(nsyms, value))
         return cls(entries, nvars=nsyms)
 
-    @classmethod
-    def symbolic(cls, n: int) -> "SatakeParams":
-        return cls([MultiPoly.variable(n, i) for i in range(n)], nvars=n)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SatakeParams):
             return self.nvars == other.nvars and self.entries == other.entries
@@ -154,11 +152,13 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
 
 
 def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
-    """prod_r 1/(1 - r t) through t^order, by its dominant terms (`product_grid`).
+    """prod_r 1/(1 - r t) through t^order, by its dominant terms: the t2 row of `product_grid`.
 
-    Pass `params.entries` for the standard factor's series and
-    `ext_sq_roots(params)` for the exterior-square one.  The tests' oracle
-    multiplies the reciprocal out and inverts it as a series.
+    Pass `ext_sq_roots(params)` for the exterior-square factor's series;
+    the standard factor's is the t1 column of
+    `product_grid(params.entries, (), nvars, order, 0)`, counted on the
+    symbols.  The tests' oracle multiplies the reciprocal out and inverts
+    it as a series.
     """
     return product_grid((), roots, nvars, 0, order)[0]
 
@@ -208,25 +208,22 @@ def _partitions(weight: int, parts: int, top: int) -> tuple[tuple[int, ...], ...
     return tuple(out)
 
 
-def _uncounted(roots: Sequence[MultiPoly], degree: int, nvars: int) -> tuple[list[MultiPoly], bool]:
-    """(the roots left, whether the x_p (degree 1) or the x_p x_q, p < q (degree 2) were taken out).
+def _counts(roots: Sequence[MultiPoly], degree: int, nvars: int) -> bool:
+    """Whether the nonzero roots are the x_p (degree 1) or the x_p x_q, p < q (degree 2), each once.
 
-    Those monomials, one copy each, and the zero roots are taken out only
-    when there are symbols and every one of the monomials is among the roots.
+    A list with no nonzero root counts too: its factor is 1.
     """
-    if not nvars:
-        return list(roots), False
     seen = set()
-    rest = []
     for r in roots:
-        if len(r) == 1 and 1 in r.coefficients() and not r.is_constant:
-            ((exps, _),) = r.terms()
-            if sum(exps) == degree and max(exps) == 1 and exps not in seen:
-                seen.add(exps)
-                continue
-        if r:
-            rest.append(r)
-    return (rest, True) if len(seen) == comb(nvars, degree) else (list(roots), False)
+        if not r:
+            continue
+        if len(r) != 1:
+            return False
+        ((exps, c),) = r.terms()
+        if c != 1 or sum(exps) != degree or max(exps) != 1 or exps in seen:
+            return False
+        seen.add(exps)
+    return len(seen) in (0, comb(nvars, degree))
 
 
 def product_grid(
@@ -234,43 +231,32 @@ def product_grid(
 ) -> tuple[tuple[MultiPoly, ...], ...]:
     """prod_r 1/(1 - r t1) over `linear` times prod_r 1/(1 - r t2) over `pairs`, by dominant terms.
 
-    Cell [i][j] is the t1^i t2^j coefficient.  The symbols among `linear`
-    and their pair products among `pairs` are counted, each set only when
-    whole; the other roots are multiplied in (module docstring).
+    Cell [i][j] is the t1^i t2^j coefficient.  When both lists are the
+    symbols and their pair products (`_counts`) the cells are counted;
+    otherwise both lists are multiplied out (module docstring).
     """
-    rest1, counted1 = _uncounted(linear, 1, nvars)
-    rest2, counted2 = _uncounted(pairs, 2, nvars)
-    grid = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
-    grid[0][0] = MultiPoly.one(nvars)
-    top1, top2 = l1 if counted1 else 0, l2 if counted2 else 0
-    cells = [(i, j) for i in range(top1 + 1) for j in range(top2 + 1) if i or j]
-    for i, j in cells:
-        counts = {}
-        # a vertex of degree nu_p carries x_p^nu_p; none exceeds half the total
-        for nu in _partitions(i + 2 * j, nvars, i + j):
-            degrees = tuple(sorted(nu + (i,), reverse=True)) if i else nu
-            counts[nu + (0,) * (nvars - len(nu))] = _multigraphs(degrees)
-        grid[i][j] = MultiPoly(nvars, counts)
-    if not rest1 and not rest2:
+    if _counts(linear, 1, nvars) and _counts(pairs, 2, nvars):
+        grid = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+        grid[0][0] = MultiPoly.one(nvars)
+        # a list with no nonzero root is the factor 1: its powers past 0 stay zero
+        top1, top2 = (l1 if any(linear) else 0), (l2 if any(pairs) else 0)
+        for i, j in ((i, j) for i in range(top1 + 1) for j in range(top2 + 1) if i or j):
+            counts = {}
+            # a vertex of degree nu_p carries x_p^nu_p; none exceeds half the total
+            for nu in _partitions(i + 2 * j, nvars, i + j):
+                degrees = tuple(sorted(nu + (i,), reverse=True)) if i else nu
+                counts[nu + (0,) * (nvars - len(nu))] = _multigraphs(degrees)
+            grid[i][j] = MultiPoly(nvars, counts)
         return tuple(map(tuple, grid))
-    d1 = lcm(*(c.denominator for r in rest1 for c in r.coefficients()))
-    d2 = lcm(*(c.denominator for r in rest2 for c in r.coefficients()))
-    # orbit sums and projections are the identity in fewer than two variables
-    expand = nvars > 1 and not all(r.is_constant for r in rest1 + rest2)
-    for i, j in cells:
-        c = grid[i][j]
-        grid[i][j] = (c.orbit_sum() if expand else c) * (d1**i * d2**j)
-    # t2 first: without symbols only row 0 is nonzero before it
-    if rest2:
-        scaled = [r * d2 for r in rest2]
-        grid = [times_linear_factors(row, scaled, l2, -1) if any(row) else row for row in grid]
-    if rest1:
-        scaled = [r * d1 for r in rest1]
-        columns = [times_linear_factors(c, scaled, l1, -1) if any(c) else c for c in zip(*grid)]
-        grid = list(zip(*columns))
+    d1 = lcm(*(c.denominator for r in linear for c in r.coefficients()))
+    d2 = lcm(*(c.denominator for r in pairs for c in r.coefficients()))
+    grid = [times_linear_factors([MultiPoly.one(nvars)], [r * d2 for r in pairs], l2, -1)]
+    scaled = [r * d1 for r in linear if r]
+    if scaled:
+        grid = list(zip(*(times_linear_factors([c], scaled, l1, -1) for c in grid[0])))
+    grid += [[MultiPoly.zero(nvars)] * (l2 + 1)] * (l1 + 1 - len(grid))
     return tuple(
-        tuple((c.dominant() if expand else c).div_int(d1**i * d2**j) for j, c in enumerate(row))
-        for i, row in enumerate(grid)
+        tuple(c.dominant().div_int(d1**i * d2**j) for j, c in enumerate(row)) for i, row in enumerate(grid)
     )
 
 

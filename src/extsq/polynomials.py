@@ -24,17 +24,9 @@ sum of the fields, the total degree, as long as that sum is below 0xFFFF.
 The guard admits degrees up to nvars * 32767, which from three variables on
 can reach it (x1^21845*x2^21845*x3^21845 would read as degree 0), so the
 helper first bounds every degree by the field sum of the OR of all keys and
-sums unpacked fields instead when that bound reaches 0xFFFF.
-
-`format` builds each monomial string once per name list.  `_MONOMIALS`
-keeps one record per `tuple(names)`; it splits a packed key into its high
-half, the fields of the first nvars - nvars // 2 names, and its low half,
-the last nvars // 2, and maps each half-key to its string.  Once a record's
-two maps hold `_MONOMIAL_CAP` (4096) strings between them it starts over,
-and once `_NAME_LISTS` (64) name lists have records a new list starts the
-whole memo over.  A string is built the same way on a hit or a miss, so the
-output never depends on the memo; concurrent callers can at worst build a
-string twice or pass a cap by one string each.
+sums unpacked fields instead when that bound reaches 0xFFFF.  `format`
+builds each monomial string afresh (`_monomial`); production prints only
+root lists with it, one term per root.
 
 A symmetric polynomial sum_nu c_nu m_nu, m_nu the monomial symmetric
 polynomial (Macdonald, *Symmetric Functions*, I.2), is held by its dominant
@@ -110,11 +102,6 @@ def _unpack(key: int, nvars: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Memoised monomial strings; see the module docstring.
-_MONOMIAL_CAP = 4096
-_NAME_LISTS = 64
-
-
 def _monomial(names: Sequence[str], key: int) -> str:
     """The product of names[i]^e_i over the fields of `key`; "" for 1."""
     factors = []
@@ -127,39 +114,8 @@ def _monomial(names: Sequence[str], key: int) -> str:
     return "*".join(factors)
 
 
-class _MonomialStrings:
-    """The monomial strings of one name list, keyed by packed-key half."""
-
-    __slots__ = ("high_names", "low_names", "shift", "mask", "high", "low")
-
-    def __init__(self, names: tuple[str, ...]):
-        split = len(names) - len(names) // 2
-        self.high_names, self.low_names = names[:split], names[split:]
-        self.shift = _EXP_BITS * (len(names) // 2)
-        self.mask = (1 << self.shift) - 1
-        self.high: dict[int, str] = {}  # key >> shift -> string over high_names
-        self.low: dict[int, str] = {}  # key & mask -> string over low_names
-
-    def build(self, table: dict[int, str], half: int) -> str:
-        """Build, record and return the string of `half`, a key of `table`."""
-        if len(self.high) + len(self.low) >= _MONOMIAL_CAP:
-            self.high.clear()
-            self.low.clear()
-        names = self.high_names if table is self.high else self.low_names
-        table[half] = text = _monomial(names, half)
-        return text
-
-
-_MONOMIALS: dict[tuple[str, ...], _MonomialStrings] = {}
-
-
-def _monomial_strings(names: tuple[str, ...]) -> _MonomialStrings:
-    if len(_MONOMIALS) >= _NAME_LISTS:
-        _MONOMIALS.clear()
-    record = _MONOMIALS[names] = _MonomialStrings(names)
-    return record
-
-
+# m-basis strings by dominant key; see the module docstring.
+_M_TEXT_CAP = 4096
 _M_TEXT: dict[int, str] = {}
 
 
@@ -171,7 +127,7 @@ def _m_text(key: int) -> str:
         if rest & _EXP_MASK:
             parts.append(str(rest & _EXP_MASK))
         rest >>= _EXP_BITS
-    if len(_M_TEXT) >= _MONOMIAL_CAP:
+    if len(_M_TEXT) >= _M_TEXT_CAP:
         _M_TEXT.clear()
     _M_TEXT[key] = text = f"m({','.join(reversed(parts))})"
     return text
@@ -304,11 +260,6 @@ class MultiPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, exps: Sequence[int]) -> Scalar:
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong dimension")
-        return self._terms.get(_pack(exps), 0)
 
     # -- ring operations ----------------------------------------------------
 
@@ -479,10 +430,7 @@ class MultiPoly:
     # -- formatting ----------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
-        """Canonical text form, graded-lex term order, exact coefficients.
-
-        Monomial strings come from the memo `_MONOMIALS` (module docstring).
-        """
+        """Canonical text form, graded-lex term order, exact coefficients."""
         nvars = self.nvars
         if names is None:
             names = [f"x{i + 1}" for i in range(nvars)]
@@ -491,19 +439,10 @@ class MultiPoly:
         terms = self._terms
         if not terms:
             return "0"
-        names = tuple(names)
-        strings = _MONOMIALS.get(names) or _monomial_strings(names)
-        shift, mask, high, low = strings.shift, strings.mask, strings.high, strings.low
         pieces: list[str] = []
         # one term needs no sort
         for key in terms if len(terms) == 1 else _graded_lex_keys(terms, nvars):
-            hs = high.get(key >> shift)
-            if hs is None:
-                hs = strings.build(high, key >> shift)
-            ls = low.get(key & mask)
-            if ls is None:
-                ls = strings.build(low, key & mask)
-            mono = f"{hs}*{ls}" if hs and ls else hs or ls
+            mono = _monomial(names, key)
             c = terms[key]
             # a stored Fraction is never integral, so its text is n/d, never 1
             if type(c) is Fraction:

@@ -37,7 +37,7 @@ the skew Jacobi-Trudi formula s_{f/mu} = det[h_{f_i - mu_j - i + j}] (I.5.4),
 with D the lcm of the constants' denominators.  h_0..h_N of the D c_i, the
 coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per vector
 by `_scaled_h` (the kernel `polynomials.times_linear_factors`, which also
-multiplies the uncounted roots into the product sides of `lfactors`).
+multiplies out the product sides of `lfactors` that are not counted).
 s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu| beside the
 one division by D^|f|, one Fraction per term (`MultiPoly.div_int`).  Each
 value is linear in the s_mu(x), so the dominant terms of the cached Schur

@@ -12,10 +12,9 @@ On the benchmark's `symbolic` seed-1 document that is 403 entries and 2.7k
 terms, where the expanded polynomials held 42k (`mixed` seed 1: 100
 entries, 277 terms, from 875); numeric vectors are evaluated without it.
 They also share `lfactors._MULTIGRAPHS`, the multigraph counts of the
-product sides (capped at 16384), and `polynomials._MONOMIALS` and
-`polynomials._M_TEXT`, the memos of the strings that `MultiPoly.format` and
-`MultiPoly.format_symmetric` print, each capped at 4096 strings (and
-`_MONOMIALS` at 64 name lists).  Outputs do not depend on any reuse.
+product sides (capped at 16384), and `polynomials._M_TEXT`, the m-basis
+strings that `MultiPoly.format_symmetric` prints (capped at 4096).
+Outputs do not depend on any reuse.
 
 Each task's runner returns `(verdict, summary, data)`; `run_task` alone
 builds reports, adding the task echo and timing, and turns a precondition
@@ -57,6 +56,7 @@ from .lfactors import (
     ext_sq_expansion,
     ext_sq_roots,
     parse_rational,
+    product_grid,
     product_series,
 )
 from .polynomials import MultiPoly
@@ -377,7 +377,7 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     order = cfg.truncation
     names = _names(params.nvars)
     ext_roots = ext_sq_roots(params)
-    std_series = product_series(params.entries, params.nvars, order)
+    std_series = [row[0] for row in product_grid(params.entries, (), params.nvars, order, 0)]
     ext_series = product_series(ext_roots, params.nvars, order)
     data = {
         "standard_roots": _root_strings(params.nonzero_entries, names),

@@ -16,21 +16,22 @@ whole window and `js_series` its t1^0 row, the doubled shapes, for either
 parity of n; `lfactors.ext_sq_expansion` reads the same row with k rows.
 
 Every sum and product here is symmetric in the symbols and held by its
-dominant terms (`polynomials`).  The product side the two-variable sum is
-compared with is counted, not multiplied (`lfactors.product_grid`): on the
-m symbols, the t1^i t2^j coefficient of prod_p (1 - x_p t1)^{-1}
-prod_{p<q} (1 - x_p x_q t2)^{-1} is sum_nu M(nu + (i,)) m_nu, |nu| = i +
-2j, M(d) the number of loopless multigraphs with degrees d: the edges
-x_p x_q join symbols and one extra vertex of degree i carries the edges
-x_p t1 (Stanley, *Enumerative Combinatorics 2*, 7.13).  By the same
-Littlewood identity it equals the sum of K_{lam nu} over the lam of that
-window, so the grid and `bf_series` meet without sharing code.  The
-constants' roots are multiplied in over the integers, and the oracle
-multiplies the inverted factor series.  `bf_odd_correction_probe`
-expands the sum's cells by orbit sums (`MultiPoly.orbit_sum`), multiplies
-them by each factor (1 - r t1) and (1 - r t2) rather than dividing by the
-product series, and projects the correction.  Neither multiplies
-two-variable series.
+dominant terms (`polynomials`).  When the entries are the symbols and
+zeros, the product side the two-variable sum is compared with is counted,
+not multiplied (`lfactors.product_grid`): on the m symbols, the t1^i t2^j
+coefficient of prod_p (1 - x_p t1)^{-1} prod_{p<q} (1 - x_p x_q t2)^{-1}
+is sum_nu M(nu + (i,)) m_nu, |nu| = i + 2j, M(d) the number of loopless
+multigraphs with degrees d: the edges x_p x_q join symbols and one extra
+vertex of degree i carries the edges x_p t1 (Stanley, *Enumerative
+Combinatorics 2*, 7.13).  By the same Littlewood identity it equals the
+sum of K_{lam nu} over the lam of that window, so the grid and `bf_series`
+meet without sharing code.  With a nonzero constant among the entries both
+factors are multiplied out whole over the integers instead, and the oracle
+multiplies the inverted factor series.  `bf_odd_correction_probe` expands
+the sum's cells by orbit sums (`MultiPoly.orbit_sum`), multiplies them by
+each factor (1 - r t1) and (1 - r t2) rather than dividing by the product
+series, and projects the correction.  Neither multiplies two-variable
+series.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def bf_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, 
 def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """Standard factor in t1 times exterior-square factor in t2, truncated, by dominant terms.
 
-    The t1^i t2^j cell counts M(nu + (i,)) at m_nu on the symbols, and the
-    constants' roots are multiplied in (`lfactors.product_grid`).
+    The t1^i t2^j cell counts M(nu + (i,)) at m_nu when the entries are the
+    symbols and zeros; otherwise both factors are multiplied out
+    (`lfactors.product_grid`).
     """
     return product_grid(params.entries, ext_sq_roots(params), params.nvars, l1, l2)
 

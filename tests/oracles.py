@@ -17,8 +17,11 @@ arithmetic that only the tests need:
 * `partitions_bounded`, `alternating_sum`, `even_index_sum` and
   `doubled_shape` -- all partitions of a weight, filtered on a and b or
   doubled: the oracles of `symmetric.window_partitions` and its readers;
-* `format_terms` -- a polynomial's text from its `terms()`, each monomial
-  string built afresh: the oracle of `MultiPoly.format` and its memo;
+* `format_terms` -- a polynomial's text from its `terms()`: the oracle of
+  `MultiPoly.format`;
+* `coefficient` and `symbolic_params` -- a polynomial's coefficient at an
+  exponent vector, read from `terms()`, and the all-symbol vector of n
+  entries, which production never needs;
 * `dominant_part` (and `dominant_series`, per coefficient or cell),
   `expand_m_basis` and `format_m` -- a symmetric
   polynomial's dominant terms, read from the unpacked exponent vectors of
@@ -293,6 +296,18 @@ def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
         else:
             pieces.append(body if c > 0 else f"-{body}")
     return " ".join(pieces) or "0"
+
+
+def coefficient(p: MultiPoly, exps: Sequence[int]) -> int | Fraction:
+    """The coefficient of p at the exponent vector `exps`, 0 when absent; ValueError on a wrong length."""
+    if len(exps) != p.nvars:
+        raise ValueError("exponent vector has wrong dimension")
+    return dict(p.terms()).get(tuple(exps), 0)
+
+
+def symbolic_params(n: int) -> SatakeParams:
+    """The vector of n symbols."""
+    return SatakeParams.parse(["sym"] * n)
 
 
 # -- polynomials and truncated series ----------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from extsq import polynomials, symmetric
+from extsq import lfactors, polynomials, symmetric
 from extsq.cli import main as cli_main
 from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
@@ -52,6 +52,7 @@ from oracles import (
     standard_L,
     standard_satake,
     substitute,
+    symbolic_params,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -60,7 +61,8 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 @pytest.fixture(autouse=True)
 def cold_caches():
     symmetric._SCHUR_CACHE.clear()
-    polynomials._MONOMIALS.clear()
+    lfactors._MULTIGRAPHS.clear()
+    polynomials._M_TEXT.clear()
     yield
 
 
@@ -97,7 +99,7 @@ def test_criterion_02_littlewood_expansion(capsys):
     failures = []
     for k in (2, 3, 4, 5):
         order = 6 if k == 5 else 8
-        p = SatakeParams.symbolic(k)
+        p = symbolic_params(k)
         diff = series_first_difference(ext_sq_expansion(p, order).series, oracle_series(p, order))
         if diff is not None:
             failures.append((k, diff[0]))
@@ -109,7 +111,7 @@ def test_criterion_03_torus_sum_odd(capsys):
     t0 = time.perf_counter()
     failures = []
     for n in (3, 5):
-        p = SatakeParams.symbolic(n)
+        p = symbolic_params(n)
         diff = series_first_difference(js_series(p, 6).series, oracle_series(p, 6))
         if diff is not None:
             failures.append((n, diff[0]))
@@ -125,7 +127,7 @@ def test_criterion_04_torus_sum_even(capsys):
         diff = series_first_difference(js_series(p, 6).series, oracle_series(p, 6))
         if diff is not None:
             problems.append(f"n={n} differs at t^{diff[0]}")
-    p4 = SatakeParams.symbolic(4)
+    p4 = symbolic_params(4)
     neg = series_first_difference(js_series(p4, 4).series, oracle_series(p4, 4))
     if neg is None:
         problems.append("all-nonzero n=4 unexpectedly agrees through t^4")
@@ -188,7 +190,7 @@ def test_criterion_07_two_variable_even(capsys):
             embed_t1(standard_L(p).series(l1), l2), embed_t2(formal_ext_sq_L(p).series(l2), l1)
         )
 
-    p = SatakeParams.symbolic(4)
+    p = symbolic_params(4)
     omega = reduce(lambda a, b: a * b, p.entries)
     grid = [[MultiPoly.zero(4) for _ in range(5)] for _ in range(5)]
     grid[0][0] = MultiPoly.one(4)
@@ -217,7 +219,7 @@ def test_criterion_08_two_variable_odd(capsys):
     probe = bf_odd_correction_probe(p, 4, 4)
     if not (probe.conductor_hypothesis and probe.matches_product):
         problems.append("probe did not certify the correction as 1")
-    open_probe = bf_odd_correction_probe(SatakeParams.symbolic(3), 4, 4)
+    open_probe = bf_odd_correction_probe(symbolic_params(3), 4, 4)
     if open_probe.conductor_hypothesis:
         problems.append("all-nonzero probe mislabeled as conductor-positive")
     if open_probe.correction[0][0] != 1:

@@ -15,6 +15,7 @@ from extsq.torus_sums import js_series
 from oracles import (
     LFactor,
     alternating_sum,
+    coefficient,
     dominant_series,
     format_terms,
     formal_ext_sq_L,
@@ -24,6 +25,7 @@ from oracles import (
     reciprocal_quotient,
     schur_bialternant,
     standard_L,
+    symbolic_params,
 )
 
 
@@ -51,7 +53,7 @@ class TestSatakeParams:
         assert SatakeParams.parse([" 0.25 "]).entries[0] == Fraction(1, 4)
 
     def test_symbolic(self):
-        p = SatakeParams.symbolic(3)
+        p = symbolic_params(3)
         assert p.n == 3 and p.nvars == 3
         assert not p.has_zero
 
@@ -112,14 +114,14 @@ class TestLFactor:
 
 class TestStandardAndExtSq:
     def test_standard_reciprocal_n2(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         a, b = p.entries
         rec = standard_L(p).reciprocal
         assert rec[1] == -(a + b)
         assert rec[2] == a * b
 
     def test_ext_sq_reciprocal_n2_is_single_pair(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         a, b = p.entries
         rec = formal_ext_sq_L(p).reciprocal
         assert len(rec) == 2
@@ -193,8 +195,8 @@ class TestRootwiseProductSide:
     def test_kernel_gets_int_roots(self, nvars_roots, order):
         """product_series scales the roots by D before the kernel sees them.
 
-        The uncounted roots reach the kernel in at most one call; a root of
-        two terms is never counted, so with one there is a call.
+        A list that does not count reaches the kernel whole, in one call; a
+        root of two terms never counts, so with one there is a call.
         """
         nvars, roots = nvars_roots
         seen = []
@@ -216,6 +218,37 @@ class TestRootwiseProductSide:
         product = times_linear_factors([MultiPoly.one(nvars)], roots, len(roots), 1)
         assert LFactor(product, nvars) == LFactor.from_linear_roots(roots, nvars)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda roots, nvars: roots[1:],
+            lambda roots, nvars: roots + roots[:1],
+            lambda roots, nvars: [roots[0] * 2] + roots[1:],
+            lambda roots, nvars: roots + [MultiPoly.constant(nvars, 3)],
+        ],
+        ids=["one-missing", "one-repeated", "coefficient-2", "extra-constant"],
+    )
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_near_miss_lists_go_to_the_kernel(self, mutate, degree):
+        """A list one change away from the symbols (t1) or their pair products
+        (t2) does not count: it is multiplied out, and still equals the oracle."""
+        nvars, order = 4, 5
+        p = symbolic_params(nvars)
+        roots = mutate(list(p.entries) if degree == 1 else ext_sq_roots(p), nvars)
+        calls = []
+
+        def spy(coeffs, roots, order, power):
+            calls.append(len(roots))
+            return times_linear_factors(coeffs, roots, order, power)
+
+        with patch.object(lfactors, "times_linear_factors", spy):
+            if degree == 1:
+                got = tuple(row[0] for row in lfactors.product_grid(roots, (), nvars, order, 0))
+            else:
+                got = product_series(roots, nvars, order)
+        assert len(roots) in calls
+        assert got == dominant_series(LFactor.from_linear_roots(roots, nvars).series(order))
+
     @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
     def test_series_reads_the_factor_roots(self, tokens):
         p = SatakeParams.parse(tokens)
@@ -229,7 +262,7 @@ def kostka_sum(nu, odd_columns, n):
     variables, over the lam with at most n rows, |lam| = |nu| and that many odd columns."""
     padded = nu + (0,) * (n - len(nu))
     return sum(
-        schur_bialternant(lam, n).coefficient(padded)
+        coefficient(schur_bialternant(lam, n), padded)
         for lam in partitions_bounded(sum(nu), n)
         if alternating_sum(lam) == odd_columns
     )
@@ -308,10 +341,24 @@ class TestLfactorReport:
         assert data["ext_sq_roots"] == sorted(format_terms(r, names) for r in pairs if r)
 
 
+    def test_all_symbol_factors_are_counted(self):
+        """No root of an all-symbol vector reaches the kernel, the standard factor's included."""
+        calls = []
+
+        def spy(coeffs, roots, order, power):
+            calls.append(roots)
+            return times_linear_factors(coeffs, roots, order, power)
+
+        body = {"task": "lfactor", "satake": ["sym"] * 8, "truncation": 8}
+        with patch.object(lfactors, "times_linear_factors", spy):
+            assert run_task(parse_task(body)).verdict == "info"
+        assert calls == []
+
+
 class TestExtSqExpansion:
     @pytest.mark.parametrize("k,order", [(2, 6), (3, 5), (4, 4)])
     def test_symbolic_identity(self, k, order):
-        p = SatakeParams.symbolic(k)
+        p = symbolic_params(k)
         lhs = ext_sq_expansion(p, order).series
         rhs = dominant_series(formal_ext_sq_L(p).series(order))
         assert series_first_difference(lhs, rhs) is None
@@ -360,7 +407,7 @@ class TestFullExpansion:
     """
 
     def test_odd_always_asserted(self):
-        p = SatakeParams.symbolic(3)
+        p = symbolic_params(3)
         out = js_series(p, 5)
         assert series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(5))) is None
 
@@ -370,7 +417,7 @@ class TestFullExpansion:
         assert series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(5))) is None
 
     def test_even_all_nonzero_flags_and_differs(self):
-        p = SatakeParams.symbolic(4)
+        p = symbolic_params(4)
         out = js_series(p, 4)
         diff = series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(4)))
         assert diff is not None
@@ -384,7 +431,7 @@ class TestFullExpansion:
 
 class TestReciprocalQuotient:
     def test_exact_division(self):
-        p = SatakeParams.symbolic(3)
+        p = symbolic_params(3)
         num = formal_ext_sq_L(p)
         a, b, c = p.entries
         den = LFactor.from_linear_roots([a * b], 3)
@@ -393,19 +440,19 @@ class TestReciprocalQuotient:
         assert LFactor(list(q)) == LFactor.from_linear_roots([a * c, b * c], 3)
 
     def test_self_division_gives_one(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         f = standard_L(p)
         assert reciprocal_quotient(f, f) == (MultiPoly.one(2),)
 
     def test_non_divisor_returns_none(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         a, b = p.entries
         num = LFactor.from_linear_roots([a], 2)
         den = LFactor.from_linear_roots([b], 2)
         assert reciprocal_quotient(num, den) is None
 
     def test_degree_obstruction(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         num = LFactor.from_linear_roots([p.entries[0]], 2)
         den = standard_L(p)
         assert reciprocal_quotient(num, den) is None

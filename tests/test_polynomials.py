@@ -4,9 +4,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq import polynomials
 from extsq.polynomials import MultiPoly, append_variable, times_linear_factors
 from oracles import (
+    coefficient,
     divexact_binomial,
     dominant_part,
     expand_m_basis,
@@ -65,11 +65,11 @@ class TestMultiPolyBasics:
 
     def test_coefficient_lookup(self):
         p = poly(2, {(1, 0): 3, (0, 2): Fraction(1, 2)})
-        assert p.coefficient((1, 0)) == 3
-        assert p.coefficient((0, 2)) == Fraction(1, 2)
-        assert p.coefficient((1, 1)) == 0
+        assert coefficient(p, (1, 0)) == 3
+        assert coefficient(p, (0, 2)) == Fraction(1, 2)
+        assert coefficient(p, (1, 1)) == 0
         with pytest.raises(ValueError):
-            p.coefficient((1,))
+            coefficient(p, (1,))
 
     def test_eq_against_scalars(self):
         assert MultiPoly.constant(3, 7) == 7
@@ -93,8 +93,8 @@ class TestMultiPolyArithmetic:
         x = MultiPoly.variable(2, 0)
         y = MultiPoly.variable(2, 1)
         cube = power(x + y, 3)
-        assert cube.coefficient((2, 1)) == 3
-        assert cube.coefficient((3, 0)) == 1
+        assert coefficient(cube, (2, 1)) == 3
+        assert coefficient(cube, (3, 0)) == 1
         with pytest.raises(ValueError):
             power(x + y, -1)
 
@@ -318,8 +318,8 @@ class TestFormat:
                     st.just(n),
                     st.lists(
                         st.tuples(
-                            # small fields repeat half-keys across calls; the
-                            # all-zero vector is the constant term
+                            # small and large fields; the all-zero vector is the
+                            # constant term
                             st.tuples(*[st.integers(0, 2) | st.integers(4096, 32767)] * n),
                             st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
                         ),
@@ -331,7 +331,7 @@ class TestFormat:
             max_size=6,
         )
     )
-    def test_memo_matches_the_oracle(self, calls):
+    def test_format_matches_the_oracle(self, calls):
         """Interleaved name lists, two of each length, print as the oracle does."""
         for nvars, raw, y_first in calls:
             xs = [MultiPoly.variable(nvars, i) for i in range(nvars)]
@@ -344,20 +344,6 @@ class TestFormat:
             lists = [[f"x{i + 1}" for i in range(nvars)], [f"y{i + 1}" for i in range(nvars)]]
             for names in lists[::-1] if y_first else lists:
                 assert p.format(names) == format_terms(p, names)
-
-    def test_memo_past_its_caps(self):
-        names = ("u", "v")
-        polynomials._MONOMIALS.pop(names, None)
-        # 2 * 3000 half-keys: the record starts over once, mid-format
-        p = MultiPoly(2, {(i, i): i - 1500 for i in range(3000)})
-        assert p.format(names) == format_terms(p, names)
-        record = polynomials._MONOMIALS[names]
-        assert 0 < len(record.high) + len(record.low) <= polynomials._MONOMIAL_CAP
-        # a name list past the cap on lists starts the whole memo over
-        q = MultiPoly(1, {(3,): -2})
-        for i in range(polynomials._NAME_LISTS + 5):
-            assert q.format([f"z{i}"]) == f"-2*z{i}^3"
-        assert len(polynomials._MONOMIALS) <= polynomials._NAME_LISTS
 
 
 class TestAppendVariable:
@@ -387,7 +373,7 @@ class TestAppendVariable:
         half = x * Fraction(1, 2)
         assert append_variable(1, [(x, 1), (-x, 1)]).is_zero
         got = append_variable(1, [(half, 1), (half, 1)])
-        assert got.terms() == [((1, 1), 1)] and type(got.coefficient((1, 1))) is int
+        assert got.terms() == [((1, 1), 1)] and type(coefficient(got, (1, 1))) is int
 
     def test_rejects_bad_exponent_and_dimension(self):
         x = MultiPoly.variable(1, 0)

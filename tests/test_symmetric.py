@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extsq import symmetric
-from extsq.lfactors import SatakeParams, ext_sq_expansion
+from extsq.lfactors import ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import SchurValues, check_partition, schur, window_partitions
 from extsq.torus_sums import js_series
@@ -20,6 +20,7 @@ from oracles import (
     power,
     schur_bialternant,
     substitute,
+    symbolic_params,
 )
 
 
@@ -196,7 +197,7 @@ class TestSchurOracle:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_doubled_shapes_of_the_torus_sums(self, n):
-        params = SatakeParams.symbolic(n)
+        params = symbolic_params(n)
         shapes = {
             shape
             for expansion in (ext_sq_expansion(params, 4), js_series(params, 4))

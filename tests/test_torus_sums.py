@@ -32,6 +32,7 @@ from oracles import (
     series2_product,
     standard_L,
     substitute,
+    symbolic_params,
 )
 
 
@@ -74,7 +75,7 @@ class TestDeltaHalfExponent:
 class TestJsSeries:
     @pytest.mark.parametrize("n,order", [(3, 6), (5, 5)])
     def test_odd_symbolic(self, n, order):
-        p = SatakeParams.symbolic(n)
+        p = symbolic_params(n)
         lhs = js_series(p, order).series
         rhs = dominant_series(formal_ext_sq_L(p).series(order))
         assert series_first_difference(lhs, rhs) is None
@@ -93,7 +94,7 @@ class TestJsSeries:
         product of all four entries (the shape (1,1,1,1) the padded sum was
         built to exclude).
         """
-        p = SatakeParams.symbolic(4)
+        p = symbolic_params(4)
         lhs = js_series(p, 4).series
         rhs = dominant_series(formal_ext_sq_L(p).series(4))
         diff = series_first_difference(lhs, rhs)
@@ -105,12 +106,12 @@ class TestJsSeries:
 
     def test_parity_validation(self):
         """The parity of n picks the shapes: (f,f,0) for n=3, (f,f,0,0) for n=4."""
-        odd = js_series(SatakeParams.symbolic(3), 3).terms
-        even = js_series(SatakeParams.symbolic(4), 3).terms
+        odd = js_series(symbolic_params(3), 3).terms
+        even = js_series(symbolic_params(4), 3).terms
         assert [shape for _, shape, _ in odd] == [(l, l, 0) for l in range(4)]
         assert [shape for _, shape, _ in even] == [(l, l, 0, 0) for l in range(4)]
         with pytest.raises(ValueError):
-            js_series(SatakeParams.symbolic(1), 3)
+            js_series(symbolic_params(1), 3)
 
     def test_rational_entries(self):
         p = SatakeParams.parse(["1/2", "-3", "2/5"])
@@ -134,7 +135,7 @@ class TestJsSeries:
 
 class TestBfSeries:
     def test_even_symbolic_with_central_factor(self):
-        p = SatakeParams.symbolic(4)
+        p = symbolic_params(4)
         lhs = bf_series(p, 4, 4)
         omega = reduce(lambda a, b: a * b, p.entries)
         grid = [[MultiPoly.zero(4) for _ in range(5)] for _ in range(5)]
@@ -152,7 +153,7 @@ class TestBfSeries:
         assert series2_first_difference(bf_series(p, 4, 4), product_series2(p, 4, 4)) is None
 
     def test_n2_small_window(self):
-        p = SatakeParams.symbolic(2)
+        p = symbolic_params(2)
         lhs = bf_series(p, 3, 3)
         omega = p.entries[0] * p.entries[1]
         grid = [[MultiPoly.zero(2) for _ in range(4)] for _ in range(4)]
@@ -319,7 +320,7 @@ class TestBfOddProbe:
         )
 
     def test_all_nonzero_reports_nontrivial_correction(self):
-        p = SatakeParams.symbolic(3)
+        p = symbolic_params(3)
         probe = bf_odd_correction_probe(p, 3, 3)
         assert not probe.conductor_hypothesis
         assert not probe.matches_product
@@ -349,4 +350,4 @@ class TestBfOddProbe:
 
     def test_even_rejected(self):
         with pytest.raises(ValueError):
-            bf_odd_correction_probe(SatakeParams.symbolic(4), 2, 2)
+            bf_odd_correction_probe(symbolic_params(4), 2, 2)
