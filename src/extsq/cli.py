@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-littlewood", "doubled-shape Schur expansion against the pair product"),
         ("verify-js", "rank-n torus sum against the exterior-square factor"),
         ("verify-bf", "two-variable torus sum against its product form"),
-        ("bf-odd-probe", "empirical correction factor for odd rank"),
+        ("bf-odd-probe", "odd-rank sum over the product of factors: the correction 1 - ω t1 t2^m"),
     ):
         p = sub.add_parser(name, parents=[common], help=desc)
         p.add_argument("--satake", required=True, type=_satake_value, help=satake_help)

@@ -250,10 +250,10 @@ def product_grid(
         return tuple(map(tuple, grid))
     d1 = lcm(*(c.denominator for r in linear for c in r.coefficients()))
     d2 = lcm(*(c.denominator for r in pairs for c in r.coefficients()))
-    grid = [times_linear_factors([MultiPoly.one(nvars)], [r * d2 for r in pairs], l2, -1)]
+    grid = [times_linear_factors([MultiPoly.one(nvars)], [r * d2 for r in pairs], l2)]
     scaled = [r * d1 for r in linear if r]
     if scaled:
-        grid = list(zip(*(times_linear_factors([c], scaled, l1, -1) for c in grid[0])))
+        grid = list(zip(*(times_linear_factors([c], scaled, l1) for c in grid[0])))
     grid += [[MultiPoly.zero(nvars)] * (l2 + 1)] * (l1 + 1 - len(grid))
     return tuple(
         tuple(c.dominant().div_int(d1**i * d2**j) for j, c in enumerate(row)) for i, row in enumerate(grid)

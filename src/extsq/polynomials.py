@@ -35,18 +35,18 @@ every other term is a rearrangement of one of them with the same
 coefficient.  Sums, integer multiples, equality and multiplication by the
 product x1*...*xn (which adds 1 to every field) of such polynomials are
 those of the symmetric polynomials they stand for; other products are not.
-`dominant` projects a full symmetric polynomial onto this form,
-`orbit_sum` expands it back, `append_variable` builds the Schur
-polynomials in it (`symmetric.schur`), `weighted_sum` sums int multiples
-of such polynomials in one dict, and `format_symmetric` prints it in
-the m basis, each m(2,1,1) string memoised per key in `_M_TEXT`, which
-starts over at 4096 strings.
+`dominant` projects a full symmetric polynomial onto this form, and the
+tests' oracle `expand_m_basis` expands it back; `append_variable` builds
+the Schur polynomials in it (`symmetric.schur`), `weighted_sum` sums int
+multiples of such polynomials in one dict, and `format_symmetric` prints
+it in the m basis, each m(2,1,1) string memoised per key in `_M_TEXT`,
+which starts over at 4096 strings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
@@ -131,22 +131,6 @@ def _m_text(key: int) -> str:
         _M_TEXT.clear()
     _M_TEXT[key] = text = f"m({','.join(reversed(parts))})"
     return text
-
-
-@lru_cache(maxsize=4096)
-def _orbit_keys(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The packed keys of the distinct rearrangements of `parts`, a weakly decreasing tuple.
-
-    Each distinct value in turn takes the top field, over the rearrangements of the rest.
-    """
-    if not parts:
-        return (0,)
-    shift = _EXP_BITS * (len(parts) - 1)
-    out: list[int] = []
-    for i, e in enumerate(parts):
-        if not i or e != parts[i - 1]:
-            out += [e << shift | k for k in _orbit_keys(parts[:i] + parts[i + 1 :])]
-    return tuple(out)
 
 
 def _graded_lex_keys(terms: Mapping[int, Scalar], nvars: int) -> list[int]:
@@ -387,16 +371,6 @@ class MultiPoly:
             nvars, {k: terms[k] for k in terms if ((k >> _EXP_BITS | guard) - (k & rest)) & guard == guard}
         )
 
-    def orbit_sum(self) -> "MultiPoly":
-        """The symmetric polynomial whose dominant terms are self's: each c x^nu becomes c m_nu.
-
-        Distinct dominant nu have disjoint orbits, so each key is written once.
-        """
-        out: dict[int, Scalar] = {}
-        for key, c in self._terms.items():
-            out.update(dict.fromkeys(_orbit_keys(_unpack(key, self.nvars)), c))
-        return MultiPoly._raw(self.nvars, out)
-
     def format_symmetric(self) -> str:
         """Canonical text of the symmetric polynomial sum c_nu m_nu whose dominant terms these are.
 
@@ -510,21 +484,17 @@ def weighted_sum(nvars: int, parts: Iterable[tuple[MultiPoly, int]]) -> MultiPol
 
 
 def times_linear_factors(
-    coeffs: Sequence[MultiPoly], roots: Sequence[MultiPoly], order: int, power: int
+    coeffs: Sequence[MultiPoly], roots: Sequence[MultiPoly], order: int
 ) -> list[MultiPoly]:
-    """t-coefficients 0..order of coeffs(t) * prod_r (1 - r t)^power, power = +-1.
+    """t-coefficients 0..order of coeffs(t) / prod_r (1 - r t).
 
     `coeffs` lists a polynomial (or truncated series) in t by ascending
-    power, zero-padded or truncated to `order`.  Each root updates the list
-    in place on packed-key dicts: power 1 sets c_k -= r c_{k-1} for k
-    descending, so c_{k-1} is still the old value; power -1 divides by
-    (1 - r t) with c_k += r c_{k-1} for k ascending, so c_{k-1} is already
-    divided.  A root of zero contributes 1.  Each result coefficient is
-    wrapped as a MultiPoly once, at the end.  Raises ValueError past the
-    exponent cap, as products do.
+    power, zero-padded or truncated to `order`.  Each root divides the list
+    by (1 - r t) in place on packed-key dicts, c_k += r c_{k-1} for k
+    ascending, so c_{k-1} is already divided.  A root of zero contributes
+    1.  Each result coefficient is wrapped as a MultiPoly once, at the end.
+    Raises ValueError past the exponent cap, as products do.
     """
-    if power not in (1, -1):
-        raise ValueError(f"power must be 1 or -1, got {power!r}")
     if not coeffs or order < 0:
         raise ValueError("need at least the t^0 coefficient and order >= 0")
     nvars = coeffs[0].nvars
@@ -534,15 +504,14 @@ def times_linear_factors(
             raise ValueError("coefficients in different symbol spaces")
         acc.append(dict(c._terms))
     acc += [{} for _ in range(order + 1 - len(acc))]
-    steps = range(order, 0, -1) if power == 1 else range(1, order + 1)
     guard = _guard_mask(nvars)
     for r in roots:
         if r.nvars != nvars:
             raise ValueError("root in wrong symbol space")
-        root = {k: -c for k, c in r._terms.items()} if power == 1 else r._terms
+        root = r._terms
         if not root:
             continue
-        for k in steps:
+        for k in range(1, order + 1):
             src = acc[k - 1]
             if not src:
                 continue

@@ -161,7 +161,7 @@ def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int,
     """
     scale = math.lcm(*(c.denominator for v in values for c in v.coefficients()))
     scaled = [v * scale for v in values]
-    return scale, times_linear_factors([MultiPoly.one(nvars)], scaled, order, -1)
+    return scale, times_linear_factors([MultiPoly.one(nvars)], scaled, order)
 
 
 class SchurValues:

@@ -47,7 +47,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 from .lfactors import (
@@ -61,7 +61,7 @@ from .lfactors import (
 )
 from .polynomials import MultiPoly
 from .series import series2_first_difference, series_first_difference
-from .torus_sums import bf_odd_correction_probe, bf_product_series, bf_series, js_series
+from .torus_sums import bf_odd_correction_probe, bf_product_form, bf_series, js_series
 from .weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
@@ -461,17 +461,9 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
             "closed product form here; run bf-odd-probe for the empirical correction"
         )
         return "info", note, data
-    expected = bf_product_series(params, l1, l2)
+    omega, expected = bf_product_form(params, l1, l2)
     form = "the product of factors"
     if not odd:
-        # ω is c x1...xk, which adds 1 to every exponent of a dominant term,
-        # so ω times the dominant terms of a cell are those of ω times the cell
-        omega = reduce(lambda a, b: a * b, params.entries)
-        # (1 - ω t2^m) times each row: c_j - ω c_{j-m}, reading the old row
-        expected = [
-            [c - omega * row[j - m] if j >= m else c for j, c in enumerate(row)]
-            for row in expected
-        ]
         data["central_product"] = omega.format_symmetric()
         form = f"(1 - ω t2^{m}) times {form}"
     diff = series2_first_difference(lhs, expected)
@@ -499,7 +491,7 @@ def _run_bf_odd_probe(cfg: TaskConfig) -> Outcome:
     try:
         probe = bf_odd_correction_probe(params, l1, l2)
     except ArithmeticError as exc:
-        return "fail", str(exc), {"conductor_hypothesis": True}
+        return "fail", str(exc), {"conductor_hypothesis": params.has_zero}
     data = {
         "conductor_hypothesis": probe.conductor_hypothesis,
         "matches_product": probe.matches_product,

@@ -27,17 +27,30 @@ Combinatorics 2*, 7.13).  By the same Littlewood identity it equals the
 sum of K_{lam nu} over the lam of that window, so the grid and `bf_series`
 meet without sharing code.  With a nonzero constant among the entries both
 factors are multiplied out whole over the integers instead, and the oracle
-multiplies the inverted factor series.  `bf_odd_correction_probe` expands
-the sum's cells by orbit sums (`MultiPoly.orbit_sum`), multiplies them by
-each factor (1 - r t1) and (1 - r t2) rather than dividing by the product
-series, and projects the correction.  Neither multiplies two-variable
-series.
+multiplies the inverted factor series.
+
+The sum and the product of factors differ by one factor, which
+`bf_product_form` applies.  Over n entries the sum over at most n rows is
+all of Littlewood's sum, the product L(t1) * ext-sq L(t2).  Going from
+n-1 rows to n adds the shapes lam + (1^n), and s_{lam+(1^n)} = e_n s_lam,
+so that product is the torus sum divided by (1 - omega w), w the grading
+of one column of length n: t2^m for n = 2m, t1 t2^m for n = 2m+1.  Hence
+
+    bf_series = (1 - omega t1^(n mod 2) t2^(n // 2)) * L(t1) * ext-sq L(t2),
+
+omega = e_n the product of all entries, 0 when one vanishes.  Both
+`verify-bf` and `bf_odd_correction_probe` read that one grid, and no
+routine here multiplies two-variable series.
 """
 
 from __future__ import annotations
 
-from .polynomials import MultiPoly, times_linear_factors
+from functools import reduce
+from operator import mul
+
+from .polynomials import MultiPoly
 from .lfactors import DoubledShapeSum, SatakeParams, _doubled_shape_sum, ext_sq_roots, product_grid
+from .series import series2_first_difference
 from .symmetric import littlewood_sum
 
 
@@ -78,13 +91,34 @@ def bf_product_series(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[Mul
     return product_grid(params.entries, ext_sq_roots(params), params.nvars, l1, l2)
 
 
+def bf_product_form(
+    params: SatakeParams, l1: int, l2: int
+) -> tuple[MultiPoly, tuple[tuple[MultiPoly, ...], ...]]:
+    """(omega, grid): the product form of `bf_series`, by dominant terms (module docstring).
+
+    grid is `bf_product_series` times (1 - omega t1^a t2^b), a = n mod 2 and
+    b = n // 2: cell [i][j] is c - omega P[i-a][j-b].  omega = c x1...xk
+    adds 1 to every exponent, so omega times dominant terms stays dominant.
+    """
+    b, a = divmod(params.n, 2)
+    omega = reduce(mul, params.entries, MultiPoly.one(params.nvars))
+    grid = bf_product_series(params, l1, l2)
+    if omega:
+        grid = tuple(
+            tuple(c - omega * grid[i - a][j - b] if i >= a and j >= b else c for j, c in enumerate(row))
+            for i, row in enumerate(grid)
+        )
+    return omega, grid
+
+
 class BFProbeResult:
-    """Outcome of dividing the odd-rank two-variable sum by its product form.
+    """Outcome of dividing the odd-rank two-variable sum by the product of its factors.
 
     `correction` is sum / (standard factor in t1 * exterior-square factor in
-    t2), a grid like `bf_series`.  When some entry vanishes the correction
-    is asserted to be exactly 1 (`matches_product` True); with all entries
-    nonzero no identity is asserted and the correction is purely empirical.
+    t2), a grid like `bf_series`: 1 - omega t1 t2^m within the window.  It
+    is 1 (`matches_product` True) when some entry vanishes, and also when
+    the window stops short of t1 t2^m; `conductor_hypothesis` says whether
+    an entry vanishes.
     """
 
     __slots__ = ("correction", "conductor_hypothesis", "matches_product")
@@ -101,28 +135,28 @@ class BFProbeResult:
 
 
 def bf_odd_correction_probe(params: SatakeParams, l1: int, l2: int) -> BFProbeResult:
-    """Compare the odd-rank two-variable sum against the pure product form."""
+    """Compare the odd-rank two-variable sum against the product of its factors.
+
+    The sum is checked against `bf_product_form` cell by cell, and an
+    ArithmeticError names the first cell that differs.  The product grid's
+    constant term is 1, so the correction is then exactly (1 - omega t1
+    t2^m) truncated to the window, n = 2m+1.
+    """
     n = params.n
     if n < 3 or n % 2 == 0:
         raise ValueError("probe applies to odd n >= 3")
-    # the factors multiply full polynomials, not dominant terms: expand each cell
-    lhs = [[c.orbit_sum() for c in row] for row in bf_series(params, l1, l2)]
-    # the inverse of the product form is prod (1 - a_i t1) prod (1 - a_i a_j t2):
-    # multiply it into lhs, column by column in t1, then row by row in t2
-    columns = [
-        times_linear_factors([row[j] for row in lhs], params.entries, l1, 1)
-        for j in range(l2 + 1)
-    ]
-    roots = ext_sq_roots(params)
-    correction = tuple(
-        tuple(c.dominant() for c in times_linear_factors([col[i] for col in columns], roots, l2, 1))
-        for i in range(l1 + 1)
-    )
-    matches = correction[0][0] == 1 and all(
-        c.is_zero for i, row in enumerate(correction) for j, c in enumerate(row) if i or j
-    )
-    if params.has_zero and not matches:
+    m = n // 2
+    omega, expected = bf_product_form(params, l1, l2)
+    diff = series2_first_difference(bf_series(params, l1, l2), expected)
+    if diff is not None:
+        (i, j), _, _ = diff
         raise ArithmeticError(
-            "vanishing-entry hypothesis holds but the product identity failed"
+            f"two-variable torus sum differs from (1 - ω t1 t2^{m}) times the product of factors"
+            f" at t1^{i} t2^{j}"
         )
-    return BFProbeResult(correction, params.has_zero, matches)
+    correction = [[MultiPoly.zero(params.nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    correction[0][0] = MultiPoly.one(params.nvars)
+    matches = not omega or l1 < 1 or l2 < m
+    if not matches:
+        correction[1][m] = -omega
+    return BFProbeResult(tuple(map(tuple, correction)), params.has_zero, matches)

@@ -63,6 +63,7 @@ def cold_caches():
     symmetric._SCHUR_CACHE.clear()
     lfactors._MULTIGRAPHS.clear()
     polynomials._M_TEXT.clear()
+    lfactors._partitions.cache_clear()
     yield
 
 

@@ -14,4 +14,3 @@ def test_library_example_runs():
     assert namespace["power"] == 1 and namespace["shape"] == (1, 1, 0)
     assert namespace["text"] == namespace["value"].format_symmetric() == "m(1,1)"
     assert namespace["value"].format() == "x1*x2"
-    assert namespace["full"] == "x1*x2 + x1*x3 + x2*x3"

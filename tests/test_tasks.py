@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extsq import tasks
+from extsq import tasks, torus_sums
 from extsq.cli import main
 from extsq import weil_deligne
 from extsq.polynomials import MultiPoly
@@ -634,14 +634,14 @@ class TestFailBranches:
     )
     def test_bf_differs_from_its_product_form(self, monkeypatch, satake, keys, torus_sum, expected):
         """1 added to the product side at t1 t2^2."""
-        real = tasks.bf_product_series
+        real = torus_sums.bf_product_series
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
             grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
             return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(tasks, "bf_product_series", bumped)
+        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
         r = self.check(
             {"task": "verify-bf", "satake": satake, "truncation": [2, 3]},
             "two-variable torus sum differs from its product form at t1^1 t2^2",
@@ -668,6 +668,24 @@ class TestFailBranches:
             ["conductor_hypothesis", "basis"],
         )
         assert r.data == {"conductor_hypothesis": True, "basis": "monomial_symmetric"}
+
+    @pytest.mark.parametrize("satake", [["sym", "sym", "sym"], ["sym", "sym", "0"]])
+    def test_probe_fails_where_the_product_side_is_wrong(self, monkeypatch, satake):
+        """1 added to the product side at t2^2: the probe names that cell, whether or not an entry vanishes."""
+        real = torus_sums.bf_product_series
+
+        def bumped(params, l1, l2):
+            grid = [list(row) for row in real(params, l1, l2)]
+            grid[0][2] = grid[0][2] + MultiPoly.one(params.nvars)
+            return tuple(map(tuple, grid))
+
+        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
+        r = self.check(
+            {"task": "bf-odd-probe", "satake": satake, "truncation": [2, 2]},
+            "two-variable torus sum differs from (1 - ω t1 t2^1) times the product of factors at t1^0 t2^2",
+            ["conductor_hypothesis", "basis"],
+        )
+        assert r.data["conductor_hypothesis"] is ("0" in satake)
 
 
 _TEXT = st.text(st.sampled_from('aα"\\/\n\t\x00\x1f\x7f é€😀') | st.characters(), max_size=8)
@@ -996,14 +1014,14 @@ class TestCli:
 
     def test_failing_verdict_exit_1(self, monkeypatch):
         """A fail forced on the product side (as in TestFailBranches) exits 1."""
-        real = tasks.bf_product_series
+        real = torus_sums.bf_product_series
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
             grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
             return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(tasks, "bf_product_series", bumped)
+        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
         code, out = self.run_cli(
             "verify-bf", "--satake", "sym,2,0", "--truncation", "2,3", "--format", "machine"
         )

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -14,6 +15,7 @@ from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series2_first_difference, series_first_difference
 from extsq.torus_sums import (
     bf_odd_correction_probe,
+    bf_product_form,
     bf_product_series,
     bf_series,
     js_series,
@@ -282,9 +284,9 @@ class TestBfProductSeries:
         pairs = [a * b for a, b in itertools.combinations(x, 2)]
         seen = []
 
-        def spy(coeffs, roots, order, power):
+        def spy(coeffs, roots, order):
             seen.extend(roots)
-            return times_linear_factors(coeffs, roots, order, power)
+            return times_linear_factors(coeffs, roots, order)
 
         for module in (lfactors, symmetric):
             monkeypatch.setattr(module, "times_linear_factors", spy)
@@ -299,13 +301,41 @@ class TestBfProductSeries:
         p = SatakeParams.parse(tokens)
         seen = []
 
-        def spy(coeffs, roots, order, power):
+        def spy(coeffs, roots, order):
             seen.append([c for r in roots for c in r.coefficients()])
-            return times_linear_factors(coeffs, roots, order, power)
+            return times_linear_factors(coeffs, roots, order)
 
         with patch.object(lfactors, "times_linear_factors", spy):
             bf_product_series(p, 3, 3)
         assert seen and all(type(c) is int for cs in seen for c in cs)
+
+
+_ENTRIES = st.one_of(
+    st.just("sym"), st.just("0"), st.fractions(min_value=-3, max_value=3, max_denominator=5).map(str)
+)
+
+
+class TestBfProductForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_ENTRIES, min_size=2, max_size=5), st.integers(0, 3), st.integers(0, 3))
+    def test_is_the_sum(self, tokens, l1, l2):
+        """(1 - ω t1^(n mod 2) t2^(n // 2)) times the product of factors is the torus sum,
+        for both parities, with or without a vanishing entry."""
+        p = SatakeParams.parse(tokens)
+        omega, grid = bf_product_form(p, l1, l2)
+        assert omega == reduce(mul, p.entries)
+        assert grid == bf_series(p, l1, l2)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["sym"] * 2, ["sym"] * 3, ["sym"] * 4, ["sym", "2", "-1/3", "sym", "sym"], ["1/2", "-3", "5/7", "2"]],
+    )
+    def test_the_factor_is_sharp(self, tokens):
+        """With every entry nonzero the plain product first differs from the sum at t1^a t2^b."""
+        p = SatakeParams.parse(tokens)
+        b, a = divmod(p.n, 2)
+        diff = series2_first_difference(bf_series(p, 3, 3), bf_product_series(p, 3, 3))
+        assert diff is not None and diff[0] == (a, b)
 
 
 class TestBfOddProbe:
@@ -325,6 +355,30 @@ class TestBfOddProbe:
         assert not probe.conductor_hypothesis
         assert not probe.matches_product
         assert probe.correction[0][0] == 1
+        omega = MultiPoly.monomial(3, (1, 1, 1))
+        assert [(i, j, c) for i, row in enumerate(probe.correction) for j, c in enumerate(row) if c] == [
+            (0, 0, MultiPoly.one(3)),
+            (1, 1, -omega),
+        ]
+
+    @pytest.mark.parametrize("window", [(0, 3), (3, 0), (4, 1)])
+    def test_window_short_of_the_factor(self, window):
+        """n = 5 puts ω at t1 t2^2: a window without that cell sees the correction 1."""
+        probe = bf_odd_correction_probe(SatakeParams.parse(["sym", "2", "sym", "-1/2", "sym"]), *window)
+        assert probe.matches_product and not probe.conductor_hypothesis
+
+    def test_all_symbol_probe_reaches_no_kernel(self):
+        """An all-symbol probe reads counted product sides and divides nothing out."""
+        calls = []
+
+        def spy(coeffs, roots, order):
+            calls.append(roots)
+            return times_linear_factors(coeffs, roots, order)
+
+        with patch.object(lfactors, "times_linear_factors", spy):
+            probe = bf_odd_correction_probe(symbolic_params(5), 4, 3)
+        assert calls == []
+        assert probe.correction[1][2] == -MultiPoly.monomial(5, (1,) * 5)
 
     @pytest.mark.parametrize(
         "tokens,window",

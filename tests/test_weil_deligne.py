@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq import lfactors, polynomials, symmetric, torus_sums, weil_deligne
+import extsq
+from extsq import lfactors, polynomials, symmetric, weil_deligne
 from extsq.polynomials import MultiPoly
 from extsq.tasks import _describe_rep, parse_task, run_task
 from extsq.weil_deligne import (
@@ -538,7 +541,13 @@ class TestRootMultisets:
 
         monkeypatch.setattr(MultiPoly, "__mul__", no_product)
         monkeypatch.setattr(MultiPoly, "__rmul__", no_product)
-        for module in (polynomials, symmetric, torus_sums):
+        binders = [
+            module
+            for info in pkgutil.iter_modules(extsq.__path__)
+            if hasattr(module := importlib.import_module(f"extsq.{info.name}"), "times_linear_factors")
+        ]
+        assert {polynomials, symmetric, lfactors} <= set(binders)
+        for module in binders:
             monkeypatch.setattr(module, "times_linear_factors", no_product)
         rng = random.Random(85)
         symbolic = random.Random(88)
