@@ -28,8 +28,9 @@ prod_{p<q} (1 - x_p x_q t2)^{-1} is sum_nu M(nu + (i,)) m_nu.  Against the
 Schur sums these are Littlewood's identities (Macdonald, *Symmetric
 Functions*, I.5 Ex. 5): the Kostka numbers K_{lam nu} summed over the lam
 with even columns give M(nu), over those with i odd columns and |lam| = i +
-2j M(nu + (i,)); the two sides share no code.  `_MULTIGRAPHS` memoises M on
-sorted degrees and starts over at 16384 entries; `_partitions` keeps 4096.
+2j M(nu + (i,)); the two sides share no code.  M is memoised on sorted
+degrees by the `lru_cache` `_multigraphs` (16384 entries), the partitions
+by `_partitions` (4096); `cache_info()` reads either's hits and misses.
 Both root lists are counted or neither is: a list counts when its nonzero
 roots are exactly the x_p (t1) or the x_p x_q (t2), each once, or it has
 none.  Any other pair of lists (for a vector's factors: a nonzero
@@ -163,35 +164,24 @@ def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[
     return product_grid((), roots, nvars, 0, order)[0]
 
 
-# M by sorted degrees; starts over at _MULTIGRAPH_CAP entries (module docstring)
-_MULTIGRAPH_CAP = 1 << 14
-_MULTIGRAPHS: dict[tuple[int, ...], int] = {}
-
-
+@lru_cache(maxsize=1 << 14)
 def _multigraphs(degrees: tuple[int, ...]) -> int:
     """M(d), the loopless multigraphs on labelled vertices of degrees d (sorted, positive)."""
-    count = _MULTIGRAPHS.get(degrees)
-    if count is not None:
-        return count
     total = sum(degrees)
     if total % 2 or (degrees and 2 * degrees[0] > total):
-        count = 0
-    elif len(degrees) <= 3:
+        return 0
+    if len(degrees) <= 3:
         # one solution: (a + b - c) / 2 edges join the vertices of degrees a and b
-        count = 1
-    else:
-        # the s edges of the last vertex, of least degree, go to any multiset of the others
-        *rest, s = degrees
-        count = 0
-        for picks in combinations_with_replacement(range(len(rest)), s):
-            left = rest.copy()
-            for p in picks:
-                left[p] -= 1
-            left.sort(reverse=True)
-            count += _multigraphs(tuple(filter(None, left)))
-    if len(_MULTIGRAPHS) >= _MULTIGRAPH_CAP:
-        _MULTIGRAPHS.clear()
-    _MULTIGRAPHS[degrees] = count
+        return 1
+    # the s edges of the last vertex, of least degree, go to any multiset of the others
+    *rest, s = degrees
+    count = 0
+    for picks in combinations_with_replacement(range(len(rest)), s):
+        left = rest.copy()
+        for p in picks:
+            left[p] -= 1
+        left.sort(reverse=True)
+        count += _multigraphs(tuple(filter(None, left)))
     return count
 
 

@@ -39,16 +39,16 @@ those of the symmetric polynomials they stand for; other products are not.
 tests' oracle `expand_m_basis` expands it back; `append_variable` builds
 the Schur polynomials in it (`symmetric.schur`), `weighted_sum` sums int
 multiples of such polynomials in one dict, and `format_symmetric` prints
-it in the m basis, each m(2,1,1) string memoised per key in `_M_TEXT`,
-which starts over at 4096 strings.
+it in the m basis, each m(2,1,1) string memoised per key by the
+`lru_cache` `_m_text` (4096 strings).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -114,23 +114,16 @@ def _monomial(names: Sequence[str], key: int) -> str:
     return "*".join(factors)
 
 
-# m-basis strings by dominant key; see the module docstring.
-_M_TEXT_CAP = 4096
-_M_TEXT: dict[int, str] = {}
-
-
+@lru_cache(maxsize=4096)
 def _m_text(key: int) -> str:
-    """Record and return "m(2,1,1)" for a nonzero dominant key, whose zero fields are its lowest."""
+    """The text m(2,1,1) of a nonzero dominant key, whose zero fields are its lowest."""
     parts = []
     rest = key
     while rest:
         if rest & _EXP_MASK:
             parts.append(str(rest & _EXP_MASK))
         rest >>= _EXP_BITS
-    if len(_M_TEXT) >= _M_TEXT_CAP:
-        _M_TEXT.clear()
-    _M_TEXT[key] = text = f"m({','.join(reversed(parts))})"
-    return text
+    return f"m({','.join(reversed(parts))})"
 
 
 def _graded_lex_keys(terms: Mapping[int, Scalar], nvars: int) -> list[int]:
@@ -378,45 +371,26 @@ class MultiPoly:
         lexicographic order of nu; the constant term prints as a bare
         coefficient, as `format` prints it, and 0 as "0".
         """
-        terms = self._terms
-        if not terms:
-            return "0"
-        pieces: list[str] = []
-        for key in terms if len(terms) == 1 else _graded_lex_keys(terms, self.nvars):
-            c = terms[key]
-            # as in `format`: a stored Fraction is never integral
-            if type(c) is Fraction:
-                n, d = c.as_integer_ratio()
-                neg, mag = n < 0, f"{abs(n)}/{d}"
-            else:
-                neg, mag = c < 0, abs(c)
-            if key:
-                mono = _M_TEXT.get(key) or _m_text(key)
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+        return self._format_terms(_m_text)
 
     # -- formatting ----------------------------------------------------------
 
     def format(self, names: Sequence[str] | None = None) -> str:
         """Canonical text form, graded-lex term order, exact coefficients."""
-        nvars = self.nvars
         if names is None:
-            names = [f"x{i + 1}" for i in range(nvars)]
-        if len(names) != nvars:
+            names = [f"x{i + 1}" for i in range(self.nvars)]
+        if len(names) != self.nvars:
             raise ValueError("need one name per variable")
+        return self._format_terms(partial(_monomial, names))
+
+    def _format_terms(self, monomial: Callable[[int], str]) -> str:
+        """The terms in graded-lex order, each monomial's text `monomial(key)` for a nonzero key."""
         terms = self._terms
         if not terms:
             return "0"
         pieces: list[str] = []
         # one term needs no sort
-        for key in terms if len(terms) == 1 else _graded_lex_keys(terms, nvars):
-            mono = _monomial(names, key)
+        for key in terms if len(terms) == 1 else _graded_lex_keys(terms, self.nvars):
             c = terms[key]
             # a stored Fraction is never integral, so its text is n/d, never 1
             if type(c) is Fraction:
@@ -424,7 +398,8 @@ class MultiPoly:
                 neg, mag = n < 0, f"{abs(n)}/{d}"
             else:
                 neg, mag = c < 0, abs(c)
-            if mono:
+            if key:
+                mono = monomial(key)
                 body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)

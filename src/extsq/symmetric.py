@@ -10,9 +10,9 @@ Schur sums:
   the Kostka numbers K_{f nu} (Macdonald, *Symmetric Functions and Hall
   Polynomials*, I (5.11) and I.6).  It is built by the branching rule
   restricted to dominant exponents, which moves packed exponent keys and
-  multiplies no polynomials, and cached in `_SCHUR_CACHE` together with the
-  smaller-rank polynomials of the sub-shapes it recurses through.  The
-  cache starts over once it holds `_SCHUR_CAP` (4096) entries;
+  multiplies no polynomials.  Its body `_schur` is an `lru_cache` of 4096
+  entries, keyed on (shape, rank), and holds the smaller-rank polynomials
+  of the sub-shapes it recurses through too (`_schur.cache_info()`);
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
   weight bound.  `littlewood_sum` builds one per vector and calls `value`
   for each shape; one shape f is `SchurValues(values, |f|).value(f)`;
@@ -44,8 +44,8 @@ value is linear in the s_mu(x), so the dominant terms of the cached Schur
 polynomials, summed into one dict (`polynomials.weighted_sum`), give the
 value's.  All-symbolic vectors (r = 0) are the one term mu = f, the cached
 `schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
-(), an integer Jacobi-Trudi determinant, which `_det` expands along rows
-with memoized minors.
+(), an integer Jacobi-Trudi determinant, which `_det` computes by
+fraction-free elimination, with no memo.
 
 The independent oracle of both routes, the alternant divided exactly by the
 Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,
@@ -58,14 +58,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Sequence
 
 from .polynomials import MultiPoly, append_variable, times_linear_factors, weighted_sum
-
-# Schur polynomials by (shape, rank); starts over at _SCHUR_CAP entries.
-_SCHUR_CAP = 4096
-_SCHUR_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
-
 
 def check_partition(f: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing tuple of nonnegative ints; return it stripped."""
@@ -81,7 +77,16 @@ def check_partition(f: Sequence[int]) -> tuple[int, ...]:
 
 
 def schur(f: Sequence[int], n: int) -> MultiPoly:
-    """The Schur polynomial s_f in n variables, by its dominant terms; cached.
+    """The Schur polynomial s_f in n variables, by its dominant terms; cached (`_schur`)."""
+    shape = check_partition(f)
+    if len(shape) > n:
+        raise ValueError(f"shape {tuple(f)} has more than {n} parts")
+    return _schur(shape, n)
+
+
+@lru_cache(maxsize=4096)
+def _schur(shape: tuple[int, ...], n: int) -> MultiPoly:
+    """s_shape in n variables for a checked shape of at most n parts.
 
     The branching rule s_f(x1..xn) = sum_mu x_n^{|f|-|mu|} s_mu(x1..x_{n-1}),
     over the mu with f1 >= mu1 >= f2 >= ... >= mu_{n-1} >= f_n (f/mu a
@@ -92,65 +97,50 @@ def schur(f: Sequence[int], n: int) -> MultiPoly:
     when nu_n <= nu_{n-1}.  The coefficients are the Kostka numbers
     K_{f nu}, positive ints, and no polynomial is multiplied.  A mu with
     (n - 1) nu_n > |mu| has no such term, so it is skipped before its
-    Schur polynomial is built.  Sub-shapes go through this function and
-    share `_SCHUR_CACHE`.  No exponent exceeds f1, and `append_variable`
+    Schur polynomial is built.  Sub-shapes recurse through this function
+    and share its cache.  No exponent exceeds f1, and `append_variable`
     checks each one against the constructor cap, so a part of 4096 or more
     raises ValueError.
     """
-    shape = check_partition(f)
-    if len(shape) > n:
-        raise ValueError(f"shape {tuple(f)} has more than {n} parts")
-    key = (shape, n)
-    cached = _SCHUR_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n == 0:
-        p = MultiPoly.one(0)
-    else:
-        padded = shape + (0,) * (n - len(shape))
-        weight = sum(shape)
-        ranges = [range(padded[i], padded[i + 1] - 1, -1) for i in range(n - 1)]
-        parts = []
-        for mu in itertools.product(*ranges):
-            rest = sum(mu)
-            if (weight - rest) * (n - 1) <= rest:
-                # mu is weakly decreasing, so its zeros trail
-                sub = _SCHUR_CACHE.get((mu[: len(mu) - mu.count(0)], n - 1)) or schur(mu, n - 1)
-                parts.append((sub, weight - rest))
-        p = append_variable(n - 1, parts)
-    if len(_SCHUR_CACHE) >= _SCHUR_CAP:
-        _SCHUR_CACHE.clear()
-    _SCHUR_CACHE[key] = p
-    return p
+        return MultiPoly.one(0)
+    padded = shape + (0,) * (n - len(shape))
+    weight = sum(shape)
+    ranges = [range(padded[i], padded[i + 1] - 1, -1) for i in range(n - 1)]
+    parts = []
+    for mu in itertools.product(*ranges):
+        rest = sum(mu)
+        if (weight - rest) * (n - 1) <= rest:
+            # mu is weakly decreasing, so its zeros trail
+            parts.append((_schur(mu[: len(mu) - mu.count(0)], n - 1), weight - rest))
+    return append_variable(n - 1, parts)
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of an int matrix, expanded along rows with memoized minors.
+    """Determinant of a square int matrix by fraction-free elimination; `rows` is overwritten.
 
-    The minor of a column mask is on the top popcount(mask) rows; expanding
-    along its last row, the sign is + at the highest column and alternates.
+    Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", *Math. Comp.* 22 (1968): after step k every
+    entry below row k is a (k+1)-minor, so the division by the previous
+    pivot is exact.  A zero pivot swaps in a lower row, flipping the sign;
+    with none nonzero in its column the determinant is 0.
     """
-    memo = {0: 1}
-
-    def minor(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        row = rows[mask.bit_count() - 1]
-        acc = 0
-        sign = 1
-        rest = mask
-        while rest:
-            bit = 1 << (rest.bit_length() - 1)
-            rest ^= bit
-            entry = row[bit.bit_length() - 1]
-            if entry:
-                acc += sign * entry * minor(mask ^ bit)
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return minor((1 << len(rows)) - 1)
+        pivot, top = rows[k][k], rows[k]
+        for i in range(k + 1, n):
+            row, lead = rows[i], rows[i][k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if n else 1
 
 
 def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int, list]:

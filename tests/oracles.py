@@ -9,6 +9,9 @@ arithmetic that only the tests need:
   `symmetric.schur` (the branching rule) and, evaluated with `substitute`,
   of `symmetric.SchurValues` (the coproduct);
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
+* `leibniz_det` -- an int determinant as the signed sum over
+  permutations: the oracle of the fraction-free elimination
+  `symmetric._det` behind the skew Jacobi-Trudi values;
 * `multigraph_count` -- the loopless multigraphs with a degree sequence,
   one edge multiplicity per pair of vertices at a time: the oracle of the
   memoised count `lfactors._multigraphs` behind the counted product sides,
@@ -27,7 +30,7 @@ arithmetic that only the tests need:
   polynomial's dominant terms, read from the unpacked exponent vectors of
   `terms()`; the orbit sum of each dominant term over
   `itertools.permutations`; and the m-basis text of the dominant terms.
-  They are the oracles of `MultiPoly.dominant`, `MultiPoly.orbit_sum` and
+  They are the oracles of `MultiPoly.dominant` and
   `MultiPoly.format_symmetric`, and they carry every full polynomial an
   oracle builds to the dominant terms production holds;
 * `power` and `substitute` -- a power by repeated squaring, each product
@@ -174,6 +177,22 @@ def complete_homogeneous(k: int, n: int) -> MultiPoly:
             exps[i] += 1
         terms[tuple(exps)] = 1
     return MultiPoly(n, terms)
+
+
+def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
+    """det of a square matrix as the Leibniz sum over permutations, each sign from its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+            if not term:
+                break
+        if term:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += -term if inversions % 2 else term
+    return total
 
 
 def multigraph_count(degrees: Sequence[int]) -> int:

@@ -4,11 +4,14 @@ Every check here is an exact identity over the rationals (or bit-identical
 bytes, for determinism); there are no tolerances to tune.  The package
 holds each symmetric polynomial by its dominant terms, so the oracles' full
 polynomials are projected with `dominant_part` before they are compared.
-Each criterion also carries a wall-clock budget.  Module-level polynomial caches are
-cleared before every criterion so the timings are cold, not flattering.
+Each criterion also carries a wall-clock budget.  Every `lru_cache` of the
+package, found by walking its modules, is cleared before every criterion so
+the timings are cold, not flattering.
 """
 
+import importlib
 import io
+import pkgutil
 import random
 import subprocess
 import sys
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from extsq import lfactors, polynomials, symmetric
+import extsq
 from extsq.cli import main as cli_main
 from extsq.lfactors import SatakeParams, ext_sq_expansion
 from extsq.polynomials import MultiPoly
@@ -58,12 +61,21 @@ from oracles import (
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+# every lru_cache or cache of the package, by "module.name"
+MEMOS = {
+    f"{info.name}.{name}": memo
+    for info in pkgutil.iter_modules(extsq.__path__)
+    for name, memo in vars(importlib.import_module(f"extsq.{info.name}")).items()
+    if hasattr(memo, "cache_clear")
+}
+
+
 @pytest.fixture(autouse=True)
 def cold_caches():
-    symmetric._SCHUR_CACHE.clear()
-    lfactors._MULTIGRAPHS.clear()
-    polynomials._M_TEXT.clear()
-    lfactors._partitions.cache_clear()
+    named = {"symmetric._schur", "lfactors._multigraphs", "polynomials._m_text", "lfactors._partitions"}
+    assert named <= set(MEMOS)
+    for memo in MEMOS.values():
+        memo.cache_clear()
     yield
 
 

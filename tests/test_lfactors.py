@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from unittest.mock import patch
 
 import pytest
@@ -290,18 +291,22 @@ class TestMultigraphCounts:
                     degrees = tuple(sorted(nu + (i,), reverse=True))
                     assert kostka_sum(nu, i, n) == multigraph_count(degrees), (nu, i)
 
-    def test_memo_starts_over_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(lfactors, "_MULTIGRAPHS", {})
-        monkeypatch.setattr(lfactors, "_MULTIGRAPH_CAP", 8)
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        # the recursion goes through the module name, so it uses the small cache too
+        small = lru_cache(maxsize=8)(lfactors._multigraphs.__wrapped__)
+        monkeypatch.setattr(lfactors, "_multigraphs", small)
         for d in partitions_bounded(10, 5):
             assert lfactors._multigraphs(d) == multigraph_count(d), d
-            assert len(lfactors._MULTIGRAPHS) <= 8
+            assert small.cache_info().currsize <= 8
+        assert small.cache_info().misses > 8
 
-    def test_memo_stays_under_its_cap_on_16_symbols(self, monkeypatch):
-        monkeypatch.setattr(lfactors, "_MULTIGRAPHS", {})
+    def test_memo_stays_under_its_cap_on_16_symbols(self):
+        lfactors._multigraphs.cache_clear()
         body = {"task": "lfactor", "satake": ["sym"] * 16, "truncation": 4}
         assert run_task(parse_task(body)).verdict == "info"
-        assert 0 < len(lfactors._MULTIGRAPHS) < lfactors._MULTIGRAPH_CAP
+        info = lfactors._multigraphs.cache_info()
+        # every count was stored once and none evicted
+        assert 0 < info.currsize == info.misses < info.maxsize
 
 
 class TestLfactorReport:

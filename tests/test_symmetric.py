@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from oracles import (
     doubled_shape,
     even_index_sum,
     expand_m_basis,
+    leibniz_det,
     partitions_bounded,
     power,
     schur_bialternant,
@@ -135,12 +137,14 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur((1, 1, 1), 2)
 
-    def test_cache_starts_over_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
-        monkeypatch.setattr(symmetric, "_SCHUR_CAP", 5)
+    def test_cache_stays_within_its_cap(self, monkeypatch):
+        # sub-shapes recurse through the module name, so they use the small cache too
+        small = lru_cache(maxsize=5)(symmetric._schur.__wrapped__)
+        monkeypatch.setattr(symmetric, "_schur", small)
         for f in [(3, 2, 1), (4, 2), (2, 2, 1, 1), (3, 3, 2), (3, 2, 1)]:
             assert schur(f, 4) == dominant_part(schur_bialternant(f, 4))
-            assert len(symmetric._SCHUR_CACHE) <= 5
+            assert small.cache_info().currsize <= 5
+        assert small.cache_info().misses > 5
 
     def test_part_past_exponent_cap_raises(self):
         with pytest.raises(ValueError):
@@ -178,6 +182,43 @@ class TestSchur:
         vals = [MultiPoly.variable(n - 1, i) for i in range(n - 1)]
         vals.append(MultiPoly.zero(n - 1))
         assert substitute(schur(f, n), vals).is_zero
+
+
+@st.composite
+def int_matrices(draw):
+    """Square int matrices up to 7 x 7, 0 to 100% of the entries forced to zero."""
+    n = draw(st.integers(0, 7))
+    zero_quarters = draw(st.integers(0, 4))
+    entry = st.tuples(st.integers(0, 3), st.integers(-40, 40)).map(
+        lambda pair: 0 if pair[0] < zero_quarters else pair[1]
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+class TestDet:
+    """`_det`, fraction-free elimination, against the Leibniz sum."""
+
+    @pytest.mark.parametrize(
+        "rows, det",
+        [
+            ([], 1),
+            ([[5]], 5),
+            ([[0, 1], [1, 0]], -1),  # a zero leading pivot
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+            ([[1, 2, 3], [2, 4, 5], [1, 3, 0]], 1),  # a zero pivot after one step
+            ([[1, 2, 3], [2, 4, 6], [1, 2, 0]], 0),  # no row to swap in
+            ([[2, 3, 1], [4, 1, 5], [6, 7, 3]], 12),  # pivots other than 1
+        ],
+    )
+    def test_known(self, rows, det):
+        assert leibniz_det(rows) == det
+        assert symmetric._det(rows) == det
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_matrices())
+    def test_matches_leibniz(self, rows):
+        expected = leibniz_det(rows)
+        assert symmetric._det([row[:] for row in rows]) == expected
 
 
 class TestSchurOracle:
@@ -274,9 +315,16 @@ class TestSchurEvalPadded:
             SchurValues(vals, 3)
 
     def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
-        """Only vectors holding every ring variable once reach `_SCHUR_CACHE`;
+        """Only vectors holding every ring variable once reach the cached `_schur`;
         the others are refused before any value is built."""
-        monkeypatch.setattr(symmetric, "_SCHUR_CACHE", {})
+        built = []
+
+        def record(shape, n):
+            built.append((shape, n))
+            return schur_body(shape, n)
+
+        schur_body = symmetric._schur.__wrapped__
+        monkeypatch.setattr(symmetric, "_schur", lru_cache(maxsize=None)(record))
         x, y = variables(2)
         zero = MultiPoly.zero(2)
         half = MultiPoly.constant(2, Fraction(1, 2))
@@ -290,17 +338,17 @@ class TestSchurEvalPadded:
         for vals in refused:
             with pytest.raises(ValueError, match="each exactly once"):
                 SchurValues(vals, 3)
-        assert not symmetric._SCHUR_CACHE
+        assert not built
         SchurValues([y, x], 3).value((2, 1))  # the variables, out of order
-        assert not {((2,), 2), ((1, 1), 2)} & set(symmetric._SCHUR_CACHE)
+        assert not {((2,), 2), ((1, 1), 2)} & set(built)
         SchurValues([x, half, zero, y], 3).value((2, 1))  # mixed
         # the mixed vector's coproduct reaches sub-shapes at the ring's rank
-        assert {((2,), 2), ((1, 1), 2)} <= set(symmetric._SCHUR_CACHE)
+        assert {((2,), 2), ((1, 1), 2)} <= set(built)
         SchurValues(variables(3), 2).value((1, 1))
         requested = {((2, 1), 2), ((1, 1), 3)}
-        assert requested <= set(symmetric._SCHUR_CACHE)
+        assert requested <= set(built)
         # the rest are sub-shapes in fewer variables, reached by branching
-        for mu, m in symmetric._SCHUR_CACHE:
+        for mu, m in built:
             assert any(
                 m <= n and len(mu) <= len(f) and all(a <= b for a, b in zip(mu, f))
                 for f, n in requested

@@ -192,6 +192,32 @@ class TestParseTask:
     def test_every_task_accepts_seed_and_truncation(self, body):
         assert parse_task({**body, "seed": 2, "truncation": 3}).seed == 2
 
+    @pytest.mark.parametrize(
+        "truncation, message",
+        [
+            ("garbage", "truncation must be an integer"),
+            (1000000000, "truncation must be <= 32"),
+            ([4, 4, 4], "truncation must be an int or a pair of ints"),
+            ([2, -1], "truncation must be >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"task": "galois-H", "random": {"count": 3}},
+            {"task": "galois-divisibility", "blocks": [{"grade": [0], "length": 1, "scalar": "a"}]},
+        ],
+    )
+    def test_galois_tasks_refuse_a_bad_truncation(self, body, truncation, message):
+        with pytest.raises(ConfigError) as err:
+            parse_task({**body, "truncation": truncation})
+        assert str(err.value) == f"task.truncation: {message}"
+
+    def test_galois_tasks_take_an_int_or_a_window_and_echo_neither(self):
+        body = {"task": "galois-H", "random": {"count": 3}}
+        for truncation in (tasks.MAX_TRUNCATION, [4, 4], [0, tasks.MAX_TRUNCATION]):
+            assert "truncation" not in parse_task({**body, "truncation": truncation}).echo
+
     def test_random_suite_echoes_no_q_or_group(self):
         """Each drawn representation has its own q and group."""
         cfg = parse_task({"task": "galois-H", "random": {"count": 3}, "seed": 4})
@@ -879,6 +905,23 @@ class TestCli:
         code, _ = self.run_cli("lfactor", "--satake", "1/2,0")
         assert code == 2
         assert "environment: EXTSQ_TRUNCATION must be between 0 and 32" in capsys.readouterr().err
+
+    def test_window_on_a_mixed_document(self, tmp_path, capsys):
+        """--truncation L1,L2 reaches the Galois tasks too; they check it and ignore it."""
+        cfg = tmp_path / "c.json"
+        bodies = [
+            {"task": "verify-bf", "satake": ["sym", "0"]},
+            {"task": "galois-H", "random": {"count": 2}},
+        ]
+        cfg.write_text(json.dumps(doc(*bodies)))
+        code, out = self.run_cli("run", "--config", str(cfg), "--truncation", "4,4", "--format", "machine")
+        assert code == 0
+        assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "pass"]
+        bodies[1]["truncation"] = "garbage"
+        cfg.write_text(json.dumps(doc(*bodies)))
+        code, _ = self.run_cli("run", "--config", str(cfg))
+        assert code == 2
+        assert "tasks[1].truncation: truncation must be an integer" in capsys.readouterr().err
 
     def test_rank_above_cap_exit_2(self, capsys):
         code, _ = self.run_cli("lfactor", "--satake", ",".join(["0"] * (tasks.MAX_RANK + 1)))
