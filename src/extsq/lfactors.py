@@ -52,6 +52,7 @@ identity can be verified coefficient by coefficient.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -62,18 +63,26 @@ from .polynomials import MultiPoly, times_linear_factors
 from .symmetric import littlewood_sum
 
 
+# an integer, p/q or a decimal, with an optional sign, in ASCII digits
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def parse_rational(token: str) -> Fraction:
     """An exact rational from "3", "-2/5" or "0.25"; ValueError otherwise.
 
     Exponent notation is refused: Fraction("1e10000000") builds a
     ten-million-digit integer, at a cost that grows faster than the exponent.
+    So are the other spellings `Fraction` reads beyond that grammar:
+    underscores ("1_0" is 10) and non-ASCII digits ("١٢" is 12).
     """
     text = token.strip()
     if "e" in text or "E" in text:
         raise ValueError(f"malformed rational {token!r}: exponent notation is not accepted")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {token!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"malformed rational {token!r}") from exc
 
 
@@ -111,7 +120,8 @@ class SatakeParams:
         """Build from tokens: "sym" for a fresh symbol, otherwise a rational.
 
         Symbols are numbered left to right; rationals are read by
-        `parse_rational`.
+        `parse_rational`.  Any other token, a float or a bool among them,
+        raises ValueError.
         """
         nsyms = sum(1 for tok in tokens if isinstance(tok, str) and tok.strip() == "sym")
         entries: list[MultiPoly] = []
@@ -120,9 +130,12 @@ class SatakeParams:
             if isinstance(tok, str) and tok.strip() == "sym":
                 entries.append(MultiPoly.variable(nsyms, next_sym))
                 next_sym += 1
+            elif isinstance(tok, str):
+                entries.append(MultiPoly.constant(nsyms, parse_rational(tok)))
+            elif isinstance(tok, (int, Fraction)) and not isinstance(tok, bool):
+                entries.append(MultiPoly.constant(nsyms, tok))
             else:
-                value = parse_rational(tok) if isinstance(tok, str) else Fraction(tok)
-                entries.append(MultiPoly.constant(nsyms, value))
+                raise ValueError(f"entry {tok!r} is neither 'sym' nor an exact rational")
         return cls(entries, nvars=nsyms)
 
     def __eq__(self, other: object) -> bool:
@@ -272,8 +285,11 @@ class DoubledShapeSum:
 
 def _doubled_shape_sum(params: SatakeParams, rows: int, length: int, order: int) -> DoubledShapeSum:
     """The t1^0 row of `littlewood_sum` over at most `rows` rows, each shape padded to `length`."""
-    grid, terms = littlewood_sum(params.entries, rows, 0, order)
-    padded = tuple((b, shape + (0,) * (length - len(shape)), value) for _, b, shape, value in terms)
+    grid, scale, terms = littlewood_sum(params.entries, rows, 0, order)
+    padded = tuple(
+        (b, shape + (0,) * (length - len(shape)), value.div_int(scale ** (2 * b)))
+        for _, b, shape, value in terms
+    )
     return DoubledShapeSum(grid[0], padded)
 
 

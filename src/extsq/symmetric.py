@@ -14,8 +14,9 @@ Schur sums:
   entries, keyed on (shape, rank), and holds the smaller-rank polynomials
   of the sub-shapes it recurses through too (`_schur.cache_info()`);
 * `SchurValues` -- s_f at one value vector, for every shape f up to a
-  weight bound.  `littlewood_sum` builds one per vector and calls `value`
-  for each shape; one shape f is `SchurValues(values, |f|).value(f)`;
+  weight bound.  `scaled` gives D^|f| s_f in ints, and `value` divides it:
+  one shape f is `SchurValues(values, |f|).value(f)`.  `littlewood_sum`
+  builds one per vector and calls `scaled` for each shape;
 * `littlewood_sum` -- Littlewood's Schur sum graded by odd columns
   (Macdonald, I.5 Ex. 5) over the shapes of one window, which
   `window_partitions` builds column by column.  Its t1^0 row holds the
@@ -38,14 +39,20 @@ with D the lcm of the constants' denominators.  h_0..h_N of the D c_i, the
 coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per vector
 by `_scaled_h` (the kernel `polynomials.times_linear_factors`, which also
 multiplies out the product sides of `lfactors` that are not counted).
-s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu| beside the
-one division by D^|f|, one Fraction per term (`MultiPoly.div_int`).  Each
-value is linear in the s_mu(x), so the dominant terms of the cached Schur
-polynomials, summed into one dict (`polynomials.weighted_sum`), give the
-value's.  All-symbolic vectors (r = 0) are the one term mu = f, the cached
-`schur(f, m)` with no determinant; numeric ones (m = 0) the one term mu =
-(), an integer Jacobi-Trudi determinant, which `_det` computes by
+s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu|, and the
+sum is D^|f| s_f with int coefficients, which `scaled` returns.  `_inner_shapes`
+builds only the weakly decreasing mu in that box, one part at a time.
+Each value is linear in the s_mu(x), so the dominant terms of the cached
+Schur polynomials, summed into one dict (`polynomials.weighted_sum`), give
+the value's.  All-symbolic vectors (r = 0) are the one term mu = f, the
+cached `schur(f, m)` with no determinant; numeric ones (m = 0) the one term
+mu = (), an integer Jacobi-Trudi determinant, which `_det` computes by
 fraction-free elimination, with no memo.
+
+The division by D^|f|, one Fraction per term (`MultiPoly.div_int`), comes
+once per printed polynomial: the shapes of a `littlewood_sum` cell all
+weigh the same, so each cell is divided once, and only the contributions of
+`lfactors._doubled_shape_sum` are divided shape by shape.
 
 The independent oracle of both routes, the alternant divided exactly by the
 Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,
@@ -143,6 +150,22 @@ def _det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
+def _inner_shapes(padded: tuple[int, ...], m: int, r: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing mu of m parts with padded[i + r] <= mu_i <= padded[i], descending.
+
+    `padded` is a partition padded with zeros to m + r parts.  mu grows one
+    part at a time: mu_i runs from min(mu_{i-1}, padded[i]) down to
+    padded[i + r], which is at most both bounds, so every prefix extends.
+    """
+    if not m:
+        return [()]
+    shapes = [(x,) for x in range(padded[0], padded[r] - 1, -1)]
+    for i in range(1, m):
+        top, low = padded[i], padded[i + r] - 1
+        shapes = [mu + (x,) for mu in shapes for x in range(min(mu[-1], top), low, -1)]
+    return shapes
+
+
 def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int, list]:
     """(D, [h_0..h_order of the D v]), D the lcm of the values' coefficient denominators.
 
@@ -190,30 +213,35 @@ class SchurValues:
         weight = sum(shape)
         if weight > self.max_weight:
             raise ValueError(f"shape {shape} weighs more than {self.max_weight}")
+        return self.scaled(shape).div_int(self.scale**weight)
+
+    def scaled(self, shape: tuple[int, ...]) -> MultiPoly:
+        """D^|shape| s_shape at the value vector, with int coefficients, for a checked shape.
+
+        The shape must be stripped of zeros, no longer than the vector and
+        no heavier than max_weight, as `value` checks.
+        """
         m, r, hs = self.m, self.r, self.hs
-        if len(shape) > m + r:
+        length = len(shape)
+        if length > m + r:
             return MultiPoly.zero(self.nvars)
         if not shape:
             return MultiPoly.one(self.nvars)
         if not r:
             return schur(shape, m)
-        # mu runs over the partitions with f_{i+r} <= mu_i <= f_i, i < m
-        padded = shape + (0,) * (m + r - len(shape))
-        ranges = [range(padded[i], padded[i + r] - 1, -1) for i in range(m)]
+        # skew Jacobi-Trudi: det[h_{(f_i - i) - (mu_j - j)}], with h_k = 0 for k < 0;
+        # mu_j = 0 for j >= len(f), since mu lies inside f
+        row_offsets = [a - i for i, a in enumerate(shape)]
+        zero_cols = [-j for j in range(m, length)]
         parts = []
-        for mu in itertools.product(*ranges):
-            if any(a < b for a, b in zip(mu, mu[1:])):
-                continue
-            cols = (mu + (0,) * len(shape))[: len(shape)]
-            # skew Jacobi-Trudi: det[h_{f_i - mu_j - i + j}], with h_k = 0 for k < 0
-            rows = [
-                [hs[k] if (k := a - b - i + j) >= 0 else 0 for j, b in enumerate(cols)]
-                for i, a in enumerate(shape)
-            ]
-            det = _det(rows)
+        for mu in _inner_shapes(shape + (0,) * (m + r - length), m, r):
+            cols = [b - j for j, b in enumerate(mu[:length])] + zero_cols
+            det = _det([[hs[k] if (k := a - b) >= 0 else 0 for b in cols] for a in row_offsets])
             if det:
-                parts.append((schur(mu, m) if m else MultiPoly.one(0), det * self.scale ** sum(mu)))
-        return weighted_sum(self.nvars, parts).div_int(self.scale**weight)
+                # mu is weakly decreasing, so its zeros trail
+                mu_schur = _schur(mu[: len(mu) - mu.count(0)], m) if m else MultiPoly.one(0)
+                parts.append((mu_schur, det * self.scale ** sum(mu)))
+        return weighted_sum(self.nvars, parts)
 
 
 def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:
@@ -243,20 +271,37 @@ def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:
 
 def littlewood_sum(
     values: Sequence[MultiPoly], rows: int, l1: int, l2: int
-) -> tuple[tuple[tuple[MultiPoly, ...], ...], list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
+) -> tuple[tuple[tuple[MultiPoly, ...], ...], int, list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
     """Littlewood's sum graded by odd columns, in the window (l1, l2).
 
-    Returns the grid whose [a][b] cell sums s_lam(values) over the
-    `window_partitions(rows, l1, l2)` with a odd columns and b = lam2 + lam4
-    + ..., and one (a, b, lam, s_lam(values)) term per shape, in their order.
+    Returns (grid, D, terms): the grid whose [a][b] cell sums s_lam(values)
+    over the `window_partitions(rows, l1, l2)` with a odd columns and b =
+    lam2 + lam4 + ..., the scale D of the values (`SchurValues`), and one
+    (a, b, lam, D^|lam| s_lam(values)) term per shape, in their order, with
+    int coefficients.  Every shape of cell [a][b] weighs a + 2b, so the cell
+    adds the scaled values in ints and is divided once, by D^(a + 2b); a
+    caller that prints a shape's value divides its term.
     """
     evaluator = SchurValues(values, l1 + 2 * l2)
-    grid = [[MultiPoly.zero(evaluator.nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    nvars, scale = evaluator.nvars, evaluator.scale
+    cells: list[list[list[MultiPoly]]] = [[[] for _ in range(l2 + 1)] for _ in range(l1 + 1)]
     terms = []
     for shape in window_partitions(rows, l1, l2):
+        if len(shape) > evaluator.length:
+            raise ValueError("shape longer than value vector")
         b = sum(shape[1::2])
         a = sum(shape) - 2 * b
-        value = evaluator.value(shape)
-        grid[a][b] = grid[a][b] + value
+        value = evaluator.scaled(shape)
+        cells[a][b].append(value)
         terms.append((a, b, shape, value))
-    return tuple(map(tuple, grid)), terms
+    grid = tuple(
+        tuple(
+            # a one-shape cell is its value, not a copy of it
+            (cell[0] if len(cell) == 1 else weighted_sum(nvars, ((v, 1) for v in cell))).div_int(
+                scale ** (a + 2 * b)
+            )
+            for b, cell in enumerate(row)
+        )
+        for a, row in enumerate(cells)
+    )
+    return grid, scale, terms

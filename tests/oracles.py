@@ -12,6 +12,10 @@ arithmetic that only the tests need:
 * `leibniz_det` -- an int determinant as the signed sum over
   permutations: the oracle of the fraction-free elimination
   `symmetric._det` behind the skew Jacobi-Trudi values;
+* `inner_shapes_by_filter` -- the mu of the coproduct with
+  f_{i+r} <= mu_i <= f_i, every tuple in the box filtered for weakly
+  decreasing parts: the oracle of `symmetric._inner_shapes`, which builds
+  only those, one part at a time;
 * `multigraph_count` -- the loopless multigraphs with a degree sequence,
   one edge multiplicity per pair of vertices at a time: the oracle of the
   memoised count `lfactors._multigraphs` behind the counted product sides,
@@ -193,6 +197,12 @@ def leibniz_det(rows: Sequence[Sequence[int]]) -> int:
             inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
             total += -term if inversions % 2 else term
     return total
+
+
+def inner_shapes_by_filter(padded: Sequence[int], m: int, r: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing mu of m parts with padded[i + r] <= mu_i <= padded[i], descending."""
+    box = itertools.product(*(range(padded[i], padded[i + r] - 1, -1) for i in range(m)))
+    return [mu for mu in box if _weakly_decreasing(mu)]
 
 
 def multigraph_count(degrees: Sequence[int]) -> int:

@@ -53,6 +53,30 @@ class TestSatakeParams:
     def test_parse_decimal(self):
         assert SatakeParams.parse([" 0.25 "]).entries[0] == Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "token, value",
+        [("0.25", Fraction(1, 4)), ("-2/5", Fraction(-2, 5)), ("+3", 3), (".5", Fraction(1, 2)),
+         ("5.", 5), (" -.5\t", Fraction(-1, 2)), ("007/014", Fraction(1, 2))],
+    )
+    def test_parse_every_spelling_of_the_grammar(self, token, value):
+        assert SatakeParams.parse([token]).entries[0] == value
+
+    @pytest.mark.parametrize("bad", ["1_0", "1_000/3", "\u0661\u0662", "\uff11", "1 / 3", "+-3", "3/+5"])
+    def test_parse_refuses_spellings_outside_the_grammar(self, bad):
+        """`Fraction` reads "1_0" as 10 and Arabic-Indic or fullwidth digits as ints."""
+        with pytest.raises(ValueError, match="malformed rational"):
+            SatakeParams.parse(["sym", bad])
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, False, None, [1]])
+    def test_parse_refuses_tokens_that_are_not_exact(self, bad):
+        """A float would be read to its binary value, 0.1 as 3602879701896397/2^55."""
+        with pytest.raises(ValueError, match="neither 'sym' nor an exact rational"):
+            SatakeParams.parse(["2", bad])
+
+    def test_parse_takes_ints_and_fractions(self):
+        p = SatakeParams.parse([3, Fraction(-1, 2), "sym"])
+        assert p.entries[:2] == (MultiPoly.constant(1, 3), MultiPoly.constant(1, Fraction(-1, 2)))
+
     def test_symbolic(self):
         p = symbolic_params(3)
         assert p.n == 3 and p.nvars == 3

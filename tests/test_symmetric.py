@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from extsq import symmetric
 from extsq.lfactors import ext_sq_expansion
 from extsq.polynomials import MultiPoly
-from extsq.symmetric import SchurValues, check_partition, schur, window_partitions
+from extsq.symmetric import SchurValues, check_partition, littlewood_sum, schur, window_partitions
 from extsq.torus_sums import js_series
 from oracles import (
     alternating_sum,
@@ -17,6 +17,7 @@ from oracles import (
     doubled_shape,
     even_index_sum,
     expand_m_basis,
+    inner_shapes_by_filter,
     leibniz_det,
     partitions_bounded,
     power,
@@ -428,6 +429,71 @@ class TestSchurValues:
             values.value((2, 2))
         with pytest.raises(ValueError):
             SchurValues([MultiPoly.one(0)], -1)
+
+
+class TestInnerShapes:
+    """`_inner_shapes` against the filtered box, order included."""
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("r", range(4))
+    def test_matches_the_filter(self, m, r):
+        for weight in range(9):
+            for f in partitions_bounded(weight, m + r):
+                padded = f + (0,) * (m + r - len(f))
+                assert symmetric._inner_shapes(padded, m, r) == inner_shapes_by_filter(padded, m, r), f
+
+    def test_known_shapes(self):
+        # f = (3, 2, 1), two variables, one constant: 3 >= mu1 >= 2 >= mu2 >= 1
+        assert symmetric._inner_shapes((3, 2, 1), 2, 1) == [(3, 2), (3, 1), (2, 2), (2, 1)]
+        assert symmetric._inner_shapes((2, 2, 0), 2, 1) == [(2, 2), (2, 1), (2, 0)]
+        assert symmetric._inner_shapes((3, 1), 0, 2) == [()]
+
+
+@lru_cache(maxsize=None)
+def _bialternant(shape, n):
+    return schur_bialternant(shape, n)
+
+
+@st.composite
+def scaled_vectors(draw):
+    """Vectors of 1-2 variables, 1-2 constants of which one has a denominator
+    above 1 (so D > 1), and at most one zero, in a drawn order."""
+    m = draw(st.integers(1, 2))
+    fraction = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    constants = [draw(fraction.filter(lambda c: c.denominator > 1))]
+    constants += draw(st.lists(fraction.filter(bool), max_size=2 - m))
+    zeros = [Fraction(0)] * draw(st.integers(0, 1))
+    ring = variables(m) + [MultiPoly.constant(m, c) for c in constants + zeros]
+    return list(draw(st.permutations(ring)))
+
+
+class TestLittlewoodSum:
+    """Each cell, summed in ints and divided once, against the oracle values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scaled_vectors(), st.integers(0, 3), st.integers(0, 2), st.data())
+    def test_cells_sum_the_oracle_values(self, vals, l1, l2, data):
+        n, nvars = len(vals), vals[0].nvars
+        rows = data.draw(st.integers(0, n))
+        grid, scale, terms = littlewood_sum(vals, rows, l1, l2)
+        assert scale > 1
+        oracle = {
+            f: dominant_part(substitute(_bialternant(f, n), vals, nvars=nvars))
+            for w in range(l1 + 2 * l2 + 1)
+            for f in partitions_bounded(w, rows)
+            if alternating_sum(f) <= l1 and even_index_sum(f) <= l2
+        }
+        expected = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+        for f, value in oracle.items():
+            a, b = alternating_sum(f), even_index_sum(f)
+            expected[a][b] = expected[a][b] + value
+        assert [list(row) for row in grid] == expected
+        # each term is D^|f| s_f, in ints
+        assert [f for _, _, f, _ in terms] == list(oracle)
+        for a, b, f, value in terms:
+            assert (a, b) == (alternating_sum(f), even_index_sum(f))
+            assert value == oracle[f] * scale ** sum(f), f
+            assert all(isinstance(c, int) for c in value.coefficients()), f
 
 
 class TestPartitionsBounded:

@@ -958,6 +958,48 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert "exponent notation is not accepted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["1_0", "1_000/3", "\u0661\u0662", "\uff11"])
+    @pytest.mark.parametrize(
+        "argv, location",
+        [
+            (["lfactor", "--satake", "2,{}"], "task.satake[1]"),
+            (["galois-divisibility", "--block", "0:1:1", "--block", "0:1:{}"], "task.blocks[1].scalar"),
+        ],
+        ids=["satake", "block_scalar"],
+    )
+    def test_underscores_and_non_ascii_digits_exit_2(self, capsys, token, argv, location):
+        """`Fraction` would read them as 10, 1000/3, 12 and 1."""
+        code, _ = self.run_cli(*(arg.format(token) for arg in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: ") and f"malformed rational {token!r}" in err
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", "\uff11"])
+    @pytest.mark.parametrize(
+        "task, location",
+        [
+            ({"task": "lfactor", "satake": ["sym", "{}"]}, "tasks[1].satake[1]"),
+            (
+                {"task": "galois-H", "group": [1], "blocks": [{"grade": [0], "length": 1, "scalar": "{}"}]},
+                "tasks[1].blocks[0].scalar",
+            ),
+        ],
+        ids=["satake", "block_scalar"],
+    )
+    def test_config_refuses_underscores_and_non_ascii_digits(self, tmp_path, capsys, token, task, location):
+        doc = {"format_version": 1, "tasks": [{"task": "lfactor", "satake": ["1/2"]}, task]}
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps(doc).replace("{}", token), encoding="utf-8")
+        code, out = self.run_cli("run", "--config", str(cfg))
+        assert code == 2 and not out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: ") and f"malformed rational {token!r}" in err
+
+    def test_every_spelling_of_the_grammar_runs(self):
+        code, out = self.run_cli("lfactor", "--satake", "0.25,-2/5,+3,.5,5., 7 ", "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["task"]["satake"] == ["0.25", "-2/5", "+3", ".5", "5.", "7"]
+
     def test_malformed_satake_entry_names_its_index(self, capsys):
         code, _ = self.run_cli("lfactor", "--satake", "2,1e5,3")
         assert code == 2

@@ -172,13 +172,13 @@ class TestBfSeries:
         # n = 4 at (5, 5): 91 shapes with at most 3 rows lie in the window,
         # of the 174 with at most 3 rows and weight up to 15
         shapes = []
-        value = symmetric.SchurValues.value
+        scaled = symmetric.SchurValues.scaled
 
         def counted(self, f):
             shapes.append(f)
-            return value(self, f)
+            return scaled(self, f)
 
-        with patch.object(symmetric.SchurValues, "value", counted):
+        with patch.object(symmetric.SchurValues, "scaled", counted):
             bf_series(SatakeParams.parse(["1/2", "sym", "0", "-3"]), 5, 5)
         assert len(shapes) == len(set(shapes)) == 91
         assert all(alternating_sum(f) <= 5 and even_index_sum(f) <= 5 for f in shapes)
