@@ -14,6 +14,7 @@ import sys
 from typing import Any, Sequence
 
 from . import tasks as T
+from .polynomials import ASCII_WHITESPACE
 
 
 def _truncation_value(text: str) -> Any:
@@ -32,7 +33,7 @@ def _truncation_value(text: str) -> Any:
 
 
 def _satake_value(text: str) -> list[str]:
-    toks = [p.strip() for p in text.split(",")]
+    toks = [p.strip(ASCII_WHITESPACE) for p in text.split(",")]
     if not all(toks):
         raise argparse.ArgumentTypeError("empty satake entry")
     return toks

@@ -1,0 +1,207 @@
+"""The Galois task family: `galois-divisibility` and `galois-H`.
+
+`tasks.parse_task` imports this module at the first Galois task of a
+document, and with it `weil_deligne`; a document without one never
+compiles it.  `parse_fields` reads a task's explicit representation (`q`,
+`group`, `blocks`) or its `random` suite, and `RUNNERS` holds the two
+runners.  An explicit report prints its factors as root lists; a random
+suite of `count` representations is drawn from the task's `seed` and
+reports each failure with the representation that failed.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import partial
+from typing import Any, Callable, Iterator
+
+from .polynomials import ASCII_WHITESPACE, parse_rational
+from .tasks import (
+    DEFAULT_Q,
+    MAX_RANDOM_COUNT,
+    MAX_RANK,
+    ConfigError,
+    Outcome,
+    TaskConfig,
+    _is_int,
+    _names,
+    _parse_int,
+    _require,
+    _root_strings,
+)
+from .weil_deligne import (
+    FiniteAbelianGroup,
+    WDBlock,
+    WDRep,
+    divisibility_check,
+    prop_H_equality,
+    random_k1_rep,
+    random_wdrep,
+)
+
+
+def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WDBlock]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("blocks must be a nonempty list", location)
+    blocks = []
+    for i, b in enumerate(raw):
+        loc = f"{location}[{i}]"
+        if not isinstance(b, dict):
+            raise ConfigError("each block must be an object", loc)
+        grade = _require(b, "grade", loc)
+        if not isinstance(grade, list) or not all(_is_int(x) for x in grade):
+            raise ConfigError("grade must be a list of integers", f"{loc}.grade")
+        length = _parse_int(_require(b, "length", loc), "length", f"{loc}.length", 1)
+        scalar_raw = _require(b, "scalar", loc)
+        scalar: int | Fraction | str
+        if _is_int(scalar_raw):
+            scalar = scalar_raw
+        elif isinstance(scalar_raw, str):
+            scalar = scalar_raw.strip(ASCII_WHITESPACE)
+            # a symbol name starts with a letter, a rational never does
+            if not scalar[:1].isalpha():
+                try:
+                    scalar = parse_rational(scalar)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"scalar is neither a rational nor a symbol name: {exc}",
+                        f"{loc}.scalar",
+                    ) from exc
+        else:
+            raise ConfigError("scalar must be an int, rational string, or symbol name", f"{loc}.scalar")
+        if not isinstance(scalar, str) and scalar == 0:
+            raise ConfigError("Frobenius scalar must be nonzero", f"{loc}.scalar")
+        # `WDRep` reduces the grade; only its rank is checked here, for the location
+        if len(grade) != len(group.orders):
+            rank = len(group.orders)
+            raise ConfigError(f"element {tuple(grade)} does not fit group of rank {rank}", loc)
+        blocks.append(WDBlock(tuple(grade), length, scalar))
+    return blocks
+
+
+def _describe_rep(rep: WDRep) -> dict[str, Any]:
+    return {
+        "q": rep.q,
+        "group": list(rep.group.orders),
+        "blocks": [
+            {"grade": list(b.grade), "length": b.length, "scalar": str(b.scalar)}
+            for b in rep.blocks
+        ],
+    }
+
+
+def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: int) -> None:
+    """Read a Galois task's `random` suite, or its `q`, `group` and `blocks`, into cfg and its echo.
+
+    No Galois task has an order; `default_truncation` is not read.
+    """
+    if "random" in obj:
+        rnd = obj["random"]
+        if not isinstance(rnd, dict):
+            raise ConfigError("random must be an object", f"{location}.random")
+        count = _parse_int(
+            _require(rnd, "count", f"{location}.random"),
+            "count",
+            f"{location}.random.count",
+            1,
+            MAX_RANDOM_COUNT,
+        )
+        cfg.random_count = count
+        cfg.echo["random"] = {"count": count}
+        return
+    q = _parse_int(obj.get("q", DEFAULT_Q), "q", f"{location}.q", 2)
+    group_raw = obj.get("group", [1])
+    if not isinstance(group_raw, list) or not all(_is_int(x) and x >= 1 for x in group_raw):
+        raise ConfigError("group must be a list of positive cyclic orders", f"{location}.group")
+    group = FiniteAbelianGroup(tuple(group_raw))
+    blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
+    dim = sum(b.length for b in blocks)
+    if dim > MAX_RANK:
+        raise ConfigError(
+            f"blocks must have lengths summing to at most {MAX_RANK}, got {dim}",
+            f"{location}.blocks",
+        )
+    try:
+        cfg.rep = WDRep(q, group, blocks)
+    except ValueError as exc:
+        raise ConfigError(str(exc), f"{location}.blocks") from exc
+    cfg.echo.update(_describe_rep(cfg.rep))
+
+
+# -- execution ---------------------------------------------------------------
+
+
+def _random_reps(cfg: TaskConfig, draw: Callable[[random.Random], WDRep]) -> Iterator[WDRep]:
+    """The cfg.random_count representations of a random suite, drawn from cfg.seed."""
+    rng = random.Random(cfg.seed)
+    return (draw(rng) for _ in range(cfg.random_count))
+
+
+def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
+    if cfg.random_count is None:
+        names = _names(cfg.rep.nvars)
+        verdict = divisibility_check(cfg.rep)
+        quotient = verdict.quotient_roots
+        data = {
+            "formal_roots": _root_strings(verdict.formal_roots, names),
+            "ext_sq_roots": _root_strings(verdict.ext_sq_roots, names),
+            "divides": verdict.divides,
+            "strict": verdict.strict,
+            "quotient_roots": None if quotient is None else _root_strings(quotient, names),
+        }
+        if not verdict.divides:
+            return "fail", "pair-product factor does not divide the exterior-square factor", data
+        kind = "strictly" if verdict.strict else "with quotient 1"
+        return "pass", f"pair-product factor divides the exterior-square factor {kind}", data
+    count = cfg.random_count
+    failures: list[dict[str, Any]] = []
+    strict_count = 0
+    for i, rep in enumerate(_random_reps(cfg, random_wdrep)):
+        verdict = divisibility_check(rep)
+        if not verdict.divides:
+            failures.append({"index": i, "rep": _describe_rep(rep)})
+        elif verdict.strict:
+            strict_count += 1
+    data = {
+        "count": count,
+        "all_divide": not failures,
+        "strict_count": strict_count,
+        "failures": failures,
+    }
+    if failures:
+        summary = f"divisibility failed on {len(failures)} of {count} random representations"
+        return "fail", summary, data
+    summary = f"divisibility holds on all {count} random representations ({strict_count} strict)"
+    return "pass", summary, data
+
+
+def _run_galois_h(cfg: TaskConfig) -> Outcome:
+    if cfg.random_count is None:
+        names = _names(cfg.rep.nvars)
+        result = prop_H_equality(cfg.rep)
+        data = {
+            "formal_roots": _root_strings(result.formal_roots, names),
+            "ext_sq_roots": _root_strings(result.ext_sq_roots, names),
+            "equal": result.equal,
+        }
+        if not result.equal:
+            return "fail", "factors differ despite the pairing hypothesis", data
+        return "pass", "factors agree exactly under the pairing hypothesis", data
+    count = cfg.random_count
+    draw = partial(random_k1_rep, require_hypothesis=True)
+    failures = [
+        {"index": i, "rep": _describe_rep(rep)}
+        for i, rep in enumerate(_random_reps(cfg, draw))
+        if not prop_H_equality(rep).equal
+    ]
+    data = {"count": count, "all_equal": not failures, "failures": failures}
+    if failures:
+        return "fail", f"equality failed on {len(failures)} of {count} representations", data
+    return "pass", f"equality holds on all {count} random semisimple representations", data
+
+
+RUNNERS = {
+    "galois-divisibility": _run_galois_divisibility,
+    "galois-H": _run_galois_h,
+}

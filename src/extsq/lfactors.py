@@ -52,38 +52,14 @@ identity can be verified coefficient by coefficient.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .polynomials import MultiPoly, times_linear_factors
+from .polynomials import ASCII_WHITESPACE, MultiPoly, parse_rational, times_linear_factors
 from .symmetric import littlewood_sum
-
-
-# an integer, p/q or a decimal, with an optional sign, in ASCII digits
-_RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
-
-
-def parse_rational(token: str) -> Fraction:
-    """An exact rational from "3", "-2/5" or "0.25"; ValueError otherwise.
-
-    Exponent notation is refused: Fraction("1e10000000") builds a
-    ten-million-digit integer, at a cost that grows faster than the exponent.
-    So are the other spellings `Fraction` reads beyond that grammar:
-    underscores ("1_0" is 10) and non-ASCII digits ("١٢" is 12).
-    """
-    text = token.strip()
-    if "e" in text or "E" in text:
-        raise ValueError(f"malformed rational {token!r}: exponent notation is not accepted")
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {token!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {token!r}") from exc
 
 
 class SatakeParams:
@@ -121,13 +97,14 @@ class SatakeParams:
 
         Symbols are numbered left to right; rationals are read by
         `parse_rational`.  Any other token, a float or a bool among them,
-        raises ValueError.
+        raises ValueError.  A string token may carry ASCII whitespace only.
         """
-        nsyms = sum(1 for tok in tokens if isinstance(tok, str) and tok.strip() == "sym")
+        syms = [isinstance(tok, str) and tok.strip(ASCII_WHITESPACE) == "sym" for tok in tokens]
+        nsyms = sum(syms)
         entries: list[MultiPoly] = []
         next_sym = 0
-        for tok in tokens:
-            if isinstance(tok, str) and tok.strip() == "sym":
+        for tok, sym in zip(tokens, syms):
+            if sym:
                 entries.append(MultiPoly.variable(nsyms, next_sym))
                 next_sym += 1
             elif isinstance(tok, str):

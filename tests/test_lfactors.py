@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from extsq import lfactors
 from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
-from extsq.polynomials import MultiPoly, times_linear_factors
+from extsq.polynomials import MultiPoly, parse_rational, times_linear_factors
 from extsq.series import series_first_difference
 from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import js_series
@@ -66,6 +66,20 @@ class TestSatakeParams:
         """`Fraction` reads "1_0" as 10 and Arabic-Indic or fullwidth digits as ints."""
         with pytest.raises(ValueError, match="malformed rational"):
             SatakeParams.parse(["sym", bad])
+
+    @pytest.mark.parametrize("bad", ["\u20033", "3\u00a0", "\u2003sym", "sym\u00a0"])
+    def test_parse_strips_ascii_whitespace_only(self, bad):
+        """An em space (U+2003) or a no-break space (U+00A0) is not README's whitespace."""
+        with pytest.raises(ValueError, match="malformed rational"):
+            SatakeParams.parse(["sym", bad])
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_rational(bad)
+        p = SatakeParams.parse([" \t3\n", "\fsym\v"])
+        assert p.entries == (MultiPoly.constant(1, 3), MultiPoly.variable(1, 0))
+
+    def test_parse_rational_lives_in_polynomials(self):
+        """Both task families read rationals; `lfactors` re-binds the one function."""
+        assert lfactors.parse_rational is parse_rational
 
     @pytest.mark.parametrize("bad", [0.1, 2.0, True, False, None, [1]])
     def test_parse_refuses_tokens_that_are_not_exact(self, bad):

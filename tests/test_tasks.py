@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extsq import tasks, torus_sums
+from extsq import satake_tasks, tasks, torus_sums
 from extsq.cli import main
 from extsq import weil_deligne
 from extsq.polynomials import MultiPoly
@@ -479,8 +479,8 @@ class TestRunTask:
         self, monkeypatch, body, lead, key, summary
     ):
         """An extra root 1 on the product side makes the sides differ at t^1."""
-        real = tasks.ext_sq_roots
-        monkeypatch.setattr(tasks, "ext_sq_roots", lambda p: real(p) + [MultiPoly.one(p.nvars)])
+        real = satake_tasks.ext_sq_roots
+        monkeypatch.setattr(satake_tasks, "ext_sq_roots", lambda p: real(p) + [MultiPoly.one(p.nvars)])
         r = run_one(body)
         assert (r.verdict, r.summary) == ("fail", summary)
         assert list(r.data) == lead + [key, "product", "first_difference", "contributions", "basis"]
@@ -687,7 +687,7 @@ class TestFailBranches:
         def refuse(params, l1, l2):
             raise ArithmeticError("correction has no constant term")
 
-        monkeypatch.setattr(tasks, "bf_odd_correction_probe", refuse)
+        monkeypatch.setattr(satake_tasks, "bf_odd_correction_probe", refuse)
         r = self.check(
             {"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "truncation": 2},
             "correction has no constant term",
@@ -756,7 +756,7 @@ class TestFmtAgainst:
         x = MultiPoly.variable(1, 0)
         a = [MultiPoly.one(1), x, x * x]
         a_text = ["1", "m(1)", "m(2)"]
-        got = tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text)
+        got = satake_tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text)
         assert got == ["1", "-m(1)", "m(2)"]
         assert got[2] is a_text[2]
 
@@ -994,6 +994,61 @@ class TestCli:
         assert code == 2 and not out
         err = capsys.readouterr().err
         assert err.startswith(f"error: {location}: ") and f"malformed rational {token!r}" in err
+
+    @pytest.mark.parametrize("token", ["\u20033", "3\u00a0"], ids=["em_space_before", "no_break_space_after"])
+    @pytest.mark.parametrize(
+        "argv, location",
+        [
+            (["lfactor", "--satake", "2,{}"], "task.satake[1]"),
+            (["galois-divisibility", "--block", "0:1:1", "--block", "0:1:{}"], "task.blocks[1].scalar"),
+        ],
+        ids=["satake", "block_scalar"],
+    )
+    def test_non_ascii_whitespace_exit_2(self, capsys, token, argv, location):
+        """Only ASCII whitespace is stripped: `str.strip()` would read both as 3."""
+        code, _ = self.run_cli(*(arg.format(token) for arg in argv))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: ") and f"malformed rational {token!r}" in err
+
+    @pytest.mark.parametrize("token", ["\u20033", "3\u00a0"], ids=["em_space_before", "no_break_space_after"])
+    @pytest.mark.parametrize(
+        "task, location",
+        [
+            ({"task": "lfactor", "satake": ["sym", "{}"]}, "tasks[1].satake[1]"),
+            (
+                {"task": "galois-H", "group": [1], "blocks": [{"grade": [0], "length": 1, "scalar": "{}"}]},
+                "tasks[1].blocks[0].scalar",
+            ),
+        ],
+        ids=["satake", "block_scalar"],
+    )
+    def test_config_refuses_non_ascii_whitespace(self, tmp_path, capsys, token, task, location):
+        doc = {"format_version": 1, "tasks": [{"task": "lfactor", "satake": ["1/2"]}, task]}
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps(doc, ensure_ascii=False).replace("{}", token), encoding="utf-8")
+        code, out = self.run_cli("run", "--config", str(cfg))
+        assert code == 2 and not out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {location}: ") and f"malformed rational {token!r}" in err
+
+    def test_ascii_whitespace_around_an_entry_is_stripped(self, tmp_path):
+        code, out = self.run_cli("lfactor", "--satake", "2, 3\t", "--format", "machine")
+        assert code == 0 and json.loads(out)["reports"][0]["task"]["satake"] == ["2", "3"]
+        code, out = self.run_cli("galois-divisibility", "--block", "0:1: 3\t", "--format", "machine")
+        assert code == 0 and json.loads(out)["reports"][0]["task"]["blocks"][0]["scalar"] == "3"
+        block = {"grade": [0], "length": 1, "scalar": " 3\t"}
+        doc = {"format_version": 1, "tasks": [
+            {"task": "lfactor", "satake": ["sym", " 3\t"]},
+            {"task": "galois-H", "group": [1], "blocks": [block]},
+        ]}
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = self.run_cli("run", "--config", str(cfg), "--format", "machine")
+        reports = json.loads(out)["reports"]
+        assert code == 0
+        assert reports[0]["task"]["satake"] == ["sym", "3"]
+        assert reports[1]["task"]["blocks"][0]["scalar"] == "3"
 
     def test_every_spelling_of_the_grammar_runs(self):
         code, out = self.run_cli("lfactor", "--satake", "0.25,-2/5,+3,.5,5., 7 ", "--format", "machine")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import extsq
 from extsq import lfactors, polynomials, symmetric, weil_deligne
 from extsq.polynomials import MultiPoly
-from extsq.tasks import _describe_rep, parse_task, run_task
+from extsq.galois_tasks import _describe_rep
+from extsq.tasks import parse_task, run_task
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
     DivisibilityVerdict,
