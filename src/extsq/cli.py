@@ -2,7 +2,8 @@
 
 One subcommand per task plus `run` for JSON config files (single task or
 batch).  Exit codes: 0 every task passed or was informational, 1 at least
-one verification failed, 2 usage or config errors.
+one verification failed, 2 usage or config errors.  Every integer on the
+command line and in `EXTSQ_TRUNCATION` is read by `tasks.parse_integer`.
 """
 
 from __future__ import annotations
@@ -14,22 +15,17 @@ import sys
 from typing import Any, Sequence
 
 from . import tasks as T
-from .polynomials import ASCII_WHITESPACE
+from .tasks import ASCII_WHITESPACE, parse_integer
 
 
 def _truncation_value(text: str) -> Any:
-    parts = [p.strip() for p in text.split(",")]
     try:
-        nums = [int(p) for p in parts]
+        nums = [parse_integer(p) for p in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'L1,L2' pair, got {text!r}"
-        )
-    if len(nums) == 1:
-        return nums[0]
-    if len(nums) == 2:
-        return nums
-    raise argparse.ArgumentTypeError("truncation takes one or two integers")
+        raise argparse.ArgumentTypeError(f"expected an integer or 'L1,L2' pair, got {text!r}")
+    if len(nums) > 2:
+        raise argparse.ArgumentTypeError("truncation takes one or two integers")
+    return nums[0] if len(nums) == 1 else nums
 
 
 def _satake_value(text: str) -> list[str]:
@@ -41,7 +37,7 @@ def _satake_value(text: str) -> list[str]:
 
 def _group_value(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",")]
+        return [parse_integer(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"group must be comma-separated integers, got {text!r}")
 
@@ -54,8 +50,8 @@ def _block_value(text: str) -> dict[str, Any]:
         )
     grade_txt, length_txt, scalar = parts
     try:
-        grade = [int(p) for p in grade_txt.split(".")] if grade_txt else []
-        length = int(length_txt)
+        grade = [parse_integer(p) for p in grade_txt.split(".")] if grade_txt else []
+        length = parse_integer(length_txt)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad block {text!r}")
     return {"grade": grade, "length": length, "scalar": scalar}
@@ -79,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="series order, or 'L1,L2' for two-variable tasks (overrides config)",
     )
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
+    common.add_argument("--seed", type=parse_integer, default=None, help="seed for randomized suites")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("galois-H", "exact equality for semisimple input under the pairing hypothesis"),
     ):
         p = sub.add_parser(name, parents=[common], help=desc)
-        p.add_argument("--q", type=int, default=None, help=f"residue size (default {T.DEFAULT_Q})")
+        p.add_argument("--q", type=parse_integer, default=None, help=f"residue size (default {T.DEFAULT_Q})")
         p.add_argument(
             "--group",
             type=_group_value,
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--random-count",
-            type=int,
+            type=parse_integer,
             default=None,
             help="check this many seeded random representations instead of explicit blocks",
         )
@@ -131,7 +127,7 @@ def _default_truncation() -> int:
     if raw is None:
         return T.DEFAULT_TRUNCATION
     try:
-        value = int(raw)
+        value = parse_integer(raw)
     except ValueError:
         raise T.ConfigError(
             f"{T.TRUNCATION_ENV_VAR} must be an integer, got {raw!r}", "environment"

@@ -1,12 +1,15 @@
 """The Galois task family: `galois-divisibility` and `galois-H`.
 
 `tasks.parse_task` imports this module at the first Galois task of a
-document, and with it `weil_deligne`; a document without one never
-compiles it.  `parse_fields` reads a task's explicit representation (`q`,
-`group`, `blocks`) or its `random` suite, and `RUNNERS` holds the two
-runners.  An explicit report prints its factors as root lists; a random
-suite of `count` representations is drawn from the task's `seed` and
-reports each failure with the representation that failed.
+document, and with it `weil_deligne`, the only other package module a
+Galois document loads: the token grammar comes from `tasks`, and roots
+print from their integer keys, so `polynomials` is never compiled.  A
+document without a Galois task never compiles this module.
+`parse_fields` reads a task's explicit representation (`q`, `group`,
+`blocks`) or its `random` suite, and `RUNNERS` holds the two runners.
+An explicit report prints its factors as root lists; a random suite of
+`count` representations is drawn from the task's `seed` and reports each
+failure with the representation that failed.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterator
 
-from .polynomials import ASCII_WHITESPACE, parse_rational
 from .tasks import (
+    ASCII_WHITESPACE,
     DEFAULT_Q,
     MAX_RANDOM_COUNT,
     MAX_RANK,
@@ -28,7 +31,7 @@ from .tasks import (
     _names,
     _parse_int,
     _require,
-    _root_strings,
+    parse_rational,
 )
 from .weil_deligne import (
     FiniteAbelianGroup,
@@ -142,13 +145,13 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
         names = _names(cfg.rep.nvars)
         verdict = divisibility_check(cfg.rep)
-        quotient = verdict.quotient_roots
+        quotient = verdict.quotient_keys
         data = {
-            "formal_roots": _root_strings(verdict.formal_roots, names),
-            "ext_sq_roots": _root_strings(verdict.ext_sq_roots, names),
+            "formal_roots": verdict.root_strings(verdict.formal_keys, names),
+            "ext_sq_roots": verdict.root_strings(verdict.ext_sq_keys, names),
             "divides": verdict.divides,
             "strict": verdict.strict,
-            "quotient_roots": None if quotient is None else _root_strings(quotient, names),
+            "quotient_roots": None if quotient is None else verdict.root_strings(quotient, names),
         }
         if not verdict.divides:
             return "fail", "pair-product factor does not divide the exterior-square factor", data
@@ -181,8 +184,8 @@ def _run_galois_h(cfg: TaskConfig) -> Outcome:
         names = _names(cfg.rep.nvars)
         result = prop_H_equality(cfg.rep)
         data = {
-            "formal_roots": _root_strings(result.formal_roots, names),
-            "ext_sq_roots": _root_strings(result.ext_sq_roots, names),
+            "formal_roots": result.root_strings(result.formal_keys, names),
+            "ext_sq_roots": result.root_strings(result.ext_sq_keys, names),
             "equal": result.equal,
         }
         if not result.equal:

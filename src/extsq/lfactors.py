@@ -58,8 +58,9 @@ from itertools import combinations_with_replacement
 from math import comb, lcm
 from typing import Sequence
 
-from .polynomials import ASCII_WHITESPACE, MultiPoly, parse_rational, times_linear_factors
+from .polynomials import MultiPoly, times_linear_factors
 from .symmetric import littlewood_sum
+from .tasks import ASCII_WHITESPACE, parse_rational
 
 
 class SatakeParams:

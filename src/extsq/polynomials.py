@@ -26,7 +26,7 @@ can reach it (x1^21845*x2^21845*x3^21845 would read as degree 0), so the
 helper first bounds every degree by the field sum of the OR of all keys and
 sums unpacked fields instead when that bound reaches 0xFFFF.  `format`
 builds each monomial string afresh (`_monomial`); production prints only
-root lists with it, one term per root.
+Satake root lists with it, one term per root.
 
 A symmetric polynomial sum_nu c_nu m_nu, m_nu the monomial symmetric
 polynomial (Macdonald, *Symmetric Functions*, I.2), is held by its dominant
@@ -41,15 +41,10 @@ the Schur polynomials in it (`symmetric.schur`), `weighted_sum` sums int
 multiples of such polynomials in one dict, and `format_symmetric` prints
 it in the m basis, each m(2,1,1) string memoised per key by the
 `lru_cache` `_m_text` (4096 strings).
-
-`parse_rational` reads the exact rationals of a config, the Satake entries
-and the Galois block scalars alike; it lives here because both task
-families load this module.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from operator import or_
@@ -81,32 +76,6 @@ def _norm_scalar(c: Scalar) -> Scalar:
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
-
-
-# the whitespace a token may carry: str.strip() would also take U+2003 or U+00A0
-ASCII_WHITESPACE = " \t\n\r\f\v"
-# an integer, p/q or a decimal, with an optional sign, in ASCII digits
-_RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
-
-
-def parse_rational(token: str) -> Fraction:
-    """An exact rational from "3", "-2/5" or "0.25"; ValueError otherwise.
-
-    Exponent notation is refused: Fraction("1e10000000") builds a
-    ten-million-digit integer, at a cost that grows faster than the exponent.
-    So are the other spellings `Fraction` reads beyond that grammar:
-    underscores ("1_0" is 10) and non-ASCII digits ("١٢" is 12).  Only
-    ASCII whitespace around the token is stripped.
-    """
-    text = token.strip(ASCII_WHITESPACE)
-    if "e" in text or "E" in text:
-        raise ValueError(f"malformed rational {token!r}: exponent notation is not accepted")
-    if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"malformed rational {token!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"malformed rational {token!r}") from exc
 
 
 def _pack(exps: Sequence[int]) -> int:

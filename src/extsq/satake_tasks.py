@@ -47,9 +47,10 @@ from .lfactors import (
     product_grid,
     product_series,
 )
-from .polynomials import ASCII_WHITESPACE, MultiPoly, parse_rational
+from .polynomials import MultiPoly
 from .series import series2_first_difference, series_first_difference
 from .tasks import (
+    ASCII_WHITESPACE,
     MAX_RANK,
     ConfigError,
     Outcome,
@@ -59,7 +60,7 @@ from .tasks import (
     _parse_int,
     _parse_truncation,
     _require,
-    _root_strings,
+    parse_rational,
 )
 from .torus_sums import bf_odd_correction_probe, bf_product_form, bf_series, js_series
 
@@ -116,6 +117,11 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
 
 
 # -- execution ---------------------------------------------------------------
+
+
+def _root_strings(roots: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
+    """A factor prod (1 - r t) as its roots' strings, sorted, each root as often as it occurs."""
+    return sorted(r.format(names) for r in roots)
 
 
 def _fmt_series1(coeffs: Sequence[MultiPoly]) -> list[str]:

@@ -5,12 +5,13 @@ object or a `tasks` list.  Tasks run one after another and reports come back
 in input order.
 
 This module is the shared front end: the document grammar and the fields
-every task shares (`task`, `seed`, `truncation`), `TaskConfig`, `run_task`
-and emission.  Each task belongs to one of two families, each in its own
-module with its field parsing and runners: the Satake tasks in
-`satake_tasks` (which loads `lfactors`, `series`, `symmetric` and
-`torus_sums`, and through them `polynomials`) and the Galois tasks in
-`galois_tasks` (which loads `weil_deligne` and `polynomials`).
+every task shares (`task`, `seed`, `truncation`), the token grammar of
+configs and the command line (`parse_rational`, `parse_integer`, ASCII
+whitespace only), `TaskConfig`, `run_task` and emission.  Each task belongs
+to one of two families, each in its own module with its field parsing and
+runners: the Satake tasks in `satake_tasks` (which loads `lfactors`,
+`series`, `symmetric` and `torus_sums`, and through them `polynomials`) and
+the Galois tasks in `galois_tasks` (which loads only `weil_deligne`).
 `parse_task` imports a family's module at the first task of that family,
 so a document loads what its tasks run and nothing else, and all of it
 while it is parsed: `run_task` only calls the runner `parse_task` stored
@@ -35,12 +36,13 @@ the Galois reports') print α-monomials, the symbols always named α1, α2,
 from __future__ import annotations
 
 import json
+import re
 import time
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
     from .lfactors import SatakeParams
-    from .polynomials import MultiPoly
     from .weil_deligne import WDRep
 
 FORMAT_VERSION = 1
@@ -116,6 +118,41 @@ class Report:
 
 # What a runner returns: (verdict, summary, data); run_task makes it a Report.
 Outcome = tuple[str, str, dict[str, Any]]
+
+
+# the whitespace a token may carry: str.strip() would also take U+2003 or U+00A0
+ASCII_WHITESPACE = " \t\n\r\f\v"
+# ASCII digits with an optional sign: an integer; an integer, p/q or a decimal
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
+def parse_rational(token: str) -> Fraction:
+    """An exact rational from "3", "-2/5" or "0.25"; ValueError otherwise.
+
+    Exponent notation is refused: Fraction("1e10000000") builds a
+    ten-million-digit integer, at a cost that grows faster than the exponent.
+    So are the other spellings `Fraction` reads beyond that grammar:
+    underscores ("1_0" is 10) and non-ASCII digits ("١٢" is 12).  Only
+    ASCII whitespace around the token is stripped.
+    """
+    text = token.strip(ASCII_WHITESPACE)
+    if "e" in text or "E" in text:
+        raise ValueError(f"malformed rational {token!r}: exponent notation is not accepted")
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational {token!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"malformed rational {token!r}") from exc
+
+
+def parse_integer(token: str) -> int:
+    """An int from "3" or "-12", not "1_0" or "٣" as `int` reads; ValueError otherwise."""
+    text = token.strip(ASCII_WHITESPACE)
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(text)
 
 
 def _is_int(value: Any) -> bool:
@@ -221,14 +258,6 @@ def parse_document(doc: Any, default_truncation: int = DEFAULT_TRUNCATION) -> li
 
 def _names(nvars: int) -> list[str]:
     return [f"α{i + 1}" for i in range(nvars)]
-
-
-def _root_strings(roots: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
-    """A factor prod (1 - r t) as its roots' strings, sorted, each root as often as it occurs.
-
-    The empty list is the factor 1.
-    """
-    return sorted(r.format(names) for r in roots)
 
 
 def run_task(cfg: TaskConfig) -> Report:

@@ -14,8 +14,8 @@ wedge^2 of the direct sum (`ext_sq_root_indices`); no matrix is built.
 The oracles live in `tests/oracles.py`: exact Gauss-Jordan elimination on
 the wedge square and on the rep itself, the kernel eigenvalues of the
 grade-0 blocks as a parameter vector, low-end division of reciprocals, and
-the product over `divisibility_check(rep).ext_sq_roots` that tests compare
-with elimination.
+the roots of `divisibility_check(rep).ext_sq_keys` as polynomials, whose
+product tests compare with elimination and whose `format` with the report.
 
 The reciprocals on both sides of the Galois checks are products
 prod (1 - r t) over nonzero roots r in Q[x], x the symbols.  Each factor
@@ -32,12 +32,12 @@ every such c is an integer, and multiplying every root on both sides by
 the same nonzero constant is a bijection that keeps containment and
 equality of the multisets.  `divisibility_check` and `prop_H_equality`
 therefore compare multisets of keys (m, integer).  An explicit report
-prints each side's roots, decoded from the keys: by the same
-irreducibility the root multiset determines the factor, and it has
-O(dim^2) entries, where the expanded reciprocal has exponentially many
-terms in the number of symbols.  No reciprocal is built for a verdict or a
-report; division and equality of reciprocals are the tests' oracles of this
-route.
+prints each side's roots from their keys; nothing is decoded into a
+polynomial.  By the same irreducibility the root multiset determines the
+factor, and it has O(dim^2) entries, where the expanded reciprocal has
+exponentially many terms in the number of symbols.  No reciprocal is built
+for a verdict or a report; division and equality of reciprocals are the
+tests' oracles of this route.
 The scaling is by integer multiplication only: with int coefficients,
 c / q**e would be a float, and a float key compares unequal to the
 Fraction it approximates.
@@ -70,10 +70,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-from .polynomials import MultiPoly
 
 
 class FiniteAbelianGroup:
@@ -233,13 +231,12 @@ class _RootComparison:
     A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
     (see the module docstring); its key is (m, c), the exponent vector m
     packed two bits per symbol.  The formal roots pair up the grade-0
-    blocks' kernel eigenvalues a / q^(k-1); the others come from
-    `ext_sq_root_indices`.  The roots themselves, monomials c / scale x^m
-    listed with multiplicity, are decoded only when read: an explicit
-    report prints them, and random suites read none.  No reciprocal is
-    built for a verdict or a report.  `_missing` lists the formal keys the
-    exterior-square side lacks, and `_leftover` counts its keys the formal
-    side leaves over.
+    blocks' kernel eigenvalues a / q^(k-1) (`formal_keys`); the others come
+    from `ext_sq_root_indices` (`ext_sq_keys`).  An explicit report prints
+    the roots c / scale x^m with `root_strings`, and random suites print
+    none.  No reciprocal is built for a verdict or a report.  `_missing`
+    lists the formal keys the exterior-square side lacks, and `_leftover`
+    counts its keys the formal side leaves over.
     """
 
     def __init__(self, rep: WDRep):
@@ -257,17 +254,17 @@ class _RootComparison:
         lift = [q ** (top - e) for e in range(top + 1)]  # q^-e scaled by q^E
         zero = rep.group.zero()  # grades are reduced
         unramified = [i for i, b in enumerate(blocks) if b.grade == zero]
-        self._formal = [
+        self.formal_keys = [
             (sym[i] + sym[j], num[i] * num[j] * lift[blocks[i].length + blocks[j].length - 2])
             for i, j in combinations(unramified, 2)
         ]
-        self._full = [
+        self.ext_sq_keys = [
             (sym[i] + sym[j], num[i] * num[j] * lift[e]) for i, j, e in ext_sq_root_indices(rep)
         ]
         # one pass: strike each formal key from the count of the others
         self._missing: list[tuple[int, int]] = []  # formal roots the other side lacks
-        self._leftover = leftover = Counter(self._full)
-        for key in self._formal:
+        self._leftover = leftover = Counter(self.ext_sq_keys)
+        for key in self.formal_keys:
             n = leftover.get(key, 0)
             if n > 1:
                 leftover[key] = n - 1
@@ -275,39 +272,37 @@ class _RootComparison:
                 del leftover[key]
             else:
                 self._missing.append(key)
-        self.nvars = rep.nvars
         self.scale = den * den * lift[0]
 
-    def _roots(self, keys: Iterable[tuple[int, int]]) -> list[MultiPoly]:
-        """The roots with these keys, as monomials c / scale x^m."""
-        nvars = self.nvars
-        return [
-            MultiPoly.monomial(
-                nvars, [m >> (2 * s) & 3 for s in range(nvars)], Fraction(c, self.scale)
-            )
-            for m, c in keys
-        ]
-
     @property
-    def formal_roots(self) -> list[MultiPoly]:
-        return self._roots(self._formal)
+    def quotient_keys(self) -> list[tuple[int, int]] | None:
+        """The exterior-square keys the formal ones leave over, or None if they do not fit."""
+        return None if self._missing else list(self._leftover.elements())
 
-    @property
-    def ext_sq_roots(self) -> list[MultiPoly]:
-        return self._roots(self._full)
+    def root_strings(self, keys: Iterable[tuple[int, int]], names: Sequence[str]) -> list[str]:
+        """The roots c / scale x^m of these keys as sorted strings, in the bytes of `MultiPoly.format`.
 
-    @property
-    def quotient_roots(self) -> list[MultiPoly] | None:
-        """The exterior-square roots the formal ones leave over, or None if they do not fit."""
-        return None if self._missing else self._roots(self._leftover.elements())
+        Each is a sign, n/d or n in lowest terms (1 left out before a
+        symbol), then names[s]^e over the 2-bit fields e of m: 3/4*α1^2*α2.
+        """
+        scale, out = self.scale, []
+        for m, c in keys:
+            g = gcd(c, scale)
+            n, d = c // g, scale // g
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            fields = [(name, m >> 2 * s & 3) for s, name in enumerate(names)]
+            mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in fields if e])
+            body = (mono if mag == "1" else f"{mag}*{mono}") if mono else mag
+            out.append(f"-{body}" if n < 0 else body)
+        return sorted(out)
 
 
 class DivisibilityVerdict(_RootComparison):
     """Whether the pair-product factor divides the exterior-square factor.
 
     `divides` and `strict` are read off the root multisets.  The quotient
-    factor is the product over `quotient_roots`; a report prints those
-    roots, and no reciprocal is built.
+    factor is the product over the roots of `quotient_keys`; a report
+    prints those roots, and no reciprocal is built.
     """
 
     @property

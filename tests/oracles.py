@@ -64,7 +64,11 @@ arithmetic that only the tests need:
   elimination on the rep and on its wedge square, the oracles of
   `standard_satake` and of the closed-form root walk
   `weil_deligne.ext_sq_root_indices` (Clebsch-Gordan over blocks), which
-  `ext_sq_lfactor` multiplies out from `divisibility_check(rep).ext_sq_roots`;
+  `ext_sq_lfactor` multiplies out from `divisibility_check(rep).ext_sq_keys`;
+* `key_roots` -- the roots c / scale x^m of a Galois comparison's integer
+  keys (m, c) as `MultiPoly` monomials, which the package never builds:
+  their products are checked by elimination, and their `MultiPoly.format`
+  is the oracle of the printer `root_strings`;
 * `root_multiset_differences` -- the two `Counter` differences of two root
   lists, the oracle of the one-pass comparison behind the Galois verdicts;
 * `randrange_wdrep` and `randrange_k1_rep` -- the random drawers written
@@ -78,8 +82,10 @@ arithmetic that only the tests need:
   and printed by `format_m`: the oracle of what `tasks` prints.
 
 Only public names of `extsq` are used here, so no oracle reads the packed
-exponent keys of the code it checks.  Every oracle is a free function or a
-class of this module; none is a method of a package class.
+exponent keys of the code it checks, except `key_roots`, which decodes the
+public key lists of the Galois comparisons (two bits per symbol).  Every
+oracle is a free function or a class of this module; none is a method of a
+package class.
 """
 
 from __future__ import annotations
@@ -737,14 +743,25 @@ def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
     return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)
 
 
+def key_roots(keys: Sequence[tuple[int, int]] | None, scale: int, nvars: int) -> list[MultiPoly] | None:
+    """The roots c / scale x^m of keys (m, c), m packed two bits per symbol; None stays None."""
+    if keys is None:
+        return None
+    return [
+        MultiPoly.monomial(nvars, [m >> 2 * s & 3 for s in range(nvars)], Fraction(c, scale))
+        for m, c in keys
+    ]
+
+
 def ext_sq_lfactor(rep: WDRep) -> LFactor:
     """Exterior-square factor of the rep, multiplied out from its closed-form roots.
 
-    The roots are `divisibility_check(rep).ext_sq_roots`, which the
+    The roots are those of `divisibility_check(rep).ext_sq_keys`, which the
     production walk `ext_sq_root_indices` yields; tests compare the product
     with `ext_sq_lfactor_by_elimination`.
     """
-    return LFactor.from_linear_roots(divisibility_check(rep).ext_sq_roots, rep.nvars)
+    v = divisibility_check(rep)
+    return LFactor.from_linear_roots(key_roots(v.ext_sq_keys, v.scale, rep.nvars), rep.nvars)
 
 
 def root_multiset_differences(

@@ -37,7 +37,7 @@ MODULES = [extsq] + [
 def test_oracles_are_found():
     required = {"alphas", "schur_bialternant", "standard_satake", "wd_lfactor"}
     required |= {"LFactor", "formal_ext_sq_L", "ext_sq_lfactor"}
-    required |= {"randrange_wdrep", "randrange_k1_rep", "root_multiset_differences"}
+    required |= {"randrange_wdrep", "randrange_k1_rep", "root_multiset_differences", "key_roots"}
     required |= {"substitute", "power", "delta_half_exponent"}
     required |= {"series_pad", "series_product", "series_inverse"}
     required |= {"embed_t1", "embed_t2", "series2_product"}
@@ -164,6 +164,24 @@ class TestImportBoundary:
         loaded = self.run(_SATAKE_TASKS)
         assert _SATAKE_MODULES <= loaded
         assert not loaded & _GALOIS_MODULES
+
+    def test_only_satake_documents_load_polynomials(self):
+        """Galois roots print from their integer keys: `polynomials` is a Satake module."""
+        assert "extsq.polynomials" not in self.run(_GALOIS_TASKS)
+        assert "extsq.polynomials" in self.run(_SATAKE_TASKS)
+
+    def test_galois_command_line_loads_no_polynomials(self):
+        got = _fresh(
+            "import contextlib, io, json, sys\n"
+            "from extsq import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            f"print(json.dumps({{'code': code, 'out': out.getvalue(), 'loaded': {_LOADED}}}))",
+            "galois-divisibility", "--q", "3", "--group", "2", "--block", "1:1:b1", "--block", "1:1:b2", "--block", "0:1:3/2",
+            "--format", "machine",
+        )
+        assert got["code"] == 0 and '"verdict": "pass"' in got["out"]
+        assert got["loaded"] == ["extsq.cli", "extsq.galois_tasks", "extsq.tasks", "extsq.weil_deligne"]
 
     def test_mixed_document_loads_both_and_keeps_input_order(self):
         tasks = [_GALOIS_TASKS[1], _SATAKE_TASKS[2], _GALOIS_TASKS[0], _SATAKE_TASKS[0]]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extsq import lfactors
+from extsq import cli, galois_tasks, lfactors, polynomials, satake_tasks
 from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
-from extsq.polynomials import MultiPoly, parse_rational, times_linear_factors
+from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series_first_difference
-from extsq.tasks import parse_task, run_task
+from extsq.tasks import ASCII_WHITESPACE, parse_rational, parse_task, run_task
 from extsq.torus_sums import js_series
 from oracles import (
     LFactor,
@@ -77,9 +77,13 @@ class TestSatakeParams:
         p = SatakeParams.parse([" \t3\n", "\fsym\v"])
         assert p.entries == (MultiPoly.constant(1, 3), MultiPoly.variable(1, 0))
 
-    def test_parse_rational_lives_in_polynomials(self):
-        """Both task families read rationals; `lfactors` re-binds the one function."""
-        assert lfactors.parse_rational is parse_rational
+    def test_parse_rational_lives_in_tasks(self):
+        """The token grammar lives in the shared front end; every reader re-binds it, `polynomials` holds none."""
+        for module in (cli, galois_tasks, lfactors, satake_tasks):
+            assert module.ASCII_WHITESPACE is ASCII_WHITESPACE, module
+        for module in (galois_tasks, lfactors, satake_tasks):
+            assert module.parse_rational is parse_rational, module
+        assert not hasattr(polynomials, "parse_rational") and not hasattr(polynomials, "ASCII_WHITESPACE")
 
     @pytest.mark.parametrize("bad", [0.1, 2.0, True, False, None, [1]])
     def test_parse_refuses_tokens_that_are_not_exact(self, bad):

@@ -888,6 +888,44 @@ class TestCli:
         code, _ = self.run_cli("lfactor", "--satake", "sym")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfactor", "--satake", "sym,2", "--truncation", "\u0663"],
+            ["lfactor", "--satake", "sym,2", "--truncation", "\u20033"],
+            ["verify-bf", "--satake", "sym,2", "--truncation", "2,\u0663"],
+            ["galois-divisibility", "--q", "\u0663", "--block", "0:1:2"],
+            ["galois-divisibility", "--block", "0:1_0:2"],
+            ["galois-divisibility", "--group", "\u0662", "--block", "0:1:2"],
+            ["galois-divisibility", "--group", "2", "--block", "\u0661:1:2"],
+            ["galois-H", "--seed", "\u0667", "--random-count", "5"],
+            ["galois-H", "--seed", "7", "--random-count", "\u0665"],
+        ],
+        ids=["truncation", "truncation_em_space", "window", "q", "length", "group", "grade", "seed", "count"],
+    )
+    def test_integers_outside_the_ascii_grammar_exit_2(self, argv):
+        """`int` reads Arabic-Indic digits and underscores; the command line takes `[-+]?[0-9]+` only."""
+        code, _ = self.run_cli(*argv)
+        assert code == 2
+
+    def test_integers_may_carry_ascii_whitespace(self, monkeypatch):
+        code, out = self.run_cli(
+            "galois-H", "--seed", " 7\t", "--random-count", "\t5 ", "--truncation", " 3\t", "--format", "machine"
+        )
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert (report["task"]["seed"], report["data"]["count"]) == (7, 5)
+        monkeypatch.setenv(tasks.TRUNCATION_ENV_VAR, " 2\n")
+        code, out = self.run_cli("lfactor", "--satake", "sym,2", "--format", "machine")
+        assert code == 0 and json.loads(out)["reports"][0]["task"]["truncation"] == 2
+
+    @pytest.mark.parametrize("raw", ["\u0662", "1_0", "\u20032"])
+    def test_env_var_outside_the_ascii_grammar(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv(tasks.TRUNCATION_ENV_VAR, raw)
+        code, _ = self.run_cli("lfactor", "--satake", "sym")
+        assert code == 2
+        assert "environment: EXTSQ_TRUNCATION must be an integer" in capsys.readouterr().err
+
     def test_truncation_cap_on_the_command_line(self):
         cap = str(tasks.MAX_TRUNCATION)
         code, out = self.run_cli("lfactor", "--satake", "1/2,0", "--truncation", cap, "--format", "machine")

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extsq
-from extsq import lfactors, polynomials, symmetric, weil_deligne
+from extsq import lfactors, polynomials, satake_tasks, symmetric, weil_deligne
 from extsq.polynomials import MultiPoly
 from extsq.galois_tasks import _describe_rep
 from extsq.tasks import parse_task, run_task
@@ -25,6 +26,7 @@ from extsq.weil_deligne import (
     PropHResult,
     WDBlock,
     WDRep,
+    _RootComparison,
     _below,
     _first_opposite_pair,
     divisibility_check,
@@ -43,6 +45,7 @@ from oracles import (
     ext_sq_lfactor,
     ext_sq_lfactor_by_elimination,
     formal_ext_sq_L,
+    key_roots,
     randrange_k1_rep,
     randrange_wdrep,
     reciprocal_quotient,
@@ -76,8 +79,9 @@ def recip_of_roots(nvars, *roots):
     return LFactor.from_linear_roots([MultiPoly.constant(nvars, r) for r in roots], nvars)
 
 
-def factor(roots, nvars):
-    """prod (1 - r t) over a root list, multiplied out; None stays None."""
+def factor(comparison, keys, nvars):
+    """prod (1 - r t) over the roots of a comparison's keys (`key_roots`), multiplied out; None stays None."""
+    roots = key_roots(keys, comparison.scale, nvars)
     return None if roots is None else LFactor.from_linear_roots(roots, nvars)
 
 
@@ -379,21 +383,21 @@ class TestDivisibility:
     def test_steinberg_two_strict(self):
         v = divisibility_check(rep_of(5, TRIVIAL, ((0,), 2, Fraction(3, 2))))
         assert v.divides and v.strict
-        assert factor(v.formal_roots, 0) == LFactor.one(0)
-        assert factor(v.quotient_roots, 0) == factor(v.ext_sq_roots, 0)
+        assert factor(v, v.formal_keys, 0) == LFactor.one(0)
+        assert factor(v, v.quotient_keys, 0) == factor(v, v.ext_sq_keys, 0)
 
     def test_ramified_pair_strict(self):
         v = divisibility_check(rep_of(5, Z2, ((1,), 1, "b1"), ((1,), 1, "b2")))
         assert v.divides and v.strict
         x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-        assert factor(v.ext_sq_roots, 2) == LFactor.from_linear_roots([x * y], 2)
+        assert factor(v, v.ext_sq_keys, 2) == LFactor.from_linear_roots([x * y], 2)
 
     def test_unramified_semisimple_equality(self):
         v = divisibility_check(
             rep_of(5, TRIVIAL, ((0,), 1, Fraction(2)), ((0,), 1, Fraction(3)))
         )
         assert v.divides and not v.strict
-        assert factor(v.quotient_roots, 0) == LFactor.one(0)
+        assert factor(v, v.quotient_keys, 0) == LFactor.one(0)
 
     def test_quotient_verifies(self):
         rng = random.Random(40)
@@ -401,9 +405,9 @@ class TestDivisibility:
             rep = random_wdrep(rng)
             v = divisibility_check(rep)
             assert v.divides, rep.blocks
-            quotient = factor(v.quotient_roots, rep.nvars).reciprocal
-            formal = factor(v.formal_roots, rep.nvars).reciprocal
-            full = factor(v.ext_sq_roots, rep.nvars).reciprocal
+            quotient = factor(v, v.quotient_keys, rep.nvars).reciprocal
+            formal = factor(v, v.formal_keys, rep.nvars).reciprocal
+            full = factor(v, v.ext_sq_keys, rep.nvars).reciprocal
             # quotient times denominator reproduces the numerator
             prod = [MultiPoly.zero(rep.nvars)] * (len(quotient) + len(formal) - 1)
             for i, qc in enumerate(quotient):
@@ -423,13 +427,13 @@ class TestRootMultisets:
         v = divisibility_check(rep)
         assert v.divides == (quotient is not None), rep.blocks
         assert v.strict == (quotient is not None and len(quotient) > 1), rep.blocks
-        got = factor(v.quotient_roots, n)
+        got = factor(v, v.quotient_keys, n)
         assert (None if got is None else got.reciprocal) == quotient, rep.blocks
-        assert (factor(v.formal_roots, n), factor(v.ext_sq_roots, n)) == (formal, full), rep.blocks
+        assert (factor(v, v.formal_keys, n), factor(v, v.ext_sq_keys, n)) == (formal, full), rep.blocks
         # PropHResult without the pairing precondition: equality is decided too
         h = PropHResult(rep)
         assert h.equal == (formal == full), rep.blocks
-        assert (factor(h.formal_roots, n), factor(h.ext_sq_roots, n)) == (formal, full), rep.blocks
+        assert (factor(h, h.formal_keys, n), factor(h, h.ext_sq_keys, n)) == (formal, full), rep.blocks
         return v
 
     def check_all(self, reps):
@@ -462,10 +466,10 @@ class TestRootMultisets:
             v = self.check(rep, ext_sq_lfactor_by_elimination(rep))
             assert v.divides and v.strict and not PropHResult(rep).equal
             # a formal factor of 1: the quotient is the exterior-square factor
-            assert v.formal_roots == []
-            assert factor(v.quotient_roots, rep.nvars) == factor(v.ext_sq_roots, rep.nvars)
+            assert v.formal_keys == []
+            assert factor(v, v.quotient_keys, rep.nvars) == factor(v, v.ext_sq_keys, rep.nvars)
         v = self.check(unramified, ext_sq_lfactor_by_elimination(unramified))
-        assert v.divides and not v.strict and v.quotient_roots == []
+        assert v.divides and not v.strict and v.quotient_keys == []
 
     def test_repeated_roots(self):
         # three grade-0 lines with one scalar: the root 4 three times on each side
@@ -477,10 +481,10 @@ class TestRootMultisets:
         more = rep_of(3, Z3, ((0,), 1, a), ((0,), 1, a), ((1,), 1, a), ((2,), 1, a))
         v = self.check(more, ext_sq_lfactor_by_elimination(more))
         assert v.divides and v.strict and not PropHResult(more).equal
-        assert factor(v.quotient_roots, 0) == recip_of_roots(0, a * a)
+        assert factor(v, v.quotient_keys, 0) == recip_of_roots(0, a * a)
         x = rep_of(3, Z3, ((0,), 1, "x"), ((0,), 1, "x"), ((1,), 1, "x"), ((2,), 1, "x"))
         v = self.check(x, ext_sq_lfactor_by_elimination(x))
-        assert v.strict and factor(v.quotient_roots, x.nvars).degree == 1
+        assert v.strict and factor(v, v.quotient_keys, x.nvars).degree == 1
 
     def test_integer_keys_at_one_scale(self):
         """Every key coefficient is an exact int, and the verdicts match the oracles.
@@ -504,7 +508,7 @@ class TestRootMultisets:
         nonintegral = 0
         for rep in reps:
             comparison = weil_deligne._RootComparison(rep)
-            coefficients = [c for _, c in comparison._formal + comparison._full]
+            coefficients = [c for _, c in comparison.formal_keys + comparison.ext_sq_keys]
             assert all(type(c) is int for c in coefficients), rep.blocks
             nonintegral += any(Fraction(c, comparison.scale).denominator > 1 for c in coefficients)
             self.check(rep, ext_sq_lfactor_by_elimination(rep))
@@ -597,11 +601,25 @@ class TestRootComparison:
         assert v.divides == (not missing), rep.blocks
         assert v.strict == (not missing and bool(leftover)), rep.blocks
         assert h.equal == (not missing and not leftover), rep.blocks
-        quotient = v.quotient_roots
+        quotient = key_roots(v.quotient_keys, v.scale, rep.nvars)
         if missing:
             assert quotient is None, rep.blocks
         else:
             assert root_multiset_differences(quotient, [])[0] == leftover, rep.blocks
+
+
+@st.composite
+def root_keys(draw):
+    """(nvars, scale, keys): 0-4 symbols with fields 0-3, coefficients c / scale of either sign,
+    integral or not, with ±1 among them."""
+    nvars = draw(st.integers(0, 4))
+    scale = draw(st.integers(1, 10**6))
+    keys = []
+    for _ in range(draw(st.integers(0, 6))):
+        m = sum(draw(st.integers(0, 3)) << 2 * s for s in range(nvars))
+        num = draw(st.sampled_from([1, -1]) | st.integers(-(10**9), 10**9).filter(bool))
+        keys.append((m, num * scale if draw(st.booleans()) else num))
+    return nvars, scale, keys
 
 
 class TestPrintedRoots:
@@ -609,8 +627,20 @@ class TestPrintedRoots:
 
     The expected strings come from `alphas` and Fraction arithmetic
     (`roots_of`, `standard_satake`), never from the integer keys and the
-    common scale that the reports decode.
+    common scale that the reports print from.  The printer itself is
+    checked on arbitrary keys against `MultiPoly.format` of `key_roots`.
     """
+
+    @settings(max_examples=300, deadline=None)
+    @given(root_keys())
+    def test_printer_matches_format(self, drawn):
+        """`root_strings` prints each key as `MultiPoly.format` prints its decoded monomial."""
+        nvars, scale, keys = drawn
+        names = [f"α{i + 1}" for i in range(nvars)]
+        print_keys = partial(_RootComparison.root_strings, SimpleNamespace(scale=scale))
+        roots = key_roots(keys, scale, nvars)
+        assert [print_keys([key], names)[0] for key in keys] == [r.format(names) for r in roots]
+        assert print_keys(keys, names) == satake_tasks._root_strings(roots, names)
 
     def test_reports_print_the_oracle_roots(self, monkeypatch):
         rng = random.Random(87)
@@ -701,7 +731,7 @@ class TestPropHEquality:
     def test_semisimple_unramified(self):
         res = prop_H_equality(rep_of(5, TRIVIAL, ((0,), 1, "a"), ((0,), 1, "b")))
         assert res.equal
-        assert factor(res.formal_roots, 2) == factor(res.ext_sq_roots, 2)
+        assert factor(res, res.formal_keys, 2) == factor(res, res.ext_sq_keys, 2)
 
     def test_mixed_grades_under_h(self):
         res = prop_H_equality(
