@@ -17,16 +17,10 @@ __version__ = "0.1.0"
 # The exported names, by the module that defines them.
 _EXPORTS = {
     "polynomials": ("MultiPoly",),
-    "series": ("series_first_difference", "series2_first_difference"),
+    "series": ("series2_first_difference",),
     "symmetric": ("littlewood_sum", "schur", "window_partitions"),
-    "lfactors": (
-        "DoubledShapeSum",
-        "SatakeParams",
-        "ext_sq_expansion",
-        "ext_sq_roots",
-        "product_series",
-    ),
-    "torus_sums": ("BFProbeResult", "bf_odd_correction_probe", "bf_series", "js_series"),
+    "lfactors": ("SatakeParams", "ext_sq_roots"),
+    "torus_sums": ("LittlewoodIdentity",),
     "weil_deligne": (
         "DivisibilityVerdict",
         "FiniteAbelianGroup",

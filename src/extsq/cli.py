@@ -28,6 +28,13 @@ def _truncation_value(text: str) -> Any:
     return nums[0] if len(nums) == 1 else nums
 
 
+def _integer_value(text: str) -> int:
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _satake_value(text: str) -> list[str]:
     toks = [p.strip(ASCII_WHITESPACE) for p in text.split(",")]
     if not all(toks):
@@ -75,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="series order, or 'L1,L2' for two-variable tasks (overrides config)",
     )
-    common.add_argument("--seed", type=parse_integer, default=None, help="seed for randomized suites")
+    common.add_argument("--seed", type=_integer_value, default=None, help="seed for randomized suites")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("galois-H", "exact equality for semisimple input under the pairing hypothesis"),
     ):
         p = sub.add_parser(name, parents=[common], help=desc)
-        p.add_argument("--q", type=parse_integer, default=None, help=f"residue size (default {T.DEFAULT_Q})")
+        p.add_argument("--q", type=_integer_value, default=None, help=f"residue size (default {T.DEFAULT_Q})")
         p.add_argument(
             "--group",
             type=_group_value,
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--random-count",
-            type=parse_integer,
+            type=_integer_value,
             default=None,
             help="check this many seeded random representations instead of explicit blocks",
         )

@@ -1,4 +1,4 @@
-"""Local L-factors built from parameter vectors, and their expansions.
+"""Local L-factors built from parameter vectors, and their product grids.
 
 A parameter vector (`SatakeParams`) models the semisimple data of an
 unramified-type local representation: n entries, each either an exact
@@ -9,10 +9,10 @@ since a rational entry is just a degree-zero polynomial.
 A local factor prod_r (1 - r t)^{-1}, t = q^{-s}, is determined by its
 roots r, and production never multiplies the linear factors out.  The
 `lfactor` report prints the sorted nonzero roots; the truncated series of a
-factor is built from the same list (`product_series`), and no series is
-inverted.  The standard factor's roots are the entries, the
-exterior-square factor's the pair products `ext_sq_roots`; zero roots are
-factors 1.  The expanded reciprocals and their series inverse are the
+factor is built from the same list, as one row or column of
+`product_grid`, and no series is inverted.  The standard factor's roots
+are the entries, the exterior-square factor's the pair products
+`ext_sq_roots`; zero roots are factors 1.  The expanded reciprocals and their series inverse are the
 tests' oracles of this route, in `tests/oracles.py`.
 
 A vector's factors are symmetric in its symbols, since `SatakeParams` holds
@@ -44,10 +44,9 @@ one pass per column, and each t1^i t2^j cell is projected
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
 columns all have even length.  They are the t1^0 row of Littlewood's sum
-graded by odd columns, `symmetric.littlewood_sum`, the one Schur sum behind
-`ext_sq_expansion` here (rows bounded by k, the number of nonzero entries)
-and the torus sums of `torus_sums` (rows bounded by n - 1), so each
-identity can be verified coefficient by coefficient.
+graded by odd columns, `symmetric.littlewood_sum`, and `product_grid` is
+the product side of `torus_sums.LittlewoodIdentity`, which every identity
+task reads.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from math import comb, lcm
 from typing import Sequence
 
 from .polynomials import MultiPoly, times_linear_factors
-from .symmetric import littlewood_sum
 from .tasks import ASCII_WHITESPACE, parse_rational
 
 
@@ -143,18 +141,6 @@ def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
     ]
 
 
-def product_series(roots: Sequence[MultiPoly], nvars: int, order: int) -> tuple[MultiPoly, ...]:
-    """prod_r 1/(1 - r t) through t^order, by its dominant terms: the t2 row of `product_grid`.
-
-    Pass `ext_sq_roots(params)` for the exterior-square factor's series;
-    the standard factor's is the t1 column of
-    `product_grid(params.entries, (), nvars, order, 0)`, counted on the
-    symbols.  The tests' oracle multiplies the reciprocal out and inverts
-    it as a series.
-    """
-    return product_grid((), roots, nvars, 0, order)[0]
-
-
 @lru_cache(maxsize=1 << 14)
 def _multigraphs(degrees: tuple[int, ...]) -> int:
     """M(d), the loopless multigraphs on labelled vertices of degrees d (sorted, positive)."""
@@ -216,6 +202,8 @@ def product_grid(
     symbols and their pair products (`_counts`) the cells are counted;
     otherwise both lists are multiplied out (module docstring).
     """
+    if not l1:
+        linear = ()  # the t1^0 coefficient of their factor is 1
     if _counts(linear, 1, nvars) and _counts(pairs, 2, nvars):
         grid = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
         grid[0][0] = MultiPoly.one(nvars)
@@ -239,44 +227,3 @@ def product_grid(
     return tuple(
         tuple(c.dominant().div_int(d1**i * d2**j) for j, c in enumerate(row)) for i, row in enumerate(grid)
     )
-
-
-class DoubledShapeSum:
-    """A truncated doubled-shape Schur sum and the terms it was summed from.
-
-    `series` holds the coefficients of t^0..t^order.  `terms` holds one
-    (power, shape, value) triple per doubled shape in enumeration order:
-    the weight |f|, the shape (f1,f1,...,fh,fh,0,...), and its Schur value
-    at the parameter entries.
-    """
-
-    __slots__ = ("series", "terms")
-
-    def __init__(
-        self,
-        series: tuple[MultiPoly, ...],
-        terms: tuple[tuple[int, tuple[int, ...], MultiPoly], ...],
-    ):
-        self.series = series
-        self.terms = terms
-
-
-def _doubled_shape_sum(params: SatakeParams, rows: int, length: int, order: int) -> DoubledShapeSum:
-    """The t1^0 row of `littlewood_sum` over at most `rows` rows, each shape padded to `length`."""
-    grid, scale, terms = littlewood_sum(params.entries, rows, 0, order)
-    padded = tuple(
-        (b, shape + (0,) * (length - len(shape)), value.div_int(scale ** (2 * b)))
-        for _, b, shape, value in terms
-    )
-    return DoubledShapeSum(grid[0], padded)
-
-
-def ext_sq_expansion(params: SatakeParams, order: int) -> DoubledShapeSum:
-    """Schur expansion of the exterior-square series over the nonzero entries.
-
-    With k nonzero entries the series equals the sum over the doubled shapes
-    (f1,f1,...,fh,fh) with at most k rows of s_(f1,f1,...,fh,fh)(nonzero
-    entries) t^{|f|}; each shape is padded with zeros to length k.
-    """
-    k = len(params.nonzero_entries)
-    return _doubled_shape_sum(params, k, k, order)

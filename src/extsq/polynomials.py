@@ -200,10 +200,6 @@ class MultiPoly:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         return cls._raw(nvars, {1 << (_EXP_BITS * (nvars - 1 - i)): 1})
 
-    @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], c: Scalar = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): c})
-
     # -- predicates and views ----------------------------------------------
 
     def __bool__(self) -> bool:

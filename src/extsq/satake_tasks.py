@@ -39,16 +39,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .lfactors import (
-    DoubledShapeSum,
-    SatakeParams,
-    ext_sq_expansion,
-    ext_sq_roots,
-    product_grid,
-    product_series,
-)
+from .lfactors import SatakeParams, ext_sq_roots, product_grid
 from .polynomials import MultiPoly
-from .series import series2_first_difference, series_first_difference
+from .series import series2_first_difference
 from .tasks import (
     ASCII_WHITESPACE,
     MAX_RANK,
@@ -62,7 +55,7 @@ from .tasks import (
     _require,
     parse_rational,
 )
-from .torus_sums import bf_odd_correction_probe, bf_product_form, bf_series, js_series
+from .torus_sums import LittlewoodIdentity
 
 _WINDOW_TASKS = {"verify-bf", "bf-odd-probe"}
 
@@ -143,7 +136,7 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     names = _names(params.nvars)
     ext_roots = ext_sq_roots(params)
     std_series = [row[0] for row in product_grid(params.entries, (), params.nvars, order, 0)]
-    ext_series = product_series(ext_roots, params.nvars, order)
+    ext_series = product_grid((), ext_roots, params.nvars, 0, order)[0]
     data = {
         "standard_roots": _root_strings(params.nonzero_entries, names),
         "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),
@@ -153,38 +146,40 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     return "info", f"standard and exterior-square factors expanded through t^{order}", data
 
 
-def _compare_with_ext_sq(
-    cfg: TaskConfig, data: dict[str, Any], key: str, lhs: DoubledShapeSum
-) -> int | None:
-    """Compare a one-variable sum with the exterior-square factor, into `data`.
+def _compare_row(data: dict[str, Any], key: str, identity: LittlewoodIdentity, length: int) -> int | None:
+    """Compare the t1^0 row of a one-row identity with that of its product grid, into `data`.
 
     Adds the sum under `key`, then `product`, `first_difference` and
-    `contributions` (the partition-indexed Schur coefficients behind the
-    sum), in that order, since the table prints keys as inserted.  Returns
-    the lowest power where the two sides differ, or None.
+    `contributions` (the Schur value of each shape, padded with zeros to
+    `length`), in that order, since the table prints keys as inserted.
+    Returns the lowest power where the two rows differ, or None.
     """
-    params = cfg.params
-    rhs = product_series(ext_sq_roots(params), params.nvars, cfg.truncation)
-    diff = series_first_difference(lhs.series, rhs)
-    lhs_text = data[key] = _fmt_series1(lhs.series)
-    rhs_text = data["product"] = _fmt_against(rhs, lhs.series, lhs_text)
+    lhs, rhs = identity.grid[0], identity.product[0]
+    diff = series2_first_difference(identity.grid, identity.product)
+    lhs_text = data[key] = _fmt_series1(lhs)
+    rhs_text = data["product"] = _fmt_against(rhs, lhs, lhs_text)
+    power = None if diff is None else diff[0][1]
     data["first_difference"] = (
-        None
-        if diff is None
-        else {"power": diff[0], key: lhs_text[diff[0]], "product": rhs_text[diff[0]]}
+        None if diff is None else {"power": power, key: lhs_text[power], "product": rhs_text[power]}
     )
+    scale = identity.scale
     data["contributions"] = [
-        {"power": l, "shape": list(shape), "coefficient": value.format_symmetric()}
-        for l, shape, value in lhs.terms
+        {
+            "power": b,
+            "shape": list(shape) + [0] * (length - len(shape)),
+            "coefficient": value.div_int(scale ** (2 * b)).format_symmetric(),
+        }
+        for _, b, shape, value in identity.terms
     ]
-    return None if diff is None else diff[0]
+    return power
 
 
 def _run_verify_littlewood(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
-    data: dict[str, Any] = {"k": len(params.nonzero_entries)}
-    diff = _compare_with_ext_sq(cfg, data, "expansion", ext_sq_expansion(params, order))
+    k = len(params.nonzero_entries)
+    data: dict[str, Any] = {"k": k}
+    diff = _compare_row(data, "expansion", LittlewoodIdentity(params, k, 0, order), k)
     if diff is not None:
         return "fail", f"expansion differs from the exterior-square factor at t^{diff}", data
     summary = f"doubled-shape expansion matches the exterior-square factor through t^{order}"
@@ -199,7 +194,10 @@ def _run_verify_js(cfg: TaskConfig) -> Outcome:
         "parity": "even" if even else "odd",
         "positive_conductor": params.has_zero,
     }
-    diff = _compare_with_ext_sq(cfg, data, "torus_sum", js_series(params, order))
+    # compared with the plain product: at even rank with every entry nonzero
+    # the sum is (1 - omega t2^m) times it, reported for inspection
+    identity = LittlewoodIdentity(params, params.n - 1, 0, order)
+    diff = _compare_row(data, "torus_sum", identity, params.n)
     if even and not params.has_zero:
         note = (
             "identity not asserted: even rank with every entry nonzero "
@@ -215,7 +213,8 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     l1, l2 = cfg.truncation
     m, odd = divmod(params.n, 2)
-    lhs = bf_series(params, l1, l2)
+    identity = LittlewoodIdentity(params, params.n - 1, l1, l2)
+    lhs = identity.grid
     data: dict[str, Any] = {"parity": "odd" if odd else "even"}
     if odd:
         data["positive_conductor"] = params.has_zero
@@ -226,11 +225,11 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
             f"(1 - ω t1 t2^{m}) times the product of factors, which bf-odd-probe checks"
         )
         return "info", note, data
-    omega, expected = bf_product_form(params, l1, l2)
     form = "the product of factors"
     if not odd:
-        data["central_product"] = omega.format_symmetric()
+        data["central_product"] = identity.omega.format_symmetric()
         form = f"(1 - ω t2^{m}) times {form}"
+    expected = identity.form
     diff = series2_first_difference(lhs, expected)
     expected_text = data["expected"] = [
         _fmt_against(row, lhs_row, text_row)
@@ -251,20 +250,37 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
 
 
 def _run_bf_odd_probe(cfg: TaskConfig) -> Outcome:
+    """Compare the odd-rank sum with its product form; report the correction (1 - ω t1 t2^m).
+
+    The product grid's constant term is 1, so where the sum equals the form
+    the sum divided by the product of factors is exactly 1 - ω t1 t2^m,
+    truncated to the window: it is 1 when some entry vanishes (ω = 0) and
+    when the window stops short of t1 t2^m.
+    """
     params = cfg.params
     l1, l2 = cfg.truncation
-    try:
-        probe = bf_odd_correction_probe(params, l1, l2)
-    except ArithmeticError as exc:
-        return "fail", str(exc), {"conductor_hypothesis": params.has_zero}
+    nvars, m = params.nvars, params.n // 2
+    identity = LittlewoodIdentity(params, params.n - 1, l1, l2)
+    diff = series2_first_difference(identity.grid, identity.form)
+    if diff is not None:
+        (i, j), _, _ = diff
+        summary = (
+            f"two-variable torus sum differs from (1 - ω t1 t2^{m}) times the product of factors"
+            f" at t1^{i} t2^{j}"
+        )
+        return "fail", summary, {"conductor_hypothesis": params.has_zero}
+    correction = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+    correction[0][0] = MultiPoly.one(nvars)
+    matches = not identity.omega or l1 < 1 or l2 < m
+    if not matches:
+        correction[1][m] = -identity.omega
     data = {
-        "conductor_hypothesis": probe.conductor_hypothesis,
-        "matches_product": probe.matches_product,
-        "correction": _fmt_series2(probe.correction),
+        "conductor_hypothesis": params.has_zero,
+        "matches_product": matches,
+        "correction": _fmt_series2(correction),
     }
-    if probe.conductor_hypothesis:
+    if params.has_zero:
         return "pass", f"correction factor is exactly 1 through ({l1}, {l2})", data
-    m = params.n // 2
     note = (
         f"sum equals (1 - ω t1 t2^{m}) times the product of factors through ({l1}, {l2}); "
         "no entry vanishes, so ω is not 0"

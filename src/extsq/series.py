@@ -9,9 +9,11 @@ one variable count.
 Production builds both sides of every identity as such tuples: the sums by
 adding Schur values, the product sides of linear roots in
 `polynomials.times_linear_factors`.  Nothing multiplies, inverts or embeds
-a series; the two sides are compared here, and only at one truncation and
-one variable count, with no silent re-truncation.  The series arithmetic
-the tests check the product sides against lives in `tests/oracles.py`.
+a series; the two sides are compared here, by `series2_first_difference`
+alone, and only at one window and one variable count, with no silent
+re-truncation; a one-variable series is compared as the window (0, L).
+The series arithmetic the tests check the product sides against lives in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -21,27 +23,6 @@ from typing import Sequence
 from .polynomials import MultiPoly
 
 
-def _check(shape_a, shape_b, a0: MultiPoly, b0: MultiPoly) -> None:
-    if shape_a != shape_b:
-        raise ValueError(f"order mismatch: {shape_a} vs {shape_b}")
-    if a0.nvars != b0.nvars:
-        raise ValueError(f"dimension mismatch: {a0.nvars} vs {b0.nvars} variables")
-
-
-def series_first_difference(
-    a: Sequence[MultiPoly], b: Sequence[MultiPoly]
-) -> tuple[int, MultiPoly, MultiPoly] | None:
-    """Lowest power where two series differ, with both coefficients, or None.
-
-    Raises ValueError unless both have one order and one variable count.
-    """
-    _check(len(a) - 1, len(b) - 1, a[0], b[0])
-    for l, (ca, cb) in enumerate(zip(a, b)):
-        if ca != cb:
-            return l, ca, cb
-    return None
-
-
 def series2_first_difference(
     a: Sequence[Sequence[MultiPoly]], b: Sequence[Sequence[MultiPoly]]
 ) -> tuple[tuple[int, int], MultiPoly, MultiPoly] | None:
@@ -49,8 +30,12 @@ def series2_first_difference(
 
     Raises ValueError unless both have one window and one variable count.
     """
-    l1, l2 = len(a) - 1, len(a[0]) - 1
-    _check((l1, l2), (len(b) - 1, len(b[0]) - 1), a[0][0], b[0][0])
+    window, other = (len(a) - 1, len(a[0]) - 1), (len(b) - 1, len(b[0]) - 1)
+    if window != other:
+        raise ValueError(f"order mismatch: {window} vs {other}")
+    if a[0][0].nvars != b[0][0].nvars:
+        raise ValueError(f"dimension mismatch: {a[0][0].nvars} vs {b[0][0].nvars} variables")
+    l1, l2 = window
     for d in range(l1 + l2 + 1):
         for i in range(max(0, d - l2), min(d, l1) + 1):
             if a[i][d - i] != b[i][d - i]:

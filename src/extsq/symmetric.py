@@ -20,9 +20,10 @@ Schur sums:
 * `littlewood_sum` -- Littlewood's Schur sum graded by odd columns
   (Macdonald, I.5 Ex. 5) over the shapes of one window, which
   `window_partitions` builds column by column.  Its t1^0 row holds the
-  doubled shapes.  Every sum of the package reads it, and they differ only
-  in the row bound: n - 1 for both torus sums, k (the nonzero entries) for
-  the exterior-square expansion.
+  doubled shapes.  Every identity of the package reads it, through
+  `torus_sums.LittlewoodIdentity`, and they differ only in the row bound
+  and the window: n - 1 rows for both torus sums, k (the nonzero entries)
+  for the exterior-square expansion.
 
 A value vector holds every variable of the m-variable ring exactly once, in
 any order, and constants; `SchurValues` refuses any other vector, so no
@@ -51,8 +52,8 @@ fraction-free elimination, with no memo.
 
 The division by D^|f|, one Fraction per term (`MultiPoly.div_int`), comes
 once per printed polynomial: the shapes of a `littlewood_sum` cell all
-weigh the same, so each cell is divided once, and only the contributions of
-`lfactors._doubled_shape_sum` are divided shape by shape.
+weigh the same, so each cell is divided once, and only the contributions
+that the one-variable reports print are divided shape by shape.
 
 The independent oracle of both routes, the alternant divided exactly by the
 Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,

@@ -26,9 +26,10 @@ arithmetic that only the tests need:
   doubled: the oracles of `symmetric.window_partitions` and its readers;
 * `format_terms` -- a polynomial's text from its `terms()`: the oracle of
   `MultiPoly.format`;
-* `coefficient` and `symbolic_params` -- a polynomial's coefficient at an
-  exponent vector, read from `terms()`, and the all-symbol vector of n
-  entries, which production never needs;
+* `coefficient`, `monomial` and `symbolic_params` -- a polynomial's
+  coefficient at an exponent vector, read from `terms()`, the monomial c
+  x^exps, and the all-symbol vector of n entries, which production never
+  needs;
 * `dominant_part` (and `dominant_series`, per coefficient or cell),
   `expand_m_basis` and `format_m` -- a symmetric
   polynomial's dominant terms, read from the unpacked exponent vectors of
@@ -49,12 +50,12 @@ arithmetic that only the tests need:
 * `LFactor` -- a factor 1/P(t) held through its expanded reciprocal P, which
   production never builds.  `LFactor.from_linear_roots` multiplies the
   factors (1 - r t) out with plain `MultiPoly` arithmetic, and
-  `LFactor.series` inverts P as a series: the oracle of
-  `lfactors.product_series`, which divides by one root at a time.
+  `LFactor.series` inverts P as a series: the oracle of a row or column
+  of `lfactors.product_grid`, which divides by one root at a time.
   `standard_L` and `formal_ext_sq_L` multiply out a vector's entries and
   their pair products `lfactors.ext_sq_roots`; their series, embedded in
-  t1 and in t2 and multiplied, are the oracle of
-  `torus_sums.bf_product_series`;
+  t1 and in t2 and multiplied, are the oracle of the product side
+  `torus_sums.LittlewoodIdentity.product`;
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
@@ -346,6 +347,11 @@ def symbolic_params(n: int) -> SatakeParams:
 
 
 # -- polynomials and truncated series ----------------------------------------------
+
+
+def monomial(nvars: int, exps: Sequence[int], c: Fraction | int = 1) -> MultiPoly:
+    """The monomial c x^exps in nvars variables."""
+    return MultiPoly(nvars, {tuple(exps): c})
 
 
 def power(p: MultiPoly, e: int) -> MultiPoly:
@@ -748,7 +754,7 @@ def key_roots(keys: Sequence[tuple[int, int]] | None, scale: int, nvars: int) ->
     if keys is None:
         return None
     return [
-        MultiPoly.monomial(nvars, [m >> 2 * s & 3 for s in range(nvars)], Fraction(c, scale))
+        monomial(nvars, [m >> 2 * s & 3 for s in range(nvars)], Fraction(c, scale))
         for m, c in keys
     ]
 

@@ -25,12 +25,12 @@ import pytest
 
 import extsq
 from extsq.cli import main as cli_main
-from extsq.lfactors import SatakeParams, ext_sq_expansion
+from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly
-from extsq.series import series2_first_difference, series_first_difference
+from extsq.series import series2_first_difference
 from extsq.symmetric import SchurValues, schur
 from extsq.tasks import parse_task, run_task
-from extsq.torus_sums import bf_odd_correction_probe, bf_series, js_series
+from extsq.torus_sums import LittlewoodIdentity
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
@@ -94,6 +94,17 @@ def oracle_series(p, order):
     return dominant_series(formal_ext_sq_L(p).series(order))
 
 
+def row_difference(p, rows, order):
+    """The lowest power where the t1^0 row of Littlewood's sum over `rows` rows leaves the oracle, or None."""
+    diff = series2_first_difference(LittlewoodIdentity(p, rows, 0, order).grid, (oracle_series(p, order),))
+    return None if diff is None else diff[0][1]
+
+
+def torus_grid(p, l1, l2):
+    """The two-variable torus sum: Littlewood's sum over at most n - 1 rows."""
+    return LittlewoodIdentity(p, p.n - 1, l1, l2).grid
+
+
 def test_criterion_01_schur_oracle(capsys):
     """Branching-rule and alternant constructions agree, |shape| <= 6, n <= 4."""
     t0 = time.perf_counter()
@@ -113,9 +124,9 @@ def test_criterion_02_littlewood_expansion(capsys):
     for k in (2, 3, 4, 5):
         order = 6 if k == 5 else 8
         p = symbolic_params(k)
-        diff = series_first_difference(ext_sq_expansion(p, order).series, oracle_series(p, order))
+        diff = row_difference(p, k, order)
         if diff is not None:
-            failures.append((k, diff[0]))
+            failures.append((k, diff))
     finish(capsys, "criterion 02: Littlewood expansion k=2..5", 60.0, t0, not failures, f"first differences: {failures}")
 
 
@@ -125,9 +136,9 @@ def test_criterion_03_torus_sum_odd(capsys):
     failures = []
     for n in (3, 5):
         p = symbolic_params(n)
-        diff = series_first_difference(js_series(p, 6).series, oracle_series(p, 6))
+        diff = row_difference(p, n - 1, 6)
         if diff is not None:
-            failures.append((n, diff[0]))
+            failures.append((n, diff))
     finish(capsys, "criterion 03: odd-rank torus sum n=3,5", 60.0, t0, not failures, f"{failures}")
 
 
@@ -137,15 +148,14 @@ def test_criterion_04_torus_sum_even(capsys):
     problems = []
     for n in (4, 6):
         p = SatakeParams.parse(["sym"] * (n - 1) + ["0"])
-        diff = series_first_difference(js_series(p, 6).series, oracle_series(p, 6))
+        diff = row_difference(p, n - 1, 6)
         if diff is not None:
-            problems.append(f"n={n} differs at t^{diff[0]}")
-    p4 = symbolic_params(4)
-    neg = series_first_difference(js_series(p4, 4).series, oracle_series(p4, 4))
+            problems.append(f"n={n} differs at t^{diff}")
+    neg = row_difference(symbolic_params(4), 3, 4)
     if neg is None:
         problems.append("all-nonzero n=4 unexpectedly agrees through t^4")
-    elif neg[0] > 4:
-        problems.append(f"all-nonzero n=4 first difference at t^{neg[0]} > 4")
+    elif neg > 4:
+        problems.append(f"all-nonzero n=4 first difference at t^{neg} > 4")
     finish(capsys, "criterion 04: even-rank torus sum n=4,6 + sharpness", 60.0, t0, not problems, "; ".join(problems))
 
 
@@ -164,7 +174,7 @@ def test_criterion_05_degenerate_parameters(capsys):
         if formal_ext_sq_L(p) != LFactor.one(p.nvars):
             problems.append(f"case {i}: factor not 1 for {toks}")
             continue
-        s = js_series(p, 5).series
+        s = LittlewoodIdentity(p, p.n - 1, 0, 5).grid[0]
         if any(not s[l].is_zero for l in range(1, 6)) or s[0] != 1:
             problems.append(f"case {i}: torus sum not 1 for {toks}")
     finish(capsys, "criterion 05: 100 degenerate parameter vectors", 5.0, t0, not problems, "; ".join(problems[:3]))
@@ -209,11 +219,11 @@ def test_criterion_07_two_variable_even(capsys):
     grid[0][0] = MultiPoly.one(4)
     grid[0][2] = -omega
     expected = dominant_series(series2_product(grid, product(p, 4, 4)))
-    if series2_first_difference(bf_series(p, 4, 4), expected) is not None:
+    if series2_first_difference(torus_grid(p, 4, 4), expected) is not None:
         problems.append("symbolic n=4 with central factor")
 
     p0 = SatakeParams.parse(["sym", "sym", "sym", "0"])
-    if series2_first_difference(bf_series(p0, 4, 4), dominant_series(product(p0, 4, 4))) is not None:
+    if series2_first_difference(torus_grid(p0, 4, 4), dominant_series(product(p0, 4, 4))) is not None:
         problems.append("n=4 with vanishing entry")
     finish(capsys, "criterion 07: two-variable sum, even rank n=4", 60.0, t0, not problems, "; ".join(problems))
 
@@ -227,19 +237,18 @@ def test_criterion_08_two_variable_odd(capsys):
         embed_t1(standard_L(p).series(4), 4), embed_t2(formal_ext_sq_L(p).series(4), 4)
     )
     prod = dominant_series(prod)
-    if series2_first_difference(bf_series(p, 4, 4), prod) is not None:
+    if series2_first_difference(torus_grid(p, 4, 4), prod) is not None:
         problems.append("n=3 with vanishing entry differs from the product")
-    probe = bf_odd_correction_probe(p, 4, 4)
-    if not (probe.conductor_hypothesis and probe.matches_product):
+    probe = run_task(parse_task({"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "truncation": [4, 4]}))
+    if not (probe.data["conductor_hypothesis"] and probe.data["matches_product"]):
         problems.append("probe did not certify the correction as 1")
-    open_probe = bf_odd_correction_probe(symbolic_params(3), 4, 4)
-    if open_probe.conductor_hypothesis:
-        problems.append("all-nonzero probe mislabeled as conductor-positive")
-    if open_probe.correction[0][0] != 1:
-        problems.append("correction series is not normalized")
     report = run_task(
         parse_task({"task": "bf-odd-probe", "satake": ["sym", "sym", "sym"], "truncation": [4, 4]})
     )
+    if report.data["conductor_hypothesis"]:
+        problems.append("all-nonzero probe mislabeled as conductor-positive")
+    if report.data["correction"][0][0] != "1":
+        problems.append("correction series is not normalized")
     if report.verdict != "info" or "correction" not in report.data:
         problems.append("all-nonzero probe not reported as info with its correction")
     finish(capsys, "criterion 08: two-variable sum, odd rank n=3", 30.0, t0, not problems, "; ".join(problems))

@@ -10,6 +10,7 @@ of its own task family while it is parsed, and none after.  Both are
 checked in fresh interpreters, since this process has imported everything.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -42,7 +43,7 @@ def test_oracles_are_found():
     required |= {"series_pad", "series_product", "series_inverse"}
     required |= {"embed_t1", "embed_t2", "series2_product"}
     required |= {"partitions_bounded", "alternating_sum", "even_index_sum", "doubled_shape"}
-    required |= {"machine_json"}
+    required |= {"machine_json", "monomial"}
     required |= {"dominant_part", "dominant_series", "expand_m_basis", "format_m"}
     required |= {"EntryVector", "satake_report_data", "multigraph_count"}
     assert required <= set(ORACLE_NAMES)
@@ -59,6 +60,20 @@ def test_no_module_binds_an_oracle_name(module):
         if name in vars(cls)
     ]
     assert bound == []
+
+
+def test_satake_tasks_read_one_identity_route():
+    """The identity runners reach the sums and product grids through `LittlewoodIdentity` alone,
+    and compare only by `series2_first_difference`."""
+    tree = ast.parse(Path(inspect.getfile(importlib.import_module("extsq.satake_tasks"))).read_text())
+    imported = {
+        node.module: sorted(alias.name for alias in node.names)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert imported["torus_sums"] == ["LittlewoodIdentity"]
+    assert imported["series"] == ["series2_first_difference"]
+    assert "symmetric" not in imported
 
 
 def test_every_exported_name_resolves():

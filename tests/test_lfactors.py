@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsq import cli, galois_tasks, lfactors, polynomials, satake_tasks
-from extsq.lfactors import SatakeParams, ext_sq_expansion, ext_sq_roots, product_series
+from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly, times_linear_factors
-from extsq.series import series_first_difference
-from extsq.tasks import ASCII_WHITESPACE, parse_rational, parse_task, run_task
-from extsq.torus_sums import js_series
+from extsq.series import series2_first_difference
+from extsq.tasks import ASCII_WHITESPACE, ConfigError, parse_rational, parse_task, run_task
+from extsq.torus_sums import LittlewoodIdentity
 from oracles import (
     LFactor,
     alternating_sum,
@@ -28,6 +28,20 @@ from oracles import (
     standard_L,
     symbolic_params,
 )
+
+
+def product_row(roots, nvars, order):
+    """prod_r 1/(1 - r t) through t^order: the t2 row of `product_grid` with no linear roots."""
+    return lfactors.product_grid((), roots, nvars, 0, order)[0]
+
+
+def expansion_row(params, order):
+    """The doubled-shape expansion: the t1^0 row of Littlewood's sum over k rows, k the nonzero entries."""
+    return LittlewoodIdentity(params, len(params.nonzero_entries), 0, order).grid[0]
+
+
+def torus_row(params, order):
+    return LittlewoodIdentity(params, params.n - 1, 0, order).grid[0]
 
 
 class TestSatakeParams:
@@ -231,12 +245,12 @@ class TestRootwiseProductSide:
     def test_series_matches_inverted_reciprocal(self, nvars_roots, order):
         nvars, roots = nvars_roots
         oracle = LFactor.from_linear_roots(roots, nvars).series(order)
-        assert product_series(roots, nvars, order) == dominant_series(oracle)
+        assert product_row(roots, nvars, order) == dominant_series(oracle)
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_roots(), st.integers(0, 7))
     def test_kernel_gets_int_roots(self, nvars_roots, order):
-        """product_series scales the roots by D before the kernel sees them.
+        """product_grid scales the roots by D before the kernel sees them.
 
         A list that does not count reaches the kernel whole, in one call; a
         root of two terms never counts, so with one there is a call.
@@ -249,7 +263,7 @@ class TestRootwiseProductSide:
             return times_linear_factors(coeffs, roots, order)
 
         with patch.object(lfactors, "times_linear_factors", spy):
-            product_series(roots, nvars, order)
+            product_row(roots, nvars, order)
         assert len(seen) <= 1 and all(type(c) is int for cs in seen for c in cs)
         if any(len(r) > 1 for r in roots):
             assert len(seen) == 1
@@ -281,16 +295,16 @@ class TestRootwiseProductSide:
             if degree == 1:
                 got = tuple(row[0] for row in lfactors.product_grid(roots, (), nvars, order, 0))
             else:
-                got = product_series(roots, nvars, order)
+                got = product_row(roots, nvars, order)
         assert len(roots) in calls
         assert got == dominant_series(LFactor.from_linear_roots(roots, nvars).series(order))
 
     @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
     def test_series_reads_the_factor_roots(self, tokens):
         p = SatakeParams.parse(tokens)
-        assert product_series(p.entries, p.nvars, 6) == dominant_series(standard_L(p).series(6))
+        assert product_row(p.entries, p.nvars, 6) == dominant_series(standard_L(p).series(6))
         ext = formal_ext_sq_L(p).series(6)
-        assert product_series(ext_sq_roots(p), p.nvars, 6) == dominant_series(ext)
+        assert product_row(ext_sq_roots(p), p.nvars, 6) == dominant_series(ext)
 
 
 def kostka_sum(nu, odd_columns, n):
@@ -399,29 +413,34 @@ class TestExtSqExpansion:
     @pytest.mark.parametrize("k,order", [(2, 6), (3, 5), (4, 4)])
     def test_symbolic_identity(self, k, order):
         p = symbolic_params(k)
-        lhs = ext_sq_expansion(p, order).series
+        lhs = expansion_row(p, order)
         rhs = dominant_series(formal_ext_sq_L(p).series(order))
-        assert series_first_difference(lhs, rhs) is None
+        assert series2_first_difference((lhs,), (rhs,)) is None
 
     def test_zeros_anywhere(self):
         p = SatakeParams.parse(["0", "sym", "2/3", "0", "sym"])
-        lhs = ext_sq_expansion(p, 5).series
+        lhs = expansion_row(p, 5)
         rhs = dominant_series(formal_ext_sq_L(p).series(5))
-        assert series_first_difference(lhs, rhs) is None
+        assert series2_first_difference((lhs,), (rhs,)) is None
 
     def test_terms_sum_to_series(self):
-        p = SatakeParams.parse(["sym", "0", "2/3", "sym", "-3"])
-        out = ext_sq_expansion(p, 4)
-        assert [shape for power, shape, _ in out.terms if power == 2] == [(2, 2, 0, 0), (1, 1, 1, 1)]
+        tokens = ["sym", "0", "2/3", "sym", "-3"]
+        p = SatakeParams.parse(tokens)
+        out = LittlewoodIdentity(p, 4, 0, 4)
+        assert [shape for _, b, shape, _ in out.terms if b == 2] == [(2, 2), (1, 1, 1, 1)]
         for l in range(5):
-            total = sum((value for power, _, value in out.terms if power == l), MultiPoly.zero(p.nvars))
-            assert total == out.series[l]
+            scaled = [value for _, b, _, value in out.terms if b == l]
+            total = sum(scaled, MultiPoly.zero(p.nvars)).div_int(out.scale ** (2 * l))
+            assert total == out.grid[0][l]
+        data = run_task(parse_task({"task": "verify-littlewood", "satake": tokens, "truncation": 4})).data
+        assert [c["shape"] for c in data["contributions"] if c["power"] == 2] == [[2, 2, 0, 0], [1, 1, 1, 1]]
+        assert {len(c["shape"]) for c in data["contributions"]} == {4}
 
     def test_k_zero_and_one(self):
         for toks in (["0", "0"], ["sym", "0"]):
             p = SatakeParams.parse(toks)
-            s = ext_sq_expansion(p, 4).series
-            assert series_first_difference(s, dominant_series(formal_ext_sq_L(p).series(4))) is None
+            s = expansion_row(p, 4)
+            assert series2_first_difference((s,), (dominant_series(formal_ext_sq_L(p).series(4)),)) is None
             assert all(s[l].is_zero for l in range(1, 5))
 
     @settings(max_examples=20, deadline=None)
@@ -434,13 +453,13 @@ class TestExtSqExpansion:
     )
     def test_random_rational_entries(self, values):
         p = SatakeParams([MultiPoly.constant(0, v) for v in values], nvars=0)
-        lhs = ext_sq_expansion(p, 5).series
+        lhs = expansion_row(p, 5)
         rhs = dominant_series(formal_ext_sq_L(p).series(5))
-        assert series_first_difference(lhs, rhs) is None
+        assert series2_first_difference((lhs,), (rhs,)) is None
 
 
 class TestFullExpansion:
-    """The doubled-shape sum carried over all n entries, which is `js_series`.
+    """The doubled-shape sum over at most n - 1 rows, the one-variable torus sum.
 
     For even n it is an identity only when some entry vanishes; verify-js
     flags the other case through its report.
@@ -448,25 +467,32 @@ class TestFullExpansion:
 
     def test_odd_always_asserted(self):
         p = symbolic_params(3)
-        out = js_series(p, 5)
-        assert series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(5))) is None
+        out = torus_row(p, 5)
+        assert series2_first_difference((out,), (dominant_series(formal_ext_sq_L(p).series(5)),)) is None
 
     def test_even_with_zero(self):
         p = SatakeParams.parse(["sym", "sym", "sym", "0"])
-        out = js_series(p, 5)
-        assert series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(5))) is None
+        out = torus_row(p, 5)
+        assert series2_first_difference((out,), (dominant_series(formal_ext_sq_L(p).series(5)),)) is None
 
     def test_even_all_nonzero_flags_and_differs(self):
         p = symbolic_params(4)
-        out = js_series(p, 4)
-        diff = series_first_difference(out.series, dominant_series(formal_ext_sq_L(p).series(4)))
+        out = torus_row(p, 4)
+        diff = series2_first_difference((out,), (dominant_series(formal_ext_sq_L(p).series(4)),))
         assert diff is not None
         report = run_task(parse_task({"task": "verify-js", "satake": ["sym"] * 4, "truncation": 4}))
         assert report.verdict == "info" and not report.data["positive_conductor"]
+        # the report prints the plain product of factors, not the sum's product form
+        oracle = dominant_series(formal_ext_sq_L(p).series(4))
+        assert report.data["product"] == [c.format_symmetric() for c in oracle]
+        assert report.data["first_difference"]["power"] == diff[0][1] == 2
 
-    def test_needs_two_entries(self):
-        with pytest.raises(ValueError):
-            js_series(SatakeParams.parse(["sym"]), 3)
+    def test_rank_one_sum_is_the_unit(self):
+        """One entry and no rows: the sum is 1, as the exterior-square factor of one entry is."""
+        p = SatakeParams.parse(["sym"])
+        assert torus_row(p, 3) == dominant_series(formal_ext_sq_L(p).series(3)) == (1, 0, 0, 0)
+        with pytest.raises(ConfigError, match="n >= 2"):
+            parse_task({"task": "verify-js", "satake": ["sym"]})
 
 
 class TestReciprocalQuotient:

@@ -11,6 +11,6 @@ def test_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace: dict = {}
     exec(compile(block, "README.md", "exec"), namespace)
-    assert namespace["power"] == 1 and namespace["shape"] == (1, 1, 0)
+    assert namespace["power"] == 1 and namespace["shape"] == (1, 1)
     assert namespace["text"] == namespace["value"].format_symmetric() == "m(1,1)"
     assert namespace["value"].format() == "x1*x2"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsq.polynomials import MultiPoly
-from extsq.series import series2_first_difference, series_first_difference
+from extsq.series import series2_first_difference
 from oracles import (
     embed_t1,
     embed_t2,
@@ -67,18 +67,12 @@ class TestTruncSeries1:
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             series_product(series_from_scalars([1, 1]), series_from_scalars([1, 1, 1]))
-        with pytest.raises(ValueError):
-            series_first_difference(series_from_scalars([1, 1]), series_from_scalars([1, 1, 1]))
-        with pytest.raises(ValueError):
-            series_first_difference(series_from_scalars([1, 1, 1]), series_from_scalars([1, 1]))
 
     def test_nvars_mismatch(self):
         a = (MultiPoly.one(1),) * 3
         b = (MultiPoly.one(2),) * 3
         with pytest.raises(ValueError):
             series_product(a, b)
-        with pytest.raises(ValueError):
-            series_first_difference(a, b)
 
     def test_product_truncated_cauchy(self):
         a = series_from_scalars([1, 1, 0])  # 1 + t
@@ -95,25 +89,6 @@ class TestTruncSeries1:
     def test_inverse_is_multiplicative(self, a, b):
         lhs = series_inverse(series_product(a, b))
         assert lhs == series_product(series_inverse(a), series_inverse(b))
-
-
-class TestFirstDifference:
-    def test_equal_series(self):
-        a = series_from_scalars([1, 2, 3])
-        assert series_first_difference(a, a) is None
-
-    def test_reports_lowest_order(self):
-        a = series_from_scalars([1, 2, 3, 4])
-        b = series_from_scalars([1, 2, 5, 9])
-        l, ca, cb = series_first_difference(a, b)
-        assert l == 2
-        assert ca == 3 and cb == 5
-
-    @pytest.mark.parametrize("order", [0, 1, 3])
-    def test_difference_at_the_last_power(self, order):
-        a = series_from_scalars([1] * (order + 1))
-        b = series_from_scalars([1] * order + [2])
-        assert series_first_difference(a, b) == (order, a[-1], b[-1])
 
 
 class TestTruncSeries2:
@@ -157,7 +132,7 @@ class TestSeries2FirstDifference:
         assert (i, j) == (0, 2)
         assert ca == 0 and cb == 9
 
-    @pytest.mark.parametrize("window", [(0, 0), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("window", [(0, 0), (0, 3), (2, 3), (3, 1)])
     def test_difference_at_the_last_cell(self, window):
         l1, l2 = window
         a = unit_grid(l1, l2)

@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extsq import symmetric
-from extsq.lfactors import ext_sq_expansion
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import SchurValues, check_partition, littlewood_sum, schur, window_partitions
-from extsq.torus_sums import js_series
+from extsq.torus_sums import LittlewoodIdentity
 from oracles import (
     alternating_sum,
     complete_homogeneous,
@@ -19,6 +18,7 @@ from oracles import (
     expand_m_basis,
     inner_shapes_by_filter,
     leibniz_det,
+    monomial,
     partitions_bounded,
     power,
     schur_bialternant,
@@ -231,7 +231,7 @@ class TestSchurOracle:
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_one_variable(self, k):
-        assert schur((k,), 1) == MultiPoly.monomial(1, (k,)) == schur_bialternant((k,), 1)
+        assert schur((k,), 1) == monomial(1, (k,)) == schur_bialternant((k,), 1)
 
     @pytest.mark.parametrize("f", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (4, 2, 2)])
     def test_exactly_n_parts(self, f):
@@ -242,8 +242,8 @@ class TestSchurOracle:
         params = symbolic_params(n)
         shapes = {
             shape
-            for expansion in (ext_sq_expansion(params, 4), js_series(params, 4))
-            for _, shape, _ in expansion.terms
+            for rows in (n, n - 1)  # the expansion's row bound k = n, and the torus sum's
+            for _, _, shape, _ in LittlewoodIdentity(params, rows, 0, 4).terms
         }
         for shape in sorted(shapes):
             assert schur(shape, n) == dominant_part(schur_bialternant(shape, n)), shape

@@ -479,8 +479,12 @@ class TestRunTask:
         self, monkeypatch, body, lead, key, summary
     ):
         """An extra root 1 on the product side makes the sides differ at t^1."""
-        real = satake_tasks.ext_sq_roots
-        monkeypatch.setattr(satake_tasks, "ext_sq_roots", lambda p: real(p) + [MultiPoly.one(p.nvars)])
+        real = torus_sums.product_grid
+
+        def extra_root(linear, pairs, nvars, l1, l2):
+            return real(linear, [*pairs, MultiPoly.one(nvars)], nvars, l1, l2)
+
+        monkeypatch.setattr(torus_sums, "product_grid", extra_root)
         r = run_one(body)
         assert (r.verdict, r.summary) == ("fail", summary)
         assert list(r.data) == lead + [key, "product", "first_difference", "contributions", "basis"]
@@ -660,14 +664,14 @@ class TestFailBranches:
     )
     def test_bf_differs_from_its_product_form(self, monkeypatch, satake, keys, torus_sum, expected):
         """1 added to the product side at t1 t2^2."""
-        real = torus_sums.bf_product_series
+        real = torus_sums.product_grid
 
-        def bumped(params, l1, l2):
-            grid = [list(row) for row in real(params, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
+        def bumped(linear, pairs, nvars, l1, l2):
+            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
+            grid[1][2] = grid[1][2] + MultiPoly.one(nvars)
             return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
+        monkeypatch.setattr(torus_sums, "product_grid", bumped)
         r = self.check(
             {"task": "verify-bf", "satake": satake, "truncation": [2, 3]},
             "two-variable torus sum differs from its product form at t1^1 t2^2",
@@ -683,35 +687,23 @@ class TestFailBranches:
         assert r.data["torus_sum"][1][2] == torus_sum
         assert r.data["expected"][1][2] == expected
 
-    def test_probe_arithmetic_error_fails(self, monkeypatch):
-        def refuse(params, l1, l2):
-            raise ArithmeticError("correction has no constant term")
-
-        monkeypatch.setattr(satake_tasks, "bf_odd_correction_probe", refuse)
-        r = self.check(
-            {"task": "bf-odd-probe", "satake": ["sym", "sym", "0"], "truncation": 2},
-            "correction has no constant term",
-            ["conductor_hypothesis", "basis"],
-        )
-        assert r.data == {"conductor_hypothesis": True, "basis": "monomial_symmetric"}
-
     @pytest.mark.parametrize("satake", [["sym", "sym", "sym"], ["sym", "sym", "0"]])
     def test_probe_fails_where_the_product_side_is_wrong(self, monkeypatch, satake):
         """1 added to the product side at t2^2: the probe names that cell, whether or not an entry vanishes."""
-        real = torus_sums.bf_product_series
+        real = torus_sums.product_grid
 
-        def bumped(params, l1, l2):
-            grid = [list(row) for row in real(params, l1, l2)]
-            grid[0][2] = grid[0][2] + MultiPoly.one(params.nvars)
+        def bumped(linear, pairs, nvars, l1, l2):
+            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
+            grid[0][2] = grid[0][2] + MultiPoly.one(nvars)
             return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
+        monkeypatch.setattr(torus_sums, "product_grid", bumped)
         r = self.check(
             {"task": "bf-odd-probe", "satake": satake, "truncation": [2, 2]},
             "two-variable torus sum differs from (1 - ω t1 t2^1) times the product of factors at t1^0 t2^2",
             ["conductor_hypothesis", "basis"],
         )
-        assert r.data["conductor_hypothesis"] is ("0" in satake)
+        assert r.data == {"conductor_hypothesis": "0" in satake, "basis": "monomial_symmetric"}
 
 
 _TEXT = st.text(st.sampled_from('aα"\\/\n\t\x00\x1f\x7f é€😀') | st.characters(), max_size=8)
@@ -907,6 +899,22 @@ class TestCli:
         """`int` reads Arabic-Indic digits and underscores; the command line takes `[-+]?[0-9]+` only."""
         code, _ = self.run_cli(*argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["galois-H", "--random-count", "\u0665"], "--random-count"),
+            (["galois-divisibility", "--q", "x", "--block", "0:1:2"], "--q"),
+            (["galois-H", "--seed", "\u0663", "--random-count", "5"], "--seed"),
+        ],
+        ids=["count", "q", "seed"],
+    )
+    def test_integer_errors_name_the_option(self, capsys, argv, option):
+        code, _ = self.run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"argument {option}: expected an integer, got " in err
+        assert "parse_integer" not in err
 
     def test_integers_may_carry_ascii_whitespace(self, monkeypatch):
         code, out = self.run_cli(
@@ -1192,14 +1200,14 @@ class TestCli:
 
     def test_failing_verdict_exit_1(self, monkeypatch):
         """A fail forced on the product side (as in TestFailBranches) exits 1."""
-        real = torus_sums.bf_product_series
+        real = torus_sums.product_grid
 
-        def bumped(params, l1, l2):
-            grid = [list(row) for row in real(params, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
+        def bumped(linear, pairs, nvars, l1, l2):
+            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
+            grid[1][2] = grid[1][2] + MultiPoly.one(nvars)
             return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(torus_sums, "bf_product_series", bumped)
+        monkeypatch.setattr(torus_sums, "product_grid", bumped)
         code, out = self.run_cli(
             "verify-bf", "--satake", "sym,2,0", "--truncation", "2,3", "--format", "machine"
         )
