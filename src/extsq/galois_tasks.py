@@ -30,6 +30,7 @@ from .tasks import (
     _is_int,
     _names,
     _parse_int,
+    _refuse_unknown,
     _require,
     parse_rational,
 )
@@ -52,6 +53,7 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
         loc = f"{location}[{i}]"
         if not isinstance(b, dict):
             raise ConfigError("each block must be an object", loc)
+        _refuse_unknown(b, ("grade", "length", "scalar"), loc)
         grade = _require(b, "grade", loc)
         if not isinstance(grade, list) or not all(_is_int(x) for x in grade):
             raise ConfigError("grade must be a list of integers", f"{loc}.grade")
@@ -103,6 +105,7 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
         rnd = obj["random"]
         if not isinstance(rnd, dict):
             raise ConfigError("random must be an object", f"{location}.random")
+        _refuse_unknown(rnd, ("count",), f"{location}.random")
         count = _parse_int(
             _require(rnd, "count", f"{location}.random"),
             "count",

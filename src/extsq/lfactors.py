@@ -31,15 +31,15 @@ with even columns give M(nu), over those with i odd columns and |lam| = i +
 2j M(nu + (i,)); the two sides share no code.  M is memoised on sorted
 degrees by the `lru_cache` `_multigraphs` (16384 entries), the partitions
 by `_partitions` (4096); `cache_info()` reads either's hits and misses.
-Both root lists are counted or neither is: a list counts when its nonzero
-roots are exactly the x_p (t1) or the x_p x_q (t2), each once, or it has
-none.  Any other pair of lists (for a vector's factors: a nonzero
-constant among its entries) is multiplied out whole by the kernel
-`polynomials.times_linear_factors`, over the integers: each cell is
-homogeneous, so each list is scaled once by D, the lcm of its
-denominators, the pairs go in one row pass and the nonzero linear roots in
-one pass per column, and each t1^i t2^j cell is projected
-(`MultiPoly.dominant`) and divided once, by D1^i D2^j (`MultiPoly.div_int`).
+The grid is counted exactly when the vector has no nonzero constant
+(`SatakeParams.constants` is empty).  Otherwise both factors are
+multiplied out whole by the kernel `polynomials.times_linear_factors`,
+over the integers: each cell is homogeneous, so the entries are scaled
+once by D (`SatakeParams.scale`) and the pair products once by the lcm D2
+of their denominators, the pairs go in one row pass and the nonzero
+entries in one pass per column, and each t1^i t2^j cell is projected
+(`MultiPoly.dominant`) and divided once, by D^i D2^j
+(`MultiPoly.div_int`).
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
@@ -54,7 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import lcm
 from typing import Sequence
 
 from .polynomials import MultiPoly, times_linear_factors
@@ -68,10 +68,12 @@ class SatakeParams:
     entries are the space's variables, each exactly once, in any order, and
     the numeric entries are constants (possibly zero).  Any other vector
     raises ValueError: every sum and factor of the vector is then symmetric
-    in the variables, and held by its dominant terms.
+    in the variables, and held by its dominant terms.  The split is made
+    here, once: `constants` holds the nonzero constant entries in entry
+    order and `scale`, D, the lcm of their denominators (1 without any).
     """
 
-    __slots__ = ("n", "nvars", "entries")
+    __slots__ = ("n", "nvars", "entries", "constants", "scale")
     __hash__ = None
 
     def __init__(self, entries: Sequence[MultiPoly], nvars: int | None = None):
@@ -89,6 +91,8 @@ class SatakeParams:
         self.n = len(entries)
         self.nvars = nvars
         self.entries = entries
+        self.constants = tuple(e for e in entries if e.is_constant and not e.is_zero)
+        self.scale = lcm(*(c.constant_value().denominator for c in self.constants))
 
     @classmethod
     def parse(cls, tokens: Sequence[str | int | Fraction]) -> "SatakeParams":
@@ -175,55 +179,33 @@ def _partitions(weight: int, parts: int, top: int) -> tuple[tuple[int, ...], ...
     return tuple(out)
 
 
-def _counts(roots: Sequence[MultiPoly], degree: int, nvars: int) -> bool:
-    """Whether the nonzero roots are the x_p (degree 1) or the x_p x_q, p < q (degree 2), each once.
+def product_grid(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """L(t1) ext-sq L(t2) of the vector through (l1, l2), by dominant terms.
 
-    A list with no nonzero root counts too: its factor is 1.
+    Cell [i][j] is the t1^i t2^j coefficient.  Without a nonzero constant
+    the cells are counted; otherwise both factors are multiplied out
+    (module docstring).
     """
-    seen = set()
-    for r in roots:
-        if not r:
-            continue
-        if len(r) != 1:
-            return False
-        ((exps, c),) = r.terms()
-        if c != 1 or sum(exps) != degree or max(exps) != 1 or exps in seen:
-            return False
-        seen.add(exps)
-    return len(seen) in (0, comb(nvars, degree))
-
-
-def product_grid(
-    linear: Sequence[MultiPoly], pairs: Sequence[MultiPoly], nvars: int, l1: int, l2: int
-) -> tuple[tuple[MultiPoly, ...], ...]:
-    """prod_r 1/(1 - r t1) over `linear` times prod_r 1/(1 - r t2) over `pairs`, by dominant terms.
-
-    Cell [i][j] is the t1^i t2^j coefficient.  When both lists are the
-    symbols and their pair products (`_counts`) the cells are counted;
-    otherwise both lists are multiplied out (module docstring).
-    """
-    if not l1:
-        linear = ()  # the t1^0 coefficient of their factor is 1
-    if _counts(linear, 1, nvars) and _counts(pairs, 2, nvars):
+    nvars = params.nvars
+    if not params.constants:
         grid = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
         grid[0][0] = MultiPoly.one(nvars)
-        # a list with no nonzero root is the factor 1: its powers past 0 stay zero
-        top1, top2 = (l1 if any(linear) else 0), (l2 if any(pairs) else 0)
-        for i, j in ((i, j) for i in range(top1 + 1) for j in range(top2 + 1) if i or j):
+        for i, j in ((i, j) for i in range(l1 + 1) for j in range(l2 + 1) if i or j):
             counts = {}
-            # a vertex of degree nu_p carries x_p^nu_p; none exceeds half the total
+            # a vertex of degree nu_p carries x_p^nu_p; none exceeds half the total, so
+            # no nu fits without a symbol, nor with one symbol and a pair (j >= 1)
             for nu in _partitions(i + 2 * j, nvars, i + j):
                 degrees = tuple(sorted(nu + (i,), reverse=True)) if i else nu
                 counts[nu + (0,) * (nvars - len(nu))] = _multigraphs(degrees)
             grid[i][j] = MultiPoly(nvars, counts)
         return tuple(map(tuple, grid))
-    d1 = lcm(*(c.denominator for r in linear for c in r.coefficients()))
+    d1 = params.scale
+    pairs = ext_sq_roots(params) if l2 else []
     d2 = lcm(*(c.denominator for r in pairs for c in r.coefficients()))
     grid = [times_linear_factors([MultiPoly.one(nvars)], [r * d2 for r in pairs], l2)]
-    scaled = [r * d1 for r in linear if r]
-    if scaled:
+    if l1:
+        scaled = [e * d1 for e in params.nonzero_entries]
         grid = list(zip(*(times_linear_factors([c], scaled, l1) for c in grid[0])))
-    grid += [[MultiPoly.zero(nvars)] * (l2 + 1)] * (l1 + 1 - len(grid))
     return tuple(
         tuple(c.dominant().div_int(d1**i * d2**j) for j, c in enumerate(row)) for i, row in enumerate(grid)
     )

@@ -135,8 +135,8 @@ def _run_lfactor(cfg: TaskConfig) -> Outcome:
     order = cfg.truncation
     names = _names(params.nvars)
     ext_roots = ext_sq_roots(params)
-    std_series = [row[0] for row in product_grid(params.entries, (), params.nvars, order, 0)]
-    ext_series = product_grid((), ext_roots, params.nvars, 0, order)[0]
+    std_series = [row[0] for row in product_grid(params, order, 0)]
+    ext_series = product_grid(params, 0, order)[0]
     data = {
         "standard_roots": _root_strings(params.nonzero_entries, names),
         "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),

@@ -13,9 +13,9 @@ Schur sums:
   multiplies no polynomials.  Its body `_schur` is an `lru_cache` of 4096
   entries, keyed on (shape, rank), and holds the smaller-rank polynomials
   of the sub-shapes it recurses through too (`_schur.cache_info()`);
-* `SchurValues` -- s_f at one value vector, for every shape f up to a
+* `SchurValues` -- s_f at one Satake vector, for every shape f up to a
   weight bound.  `scaled` gives D^|f| s_f in ints, and `value` divides it:
-  one shape f is `SchurValues(values, |f|).value(f)`.  `littlewood_sum`
+  one shape f is `SchurValues(params, |f|).value(f)`.  `littlewood_sum`
   builds one per vector and calls `scaled` for each shape;
 * `littlewood_sum` -- Littlewood's Schur sum graded by odd columns
   (Macdonald, I.5 Ex. 5) over the shapes of one window, which
@@ -25,21 +25,23 @@ Schur sums:
   and the window: n - 1 rows for both torus sums, k (the nonzero entries)
   for the exterior-square expansion.
 
-A value vector holds every variable of the m-variable ring exactly once, in
-any order, and constants; `SchurValues` refuses any other vector, so no
-value is held by dominant terms unless it is symmetric.  Zeros are dropped:
-the value is zero unless the shape fits inside the nonzero entries.  These
-split into the variables x and the r nonzero constants c.  By the coproduct
+Every value is taken at a `lfactors.SatakeParams`, which holds every
+variable of the m-variable ring exactly once, in any order, and constants,
+and refuses any other vector, so no value is held by dominant terms unless
+it is symmetric.  Zeros are dropped: the value is zero unless the shape
+fits inside the nonzero entries.  These split into the variables x and the
+r nonzero constants c (`SatakeParams.constants`).  By the coproduct
 s_f(x, c) = sum_mu s_mu(x) s_{f/mu}(c) (I.5.9), where s_mu(x) = 0 unless mu
 has at most m rows and s_{f/mu}(c) = 0 unless f_{i+r} <= mu_i <= f_i, and
 the skew Jacobi-Trudi formula s_{f/mu} = det[h_{f_i - mu_j - i + j}] (I.5.4),
 
     s_f(x, c) = D^-|f| sum_mu det[h_{f_i - mu_j - i + j}(D c)] D^|mu| schur(mu, m),
 
-with D the lcm of the constants' denominators.  h_0..h_N of the D c_i, the
-coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per vector
-by `_scaled_h` (the kernel `polynomials.times_linear_factors`, which also
-multiplies out the product sides of `lfactors` that are not counted).
+with D the lcm of the constants' denominators (`SatakeParams.scale`).
+h_0..h_N of the D c_i, the coefficients of prod_i 1/(1 - D c_i t) (I.2),
+are ints built once per vector by the kernel
+`polynomials.times_linear_factors`, which also multiplies out the product
+sides of `lfactors` that are not counted.
 s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu|, and the
 sum is D^|f| s_f with int coefficients, which `scaled` returns.  `_inner_shapes`
 builds only the weakly decreasing mu in that box, one part at a time.
@@ -65,11 +67,14 @@ to compare.  All enumeration orders are deterministic.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .polynomials import MultiPoly, append_variable, times_linear_factors, weighted_sum
+
+if TYPE_CHECKING:
+    from .lfactors import SatakeParams
+
 
 def check_partition(f: Sequence[int]) -> tuple[int, ...]:
     """Validate a weakly decreasing tuple of nonnegative ints; return it stripped."""
@@ -167,49 +172,27 @@ def _inner_shapes(padded: tuple[int, ...], m: int, r: int) -> list[tuple[int, ..
     return shapes
 
 
-def _scaled_h(values: Sequence[MultiPoly], nvars: int, order: int) -> tuple[int, list]:
-    """(D, [h_0..h_order of the D v]), D the lcm of the values' coefficient denominators.
-
-    h_k is the t^k coefficient of prod_v 1/(1 - D v t), and h_k(D v) = D^k h_k(v)
-    has int coefficients.
-    """
-    scale = math.lcm(*(c.denominator for v in values for c in v.coefficients()))
-    scaled = [v * scale for v in values]
-    return scale, times_linear_factors([MultiPoly.one(nvars)], scaled, order)
-
-
 class SchurValues:
-    """The Schur values s_f(values) of one value vector, for |f| <= max_weight, by dominant terms.
+    """The Schur values s_f of one Satake vector, for |f| <= max_weight, by dominant terms.
 
-    The vector must hold each variable of its ring exactly once, in any
-    order, and constants (zeros allowed); any other vector raises
-    ValueError, so every value is a symmetric polynomial.  The split into
-    the variables and the constants, the scale D and h_0..h_max_weight of
-    the scaled constants, as ints, are built once, here; `value` evaluates
-    one shape (see the module docstring).
+    `SatakeParams` has split the vector into its variables, each once, and
+    its nonzero constants, with their scale D; h_0..h_max_weight of the
+    scaled constants, as ints, are built once, here; `value` evaluates one
+    shape (see the module docstring).
     """
 
-    __slots__ = ("length", "nvars", "max_weight", "m", "r", "scale", "hs")
+    __slots__ = ("n", "m", "r", "scale", "max_weight", "hs")
 
-    def __init__(self, values: Sequence[MultiPoly], max_weight: int):
-        values = list(values)
-        nvars = values[0].nvars if values else 0
-        if any(v.nvars != nvars for v in values):
-            raise ValueError("values live in different variable counts")
-        peeled = [v for v in values if v.is_constant and not v.is_zero]
-        variables = [v for v in values if not v.is_constant]
-        ring = [MultiPoly.variable(nvars, i) for i in range(nvars)]
-        if len(variables) != nvars or any(x not in variables for x in ring):
-            raise ValueError("the symbolic values must be the ring's variables, each exactly once")
-        self.length, self.nvars, self.max_weight = len(values), nvars, max_weight
-        self.m, self.r = nvars, len(peeled)
-        self.scale, hs = _scaled_h(peeled, nvars, max_weight)
+    def __init__(self, params: SatakeParams, max_weight: int):
+        self.n, self.m, self.r = params.n, params.nvars, len(params.constants)
+        self.scale, self.max_weight = params.scale, max_weight
+        hs = times_linear_factors([MultiPoly.one(self.m)], [c * self.scale for c in params.constants], max_weight)
         self.hs = [h.constant_value() for h in hs]
 
     def value(self, f: Sequence[int]) -> MultiPoly:
-        """s_f at the value vector, by its dominant terms; requires len(f) <= len(values)."""
+        """s_f at the vector, by its dominant terms; requires len(f) <= n."""
         shape = check_partition(f)
-        if len(shape) > self.length:
+        if len(shape) > self.n:
             raise ValueError("shape longer than value vector")
         weight = sum(shape)
         if weight > self.max_weight:
@@ -217,7 +200,7 @@ class SchurValues:
         return self.scaled(shape).div_int(self.scale**weight)
 
     def scaled(self, shape: tuple[int, ...]) -> MultiPoly:
-        """D^|shape| s_shape at the value vector, with int coefficients, for a checked shape.
+        """D^|shape| s_shape at the vector, with int coefficients, for a checked shape.
 
         The shape must be stripped of zeros, no longer than the vector and
         no heavier than max_weight, as `value` checks.
@@ -225,9 +208,9 @@ class SchurValues:
         m, r, hs = self.m, self.r, self.hs
         length = len(shape)
         if length > m + r:
-            return MultiPoly.zero(self.nvars)
+            return MultiPoly.zero(m)
         if not shape:
-            return MultiPoly.one(self.nvars)
+            return MultiPoly.one(m)
         if not r:
             return schur(shape, m)
         # skew Jacobi-Trudi: det[h_{(f_i - i) - (mu_j - j)}], with h_k = 0 for k < 0;
@@ -242,7 +225,7 @@ class SchurValues:
                 # mu is weakly decreasing, so its zeros trail
                 mu_schur = _schur(mu[: len(mu) - mu.count(0)], m) if m else MultiPoly.one(0)
                 parts.append((mu_schur, det * self.scale ** sum(mu)))
-        return weighted_sum(self.nvars, parts)
+        return weighted_sum(m, parts)
 
 
 def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:
@@ -271,25 +254,25 @@ def window_partitions(rows: int, l1: int, l2: int) -> list[tuple[int, ...]]:
 
 
 def littlewood_sum(
-    values: Sequence[MultiPoly], rows: int, l1: int, l2: int
-) -> tuple[tuple[tuple[MultiPoly, ...], ...], int, list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
-    """Littlewood's sum graded by odd columns, in the window (l1, l2).
+    params: SatakeParams, rows: int, l1: int, l2: int
+) -> tuple[tuple[tuple[MultiPoly, ...], ...], list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
+    """Littlewood's sum graded by odd columns at the vector, in the window (l1, l2).
 
-    Returns (grid, D, terms): the grid whose [a][b] cell sums s_lam(values)
-    over the `window_partitions(rows, l1, l2)` with a odd columns and b =
-    lam2 + lam4 + ..., the scale D of the values (`SchurValues`), and one
-    (a, b, lam, D^|lam| s_lam(values)) term per shape, in their order, with
-    int coefficients.  Every shape of cell [a][b] weighs a + 2b, so the cell
-    adds the scaled values in ints and is divided once, by D^(a + 2b); a
-    caller that prints a shape's value divides its term.
+    Returns (grid, terms): the grid whose [a][b] cell sums s_lam over the
+    partitions lam with at most `rows` rows, a odd columns and b = lam2 +
+    lam4 + ..., and one (a, b, lam, D^|lam| s_lam) term per shape, in the
+    order of `window_partitions`, with int coefficients and D the vector's
+    scale.  A shape longer than the vector has Schur value 0, so the shapes
+    are those of `window_partitions(min(rows, n), l1, l2)`.  Every shape of
+    cell [a][b] weighs a + 2b, so the cell adds the scaled values in ints
+    and is divided once, by D^(a + 2b); a caller that prints a shape's
+    value divides its term.
     """
-    evaluator = SchurValues(values, l1 + 2 * l2)
-    nvars, scale = evaluator.nvars, evaluator.scale
+    evaluator = SchurValues(params, l1 + 2 * l2)
+    nvars, scale = params.nvars, params.scale
     cells: list[list[list[MultiPoly]]] = [[[] for _ in range(l2 + 1)] for _ in range(l1 + 1)]
     terms = []
-    for shape in window_partitions(rows, l1, l2):
-        if len(shape) > evaluator.length:
-            raise ValueError("shape longer than value vector")
+    for shape in window_partitions(min(rows, params.n), l1, l2):
         b = sum(shape[1::2])
         a = sum(shape) - 2 * b
         value = evaluator.scaled(shape)
@@ -305,4 +288,4 @@ def littlewood_sum(
         )
         for a, row in enumerate(cells)
     )
-    return grid, scale, terms
+    return grid, terms

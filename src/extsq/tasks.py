@@ -166,6 +166,12 @@ def _require(obj: dict, key: str, location: str) -> Any:
     return obj[key]
 
 
+def _refuse_unknown(obj: dict, fields: tuple[str, ...], location: str) -> None:
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"unknown field {key!r}", f"{location}.{key}")
+
+
 def _parse_int(
     value: Any,
     what: str,
@@ -237,7 +243,7 @@ def parse_document(doc: Any, default_truncation: int = DEFAULT_TRUNCATION) -> li
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object", "document")
     version = _require(doc, "format_version", "document")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise ConfigError(
             f"unsupported format_version {version!r} (expected {FORMAT_VERSION})",
             "document.format_version",
@@ -246,6 +252,7 @@ def parse_document(doc: Any, default_truncation: int = DEFAULT_TRUNCATION) -> li
         raw_tasks = doc["tasks"]
         if not isinstance(raw_tasks, list) or not raw_tasks:
             raise ConfigError("tasks must be a nonempty list", "document.tasks")
+        _refuse_unknown(doc, ("format_version", "tasks"), "document")
         return [
             parse_task(t, default_truncation, f"tasks[{i}]") for i, t in enumerate(raw_tasks)
         ]

@@ -20,10 +20,10 @@ the two-variable sum its whole window over n - 1 rows.
 
 Over the entries the sum over all partitions is the product of factors
 P = L(t1) * ext-sq L(t2), and a shape with more than k rows has Schur
-value 0, so any rows >= k give P.  Going from k - 1 rows to k adds the
-shapes lam + (1^k), and s_{lam+(1^k)} = e_k s_lam over the nonzero
-entries, so with w = t1^(k mod 2) t2^(k // 2), the grading of one column
-of length k,
+value 0, so any rows >= k give P, rows above n included.  Going from
+k - 1 rows to k adds the shapes lam + (1^k), and s_{lam+(1^k)} = e_k s_lam
+over the nonzero entries, so with w = t1^(k mod 2) t2^(k // 2), the
+grading of one column of length k,
 
     the sum over at most `rows` rows = (1 - omega w) * P,
 
@@ -41,9 +41,10 @@ x_p x_q join symbols and one extra vertex of degree i carries the edges
 x_p t1 (Stanley, *Enumerative Combinatorics 2*, 7.13).  By the same
 Littlewood identity it equals the sum of K_{lam nu} over the lam of that
 window, so the grid and the sum meet without sharing code.  With a
-nonzero constant among the entries both factors are multiplied out whole
-over the integers instead, and the oracle multiplies the inverted factor
-series.
+nonzero constant among the entries (`SatakeParams.constants`) both
+factors are multiplied out whole over the integers instead, and the
+oracle multiplies the inverted factor series.  Both sides take the
+vector itself, split once by `SatakeParams`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from operator import mul
 
-from .lfactors import SatakeParams, ext_sq_roots, product_grid
+from .lfactors import SatakeParams, product_grid
 from .polynomials import MultiPoly
 from .symmetric import littlewood_sum
 
@@ -59,11 +60,12 @@ from .symmetric import littlewood_sum
 class LittlewoodIdentity:
     """Littlewood's sum over at most `rows` rows in the window (l1, l2), and its product form.
 
-    `grid`, `scale` and `terms` are those of `littlewood_sum` at the
-    entries.  Built when first read: `omega`; `product`, the grid P of the
-    standard factor in t1 times the exterior-square factor in t2; and
-    `form`, P times (1 - omega t1^(k mod 2) t2^(k // 2)), k the nonzero
-    entries, which equals `grid`.  Raises ValueError when rows < k - 1.
+    `grid` and `terms` are those of `littlewood_sum` at the vector, and
+    `scale` is its D (`SatakeParams.scale`).  Built when first read:
+    `omega`; `product`, the grid P of the standard factor in t1 times the
+    exterior-square factor in t2; and `form`, P times (1 - omega t1^(k mod
+    2) t2^(k // 2)), k the nonzero entries, which equals `grid`.  Raises
+    ValueError when rows < k - 1.
     """
 
     def __init__(self, params: SatakeParams, rows: int, l1: int, l2: int):
@@ -71,7 +73,8 @@ class LittlewoodIdentity:
         if rows < k - 1:
             raise ValueError(f"Littlewood's sum over {k} nonzero entries needs at least {k - 1} rows, got {rows}")
         self.params, self.rows, self.window = params, rows, (l1, l2)
-        self.grid, self.scale, self.terms = littlewood_sum(params.entries, rows, l1, l2)
+        self.scale = params.scale
+        self.grid, self.terms = littlewood_sum(params, rows, l1, l2)
 
     @cached_property
     def omega(self) -> MultiPoly:
@@ -81,8 +84,7 @@ class LittlewoodIdentity:
 
     @cached_property
     def product(self) -> tuple[tuple[MultiPoly, ...], ...]:
-        params = self.params
-        return product_grid(params.entries, ext_sq_roots(params), params.nvars, *self.window)
+        return product_grid(self.params, *self.window)
 
     @cached_property
     def form(self) -> tuple[tuple[MultiPoly, ...], ...]:

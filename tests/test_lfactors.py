@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsq import cli, galois_tasks, lfactors, polynomials, satake_tasks
-from extsq.lfactors import SatakeParams, ext_sq_roots
+from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series2_first_difference
 from extsq.tasks import ASCII_WHITESPACE, ConfigError, parse_rational, parse_task, run_task
@@ -18,6 +19,8 @@ from oracles import (
     alternating_sum,
     coefficient,
     dominant_series,
+    embed_t1,
+    embed_t2,
     format_terms,
     formal_ext_sq_L,
     multigraph_count,
@@ -25,14 +28,15 @@ from oracles import (
     power,
     reciprocal_quotient,
     schur_bialternant,
+    series2_product,
     standard_L,
     symbolic_params,
 )
 
 
-def product_row(roots, nvars, order):
-    """prod_r 1/(1 - r t) through t^order: the t2 row of `product_grid` with no linear roots."""
-    return lfactors.product_grid((), roots, nvars, 0, order)[0]
+def kernel_series(roots, nvars, order):
+    """prod_r 1/(1 - r t) through t^order, by the kernel on its own."""
+    return tuple(times_linear_factors([MultiPoly.one(nvars)], roots, order))
 
 
 def expansion_row(params, order):
@@ -108,6 +112,22 @@ class TestSatakeParams:
     def test_parse_takes_ints_and_fractions(self):
         p = SatakeParams.parse([3, Fraction(-1, 2), "sym"])
         assert p.entries[:2] == (MultiPoly.constant(1, 3), MultiPoly.constant(1, Fraction(-1, 2)))
+
+    @pytest.mark.parametrize(
+        "tokens, constants, scale",
+        [
+            (["sym", "1/2", "0", "-2/3", "sym", "3"], [Fraction(1, 2), Fraction(-2, 3), 3], 6),
+            (["3/4", "5/6", "-7/10"], [Fraction(3, 4), Fraction(5, 6), Fraction(-7, 10)], 60),
+            (["sym", "0", "sym"], [], 1),
+            (["0"], [], 1),
+            (["4", "-2"], [4, -2], 1),
+        ],
+    )
+    def test_constants_and_scale(self, tokens, constants, scale):
+        """The one split of a vector: its nonzero constants in entry order, and D."""
+        p = SatakeParams.parse(tokens)
+        assert p.constants == tuple(MultiPoly.constant(p.nvars, c) for c in constants)
+        assert p.scale == scale and type(p.scale) is int
 
     def test_symbolic(self):
         p = symbolic_params(3)
@@ -245,66 +265,56 @@ class TestRootwiseProductSide:
     def test_series_matches_inverted_reciprocal(self, nvars_roots, order):
         nvars, roots = nvars_roots
         oracle = LFactor.from_linear_roots(roots, nvars).series(order)
-        assert product_row(roots, nvars, order) == dominant_series(oracle)
+        assert kernel_series(roots, nvars, order) == oracle
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_roots(), st.integers(0, 7))
     def test_kernel_gets_int_roots(self, nvars_roots, order):
-        """product_grid scales the roots by D before the kernel sees them.
-
-        A list that does not count reaches the kernel whole, in one call; a
-        root of two terms never counts, so with one there is a call.
-        """
+        """Roots scaled by D, the lcm of their denominators, give int coefficients,
+        and coefficient k divided by D^k is the series of the roots themselves."""
         nvars, roots = nvars_roots
-        seen = []
-
-        def spy(coeffs, roots, order):
-            seen.append([c for r in roots for c in r.coefficients()])
-            return times_linear_factors(coeffs, roots, order)
-
-        with patch.object(lfactors, "times_linear_factors", spy):
-            product_row(roots, nvars, order)
-        assert len(seen) <= 1 and all(type(c) is int for cs in seen for c in cs)
-        if any(len(r) > 1 for r in roots):
-            assert len(seen) == 1
+        scale = lcm(*(c.denominator for r in roots for c in r.coefficients()))
+        scaled = kernel_series([r * scale for r in roots], nvars, order)
+        assert all(type(c) is int for s in scaled for c in s.coefficients())
+        oracle = LFactor.from_linear_roots(roots, nvars).series(order)
+        assert tuple(c.div_int(scale**k) for k, c in enumerate(scaled)) == oracle
 
     @pytest.mark.parametrize(
-        "mutate",
+        "tokens, kernel",
         [
-            lambda roots, nvars: roots[1:],
-            lambda roots, nvars: roots + roots[:1],
-            lambda roots, nvars: [roots[0] * 2] + roots[1:],
-            lambda roots, nvars: roots + [MultiPoly.constant(nvars, 3)],
+            (["sym"] * 4, False),
+            (["sym", "0", "sym", "0"], False),
+            (["0", "0", "0"], False),
+            (["sym"], False),
+            (["sym", "sym", "-3/4", "sym"], True),
+            (["2", "-1/3", "0", "5/7"], True),
+            (["1/2"], True),
         ],
-        ids=["one-missing", "one-repeated", "coefficient-2", "extra-constant"],
+        ids=["symbols", "symbols_and_zeros", "zeros", "one_symbol", "one_constant", "constants", "one_entry"],
     )
-    @pytest.mark.parametrize("degree", [1, 2])
-    def test_near_miss_lists_go_to_the_kernel(self, mutate, degree):
-        """A list one change away from the symbols (t1) or their pair products
-        (t2) does not count: it is multiplied out, and still equals the oracle."""
-        nvars, order = 4, 5
-        p = symbolic_params(nvars)
-        roots = mutate(list(p.entries) if degree == 1 else ext_sq_roots(p), nvars)
+    def test_the_route_reads_the_vector(self, tokens, kernel):
+        """Symbols and zeros are counted; a vector with a nonzero constant goes to the
+        kernel.  Either way the grid equals the product of the inverted factor series."""
+        p = SatakeParams.parse(tokens)
         calls = []
 
         def spy(coeffs, roots, order):
-            calls.append(len(roots))
+            calls.append(list(roots))
             return times_linear_factors(coeffs, roots, order)
 
         with patch.object(lfactors, "times_linear_factors", spy):
-            if degree == 1:
-                got = tuple(row[0] for row in lfactors.product_grid(roots, (), nvars, order, 0))
-            else:
-                got = product_row(roots, nvars, order)
-        assert len(roots) in calls
-        assert got == dominant_series(LFactor.from_linear_roots(roots, nvars).series(order))
+            grid = lfactors.product_grid(p, 3, 4)
+        assert bool(calls) is kernel
+        assert all(type(c) is int for roots in calls for r in roots for c in r.coefficients())
+        std = embed_t1(standard_L(p).series(3), 4)
+        assert grid == dominant_series(series2_product(std, embed_t2(formal_ext_sq_L(p).series(4), 3)))
 
     @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
     def test_series_reads_the_factor_roots(self, tokens):
         p = SatakeParams.parse(tokens)
-        assert product_row(p.entries, p.nvars, 6) == dominant_series(standard_L(p).series(6))
-        ext = formal_ext_sq_L(p).series(6)
-        assert product_row(ext_sq_roots(p), p.nvars, 6) == dominant_series(ext)
+        std = tuple(row[0] for row in lfactors.product_grid(p, 6, 0))
+        assert std == dominant_series(standard_L(p).series(6))
+        assert lfactors.product_grid(p, 0, 6)[0] == dominant_series(formal_ext_sq_L(p).series(6))
 
 
 def kostka_sum(nu, odd_columns, n):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extsq import symmetric
+from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import SchurValues, check_partition, littlewood_sum, schur, window_partitions
 from extsq.torus_sums import LittlewoodIdentity
@@ -151,7 +152,7 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur((5000,), 2)
         with pytest.raises(ValueError):
-            SchurValues(variables(2), 5000).value((5000,))
+            SchurValues(SatakeParams(variables(2)), 5000).value((5000,))
 
     def test_trailing_zeros_ignored(self):
         assert schur((2, 1, 0), 3) == schur((2, 1), 3)
@@ -262,25 +263,25 @@ class TestSchurOracle:
 
 
 class TestSchurEvalPadded:
-    """One shape at a vector that may hold zeros: `SchurValues(values, |f|).value(f)`."""
+    """One shape at a vector that may hold zeros: `SchurValues(params, |f|).value(f)`."""
 
     def test_empty_values(self):
-        assert SchurValues([], 0).value(()) == 1
+        assert SchurValues(SatakeParams([]), 0).value(()) == 1
 
     def test_shape_longer_than_values(self):
         with pytest.raises(ValueError):
-            SchurValues([MultiPoly.one(0)], 2).value((1, 1))
+            SchurValues(SatakeParams([MultiPoly.one(0)]), 2).value((1, 1))
 
     def test_shape_dies_on_zeros(self):
         vals = [MultiPoly.constant(0, 2), MultiPoly.zero(0)]
-        assert SchurValues(vals, 2).value((1, 1)).is_zero
+        assert SchurValues(SatakeParams(vals), 2).value((1, 1)).is_zero
 
     def test_zero_positions_do_not_matter(self):
         x, y = variables(2)
         z = MultiPoly.zero(2)
-        a = SchurValues([x, y, z], 3).value((2, 1))
-        b = SchurValues([x, z, y], 3).value((2, 1))
-        c = SchurValues([z, x, y], 3).value((2, 1))
+        a = SchurValues(SatakeParams([x, y, z]), 3).value((2, 1))
+        b = SchurValues(SatakeParams([x, z, y]), 3).value((2, 1))
+        c = SchurValues(SatakeParams([z, x, y]), 3).value((2, 1))
         assert a == b == c == substitute(schur((2, 1), 2), [x, y], nvars=2)
 
     @settings(max_examples=40, deadline=None)
@@ -299,21 +300,22 @@ class TestSchurEvalPadded:
         n = len(values)
         vals = [MultiPoly.constant(0, v) for v in values]
         direct = substitute(expand_m_basis(schur(f, n)), vals)
-        assert SchurValues(vals, sum(f)).value(f) == direct
+        assert SchurValues(SatakeParams(vals), sum(f)).value(f) == direct
 
     @settings(max_examples=60, deadline=None)
     @given(partitions(max_part=3, max_len=3), ambient_vectors())
     def test_matches_bialternant_oracle_in_polynomial_rings(self, f, vals):
         assume(len(f) <= len(vals))
         oracle = substitute(schur_bialternant(f, len(vals)), vals, nvars=vals[0].nvars)
-        assert SchurValues(vals, sum(f)).value(f) == dominant_part(oracle)
+        assert SchurValues(SatakeParams(vals), sum(f)).value(f) == dominant_part(oracle)
 
     @settings(max_examples=40, deadline=None)
     @given(other_vectors())
     def test_refuses_vectors_that_are_not_symmetric(self, vals):
-        """Values by dominant terms need every ring variable exactly once."""
-        with pytest.raises(ValueError, match="each exactly once"):
-            SchurValues(vals, 3)
+        """Values by dominant terms need every ring variable exactly once; the
+        vector that would hold any other is refused."""
+        with pytest.raises(ValueError, match="each exactly once|neither a constant nor a single variable"):
+            SatakeParams(vals)
 
     def test_only_variable_vectors_fill_the_caches(self, monkeypatch):
         """Only vectors holding every ring variable once reach the cached `_schur`;
@@ -330,22 +332,22 @@ class TestSchurEvalPadded:
         zero = MultiPoly.zero(2)
         half = MultiPoly.constant(2, Fraction(1, 2))
         numeric = [MultiPoly.constant(0, c) for c in (Fraction(2, 3), 0, -3)]
-        SchurValues(numeric, 3).value((2, 1))
+        SchurValues(SatakeParams(numeric), 3).value((2, 1))
         refused = [
-            [x, MultiPoly.constant(2, 3), half],  # y missing
-            [x, y, x],  # x twice
-            [x, x + y * Fraction(1, 3), half],  # y inside a polynomial
+            ([x, MultiPoly.constant(2, 3), half], "each exactly once"),  # y missing
+            ([x, y, x], "each exactly once"),  # x twice
+            ([x, x + y * Fraction(1, 3), half], "neither a constant nor a single variable"),  # y inside a polynomial
         ]
-        for vals in refused:
-            with pytest.raises(ValueError, match="each exactly once"):
-                SchurValues(vals, 3)
+        for vals, message in refused:
+            with pytest.raises(ValueError, match=message):
+                SatakeParams(vals)
         assert not built
-        SchurValues([y, x], 3).value((2, 1))  # the variables, out of order
+        SchurValues(SatakeParams([y, x]), 3).value((2, 1))  # the variables, out of order
         assert not {((2,), 2), ((1, 1), 2)} & set(built)
-        SchurValues([x, half, zero, y], 3).value((2, 1))  # mixed
+        SchurValues(SatakeParams([x, half, zero, y]), 3).value((2, 1))  # mixed
         # the mixed vector's coproduct reaches sub-shapes at the ring's rank
         assert {((2,), 2), ((1, 1), 2)} <= set(built)
-        SchurValues(variables(3), 2).value((1, 1))
+        SchurValues(SatakeParams(variables(3)), 2).value((1, 1))
         requested = {((2, 1), 2), ((1, 1), 3)}
         assert requested <= set(built)
         # the rest are sub-shapes in fewer variables, reached by branching
@@ -358,8 +360,8 @@ class TestSchurEvalPadded:
 
 class TestSchurValues:
     """Each split of a vector into the ring's variables, once each, and the
-    nonzero constants, against the bialternant oracle; other vectors are
-    refused."""
+    nonzero constants, against the bialternant oracle; `SatakeParams`
+    refuses other vectors."""
 
     @staticmethod
     def values(case):
@@ -391,7 +393,7 @@ class TestSchurValues:
     )
     def test_every_shape_up_to_weight_6(self, case, core, peeled):
         values = self.values(case)
-        evaluator = SchurValues(values, 6)
+        evaluator = SchurValues(SatakeParams(values), 6)
         assert (evaluator.m, evaluator.r) == (core, peeled)
         n = len(values)
         for weight in range(7):
@@ -400,35 +402,39 @@ class TestSchurValues:
                 assert evaluator.value(f) == dominant_part(oracle), (case, f)
 
     @pytest.mark.parametrize(
-        "case",
+        "case, message",
         [
-            "repeated_variable",
-            "missing_variable",
-            "polynomial_beside_full_core",
-            "constants_in_a_ring",
-            "scaled_variable",
+            pytest.param(case, message, id=case)
+            for case, message in [
+                ("repeated_variable", "each exactly once"),
+                ("missing_variable", "each exactly once"),
+                ("polynomial_beside_full_core", "neither a constant nor a single variable"),
+                ("constants_in_a_ring", "each exactly once"),
+                ("scaled_variable", "neither a constant nor a single variable"),
+            ]
         ],
     )
-    def test_refuses_a_vector_that_is_not_the_ring_variables_once_each(self, case):
+    def test_refuses_a_vector_that_is_not_the_ring_variables_once_each(self, case, message):
         """These vectors' Schur values are not symmetric in the ring's
-        variables, so they have no dominant-term form."""
-        with pytest.raises(ValueError, match="each exactly once"):
-            SchurValues(self.values(case), 6)
+        variables, so they have no dominant-term form: `SatakeParams`
+        refuses them before any value is taken."""
+        with pytest.raises(ValueError, match=message):
+            SatakeParams(self.values(case))
 
     def test_all_symbolic_returns_the_cached_polynomial(self):
         x, y = variables(2)
-        values = SchurValues([y, MultiPoly.zero(2), x], 4)
+        values = SchurValues(SatakeParams([y, MultiPoly.zero(2), x]), 4)
         assert values.value((2, 1)) is schur((2, 1), 2)
 
     def test_rejects_shapes_above_the_weight_bound(self):
-        values = SchurValues([MultiPoly.constant(0, 2), MultiPoly.constant(0, 3)], 3)
+        values = SchurValues(SatakeParams([MultiPoly.constant(0, 2), MultiPoly.constant(0, 3)]), 3)
         assert values.value((2, 1)) == substitute(
             schur_bialternant((2, 1), 2), [MultiPoly.constant(0, 2), MultiPoly.constant(0, 3)]
         )
         with pytest.raises(ValueError):
             values.value((2, 2))
         with pytest.raises(ValueError):
-            SchurValues([MultiPoly.one(0)], -1)
+            SchurValues(SatakeParams([MultiPoly.one(0)]), -1)
 
 
 class TestInnerShapes:
@@ -475,7 +481,9 @@ class TestLittlewoodSum:
     def test_cells_sum_the_oracle_values(self, vals, l1, l2, data):
         n, nvars = len(vals), vals[0].nvars
         rows = data.draw(st.integers(0, n))
-        grid, scale, terms = littlewood_sum(vals, rows, l1, l2)
+        params = SatakeParams(vals)
+        grid, terms = littlewood_sum(params, rows, l1, l2)
+        scale = params.scale
         assert scale > 1
         oracle = {
             f: dominant_part(substitute(_bialternant(f, n), vals, nvars=nvars))
@@ -494,6 +502,20 @@ class TestLittlewoodSum:
             assert (a, b) == (alternating_sum(f), even_index_sum(f))
             assert value == oracle[f] * scale ** sum(f), f
             assert all(isinstance(c, int) for c in value.coefficients()), f
+
+    @pytest.mark.parametrize("window", [(0, 0), (0, 1), (2, 2)])
+    def test_rows_above_the_vector_read_as_its_length(self, window):
+        """No shape is longer than the vector it is evaluated at: rows above n give
+        the sum over n rows, in every window."""
+        params = SatakeParams.parse(["sym"])
+        assert littlewood_sum(params, 2, *window) == littlewood_sum(params, 1, *window)
+
+    def test_shapes_run_to_the_vector_length(self):
+        """Rows are capped at n, not at k: `verify-js` prints the zero values of the
+        shapes longer than the nonzero entries."""
+        _, terms = littlewood_sum(SatakeParams.parse(["sym", "0", "0"]), 5, 0, 2)
+        assert [f for _, _, f, _ in terms] == [(), (1, 1), (2, 2)]
+        assert [value.is_zero for *_, value in terms] == [False, True, True]
 
 
 class TestPartitionsBounded:

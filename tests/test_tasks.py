@@ -478,13 +478,15 @@ class TestRunTask:
     def test_one_variable_fail_reports_the_first_difference(
         self, monkeypatch, body, lead, key, summary
     ):
-        """An extra root 1 on the product side makes the sides differ at t^1."""
+        """1 added to the product side at t^1 makes the sides differ there."""
         real = torus_sums.product_grid
 
-        def extra_root(linear, pairs, nvars, l1, l2):
-            return real(linear, [*pairs, MultiPoly.one(nvars)], nvars, l1, l2)
+        def bumped(params, l1, l2):
+            grid = [list(row) for row in real(params, l1, l2)]
+            grid[0][1] = grid[0][1] + MultiPoly.one(params.nvars)
+            return tuple(map(tuple, grid))
 
-        monkeypatch.setattr(torus_sums, "product_grid", extra_root)
+        monkeypatch.setattr(torus_sums, "product_grid", bumped)
         r = run_one(body)
         assert (r.verdict, r.summary) == ("fail", summary)
         assert list(r.data) == lead + [key, "product", "first_difference", "contributions", "basis"]
@@ -666,9 +668,9 @@ class TestFailBranches:
         """1 added to the product side at t1 t2^2."""
         real = torus_sums.product_grid
 
-        def bumped(linear, pairs, nvars, l1, l2):
-            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(nvars)
+        def bumped(params, l1, l2):
+            grid = [list(row) for row in real(params, l1, l2)]
+            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)
@@ -692,9 +694,9 @@ class TestFailBranches:
         """1 added to the product side at t2^2: the probe names that cell, whether or not an entry vanishes."""
         real = torus_sums.product_grid
 
-        def bumped(linear, pairs, nvars, l1, l2):
-            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
-            grid[0][2] = grid[0][2] + MultiPoly.one(nvars)
+        def bumped(params, l1, l2):
+            grid = [list(row) for row in real(params, l1, l2)]
+            grid[0][2] = grid[0][2] + MultiPoly.one(params.nvars)
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)
@@ -840,6 +842,28 @@ class TestCli:
         code, out = self.run_cli("run", "--config", str(cfg))
         assert code == 0
         assert "standard_roots" in out
+
+    @pytest.mark.parametrize(
+        "body, location",
+        [
+            ({"format_version": 1, "tasks": [{"task": "lfactor", "satake": ["sym"]}], "truncation": 3},
+             "document.truncation"),
+            ({"format_version": 1, "task": "galois-H", "random": {"count": 3, "cuont": 7}}, "task.random.cuont"),
+            ({"format_version": 1, "task": "galois-H",
+              "blocks": [{"grade": [0], "length": 1, "scalar": "2", "lenght": 3}]}, "task.blocks[0].lenght"),
+            ({"format_version": True, "task": "lfactor", "satake": ["sym"]}, "document.format_version"),
+            ({"format_version": 1.0, "task": "lfactor", "satake": ["sym"]}, "document.format_version"),
+        ],
+        ids=["beside_tasks", "in_random", "in_block", "version_true", "version_float"],
+    )
+    def test_config_fields_outside_the_grammar_exit_2(self, tmp_path, capsys, body, location):
+        """A field the grammar does not name would be ignored, and `true` or `1.0`
+        equals 1 in Python: each is refused, at its location."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(body))
+        code, out = self.run_cli("run", "--config", str(cfg))
+        assert code == 2 and not out
+        assert capsys.readouterr().err.startswith(f"error: {location}: ")
 
     def test_run_batch_order(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -1202,9 +1226,9 @@ class TestCli:
         """A fail forced on the product side (as in TestFailBranches) exits 1."""
         real = torus_sums.product_grid
 
-        def bumped(linear, pairs, nvars, l1, l2):
-            grid = [list(row) for row in real(linear, pairs, nvars, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(nvars)
+        def bumped(params, l1, l2):
+            grid = [list(row) for row in real(params, l1, l2)]
+            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)

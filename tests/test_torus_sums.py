@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extsq import lfactors, symmetric, torus_sums
-from extsq.lfactors import SatakeParams, ext_sq_roots, product_grid
+from extsq.lfactors import SatakeParams, product_grid
 from extsq.polynomials import MultiPoly, times_linear_factors
 from extsq.series import series2_first_difference
 from extsq.tasks import ConfigError, parse_task, run_task
@@ -59,8 +59,8 @@ def product_grid_of(params, l1, l2):
 
 
 def ext_sq_row(params, order):
-    """The exterior-square factor's series, the t2 row of `product_grid` with no linear roots."""
-    return product_grid((), ext_sq_roots(params), params.nvars, 0, order)[0]
+    """The exterior-square factor's series, the t2 row of `product_grid` over the window (0, order)."""
+    return product_grid(params, 0, order)[0]
 
 
 def probe(tokens, window):
@@ -347,7 +347,7 @@ class TestLittlewoodIdentity:
         any rows >= k - 1, k the nonzero entries, for either parity, with or without zeros."""
         p = SatakeParams.parse(tokens)
         k = len(p.nonzero_entries)
-        rows = min(max(k + extra, 0), p.n)  # `littlewood_sum` has no shape longer than the vector
+        rows = max(k + extra, 0)  # above n included: no shape is longer than the vector
         identity = LittlewoodIdentity(p, rows, l1, l2)
         one = MultiPoly.one(p.nvars)
         assert identity.omega == (reduce(mul, p.nonzero_entries, one) if rows < k else 0)
