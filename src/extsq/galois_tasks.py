@@ -8,16 +8,16 @@ document without a Galois task never compiles this module.
 `parse_fields` reads a task's explicit representation (`q`, `group`,
 `blocks`) or its `random` suite, and `RUNNERS` holds the two runners.
 An explicit report prints its factors as root lists; a random suite of
-`count` representations is drawn from the task's `seed` and reports each
-failure with the representation that failed.
+`count` representations is drawn from the task's `seed` as flat records
+and reports each failure with the representation that failed, the only
+`WDRep` it builds.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
-from typing import Any, Callable, Iterator
+from typing import Any
 
 from .tasks import (
     ASCII_WHITESPACE,
@@ -38,10 +38,11 @@ from .weil_deligne import (
     FiniteAbelianGroup,
     WDBlock,
     WDRep,
+    _drawn_rep,
+    _k1_draws,
+    _wdrep_draws,
     divisibility_check,
     prop_H_equality,
-    random_k1_rep,
-    random_wdrep,
 )
 
 
@@ -138,12 +139,6 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
 # -- execution ---------------------------------------------------------------
 
 
-def _random_reps(cfg: TaskConfig, draw: Callable[[random.Random], WDRep]) -> Iterator[WDRep]:
-    """The cfg.random_count representations of a random suite, drawn from cfg.seed."""
-    rng = random.Random(cfg.seed)
-    return (draw(rng) for _ in range(cfg.random_count))
-
-
 def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
         names = _names(cfg.rep.nvars)
@@ -163,10 +158,10 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     count = cfg.random_count
     failures: list[dict[str, Any]] = []
     strict_count = 0
-    for i, rep in enumerate(_random_reps(cfg, random_wdrep)):
-        verdict = divisibility_check(rep)
+    for i, drawn in enumerate(_wdrep_draws(random.Random(cfg.seed), count)):
+        verdict = divisibility_check(drawn)
         if not verdict.divides:
-            failures.append({"index": i, "rep": _describe_rep(rep)})
+            failures.append({"index": i, "rep": _describe_rep(_drawn_rep(drawn))})
         elif verdict.strict:
             strict_count += 1
     data = {
@@ -195,11 +190,10 @@ def _run_galois_h(cfg: TaskConfig) -> Outcome:
             return "fail", "factors differ despite the pairing hypothesis", data
         return "pass", "factors agree exactly under the pairing hypothesis", data
     count = cfg.random_count
-    draw = partial(random_k1_rep, require_hypothesis=True)
     failures = [
-        {"index": i, "rep": _describe_rep(rep)}
-        for i, rep in enumerate(_random_reps(cfg, draw))
-        if not prop_H_equality(rep).equal
+        {"index": i, "rep": _describe_rep(_drawn_rep(drawn))}
+        for i, drawn in enumerate(_k1_draws(random.Random(cfg.seed), count, require_hypothesis=True))
+        if not prop_H_equality(drawn).equal
     ]
     data = {"count": count, "all_equal": not failures, "failures": failures}
     if failures:

@@ -222,7 +222,8 @@ def parse_task(obj: Any, default_truncation: int = DEFAULT_TRUNCATION, location:
             raise ConfigError(message, f"{location}.{key}")
     seed = 0
     if "seed" in obj:
-        seed = _parse_int(obj["seed"], "seed", f"{location}.seed")
+        # random.Random seeds by the absolute value, so -s would draw the suite of s
+        seed = _parse_int(obj["seed"], "seed", f"{location}.seed", 0)
     if task not in _SATAKE_TASKS and "truncation" in obj:
         # read by no Galois task, but checked: an int or a window, as the CLI may write either
         raw_tr = obj["truncation"]

@@ -46,32 +46,36 @@ Frobenius scalars may be symbolic, but only when every block has k = 1,
 so that q never mixes into a symbol; mixed symbolic/Steinberg input is
 rejected.  q itself is an exact integer >= 2, never a symbol.
 
-Random suites draw every bounded int with `_below`: getrandbits(k), k the
-bit length of the bound, redrawn while it is out of range.  That is how
-`randrange`, `randint` and `choice` draw today, so the stream is theirs,
-but it now depends only on the documented `getrandbits`, not on the
-internals of `randrange`.  A scalar n/d is read from an 18 x 9 table of
-reduced Fractions, built on first use.  Each drawer checks its arguments
-once, before its first draw (every bound >= 1, every q choice an exact int
->= 2), and builds its blocks valid: reduced grades, lengths >= 1 and
-nonzero Fraction scalars.  So it makes its rep with `_drawn_rep`, which
-skips `WDRep`'s checks; the public constructor, which explicit configs go
-through, keeps every one of them.  `random_group` shares one group per
-order tuple (an LRU cache of 64), and a group of at most 64 elements keeps
-its negation table, so the cached groups hold at most 64 x 64 entries.  A
-comparison counts the exterior-square keys once and strikes each formal
-key from that count: a key it cannot strike is missing, and what is left
-is the quotient.
+Random suites draw into flat records (`_Drawn`): q, the shared group, and
+tuples of grades, lengths and scalars n/d as integer pairs (n, d) in
+lowest terms, read from an 18 x 9 table built on first use.  Every
+bounded int is drawn by a loop inlined at its bound n: getrandbits(k), k
+the bit length of n, redrawn while it is >= n.  That is how `randrange`,
+`randint` and `choice` draw today, so the stream is theirs, but it depends
+only on the documented `getrandbits`, not on the internals of
+`randrange`.  The comparisons and the hypothesis check read the same flat
+fields of a record and of a `WDRep` (`grades`, `lengths`, `scalars`), so a
+suite builds no block, no rep and no Fraction for a rep that passes:
+`_drawn_rep` makes the `WDRep` of a record that fails, for its report, and
+of every record `random_wdrep` and `random_k1_rep` return.  Each drawer
+checks its arguments once, before its first draw (every bound >= 1, every
+q choice an exact int >= 2), and draws its records valid: reduced grades,
+lengths >= 1 and nonzero scalars; so `_drawn_rep` skips `WDRep`'s checks.
+The public constructor, which explicit configs go through, keeps every one
+of them.  `random_group` shares one group per order tuple (an LRU cache of
+64), and a group of at most 64 elements keeps its negation table, so the
+cached groups hold at most 64 x 64 entries.  A comparison counts the
+exterior-square keys once and strikes each formal key from that count: a
+key it cannot strike is missing, and what is left is the quotient.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, product
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FiniteAbelianGroup:
@@ -187,16 +191,49 @@ class WDRep:
     def __repr__(self) -> str:
         return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
 
+    # the flat per-block fields a comparison reads, as a `_Drawn` record holds them
 
-def _drawn_rep(q: int, group: FiniteAbelianGroup, blocks: list[WDBlock]) -> WDRep:
-    """A rep of blocks a drawer built valid (module docstring), without `WDRep`'s checks."""
+    @property
+    def grades(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([b.grade for b in self.blocks])
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple([b.length for b in self.blocks])
+
+    @property
+    def scalars(self) -> tuple[tuple[int, int] | str, ...]:
+        """Per block, its rational scalar n/d as the pair (n, d) in lowest terms, or its symbol."""
+        scalars = [b.scalar for b in self.blocks]
+        return tuple([a if type(a) is str else a.as_integer_ratio() for a in scalars])
+
+
+class _Drawn:
+    """A drawn rep as flat per-block tuples, the fields of `WDRep` a comparison reads.
+
+    Each scalar is a pair (n, d) in lowest terms; a drawn rep has no
+    symbols.  `_drawn_rep` makes its `WDRep`.
+    """
+
+    __slots__ = ("q", "group", "grades", "lengths", "scalars")
+    symbols = ()
+
+    def __init__(self, q: int, group: FiniteAbelianGroup, grades: tuple, lengths: tuple, scalars: tuple):
+        self.q, self.group, self.grades, self.lengths, self.scalars = q, group, grades, lengths, scalars
+
+
+def _drawn_rep(drawn: _Drawn) -> WDRep:
+    """The rep of a record a drawer built valid (module docstring), without `WDRep`'s checks."""
     rep = WDRep.__new__(WDRep)
-    rep.q, rep.group, rep.blocks, rep.symbols, rep.nvars = q, group, tuple(blocks), (), 0
-    rep.dim = sum([b.length for b in blocks])
+    rep.q, rep.group, rep.symbols, rep.nvars = drawn.q, drawn.group, (), 0
+    rep.blocks = tuple(
+        [WDBlock(g, k, Fraction(n, d)) for g, k, (n, d) in zip(drawn.grades, drawn.lengths, drawn.scalars)]
+    )
+    rep.dim = sum(drawn.lengths)
     return rep
 
 
-def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
+def ext_sq_root_indices(rep: WDRep | _Drawn) -> list[tuple[int, int, int]]:
     """Roots of the exterior-square factor prod (1 - r t)^-1, read off the blocks.
 
     Each root is a_i a_j q^-e for the scalars a_i, a_j of blocks i <= j and
@@ -211,16 +248,15 @@ def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
     j < floor(k / 2).  Every e lies in 0..2 max(k) - 2, and every root is a
     product of nonzero scalars, so none is zero.
     """
-    group, blocks = rep.group, rep.blocks
+    group, grades, lengths = rep.group, rep.grades, rep.lengths
     roots: list[tuple[int, int, int]] = []
-    for i, bi in enumerate(blocks):
-        k1, neg = bi.length, group.neg(bi.grade)
-        if k1 >= 2 and bi.grade == neg:
+    for i, g in enumerate(grades):
+        k1, neg = lengths[i], group.neg(g)
+        if k1 >= 2 and g == neg:
             roots += [(i, i, 2 * k1 - 3 - 2 * j) for j in range(k1 // 2)]
-        for j in range(i + 1, len(blocks)):
-            bj = blocks[j]
-            if bj.grade == neg:
-                k2 = bj.length
+        for j in range(i + 1, len(grades)):
+            if grades[j] == neg:
+                k2 = lengths[j]
                 roots += [(i, j, k1 + k2 - 2 - t) for t in range(min(k1, k2))]
     return roots
 
@@ -228,7 +264,9 @@ def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
 class _RootComparison:
     """The formal and the exterior-square roots of one rep, as multisets of keys.
 
-    A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
+    It reads the flat per-block fields, which a `WDRep` and a drawn record
+    both hold, and passes the rep to `ext_sq_root_indices`, looked up when
+    called.  A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
     (see the module docstring); its key is (m, c), the exponent vector m
     packed two bits per symbol.  The formal roots pair up the grade-0
     blocks' kernel eigenvalues a / q^(k-1) (`formal_keys`); the others come
@@ -239,23 +277,24 @@ class _RootComparison:
     counts its keys the formal side leaves over.
     """
 
-    def __init__(self, rep: WDRep):
-        blocks, q = rep.blocks, rep.q
-        top = 2 * max([b.length for b in blocks]) - 2
-        scalars = [b.scalar for b in blocks]
+    def __init__(self, rep: WDRep | _Drawn):
+        q, grades, lengths, scalars = rep.q, rep.grades, rep.lengths, rep.scalars
+        top = 2 * max(lengths) - 2
         # per block: its symbol as a 2-bit field (x^2 is the highest power a
-        # root reaches), and its coefficient times L; `WDRep` stores every
-        # rational scalar as a Fraction
+        # root reaches), and its coefficient times L
         bits = {s: 1 << 2 * i for i, s in enumerate(rep.symbols)}
-        sym = [0 if type(a) is Fraction else bits[a] for a in scalars]
-        ratios = [a.as_integer_ratio() if type(a) is Fraction else (1, 1) for a in scalars]
-        den = lcm(*[d for _, d in ratios])
-        num = [n * (den // d) for n, d in ratios]
+        if bits:
+            sym = [bits.get(a, 0) for a in scalars]
+            scalars = [(1, 1) if a in bits else a for a in scalars]
+        else:  # every drawn rep, and every explicit one without symbols
+            sym = [0] * len(scalars)
+        den = lcm(*[d for _, d in scalars])
+        num = [n * (den // d) for n, d in scalars]
         lift = [q ** (top - e) for e in range(top + 1)]  # q^-e scaled by q^E
         zero = rep.group.zero()  # grades are reduced
-        unramified = [i for i, b in enumerate(blocks) if b.grade == zero]
+        unramified = [i for i, g in enumerate(grades) if g == zero]
         self.formal_keys = [
-            (sym[i] + sym[j], num[i] * num[j] * lift[blocks[i].length + blocks[j].length - 2])
+            (sym[i] + sym[j], num[i] * num[j] * lift[lengths[i] + lengths[j] - 2])
             for i, j in combinations(unramified, 2)
         ]
         self.ext_sq_keys = [
@@ -263,7 +302,9 @@ class _RootComparison:
         ]
         # one pass: strike each formal key from the count of the others
         self._missing: list[tuple[int, int]] = []  # formal roots the other side lacks
-        self._leftover = leftover = Counter(self.ext_sq_keys)
+        self._leftover = leftover = {}  # the count of the exterior-square keys
+        for key in self.ext_sq_keys:
+            leftover[key] = leftover.get(key, 0) + 1
         for key in self.formal_keys:
             n = leftover.get(key, 0)
             if n > 1:
@@ -277,7 +318,7 @@ class _RootComparison:
     @property
     def quotient_keys(self) -> list[tuple[int, int]] | None:
         """The exterior-square keys the formal ones leave over, or None if they do not fit."""
-        return None if self._missing else list(self._leftover.elements())
+        return None if self._missing else [key for key, n in self._leftover.items() for _ in range(n)]
 
     def root_strings(self, keys: Iterable[tuple[int, int]], names: Sequence[str]) -> list[str]:
         """The roots c / scale x^m of these keys as sorted strings, in the bytes of `MultiPoly.format`.
@@ -314,7 +355,7 @@ class DivisibilityVerdict(_RootComparison):
         return not self._missing and bool(self._leftover)
 
 
-def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
+def divisibility_check(rep: WDRep | _Drawn) -> DivisibilityVerdict:
     """Does the pair-product factor divide the exterior-square factor?
 
     Both are reciprocals of products prod (1 - r t) with nonzero roots r.
@@ -338,7 +379,8 @@ def _first_opposite_pair(
 ) -> tuple[int, int] | None:
     """First pair (i, j) of ramified grades with g_i + g_j = 0, or None.
 
-    The grades must be reduced; `WDRep` reduces every block's grade.
+    The grades must be reduced; `WDRep` reduces every block's grade, and a
+    drawer draws them reduced.
     """
     zero = group.zero()
     for i, g in enumerate(reduced):
@@ -358,12 +400,12 @@ class PropHResult(_RootComparison):
         return not self._missing and not self._leftover
 
 
-def prop_H_equality(rep: WDRep) -> PropHResult:
+def prop_H_equality(rep: WDRep | _Drawn) -> PropHResult:
     """For k=1-only reps satisfying the pairing hypothesis, the two exterior
     square factors must agree exactly; violations are precondition errors."""
-    if any(b.length != 1 for b in rep.blocks):
+    if max(rep.lengths) != 1:
         raise ValueError("equality statement applies to length-1 blocks only")
-    grades = [b.grade for b in rep.blocks]
+    grades = rep.grades
     bad = _first_opposite_pair(rep.group, grades)
     if bad is not None:
         i, j = bad
@@ -375,16 +417,8 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
 
 
 # -- randomized inputs for verification suites ------------------------------
-
-
-def _below(getrandbits, n: int) -> int:
-    """A uniform int in range(n), n >= 1: redraw getrandbits(n.bit_length()) while it is >= n."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
+# Each bounded draw below is getrandbits(k), k the bit length of the bound n,
+# redrawn while it is >= n: the stream of randrange(n) (module docstring).
 
 # the groups `random_group` draws, shared, each with its negation table
 _group = lru_cache(maxsize=64)(FiniteAbelianGroup)
@@ -394,23 +428,138 @@ def random_group(rng, max_rank: int = 2, max_order: int = 6) -> FiniteAbelianGro
     if max_rank < 1 or max_order < 1:
         raise ValueError("max_rank and max_order must be >= 1")
     getrandbits = rng.getrandbits
-    rank = 1 + _below(getrandbits, max_rank)
-    return _group(tuple([1 + _below(getrandbits, max_order) for _ in range(rank)]))
+    k = max_rank.bit_length()
+    rank = getrandbits(k)
+    while rank >= max_rank:
+        rank = getrandbits(k)
+    k = max_order.bit_length()
+    orders = []
+    for _ in range(1 + rank):
+        m = getrandbits(k)
+        while m >= max_order:
+            m = getrandbits(k)
+        orders.append(1 + m)
+    return _group(tuple(orders))
 
 
 @cache
-def _scalar_table() -> tuple[tuple[Fraction, ...], ...]:
-    """n/d for the nonzero n in [-9, 9] and d in 1..9, in lowest terms."""
-    return tuple(tuple(Fraction(n, d) for d in range(1, 10)) for n in range(-9, 10) if n)
-
-
-def _random_scalar(getrandbits) -> Fraction:
-    return _scalar_table()[_below(getrandbits, 18)][_below(getrandbits, 9)]
+def _scalar_table() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """n/d for the nonzero n in [-9, 9] and d in 1..9, as pairs (n, d) in lowest terms."""
+    return tuple(tuple((n // gcd(n, d), d // gcd(n, d)) for d in range(1, 10)) for n in range(-9, 10) if n)
 
 
 def _check_q_choices(q_choices: Sequence[int]) -> None:
     if not q_choices or not all([isinstance(q, int) and q >= 2 for q in q_choices]):
         raise ValueError("q_choices must be a nonempty sequence of exact ints >= 2")
+
+
+def _wdrep_draws(
+    rng,
+    count: int,
+    q_choices: Sequence[int] = (2, 3, 5),
+    max_dim: int = 6,
+    max_blocks: int = 4,
+    max_length: int = 3,
+) -> Iterator[_Drawn]:
+    """`count` random block reps with rational scalars, as records, for divisibility suites."""
+    if max_dim < 1 or max_blocks < 1 or max_length < 1:
+        raise ValueError("max_dim, max_blocks and max_length must be >= 1")
+    _check_q_choices(q_choices)
+    getrandbits, table = rng.getrandbits, _scalar_table()
+    nq = len(q_choices)
+    kq, kb = nq.bit_length(), max_blocks.bit_length()
+    for _ in range(count):
+        group = random_group(rng)
+        r = getrandbits(kq)
+        while r >= nq:
+            r = getrandbits(kq)
+        q = q_choices[r]
+        nb = getrandbits(kb)
+        while nb >= max_blocks:
+            nb = getrandbits(kb)
+        grades, lengths, scalars = [], [], []
+        dim = 0
+        for _ in range(1 + nb):
+            room = max_dim - dim
+            if room < 1:
+                break
+            bound = min(max_length, room)
+            kl = bound.bit_length()
+            k = getrandbits(kl)
+            while k >= bound:
+                k = getrandbits(kl)
+            grade = []
+            for m in group.orders:
+                km = m.bit_length()
+                g = getrandbits(km)
+                while g >= m:
+                    g = getrandbits(km)
+                grade.append(g)
+            a = getrandbits(5)
+            while a >= 18:
+                a = getrandbits(5)
+            b = getrandbits(4)
+            while b >= 9:
+                b = getrandbits(4)
+            grades.append(tuple(grade))
+            lengths.append(1 + k)
+            scalars.append(table[a][b])
+            dim += 1 + k
+        yield _Drawn(q, group, tuple(grades), tuple(lengths), tuple(scalars))
+
+
+def _k1_draws(
+    rng,
+    count: int,
+    q_choices: Sequence[int] = (2, 3, 5),
+    max_dim: int = 6,
+    require_hypothesis: bool = True,
+) -> Iterator[_Drawn]:
+    """`count` random reps with every block of length 1, as records; see `random_k1_rep`."""
+    if max_dim < 1:
+        raise ValueError("max_dim must be >= 1")
+    _check_q_choices(q_choices)
+    getrandbits, table = rng.getrandbits, _scalar_table()
+    nq = len(q_choices)
+    kq, kn = nq.bit_length(), max_dim.bit_length()
+    for _ in range(count):
+        group = random_group(rng)
+        r = getrandbits(kq)
+        while r >= nq:
+            r = getrandbits(kq)
+        q = q_choices[r]
+        n = getrandbits(kn)
+        while n >= max_dim:
+            n = getrandbits(kn)
+        n += 1
+        orders = [(m, m.bit_length()) for m in group.orders]
+        # up to 200 draws of n grades; past them, one grade and n - 1 zeros
+        for attempt in range(201):
+            grades = []
+            for _ in range(1 if attempt == 200 else n):
+                grade = []
+                for m, km in orders:
+                    g = getrandbits(km)
+                    while g >= m:
+                        g = getrandbits(km)
+                    grade.append(g)
+                grades.append(tuple(grade))
+            if attempt == 200:
+                grades = [group.zero()] * (n - 1) + grades
+            # drawn grades are already reduced
+            elif require_hypothesis and _first_opposite_pair(group, grades) is not None:
+                continue
+            break
+        scalars = []
+        for _ in range(n):
+            a = getrandbits(5)
+            while a >= 18:
+                a = getrandbits(5)
+            b = getrandbits(4)
+            while b >= 9:
+                b = getrandbits(4)
+            scalars.append(table[a][b])
+        yield _Drawn(q, group, tuple(grades), (1,) * n, tuple(scalars))
 
 
 def random_wdrep(
@@ -421,23 +570,7 @@ def random_wdrep(
     max_length: int = 3,
 ) -> WDRep:
     """A random block rep with rational scalars, for divisibility suites."""
-    if max_dim < 1 or max_blocks < 1 or max_length < 1:
-        raise ValueError("max_dim, max_blocks and max_length must be >= 1")
-    _check_q_choices(q_choices)
-    getrandbits = rng.getrandbits
-    group = random_group(rng)
-    q = q_choices[_below(getrandbits, len(q_choices))]
-    blocks: list[WDBlock] = []
-    dim = 0
-    for _ in range(1 + _below(getrandbits, max_blocks)):
-        room = max_dim - dim
-        if room < 1:
-            break
-        k = 1 + _below(getrandbits, min(max_length, room))
-        grade = tuple([_below(getrandbits, m) for m in group.orders])
-        blocks.append(WDBlock(grade, k, _random_scalar(getrandbits)))
-        dim += k
-    return _drawn_rep(q, group, blocks)
+    return _drawn_rep(next(_wdrep_draws(rng, 1, q_choices, max_dim, max_blocks, max_length)))
 
 
 def random_k1_rep(
@@ -452,20 +585,4 @@ def random_k1_rep(
     grades sum to zero (guaranteed to terminate: after bounded attempts all
     but one grade collapse to zero).
     """
-    if max_dim < 1:
-        raise ValueError("max_dim must be >= 1")
-    _check_q_choices(q_choices)
-    getrandbits = rng.getrandbits
-    group = random_group(rng)
-    orders = group.orders
-    q = q_choices[_below(getrandbits, len(q_choices))]
-    n = 1 + _below(getrandbits, max_dim)
-    for attempt in range(200):
-        grades = [tuple([_below(getrandbits, m) for m in orders]) for _ in range(n)]
-        # drawn grades are already reduced
-        if not require_hypothesis or _first_opposite_pair(group, grades) is None:
-            break
-    else:
-        grades = [group.zero()] * (n - 1) + [tuple([_below(getrandbits, m) for m in orders])]
-    blocks = [WDBlock(g, 1, _random_scalar(getrandbits)) for g in grades]
-    return _drawn_rep(q, group, blocks)
+    return _drawn_rep(next(_k1_draws(rng, 1, q_choices, max_dim, require_hypothesis)))

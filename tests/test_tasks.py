@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from extsq import satake_tasks, tasks, torus_sums
+from extsq import galois_tasks, satake_tasks, tasks, torus_sums
 from extsq.cli import main
 from extsq import weil_deligne
 from extsq.polynomials import MultiPoly
@@ -142,6 +143,11 @@ class TestParseTask:
                 {"task": "lfactor", "satake": ["sym"], "seed": True},
                 "task.seed",
                 "seed must be an integer",
+            ),
+            (
+                {"task": "galois-H", "random": {"count": 3}, "seed": -3},
+                "task.seed",
+                "seed must be >= 0",
             ),
             (
                 {"task": "lfactor", "satake": ["sym"], "truncation": False},
@@ -719,6 +725,107 @@ _VALUES = st.recursive(
 )
 
 
+class TestRandomSuites:
+    """The random suites draw flat records and build a `WDRep` only for a failure.
+
+    Their verdicts, failures and counts are those of the public path: a
+    `WDRep` from `random_wdrep` or `random_k1_rep`, its verdict from
+    `divisibility_check` or `prop_H_equality`, printed by `_describe_rep`.
+    """
+
+    SUITES = ["galois-divisibility", "galois-H"]
+
+    @staticmethod
+    def suite(task, count, seed):
+        return run_one({"task": task, "random": {"count": count}, "seed": seed})
+
+    @pytest.mark.parametrize("task", SUITES)
+    def test_a_passing_suite_builds_no_objects(self, monkeypatch, task):
+        expected = self.suite(task, 200, 11)
+        assert expected.verdict == "pass"
+
+        def built(*args, **kwargs):
+            raise AssertionError("a passing suite built a block or a rep")
+
+        monkeypatch.setattr(weil_deligne, "WDBlock", built)
+        monkeypatch.setattr(weil_deligne.WDRep, "__init__", built)
+        monkeypatch.setattr(weil_deligne, "_drawn_rep", built)
+        monkeypatch.setattr(galois_tasks, "_drawn_rep", built)
+        r = self.suite(task, 200, 11)
+        assert (r.verdict, r.summary, r.data) == (expected.verdict, expected.summary, expected.data)
+
+    @pytest.mark.parametrize("task", SUITES)
+    def test_each_failure_builds_one_rep(self, monkeypatch, task):
+        monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", lambda rep: [])
+        real_rep, real_block = galois_tasks._drawn_rep, weil_deligne.WDBlock
+        reps, blocks = [], []
+
+        def counted_rep(drawn):
+            reps.append(real_rep(drawn))
+            return reps[-1]
+
+        def counted_block(*args):
+            blocks.append(real_block(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(galois_tasks, "_drawn_rep", counted_rep)
+        monkeypatch.setattr(weil_deligne, "WDBlock", counted_block)
+        r = self.suite(task, 200, 11)
+        failures = r.data["failures"]
+        assert r.verdict == "fail" and len(failures) >= 10
+        assert [galois_tasks._describe_rep(rep) for rep in reps] == [f["rep"] for f in failures]
+        assert len(blocks) == sum(len(f["rep"]["blocks"]) for f in failures)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_suites_agree_with_the_public_path(self, monkeypatch, seed):
+        """With the first exterior-square root dropped, both routes fail on the same reps."""
+        real = weil_deligne.ext_sq_root_indices
+        monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", lambda rep: real(rep)[1:])
+        count = 300
+        rng = random.Random(seed)
+        failures, strict = [], 0
+        for i in range(count):
+            rep = weil_deligne.random_wdrep(rng)
+            verdict = weil_deligne.divisibility_check(rep)
+            if not verdict.divides:
+                failures.append({"index": i, "rep": galois_tasks._describe_rep(rep)})
+            strict += verdict.strict
+        r = self.suite("galois-divisibility", count, seed)
+        assert json.dumps(r.data["failures"]) == json.dumps(failures)
+        assert r.data["strict_count"] == strict
+        assert len(failures) >= 10
+        rng = random.Random(seed)
+        failures = []
+        for i in range(count):
+            rep = weil_deligne.random_k1_rep(rng, require_hypothesis=True)
+            if not weil_deligne.prop_H_equality(rep).equal:
+                failures.append({"index": i, "rep": galois_tasks._describe_rep(rep)})
+        r = self.suite("galois-H", count, seed)
+        assert json.dumps(r.data["failures"]) == json.dumps(failures)
+        assert len(failures) >= 10
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [
+            (
+                lambda rng, count, require_hypothesis: weil_deligne._k1_draws(rng, count, require_hypothesis=False),
+                "precondition violated: pairing hypothesis violated: ramified grades",
+            ),
+            (
+                lambda rng, count, require_hypothesis: weil_deligne._wdrep_draws(rng, count),
+                "precondition violated: equality statement applies to length-1 blocks only",
+            ),
+        ],
+        ids=["hypothesis", "lengths"],
+    )
+    def test_the_h_suite_checks_each_drawn_rep(self, monkeypatch, draws, message):
+        """A drawn rep outside the statement is a precondition error, not a verdict."""
+        monkeypatch.setattr(galois_tasks, "_k1_draws", draws)
+        r = self.suite("galois-H", 200, 11)
+        assert (r.verdict, r.exit_code) == ("error", 2)
+        assert r.summary.startswith(message)
+
+
 def _report(task, summary, data):
     return tasks.Report(task, "pass", summary, data, 0.0)
 
@@ -864,6 +971,20 @@ class TestCli:
         code, out = self.run_cli("run", "--config", str(cfg))
         assert code == 2 and not out
         assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+    def test_negative_seeds_exit_2(self, tmp_path, capsys):
+        """`random.Random(-s)` draws the stream of s, so a seed -s would echo -s and run the suite of s."""
+        assert random.Random(-3).getrandbits(32) == random.Random(3).getrandbits(32)
+        cfg = tmp_path / "c.json"
+        body = {"task": "galois-divisibility", "random": {"count": 5}}
+        cfg.write_text(json.dumps(doc({**body, "seed": -3}, {**body, "seed": 3})))
+        for argv, location in [
+            (["run", "--config", str(cfg)], "tasks[0].seed"),
+            (["galois-H", "--random-count", "5", "--seed", "-3"], "task.seed"),
+        ]:
+            code, out = self.run_cli(*argv)
+            assert code == 2 and not out
+            assert capsys.readouterr().err == f"error: {location}: seed must be >= 0\n"
 
     def test_run_batch_order(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -27,7 +27,6 @@ from extsq.weil_deligne import (
     WDBlock,
     WDRep,
     _RootComparison,
-    _below,
     _first_opposite_pair,
     divisibility_check,
     ext_sq_root_indices,
@@ -813,12 +812,25 @@ class TestRandomGenerators:
         )
 
     @pytest.mark.parametrize("n", range(1, 19))
-    def test_below_is_randrange(self, n):
+    def test_every_bound_draws_randrange(self, n):
+        """Each bounded draw on a parameter is randrange(n)'s, for n = 1..18.
+
+        The bounds n here are the group's rank and orders, the number of q
+        choices, the block count, the lengths and the k = 1 dimension; the
+        scalar bounds 18 and 9 are in every draw.
+        """
         ours, theirs = random.Random(n), random.Random(n)
-        draws = 100_000
-        assert [_below(ours.getrandbits, n) for _ in range(draws)] == [
-            theirs.randrange(n) for _ in range(draws)
-        ]
+        q_choices = tuple(range(2, 2 + n))
+        wd = {"q_choices": q_choices, "max_dim": n, "max_blocks": n, "max_length": n}
+        k1 = {"q_choices": q_choices, "max_dim": n}
+
+        def fields(rep):
+            return rep.q, rep.group.orders, rep.blocks
+
+        for _ in range(1000):
+            assert random_group(ours, n, n).orders == _randrange_group(theirs, n, n).orders
+            assert fields(random_wdrep(ours, **wd)) == fields(randrange_wdrep(theirs, **wd))
+            assert fields(random_k1_rep(ours, **k1)) == fields(randrange_k1_rep(theirs, **k1))
         assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize(
@@ -851,6 +863,45 @@ class TestRandomGenerators:
             rep = draw(ours, **params)
             assert fields(rep) == fields(oracle(theirs, **params)), i
             assert all_fields(WDRep(rep.q, rep.group, rep.blocks)) == all_fields(rep), i
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "draws, oracle, params",
+        [
+            (weil_deligne._wdrep_draws, randrange_wdrep, {"max_dim": 8, "max_length": 4}),
+            (weil_deligne._k1_draws, randrange_k1_rep, {"require_hypothesis": False, "max_dim": 8}),
+        ],
+        ids=["wdrep", "k1"],
+    )
+    def test_records_hold_the_oracle_fields(self, draws, oracle, params):
+        """A drawn record holds the oracle rep's grades, lengths and scalars n/d as reduced pairs,
+        and it compares as its `WDRep`: the same keys on both sides and the same scale."""
+        ours, theirs = random.Random(12), random.Random(12)
+
+        def compared(rep):
+            c = _RootComparison(rep)
+            return c.formal_keys, c.ext_sq_keys, c.quotient_keys, c.scale
+
+        for drawn in draws(ours, 3000, **params):
+            rep = oracle(theirs, **params)
+            assert (drawn.q, drawn.group.orders) == (rep.q, rep.group.orders)
+            assert drawn.grades == tuple(b.grade for b in rep.blocks)
+            assert drawn.lengths == tuple(b.length for b in rep.blocks)
+            assert drawn.scalars == tuple(b.scalar.as_integer_ratio() for b in rep.blocks)
+            assert compared(drawn) == compared(weil_deligne._drawn_rep(drawn)) == compared(rep)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_resampling_falls_back_to_one_grade(self):
+        """Past 200 draws of grades that break the hypothesis, one grade is drawn and
+        n - 1 are zero, in the oracle's stream too.  With 31-40 blocks and the
+        group Z/2, no draw of grades keeps the hypothesis in practice."""
+        ours, theirs = random.Random(13), random.Random(13)
+        fallbacks = 0
+        for _ in range(200):
+            rep = random_k1_rep(ours, max_dim=40)
+            assert rep.blocks == randrange_k1_rep(theirs, max_dim=40).blocks
+            fallbacks += rep.group.orders == (2,) and rep.dim > 30
+        assert fallbacks >= 2
         assert ours.getstate() == theirs.getstate()
 
     def test_random_group_draws_the_randrange_stream(self):
