@@ -25,7 +25,6 @@ _EXPORTS = {
         "DivisibilityVerdict",
         "FiniteAbelianGroup",
         "PropHResult",
-        "WDBlock",
         "WDRep",
         "divisibility_check",
         "prop_H_equality",

@@ -8,9 +8,8 @@ document without a Galois task never compiles this module.
 `parse_fields` reads a task's explicit representation (`q`, `group`,
 `blocks`) or its `random` suite, and `RUNNERS` holds the two runners.
 An explicit report prints its factors as root lists; a random suite of
-`count` representations is drawn from the task's `seed` as flat records
-and reports each failure with the representation that failed, the only
-`WDRep` it builds.
+`count` representations is drawn from the task's `seed` and reports each
+failure with the representation that failed, printed from its flat fields.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from .tasks import (
 )
 from .weil_deligne import (
     FiniteAbelianGroup,
-    WDBlock,
     WDRep,
-    _drawn_rep,
     _k1_draws,
     _wdrep_draws,
     divisibility_check,
@@ -46,7 +43,8 @@ from .weil_deligne import (
 )
 
 
-def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WDBlock]:
+def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[tuple]:
+    """The (grade, length, scalar) triples of a config's blocks, for `WDRep`."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError("blocks must be a nonempty list", location)
     blocks = []
@@ -82,17 +80,26 @@ def _parse_blocks(raw: Any, group: FiniteAbelianGroup, location: str) -> list[WD
         if len(grade) != len(group.orders):
             rank = len(group.orders)
             raise ConfigError(f"element {tuple(grade)} does not fit group of rank {rank}", loc)
-        blocks.append(WDBlock(tuple(grade), length, scalar))
+        blocks.append((grade, length, scalar))
     return blocks
 
 
+def _scalar_text(a: tuple[int, int] | str) -> str:
+    """A symbol's name, or a scalar (n, d) as `str(Fraction(n, d))` prints it: n or n/d."""
+    if isinstance(a, str):
+        return a
+    n, d = a
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _describe_rep(rep: WDRep) -> dict[str, Any]:
+    """The rep's config fields, as an echo or a failure prints them."""
     return {
         "q": rep.q,
         "group": list(rep.group.orders),
         "blocks": [
-            {"grade": list(b.grade), "length": b.length, "scalar": str(b.scalar)}
-            for b in rep.blocks
+            {"grade": list(g), "length": k, "scalar": _scalar_text(a)}
+            for g, k, a in zip(rep.grades, rep.lengths, rep.scalars)
         ],
     }
 
@@ -123,7 +130,7 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
         raise ConfigError("group must be a list of positive cyclic orders", f"{location}.group")
     group = FiniteAbelianGroup(tuple(group_raw))
     blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
-    dim = sum(b.length for b in blocks)
+    dim = sum([length for _, length, _ in blocks])
     if dim > MAX_RANK:
         raise ConfigError(
             f"blocks must have lengths summing to at most {MAX_RANK}, got {dim}",
@@ -141,7 +148,7 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
 
 def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
-        names = _names(cfg.rep.nvars)
+        names = _names(len(cfg.rep.symbols))
         verdict = divisibility_check(cfg.rep)
         quotient = verdict.quotient_keys
         data = {
@@ -158,10 +165,10 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
     count = cfg.random_count
     failures: list[dict[str, Any]] = []
     strict_count = 0
-    for i, drawn in enumerate(_wdrep_draws(random.Random(cfg.seed), count)):
-        verdict = divisibility_check(drawn)
+    for i, rep in enumerate(_wdrep_draws(random.Random(cfg.seed), count)):
+        verdict = divisibility_check(rep)
         if not verdict.divides:
-            failures.append({"index": i, "rep": _describe_rep(_drawn_rep(drawn))})
+            failures.append({"index": i, "rep": _describe_rep(rep)})
         elif verdict.strict:
             strict_count += 1
     data = {
@@ -179,7 +186,7 @@ def _run_galois_divisibility(cfg: TaskConfig) -> Outcome:
 
 def _run_galois_h(cfg: TaskConfig) -> Outcome:
     if cfg.random_count is None:
-        names = _names(cfg.rep.nvars)
+        names = _names(len(cfg.rep.symbols))
         result = prop_H_equality(cfg.rep)
         data = {
             "formal_roots": result.root_strings(result.formal_keys, names),
@@ -191,9 +198,9 @@ def _run_galois_h(cfg: TaskConfig) -> Outcome:
         return "pass", "factors agree exactly under the pairing hypothesis", data
     count = cfg.random_count
     failures = [
-        {"index": i, "rep": _describe_rep(_drawn_rep(drawn))}
-        for i, drawn in enumerate(_k1_draws(random.Random(cfg.seed), count, require_hypothesis=True))
-        if not prop_H_equality(drawn).equal
+        {"index": i, "rep": _describe_rep(rep)}
+        for i, rep in enumerate(_k1_draws(random.Random(cfg.seed), count, require_hypothesis=True))
+        if not prop_H_equality(rep).equal
     ]
     data = {"count": count, "all_equal": not failures, "failures": failures}
     if failures:

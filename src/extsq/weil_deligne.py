@@ -46,25 +46,26 @@ Frobenius scalars may be symbolic, but only when every block has k = 1,
 so that q never mixes into a symbol; mixed symbolic/Steinberg input is
 rejected.  q itself is an exact integer >= 2, never a symbol.
 
-Random suites draw into flat records (`_Drawn`): q, the shared group, and
-tuples of grades, lengths and scalars n/d as integer pairs (n, d) in
-lowest terms, read from an 18 x 9 table built on first use.  Every
-bounded int is drawn by a loop inlined at its bound n: getrandbits(k), k
-the bit length of n, redrawn while it is >= n.  That is how `randrange`,
-`randint` and `choice` draw today, so the stream is theirs, but it depends
-only on the documented `getrandbits`, not on the internals of
-`randrange`.  The comparisons and the hypothesis check read the same flat
-fields of a record and of a `WDRep` (`grades`, `lengths`, `scalars`), so a
-suite builds no block, no rep and no Fraction for a rep that passes:
-`_drawn_rep` makes the `WDRep` of a record that fails, for its report, and
-of every record `random_wdrep` and `random_k1_rep` return.  Each drawer
-checks its arguments once, before its first draw (every bound >= 1, every
-q choice an exact int >= 2), and draws its records valid: reduced grades,
-lengths >= 1 and nonzero scalars; so `_drawn_rep` skips `WDRep`'s checks.
-The public constructor, which explicit configs go through, keeps every one
-of them.  `random_group` shares one group per order tuple (an LRU cache of
-64), and a group of at most 64 elements keeps its negation table, so the
-cached groups hold at most 64 x 64 entries.  A comparison counts the
+A `WDRep` holds its blocks as flat tuples: reduced grades, lengths, and
+scalars n/d as integer pairs (n, d) in lowest terms or symbol names.
+`WDRep(q, group, blocks)` checks and splits (grade, length, scalar)
+triples in one pass.  A float or a bool is refused wherever an exact int
+or rational is meant: as a scalar, a length, a grade entry (`reduce`) or
+a group order (`FiniteAbelianGroup`).
+Random suites draw reps with scalars from an 18 x 9 table of such pairs,
+built on first use.  Every bounded int is drawn by a loop inlined at its
+bound n: getrandbits(k), k the bit length of n, redrawn while it is >= n.
+That is how `randrange`, `randint` and `choice` draw today, so the stream
+is theirs, but it depends only on the documented `getrandbits`, not on
+the internals of `randrange`.  Each drawer checks its arguments once,
+before its first draw (every bound >= 1, every q choice an exact int
+>= 2), and draws its fields valid: reduced grades, lengths >= 1, nonzero
+scalars and no symbols; so it builds each rep with `WDRep._valid`, which
+skips the checks, and a suite builds no block and no Fraction.  The
+public constructor, which explicit configs go through, keeps every check.
+`random_group` shares one group per order tuple (an LRU cache of 64), and
+a group of at most 64 elements keeps its negation table, so the cached
+groups hold at most 64 x 64 entries.  A comparison counts the
 exterior-square keys once and strikes each formal key from that count: a
 key it cannot strike is missing, and what is left is the quotient.
 """
@@ -89,7 +90,7 @@ class FiniteAbelianGroup:
 
     def __init__(self, orders: tuple[int, ...]):
         for m in orders:
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ValueError("cyclic orders must be positive ints")
         self.orders = orders
         self._negs: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -103,7 +104,9 @@ class FiniteAbelianGroup:
     def reduce(self, a: Sequence[int]) -> tuple[int, ...]:
         if len(a) != len(self.orders):
             raise self._rank_error(a)
-        return tuple(x % m for x, m in zip(a, self.orders))
+        if not all([type(x) is int for x in a]):
+            raise ValueError(f"element {tuple(a)} must have int entries")
+        return tuple([x % m for x, m in zip(a, self.orders)])
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
@@ -119,121 +122,59 @@ class FiniteAbelianGroup:
         return tuple(-x % m for x, m in zip(a, self.orders))
 
 
-class WDBlock:
-    """One indecomposable summand: grade, Steinberg length, Frobenius scalar.
+class WDRep:
+    """A graded block representation over residue size q (exact int >= 2).
 
-    The scalar is a nonzero rational, or a string naming a formal symbol.
-    Blocks compare and hash by their three fields.
+    Per block, in order: `grades` (reduced), `lengths` (ints >= 1) and
+    `scalars`, each a rational n/d as the pair (n, d) in lowest terms or a
+    symbol name; `symbols` lists each name once, in order of first use.
     """
 
-    __slots__ = ("grade", "length", "scalar")
+    __slots__ = ("q", "group", "grades", "lengths", "scalars", "symbols")
 
-    def __init__(self, grade: tuple[int, ...], length: int, scalar: int | Fraction | str):
-        self.grade = grade
-        self.length = length
-        self.scalar = scalar
-
-    def _fields(self) -> tuple:
-        return self.grade, self.length, self.scalar
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WDBlock):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"WDBlock(grade={self.grade!r}, length={self.length!r}, scalar={self.scalar!r})"
-
-
-class WDRep:
-    """A graded block representation over residue size q (exact int >= 2)."""
-
-    __slots__ = ("q", "group", "blocks", "symbols", "nvars", "dim")
-
-    def __init__(self, q: int, group: FiniteAbelianGroup, blocks: Sequence[WDBlock]):
+    def __init__(self, q: int, group: FiniteAbelianGroup, blocks: Iterable[tuple]):
+        """Check and split (grade, length, scalar) triples, each scalar an int, a Fraction or a name."""
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an exact integer >= 2")
-        if not blocks:
-            raise ValueError("representation needs at least one block")
-        self.q = q
-        self.group = group
-
-        symbols: list[str] = []
-        any_steinberg = any(b.length >= 2 for b in blocks)
-        normalized: list[WDBlock] = []
-        for b in blocks:
-            length, scalar = b.length, b.scalar
-            if not isinstance(length, int) or length < 1:
+        grades, lengths, scalars, symbols = [], [], [], []
+        for grade, length, scalar in blocks:
+            if type(length) is not int or length < 1:
                 raise ValueError("Steinberg length must be an int >= 1")
-            grade = group.reduce(b.grade)
+            grades.append(group.reduce(grade))
+            lengths.append(length)
             if isinstance(scalar, str):
-                if any_steinberg:
-                    raise ValueError(
-                        "symbolic Frobenius scalars are only supported when every "
-                        "block has length 1 (mixed symbolic/Steinberg input)"
-                    )
                 if scalar not in symbols:
                     symbols.append(scalar)
-            else:
-                if type(scalar) is not Fraction:
-                    scalar = Fraction(scalar)
+            elif type(scalar) is int or type(scalar) is Fraction:
                 if scalar == 0:
                     raise ValueError("Frobenius scalar must be nonzero")
-            normalized.append(WDBlock(grade, length, scalar))
-        self.blocks = tuple(normalized)
-        self.symbols = tuple(symbols)
-        self.nvars = len(symbols)
-        self.dim = sum(b.length for b in self.blocks)
+                scalar = scalar.as_integer_ratio()
+            else:
+                raise ValueError(f"Frobenius scalar {scalar!r} is neither an exact rational nor a name")
+            scalars.append(scalar)
+        if not lengths:
+            raise ValueError("representation needs at least one block")
+        if symbols and max(lengths) >= 2:
+            raise ValueError(
+                "symbolic Frobenius scalars are only supported when every "
+                "block has length 1 (mixed symbolic/Steinberg input)"
+            )
+        self.q, self.group, self.grades, self.lengths = q, group, tuple(grades), tuple(lengths)
+        self.scalars, self.symbols = tuple(scalars), tuple(symbols)
+
+    @classmethod
+    def _valid(cls, q: int, group: FiniteAbelianGroup, grades: tuple, lengths: tuple, scalars: tuple):
+        """The rep of fields a drawer drew valid and without symbols (module docstring), unchecked."""
+        rep = cls.__new__(cls)
+        rep.q, rep.group, rep.grades, rep.lengths, rep.scalars = q, group, grades, lengths, scalars
+        rep.symbols = ()
+        return rep
 
     def __repr__(self) -> str:
-        return f"WDRep(q={self.q}, dim={self.dim}, blocks={len(self.blocks)})"
-
-    # the flat per-block fields a comparison reads, as a `_Drawn` record holds them
-
-    @property
-    def grades(self) -> tuple[tuple[int, ...], ...]:
-        return tuple([b.grade for b in self.blocks])
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple([b.length for b in self.blocks])
-
-    @property
-    def scalars(self) -> tuple[tuple[int, int] | str, ...]:
-        """Per block, its rational scalar n/d as the pair (n, d) in lowest terms, or its symbol."""
-        scalars = [b.scalar for b in self.blocks]
-        return tuple([a if type(a) is str else a.as_integer_ratio() for a in scalars])
+        return f"WDRep(q={self.q}, dim={sum(self.lengths)}, blocks={len(self.lengths)})"
 
 
-class _Drawn:
-    """A drawn rep as flat per-block tuples, the fields of `WDRep` a comparison reads.
-
-    Each scalar is a pair (n, d) in lowest terms; a drawn rep has no
-    symbols.  `_drawn_rep` makes its `WDRep`.
-    """
-
-    __slots__ = ("q", "group", "grades", "lengths", "scalars")
-    symbols = ()
-
-    def __init__(self, q: int, group: FiniteAbelianGroup, grades: tuple, lengths: tuple, scalars: tuple):
-        self.q, self.group, self.grades, self.lengths, self.scalars = q, group, grades, lengths, scalars
-
-
-def _drawn_rep(drawn: _Drawn) -> WDRep:
-    """The rep of a record a drawer built valid (module docstring), without `WDRep`'s checks."""
-    rep = WDRep.__new__(WDRep)
-    rep.q, rep.group, rep.symbols, rep.nvars = drawn.q, drawn.group, (), 0
-    rep.blocks = tuple(
-        [WDBlock(g, k, Fraction(n, d)) for g, k, (n, d) in zip(drawn.grades, drawn.lengths, drawn.scalars)]
-    )
-    rep.dim = sum(drawn.lengths)
-    return rep
-
-
-def ext_sq_root_indices(rep: WDRep | _Drawn) -> list[tuple[int, int, int]]:
+def ext_sq_root_indices(rep: WDRep) -> list[tuple[int, int, int]]:
     """Roots of the exterior-square factor prod (1 - r t)^-1, read off the blocks.
 
     Each root is a_i a_j q^-e for the scalars a_i, a_j of blocks i <= j and
@@ -264,11 +205,11 @@ def ext_sq_root_indices(rep: WDRep | _Drawn) -> list[tuple[int, int, int]]:
 class _RootComparison:
     """The formal and the exterior-square roots of one rep, as multisets of keys.
 
-    It reads the flat per-block fields, which a `WDRep` and a drawn record
-    both hold, and passes the rep to `ext_sq_root_indices`, looked up when
-    called.  A root a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer
-    (see the module docstring); its key is (m, c), the exponent vector m
-    packed two bits per symbol.  The formal roots pair up the grade-0
+    It reads the rep's flat per-block fields, drawn or explicit, and passes
+    the rep to `ext_sq_root_indices`, looked up when called.  A root
+    a_i a_j q^-e times `scale` = L^2 q^E is c x^m with c an integer (see the
+    module docstring); its key is (m, c), the exponent vector m packed two
+    bits per symbol.  The formal roots pair up the grade-0
     blocks' kernel eigenvalues a / q^(k-1) (`formal_keys`); the others come
     from `ext_sq_root_indices` (`ext_sq_keys`).  An explicit report prints
     the roots c / scale x^m with `root_strings`, and random suites print
@@ -277,7 +218,7 @@ class _RootComparison:
     counts its keys the formal side leaves over.
     """
 
-    def __init__(self, rep: WDRep | _Drawn):
+    def __init__(self, rep: WDRep):
         q, grades, lengths, scalars = rep.q, rep.grades, rep.lengths, rep.scalars
         top = 2 * max(lengths) - 2
         # per block: its symbol as a 2-bit field (x^2 is the highest power a
@@ -355,7 +296,7 @@ class DivisibilityVerdict(_RootComparison):
         return not self._missing and bool(self._leftover)
 
 
-def divisibility_check(rep: WDRep | _Drawn) -> DivisibilityVerdict:
+def divisibility_check(rep: WDRep) -> DivisibilityVerdict:
     """Does the pair-product factor divide the exterior-square factor?
 
     Both are reciprocals of products prod (1 - r t) with nonzero roots r.
@@ -400,7 +341,7 @@ class PropHResult(_RootComparison):
         return not self._missing and not self._leftover
 
 
-def prop_H_equality(rep: WDRep | _Drawn) -> PropHResult:
+def prop_H_equality(rep: WDRep) -> PropHResult:
     """For k=1-only reps satisfying the pairing hypothesis, the two exterior
     square factors must agree exactly; violations are precondition errors."""
     if max(rep.lengths) != 1:
@@ -460,8 +401,8 @@ def _wdrep_draws(
     max_dim: int = 6,
     max_blocks: int = 4,
     max_length: int = 3,
-) -> Iterator[_Drawn]:
-    """`count` random block reps with rational scalars, as records, for divisibility suites."""
+) -> Iterator[WDRep]:
+    """`count` random block reps with rational scalars, for divisibility suites."""
     if max_dim < 1 or max_blocks < 1 or max_length < 1:
         raise ValueError("max_dim, max_blocks and max_length must be >= 1")
     _check_q_choices(q_choices)
@@ -505,7 +446,7 @@ def _wdrep_draws(
             lengths.append(1 + k)
             scalars.append(table[a][b])
             dim += 1 + k
-        yield _Drawn(q, group, tuple(grades), tuple(lengths), tuple(scalars))
+        yield WDRep._valid(q, group, tuple(grades), tuple(lengths), tuple(scalars))
 
 
 def _k1_draws(
@@ -514,8 +455,8 @@ def _k1_draws(
     q_choices: Sequence[int] = (2, 3, 5),
     max_dim: int = 6,
     require_hypothesis: bool = True,
-) -> Iterator[_Drawn]:
-    """`count` random reps with every block of length 1, as records; see `random_k1_rep`."""
+) -> Iterator[WDRep]:
+    """`count` random reps with every block of length 1; see `random_k1_rep`."""
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     _check_q_choices(q_choices)
@@ -559,7 +500,7 @@ def _k1_draws(
             while b >= 9:
                 b = getrandbits(4)
             scalars.append(table[a][b])
-        yield _Drawn(q, group, tuple(grades), (1,) * n, tuple(scalars))
+        yield WDRep._valid(q, group, tuple(grades), (1,) * n, tuple(scalars))
 
 
 def random_wdrep(
@@ -570,7 +511,7 @@ def random_wdrep(
     max_length: int = 3,
 ) -> WDRep:
     """A random block rep with rational scalars, for divisibility suites."""
-    return _drawn_rep(next(_wdrep_draws(rng, 1, q_choices, max_dim, max_blocks, max_length)))
+    return next(_wdrep_draws(rng, 1, q_choices, max_dim, max_blocks, max_length))
 
 
 def random_k1_rep(
@@ -585,4 +526,4 @@ def random_k1_rep(
     grades sum to zero (guaranteed to terminate: after bounded attempts all
     but one grade collapse to zero).
     """
-    return _drawn_rep(next(_k1_draws(rng, 1, q_choices, max_dim, require_hypothesis)))
+    return next(_k1_draws(rng, 1, q_choices, max_dim, require_hypothesis))

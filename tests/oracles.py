@@ -103,7 +103,7 @@ from extsq.lfactors import SatakeParams, ext_sq_roots
 from extsq.polynomials import MultiPoly
 from extsq.symmetric import check_partition
 from extsq.tasks import FORMAT_VERSION, Report
-from extsq.weil_deligne import FiniteAbelianGroup, WDBlock, WDRep, divisibility_check
+from extsq.weil_deligne import FiniteAbelianGroup, WDRep, divisibility_check
 
 # -- Schur polynomials --------------------------------------------------------
 
@@ -556,6 +556,12 @@ def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | N
 # -- Weil-Deligne representations -------------------------------------------------
 
 
+def blocks(rep: WDRep) -> list[tuple[tuple[int, ...], int, Fraction | str]]:
+    """The rep's (grade, length, scalar) triples, each rational scalar a Fraction."""
+    scalars = [a if isinstance(a, str) else Fraction(*a) for a in rep.scalars]
+    return list(zip(rep.grades, rep.lengths, scalars))
+
+
 def _unramified(rep: WDRep, grade: Sequence[int]) -> bool:
     """Whether a grade, reduced or not, is the group's zero."""
     return all(x % m == 0 for x, m in zip(grade, rep.group.orders))
@@ -563,11 +569,10 @@ def _unramified(rep: WDRep, grade: Sequence[int]) -> bool:
 
 def alphas(rep: WDRep) -> tuple[MultiPoly, ...]:
     """One Frobenius scalar per block, as a polynomial in the rep's symbols."""
+    nvars = len(rep.symbols)
     return tuple(
-        MultiPoly.variable(rep.nvars, rep.symbols.index(b.scalar))
-        if isinstance(b.scalar, str)
-        else MultiPoly.constant(rep.nvars, b.scalar)
-        for b in rep.blocks
+        MultiPoly.variable(nvars, rep.symbols.index(a)) if isinstance(a, str) else MultiPoly.constant(nvars, a)
+        for _, _, a in blocks(rep)
     )
 
 
@@ -590,12 +595,13 @@ class EntryVector:
 def standard_satake(rep: WDRep) -> EntryVector:
     """Frobenius eigenvalues on (ker N) meet grade 0, padded with zeros to dim."""
     entries: list[MultiPoly] = []
-    for b, alpha in zip(rep.blocks, alphas(rep)):
-        if _unramified(rep, b.grade):
+    for grade, length, alpha in zip(rep.grades, rep.lengths, alphas(rep)):
+        if _unramified(rep, grade):
             # ker N on a block is its last rung, where Frobenius is a / q^(k-1)
-            entries.append(alpha * Fraction(1, rep.q ** (b.length - 1)))
-    entries += [MultiPoly.zero(rep.nvars)] * (rep.dim - len(entries))
-    return EntryVector(entries, rep.nvars)
+            entries.append(alpha * Fraction(1, rep.q ** (length - 1)))
+    nvars = len(rep.symbols)
+    entries += [MultiPoly.zero(nvars)] * (sum(rep.lengths) - len(entries))
+    return EntryVector(entries, nvars)
 
 
 def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[MultiPoly]]:
@@ -604,11 +610,11 @@ def _ladders(rep: WDRep) -> tuple[list[int | None], list[tuple[int, ...]], list[
     target: list[int | None] = []
     grades: list[tuple[int, ...]] = []
     phi: list[MultiPoly] = []
-    for b, alpha in zip(rep.blocks, alphas(rep)):
+    for grade, length, alpha in zip(rep.grades, rep.lengths, alphas(rep)):
         start = len(target)
-        target += [*range(start + 1, start + b.length), None]
-        grades += [b.grade] * b.length
-        phi += [alpha * Fraction(1, rep.q**l) for l in range(b.length)]
+        target += [*range(start + 1, start + length), None]
+        grades += [grade] * length
+        phi += [alpha * Fraction(1, rep.q**l) for l in range(length)]
     return target, grades, phi
 
 
@@ -691,12 +697,13 @@ def wd_lfactor(rep: WDRep) -> LFactor:
     (1 - scalar q^(1-k) t)^-1.
     """
     target, grades, phi = _ladders(rep)
-    nmat = [[0] * rep.dim for _ in range(rep.dim)]
+    dim = len(target)
+    nmat = [[0] * dim for _ in range(dim)]
     for src, dst in enumerate(target):
         if dst is not None:
             nmat[dst][src] = 1
-    idx0 = [i for i in range(rep.dim) if _unramified(rep, grades[i])]
-    return _restricted_kernel_lfactor(phi, nmat, idx0, rep.nvars)
+    idx0 = [i for i in range(dim) if _unramified(rep, grades[i])]
+    return _restricted_kernel_lfactor(phi, nmat, idx0, len(rep.symbols))
 
 
 @dataclass(frozen=True)
@@ -713,7 +720,8 @@ class ExtSquareData:
 def ext_sq(rep: WDRep) -> ExtSquareData:
     """Induced data on the exterior square: Phi tensor Phi and N x 1 + 1 x N."""
     target, rep_grades, rep_phi = _ladders(rep)
-    pairs = [(i, j) for i in range(rep.dim) for j in range(i + 1, rep.dim)]
+    dim = len(target)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     index = {p: w for w, p in enumerate(pairs)}
     dim2 = len(pairs)
     nmat = [[0] * dim2 for _ in range(dim2)]
@@ -734,7 +742,7 @@ def ext_sq(rep: WDRep) -> ExtSquareData:
         phi,
         tuple(tuple(row) for row in nmat),
         grades,
-        rep.nvars,
+        len(rep.symbols),
     )
 
 
@@ -746,7 +754,7 @@ def ext_sq_lfactor_by_elimination(rep: WDRep) -> LFactor:
     """
     data = ext_sq(rep)
     idx0 = [w for w in range(len(data.pairs)) if _unramified(rep, data.grades[w])]
-    return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, rep.nvars)
+    return _restricted_kernel_lfactor(data.phi_diag, data.nmatrix, idx0, data.nvars)
 
 
 def key_roots(keys: Sequence[tuple[int, int]] | None, scale: int, nvars: int) -> list[MultiPoly] | None:
@@ -766,8 +774,8 @@ def ext_sq_lfactor(rep: WDRep) -> LFactor:
     production walk `ext_sq_root_indices` yields; tests compare the product
     with `ext_sq_lfactor_by_elimination`.
     """
-    v = divisibility_check(rep)
-    return LFactor.from_linear_roots(key_roots(v.ext_sq_keys, v.scale, rep.nvars), rep.nvars)
+    v, nvars = divisibility_check(rep), len(rep.symbols)
+    return LFactor.from_linear_roots(key_roots(v.ext_sq_keys, v.scale, nvars), nvars)
 
 
 def root_multiset_differences(
@@ -807,7 +815,7 @@ def randrange_wdrep(
 ) -> WDRep:
     group = _randrange_group(rng)
     q = rng.choice(list(q_choices))
-    blocks: list[WDBlock] = []
+    triples = []
     dim = 0
     nblocks = rng.randint(1, max_blocks)
     for _ in range(nblocks):
@@ -816,11 +824,11 @@ def randrange_wdrep(
             break
         k = rng.randint(1, min(max_length, room))
         grade = tuple(rng.randrange(m) for m in group.orders)
-        blocks.append(WDBlock(grade, k, _randrange_scalar(rng)))
+        triples.append((grade, k, _randrange_scalar(rng)))
         dim += k
-    if not blocks:
-        blocks.append(WDBlock(group.zero(), 1, _randrange_scalar(rng)))
-    return WDRep(q, group, blocks)
+    if not triples:
+        triples.append((group.zero(), 1, _randrange_scalar(rng)))
+    return WDRep(q, group, triples)
 
 
 def _opposite_ramified(group: FiniteAbelianGroup, grades: Sequence[tuple[int, ...]]) -> bool:
@@ -848,8 +856,8 @@ def randrange_k1_rep(
             break
     else:
         grades = [group.zero()] * (n - 1) + [tuple(rng.randrange(m) for m in group.orders)]
-    blocks = [WDBlock(g, 1, _randrange_scalar(rng)) for g in grades]
-    return WDRep(q, group, blocks)
+    triples = [(g, 1, _randrange_scalar(rng)) for g in grades]
+    return WDRep(q, group, triples)
 
 
 # -- machine output -----------------------------------------------------------

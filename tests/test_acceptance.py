@@ -33,7 +33,6 @@ from extsq.tasks import parse_task, run_task
 from extsq.torus_sums import LittlewoodIdentity
 from extsq.weil_deligne import (
     FiniteAbelianGroup,
-    WDBlock,
     WDRep,
     divisibility_check,
     prop_H_equality,
@@ -42,6 +41,7 @@ from extsq.weil_deligne import (
 )
 from oracles import (
     LFactor,
+    blocks,
     delta_half_exponent,
     dominant_part,
     dominant_series,
@@ -277,15 +277,15 @@ def test_criterion_10_galois_divisibility(capsys):
         rep = random_wdrep(rng, q_choices=(2, 3, 5), max_dim=6)
         v = divisibility_check(rep)
         if not v.divides:
-            problems.append(f"random rep {i}: {rep.blocks}")
-    sp2 = WDRep(5, FiniteAbelianGroup((1,)), [WDBlock((0,), 2, Fraction(3, 2))])
+            problems.append(f"random rep {i}: {blocks(rep)}")
+    sp2 = WDRep(5, FiniteAbelianGroup((1,)), [((0,), 2, Fraction(3, 2))])
     v = divisibility_check(sp2)
     if not (v.divides and v.strict):
         problems.append("special ladder witness not strict")
     pair = WDRep(
         5,
         FiniteAbelianGroup((2,)),
-        [WDBlock((1,), 1, "b1"), WDBlock((1,), 1, "b2")],
+        [((1,), 1, "b1"), ((1,), 1, "b2")],
     )
     v = divisibility_check(pair)
     if not (v.divides and v.strict):
@@ -301,11 +301,11 @@ def test_criterion_11_pairing_hypothesis(capsys):
     for i in range(50):
         rep = random_k1_rep(rng, require_hypothesis=True)
         if not prop_H_equality(rep).equal:
-            problems.append(f"random rep {i}: {rep.blocks}")
+            problems.append(f"random rep {i}: {blocks(rep)}")
     violator = WDRep(
         5,
         FiniteAbelianGroup((3,)),
-        [WDBlock((1,), 1, "a"), WDBlock((2,), 1, "b")],
+        [((1,), 1, "a"), ((2,), 1, "b")],
     )
     try:
         prop_H_equality(violator)

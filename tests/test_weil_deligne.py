@@ -24,7 +24,6 @@ from extsq.weil_deligne import (
     FiniteAbelianGroup,
     DivisibilityVerdict,
     PropHResult,
-    WDBlock,
     WDRep,
     _RootComparison,
     _first_opposite_pair,
@@ -40,6 +39,7 @@ from oracles import (
     _ladders,
     _randrange_group,
     alphas,
+    blocks,
     ext_sq,
     ext_sq_lfactor,
     ext_sq_lfactor_by_elimination,
@@ -64,8 +64,8 @@ def is_zero(group, grade):
     return all(x % m == 0 for x, m in zip(grade, group.orders))
 
 
-def rep_of(q, group, *blocks):
-    return WDRep(q, group, [WDBlock(g, k, s) for g, k, s in blocks])
+def rep_of(q, group, *triples):
+    return WDRep(q, group, triples)
 
 
 def roots_of(rep, indices):
@@ -91,15 +91,15 @@ def random_symbolic_k1_rep(rng, max_dim=7):
     and self-paired order-2 grades both occur.
     """
     group = FiniteAbelianGroup(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 2))))
-    blocks = []
+    triples = []
     for _ in range(rng.randint(1, max_dim)):
         grade = tuple(rng.randrange(m) for m in group.orders)
         if rng.random() < 0.6:
             scalar = rng.choice("abcd")
         else:
             scalar = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
-        blocks.append(WDBlock(grade, 1, scalar))
-    return WDRep(rng.choice((2, 3, 5)), group, blocks)
+        triples.append((grade, 1, scalar))
+    return WDRep(rng.choice((2, 3, 5)), group, triples)
 
 
 class TestFiniteAbelianGroup:
@@ -137,6 +137,10 @@ class TestFiniteAbelianGroup:
         with pytest.raises(ValueError):
             FiniteAbelianGroup((0,))
 
+    def test_bool_order_refused(self):
+        with pytest.raises(ValueError):
+            FiniteAbelianGroup((True, 2))
+
 
 class TestWDRepValidation:
     def test_q_must_be_int_at_least_two(self):
@@ -154,13 +158,33 @@ class TestWDRepValidation:
         with pytest.raises(ValueError):
             rep_of(5, TRIVIAL, ((0,), 1, "a"), ((0,), 2, Fraction(2)))
 
+    def test_float_scalar_refused(self):
+        """0.1 would be read as 3602879701896397/36028797018963968, a root nobody wrote."""
+        with pytest.raises(ValueError, match="exact rational"):
+            rep_of(2, TRIVIAL, ((0,), 1, 0.1))
+
+    def test_bool_scalar_refused(self):
+        with pytest.raises(ValueError, match="exact rational"):
+            rep_of(2, TRIVIAL, ((0,), 1, True))
+
+    def test_bool_length_refused(self):
+        with pytest.raises(ValueError, match="Steinberg length"):
+            rep_of(2, TRIVIAL, ((0,), True, Fraction(2)))
+
+    def test_float_grades_refused(self):
+        """In Z/2, the grades 0.5 and 1.5 would sum to zero and pair into the root 6."""
+        with pytest.raises(ValueError, match="int entries"):
+            rep_of(2, Z2, ((0.5,), 1, Fraction(2)), ((1.5,), 1, Fraction(3)))
+        with pytest.raises(ValueError, match="int entries"):
+            Z2.reduce((True,))
+
     def test_needs_blocks(self):
         with pytest.raises(ValueError):
             WDRep(5, TRIVIAL, [])
 
     def test_grade_reduced_mod_group(self):
         r = rep_of(5, Z2, ((3,), 1, Fraction(1)))
-        assert r.blocks[0].grade == (1,)
+        assert r.grades[0] == (1,)
 
     def test_repeated_symbol_shares_variable(self):
         r = rep_of(5, TRIVIAL, ((0,), 1, "a"), ((0,), 1, "a"), ((0,), 1, "b"))
@@ -170,7 +194,7 @@ class TestWDRepValidation:
 
     def test_dim_and_phi_ladder(self):
         r = rep_of(5, TRIVIAL, ((0,), 3, Fraction(2)))
-        assert r.dim == 3
+        assert sum(r.lengths) == 3
         assert alphas(r) == (MultiPoly.constant(0, 2),)
         target, grades, phi = _ladders(r)
         assert target == [1, 2, None] and grades == [(0,)] * 3
@@ -271,9 +295,9 @@ class TestExtSquareLFactor:
         for _ in range(25):
             rep = random_k1_rep(rng, require_hypothesis=False)
             roots = [
-                b1.scalar * b2.scalar
-                for b1, b2 in itertools.combinations(rep.blocks, 2)
-                if is_zero(rep.group, [x + y for x, y in zip(b1.grade, b2.grade)])
+                a1 * a2
+                for (g1, _, a1), (g2, _, a2) in itertools.combinations(blocks(rep), 2)
+                if is_zero(rep.group, [x + y for x, y in zip(g1, g2)])
             ]
             assert ext_sq_lfactor(rep) == recip_of_roots(0, *roots)
 
@@ -284,9 +308,9 @@ class TestExtSquareLFactor:
         for _ in range(20):
             rep = random_wdrep(rng)
             evals = [
-                b.scalar / rep.q ** (b.length - 1)
-                for b in rep.blocks
-                if is_zero(rep.group, b.grade)
+                a / rep.q ** (k - 1)
+                for g, k, a in blocks(rep)
+                if is_zero(rep.group, g)
             ]
             roots = [s1 * s2 for s1, s2 in itertools.combinations(evals, 2)]
             formal = formal_ext_sq_L(standard_satake(rep))
@@ -340,15 +364,15 @@ class TestExtSquareClosedForm:
             rep = random_wdrep(
                 rng, max_dim=rng.randint(6, 10), max_blocks=5, max_length=5
             )
-            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), blocks(rep)
 
     def test_random_symbolic_k1_reps(self):
         rng = random.Random(72)
         broken = 0
         for _ in range(60):
             rep = random_symbolic_k1_rep(rng)
-            broken += _first_opposite_pair(rep.group, [b.grade for b in rep.blocks]) is not None
-            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+            broken += _first_opposite_pair(rep.group, rep.grades) is not None
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), blocks(rep)
         assert broken >= 10
 
     def test_random_k1_reps_breaking_the_hypothesis(self):
@@ -356,8 +380,8 @@ class TestExtSquareClosedForm:
         broken = 0
         for _ in range(60):
             rep = random_k1_rep(rng, max_dim=8, require_hypothesis=False)
-            broken += _first_opposite_pair(rep.group, [b.grade for b in rep.blocks]) is not None
-            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), rep.blocks
+            broken += _first_opposite_pair(rep.group, rep.grades) is not None
+            assert ext_sq_lfactor(rep) == ext_sq_lfactor_by_elimination(rep), blocks(rep)
         assert broken >= 10
 
 
@@ -365,7 +389,7 @@ class TestStandardSatake:
     def test_padding_and_order(self):
         r = rep_of(5, Z2, ((0,), 2, Fraction(2)), ((1,), 1, Fraction(3)), ((0,), 1, Fraction(7)))
         p = standard_satake(r)
-        assert p.n == r.dim == 4
+        assert p.n == sum(r.lengths) == 4
         assert p.entries[0] == Fraction(2, 5)
         assert p.entries[1] == Fraction(7)
         assert p.entries[2] == 0 and p.entries[3] == 0
@@ -375,7 +399,7 @@ class TestStandardSatake:
         reps = [random_wdrep(rng, max_dim=8, max_length=4) for _ in range(30)]
         reps += [random_symbolic_k1_rep(rng) for _ in range(30)]
         for rep in reps:
-            assert standard_L(standard_satake(rep)) == wd_lfactor(rep), rep.blocks
+            assert standard_L(standard_satake(rep)) == wd_lfactor(rep), blocks(rep)
 
 
 class TestDivisibility:
@@ -403,16 +427,16 @@ class TestDivisibility:
         for _ in range(20):
             rep = random_wdrep(rng)
             v = divisibility_check(rep)
-            assert v.divides, rep.blocks
-            quotient = factor(v, v.quotient_keys, rep.nvars).reciprocal
-            formal = factor(v, v.formal_keys, rep.nvars).reciprocal
-            full = factor(v, v.ext_sq_keys, rep.nvars).reciprocal
+            assert v.divides, blocks(rep)
+            quotient = factor(v, v.quotient_keys, len(rep.symbols)).reciprocal
+            formal = factor(v, v.formal_keys, len(rep.symbols)).reciprocal
+            full = factor(v, v.ext_sq_keys, len(rep.symbols)).reciprocal
             # quotient times denominator reproduces the numerator
-            prod = [MultiPoly.zero(rep.nvars)] * (len(quotient) + len(formal) - 1)
+            prod = [MultiPoly.zero(len(rep.symbols))] * (len(quotient) + len(formal) - 1)
             for i, qc in enumerate(quotient):
                 for j, dc in enumerate(formal):
                     prod[i + j] = prod[i + j] + qc * dc
-            assert prod == list(full) + [MultiPoly.zero(rep.nvars)] * (len(prod) - len(full))
+            assert prod == list(full) + [MultiPoly.zero(len(rep.symbols))] * (len(prod) - len(full))
 
 
 class TestRootMultisets:
@@ -420,19 +444,19 @@ class TestRootMultisets:
 
     def check(self, rep, full):
         """Compare both verdicts on `rep` with the oracles, given its true factor."""
-        n = rep.nvars
+        n = len(rep.symbols)
         formal = formal_ext_sq_L(standard_satake(rep))
         quotient = reciprocal_quotient(full, formal)
         v = divisibility_check(rep)
-        assert v.divides == (quotient is not None), rep.blocks
-        assert v.strict == (quotient is not None and len(quotient) > 1), rep.blocks
+        assert v.divides == (quotient is not None), blocks(rep)
+        assert v.strict == (quotient is not None and len(quotient) > 1), blocks(rep)
         got = factor(v, v.quotient_keys, n)
-        assert (None if got is None else got.reciprocal) == quotient, rep.blocks
-        assert (factor(v, v.formal_keys, n), factor(v, v.ext_sq_keys, n)) == (formal, full), rep.blocks
+        assert (None if got is None else got.reciprocal) == quotient, blocks(rep)
+        assert (factor(v, v.formal_keys, n), factor(v, v.ext_sq_keys, n)) == (formal, full), blocks(rep)
         # PropHResult without the pairing precondition: equality is decided too
         h = PropHResult(rep)
-        assert h.equal == (formal == full), rep.blocks
-        assert (factor(h, h.formal_keys, n), factor(h, h.ext_sq_keys, n)) == (formal, full), rep.blocks
+        assert h.equal == (formal == full), blocks(rep)
+        assert (factor(h, h.formal_keys, n), factor(h, h.ext_sq_keys, n)) == (formal, full), blocks(rep)
         return v
 
     def check_all(self, reps):
@@ -466,7 +490,7 @@ class TestRootMultisets:
             assert v.divides and v.strict and not PropHResult(rep).equal
             # a formal factor of 1: the quotient is the exterior-square factor
             assert v.formal_keys == []
-            assert factor(v, v.quotient_keys, rep.nvars) == factor(v, v.ext_sq_keys, rep.nvars)
+            assert factor(v, v.quotient_keys, len(rep.symbols)) == factor(v, v.ext_sq_keys, len(rep.symbols))
         v = self.check(unramified, ext_sq_lfactor_by_elimination(unramified))
         assert v.divides and not v.strict and v.quotient_keys == []
 
@@ -483,7 +507,7 @@ class TestRootMultisets:
         assert factor(v, v.quotient_keys, 0) == recip_of_roots(0, a * a)
         x = rep_of(3, Z3, ((0,), 1, "x"), ((0,), 1, "x"), ((1,), 1, "x"), ((2,), 1, "x"))
         v = self.check(x, ext_sq_lfactor_by_elimination(x))
-        assert v.strict and factor(v, v.quotient_keys, x.nvars).degree == 1
+        assert v.strict and factor(v, v.quotient_keys, len(x.symbols)).degree == 1
 
     def test_integer_keys_at_one_scale(self):
         """Every key coefficient is an exact int, and the verdicts match the oracles.
@@ -497,18 +521,18 @@ class TestRootMultisets:
         for q in (2, 3, 5):
             for _ in range(20):
                 group = FiniteAbelianGroup((rng.randint(1, 3),))
-                blocks = [
-                    WDBlock((rng.randrange(group.orders[0]),), k, rng.choice([-3, -1, 1, 2, 7]))
+                triples = [
+                    ((rng.randrange(group.orders[0]),), k, rng.choice([-3, -1, 1, 2, 7]))
                     for k in rng.choices([2, 3, 4], k=rng.randint(1, 3))
                 ]
-                reps.append(WDRep(q, group, blocks))
+                reps.append(WDRep(q, group, triples))
         reps += [random_symbolic_k1_rep(rng) for _ in range(40)]
         reps += [random_wdrep(rng, max_length=4) for _ in range(40)]
         nonintegral = 0
         for rep in reps:
             comparison = weil_deligne._RootComparison(rep)
             coefficients = [c for _, c in comparison.formal_keys + comparison.ext_sq_keys]
-            assert all(type(c) is int for c in coefficients), rep.blocks
+            assert all(type(c) is int for c in coefficients), blocks(rep)
             nonintegral += any(Fraction(c, comparison.scale).denominator > 1 for c in coefficients)
             self.check(rep, ext_sq_lfactor_by_elimination(rep))
         assert nonintegral >= 60
@@ -525,7 +549,7 @@ class TestRootMultisets:
         monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", dropped)
         failing = 0
         for rep in reps:
-            full = LFactor.from_linear_roots(roots_of(rep, dropped(rep)), rep.nvars)
+            full = LFactor.from_linear_roots(roots_of(rep, dropped(rep)), len(rep.symbols))
             v = self.check(rep, full)
             failing += not v.divides
         assert failing >= 10
@@ -597,14 +621,14 @@ class TestRootComparison:
         missing, leftover = root_multiset_differences(formal, roots_of(rep, indices))
         with patch.object(weil_deligne, "ext_sq_root_indices", lambda rep: list(indices)):
             v, h = DivisibilityVerdict(rep), PropHResult(rep)
-        assert v.divides == (not missing), rep.blocks
-        assert v.strict == (not missing and bool(leftover)), rep.blocks
-        assert h.equal == (not missing and not leftover), rep.blocks
-        quotient = key_roots(v.quotient_keys, v.scale, rep.nvars)
+        assert v.divides == (not missing), blocks(rep)
+        assert v.strict == (not missing and bool(leftover)), blocks(rep)
+        assert h.equal == (not missing and not leftover), blocks(rep)
+        quotient = key_roots(v.quotient_keys, v.scale, len(rep.symbols))
         if missing:
-            assert quotient is None, rep.blocks
+            assert quotient is None, blocks(rep)
         else:
-            assert root_multiset_differences(quotient, [])[0] == leftover, rep.blocks
+            assert root_multiset_differences(quotient, [])[0] == leftover, blocks(rep)
 
 
 @st.composite
@@ -655,13 +679,13 @@ class TestPrintedRoots:
             # a dropped root makes some formal sides no longer fit
             monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", indices)
             for rep in reps:
-                names = [f"α{i + 1}" for i in range(rep.nvars)]
+                names = [f"α{i + 1}" for i in range(len(rep.symbols))]
                 pairs = lfactors.ext_sq_roots(standard_satake(rep))
                 formal = sorted(r.format(names) for r in pairs if not r.is_zero)
                 roots = roots_of(rep, indices(rep))
                 if indices is real:
-                    full = LFactor.from_linear_roots(roots, rep.nvars)
-                    assert full == ext_sq_lfactor_by_elimination(rep), rep.blocks
+                    full = LFactor.from_linear_roots(roots, len(rep.symbols))
+                    assert full == ext_sq_lfactor_by_elimination(rep), blocks(rep)
                 ext = sorted(r.format(names) for r in roots)
                 fits = not Counter(formal) - Counter(ext)
                 quotient = sorted((Counter(ext) - Counter(formal)).elements()) if fits else None
@@ -673,17 +697,17 @@ class TestPrintedRoots:
                     "divides": fits,
                     "strict": bool(quotient),
                     "quotient_roots": quotient,
-                }, rep.blocks
+                }, blocks(rep)
                 seen["strict" if quotient else "equal" if fits else "no fit"] += 1
                 seen["repeated"] += len(set(ext)) < len(ext)
-                k1 = all(b.length == 1 for b in rep.blocks)
-                if k1 and _first_opposite_pair(rep.group, [b.grade for b in rep.blocks]) is None:
+                k1 = all(k == 1 for k in rep.lengths)
+                if k1 and _first_opposite_pair(rep.group, rep.grades) is None:
                     data = run_task(parse_task({"task": "galois-H", **body})).data
                     assert data == {
                         "formal_roots": formal,
                         "ext_sq_roots": ext,
                         "equal": formal == ext,
-                    }, rep.blocks
+                    }, blocks(rep)
                     seen["galois-H"] += 1
         assert min(seen.values()) >= 10, seen
 
@@ -759,7 +783,7 @@ class TestPropHEquality:
         rng = random.Random(13)
         for _ in range(25):
             rep = random_k1_rep(rng, require_hypothesis=True)
-            assert prop_H_equality(rep).equal, rep.blocks
+            assert prop_H_equality(rep).equal, blocks(rep)
 
 
 class _BoundedRandom(random.Random):
@@ -781,16 +805,16 @@ class TestRandomGenerators:
         for _ in range(40):
             rep = random_wdrep(rng, q_choices=(2, 3), max_dim=4, max_blocks=3, max_length=2)
             assert rep.q in (2, 3)
-            assert 1 <= rep.dim <= 4
-            assert len(rep.blocks) <= 3
-            assert all(b.length <= 2 for b in rep.blocks)
+            assert 1 <= sum(rep.lengths) <= 4
+            assert len(rep.lengths) <= 3
+            assert all(k <= 2 for k in rep.lengths)
 
     def test_k1_rep_is_semisimple_and_satisfies_h(self):
         rng = random.Random(6)
         for _ in range(40):
             rep = random_k1_rep(rng, require_hypothesis=True)
-            assert all(b.length == 1 for b in rep.blocks)
-            assert _first_opposite_pair(rep.group, [b.grade for b in rep.blocks]) is None
+            assert all(k == 1 for k in rep.lengths)
+            assert _first_opposite_pair(rep.group, rep.grades) is None
 
     def test_stream_is_pinned(self):
         """The first 200 reps of each drawer from a fixed seed, hashed as suites print them.
@@ -825,7 +849,7 @@ class TestRandomGenerators:
         k1 = {"q_choices": q_choices, "max_dim": n}
 
         def fields(rep):
-            return rep.q, rep.group.orders, rep.blocks
+            return rep.q, rep.group.orders, blocks(rep)
 
         for _ in range(1000):
             assert random_group(ours, n, n).orders == _randrange_group(theirs, n, n).orders
@@ -854,15 +878,15 @@ class TestRandomGenerators:
         ours, theirs = random.Random(seed), random.Random(seed)
 
         def fields(rep):
-            return rep.q, rep.group.orders, [(b.grade, b.length, b.scalar) for b in rep.blocks]
+            return rep.q, rep.group.orders, blocks(rep)
 
         def all_fields(rep):
-            return rep.q, rep.group, rep.blocks, rep.symbols, rep.nvars, rep.dim
+            return rep.q, rep.group, rep.grades, rep.lengths, rep.scalars, rep.symbols
 
         for i in range(20_000):
             rep = draw(ours, **params)
             assert fields(rep) == fields(oracle(theirs, **params)), i
-            assert all_fields(WDRep(rep.q, rep.group, rep.blocks)) == all_fields(rep), i
+            assert all_fields(WDRep(rep.q, rep.group, blocks(rep))) == all_fields(rep), i
         assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize(
@@ -874,9 +898,13 @@ class TestRandomGenerators:
         ids=["wdrep", "k1"],
     )
     def test_records_hold_the_oracle_fields(self, draws, oracle, params):
-        """A drawn record holds the oracle rep's grades, lengths and scalars n/d as reduced pairs,
-        and it compares as its `WDRep`: the same keys on both sides and the same scale."""
+        """A drawn rep holds the oracle rep's six fields, its scalars n/d as reduced pairs and no
+        symbols, and it compares as `WDRep(q, group, blocks(rep))`: the same keys on both sides
+        and the same scale."""
         ours, theirs = random.Random(12), random.Random(12)
+
+        def fields(rep):
+            return rep.q, rep.group.orders, rep.grades, rep.lengths, rep.scalars, rep.symbols
 
         def compared(rep):
             c = _RootComparison(rep)
@@ -884,11 +912,11 @@ class TestRandomGenerators:
 
         for drawn in draws(ours, 3000, **params):
             rep = oracle(theirs, **params)
-            assert (drawn.q, drawn.group.orders) == (rep.q, rep.group.orders)
-            assert drawn.grades == tuple(b.grade for b in rep.blocks)
-            assert drawn.lengths == tuple(b.length for b in rep.blocks)
-            assert drawn.scalars == tuple(b.scalar.as_integer_ratio() for b in rep.blocks)
-            assert compared(drawn) == compared(weil_deligne._drawn_rep(drawn)) == compared(rep)
+            assert fields(drawn) == fields(rep)
+            assert all(type(k) is int for k in drawn.lengths)
+            assert all(math.gcd(n, d) == 1 and d >= 1 for n, d in drawn.scalars)
+            rebuilt = WDRep(drawn.q, drawn.group, blocks(drawn))
+            assert compared(drawn) == compared(rebuilt) == compared(rep)
         assert ours.getstate() == theirs.getstate()
 
     def test_resampling_falls_back_to_one_grade(self):
@@ -899,8 +927,8 @@ class TestRandomGenerators:
         fallbacks = 0
         for _ in range(200):
             rep = random_k1_rep(ours, max_dim=40)
-            assert rep.blocks == randrange_k1_rep(theirs, max_dim=40).blocks
-            fallbacks += rep.group.orders == (2,) and rep.dim > 30
+            assert blocks(rep) == blocks(randrange_k1_rep(theirs, max_dim=40))
+            fallbacks += rep.group.orders == (2,) and sum(rep.lengths) > 30
         assert fallbacks >= 2
         assert ours.getstate() == theirs.getstate()
 
@@ -958,4 +986,4 @@ class TestRandomGenerators:
     def test_determinism(self):
         a = random_wdrep(random.Random(99))
         b = random_wdrep(random.Random(99))
-        assert a.q == b.q and a.blocks == b.blocks and a.group.orders == b.group.orders
+        assert a.q == b.q and blocks(a) == blocks(b) and a.group.orders == b.group.orders
