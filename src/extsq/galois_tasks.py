@@ -7,6 +7,8 @@ print from their integer keys, so `polynomials` is never compiled.  A
 document without a Galois task never compiles this module.
 `parse_fields` reads a task's explicit representation (`q`, `group`,
 `blocks`) or its `random` suite, and `RUNNERS` holds the two runners.
+An explicit task's group comes from `weil_deligne._group`, the cache of
+64 groups that drawn reps share: one group per order tuple.
 An explicit report prints its factors as root lists; a random suite of
 `count` representations is drawn from the task's `seed` and reports each
 failure with the representation that failed, printed from its flat fields.
@@ -36,6 +38,7 @@ from .tasks import (
 from .weil_deligne import (
     FiniteAbelianGroup,
     WDRep,
+    _group,
     _k1_draws,
     _wdrep_draws,
     divisibility_check,
@@ -128,7 +131,8 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
     group_raw = obj.get("group", [1])
     if not isinstance(group_raw, list) or not all(_is_int(x) and x >= 1 for x in group_raw):
         raise ConfigError("group must be a list of positive cyclic orders", f"{location}.group")
-    group = FiniteAbelianGroup(tuple(group_raw))
+    # explicit tasks share their groups, as drawn reps do: one per order tuple
+    group = _group(tuple(group_raw))
     blocks = _parse_blocks(_require(obj, "blocks", location), group, f"{location}.blocks")
     dim = sum([length for _, length, _ in blocks])
     if dim > MAX_RANK:

@@ -35,11 +35,10 @@ The grid is counted exactly when the vector has no nonzero constant
 (`SatakeParams.constants` is empty).  Otherwise both factors are
 multiplied out whole by the kernel `polynomials.times_linear_factors`,
 over the integers: each cell is homogeneous, so the entries are scaled
-once by D (`SatakeParams.scale`) and the pair products once by the lcm D2
-of their denominators, the pairs go in one row pass and the nonzero
-entries in one pass per column, and each t1^i t2^j cell is projected
-(`MultiPoly.dominant`) and divided once, by D^i D2^j
-(`MultiPoly.div_int`).
+once by D (`SatakeParams.scaled`), their pair products `ext_sq_roots` are
+then at D^2, the pairs go in one row pass and the entries in one pass per
+column, and each t1^i t2^j cell is projected (`MultiPoly.dominant`) and
+kept at D^(i + 2j), with no division; the counted grid has D = 1.
 
 The exterior-square factor pairs the entries; its truncated series admits
 an expansion into Schur polynomials over doubled shapes, the shapes whose
@@ -69,11 +68,13 @@ class SatakeParams:
     the numeric entries are constants (possibly zero).  Any other vector
     raises ValueError: every sum and factor of the vector is then symmetric
     in the variables, and held by its dominant terms.  The split is made
-    here, once: `constants` holds the nonzero constant entries in entry
-    order and `scale`, D, the lcm of their denominators (1 without any).
+    here, once: `scale`, D, is the lcm of the constants' denominators (1
+    without any), `scaled` holds D a for each entry a, int polynomials,
+    each constant's D c built as its numerator times D // its denominator,
+    and `constants` the nonzero constant ones of them, in entry order.
     """
 
-    __slots__ = ("n", "nvars", "entries", "constants", "scale")
+    __slots__ = ("n", "nvars", "entries", "scaled", "constants", "scale")
     __hash__ = None
 
     def __init__(self, entries: Sequence[MultiPoly], nvars: int | None = None):
@@ -91,8 +92,13 @@ class SatakeParams:
         self.n = len(entries)
         self.nvars = nvars
         self.entries = entries
-        self.constants = tuple(e for e in entries if e.is_constant and not e.is_zero)
-        self.scale = lcm(*(c.constant_value().denominator for c in self.constants))
+        values = [e.constant_value() if e.is_constant else None for e in entries]
+        self.scale = scale = lcm(*(c.denominator for c in values if c))
+        self.scaled = tuple(
+            e * scale if c is None else MultiPoly.constant(nvars, c.numerator * (scale // c.denominator))
+            for e, c in zip(entries, values)
+        )
+        self.constants = tuple(e for e, c in zip(self.scaled, values) if c)
 
     @classmethod
     def parse(cls, tokens: Sequence[str | int | Fraction]) -> "SatakeParams":
@@ -136,10 +142,10 @@ class SatakeParams:
 
 
 def ext_sq_roots(params: SatakeParams) -> list[MultiPoly]:
-    """The roots a_i a_j, i < j, of the exterior-square factor."""
-    n = params.n
+    """The roots a_i a_j, i < j, of the exterior-square factor, scaled by D^2: (D a_i)(D a_j)."""
+    n, scaled = params.n, params.scaled
     return [
-        params.entries[i] * params.entries[j]
+        scaled[i] * scaled[j]
         for i in range(n)
         for j in range(i + 1, n)
     ]
@@ -182,9 +188,9 @@ def _partitions(weight: int, parts: int, top: int) -> tuple[tuple[int, ...], ...
 def product_grid(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPoly, ...], ...]:
     """L(t1) ext-sq L(t2) of the vector through (l1, l2), by dominant terms.
 
-    Cell [i][j] is the t1^i t2^j coefficient.  Without a nonzero constant
-    the cells are counted; otherwise both factors are multiplied out
-    (module docstring).
+    Cell [i][j] is the t1^i t2^j coefficient, scaled by D^(i + 2j), D
+    the vector's scale.  Without a nonzero constant the cells are counted;
+    otherwise both factors are multiplied out (module docstring).
     """
     nvars = params.nvars
     if not params.constants:
@@ -199,13 +205,9 @@ def product_grid(params: SatakeParams, l1: int, l2: int) -> tuple[tuple[MultiPol
                 counts[nu + (0,) * (nvars - len(nu))] = _multigraphs(degrees)
             grid[i][j] = MultiPoly(nvars, counts)
         return tuple(map(tuple, grid))
-    d1 = params.scale
     pairs = ext_sq_roots(params) if l2 else []
-    d2 = lcm(*(c.denominator for r in pairs for c in r.coefficients()))
-    grid = [times_linear_factors([MultiPoly.one(nvars)], [r * d2 for r in pairs], l2)]
+    grid = [times_linear_factors([MultiPoly.one(nvars)], pairs, l2)]
     if l1:
-        scaled = [e * d1 for e in params.nonzero_entries]
-        grid = list(zip(*(times_linear_factors([c], scaled, l1) for c in grid[0])))
-    return tuple(
-        tuple(c.dominant().div_int(d1**i * d2**j) for j, c in enumerate(row)) for i, row in enumerate(grid)
-    )
+        # a zero root is a factor 1, which the kernel skips
+        grid = list(zip(*(times_linear_factors([c], params.scaled, l1) for c in grid[0])))
+    return tuple(tuple(c.dominant() for c in row) for row in grid)

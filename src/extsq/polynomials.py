@@ -1,7 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic.
 
-Coefficients are Python ints, promoted to fractions.Fraction only when a
-value is non-integral; there is no floating point anywhere in this package.
+Coefficients are Python ints on every production route; there is no
+floating point anywhere in this package.  A polynomial standing for p / D
+is held as the int polynomial p, the caller keeps D, and `format` and
+`format_symmetric` print each c / D in lowest terms, one gcd per term.
+The constructors also take fractions.Fraction values (a vector before it
+is scaled, the tests' oracles) and store an integral one as an int.
 Polynomials are immutable: every operation returns a new object, so values
 can be shared freely (including across concurrent workers).
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from math import gcd
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,7 +66,7 @@ _EXP_INPUT_CAP = 1 << 12
 
 
 def _norm_scalar(c: Scalar) -> Scalar:
-    """Collapse integral Fractions to int so hot loops stay on int arithmetic."""
+    """A constructor's coefficient, an integral Fraction as its int."""
     # exact type tests first: isinstance(c, Fraction) on an int goes through
     # the numbers ABCs, and this runs once per coefficient built
     t = type(c)
@@ -263,12 +268,10 @@ class MultiPoly:
         for k, c in other._terms.items():
             val = out.get(k, 0) + c
             if val:
-                out[k] = _norm_scalar(val)
+                out[k] = val
             else:
                 out.pop(k, None)
         return MultiPoly._raw(self.nvars, out)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._raw(self.nvars, {k: -c for k, c in self._terms.items()})
@@ -280,20 +283,13 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return MultiPoly.constant(self.nvars, other) - self
-
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            other = _norm_scalar(other)
             if not other:
                 return MultiPoly.zero(self.nvars)
             if other == 1:
                 return self
-            return MultiPoly._raw(
-                self.nvars,
-                {k: _norm_scalar(c * other) for k, c in self._terms.items()},
-            )
+            return MultiPoly._raw(self.nvars, {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_dim(other)
@@ -314,31 +310,11 @@ class MultiPoly:
                     out.pop(k, None)
         # fields of both factors are <= _EXP_MAX, so a sum never carries past
         # its field; a result above _EXP_MAX sets that field's guard bit
-        guard = _guard_mask(self.nvars)
-        # normalize any integral Fractions produced by mixed arithmetic
-        for k, c in out.items():
-            if k & guard:
-                raise ValueError(_OVERFLOW)
-            if type(c) is Fraction and c.denominator == 1:
-                out[k] = c.numerator
+        if reduce(or_, out, 0) & _guard_mask(self.nvars):
+            raise ValueError(_OVERFLOW)
         return MultiPoly._raw(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def div_int(self, d: int) -> "MultiPoly":
-        """self / d for a nonzero int d (self when d is 1), ints where integral.
-
-        One Fraction(c, d) per term, where self * Fraction(1, d) builds two.
-        """
-        if d == 1:
-            return self
-        if not d:
-            raise ZeroDivisionError("polynomial divided by zero")
-        out: dict[int, Scalar] = {}
-        for k, c in self._terms.items():
-            q = Fraction(c, d)
-            out[k] = q.numerator if q.denominator == 1 else q
-        return MultiPoly._raw(self.nvars, out)
 
     # -- symmetric polynomials by their dominant terms ------------------------
 
@@ -360,27 +336,31 @@ class MultiPoly:
             nvars, {k: terms[k] for k in terms if ((k >> _EXP_BITS | guard) - (k & rest)) & guard == guard}
         )
 
-    def format_symmetric(self) -> str:
-        """Canonical text of the symmetric polynomial sum c_nu m_nu whose dominant terms these are.
+    def format_symmetric(self, scale: int = 1) -> str:
+        """Canonical text of sum c_nu / scale m_nu, c_nu x^nu the dominant terms.
 
         m_nu prints as m(2,1,1), its partition without zero parts, in graded
         lexicographic order of nu; the constant term prints as a bare
         coefficient, as `format` prints it, and 0 as "0".
         """
-        return self._format_terms(_m_text)
+        return self._format_terms(_m_text, scale)
 
     # -- formatting ----------------------------------------------------------
 
-    def format(self, names: Sequence[str] | None = None) -> str:
-        """Canonical text form, graded-lex term order, exact coefficients."""
+    def format(self, names: Sequence[str] | None = None, scale: int = 1) -> str:
+        """Canonical text of self / scale, graded-lex term order, exact coefficients."""
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
         if len(names) != self.nvars:
             raise ValueError("need one name per variable")
-        return self._format_terms(partial(_monomial, names))
+        return self._format_terms(partial(_monomial, names), scale)
 
-    def _format_terms(self, monomial: Callable[[int], str]) -> str:
-        """The terms in graded-lex order, each monomial's text `monomial(key)` for a nonzero key."""
+    def _format_terms(self, monomial: Callable[[int], str], scale: int) -> str:
+        """The terms c / scale in graded-lex order, each monomial's text `monomial(key)` for a nonzero key.
+
+        A coefficient prints in lowest terms, n or n/d, by one gcd with the
+        positive int `scale`; at scale 1 it prints as it is.
+        """
         terms = self._terms
         if not terms:
             return "0"
@@ -388,12 +368,14 @@ class MultiPoly:
         # one term needs no sort
         for key in terms if len(terms) == 1 else _graded_lex_keys(terms, self.nvars):
             c = terms[key]
-            # a stored Fraction is never integral, so its text is n/d, never 1
-            if type(c) is Fraction:
-                n, d = c.as_integer_ratio()
-                neg, mag = n < 0, f"{abs(n)}/{d}"
+            neg = c < 0
+            if scale == 1:
+                mag = abs(c)
             else:
-                neg, mag = c < 0, abs(c)
+                g = gcd(c, scale)
+                d = scale // g
+                # n/d with d > 1 is never 1, so it never drops before a monomial
+                mag = abs(c) // g if d == 1 else f"{abs(c) // g}/{d}"
             if key:
                 mono = monomial(key)
                 body = mono if mag == 1 else f"{mag}*{mono}"
@@ -436,9 +418,6 @@ def append_variable(nvars: int, parts: Sequence[tuple[MultiPoly, int]]) -> Multi
                 out[key] = val
             else:
                 out.pop(key, None)
-    for k, c in out.items():
-        if type(c) is Fraction and c.denominator == 1:
-            out[k] = c.numerator
     return MultiPoly._raw(nvars + 1, out)
 
 
@@ -451,7 +430,7 @@ def weighted_sum(nvars: int, parts: Iterable[tuple[MultiPoly, int]]) -> MultiPol
             raise ValueError(f"dimension mismatch: {p.nvars} vs {nvars} variables")
         for k, c in p._terms.items():
             out[k] = get(k, 0) + w * c
-    return MultiPoly._raw(nvars, {k: _norm_scalar(c) for k, c in out.items() if c})
+    return MultiPoly._raw(nvars, {k: c for k, c in out.items() if c})
 
 
 def times_linear_factors(
@@ -500,10 +479,4 @@ def times_linear_factors(
                         dst[key] = val
                     else:
                         del dst[key]
-    out = []
-    for terms in acc:
-        for k, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[k] = c.numerator
-        out.append(MultiPoly._raw(nvars, terms))
-    return out
+    return [MultiPoly._raw(nvars, terms) for terms in acc]

@@ -32,6 +32,11 @@ was introduced.  Each coefficient the two sides of an identity share is
 formatted once: where the product side (or the expected two-variable
 series) equals the torus sum or expansion at a power, that side's string is
 reused, so the output is the same as formatting both.
+
+Every polynomial is held in ints at a power of the vector's scale D, which
+the printer takes: a t1^i t2^j cell of a sum, product, form or correction
+at D^(i + 2j), a shape's contribution at D^|shape|, `central_product` at
+D^k (k the nonzero entries), and the `lfactor` roots at D and D^2.
 """
 
 from __future__ import annotations
@@ -112,36 +117,39 @@ def parse_fields(cfg: TaskConfig, obj: dict, location: str, default_truncation: 
 # -- execution ---------------------------------------------------------------
 
 
-def _root_strings(roots: Sequence[MultiPoly], names: Sequence[str]) -> list[str]:
-    """A factor prod (1 - r t) as its roots' strings, sorted, each root as often as it occurs."""
-    return sorted(r.format(names) for r in roots)
+def _root_strings(roots: Sequence[MultiPoly], names: Sequence[str], scale: int) -> list[str]:
+    """A factor prod (1 - r / scale t) as its roots' strings, sorted, each root as often as it occurs."""
+    return sorted(r.format(names, scale) for r in roots)
 
 
-def _fmt_series1(coeffs: Sequence[MultiPoly]) -> list[str]:
-    return [c.format_symmetric() for c in coeffs]
+def _fmt_row(
+    row: Sequence[MultiPoly], scale: int, step: int, ref: Sequence[MultiPoly] = (), ref_text: Sequence[str] = ()
+) -> list[str]:
+    """The strings of row[j] / (scale step^j), reusing ref_text[j] wherever row[j] == ref[j]."""
+    out = []
+    for j, c in enumerate(row):
+        out.append(ref_text[j] if j < len(ref) and c == ref[j] else c.format_symmetric(scale))
+        scale *= step
+    return out
 
 
-def _fmt_series2(grid: Sequence[Sequence[MultiPoly]]) -> list[list[str]]:
-    return [[c.format_symmetric() for c in row] for row in grid]
-
-
-def _fmt_against(coeffs: Sequence[MultiPoly], ref: Sequence[MultiPoly], ref_text: Sequence[str]) -> list[str]:
-    """Strings of `coeffs`, reusing ref_text[i] wherever coeffs[i] == ref[i]."""
-    return [t if c == r else c.format_symmetric() for c, r, t in zip(coeffs, ref, ref_text)]
+def _fmt_grid(grid: Sequence[Sequence[MultiPoly]], d: int) -> list[list[str]]:
+    """The strings of grid[i][j] / d^(i + 2j)."""
+    return [_fmt_row(row, d**i, d * d) for i, row in enumerate(grid)]
 
 
 def _run_lfactor(cfg: TaskConfig) -> Outcome:
     params = cfg.params
     order = cfg.truncation
-    names = _names(params.nvars)
+    names, d = _names(params.nvars), params.scale
     ext_roots = ext_sq_roots(params)
     std_series = [row[0] for row in product_grid(params, order, 0)]
     ext_series = product_grid(params, 0, order)[0]
     data = {
-        "standard_roots": _root_strings(params.nonzero_entries, names),
-        "ext_sq_roots": _root_strings([r for r in ext_roots if not r.is_zero], names),
-        "standard_series": _fmt_series1(std_series),
-        "ext_sq_series": _fmt_series1(ext_series),
+        "standard_roots": _root_strings([e for e in params.scaled if e], names, d),
+        "ext_sq_roots": _root_strings([r for r in ext_roots if r], names, d * d),
+        "standard_series": _fmt_row(std_series, 1, d),
+        "ext_sq_series": _fmt_row(ext_series, 1, d * d),
     }
     return "info", f"standard and exterior-square factors expanded through t^{order}", data
 
@@ -156,20 +164,20 @@ def _compare_row(data: dict[str, Any], key: str, identity: LittlewoodIdentity, l
     """
     lhs, rhs = identity.grid[0], identity.product[0]
     diff = series2_first_difference(identity.grid, identity.product)
-    lhs_text = data[key] = _fmt_series1(lhs)
-    rhs_text = data["product"] = _fmt_against(rhs, lhs, lhs_text)
+    scale = identity.scale
+    lhs_text = data[key] = _fmt_row(lhs, 1, scale * scale)
+    rhs_text = data["product"] = _fmt_row(rhs, 1, scale * scale, lhs, lhs_text)
     power = None if diff is None else diff[0][1]
     data["first_difference"] = (
         None if diff is None else {"power": power, key: lhs_text[power], "product": rhs_text[power]}
     )
-    scale = identity.scale
     data["contributions"] = [
         {
             "power": b,
             "shape": list(shape) + [0] * (length - len(shape)),
-            "coefficient": value.div_int(scale ** (2 * b)).format_symmetric(),
+            "coefficient": value.format_symmetric(scale ** (a + 2 * b)),
         }
-        for _, b, shape, value in identity.terms
+        for a, b, shape, value in identity.terms
     ]
     return power
 
@@ -214,11 +222,11 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
     l1, l2 = cfg.truncation
     m, odd = divmod(params.n, 2)
     identity = LittlewoodIdentity(params, params.n - 1, l1, l2)
-    lhs = identity.grid
+    lhs, d = identity.grid, identity.scale
     data: dict[str, Any] = {"parity": "odd" if odd else "even"}
     if odd:
         data["positive_conductor"] = params.has_zero
-    lhs_text = data["torus_sum"] = _fmt_series2(lhs)
+    lhs_text = data["torus_sum"] = _fmt_grid(lhs, d)
     if odd and not params.has_zero:
         note = (
             f"identity not checked here: at odd rank with every entry nonzero the sum is "
@@ -227,13 +235,13 @@ def _run_verify_bf(cfg: TaskConfig) -> Outcome:
         return "info", note, data
     form = "the product of factors"
     if not odd:
-        data["central_product"] = identity.omega.format_symmetric()
+        data["central_product"] = identity.omega.format_symmetric(d ** len(params.nonzero_entries))
         form = f"(1 - ω t2^{m}) times {form}"
     expected = identity.form
     diff = series2_first_difference(lhs, expected)
     expected_text = data["expected"] = [
-        _fmt_against(row, lhs_row, text_row)
-        for row, lhs_row, text_row in zip(expected, lhs, lhs_text)
+        _fmt_row(row, d**i, d * d, lhs_row, text_row)
+        for i, (row, lhs_row, text_row) in enumerate(zip(expected, lhs, lhs_text))
     ]
     if diff is None:
         data["first_difference"] = None
@@ -277,7 +285,7 @@ def _run_bf_odd_probe(cfg: TaskConfig) -> Outcome:
     data = {
         "conductor_hypothesis": params.has_zero,
         "matches_product": matches,
-        "correction": _fmt_series2(correction),
+        "correction": _fmt_grid(correction, identity.scale),
     }
     if params.has_zero:
         return "pass", f"correction factor is exactly 1 through ({l1}, {l2})", data

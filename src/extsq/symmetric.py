@@ -14,9 +14,9 @@ Schur sums:
   entries, keyed on (shape, rank), and holds the smaller-rank polynomials
   of the sub-shapes it recurses through too (`_schur.cache_info()`);
 * `SchurValues` -- s_f at one Satake vector, for every shape f up to a
-  weight bound.  `scaled` gives D^|f| s_f in ints, and `value` divides it:
-  one shape f is `SchurValues(params, |f|).value(f)`.  `littlewood_sum`
-  builds one per vector and calls `scaled` for each shape;
+  weight bound.  `scaled` gives D^|f| s_f in ints, D the vector's scale,
+  and nothing here divides it.  `littlewood_sum` builds one per vector
+  and calls `scaled` for each shape;
 * `littlewood_sum` -- Littlewood's Schur sum graded by odd columns
   (Macdonald, I.5 Ex. 5) over the shapes of one window, which
   `window_partitions` builds column by column.  Its t1^0 row holds the
@@ -38,8 +38,9 @@ the skew Jacobi-Trudi formula s_{f/mu} = det[h_{f_i - mu_j - i + j}] (I.5.4),
     s_f(x, c) = D^-|f| sum_mu det[h_{f_i - mu_j - i + j}(D c)] D^|mu| schur(mu, m),
 
 with D the lcm of the constants' denominators (`SatakeParams.scale`).
-h_0..h_N of the D c_i, the coefficients of prod_i 1/(1 - D c_i t) (I.2),
-are ints built once per vector by the kernel
+h_0..h_N of the D c_i (`SatakeParams.constants`, already scaled), the
+coefficients of prod_i 1/(1 - D c_i t) (I.2), are ints built once per
+vector by the kernel
 `polynomials.times_linear_factors`, which also multiplies out the product
 sides of `lfactors` that are not counted.
 s_{f/mu} has degree |f| - |mu| in the constants: hence D^|mu|, and the
@@ -52,10 +53,10 @@ cached `schur(f, m)` with no determinant; numeric ones (m = 0) the one term
 mu = (), an integer Jacobi-Trudi determinant, which `_det` computes by
 fraction-free elimination, with no memo.
 
-The division by D^|f|, one Fraction per term (`MultiPoly.div_int`), comes
-once per printed polynomial: the shapes of a `littlewood_sum` cell all
-weigh the same, so each cell is divided once, and only the contributions
-that the one-variable reports print are divided shape by shape.
+The shapes of a `littlewood_sum` cell [a][b] all weigh a + 2b, so the
+cell sums their scaled values in ints and stays at the scale D^(a + 2b)
+that its position fixes, as each shape's own term does; the printer
+divides (`MultiPoly.format_symmetric`).
 
 The independent oracle of both routes, the alternant divided exactly by the
 Vandermonde determinant, lives in `tests/oracles.py` with the other oracles,
@@ -176,9 +177,9 @@ class SchurValues:
     """The Schur values s_f of one Satake vector, for |f| <= max_weight, by dominant terms.
 
     `SatakeParams` has split the vector into its variables, each once, and
-    its nonzero constants, with their scale D; h_0..h_max_weight of the
-    scaled constants, as ints, are built once, here; `value` evaluates one
-    shape (see the module docstring).
+    its nonzero constants, scaled by their scale D; h_0..h_max_weight of
+    those, as ints, are built once, here; `scaled` evaluates one shape (see
+    the module docstring).
     """
 
     __slots__ = ("n", "m", "r", "scale", "max_weight", "hs")
@@ -186,24 +187,14 @@ class SchurValues:
     def __init__(self, params: SatakeParams, max_weight: int):
         self.n, self.m, self.r = params.n, params.nvars, len(params.constants)
         self.scale, self.max_weight = params.scale, max_weight
-        hs = times_linear_factors([MultiPoly.one(self.m)], [c * self.scale for c in params.constants], max_weight)
+        hs = times_linear_factors([MultiPoly.one(self.m)], params.constants, max_weight)
         self.hs = [h.constant_value() for h in hs]
-
-    def value(self, f: Sequence[int]) -> MultiPoly:
-        """s_f at the vector, by its dominant terms; requires len(f) <= n."""
-        shape = check_partition(f)
-        if len(shape) > self.n:
-            raise ValueError("shape longer than value vector")
-        weight = sum(shape)
-        if weight > self.max_weight:
-            raise ValueError(f"shape {shape} weighs more than {self.max_weight}")
-        return self.scaled(shape).div_int(self.scale**weight)
 
     def scaled(self, shape: tuple[int, ...]) -> MultiPoly:
         """D^|shape| s_shape at the vector, with int coefficients, for a checked shape.
 
-        The shape must be stripped of zeros, no longer than the vector and
-        no heavier than max_weight, as `value` checks.
+        The shape must be stripped of zeros (`check_partition`), no longer
+        than the vector and no heavier than max_weight.
         """
         m, r, hs = self.m, self.r, self.hs
         length = len(shape)
@@ -258,18 +249,17 @@ def littlewood_sum(
 ) -> tuple[tuple[tuple[MultiPoly, ...], ...], list[tuple[int, int, tuple[int, ...], MultiPoly]]]:
     """Littlewood's sum graded by odd columns at the vector, in the window (l1, l2).
 
-    Returns (grid, terms): the grid whose [a][b] cell sums s_lam over the
-    partitions lam with at most `rows` rows, a odd columns and b = lam2 +
-    lam4 + ..., and one (a, b, lam, D^|lam| s_lam) term per shape, in the
-    order of `window_partitions`, with int coefficients and D the vector's
-    scale.  A shape longer than the vector has Schur value 0, so the shapes
-    are those of `window_partitions(min(rows, n), l1, l2)`.  Every shape of
-    cell [a][b] weighs a + 2b, so the cell adds the scaled values in ints
-    and is divided once, by D^(a + 2b); a caller that prints a shape's
-    value divides its term.
+    Returns (grid, terms): the grid whose [a][b] cell sums D^(a + 2b) s_lam
+    over the partitions lam with at most `rows` rows, a odd columns and b =
+    lam2 + lam4 + ..., and one (a, b, lam, D^|lam| s_lam) term per shape, in
+    the order of `window_partitions`, all with int coefficients, D the
+    vector's scale.  A shape longer than the vector has Schur value 0, so
+    the shapes are those of `window_partitions(min(rows, n), l1, l2)`.
+    Every shape of cell [a][b] weighs a + 2b, so the cell adds the scaled
+    values in ints.
     """
     evaluator = SchurValues(params, l1 + 2 * l2)
-    nvars, scale = params.nvars, params.scale
+    nvars = params.nvars
     cells: list[list[list[MultiPoly]]] = [[[] for _ in range(l2 + 1)] for _ in range(l1 + 1)]
     terms = []
     for shape in window_partitions(min(rows, params.n), l1, l2):
@@ -281,11 +271,9 @@ def littlewood_sum(
     grid = tuple(
         tuple(
             # a one-shape cell is its value, not a copy of it
-            (cell[0] if len(cell) == 1 else weighted_sum(nvars, ((v, 1) for v in cell))).div_int(
-                scale ** (a + 2 * b)
-            )
-            for b, cell in enumerate(row)
+            cell[0] if len(cell) == 1 else weighted_sum(nvars, ((v, 1) for v in cell))
+            for cell in row
         )
-        for a, row in enumerate(cells)
+        for row in cells
     )
     return grid, terms

@@ -32,7 +32,10 @@ omega = 0 when rows >= k.  Fewer rows leave out more than one column
 length, and the identity refuses them.
 
 Every sum and product here is symmetric in the symbols and held by its
-dominant terms (`polynomials`).  When the entries are the symbols and
+dominant terms (`polynomials`), in ints: cell [i][j] of the sum, of P and
+of the form is held at D^(i + 2j), D the vector's scale, and omega at D^k,
+the product of the scaled nonzero entries, so the form needs no division
+and the two sides compare as ints.  When the entries are the symbols and
 zeros, P is counted, not multiplied (`lfactors.product_grid`): on the m
 symbols, the t1^i t2^j coefficient of prod_p (1 - x_p t1)^{-1}
 prod_{p<q} (1 - x_p x_q t2)^{-1} is sum_nu M(nu + (i,)) m_nu, |nu| = i +
@@ -62,9 +65,10 @@ class LittlewoodIdentity:
 
     `grid` and `terms` are those of `littlewood_sum` at the vector, and
     `scale` is its D (`SatakeParams.scale`).  Built when first read:
-    `omega`; `product`, the grid P of the standard factor in t1 times the
-    exterior-square factor in t2; and `form`, P times (1 - omega t1^(k mod
-    2) t2^(k // 2)), k the nonzero entries, which equals `grid`.  Raises
+    `omega`, at D^k; `product`, the grid P of the standard factor in t1
+    times the exterior-square factor in t2; and `form`, P times (1 - omega
+    t1^(k mod 2) t2^(k // 2)), k the nonzero entries, which equals `grid`.
+    Every cell [i][j] is at D^(i + 2j) (module docstring).  Raises
     ValueError when rows < k - 1.
     """
 
@@ -78,8 +82,8 @@ class LittlewoodIdentity:
 
     @cached_property
     def omega(self) -> MultiPoly:
-        """e_k, the product of the k nonzero entries, at rows = k - 1; 0 at rows >= k."""
-        nonzero, nvars = self.params.nonzero_entries, self.params.nvars
+        """D^k e_k, the product of the k scaled nonzero entries, at rows = k - 1; 0 at rows >= k."""
+        nonzero, nvars = [e for e in self.params.scaled if e], self.params.nvars
         return reduce(mul, nonzero, MultiPoly.one(nvars)) if self.rows < len(nonzero) else MultiPoly.zero(nvars)
 
     @cached_property
@@ -91,7 +95,8 @@ class LittlewoodIdentity:
         """P times (1 - omega t1^a t2^b): cell [i][j] is c - omega P[i-a][j-b].
 
         omega = c x1...xm, m the symbols, adds 1 to every exponent, so
-        omega times dominant terms stays dominant.
+        omega times dominant terms stays dominant; a + 2b = k, so the
+        product is at the cell's scale D^(i + 2j).
         """
         omega, grid = self.omega, self.product
         if not omega:

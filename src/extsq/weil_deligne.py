@@ -63,7 +63,8 @@ before its first draw (every bound >= 1, every q choice an exact int
 scalars and no symbols; so it builds each rep with `WDRep._valid`, which
 skips the checks, and a suite builds no block and no Fraction.  The
 public constructor, which explicit configs go through, keeps every check.
-`random_group` shares one group per order tuple (an LRU cache of 64), and
+`random_group` and the explicit configs (`galois_tasks.parse_fields`)
+share one group per order tuple (`_group`, an LRU cache of 64), and
 a group of at most 64 elements keeps its negation table, so the cached
 groups hold at most 64 x 64 entries.  A comparison counts the
 exterior-square keys once and strikes each formal key from that count: a
@@ -361,7 +362,7 @@ def prop_H_equality(rep: WDRep) -> PropHResult:
 # Each bounded draw below is getrandbits(k), k the bit length of the bound n,
 # redrawn while it is >= n: the stream of randrange(n) (module docstring).
 
-# the groups `random_group` draws, shared, each with its negation table
+# the groups `random_group` draws and explicit configs name, shared, each with its negation table
 _group = lru_cache(maxsize=64)(FiniteAbelianGroup)
 
 

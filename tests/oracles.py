@@ -7,7 +7,8 @@ arithmetic that only the tests need:
 * `schur_bialternant` -- s_f as alternant over Vandermonde, divided one
   binomial at a time by `divexact_binomial`.  It is the oracle of
   `symmetric.schur` (the branching rule) and, evaluated with `substitute`,
-  of `symmetric.SchurValues` (the coproduct);
+  of `symmetric.SchurValues` (the coproduct), whose scaled values
+  `schur_value` divides: the one shape f at a vector, s_f itself;
 * `complete_homogeneous` -- h_k as the sum of all degree-k monomials;
 * `leibniz_det` -- an int determinant as the signed sum over
   permutations: the oracle of the fraction-free elimination
@@ -26,6 +27,12 @@ arithmetic that only the tests need:
   doubled: the oracles of `symmetric.window_partitions` and its readers;
 * `format_terms` -- a polynomial's text from its `terms()`: the oracle of
   `MultiPoly.format`;
+* `unscale` and `unscale_grid` -- p / d in Fractions, built from `terms()`,
+  and a grid whose cell [i][j] is held at d^(i + 2j), cell by cell: they
+  carry the int polynomials production holds at a scale to the rational
+  ones the oracles compute, and with `format_terms` and `format_m` they
+  are the oracle of the scaled printers `MultiPoly.format(names, scale)`
+  and `MultiPoly.format_symmetric(scale)`;
 * `coefficient`, `monomial` and `symbolic_params` -- a polynomial's
   coefficient at an exponent vector, read from `terms()`, the monomial c
   x^exps, and the all-symbol vector of n entries, which production never
@@ -53,9 +60,10 @@ arithmetic that only the tests need:
   `LFactor.series` inverts P as a series: the oracle of a row or column
   of `lfactors.product_grid`, which divides by one root at a time.
   `standard_L` and `formal_ext_sq_L` multiply out a vector's entries and
-  their pair products `lfactors.ext_sq_roots`; their series, embedded in
-  t1 and in t2 and multiplied, are the oracle of the product side
-  `torus_sums.LittlewoodIdentity.product`;
+  their pair products `pair_products`, in Fractions, which production
+  (`lfactors.ext_sq_roots`) builds from the entries scaled by D; their
+  series, embedded in t1 and in t2 and multiplied, are the oracle of the
+  product side `torus_sums.LittlewoodIdentity.product`;
 * `reciprocal_quotient` -- exact low-end division of two reciprocals, the
   oracle of the root-multiset verdicts of `weil_deligne.divisibility_check`;
 * `standard_satake` -- the kernel eigenvalues of the grade-0 blocks, whose
@@ -99,9 +107,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from extsq.lfactors import SatakeParams, ext_sq_roots
+from extsq.lfactors import SatakeParams
 from extsq.polynomials import MultiPoly
-from extsq.symmetric import check_partition
+from extsq.symmetric import SchurValues, check_partition
 from extsq.tasks import FORMAT_VERSION, Report
 from extsq.weil_deligne import FiniteAbelianGroup, WDRep, divisibility_check
 
@@ -334,6 +342,31 @@ def format_terms(p: MultiPoly, names: Sequence[str]) -> str:
     return " ".join(pieces) or "0"
 
 
+def unscale(p: MultiPoly, d: int) -> MultiPoly:
+    """p / d for a nonzero int d, each coefficient a Fraction built from `terms()`, an int where integral."""
+    return MultiPoly(p.nvars, {exps: Fraction(c, d) for exps, c in p.terms()})
+
+
+def unscale_grid(grid: Sequence[Sequence[MultiPoly]], d: int) -> tuple[tuple[MultiPoly, ...], ...]:
+    """Cell [i][j] of a grid held at d^(i + 2j), divided by it."""
+    return tuple(tuple(unscale(c, d ** (i + 2 * j)) for j, c in enumerate(row)) for i, row in enumerate(grid))
+
+
+def schur_value(values: SchurValues, f: Sequence[int]) -> MultiPoly:
+    """s_f at the vector of `values`, D^|f| s_f (`SchurValues.scaled`) divided by D^|f|.
+
+    Refuses, with ValueError, a shape that is no partition, is longer than
+    the vector or weighs more than the values were built for.
+    """
+    shape = check_partition(f)
+    if len(shape) > values.n:
+        raise ValueError("shape longer than value vector")
+    weight = sum(shape)
+    if weight > values.max_weight:
+        raise ValueError(f"shape {shape} weighs more than {values.max_weight}")
+    return unscale(values.scaled(shape), values.scale**weight)
+
+
 def coefficient(p: MultiPoly, exps: Sequence[int]) -> int | Fraction:
     """The coefficient of p at the exponent vector `exps`, 0 when absent; ValueError on a wrong length."""
     if len(exps) != p.nvars:
@@ -518,9 +551,15 @@ def standard_L(params: SatakeParams) -> LFactor:
     return LFactor.from_linear_roots(params.entries, params.nvars)
 
 
+def pair_products(params: SatakeParams | EntryVector) -> list[MultiPoly]:
+    """The products a_i a_j, i < j, of the vector's entries, as they are, Fractions included."""
+    a = params.entries
+    return [x * y for i, x in enumerate(a) for y in a[i + 1 :]]
+
+
 def formal_ext_sq_L(params: SatakeParams) -> LFactor:
     """Exterior-square factor: reciprocal prod_{i<j} (1 - a_i a_j t)."""
-    return LFactor.from_linear_roots(ext_sq_roots(params), params.nvars)
+    return LFactor.from_linear_roots(pair_products(params), params.nvars)
 
 
 def reciprocal_quotient(num: LFactor, den: LFactor) -> tuple[MultiPoly, ...] | None:
@@ -581,7 +620,7 @@ class EntryVector:
 
     A rep's kernel eigenvalues may miss a symbol of the rep (its block is
     ramified) or repeat one (two blocks share a scalar name), vectors that
-    `SatakeParams` refuses; `ext_sq_roots`, `standard_L` and
+    `SatakeParams` refuses; `pair_products`, `standard_L` and
     `formal_ext_sq_L` read only `n`, `nvars` and `entries`.
     """
 
@@ -1010,7 +1049,7 @@ def satake_report_data(task: dict) -> dict:
         order = task["truncation"]
         data = {
             "standard_roots": sorted(format_terms(e, names) for e in vec.entries if e),
-            "ext_sq_roots": sorted(format_terms(r, names) for r in ext_sq_roots(vec) if r),
+            "ext_sq_roots": sorted(format_terms(r, names) for r in pair_products(vec) if r),
             "standard_series": [format_m(c) for c in standard_L(vec).series(order)],
             "ext_sq_series": [format_m(c) for c in formal_ext_sq_L(vec).series(order)],
         }

@@ -51,6 +51,7 @@ from oracles import (
     formal_ext_sq_L,
     partitions_bounded,
     schur_bialternant,
+    schur_value,
     series2_product,
     standard_L,
     standard_satake,
@@ -198,7 +199,7 @@ def test_criterion_06_padded_evaluation(capsys):
                 num = rng.choice([x for x in range(-6, 7) if x])
                 values.append(MultiPoly.constant(0, Fraction(num, rng.randrange(1, 5))))
         direct = substitute(schur_bialternant(f, n), values)
-        if SchurValues(SatakeParams(values), weight).value(f) != direct:
+        if schur_value(SchurValues(SatakeParams(values), weight), f) != direct:
             problems.append((i, f, [str(v.constant_value()) for v in values]))
     finish(capsys, "criterion 06: padded evaluation vs full substitution (200 cases)", 30.0, t0, not problems, f"{problems[:2]}")
 

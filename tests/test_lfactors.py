@@ -31,6 +31,8 @@ from oracles import (
     series2_product,
     standard_L,
     symbolic_params,
+    unscale,
+    unscale_grid,
 )
 
 
@@ -41,11 +43,11 @@ def kernel_series(roots, nvars, order):
 
 def expansion_row(params, order):
     """The doubled-shape expansion: the t1^0 row of Littlewood's sum over k rows, k the nonzero entries."""
-    return LittlewoodIdentity(params, len(params.nonzero_entries), 0, order).grid[0]
+    return unscale_grid(LittlewoodIdentity(params, len(params.nonzero_entries), 0, order).grid, params.scale)[0]
 
 
 def torus_row(params, order):
-    return LittlewoodIdentity(params, params.n - 1, 0, order).grid[0]
+    return unscale_grid(LittlewoodIdentity(params, params.n - 1, 0, order).grid, params.scale)[0]
 
 
 class TestSatakeParams:
@@ -124,10 +126,12 @@ class TestSatakeParams:
         ],
     )
     def test_constants_and_scale(self, tokens, constants, scale):
-        """The one split of a vector: its nonzero constants in entry order, and D."""
+        """The one split of a vector: D, every entry times D, and the nonzero constants among those."""
         p = SatakeParams.parse(tokens)
-        assert p.constants == tuple(MultiPoly.constant(p.nvars, c) for c in constants)
+        assert p.constants == tuple(MultiPoly.constant(p.nvars, c * scale) for c in constants)
         assert p.scale == scale and type(p.scale) is int
+        assert tuple(unscale(e, scale) for e in p.scaled) == p.entries
+        assert all(type(c) is int for e in p.scaled for c in e.coefficients())
 
     def test_symbolic(self):
         p = symbolic_params(3)
@@ -274,10 +278,11 @@ class TestRootwiseProductSide:
         and coefficient k divided by D^k is the series of the roots themselves."""
         nvars, roots = nvars_roots
         scale = lcm(*(c.denominator for r in roots for c in r.coefficients()))
-        scaled = kernel_series([r * scale for r in roots], nvars, order)
+        # the constructor stores the integral products as ints
+        scaled = kernel_series([MultiPoly(nvars, {e: c * scale for e, c in r.terms()}) for r in roots], nvars, order)
         assert all(type(c) is int for s in scaled for c in s.coefficients())
         oracle = LFactor.from_linear_roots(roots, nvars).series(order)
-        assert tuple(c.div_int(scale**k) for k, c in enumerate(scaled)) == oracle
+        assert tuple(unscale(c, scale**k) for k, c in enumerate(scaled)) == oracle
 
     @pytest.mark.parametrize(
         "tokens, kernel",
@@ -307,14 +312,14 @@ class TestRootwiseProductSide:
         assert bool(calls) is kernel
         assert all(type(c) is int for roots in calls for r in roots for c in r.coefficients())
         std = embed_t1(standard_L(p).series(3), 4)
-        assert grid == dominant_series(series2_product(std, embed_t2(formal_ext_sq_L(p).series(4), 3)))
+        assert unscale_grid(grid, p.scale) == dominant_series(series2_product(std, embed_t2(formal_ext_sq_L(p).series(4), 3)))
 
     @pytest.mark.parametrize("tokens", [["sym", "-3/4", "2", "sym"], ["0", "1/2", "sym", "0", "5"]])
     def test_series_reads_the_factor_roots(self, tokens):
         p = SatakeParams.parse(tokens)
-        std = tuple(row[0] for row in lfactors.product_grid(p, 6, 0))
+        std = tuple(row[0] for row in unscale_grid(lfactors.product_grid(p, 6, 0), p.scale))
         assert std == dominant_series(standard_L(p).series(6))
-        assert lfactors.product_grid(p, 0, 6)[0] == dominant_series(formal_ext_sq_L(p).series(6))
+        assert unscale_grid(lfactors.product_grid(p, 0, 6), p.scale)[0] == dominant_series(formal_ext_sq_L(p).series(6))
 
 
 def kostka_sum(nu, odd_columns, n):
@@ -440,8 +445,8 @@ class TestExtSqExpansion:
         assert [shape for _, b, shape, _ in out.terms if b == 2] == [(2, 2), (1, 1, 1, 1)]
         for l in range(5):
             scaled = [value for _, b, _, value in out.terms if b == l]
-            total = sum(scaled, MultiPoly.zero(p.nvars)).div_int(out.scale ** (2 * l))
-            assert total == out.grid[0][l]
+            # the terms and the cell are both held at D^(2l)
+            assert sum(scaled, MultiPoly.zero(p.nvars)) == out.grid[0][l]
         data = run_task(parse_task({"task": "verify-littlewood", "satake": tokens, "truncation": 4})).data
         assert [c["shape"] for c in data["contributions"] if c["power"] == 2] == [[2, 2, 0, 0], [1, 1, 1, 1]]
         assert {len(c["shape"]) for c in data["contributions"]} == {4}

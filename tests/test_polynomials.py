@@ -15,6 +15,7 @@ from oracles import (
     monomial,
     power,
     substitute,
+    unscale,
 )
 
 
@@ -23,11 +24,11 @@ def poly(nvars, mapping):
 
 
 @st.composite
-def multipolys(draw, nvars=3, max_exp=4, max_terms=5):
+def multipolys(draw, nvars=3, max_exp=4, max_terms=5, ints=False):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exps = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
-        coeff = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        coeff = draw(st.integers(-6, 6)) if ints else Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
         terms[exps] = coeff
     return MultiPoly(nvars, terms)
 
@@ -143,37 +144,46 @@ class TestMultiPolyArithmetic:
         assert (a - a).is_zero
 
 
-nonzero_divisors = st.integers(-2520, 2520).filter(bool)
+@st.composite
+def scaled_polys(draw, nvars=3):
+    """(p, scale): an int polynomial and a scale, its coefficients of either sign,
+    multiples of the scale and ±scale among them, the scale 1 among the scales."""
+    scale = draw(st.sampled_from([1, 2, 6, 12]) | st.integers(1, 10**6))
+    coeff = st.one_of(
+        st.integers(-(10**7), 10**7).filter(bool),
+        st.sampled_from([scale, -scale]),
+        st.integers(-5, 5).filter(bool).map(lambda k: k * scale),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        terms[tuple(draw(st.integers(0, 3)) for _ in range(nvars))] = draw(coeff)
+    return MultiPoly(nvars, terms), scale
 
 
-class TestDivInt:
-    """`div_int`, the one division of the product sides and the Schur values."""
+class TestScaledPrinter:
+    """`format` and `format_symmetric` at a scale D print p / D, against the oracle
+    printers of p / D in Fractions."""
 
-    @given(multipolys(), st.booleans(), nonzero_divisors)
-    def test_matches_multiplying_by_the_reciprocal(self, p, integral, d):
-        if integral:
-            p = p * 12  # clears every denominator `multipolys` draws
-            assert all(type(c) is int for c in p.coefficients())
-        assert p.div_int(d) == p * Fraction(1, d)
+    @settings(max_examples=300)
+    @given(scaled_polys())
+    def test_matches_the_fraction_printers(self, drawn):
+        p, scale = drawn
+        q = unscale(p, scale)
+        for names in (["x1", "x2", "x3"], ["α1", "α2", "α3"]):
+            assert p.format(names, scale) == format_terms(q, names)
+        d = p.dominant()
+        assert d.format_symmetric(scale) == format_m(unscale(d, scale))
 
-    @given(multipolys(), st.booleans(), nonzero_divisors)
-    def test_integral_coefficients_are_ints(self, p, integral, d):
-        if integral:
-            p = p * d  # every quotient coefficient is then p's own
-        q = p.div_int(d)
-        assert q.nvars == p.nvars and len(q) == len(p)
-        assert all(type(c) is int for c in q.coefficients() if c.denominator == 1)
-        assert all(type(c) is Fraction for c in q.coefficients() if c.denominator != 1)
-
-    @given(multipolys())
-    def test_one_returns_the_polynomial(self, p):
-        assert p.div_int(1) == p
-        assert p.div_int(1) is p
-
-    @given(multipolys())
-    def test_zero_raises(self, p):
-        with pytest.raises(ZeroDivisionError):
-            p.div_int(0)
+    def test_known_text(self):
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = x * x * 6 - x * y * 3 + MultiPoly.constant(2, 4) + y * 12
+        assert p.format(scale=6) == "2/3 + 2*x2 + x1^2 - 1/2*x1*x2"
+        assert (-p).format(scale=6) == "-2/3 - 2*x2 - x1^2 + 1/2*x1*x2"
+        assert p.format(scale=1) == p.format() == "4 + 12*x2 + 6*x1^2 - 3*x1*x2"
+        assert (x * x * 6 - x * y * 6).format_symmetric(6) == "m(2) - m(1,1)"
+        assert MultiPoly.constant(0, -12).format_symmetric(6) == "-2"
+        assert MultiPoly.constant(0, 9).format_symmetric(6) == "3/2"
+        assert MultiPoly.zero(2).format(scale=6) == "0"
 
 
 class TestTimesLinearFactors:
@@ -345,9 +355,9 @@ class TestFormat:
 
 class TestAppendVariable:
     @settings(max_examples=30)
-    @given(st.lists(st.tuples(multipolys(nvars=2), st.integers(0, 4)), max_size=4))
+    @given(st.lists(st.tuples(multipolys(nvars=2, ints=True), st.integers(0, 4)), max_size=4))
     def test_matches_products_with_the_new_variable(self, parts):
-        """The dominant part of the products; sums that cancel or turn integral come out normalized."""
+        """The dominant part of the products, in ints; sums that cancel are dropped."""
         parts = [(dominant_part(p), e) for p, e in parts]
         x1, x2, y = (MultiPoly.variable(3, i) for i in range(3))
         expected = MultiPoly.zero(3)
@@ -355,9 +365,7 @@ class TestAppendVariable:
             expected = expected + substitute(p, [x1, x2]) * power(y, e)
         got = append_variable(2, parts)
         assert got == dominant_part(expected)
-        assert all(
-            isinstance(c, int) or c.denominator != 1 for _, c in got.terms()
-        )
+        assert all(type(c) is int and c for _, c in got.terms())
 
     def test_keeps_a_term_when_the_new_exponent_is_at_most_the_last(self):
         xy = monomial(2, (3, 2))
@@ -367,9 +375,8 @@ class TestAppendVariable:
 
     def test_cancelling_and_integral_sums(self):
         x = MultiPoly.variable(1, 0)
-        half = x * Fraction(1, 2)
         assert append_variable(1, [(x, 1), (-x, 1)]).is_zero
-        got = append_variable(1, [(half, 1), (half, 1)])
+        got = append_variable(1, [(x * 3, 1), (x * -2, 1)])
         assert got.terms() == [((1, 1), 1)] and type(coefficient(got, (1, 1))) is int
 
     def test_rejects_bad_exponent_and_dimension(self):

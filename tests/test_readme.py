@@ -14,3 +14,4 @@ def test_library_example_runs():
     assert namespace["power"] == 1 and namespace["shape"] == (1, 1)
     assert namespace["text"] == namespace["value"].format_symmetric() == "m(1,1)"
     assert namespace["value"].format() == "x1*x2"
+    assert namespace["sixths"] == "1/6 + 5/6*m(1)"

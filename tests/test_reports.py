@@ -11,6 +11,7 @@ the goldens in `tests/test_golden.py`.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,25 @@ def test_contributions_and_series(body):
     """Every series, grid, contribution and field of a drawn Satake report."""
     report = run_task(parse_task(body))
     assert report.verdict != "error"
+    assert report.data == satake_report_data(report.task)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"task": "lfactor", "satake": ["1/2", "sym", "-2/3"], "truncation": 3},
+        {"task": "verify-littlewood", "satake": ["1/2", "1/3", "sym"], "truncation": 3},
+        {"task": "verify-js", "satake": ["1/2", "0", "sym", "-3/4"], "truncation": 3},
+        {"task": "verify-bf", "satake": ["1/2", "1/3", "sym", "-2"], "truncation": [2, 2]},
+        {"task": "verify-bf", "satake": ["1/2", "0", "sym"], "truncation": [2, 2]},
+        {"task": "bf-odd-probe", "satake": ["1/2", "1/3", "sym"], "truncation": [1, 1]},
+    ],
+    ids=lambda body: body["task"],
+)
+def test_every_scaled_field_prints_the_oracle_text(body):
+    """Vectors with D = 6 or 12, whose cells print at D^(i + 2j), omega at D^k and
+    roots at D and D^2, each field against the oracle's Fraction text."""
+    report = run_task(parse_task(body))
     assert report.data == satake_report_data(report.task)
 
 

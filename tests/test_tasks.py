@@ -489,7 +489,7 @@ class TestRunTask:
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
-            grid[0][1] = grid[0][1] + MultiPoly.one(params.nvars)
+            grid[0][1] = grid[0][1] + MultiPoly.constant(params.nvars, params.scale**2)  # 1, at the cell's scale
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)
@@ -676,7 +676,7 @@ class TestFailBranches:
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
+            grid[1][2] = grid[1][2] + MultiPoly.constant(params.nvars, params.scale**5)  # 1, at the cell's scale
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)
@@ -702,7 +702,7 @@ class TestFailBranches:
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
-            grid[0][2] = grid[0][2] + MultiPoly.one(params.nvars)
+            grid[0][2] = grid[0][2] + MultiPoly.constant(params.nvars, params.scale**4)  # 1, at the cell's scale
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)
@@ -833,9 +833,18 @@ class TestFmtAgainst:
         x = MultiPoly.variable(1, 0)
         a = [MultiPoly.one(1), x, x * x]
         a_text = ["1", "m(1)", "m(2)"]
-        got = satake_tasks._fmt_against([MultiPoly.one(1), -x, x * x], a, a_text)
+        got = satake_tasks._fmt_row([MultiPoly.one(1), -x, x * x], 1, 1, a, a_text)
         assert got == ["1", "-m(1)", "m(2)"]
         assert got[2] is a_text[2]
+
+    def test_prints_cell_j_at_scale_times_step_to_the_j(self):
+        """A row held at 4, 4*9, 4*81 prints each cell divided by its own scale."""
+        x = MultiPoly.variable(1, 0)
+        row = [MultiPoly.constant(1, 2), x * 18, x * x * 81 * 4]
+        assert satake_tasks._fmt_row(row, 4, 9) == ["1/2", "1/2*m(1)", "m(2)"]
+        # a differing cell is printed at its own scale too
+        got = satake_tasks._fmt_row(row, 4, 9, [MultiPoly.constant(1, 2), x, x], ["ref", "r1", "r2"])
+        assert got == ["ref", "1/2*m(1)", "m(2)"]
 
 
 class TestEmission:
@@ -1325,7 +1334,7 @@ class TestCli:
 
         def bumped(params, l1, l2):
             grid = [list(row) for row in real(params, l1, l2)]
-            grid[1][2] = grid[1][2] + MultiPoly.one(params.nvars)
+            grid[1][2] = grid[1][2] + MultiPoly.constant(params.nvars, params.scale**5)  # 1, at the cell's scale
             return tuple(map(tuple, grid))
 
         monkeypatch.setattr(torus_sums, "product_grid", bumped)

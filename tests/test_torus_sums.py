@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from operator import mul
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from extsq import lfactors, symmetric, torus_sums
@@ -26,11 +27,14 @@ from oracles import (
     expand_m_basis,
     formal_ext_sq_L,
     monomial,
+    pair_products,
     schur_bialternant,
     series2_product,
     standard_L,
     substitute,
     symbolic_params,
+    unscale,
+    unscale_grid,
 )
 
 
@@ -46,21 +50,21 @@ def full_grid(grid):
 
 def torus_row(params, order):
     """The one-variable torus sum: the t1^0 row of Littlewood's sum over at most n - 1 rows."""
-    return LittlewoodIdentity(params, params.n - 1, 0, order).grid[0]
+    return unscale_grid(LittlewoodIdentity(params, params.n - 1, 0, order).grid, params.scale)[0]
 
 
 def torus_grid(params, l1, l2):
     """The two-variable torus sum: the whole window over at most n - 1 rows."""
-    return LittlewoodIdentity(params, params.n - 1, l1, l2).grid
+    return unscale_grid(LittlewoodIdentity(params, params.n - 1, l1, l2).grid, params.scale)
 
 
 def product_grid_of(params, l1, l2):
-    return LittlewoodIdentity(params, params.n - 1, l1, l2).product
+    return unscale_grid(LittlewoodIdentity(params, params.n - 1, l1, l2).product, params.scale)
 
 
 def ext_sq_row(params, order):
     """The exterior-square factor's series, the t2 row of `product_grid` over the window (0, order)."""
-    return product_grid(params, 0, order)[0]
+    return unscale_grid(product_grid(params, 0, order), params.scale)[0]
 
 
 def probe(tokens, window):
@@ -350,7 +354,8 @@ class TestLittlewoodIdentity:
         rows = max(k + extra, 0)  # above n included: no shape is longer than the vector
         identity = LittlewoodIdentity(p, rows, l1, l2)
         one = MultiPoly.one(p.nvars)
-        assert identity.omega == (reduce(mul, p.nonzero_entries, one) if rows < k else 0)
+        # omega is held at D^k
+        assert unscale(identity.omega, p.scale**k) == (reduce(mul, p.nonzero_entries, one) if rows < k else 0)
         assert identity.form == identity.grid
 
     @pytest.mark.parametrize(
@@ -374,7 +379,7 @@ class TestLittlewoodIdentity:
         """At n - 1 rows ω is the product of all entries: 0 when one vanishes."""
         for tokens in (["sym"] * 4, ["sym", "0", "sym"], ["1/2", "sym", "-3"]):
             p = SatakeParams.parse(tokens)
-            assert LittlewoodIdentity(p, p.n - 1, 1, 1).omega == reduce(mul, p.entries)
+            assert unscale(LittlewoodIdentity(p, p.n - 1, 1, 1).omega, p.scale**p.n) == reduce(mul, p.entries)
 
     def test_rank_one_sum_is_the_unit(self):
         """One entry and no rows: the sum is 1, and so is (1 - x t1) / (1 - x t1)."""
@@ -403,6 +408,52 @@ class TestLittlewoodIdentity:
         assert calls == []
         assert identity.form == identity.grid and identity.product is identity.product
         assert len(calls) == 1
+
+
+@st.composite
+def split_scale_vectors(draw):
+    """Tokens of mixed vectors whose pair products need less than D^2: the lcm D2 of
+    their denominators differs from D^2, as for 1/2, 1/3, sym (D = 6, D2 = 6)."""
+    syms = draw(st.integers(1, 2))
+    fraction = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+    constants = draw(st.lists(fraction, min_size=1, max_size=4 - syms))
+    zeros = ["0"] * draw(st.integers(0, 1))
+    tokens = draw(st.permutations(["sym"] * syms + [str(c) for c in constants] + zeros))
+    p = SatakeParams.parse(tokens)
+    d2 = lcm(*(c.denominator for r in pair_products(p) for c in r.coefficients()))
+    assume(d2 != p.scale**2)
+    return tokens
+
+
+class TestCellScales:
+    """Every cell [i][j] of the sum, of P and of the form is an int polynomial at D^(i + 2j)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_scale_vectors(), st.integers(0, 3), st.integers(0, 3))
+    @example(["1/2", "1/3", "sym"], 3, 3)
+    @example(["sym", "2/5", "0", "-1/3", "sym"], 2, 3)
+    def test_cells_divided_by_their_scales_are_the_oracle_series(self, tokens, l1, l2):
+        p = SatakeParams.parse(tokens)
+        d, nvars = p.scale, p.nvars
+        k = len(p.nonzero_entries)
+        identity = LittlewoodIdentity(p, k - 1, l1, l2)
+        # the oracle's Fraction series: P, and (1 - omega t1^a t2^b) P
+        full_product = series2_product(
+            embed_t1(standard_L(p).series(l1), l2), embed_t2(formal_ext_sq_L(p).series(l2), l1)
+        )
+        omega = reduce(mul, p.nonzero_entries, MultiPoly.one(nvars))
+        b, a = divmod(k, 2)
+        factor = [[MultiPoly.zero(nvars)] * (l2 + 1) for _ in range(l1 + 1)]
+        factor[0][0] = MultiPoly.one(nvars)
+        if a <= l1 and b <= l2:
+            factor[a][b] = -omega
+        form = dominant_series(series2_product(factor, full_product))
+        assert unscale(identity.omega, d**k) == omega
+        assert unscale_grid(identity.product, d) == dominant_series(full_product)
+        assert unscale_grid(identity.form, d) == form
+        assert unscale_grid(identity.grid, d) == form
+        for grid in (identity.grid, identity.product, identity.form):
+            assert all(type(c) is int for row in grid for cell in row for c in cell.coefficients())
 
 
 class TestBfOddProbe:
@@ -463,8 +514,8 @@ class TestBfOddProbe:
         r = probe(tokens, window)
         assert not r.data["conductor_hypothesis"]
         assert r.data["correction"] == [[c.format_symmetric() for c in row] for row in correction]
-        full = series2_product(full_grid(correction), full_grid(identity.product))
-        assert dominant_series(full) == identity.grid
+        full = series2_product(full_grid(correction), full_grid(unscale_grid(identity.product, p.scale)))
+        assert dominant_series(full) == unscale_grid(identity.grid, p.scale)
 
     def test_rational_zero_entry(self):
         r = probe(["3/4", "-2", "0", "1/6", "5"], (3, 3))

@@ -45,6 +45,7 @@ from oracles import (
     ext_sq_lfactor_by_elimination,
     formal_ext_sq_L,
     key_roots,
+    pair_products,
     randrange_k1_rep,
     randrange_wdrep,
     reciprocal_quotient,
@@ -617,7 +618,7 @@ class TestRootComparison:
             del indices[drop % len(indices)]
         # the formal roots from the grade-0 kernel eigenvalues, the others from
         # alphas and Fraction arithmetic; neither from the integer keys
-        formal = [r for r in lfactors.ext_sq_roots(standard_satake(rep)) if not r.is_zero]
+        formal = [r for r in pair_products(standard_satake(rep)) if not r.is_zero]
         missing, leftover = root_multiset_differences(formal, roots_of(rep, indices))
         with patch.object(weil_deligne, "ext_sq_root_indices", lambda rep: list(indices)):
             v, h = DivisibilityVerdict(rep), PropHResult(rep)
@@ -663,7 +664,8 @@ class TestPrintedRoots:
         print_keys = partial(_RootComparison.root_strings, SimpleNamespace(scale=scale))
         roots = key_roots(keys, scale, nvars)
         assert [print_keys([key], names)[0] for key in keys] == [r.format(names) for r in roots]
-        assert print_keys(keys, names) == satake_tasks._root_strings(roots, names)
+        # the Satake printer of the int numerators at the common scale
+        assert print_keys(keys, names) == satake_tasks._root_strings(key_roots(keys, 1, nvars), names, scale)
 
     def test_reports_print_the_oracle_roots(self, monkeypatch):
         rng = random.Random(87)
@@ -680,7 +682,7 @@ class TestPrintedRoots:
             monkeypatch.setattr(weil_deligne, "ext_sq_root_indices", indices)
             for rep in reps:
                 names = [f"α{i + 1}" for i in range(len(rep.symbols))]
-                pairs = lfactors.ext_sq_roots(standard_satake(rep))
+                pairs = pair_products(standard_satake(rep))
                 formal = sorted(r.format(names) for r in pairs if not r.is_zero)
                 roots = roots_of(rep, indices(rep))
                 if indices is real:
@@ -947,6 +949,18 @@ class TestRandomGenerators:
             assert groups.setdefault(g.orders, g) is g
         assert len(groups) == 42  # every order tuple of rank 1 or 2 with orders up to 6
         assert weil_deligne._group.cache_info().maxsize == 64
+
+    def test_explicit_tasks_share_the_drawn_groups(self):
+        """A config's group comes from the cache the drawers use: one group per order tuple."""
+        drawn = random_group(random.Random(8))
+        for orders in (drawn.orders, (5, 7)):
+            block = {"grade": [0] * len(orders), "length": 1, "scalar": "2"}
+            groups = [
+                parse_task({"task": task, "group": list(orders), "blocks": [block]}).rep.group
+                for task in ("galois-H", "galois-divisibility", "galois-H")
+            ]
+            assert all(g is weil_deligne._group(orders) for g in groups)
+        assert groups[0].orders == (5, 7) and weil_deligne._group(drawn.orders) is drawn
 
     @pytest.mark.parametrize(
         "draw, params",
